@@ -34,11 +34,13 @@ from .measurement import (
 from .models import (
     InterpretationModel,
     MODES,
+    OUTCOME_SIGNS,
     erasure_experiment,
     nonideal_sweep,
     run_model,
 )
 from .scenario import (
+    CANONICAL_SLOTS,
     FRAME_NAMES,
     build_schedule,
     collect_constraints,
@@ -51,8 +53,10 @@ from .scenario import (
 )
 from .spacetime import GeometrySpec, standard_geometry, validate_geometry
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 ENV_SEED = "GWSIM_SEED"
+# Tolerance of every check on an exactly computed probability.
+EXACT_TOL = 1e-12
 
 DEFAULT_CONFIG = {
     "geometry": {"side": 10.0, "tau": 1.0},
@@ -132,7 +136,11 @@ def _validate_config(config: dict) -> dict:
     geometry = config["geometry"]
     for key in ("side", "tau"):
         value = geometry[key]
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, float))
+            or not math.isfinite(value)
+        ):
             raise ConfigError(f"geometry.{key} must be a finite number, got {value!r}")
         geometry[key] = float(value)
     if config["model"]["kind"] not in ("ideal", "random"):
@@ -144,19 +152,26 @@ def _validate_config(config: dict) -> dict:
         raise ConfigError(
             f"run.preferred_frame must be one of {FRAME_NAMES}, got {run['preferred_frame']!r}"
         )
-    if not isinstance(run["trials"], int) or run["trials"] < 0:
+    if not _is_int(run["trials"]) or run["trials"] < 0:
         raise ConfigError(f"run.trials must be a non-negative integer, got {run['trials']!r}")
+    if run["seed"] is not None and not _is_int(run["seed"]):
+        raise ConfigError(f"run.seed must be an integer, got {run['seed']!r}")
     if config["output"]["format"] not in ("json", "text"):
         raise ConfigError(f"output.format must be 'json' or 'text', got {config['output']['format']!r}")
     return config
+
+
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _resolve_seed(config: dict) -> int:
     seed = config["run"]["seed"]
     if seed is None:
         seed = int(os.environ.get(ENV_SEED, "0"))
-    if not isinstance(seed, int):
-        raise ConfigError(f"run.seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"run.seed must be non-negative, got {seed}")
     config["run"]["seed"] = seed
     return seed
 
@@ -198,6 +213,18 @@ def _constraint_dict(c) -> dict:
 
 def _binomial_band(p: float, trials: int) -> float:
     return 4.0 * math.sqrt(p * (1.0 - p) / trials) if trials else math.inf
+
+
+def _rates(rates) -> str:
+    return ", ".join(f"{r:.12g}" for r in rates)
+
+
+def _pruned_weight_check(pruned: float) -> dict:
+    return _check(
+        "pruned_weight_negligible",
+        pruned <= EXACT_TOL,
+        f"outcome weight left out of the exact table: {pruned:.3g}",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +424,10 @@ def cmd_run(config: dict) -> dict:
     if trials > 0:
         interpretation = InterpretationModel(mode, frames[preferred_name])
         report = run_model(schedule, interpretation, trials, seed)
+        exact_rates = report.exact_rates
         stats = []
-        for c, preferred, count in zip(
-            report.constraints, report.preferred_mask, report.violation_counts
+        for c, preferred, count, exact in zip(
+            report.constraints, report.preferred_mask, report.violation_counts, exact_rates
         ):
             stats.append(
                 {
@@ -407,6 +435,7 @@ def cmd_run(config: dict) -> dict:
                     "preferred": preferred,
                     "violations": count,
                     "rate": count / trials,
+                    "exact_rate": exact,
                 }
             )
         results["run"] = {
@@ -416,8 +445,31 @@ def cmd_run(config: dict) -> dict:
             "seed": seed,
             "constraint_statistics": stats,
             "trials_violating_nonpreferred": report.trials_violating_nonpreferred,
+            "pruned_weight": report.pruned_weight,
         }
+        checks.append(_pruned_weight_check(report.pruned_weight))
         if mode == "round_born":
+            exact_preferred = [r for r, p in zip(exact_rates, report.preferred_mask) if p]
+            exact_nonpreferred = [r for r, p in zip(exact_rates, report.preferred_mask) if not p]
+            checks += [
+                _check(
+                    "preferred_exact_rates_zero",
+                    all(r <= EXACT_TOL for r in exact_preferred),
+                    f"exact violation probabilities {_rates(exact_preferred)} of the "
+                    "preferred frame's constraints",
+                ),
+                _check(
+                    "nonpreferred_exact_rates_half",
+                    all(abs(r - 0.5) <= EXACT_TOL for r in exact_nonpreferred),
+                    f"exact violation probabilities {_rates(exact_nonpreferred)}",
+                ),
+                _check(
+                    "exact_nonpreferred_violation_certain",
+                    abs(report.exact_nonpreferred_probability - 1.0) <= EXACT_TOL,
+                    f"an assignment violates ≥1 non-preferred constraint with "
+                    f"probability {report.exact_nonpreferred_probability:.12g}",
+                ),
+            ]
             band = _binomial_band(0.5, trials)
             preferred_ok = all(
                 count == 0
@@ -438,7 +490,7 @@ def cmd_run(config: dict) -> dict:
                 _check(
                     "nonpreferred_rates_half",
                     all(abs(r - 0.5) <= band for r in nonpreferred_rates),
-                    f"rates {', '.join(f'{r:.12g}' for r in nonpreferred_rates)} "
+                    f"rates {_rates(nonpreferred_rates)} "
                     f"within 4σ band ±{band:.3g} of 1/2",
                 ),
                 _check(
@@ -449,19 +501,25 @@ def cmd_run(config: dict) -> dict:
                 ),
             ]
         else:
-            outsider_products = [
-                a.value("x_A") * a.value("x_B") * a.value("x_C") for a in report.assignments
-            ]
-            rate = outsider_products.count(-1) / trials
+            outsider = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
+            minus = report.assignments[:, outsider].prod(axis=1) == -1
+            rate = int(np.count_nonzero(minus)) / trials
+            exact = float(report.probabilities[OUTCOME_SIGNS[:, outsider].prod(axis=1) == -1].sum())
             results["run"]["outsider_product_minus_one_rate"] = rate
-            checks.append(
+            results["run"]["outsider_product_minus_one_exact_rate"] = exact
+            checks += [
+                _check(
+                    "outsider_parity_exact_half",
+                    abs(exact - 0.5) <= EXACT_TOL,
+                    f"exact probability of outsider product −1: {exact:.12g}",
+                ),
                 _check(
                     "outsider_parity_rate_half",
                     abs(rate - 0.5) <= _binomial_band(0.5, trials),
                     f"collapse breaks the unitary prediction: product −1 in "
                     f"{rate:.12g} of trials (unitary account: all of them)",
-                )
-            )
+                ),
+            ]
     return _report("run", config, results, checks)
 
 
@@ -477,12 +535,13 @@ def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
         "door_counts": {_sign_key(k): v for k, v in report.door_counts.items()},
         "down_frequency": report.down_frequency,
         "exact_down_probability": report.exact_down_probability,
+        "pruned_weight": report.pruned_weight,
     }
     if skip_pair_x:
         checks = [
             _check(
                 "exact_down_zero",
-                abs(report.exact_down_probability) <= 1e-12,
+                abs(report.exact_down_probability) <= EXACT_TOL,
                 "without the pair measurement the record stays RecordedUp",
             ),
             _check(
@@ -496,7 +555,7 @@ def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
         checks = [
             _check(
                 "exact_down_half",
-                abs(report.exact_down_probability - 0.5) <= 1e-12,
+                abs(report.exact_down_probability - 0.5) <= EXACT_TOL,
                 f"exact post-measurement Down probability {report.exact_down_probability:.12g}",
             ),
             _check(
@@ -511,6 +570,7 @@ def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
                 "pair-observable outcomes evenly split",
             ),
         ]
+    checks.append(_pruned_weight_check(report.pruned_weight))
     return _report("erasure", config, results, checks)
 
 

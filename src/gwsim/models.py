@@ -1,40 +1,48 @@
-"""Single-outcome interpretation models as Monte Carlo experiments.
+"""Single-outcome interpretation models as exact distributions, then sampled.
 
 The frame analysis shows no assignment of definite outcomes satisfies all
 four parity constraints. These models make that concrete: each posits a
-preferred frame in which outcomes actually happen, draws complete outcome
-assignments trial by trial, and tallies how the constraints fare.
+preferred frame in which outcomes actually happen. That fixes a probability
+for each of the 64 complete outcome assignments, and the constraints are
+tallied both exactly over that distribution and over assignments drawn from
+it.
 
-* ``round_born`` — each round's joint outcome tuple is sampled from the
-  Born weights of the unitarily evolved pre-round state in the preferred
-  frame; rounds are independent. The preferred frame's own constraints then
-  hold in every trial, and the price is paid elsewhere: each constraint
-  belonging to another frame is violated in half the trials.
+* ``round_born`` — each round's joint outcome tuple follows the Born weights
+  of the unitarily evolved pre-round state in the preferred frame; rounds are
+  independent, so the distribution is the product of the round tables. The
+  preferred frame's own constraints then hold with certainty, and the price
+  is paid elsewhere: each constraint belonging to another frame is violated
+  with probability 1/2.
 * ``sequential_collapse`` — textbook projective collapse applied event by
-  event in the preferred frame's order. Collapse after the friends' round
-  destroys the three-way coherence, so even the preferred frame's outsider
-  parity fails in half the trials.
+  event in the preferred frame's order; the distribution comes from
+  branching once over every event's projectors. Collapse after the friends'
+  round destroys the three-way coherence, so even the preferred frame's
+  outsider parity fails with probability 1/2.
+
+A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
+(row *i* of ``OUTCOME_SIGNS`` holds the ±1 values of index *i*). Monte Carlo
+is then one inverse-CDF draw: trial *i* takes the *i*-th uniform of a single
+counter-based Philox stream keyed by the master seed, so reports are
+reproducible and the first *k* trials of any run are the *k*-trial run.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
-flip what the lab's record says afterwards) and the sweep re-deriving the
-contradiction under random non-ideal measurement devices.
-
-All randomness flows from a master seed through counter-based per-trial
-streams, so reports are reproducible and trials are order-independent.
+flip what the lab's record says afterwards), computed and sampled the same
+way, and the sweep re-deriving the contradiction under random non-ideal
+measurement devices, each drawn from its own ``trial_rng`` stream.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measurement import (
-    MeasurementModel,
+    SAMPLE_FLOOR,
     haar_random_unitary,
     ideal_von_neumann,
-    measure,
-    distribution,
     door_observable,
     outsider_observable,
     per_site_model,
@@ -42,6 +50,7 @@ from .measurement import (
 )
 from .qmath import StateVector, apply_local, layout
 from .scenario import (
+    CANONICAL_SLOTS,
     OutcomeAssignment,
     ParityConstraint,
     Schedule,
@@ -55,9 +64,16 @@ from .scenario import (
     support_constraint,
 )
 from .spacetime import Frame
-from .systems import SITE_FACTORS, LabLabel, SpinAxis, lab_vector, spin_vector
+from .systems import LabLabel, SpinAxis, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
+
+# Index i gives slot j the value −1 iff bit (5 − j) of i is set: the first
+# slot is the most significant bit, matching enumerate_assignments' order.
+_N_SLOTS = len(CANONICAL_SLOTS)
+OUTCOME_SIGNS = (
+    1 - 2 * ((np.arange(2**_N_SLOTS)[:, None] >> np.arange(_N_SLOTS - 1, -1, -1)) & 1)
+).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -80,25 +96,50 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
+def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Table indices of ``trials`` inverse-CDF draws; zero entries never occur.
+
+    Trial i takes the i-th uniform of one Philox stream keyed by ``seed``.
+    """
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cdf = np.cumsum(probabilities)
+    return np.searchsorted(cdf / cdf[-1], rng.random(trials), side="right")
+
+
 @dataclass(frozen=True)
 class RunReport:
-    """Per-trial assignments and constraint tallies for one model run."""
+    """Exact outcome distribution, sampled assignments and constraint tallies
+    for one model run."""
 
     mode: str
     trials: int
     seed: int
     constraints: tuple[ParityConstraint, ...]
     preferred_mask: tuple[bool, ...]  # True where the constraint is the preferred frame's
-    assignments: tuple[OutcomeAssignment, ...]
+    probabilities: np.ndarray  # (64,) exact distribution, OUTCOME_SIGNS row order
+    pruned_weight: float  # outcome weight the distribution leaves out
+    violation_mask: np.ndarray  # (64, constraints) bool: outcome violates constraint
+    assignments: np.ndarray  # (trials, 6) int8: ±1 in CANONICAL_SLOTS column order
     violation_counts: tuple[int, ...]
-    nonpreferred_violated_flags: tuple[bool, ...]  # per trial: ≥1 non-preferred violated
+    nonpreferred_violated_flags: np.ndarray  # (trials,) bool: ≥1 non-preferred violated
 
     @property
     def trials_violating_nonpreferred(self) -> int:
-        return sum(self.nonpreferred_violated_flags)
+        return int(np.count_nonzero(self.nonpreferred_violated_flags))
 
     def violation_rate(self, index: int) -> float:
         return self.violation_counts[index] / self.trials if self.trials else 0.0
+
+    @property
+    def exact_rates(self) -> tuple[float, ...]:
+        """Per constraint: the probability that an assignment violates it."""
+        return tuple(float(p) for p in self.probabilities @ self.violation_mask)
+
+    @property
+    def exact_nonpreferred_probability(self) -> float:
+        """Probability that an assignment violates ≥1 non-preferred constraint."""
+        nonpreferred = _any_nonpreferred(self.violation_mask, self.preferred_mask)
+        return float(self.probabilities @ nonpreferred)
 
 
 def born_violation_check(assignment: OutcomeAssignment, constraints) -> tuple[bool, ...]:
@@ -106,17 +147,107 @@ def born_violation_check(assignment: OutcomeAssignment, constraints) -> tuple[bo
     return tuple(not c.satisfied_by(assignment) for c in constraints)
 
 
-def _round_born_tables(s: Schedule, preferred: Frame):
-    """Per round: outcome slots, label tuples, and Born probabilities."""
-    tables = []
+def _violation_mask(constraints) -> np.ndarray:
+    """(64, constraints) bool: where each outcome index violates each constraint."""
+    mask = np.empty((len(OUTCOME_SIGNS), len(constraints)), dtype=bool)
+    for i, c in enumerate(constraints):
+        columns = [CANONICAL_SLOTS.index(slot) for slot in c.slots]
+        mask[:, i] = OUTCOME_SIGNS[:, columns].prod(axis=1) != c.required_product
+    return mask
+
+
+def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
+    return mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
+
+
+def _outcome_index(slots, signs) -> int:
+    """Table index of the outcome giving ``signs`` to ``slots``, +1 elsewhere."""
+    return sum(
+        1 << (_N_SLOTS - 1 - CANONICAL_SLOTS.index(slot))
+        for slot, sign in zip(slots, signs)
+        if sign == -1
+    )
+
+
+def _collapse_branches(state: StateVector, steps):
+    """Every outcome sequence of measuring ``steps`` in turn, with collapse.
+
+    Each step is an observable plus an optional ``(unitary, targets)`` run on
+    the post-measurement state. Returns ``(signs, probability)`` per surviving
+    sequence, and the total weight of outcomes dropped because their
+    conditional probability fell below SAMPLE_FLOOR. A surviving outcome must
+    be ±1; any other eigenvalue means the state left the recorded subspace.
+    """
+    paths = [((), 1.0, state)]
+    pruned = 0.0
+    for obs, device in steps:
+        grown = []
+        for signs, weight, psi in paths:
+            for value, proj in obs.eigenpairs:
+                projected = apply_local(proj, obs.targets, psi)
+                p = float(np.vdot(projected.amplitudes, projected.amplitudes).real)
+                if p < SAMPLE_FLOOR:
+                    pruned += weight * p
+                    continue
+                if value not in (+1.0, -1.0):
+                    raise ValueError(
+                        f"outcome {value:g} on {'/'.join(obs.targets)} has probability "
+                        f"{p:.3g}; only ±1 outcomes may occur"
+                    )
+                post = StateVector(psi.layout, projected.amplitudes / np.sqrt(p))
+                if device is not None:
+                    post = apply_local(device[0], device[1], post)
+                grown.append((signs + (int(value),), weight * p, post))
+        paths = grown
+    return [(signs, weight) for signs, weight, _ in paths], pruned
+
+
+def round_born_distribution(s: Schedule, preferred: Frame) -> tuple[np.ndarray, float]:
+    """The round_born model's 64-entry distribution, and the weight it leaves out.
+
+    Rounds are independent, so an assignment's probability is the product of
+    its rounds' Born weights in the preferred frame. Outcome tuples below the
+    support cutoff are missing from the round tables; their weight is the
+    pruned weight.
+    """
+    rounds = []
     for k, rnd in enumerate(order_events(s, preferred), start=1):
-        state = evolve_to(s, preferred, k)
-        entries, _ = support_constraint(state, rnd, s.model)
+        entries, _ = support_constraint(evolve_to(s, preferred, k), rnd, s.model)
         slots = round_slots(rnd)
-        labels = [e.labels for e in entries]
-        probs = np.array([e.probability for e in entries])
-        tables.append((slots, labels, probs / probs.sum()))
-    return tables
+        rounds.append([(_outcome_index(slots, e.labels), e.probability) for e in entries])
+    probabilities = np.zeros(len(OUTCOME_SIGNS))
+    for combo in itertools.product(*rounds):
+        probabilities[sum(i for i, _ in combo)] = math.prod(p for _, p in combo)
+    kept = math.prod(sum(p for _, p in entries) for entries in rounds)
+    return probabilities, max(0.0, 1.0 - kept)
+
+
+def sequential_collapse_distribution(
+    s: Schedule, preferred: Frame
+) -> tuple[np.ndarray, float]:
+    """The sequential_collapse model's 64-entry distribution, and the pruned weight.
+
+    Branches once over every event's projectors in the preferred frame's
+    order; a friend's device unitary runs after its z projector.
+    """
+    slots, steps = [], []
+    for rnd in order_events(s, preferred):
+        for ev in rnd:
+            slots.append(ev.slot)
+            if ev.kind == "friend_z":
+                steps.append(
+                    (
+                        spin_observable(SpinAxis.Z, ev.targets[1]),
+                        (s.model.unitary(ev.site), ev.targets),
+                    )
+                )
+            else:
+                steps.append((outsider_observable(s.model, ev.site), None))
+    branches, pruned = _collapse_branches(evolve_to(s, preferred, 1), steps)
+    probabilities = np.zeros(len(OUTCOME_SIGNS))
+    for signs, p in branches:
+        probabilities[_outcome_index(slots, signs)] = p
+    return probabilities, pruned
 
 
 def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
@@ -137,73 +268,26 @@ def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> Ru
     )
 
     if m.mode == "round_born":
-        sampler = _round_born_sampler(s, m.preferred)
+        probabilities, pruned = round_born_distribution(s, m.preferred)
     else:
-        sampler = _sequential_collapse_sampler(s, m.preferred)
+        probabilities, pruned = sequential_collapse_distribution(s, m.preferred)
 
-    assignments = []
-    violation_counts = [0] * len(constraints)
-    flags = []
-    for trial in range(trials):
-        assignment = sampler(trial_rng(seed, trial))
-        assignments.append(assignment)
-        violated = born_violation_check(assignment, constraints)
-        any_nonpreferred = False
-        for i, bad in enumerate(violated):
-            if bad:
-                violation_counts[i] += 1
-                if not preferred_mask[i]:
-                    any_nonpreferred = True
-        flags.append(any_nonpreferred)
-
+    mask = _violation_mask(constraints)
+    outcomes = _draw(probabilities, trials, seed)
+    counts = np.bincount(outcomes, minlength=len(probabilities))
     return RunReport(
         mode=m.mode,
         trials=trials,
         seed=seed,
         constraints=constraints,
         preferred_mask=preferred_mask,
-        assignments=tuple(assignments),
-        violation_counts=tuple(violation_counts),
-        nonpreferred_violated_flags=tuple(flags),
+        probabilities=probabilities,
+        pruned_weight=pruned,
+        violation_mask=mask,
+        assignments=OUTCOME_SIGNS[outcomes],
+        violation_counts=tuple(int(n) for n in counts @ mask),
+        nonpreferred_violated_flags=_any_nonpreferred(mask, preferred_mask)[outcomes],
     )
-
-
-def _round_born_sampler(s: Schedule, preferred: Frame):
-    tables = _round_born_tables(s, preferred)
-
-    def draw(rng: np.random.Generator) -> OutcomeAssignment:
-        values = []
-        for slots, labels, probs in tables:
-            idx = rng.choice(len(probs), p=probs)
-            values.extend(zip(slots, labels[idx]))
-        return OutcomeAssignment(tuple(values))
-
-    return draw
-
-
-def _sequential_collapse_sampler(s: Schedule, preferred: Frame):
-    rounds = order_events(s, preferred)
-    z_obs = {
-        site: spin_observable(SpinAxis.Z, electron)
-        for site, (_, electron) in SITE_FACTORS.items()
-    }
-    x_obs = {site: outsider_observable(s.model, site) for site in SITE_FACTORS}
-    initial = evolve_to(s, preferred, 1)
-
-    def draw(rng: np.random.Generator) -> OutcomeAssignment:
-        state = initial
-        values = []
-        for rnd in rounds:
-            for ev in rnd:
-                if ev.kind == "friend_z":
-                    sign, state = measure(z_obs[ev.site], state, rng)
-                    state = apply_local(s.model.unitary(ev.site), ev.targets, state)
-                else:
-                    sign, state = measure(x_obs[ev.site], state, rng)
-                values.append((ev.slot, int(round(sign))))
-        return OutcomeAssignment(tuple(values))
-
-    return draw
 
 
 @dataclass(frozen=True)
@@ -218,6 +302,7 @@ class ErasureReport:
     door_counts: dict
     down_frequency: float
     exact_down_probability: float
+    pruned_weight: float
 
 
 def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> ErasureReport:
@@ -227,6 +312,9 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     is deterministically RecordedUp. An outsider X-measurement of the pair
     collapses it onto (|+1Z> ± |-1Z>)/√2, either of which shows RecordedDown
     behind the door half the time: the outsider has erased the record.
+
+    The (pair-x, door) outcome table comes from branching over both
+    observables' projectors; trials are drawn from it as in ``run_model``.
     """
     model = ideal_von_neumann()
     start = StateVector(
@@ -234,31 +322,16 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
         np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1)),
     )
     recorded = apply_local(model.unitary("A"), ("L", "A"), start)
-    pair_x = outsider_observable(model)
-    door = door_observable(model)
+    steps = [] if skip_pair_x else [(outsider_observable(model), None)]
+    branches, pruned = _collapse_branches(recorded, steps + [(door_observable(model), None)])
 
+    outcomes = _draw(np.array([p for _, p in branches]), trials, seed)
     pair_x_counts = {+1: 0, -1: 0}
     door_counts = {+1: 0, -1: 0, 0: 0}
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        state = recorded
+    for (signs, _), n in zip(branches, np.bincount(outcomes, minlength=len(branches))):
         if not skip_pair_x:
-            sign, state = measure(pair_x, state, rng)
-            pair_x_counts[int(round(sign))] += 1
-        outcome, _ = measure(door, state, rng)
-        door_counts[int(round(outcome))] += 1
-
-    if skip_pair_x:
-        exact_down = distribution(door, recorded).probability(-1.0)
-    else:
-        exact_down = 0.0
-        x_dist = distribution(pair_x, recorded)
-        for value, prob in x_dist.as_dict().items():
-            if prob < 1e-15:
-                continue
-            projected = apply_local(pair_x.projector(value), pair_x.targets, recorded)
-            post = StateVector(recorded.layout, projected.amplitudes / np.sqrt(prob))
-            exact_down += prob * distribution(door, post).probability(-1.0)
+            pair_x_counts[signs[0]] += int(n)
+        door_counts[signs[-1]] += int(n)
 
     return ErasureReport(
         trials=trials,
@@ -267,7 +340,8 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
         pair_x_counts=pair_x_counts,
         door_counts=door_counts,
         down_frequency=door_counts[-1] / trials if trials else 0.0,
-        exact_down_probability=float(exact_down),
+        exact_down_probability=float(sum(p for signs, p in branches if signs[-1] == -1)),
+        pruned_weight=pruned,
     )
 
 

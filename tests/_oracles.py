@@ -2,8 +2,9 @@
 
 Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
-and plain index arithmetic over raveled kron indices for operator embedding
-and support extraction. Slow and obvious on purpose.
+plain index arithmetic over raveled kron indices for operator embedding and
+support extraction, and per-trial simulation with ``measure`` for the
+interpretation models' outcome tables. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -13,6 +14,18 @@ import math
 
 import numpy as np
 import sympy as sp
+
+from gwsim.measurement import measure, outsider_observable, spin_observable
+from gwsim.models import trial_rng
+from gwsim.qmath import apply_local
+from gwsim.scenario import (
+    CANONICAL_SLOTS,
+    evolve_to,
+    order_events,
+    round_slots,
+    support_constraint,
+)
+from gwsim.systems import SpinAxis
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -129,3 +142,61 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_orthonormal_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return random_unitary(dim, rng)[:, :k]
+
+
+# ---------------------------------------------------------------------------
+# Per-trial model samplers: one state simulation and one seeded stream per
+# trial, returning a (trials, 6) array of ±1 in CANONICAL_SLOTS column order.
+
+
+def _as_row(values: dict[str, int]) -> list[int]:
+    return [values[slot] for slot in CANONICAL_SLOTS]
+
+
+def sample_round_born(schedule, preferred, trials: int, seed: int) -> np.ndarray:
+    """Each round's outcome tuple drawn from its Born table, rounds independent."""
+    tables = []
+    for k, rnd in enumerate(order_events(schedule, preferred), start=1):
+        state = evolve_to(schedule, preferred, k)
+        entries, _ = support_constraint(state, rnd, schedule.model)
+        probs = np.array([e.probability for e in entries])
+        tables.append((round_slots(rnd), [e.labels for e in entries], probs / probs.sum()))
+    rows = []
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        values = {}
+        for slots, labels, probs in tables:
+            values.update(zip(slots, labels[rng.choice(len(probs), p=probs)]))
+        rows.append(_as_row(values))
+    return np.array(rows, dtype=int).reshape(trials, len(CANONICAL_SLOTS))
+
+
+def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> np.ndarray:
+    """Projective collapse event by event, the friend's device run after its
+    z measurement."""
+    events = [ev for rnd in order_events(schedule, preferred) for ev in rnd]
+    observables = {
+        ev.slot: spin_observable(SpinAxis.Z, ev.targets[1])
+        if ev.kind == "friend_z"
+        else outsider_observable(schedule.model, ev.site)
+        for ev in events
+    }
+    initial = evolve_to(schedule, preferred, 1)
+    rows = []
+    for trial in range(trials):
+        rng = trial_rng(seed, trial)
+        state = initial
+        values = {}
+        for ev in events:
+            sign, state = measure(observables[ev.slot], state, rng)
+            if ev.kind == "friend_z":
+                state = apply_local(schedule.model.unitary(ev.site), ev.targets, state)
+            values[ev.slot] = int(round(sign))
+        rows.append(_as_row(values))
+    return np.array(rows, dtype=int).reshape(trials, len(CANONICAL_SLOTS))
+
+
+def outcome_indices(rows: np.ndarray) -> np.ndarray:
+    """Table index of each ±1 row: slot j is −1 iff bit (5 − j) is set."""
+    bits = (np.asarray(rows) == -1).astype(int)
+    return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))

@@ -81,7 +81,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "1"
+        assert report["schema_version"] == "2"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -189,6 +189,20 @@ class TestRun:
         assert names["nonpreferred_rates_half"] is True
         assert names["every_trial_violates_nonpreferred"] is True
 
+    def test_round_born_exact_checks(self, capsys):
+        code, report = run_json(capsys, "run", "--trials", "50", "--model", "random:3")
+        assert code == 0
+        run = report["results"]["run"]
+        for s in run["constraint_statistics"]:
+            expected = 0.0 if s["preferred"] else 0.5
+            assert s["exact_rate"] == pytest.approx(expected, abs=1e-12)
+        assert 0.0 <= run["pruned_weight"] <= 1e-12
+        names = check_names(report)
+        assert names["pruned_weight_negligible"] is True
+        assert names["preferred_exact_rates_zero"] is True
+        assert names["nonpreferred_exact_rates_half"] is True
+        assert names["exact_nonpreferred_violation_certain"] is True
+
     def test_sequential_collapse(self, capsys):
         code, report = run_json(
             capsys,
@@ -204,6 +218,12 @@ class TestRun:
         rate = report["results"]["run"]["outsider_product_minus_one_rate"]
         assert rate == pytest.approx(0.5, abs=4.0 * (0.25 / 400) ** 0.5)
         assert check_names(report)["outsider_parity_rate_half"] is True
+        run = report["results"]["run"]
+        assert run["outsider_product_minus_one_exact_rate"] == pytest.approx(0.5, abs=1e-12)
+        for s in run["constraint_statistics"]:
+            assert s["exact_rate"] == pytest.approx(0.5, abs=1e-12)
+        assert check_names(report)["outsider_parity_exact_half"] is True
+        assert check_names(report)["pruned_weight_negligible"] is True
 
     def test_preferred_frame_flag(self, capsys):
         code, report = run_json(
@@ -234,6 +254,23 @@ class TestRun:
         assert code == 2
         assert "run.mode" in err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [("run", "trials"), ("run", "seed"), ("geometry", "side"), ("geometry", "tau")],
+    )
+    def test_boolean_is_not_a_number(self, capsys, tmp_path, section, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {key: True}}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{section}.{key}" in err
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--trials", "5", "--seed", "-1")
+        assert code == 2
+        assert "run.seed" in err
+
     def test_negative_trials_via_config(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"run": {"trials": -5}}))
@@ -249,8 +286,10 @@ class TestErasure:
         results = report["results"]
         assert results["exact_down_probability"] == pytest.approx(0.5, abs=1e-12)
         assert results["door_counts"]["+1"] + results["door_counts"]["-1"] == 400
+        assert 0.0 <= results["pruned_weight"] <= 1e-12
         names = check_names(report)
         assert names["exact_down_half"] is True
+        assert names["pruned_weight_negligible"] is True
         assert names["down_rate_half"] is True
         assert names["pair_x_balanced"] is True
 

@@ -1,27 +1,44 @@
 import numpy as np
 import pytest
 
-from gwsim.measurement import ideal_von_neumann
+from _oracles import outcome_indices, sample_round_born, sample_sequential_collapse
+from gwsim.cli import _build_model
+from gwsim.measurement import ideal_von_neumann, outsider_observable, spin_observable
 from gwsim.models import (
+    MODES,
+    OUTCOME_SIGNS,
     InterpretationModel,
+    _collapse_branches,
     born_violation_check,
     erasure_experiment,
     nonideal_sweep,
+    round_born_distribution,
     run_model,
+    sequential_collapse_distribution,
     trial_rng,
 )
+from gwsim.qmath import StateVector, layout
 from gwsim.scenario import (
+    CANONICAL_SLOTS,
+    FRAME_NAMES,
     OutcomeAssignment,
     ParityConstraint,
     build_schedule,
+    collect_constraints,
+    enumerate_assignments,
     standard_frames,
 )
+from gwsim.systems import LabLabel, SpinAxis, lab_vector, spin_vector
 
 TRIALS = 2000
 
 
 def four_sigma_band(p: float, n: int) -> float:
     return 4.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+def column(slot: str) -> int:
+    return CANONICAL_SLOTS.index(slot)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +103,7 @@ class TestRoundBorn:
     def test_zero_trials_gives_empty_report(self, schedule, frames):
         m = InterpretationModel("round_born", frames["sigma"])
         report = run_model(schedule, m, 0, seed=0)
-        assert report.assignments == ()
+        assert report.assignments.shape == (0, 6)
         assert report.violation_rate(0) == 0.0
         assert report.trials_violating_nonpreferred == 0
 
@@ -107,15 +124,8 @@ class TestRoundBorn:
         assert born_sigma_report.constraints[index].slots == ("x_A", "x_B", "x_C")
 
     def test_assignments_cover_all_six_slots(self, born_sigma_report):
-        for assignment in born_sigma_report.assignments[:50]:
-            assert sorted(assignment.as_dict()) == [
-                "x_A",
-                "x_B",
-                "x_C",
-                "z_A",
-                "z_B",
-                "z_C",
-            ]
+        assert born_sigma_report.assignments.shape == (TRIALS, len(CANONICAL_SLOTS))
+        assert set(np.unique(born_sigma_report.assignments)) == {-1, +1}
 
     def test_preferred_constraint_never_violated(self, born_sigma_report):
         (index,) = [i for i, p in enumerate(born_sigma_report.preferred_mask) if p]
@@ -142,13 +152,13 @@ class TestRoundBorn:
     def test_same_seed_reproduces_assignments(self, schedule, frames, born_sigma_report):
         m = InterpretationModel("round_born", frames["sigma"])
         again = run_model(schedule, m, TRIALS, seed=11)
-        assert again.assignments == born_sigma_report.assignments
+        np.testing.assert_array_equal(again.assignments, born_sigma_report.assignments)
         assert again.violation_counts == born_sigma_report.violation_counts
 
     def test_different_seed_changes_assignments(self, schedule, frames, born_sigma_report):
         m = InterpretationModel("round_born", frames["sigma"])
         other = run_model(schedule, m, TRIALS, seed=12)
-        assert other.assignments != born_sigma_report.assignments
+        assert not np.array_equal(other.assignments, born_sigma_report.assignments)
 
 
 @pytest.fixture(scope="module")
@@ -159,15 +169,8 @@ def collapse_report(schedule, frames):
 
 class TestSequentialCollapse:
     def test_assignments_cover_all_six_slots(self, collapse_report):
-        for assignment in collapse_report.assignments[:50]:
-            assert sorted(assignment.as_dict()) == [
-                "x_A",
-                "x_B",
-                "x_C",
-                "z_A",
-                "z_B",
-                "z_C",
-            ]
+        assert collapse_report.assignments.shape == (TRIALS, len(CANONICAL_SLOTS))
+        assert set(np.unique(collapse_report.assignments)) == {-1, +1}
 
     def test_even_the_preferred_constraint_fails_half_the_time(self, collapse_report):
         # Collapse after the friends' round kills the three-way coherence, so
@@ -179,19 +182,19 @@ class TestSequentialCollapse:
     def test_outsider_outcomes_are_individually_unbiased(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("x_A", "x_B", "x_C"):
-            ups = sum(a.value(slot) == +1 for a in collapse_report.assignments)
+            ups = np.count_nonzero(collapse_report.assignments[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_friend_records_match_z_statistics(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("z_A", "z_B", "z_C"):
-            ups = sum(a.value(slot) == +1 for a in collapse_report.assignments)
+            ups = np.count_nonzero(collapse_report.assignments[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_same_seed_reproduces(self, schedule, frames, collapse_report):
         m = InterpretationModel("sequential_collapse", frames["sigma"])
         again = run_model(schedule, m, TRIALS, seed=19)
-        assert again.assignments == collapse_report.assignments
+        np.testing.assert_array_equal(again.assignments, collapse_report.assignments)
 
 
 class TestErasure:
@@ -260,3 +263,159 @@ class TestNonidealSweep:
         a = nonideal_sweep(3, seed=9)
         b = nonideal_sweep(3, seed=9)
         assert a.results == b.results
+
+
+# ---------------------------------------------------------------------------
+# Exact outcome tables against the per-trial reference samplers
+
+
+def chi_square(counts: np.ndarray, probabilities: np.ndarray) -> tuple[float, int]:
+    """Pearson statistic over the table's support, and its degrees of freedom."""
+    support = probabilities > 0
+    expected = counts.sum() * probabilities[support]
+    stat = float(((counts[support] - expected) ** 2 / expected).sum())
+    return stat, int(support.sum()) - 1
+
+
+def chi_square_bound(dof: int) -> float:
+    """Mean plus four standard deviations of the χ² distribution."""
+    return dof + 4.0 * np.sqrt(2.0 * dof)
+
+
+TABLE_MODELS = {"ideal": {"kind": "ideal", "seed": 0}, "random:5": {"kind": "random", "seed": 5}}
+ORACLE_CASES = [("ideal", frame) for frame in FRAME_NAMES] + [("random:5", "sigma_pp")]
+SAMPLERS = {
+    "round_born": (round_born_distribution, sample_round_born, 2000),
+    "sequential_collapse": (sequential_collapse_distribution, sample_sequential_collapse, 400),
+}
+
+
+@pytest.fixture(scope="module")
+def table_schedules():
+    return {
+        spec: build_schedule(10.0, 1.0, _build_model({"model": model}))
+        for spec, model in TABLE_MODELS.items()
+    }
+
+
+@pytest.mark.parametrize("frame", FRAME_NAMES)
+@pytest.mark.parametrize("spec", sorted(TABLE_MODELS))
+class TestExactTables:
+    def _table(self, table_schedules, spec, frame, mode):
+        s = table_schedules[spec]
+        return SAMPLERS[mode][0](s, standard_frames(s.geometry)[frame])
+
+    @pytest.mark.parametrize("mode, support", [("round_born", 32), ("sequential_collapse", 64)])
+    def test_table_is_a_distribution_with_the_expected_support(
+        self, table_schedules, spec, frame, mode, support
+    ):
+        probabilities, pruned = self._table(table_schedules, spec, frame, mode)
+        assert probabilities.shape == (64,)
+        assert probabilities.min() >= 0.0
+        assert abs(probabilities.sum() - 1.0) <= 1e-12
+        assert np.count_nonzero(probabilities) == support
+        assert 0.0 <= pruned <= 1e-12
+
+    def test_round_born_puts_no_mass_on_preferred_violations(
+        self, table_schedules, spec, frame
+    ):
+        s = table_schedules[spec]
+        preferred = collect_constraints(s, [standard_frames(s.geometry)[frame]])
+        assert preferred
+        probabilities, _ = self._table(table_schedules, spec, frame, "round_born")
+        for index, signs in enumerate(OUTCOME_SIGNS):
+            assignment = OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, map(int, signs))))
+            if any(born_violation_check(assignment, preferred)):
+                assert probabilities[index] == 0.0
+
+
+def test_outcome_signs_follow_enumeration_order():
+    rows = [[a.value(slot) for slot in CANONICAL_SLOTS] for a in enumerate_assignments([])]
+    np.testing.assert_array_equal(OUTCOME_SIGNS, rows)
+    np.testing.assert_array_equal(outcome_indices(OUTCOME_SIGNS), np.arange(64))
+
+
+@pytest.mark.parametrize("mode", sorted(SAMPLERS))
+@pytest.mark.parametrize("spec, frame", ORACLE_CASES)
+def test_reference_sampler_matches_the_exact_table(table_schedules, spec, frame, mode):
+    build, sample, trials = SAMPLERS[mode]
+    s = table_schedules[spec]
+    preferred = standard_frames(s.geometry)[frame]
+    probabilities, _ = build(s, preferred)
+    indices = outcome_indices(sample(s, preferred, trials, seed=23))
+    assert np.all(probabilities[indices] > 0), "reference sample outside the exact support"
+    stat, dof = chi_square(np.bincount(indices, minlength=64), probabilities)
+    assert stat <= chi_square_bound(dof), (stat, dof)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_run_is_a_prefix_of_a_longer_run(schedule, frames, mode):
+    m = InterpretationModel(mode, frames["sigma_p"])
+    long = run_model(schedule, m, 500, seed=31)
+    short = run_model(schedule, m, 137, seed=31)
+    np.testing.assert_array_equal(short.assignments, long.assignments[:137])
+    np.testing.assert_array_equal(
+        short.nonpreferred_violated_flags, long.nonpreferred_violated_flags[:137]
+    )
+
+
+def test_erasure_counts_grow_with_the_prefix():
+    full = erasure_experiment(400, seed=31)
+    for k in (1, 57, 399):
+        part = erasure_experiment(k, seed=31)
+        for sign in (+1, -1):
+            assert part.door_counts[sign] <= full.door_counts[sign]
+            assert part.pair_x_counts[sign] <= full.pair_x_counts[sign]
+
+
+class TestExactRates:
+    def test_round_born_exact_rates(self, born_sigma_report):
+        for i, preferred in enumerate(born_sigma_report.preferred_mask):
+            expected = 0.0 if preferred else 0.5
+            assert born_sigma_report.exact_rates[i] == pytest.approx(expected, abs=1e-12)
+        assert born_sigma_report.exact_nonpreferred_probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_collapse_exact_rates_are_half(self, collapse_report):
+        assert collapse_report.exact_rates == pytest.approx((0.5,) * 4, abs=1e-12)
+
+    def test_counts_follow_the_violation_mask(self, collapse_report):
+        rows = outcome_indices(collapse_report.assignments)
+        expected = collapse_report.violation_mask[rows].sum(axis=0)
+        assert collapse_report.violation_counts == tuple(int(n) for n in expected)
+
+    def test_pruned_weight_is_negligible(self, born_sigma_report, collapse_report):
+        assert 0.0 <= born_sigma_report.pruned_weight <= 1e-12
+        assert 0.0 <= collapse_report.pruned_weight <= 1e-12
+
+
+class TestCollapseBranches:
+    def test_branch_probabilities_follow_born(self):
+        lay = layout("A")
+        state = StateVector(lay, spin_vector(SpinAxis.X, +1))
+        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Z), None)])
+        assert [signs for signs, _ in branches] == [(+1,), (-1,)]
+        assert [p for _, p in branches] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert pruned == 0.0
+
+    def test_improbable_outcomes_are_pruned_and_weighed(self):
+        tiny = 1e-14
+        state = StateVector(layout("A"), np.array([np.sqrt(1.0 - tiny), np.sqrt(tiny)]))
+        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Z), None)])
+        assert [signs for signs, _ in branches] == [(+1,)]
+        assert branches[0][1] == pytest.approx(1.0 - tiny, abs=1e-15)
+        assert pruned == pytest.approx(tiny, rel=1e-6)
+
+    def test_surviving_outcome_other_than_plus_minus_one_raises(self):
+        # Before the device runs, the pair sits outside the recorded subspace:
+        # the outsider observable's 0 eigenvalue carries all the weight.
+        model = ideal_von_neumann()
+        unrecorded = StateVector(
+            layout("L", "A"),
+            np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1)),
+        )
+        with pytest.raises(ValueError, match="only ±1 outcomes"):
+            _collapse_branches(unrecorded, [(outsider_observable(model), None)])
+
+    def test_erasure_reports_the_pruned_weight(self):
+        report = erasure_experiment(10, seed=1)
+        assert 0.0 <= report.pruned_weight <= 1e-12
