@@ -34,7 +34,6 @@ from .measurement import (
 from .models import (
     InterpretationModel,
     MODES,
-    OUTCOME_SIGNS,
     erasure_experiment,
     nonideal_sweep,
     run_model,
@@ -42,16 +41,16 @@ from .models import (
 from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
+    OUTCOME_SIGNS,
+    analyze,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
     round_slots,
     standard_frames,
-    support_constraint,
 )
-from .spacetime import GeometrySpec, standard_geometry, validate_geometry
+from .spacetime import GeometrySpec, validate_geometry
 
 SCHEMA_VERSION = "2"
 ENV_SEED = "GWSIM_SEED"
@@ -158,6 +157,9 @@ def _validate_config(config: dict) -> dict:
         raise ConfigError(f"run.seed must be an integer, got {run['seed']!r}")
     if config["output"]["format"] not in ("json", "text"):
         raise ConfigError(f"output.format must be 'json' or 'text', got {config['output']['format']!r}")
+    if config["output"]["path"] is not None and not isinstance(config["output"]["path"], str):
+        # open() would take an integer (or true) as a file descriptor.
+        raise ConfigError(f"output.path must be a string, got {config['output']['path']!r}")
     return config
 
 
@@ -240,29 +242,23 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     tables = []
     constraints = []
     support_ok = True
-    for name, frame in frames.items():
-        for k, rnd in enumerate(order_events(schedule, frame), start=1):
-            state = evolve_to(schedule, frame, k)
-            entries, constraint = support_constraint(state, rnd, schedule.model)
-            if constraint is None:
-                continue
-            key = (constraint.slots, constraint.required_product)
-            if key in {(c.slots, c.required_product) for c in constraints}:
-                continue
-            constraints.append(constraint)
-            if any(abs(e.probability - 0.25) > 1e-10 for e in entries):
-                support_ok = False
-            tables.append(
-                {
-                    "frame": name,
-                    "slots": list(round_slots(rnd)),
-                    "entries": [
-                        {"labels": list(e.labels), "probability": e.probability}
-                        for e in entries
-                    ],
-                    "constraint": _constraint_dict(constraint),
-                }
-            )
+    for row in analyze(schedule, {name: order_events(schedule, f) for name, f in frames.items()}):
+        if row.constraint is None or row.constraint in constraints:
+            continue
+        constraints.append(row.constraint)
+        if any(abs(e.probability - 0.25) > 1e-10 for e in row.entries):
+            support_ok = False
+        tables.append(
+            {
+                "frame": row.frame,
+                "slots": list(round_slots(row.events)),
+                "entries": [
+                    {"labels": list(e.labels), "probability": e.probability}
+                    for e in row.entries
+                ],
+                "constraint": _constraint_dict(row.constraint),
+            }
+        )
 
     checks = [
         _check(
@@ -347,14 +343,11 @@ def cmd_distinguish(config: dict) -> dict:
 
 
 def _geometry_spec_unchecked(side: float, tau: float) -> GeometrySpec:
-    try:
-        return standard_geometry(side, tau)
-    except ValueError:
-        # Keep the same arrangement so validation can name what fails.
-        h = side / math.sqrt(3.0)
-        return GeometrySpec(
-            (0.0, h), (-side / 2.0, -h / 2.0), (side / 2.0, -h / 2.0), 0.0, tau, 2.0 * tau
-        )
+    # standard_geometry's arrangement without its precondition: validation names what fails.
+    h = side / math.sqrt(3.0)
+    return GeometrySpec(
+        (0.0, h), (-side / 2.0, -h / 2.0), (side / 2.0, -h / 2.0), 0.0, tau, 2.0 * tau
+    )
 
 
 def cmd_frames(config: dict) -> dict:
@@ -402,7 +395,14 @@ def cmd_run(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     schedule = build_schedule(side, tau, model)
     frames = standard_frames(schedule.geometry)
-    constraints = collect_constraints(schedule, frames)
+    trials = config["run"]["trials"]
+    mode = config["run"]["mode"]
+    preferred_name = config["run"]["preferred_frame"]
+    if trials > 0:
+        report = run_model(schedule, InterpretationModel(mode, frames[preferred_name]), trials, seed)
+        constraints = report.constraints
+    else:
+        constraints = collect_constraints(schedule, frames)
     satisfying = enumerate_assignments(constraints)
 
     checks = [
@@ -418,12 +418,7 @@ def cmd_run(config: dict) -> dict:
         "satisfying_assignments": len(satisfying),
     }
 
-    trials = config["run"]["trials"]
-    mode = config["run"]["mode"]
-    preferred_name = config["run"]["preferred_frame"]
     if trials > 0:
-        interpretation = InterpretationModel(mode, frames[preferred_name])
-        report = run_model(schedule, interpretation, trials, seed)
         exact_rates = report.exact_rates
         stats = []
         for c, preferred, count, exact in zip(
@@ -660,8 +655,11 @@ def emit(report: dict, config: dict) -> None:
         text = render_text(report)
     path = config["output"]["path"]
     if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output.path: {exc}") from exc
     print(text)
 
 
@@ -742,10 +740,10 @@ def main(argv=None) -> int:
             report = cmd_sweep(config, n_models=args.models)
         else:  # pragma: no cover — argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
+        emit(report, config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit(report, config)
     return 0 if report["passed"] else 1
 
 

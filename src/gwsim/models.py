@@ -35,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .measurement import (
     SAMPLE_FLOOR,
+    MeasurementModel,
     haar_random_unitary,
     ideal_von_neumann,
     door_observable,
@@ -51,29 +52,24 @@ from .measurement import (
 from .qmath import StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
+    OUTCOME_SIGNS,
     OutcomeAssignment,
     ParityConstraint,
+    RoundAnalysis,
     Schedule,
+    analyze,
     build_schedule,
-    collect_constraints,
+    distinct_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
     round_slots,
     standard_frames,
-    support_constraint,
+    violation_mask,
 )
 from .spacetime import Frame
 from .systems import LabLabel, SpinAxis, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
-
-# Index i gives slot j the value −1 iff bit (5 − j) of i is set: the first
-# slot is the most significant bit, matching enumerate_assignments' order.
-_N_SLOTS = len(CANONICAL_SLOTS)
-OUTCOME_SIGNS = (
-    1 - 2 * ((np.arange(2**_N_SLOTS)[:, None] >> np.arange(_N_SLOTS - 1, -1, -1)) & 1)
-).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -147,15 +143,6 @@ def born_violation_check(assignment: OutcomeAssignment, constraints) -> tuple[bo
     return tuple(not c.satisfied_by(assignment) for c in constraints)
 
 
-def _violation_mask(constraints) -> np.ndarray:
-    """(64, constraints) bool: where each outcome index violates each constraint."""
-    mask = np.empty((len(OUTCOME_SIGNS), len(constraints)), dtype=bool)
-    for i, c in enumerate(constraints):
-        columns = [CANONICAL_SLOTS.index(slot) for slot in c.slots]
-        mask[:, i] = OUTCOME_SIGNS[:, columns].prod(axis=1) != c.required_product
-    return mask
-
-
 def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
     return mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
 
@@ -163,7 +150,7 @@ def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
 def _outcome_index(slots, signs) -> int:
     """Table index of the outcome giving ``signs`` to ``slots``, +1 elsewhere."""
     return sum(
-        1 << (_N_SLOTS - 1 - CANONICAL_SLOTS.index(slot))
+        1 << (len(CANONICAL_SLOTS) - 1 - CANONICAL_SLOTS.index(slot))
         for slot, sign in zip(slots, signs)
         if sign == -1
     )
@@ -202,48 +189,43 @@ def _collapse_branches(state: StateVector, steps):
     return [(signs, weight) for signs, weight, _ in paths], pruned
 
 
-def round_born_distribution(s: Schedule, preferred: Frame) -> tuple[np.ndarray, float]:
+def round_born_distribution(rounds: list[RoundAnalysis]) -> tuple[np.ndarray, float]:
     """The round_born model's 64-entry distribution, and the weight it leaves out.
 
-    Rounds are independent, so an assignment's probability is the product of
-    its rounds' Born weights in the preferred frame. Outcome tuples below the
-    support cutoff are missing from the round tables; their weight is the
-    pruned weight.
+    ``rounds`` is the preferred frame's analysis (``analyze``). Rounds are
+    independent, so an assignment's probability is the product of its
+    rounds' Born weights. Outcome tuples below the support cutoff are missing
+    from the round tables; their weight is the pruned weight.
     """
-    rounds = []
-    for k, rnd in enumerate(order_events(s, preferred), start=1):
-        entries, _ = support_constraint(evolve_to(s, preferred, k), rnd, s.model)
-        slots = round_slots(rnd)
-        rounds.append([(_outcome_index(slots, e.labels), e.probability) for e in entries])
+    tables = [
+        [(_outcome_index(round_slots(r.events), e.labels), e.probability) for e in r.entries]
+        for r in rounds
+    ]
     probabilities = np.zeros(len(OUTCOME_SIGNS))
-    for combo in itertools.product(*rounds):
+    for combo in itertools.product(*tables):
         probabilities[sum(i for i, _ in combo)] = math.prod(p for _, p in combo)
-    kept = math.prod(sum(p for _, p in entries) for entries in rounds)
+    kept = math.prod(sum(p for _, p in entries) for entries in tables)
     return probabilities, max(0.0, 1.0 - kept)
 
 
 def sequential_collapse_distribution(
-    s: Schedule, preferred: Frame
+    model: MeasurementModel, rounds: list[RoundAnalysis]
 ) -> tuple[np.ndarray, float]:
     """The sequential_collapse model's 64-entry distribution, and the pruned weight.
 
-    Branches once over every event's projectors in the preferred frame's
-    order; a friend's device unitary runs after its z projector.
+    ``rounds`` is the preferred frame's analysis; branching starts from its
+    first pre-round state and runs over every event's projectors in the
+    frame's order. A friend's device unitary runs after its z projector.
     """
-    slots, steps = [], []
-    for rnd in order_events(s, preferred):
-        for ev in rnd:
-            slots.append(ev.slot)
-            if ev.kind == "friend_z":
-                steps.append(
-                    (
-                        spin_observable(SpinAxis.Z, ev.targets[1]),
-                        (s.model.unitary(ev.site), ev.targets),
-                    )
-                )
-            else:
-                steps.append((outsider_observable(s.model, ev.site), None))
-    branches, pruned = _collapse_branches(evolve_to(s, preferred, 1), steps)
+    events = [ev for r in rounds for ev in r.events]
+    steps = [
+        (spin_observable(SpinAxis.Z, ev.targets[1]), (model.unitary(ev.site), ev.targets))
+        if ev.kind == "friend_z"
+        else (outsider_observable(model, ev.site), None)
+        for ev in events
+    ]
+    branches, pruned = _collapse_branches(rounds[0].state, steps)
+    slots = [ev.slot for ev in events]
     probabilities = np.zeros(len(OUTCOME_SIGNS))
     for signs, p in branches:
         probabilities[_outcome_index(slots, signs)] = p
@@ -253,26 +235,26 @@ def sequential_collapse_distribution(
 def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
     """Draw ``trials`` complete outcome assignments and tally violations.
 
-    Constraints are those visible from all four standard frames; the
-    preferred mask marks the ones derivable in ``m.preferred`` alone.
+    One analysis covers the four standard frames and ``m.preferred``.
+    Constraints are those the standard frames yield; the preferred mask
+    marks the ones ``m.preferred``'s own rounds yield.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
-    frames = standard_frames(s.geometry)
-    constraints = tuple(collect_constraints(s, frames))
-    preferred_keys = {
-        (c.slots, c.required_product) for c in collect_constraints(s, [m.preferred])
-    }
-    preferred_mask = tuple(
-        (c.slots, c.required_product) in preferred_keys for c in constraints
-    )
+    standard = list(standard_frames(s.geometry).values())
+    frames = dict.fromkeys(standard + [m.preferred])
+    rows = analyze(s, {f: order_events(s, f) for f in frames})
+    constraints = tuple(distinct_constraints(r for r in rows if r.frame in standard))
+    preferred_rows = [r for r in rows if r.frame == m.preferred]
+    preferred = set(distinct_constraints(preferred_rows))
+    preferred_mask = tuple(c in preferred for c in constraints)
 
     if m.mode == "round_born":
-        probabilities, pruned = round_born_distribution(s, m.preferred)
+        probabilities, pruned = round_born_distribution(preferred_rows)
     else:
-        probabilities, pruned = sequential_collapse_distribution(s, m.preferred)
+        probabilities, pruned = sequential_collapse_distribution(s.model, preferred_rows)
 
-    mask = _violation_mask(constraints)
+    mask = violation_mask(constraints)
     outcomes = _draw(probabilities, trials, seed)
     counts = np.bincount(outcomes, minlength=len(probabilities))
     return RunReport(
@@ -389,40 +371,35 @@ def nonideal_sweep(
     """Re-derive the contradiction under imperfect measurement devices.
 
     Model 0 is the ideal baseline; each further model draws an independent
-    Haar-random 6-dim unitary per lab. For every model the four collected
-    constraints, the empty satisfying set, and the 1/4 support magnitudes of
-    each constraint-bearing round must all come out unchanged.
+    Haar-random 6-dim unitary per lab. The schedule, its geometry checks and
+    the frames' round orderings depend on the geometry alone and are built
+    once; each model swaps its devices into the schedule for one ``analyze``
+    pass. For every model the four collected constraints, the empty
+    satisfying set, and the 1/4 support magnitudes of each
+    constraint-bearing round must all come out unchanged.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
+    schedule = build_schedule(side, tau, ideal_von_neumann())
+    orderings = {
+        name: order_events(schedule, frame)
+        for name, frame in standard_frames(schedule.geometry).items()
+    }
     results = []
     for index in range(n_models):
-        if index == 0:
-            model, kind = ideal_von_neumann(), "ideal"
-        else:
+        kind = "ideal"
+        if index > 0:
             rng = trial_rng(seed, index)
             model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
-            kind = "haar"
-        schedule = build_schedule(side, tau, model)
-        frames = standard_frames(schedule.geometry)
-
-        support_ok = True
-        keys = set()
-        for frame in frames.values():
-            rounds = order_events(schedule, frame)
-            for k, rnd in enumerate(rounds, start=1):
-                state = evolve_to(schedule, frame, k)
-                entries, constraint = support_constraint(state, rnd, schedule.model)
-                if constraint is None:
-                    continue
-                keys.add((constraint.slots, constraint.required_product))
-                if any(abs(e.probability - 0.25) > 1e-9 for e in entries):
-                    support_ok = False
-
-        constraints_match = keys == set(CANONICAL_CONSTRAINT_KEYS)
-        constraints = [ParityConstraint(slots, par) for slots, par in sorted(keys)]
-        satisfying = len(enumerate_assignments(constraints)) if constraints else 64
+            schedule, kind = replace(schedule, model=model), "haar"
+        constrained = [r for r in analyze(schedule, orderings) if r.constraint is not None]
+        support_ok = not any(
+            abs(e.probability - 0.25) > 1e-9 for r in constrained for e in r.entries
+        )
+        constraints = distinct_constraints(constrained)
+        keys = {(c.slots, c.required_product) for c in constraints}
+        satisfying = len(enumerate_assignments(constraints))
         results.append(
-            SweepModelResult(index, kind, constraints_match, satisfying, support_ok)
+            SweepModelResult(index, kind, keys == CANONICAL_CONSTRAINT_KEYS, satisfying, support_ok)
         )
     return SweepReport(n_models=n_models, seed=seed, results=tuple(results))

@@ -1,23 +1,24 @@
-"""The six-event schedule and its frame-dependent analysis.
+"""The six-event schedule and its frame-by-frame analysis.
 
 Three sealed labs (A, B, C) each measure their electron's z-spin at time t1;
 an outsider then measures each whole lab+electron pair in the recorded-X
 basis at t2. Cross-lab events are spacelike separated, so inertial frames
 disagree on their order. For a given frame, events group into *rounds* of
-simultaneous measurements; evolving the initial state unitarily up to a round
-and expanding it in that round's outcome basis tells us which outcome tuples
-are possible at all (have nonzero Born weight).
+simultaneous measurements, which depend on the geometry alone. ``analyze``
+walks every round of every frame once, evolving each pre-round state from
+the previous one, and expands it in that round's outcome basis: this tells
+us which outcome tuples are possible at all (have nonzero Born weight).
 
 Whenever every possible tuple of a round shares a single product parity, the
 round yields a ParityConstraint. Collecting these over the rest frame and the
 three tilted frames yields four constraints over the six outcome slots that
 no assignment of ±1 values satisfies — the frame-by-frame form of the GHZ
-contradiction, obtained here by brute force.
+contradiction, obtained here by brute force over ``OUTCOME_SIGNS``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 from .measurement import MeasurementModel
@@ -31,11 +32,11 @@ from .spacetime import (
     frame_time,
     point,
     standard_geometry,
+    tilted_frame_events,
     validate_geometry,
 )
 from .systems import (
     SITE_FACTORS,
-    SUPPORT_EPS,
     BasisGroup,
     SpinAxis,
     SupportEntry,
@@ -52,6 +53,11 @@ ROUND_TOL = 1e-9
 # One outcome slot per event: the friend's z-record and the outsider's
 # X-outcome at each site.
 CANONICAL_SLOTS = ("z_A", "z_B", "z_C", "x_A", "x_B", "x_C")
+
+# Row i gives slot j the value −1 iff bit (5 − j) of i is set: the first slot
+# is the most significant bit, so the 64 rows run in the order of
+# itertools.product((+1, -1), repeat=6).
+OUTCOME_SIGNS = (1 - 2 * ((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1)).astype(np.int8)
 
 FRAME_NAMES = ("sigma", "sigma_p", "sigma_pp", "sigma_ppp")
 
@@ -83,12 +89,6 @@ class Schedule:
     events: tuple[MeasurementEvent, ...]
     model: MeasurementModel
 
-    def event(self, event_id: str) -> MeasurementEvent:
-        for ev in self.events:
-            if ev.id == event_id:
-                return ev
-        raise KeyError(f"no event {event_id!r}")
-
 
 def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule:
     """Standard arrangement: friends stamped at t1, outsiders at t2.
@@ -116,18 +116,8 @@ def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule
 def standard_frames(geometry: GeometrySpec) -> dict[str, Frame]:
     """The rest frame plus the three frames tilting one lab's inside
     measurement into simultaneity with the start of the other two."""
-    frames = {"sigma": REST_FRAME}
-    for name, site, others in (
-        ("sigma_p", "A", "BC"),
-        ("sigma_pp", "B", "AC"),
-        ("sigma_ppp", "C", "AB"),
-    ):
-        frames[name] = boost_for_simultaneity(
-            point(geometry.t1, tuple(geometry.position(site))),
-            point(geometry.t0, tuple(geometry.position(others[0]))),
-            point(geometry.t0, tuple(geometry.position(others[1]))),
-        )
-    return frames
+    tilted = [boost_for_simultaneity(*events) for events in tilted_frame_events(geometry)]
+    return dict(zip(FRAME_NAMES, [REST_FRAME, *tilted]))
 
 
 def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:
@@ -254,28 +244,74 @@ def _event_basis_group(ev: MeasurementEvent, model: MeasurementModel) -> BasisGr
 
 
 def support_constraint(
-    state: StateVector,
-    round_events,
-    model: MeasurementModel,
-    eps: float = SUPPORT_EPS,
+    state: StateVector, round_events, model: MeasurementModel
 ) -> tuple[list[SupportEntry], ParityConstraint | None]:
     """Possible outcome tuples of a round, and their shared parity if any.
 
     An outcome tuple is possible iff its term in the round's eigenbasis
-    expansion of ``state`` has |coefficient|² above ``eps``. Factors no event
+    expansion of ``state`` has |coefficient|² above SUPPORT_EPS. Factors no event
     of the round touches are spectators, summed over. When every surviving
     tuple has the same product of outcomes, that parity is a constraint any
     single-outcome account of the round must obey.
     """
     events = sorted(round_events, key=lambda ev: _slot_key(ev.slot))
     groups = [_event_basis_group(ev, model) for ev in events]
-    entries, _residual = support_table(state, groups, eps)
+    entries, _residual = support_table(state, groups)
     slots = tuple(ev.slot for ev in events)
     parities = {entry.product for entry in entries}
     constraint = None
     if entries and len(parities) == 1:
         constraint = ParityConstraint(slots, parities.pop())
     return entries, constraint
+
+
+@functools.cache
+def _initial_state() -> StateVector:
+    """``initial_scenario_state()``, built once: its amplitudes are read-only."""
+    return initial_scenario_state()
+
+
+@dataclass(frozen=True)
+class RoundAnalysis:
+    """One round of one frame: its pre-round state and ``support_constraint``."""
+
+    frame: object  # the frame's key in the orderings given to ``analyze``
+    events: tuple[MeasurementEvent, ...]
+    state: StateVector
+    entries: list[SupportEntry]
+    constraint: ParityConstraint | None
+
+
+def analyze(s: Schedule, orderings) -> list[RoundAnalysis]:
+    """Every round of every frame, frame by frame, in round order.
+
+    ``orderings`` maps a key per frame to its rounds from ``order_events``,
+    so a caller varying ``s.model`` orders the events once. A pre-round state
+    is the previous one with that round's friend unitaries applied, as
+    ``evolve_to`` replays them, so it is bit-identical to the replay. States
+    are cached by the friend events applied, each distinct sequence once.
+    """
+    states = {(): _initial_state()}
+    rows = []
+    for key, rounds in orderings.items():
+        applied: tuple[str, ...] = ()
+        pending: list[MeasurementEvent] = []
+        for rnd in rounds:
+            for ev in pending:
+                prior, applied = applied, applied + (ev.id,)
+                if applied not in states:
+                    states[applied] = apply_local(
+                        s.model.unitary(ev.site), ev.targets, states[prior]
+                    )
+            entries, constraint = support_constraint(states[applied], rnd, s.model)
+            rows.append(RoundAnalysis(key, rnd, states[applied], entries, constraint))
+            pending = [ev for ev in rnd if ev.kind == "friend_z"]
+    return rows
+
+
+def distinct_constraints(rows) -> list[ParityConstraint]:
+    """The analysed rounds' constraints, each once, in the order first found."""
+    return list(dict.fromkeys(r.constraint for r in rows if r.constraint is not None))
 
 
 def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:
@@ -286,22 +322,26 @@ def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:
     """
     if isinstance(frames, dict):
         frames = list(frames.values())
-    found: dict[tuple, ParityConstraint] = {}
-    for frame in frames:
-        rounds = order_events(s, frame)
-        for k, rnd in enumerate(rounds, start=1):
-            state = evolve_to(s, frame, k)
-            _, constraint = support_constraint(state, rnd, s.model)
-            if constraint is not None:
-                found.setdefault((constraint.slots, constraint.required_product), constraint)
-    return list(found.values())
+    return distinct_constraints(
+        analyze(s, {i: order_events(s, f) for i, f in enumerate(frames)})
+    )
+
+
+def violation_mask(constraints) -> np.ndarray:
+    """(64, constraints) bool: where each ``OUTCOME_SIGNS`` row violates each
+    constraint."""
+    mask = np.empty((len(OUTCOME_SIGNS), len(constraints)), dtype=bool)
+    for i, c in enumerate(constraints):
+        columns = [CANONICAL_SLOTS.index(slot) for slot in c.slots]
+        mask[:, i] = OUTCOME_SIGNS[:, columns].prod(axis=1) != c.required_product
+    return mask
 
 
 def enumerate_assignments(constraints) -> list[OutcomeAssignment]:
-    """All assignments of ±1 to the six slots satisfying every constraint."""
-    out = []
-    for signs in itertools.product((+1, -1), repeat=len(CANONICAL_SLOTS)):
-        assignment = OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, signs)))
-        if all(c.satisfied_by(assignment) for c in constraints):
-            out.append(assignment)
-    return out
+    """All assignments of ±1 to the six slots satisfying every constraint,
+    in ``OUTCOME_SIGNS`` row order."""
+    satisfying = ~violation_mask(list(constraints)).any(axis=1)
+    return [
+        OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, signs)))
+        for signs in OUTCOME_SIGNS[satisfying].tolist()
+    ]

@@ -125,22 +125,24 @@ def frame_time(f: Frame, p: SpacetimePoint) -> float:
     return f.gamma * (p.t - float(v @ p.position))
 
 
-def boost_point(f: Frame, p: SpacetimePoint) -> SpacetimePoint:
-    """Full Lorentz boost of the event into the frame."""
-    v = np.array(f.velocity)
-    speed2 = float(v @ v)
-    x = p.position
-    if speed2 == 0.0:
-        return p
-    v_dot_x = float(v @ x)
-    gamma = f.gamma
-    x_new = x + ((gamma - 1.0) / speed2) * v_dot_x * v - gamma * p.t * v
-    return SpacetimePoint(gamma * (p.t - v_dot_x), (float(x_new[0]), float(x_new[1])))
-
-
 def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
     tp, tq = frame_time(f, p), frame_time(f, q)
     return abs(tp - tq) <= SIMULTANEITY_TOL * max(1.0, abs(tp), abs(tq))
+
+
+def _simultaneity_velocity(
+    p: SpacetimePoint, q: SpacetimePoint, r: SpacetimePoint
+) -> np.ndarray | None:
+    """Boost velocity giving p, q and r one frame time, or None if none does.
+
+    Equal frame times γ(t − v·x) reduce to the linear system
+    v·(x_p − x_q) = t_p − t_q, v·(x_p − x_r) = t_p − t_r.
+    """
+    dx = np.array([p.position - q.position, p.position - r.position])
+    dt = np.array([p.t - q.t, p.t - r.t])
+    v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
+    solved = np.allclose(dx @ v, dt, atol=1e-9 * max(1.0, float(np.max(np.abs(dt)))))
+    return v if solved else None
 
 
 def boost_for_simultaneity(
@@ -148,24 +150,27 @@ def boost_for_simultaneity(
 ) -> Frame:
     """Frame in which p, q and r share one time coordinate.
 
-    Equal frame times γ(t − v·x) reduce to the linear system
-    v·(x_p − x_q) = t_p − t_q, v·(x_p − x_r) = t_p − t_r for the boost
-    velocity. Raises if no subluminal velocity solves it (e.g. a timelike
-    pair among the arguments).
+    Raises if no subluminal velocity gives them one (e.g. a timelike pair
+    among the arguments).
     """
-    dx = np.array([p.position - q.position, p.position - r.position])
-    dt = np.array([p.t - q.t, p.t - r.t])
-    v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
-    if not np.allclose(dx @ v, dt, atol=1e-9 * max(1.0, float(np.max(np.abs(dt))))):
+    v = _simultaneity_velocity(p, q, r)
+    if v is None:
         raise ValueError("events admit no common simultaneity plane")
-    speed = float(np.linalg.norm(v))
-    if speed > MAX_SPEED:
-        raise ValueError(f"simultaneity would require speed {speed} ≥ 1")
-    frame = Frame((float(v[0]), float(v[1])))
+    frame = Frame((float(v[0]), float(v[1])))  # raises past MAX_SPEED
     for other in (q, r):
         if not simultaneous(frame, p, other):
             raise ValueError("solved boost fails the simultaneity check")
     return frame
+
+
+def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
+    """Per lab A, B, C: its inside measurement (t1) and the start (t0) at the
+    other two labs, the events one tilted frame makes simultaneous."""
+    pos = {site: tuple(spec.position(site)) for site in "ABC"}
+    return [
+        (point(spec.t1, pos[lab]), point(spec.t0, pos[a]), point(spec.t0, pos[b]))
+        for lab, a, b in ("ABC", "BAC", "CAB")
+    ]
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,19 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
             "cross_lab_spacelike",
             worst < 0,
             f"largest cross-lab interval {worst:.12g} at {worst_pair}",
+        )
+    )
+
+    # A tilted frame exists only if its boost is subluminal; for the standard
+    # triangle the speed is tau / (side·√3/2).
+    velocities = [_simultaneity_velocity(*events) for events in tilted_frame_events(spec)]
+    speeds = [math.inf if v is None else math.hypot(*v) for v in velocities]
+    results.append(
+        CheckResult(
+            "tilted_frames_subluminal",
+            max(speeds) <= MAX_SPEED,
+            f"tilted-frame boost speeds {', '.join(f'{v:.12g}' for v in speeds)} "
+            f"(need ≤ {MAX_SPEED!r})",
         )
     )
     return results

@@ -196,11 +196,3 @@ def expand_in_basis(state: StateVector, spec: BasisSpec, eps: float = SUPPORT_EP
         raise ValueError(f"basis spec does not cover factors {sorted(missing)}")
     entries, _residual = support_table(state, groups, eps)
     return entries
-
-
-def axis_spec(state: StateVector, axes) -> BasisSpec:
-    """Convenience: one spin axis per factor, in the state's factor order."""
-    axes = list(axes)
-    if len(axes) != len(state.layout.names):
-        raise ValueError(f"need {len(state.layout.names)} axes, got {len(axes)}")
-    return {name: ax for name, ax in zip(state.layout.names, axes)}

@@ -25,6 +25,7 @@ from gwsim.scenario import (
     round_slots,
     support_constraint,
 )
+from gwsim.spacetime import SpacetimePoint
 from gwsim.systems import SpinAxis
 
 I2 = sp.I
@@ -142,6 +143,27 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_orthonormal_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
     return random_unitary(dim, rng)[:, :k]
+
+
+def boost_point(f, p):
+    """Full Lorentz boost of the event into the frame."""
+    v = np.array(f.velocity)
+    speed2 = float(v @ v)
+    if speed2 == 0.0:
+        return p
+    x = p.position
+    v_dot_x = float(v @ x)
+    gamma = f.gamma
+    x_new = x + ((gamma - 1.0) / speed2) * v_dot_x * v - gamma * p.t * v
+    return SpacetimePoint(gamma * (p.t - v_dot_x), (float(x_new[0]), float(x_new[1])))
+
+
+def axis_spec(state, axes) -> dict:
+    """One spin axis per factor, in the state's factor order."""
+    axes = list(axes)
+    if len(axes) != len(state.layout.names):
+        raise ValueError(f"need {len(state.layout.names)} axes, got {len(axes)}")
+    return dict(zip(state.layout.names, axes))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import brute_support, random_state, random_unitary
+from _oracles import axis_spec, boost_point, brute_support, random_state, random_unitary
 from gwsim.measurement import (
     custom_model,
     distinguishability_report,
@@ -43,7 +43,6 @@ from gwsim.scenario import (
 from gwsim.spacetime import (
     Frame,
     boost_for_simultaneity,
-    boost_point,
     frame_time,
     interval,
     point,
@@ -53,7 +52,6 @@ from gwsim.spacetime import (
 from gwsim.systems import (
     SITE_FACTORS,
     SpinAxis,
-    axis_spec,
     expand_in_basis,
     ghz_state,
     support_table,

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwsim.cli import (
     ConfigError,
     DEFAULT_CONFIG,
+    _geometry_spec_unchecked,
     _parse_model_spec,
     load_config,
     main,
 )
+from gwsim.scenario import standard_frames
+from gwsim.spacetime import MAX_SPEED
 
 REPORT_KEYS = {"schema_version", "command", "config", "results", "checks", "passed"}
 
@@ -166,6 +173,51 @@ class TestFrames:
         assert code == 2
         assert "side" in err
 
+    def test_superluminal_tilted_frames_are_reported(self, capsys):
+        # tau < side, but the tilted boosts would need speed 8.7 / (10·√3/2) > 1.
+        code, report = run_json(capsys, "frames", "--side", "10", "--tau", "8.7")
+        assert code == 1
+        names = check_names(report)
+        assert names["geometry_epoch_shorter_than_separation"] is True
+        assert names["geometry_tilted_frames_subluminal"] is False
+        (check,) = [c for c in report["checks"] if c["name"] == "geometry_tilted_frames_subluminal"]
+        assert check["detail"].endswith(f"(need ≤ {MAX_SPEED!r})")
+        assert "frames" not in report["results"]
+
+    @pytest.mark.parametrize("command", ["ghz-nogo", "run", "sweep"])
+    def test_superluminal_tilted_frames_are_rejected_by_name(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--side", "10", "--tau", "8.7")
+        assert code == 2
+        assert out == ""
+        assert "tilted_frames_subluminal" in err
+
+
+# tau / side where the tilted boosts reach the fastest speed a Frame allows,
+# and where cross-lab measurements stop being spacelike.
+_TAU_BOUNDS = (MAX_SPEED * math.sqrt(3.0) / 2.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    side=st.floats(1e-3, 1e4),
+    bound=st.sampled_from(_TAU_BOUNDS),
+    offset=st.one_of(st.floats(-1e-3, 1e-3), st.floats(-1e-13, 1e-13)),
+)
+def test_frames_reports_every_geometry_near_the_bounds(side, bound, offset):
+    tau = side * bound * (1.0 + offset)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["frames", "--side", repr(side), "--tau", repr(tau)])
+    assert code in (0, 1), err.getvalue()
+    assert err.getvalue() == ""
+    checks = {c["name"]: c["passed"] for c in json.loads(out.getvalue())["checks"]}
+    try:
+        standard_frames(_geometry_spec_unchecked(side, tau))
+        built = True
+    except ValueError:
+        built = False
+    assert checks["geometry_tilted_frames_subluminal"] == built
+
 
 class TestRun:
     def test_round_born(self, capsys):
@@ -234,7 +286,11 @@ class TestRun:
         (preferred,) = [s for s in stats if s["preferred"]]
         assert preferred["slots"] == ["z_A", "x_B", "z_C"]
 
-    def test_zero_trials_skips_the_monte_carlo(self, capsys):
+    def test_zero_trials_skips_the_monte_carlo(self, capsys, monkeypatch):
+        def no_run_model(*args):
+            raise AssertionError("run_model called at zero trials")
+
+        monkeypatch.setattr("gwsim.cli.run_model", no_run_model)
         code, report = run_json(capsys, "run", "--trials", "0")
         assert code == 0
         assert "run" not in report["results"]
@@ -381,6 +437,25 @@ class TestOutput:
         code, out, _ = run_cli(capsys, "distinguish", "--config", str(config))
         assert code == 0
         assert out_path.read_text() == out
+
+    def test_unwritable_path_is_a_clean_error(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        target = tmp_path / "missing_dir" / "report.json"
+        config.write_text(json.dumps({"output": {"path": str(target)}}))
+        code, out, err = run_cli(capsys, "distinguish", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output.path")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [True, 1, ["report.json"]])
+    def test_path_must_be_a_string(self, capsys, tmp_path, path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output": {"path": path}}))
+        code, out, err = run_cli(capsys, "distinguish", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert "output.path" in err
 
     def test_json_is_parseable_and_has_no_extra_top_level_keys(self, capsys):
         _, report = run_json(capsys, "frames")

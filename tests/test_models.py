@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gwsim.models
+import gwsim.scenario
 from _oracles import outcome_indices, sample_round_born, sample_sequential_collapse
 from gwsim.cli import _build_model
 from gwsim.measurement import ideal_von_neumann, outsider_observable, spin_observable
@@ -23,11 +25,14 @@ from gwsim.scenario import (
     FRAME_NAMES,
     OutcomeAssignment,
     ParityConstraint,
+    analyze,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
+    order_events,
     standard_frames,
 )
+from gwsim.spacetime import Frame
 from gwsim.systems import LabLabel, SpinAxis, lab_vector, spin_vector
 
 TRIALS = 2000
@@ -264,6 +269,48 @@ class TestNonidealSweep:
         b = nonideal_sweep(3, seed=9)
         assert a.results == b.results
 
+    @pytest.mark.parametrize("n_models", [1, 5])
+    def test_orderings_and_boosts_are_built_once_per_sweep(self, monkeypatch, n_models):
+        counts = {"order_events": 0, "boost_for_simultaneity": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(gwsim.models, "order_events")
+        counted(gwsim.scenario, "boost_for_simultaneity")
+        report = nonideal_sweep(n_models, seed=3)
+        assert report.all_passed
+        assert counts == {"order_events": 4, "boost_for_simultaneity": 3}
+
+
+def test_run_model_analyses_once(schedule, frames, monkeypatch):
+    calls = []
+    original = gwsim.models.analyze
+
+    def counting(s, orderings):
+        calls.append(list(orderings))
+        return original(s, orderings)
+
+    monkeypatch.setattr(gwsim.models, "analyze", counting)
+    report = run_model(schedule, InterpretationModel("round_born", frames["sigma_p"]), 10, seed=1)
+    assert calls == [list(frames.values())]
+    assert report.preferred_mask == (False, True, False, False)
+
+
+def test_run_model_accepts_a_nonstandard_preferred_frame(schedule, frames):
+    # A generic frame has singleton rounds: it adds no constraint of its own.
+    generic = Frame((0.3, -0.2))
+    report = run_model(schedule, InterpretationModel("round_born", generic), 10, seed=1)
+    assert report.constraints == tuple(collect_constraints(schedule, frames))
+    assert report.preferred_mask == (False,) * 4
+    assert abs(report.probabilities.sum() - 1.0) <= 1e-12
+
 
 # ---------------------------------------------------------------------------
 # Exact outcome tables against the per-trial reference samplers
@@ -284,9 +331,26 @@ def chi_square_bound(dof: int) -> float:
 
 TABLE_MODELS = {"ideal": {"kind": "ideal", "seed": 0}, "random:5": {"kind": "random", "seed": 5}}
 ORACLE_CASES = [("ideal", frame) for frame in FRAME_NAMES] + [("random:5", "sigma_pp")]
+
+
+def preferred_rounds(s, preferred):
+    """The preferred frame's analysis, the input of both distribution builders."""
+    return analyze(s, {preferred: order_events(s, preferred)})
+
+
 SAMPLERS = {
-    "round_born": (round_born_distribution, sample_round_born, 2000),
-    "sequential_collapse": (sequential_collapse_distribution, sample_sequential_collapse, 400),
+    "round_born": (
+        lambda s, preferred: round_born_distribution(preferred_rounds(s, preferred)),
+        sample_round_born,
+        2000,
+    ),
+    "sequential_collapse": (
+        lambda s, preferred: sequential_collapse_distribution(
+            s.model, preferred_rounds(s, preferred)
+        ),
+        sample_sequential_collapse,
+        400,
+    ),
 }
 
 

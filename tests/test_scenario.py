@@ -1,15 +1,23 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
+import gwsim.scenario
+from gwsim.cli import _build_model
 from gwsim.measurement import haar_random_unitary, ideal_von_neumann, per_site_model
+from gwsim.models import CANONICAL_CONSTRAINT_KEYS
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     OutcomeAssignment,
     ParityConstraint,
     Schedule,
+    analyze,
     build_schedule,
     collect_constraints,
+    distinct_constraints,
     enumerate_assignments,
     evolve_to,
     order_events,
@@ -18,7 +26,12 @@ from gwsim.scenario import (
     support_constraint,
 )
 from gwsim.qmath import apply_local
+from gwsim.spacetime import Frame
 from gwsim.systems import initial_scenario_state
+
+
+def event(schedule, event_id):
+    return next(ev for ev in schedule.events if ev.id == event_id)
 
 
 @pytest.fixture(scope="module")
@@ -44,23 +57,19 @@ class TestSchedule:
 
     def test_event_locations(self, schedule):
         g = schedule.geometry
-        assert schedule.event("friend_B").location.t == g.t1
-        assert schedule.event("outsider_B").location.t == g.t2
-        np.testing.assert_allclose(schedule.event("friend_B").location.x, g.x_b)
+        assert event(schedule, "friend_B").location.t == g.t1
+        assert event(schedule, "outsider_B").location.t == g.t2
+        np.testing.assert_allclose(event(schedule, "friend_B").location.x, g.x_b)
 
     def test_event_kinds_and_slots(self, schedule):
-        ev = schedule.event("friend_C")
+        ev = event(schedule, "friend_C")
         assert ev.kind == "friend_z"
         assert ev.slot == "z_C"
         assert ev.targets == ("N", "C")
-        ev = schedule.event("outsider_A")
+        ev = event(schedule, "outsider_A")
         assert ev.kind == "outsider_x"
         assert ev.slot == "x_A"
         assert ev.targets == ("L", "A")
-
-    def test_unknown_event_id(self, schedule):
-        with pytest.raises(KeyError):
-            schedule.event("friend_D")
 
     def test_rejects_epochs_longer_than_separation(self):
         with pytest.raises(ValueError):
@@ -126,7 +135,7 @@ class TestOrderEvents:
         assert round_slots(rounds[2]) == ("x_B", "x_C")
 
     def test_rejects_simultaneous_events_on_shared_factors(self, schedule):
-        ev = schedule.event("friend_A")
+        ev = event(schedule, "friend_A")
         clash = type(ev)("friend_A2", "A", "friend_z", ev.location)
         broken = Schedule(schedule.geometry, (ev, clash), schedule.model)
         with pytest.raises(ValueError, match="overlap"):
@@ -150,7 +159,7 @@ class TestEvolveTo:
         expected = initial_scenario_state()
         for site in "ABC":
             expected = apply_local(
-                schedule.model.unitary(site), schedule.event(f"friend_{site}").targets, expected
+                schedule.model.unitary(site), event(schedule, f"friend_{site}").targets, expected
             )
         state = evolve_to(schedule, frames["sigma"], 2)
         np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-12)
@@ -265,9 +274,100 @@ class TestCollectConstraints:
         }
 
 
+def _haar_model(seed):
+    rng = np.random.default_rng(seed)
+    return per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+
+
+ANALYSIS_MODELS = {
+    "ideal": ideal_von_neumann,
+    "random:5": lambda: _build_model({"model": {"kind": "random", "seed": 5}}),
+    "haar:7": lambda: _haar_model(7),
+    "haar:8": lambda: _haar_model(8),
+}
+
+
+def standard_orderings(schedule):
+    return {
+        name: order_events(schedule, f) for name, f in standard_frames(schedule.geometry).items()
+    }
+
+
+@pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
+class TestAnalyze:
+    def test_matches_the_replay_oracle(self, spec):
+        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+        frames = standard_frames(schedule.geometry)
+        orderings = standard_orderings(schedule)
+        rows = analyze(schedule, orderings)
+        assert len(rows) == sum(len(rounds) for rounds in orderings.values())
+        for name, frame in frames.items():
+            mine = [r for r in rows if r.frame == name]
+            assert [r.events for r in mine] == orderings[name]
+            for k, row in enumerate(mine, start=1):
+                replayed = evolve_to(schedule, frame, k)
+                assert np.array_equal(row.state.amplitudes, replayed.amplitudes)
+                entries, constraint = support_constraint(replayed, row.events, schedule.model)
+                assert row.entries == entries
+                assert row.constraint == constraint
+
+    def test_each_friend_sequence_is_evolved_once(self, spec, monkeypatch):
+        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+        orderings = standard_orderings(schedule)
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1])
+            return apply_local(*args)
+
+        monkeypatch.setattr(gwsim.scenario, "apply_local", counting)
+        analyze(schedule, orderings)
+        # Distinct prefixes: A, AB, ABC (shared by sigma and sigma_p), then
+        # B, BA, BAC and C, CA, CAB; replaying each round costs 15.
+        assert len(calls) == 9
+
+
+def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
+    rows = analyze(schedule, standard_orderings(schedule))
+    found = [(c.slots, c.required_product) for c in distinct_constraints(rows)]
+    assert len(found) == 4
+    assert set(found) == CANONICAL_CONSTRAINT_KEYS
+
+
+def test_random_subluminal_frames_yield_no_new_constraint(schedule):
+    # Generic frames split the six events into singleton rounds; whatever a
+    # frame yields must be one of the four the standard frames give.
+    rng = np.random.default_rng(20181106)
+    speeds = 0.999 * rng.random(1000)
+    angles = 2.0 * math.pi * rng.random(1000)
+    frames = [
+        Frame((float(v * math.cos(a)), float(v * math.sin(a)))) for v, a in zip(speeds, angles)
+    ]
+    rows = analyze(schedule, {i: order_events(schedule, f) for i, f in enumerate(frames)})
+    assert {r.frame for r in rows} == set(range(1000))
+    for c in distinct_constraints(rows):
+        assert (c.slots, c.required_product) in CANONICAL_CONSTRAINT_KEYS
+
+
 class TestEnumerateAssignments:
     def test_no_constraints_leaves_all_64(self):
         assert len(enumerate_assignments([])) == 64
+
+    def test_matches_the_exhaustive_loop(self, schedule, frames):
+        canonical = collect_constraints(schedule, frames)
+        cases = [
+            list(subset)
+            for n in range(len(canonical) + 1)
+            for subset in itertools.combinations(canonical, n)
+        ]
+        cases.append([ParityConstraint(("x_A", "z_B"), -1)])
+        for constraints in cases:
+            expected = []
+            for signs in itertools.product((+1, -1), repeat=len(CANONICAL_SLOTS)):
+                assignment = OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, signs)))
+                if all(c.satisfied_by(assignment) for c in constraints):
+                    expected.append(assignment)
+            assert enumerate_assignments(constraints) == expected
 
     def test_full_quartet_is_unsatisfiable(self, schedule, frames):
         constraints = collect_constraints(schedule, frames)

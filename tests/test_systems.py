@@ -10,7 +10,6 @@ from gwsim.systems import (
     LabLabel,
     SpinAxis,
     SupportEntry,
-    axis_spec,
     expand_in_basis,
     ghz_state,
     initial_scenario_state,
@@ -21,7 +20,7 @@ from gwsim.systems import (
     support_table,
 )
 
-from _oracles import sym_ghz, sym_ghz_amplitudes, sym_spin_vector
+from _oracles import axis_spec, sym_ghz, sym_ghz_amplitudes, sym_spin_vector
 
 SQ2 = np.sqrt(2.0)
 
