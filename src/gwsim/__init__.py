@@ -5,7 +5,6 @@ interpretation models."""
 from .measurement import (
     MeasurementModel,
     Observable,
-    custom_model,
     distinguishability_report,
     distribution,
     haar_random_unitary,
@@ -24,7 +23,6 @@ from .models import (
 )
 from .qmath import MixedState, Operator, StateVector
 from .scenario import (
-    OutcomeAssignment,
     ParityConstraint,
     Schedule,
     build_schedule,
@@ -45,7 +43,7 @@ from .spacetime import (
     standard_geometry,
     validate_geometry,
 )
-from .systems import SpinAxis, LabLabel, expand_in_basis, ghz_state, initial_scenario_state, spin_state
+from .systems import SpinAxis, LabLabel, ghz_state, initial_scenario_state
 
 __version__ = "0.1.0"
 
@@ -58,7 +56,6 @@ __all__ = [
     "MixedState",
     "Observable",
     "Operator",
-    "OutcomeAssignment",
     "ParityConstraint",
     "RunReport",
     "Schedule",
@@ -68,14 +65,12 @@ __all__ = [
     "boost_for_simultaneity",
     "build_schedule",
     "collect_constraints",
-    "custom_model",
     "distinguishability_report",
     "distribution",
     "door_observable",
     "enumerate_assignments",
     "erasure_experiment",
     "evolve_to",
-    "expand_in_basis",
     "frame_time",
     "ghz_state",
     "haar_random_unitary",
@@ -88,7 +83,6 @@ __all__ = [
     "outsider_observable",
     "per_site_model",
     "run_model",
-    "spin_state",
     "standard_frames",
     "standard_geometry",
     "support_constraint",

@@ -50,7 +50,7 @@ from .scenario import (
     round_slots,
     standard_frames,
 )
-from .spacetime import GeometrySpec, validate_geometry
+from .spacetime import standard_geometry, validate_geometry
 
 SCHEMA_VERSION = "2"
 ENV_SEED = "GWSIM_SEED"
@@ -342,19 +342,11 @@ def cmd_distinguish(config: dict) -> dict:
     return _report("distinguish", config, results, checks)
 
 
-def _geometry_spec_unchecked(side: float, tau: float) -> GeometrySpec:
-    # standard_geometry's arrangement without its precondition: validation names what fails.
-    h = side / math.sqrt(3.0)
-    return GeometrySpec(
-        (0.0, h), (-side / 2.0, -h / 2.0), (side / 2.0, -h / 2.0), 0.0, tau, 2.0 * tau
-    )
-
-
 def cmd_frames(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     if side <= 0:
         raise ConfigError(f"geometry.side must be positive, got {side}")
-    geometry = _geometry_spec_unchecked(side, tau)
+    geometry = standard_geometry(side, tau)
     geo_checks = validate_geometry(geometry)
     checks = [_check(f"geometry_{r.name}", r.passed, r.detail) for r in geo_checks]
     results: dict = {

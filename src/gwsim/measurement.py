@@ -114,15 +114,6 @@ def ideal_von_neumann() -> MeasurementModel:
     return MeasurementModel((op, op, op))
 
 
-def custom_model(U: Operator) -> MeasurementModel:
-    """Model using the same (arbitrary unitary) device at all three sites."""
-    if U.dim != PAIR_DIM:
-        raise ValueError(f"measurement unitary must be {PAIR_DIM}-dim, got {U.dim}")
-    if not check_unitary(U):
-        raise ValueError(f"matrix is not unitary within {UNITARY_TOL}")
-    return MeasurementModel((U, U, U))
-
-
 def per_site_model(u_a: Operator, u_b: Operator, u_c: Operator) -> MeasurementModel:
     """Model with an independent device per site."""
     return MeasurementModel((u_a, u_b, u_c))
@@ -169,12 +160,6 @@ class Observable:
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.eigenpairs)
 
-    def projector(self, value: float) -> Operator:
-        for v, p in self.eigenpairs:
-            if v == value:
-                return p
-        raise KeyError(f"no eigenvalue {value}")
-
 
 def _rank1(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
@@ -199,13 +184,12 @@ def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
     )
 
 
-def door_observable(model: MeasurementModel, site: str = "A") -> Observable:
+def door_observable(site: str = "A") -> Observable:
     """Ask the lab for its record: +1 RecordedUp, −1 RecordedDown, 0 Ready.
 
-    Acts on the lab register alone, in its fixed 3-level basis; the model
-    argument only fixes the site/factor bookkeeping.
+    Acts on the lab register alone, in its fixed 3-level basis, so it is the
+    same whatever the measurement device.
     """
-    del model
     projs = {
         label: _rank1(lab_vector(label))
         for label in (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
@@ -335,7 +319,7 @@ def distinguishability_report(model: MeasurementModel | None = None) -> dict:
         "collapsed_record": collapsed_record_mixture(model),
     }
     observables = {
-        "door": door_observable(model),
+        "door": door_observable(),
         "pair_x": outsider_observable(model),
     }
     table = {

@@ -53,7 +53,6 @@ from .qmath import StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
-    OutcomeAssignment,
     ParityConstraint,
     RoundAnalysis,
     Schedule,
@@ -123,9 +122,6 @@ class RunReport:
     def trials_violating_nonpreferred(self) -> int:
         return int(np.count_nonzero(self.nonpreferred_violated_flags))
 
-    def violation_rate(self, index: int) -> float:
-        return self.violation_counts[index] / self.trials if self.trials else 0.0
-
     @property
     def exact_rates(self) -> tuple[float, ...]:
         """Per constraint: the probability that an assignment violates it."""
@@ -138,9 +134,14 @@ class RunReport:
         return float(self.probabilities @ nonpreferred)
 
 
-def born_violation_check(assignment: OutcomeAssignment, constraints) -> tuple[bool, ...]:
-    """Per-constraint flag: True where the assignment violates it."""
-    return tuple(not c.satisfied_by(assignment) for c in constraints)
+def born_violation_check(signs, constraints) -> tuple[bool, ...]:
+    """Per-constraint flag: True where the sign row (±1 per slot, in
+    ``CANONICAL_SLOTS`` order) violates it."""
+    return tuple(
+        math.prod(int(signs[CANONICAL_SLOTS.index(slot)]) for slot in c.slots)
+        != c.required_product
+        for c in constraints
+    )
 
 
 def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
@@ -305,7 +306,7 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     )
     recorded = apply_local(model.unitary("A"), ("L", "A"), start)
     steps = [] if skip_pair_x else [(outsider_observable(model), None)]
-    branches, pruned = _collapse_branches(recorded, steps + [(door_observable(model), None)])
+    branches, pruned = _collapse_branches(recorded, steps + [(door_observable(), None)])
 
     outcomes = _draw(np.array([p for _, p in branches]), trials, seed)
     pair_x_counts = {+1: 0, -1: 0}

@@ -2,9 +2,12 @@
 
 Every state in the simulator is a normalized complex vector over an ordered
 list of named factors (three 3-level laboratory registers L, M, N and three
-spin-1/2 electrons A, B, C). All values are immutable after construction and
-all operations are pure functions, so everything here is safe to share across
-threads.
+spin-1/2 electrons A, B, C). Operators act on named factors of a state
+(``apply_local``), factors can be reordered (``permute_factors``), and
+labeled basis groups are contracted against a state to give joint outcome
+amplitudes (``grouped_amplitudes``). All values are immutable after
+construction and all operations are pure functions, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -117,24 +120,16 @@ class Operator:
     """Dense square matrix acting on the listed factors (row-major)."""
 
     matrix: np.ndarray = field(repr=False)
-    layout: FactorLayout | None = None
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        if self.layout is not None and self.layout.dim != mat.shape[0]:
-            raise LayoutError(
-                f"matrix dimension {mat.shape[0]} does not match layout dimension {self.layout.dim}"
-            )
         object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "Operator":
-        return Operator(self.matrix.conj().T, self.layout)
 
 
 @dataclass(frozen=True)
@@ -155,21 +150,10 @@ class MixedState:
         if len(layouts) != 1:
             raise LayoutError("mixed-state components must share one layout")
 
-    @property
-    def layout(self) -> FactorLayout:
-        return self.components[0][1].layout
-
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the result's layout is the concatenation of the inputs'."""
     return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>, conjugate-linear in ``a``."""
-    if a.layout != b.layout:
-        raise LayoutError(f"layout mismatch: {a.layout.names} vs {b.layout.names}")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def apply_local(op: Operator, targets, state: StateVector) -> StateVector:
@@ -203,19 +187,10 @@ def permute_factors(state: StateVector, new_order) -> StateVector:
     return StateVector(FactorLayout(new_order), psi.reshape(-1))
 
 
-def check_unitary(op: Operator, tol: float = UNITARY_TOL) -> bool:
-    """True iff max |U†U - I| < tol."""
+def check_unitary(op: Operator) -> bool:
+    """True iff max |U†U - I| < UNITARY_TOL."""
     gram = op.matrix.conj().T @ op.matrix
-    return bool(np.max(np.abs(gram - np.eye(op.dim))) < tol)
-
-
-def reduced_density(state: StateVector, keep) -> np.ndarray:
-    """Reduced density matrix over the named factors (traced over the rest)."""
-    keep = tuple(keep)
-    axes = state.layout.axes(keep)
-    keep_dim = prod(FACTOR_DIMS[n] for n in keep)
-    psi = np.moveaxis(state.tensor_view(), axes, range(len(axes))).reshape(keep_dim, -1)
-    return psi @ psi.conj().T
+    return bool(np.max(np.abs(gram - np.eye(op.dim))) < UNITARY_TOL)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import functools
 from dataclasses import dataclass
 
 from .measurement import MeasurementModel
-from .qmath import StateVector, apply_local
+from .qmath import BasisGroup, StateVector, apply_local
 from .spacetime import (
     Frame,
     GeometrySpec,
@@ -37,7 +37,6 @@ from .spacetime import (
 )
 from .systems import (
     SITE_FACTORS,
-    BasisGroup,
     SpinAxis,
     SupportEntry,
     initial_scenario_state,
@@ -47,7 +46,7 @@ from .systems import (
 
 import numpy as np
 
-# Frame times closer than this (scaled by max(1, |t|)) fall in the same round.
+# Frame times closer than this, scaled by the frame's largest |t|, fall in the same round.
 ROUND_TOL = 1e-9
 
 # One outcome slot per event: the friend's z-record and the outsider's
@@ -131,10 +130,11 @@ def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:
         ((frame_time(f, ev.location), ev) for ev in s.events),
         key=lambda te: (te[0], te[1].id),
     )
+    tol = ROUND_TOL * max(abs(t) for t, _ in timed)
     rounds: list[list[MeasurementEvent]] = []
     last_t = None
     for t, ev in timed:
-        if last_t is not None and abs(t - last_t) <= ROUND_TOL * max(1.0, abs(t)):
+        if last_t is not None and abs(t - last_t) <= tol:
             rounds[-1].append(ev)
         else:
             rounds.append([ev])
@@ -186,43 +186,10 @@ class ParityConstraint:
             raise ValueError(f"required product must be ±1, got {self.required_product}")
         object.__setattr__(self, "slots", tuple(sorted(self.slots, key=_slot_key)))
 
-    def satisfied_by(self, assignment: "OutcomeAssignment") -> bool:
-        product = 1
-        for slot in self.slots:
-            product *= assignment.value(slot)
-        return product == self.required_product
-
-    def __str__(self):
-        return "·".join(self.slots) + f" = {self.required_product:+d}"
-
 
 def _slot_key(slot: str) -> tuple[str, str]:
     kind, site = slot.split("_")
     return (site, kind)
-
-
-@dataclass(frozen=True)
-class OutcomeAssignment:
-    """±1 value per outcome slot (all six slots when produced by a model run)."""
-
-    values: tuple[tuple[str, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", tuple(sorted(self.values, key=lambda sv: _slot_key(sv[0])))
-        )
-        for slot, sign in self.values:
-            if sign not in (+1, -1):
-                raise ValueError(f"slot {slot}: value must be ±1, got {sign}")
-
-    def value(self, slot: str) -> int:
-        for s, v in self.values:
-            if s == slot:
-                return v
-        raise KeyError(f"no slot {slot!r}")
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.values)
 
 
 def round_slots(round_events) -> tuple[str, ...]:
@@ -337,11 +304,8 @@ def violation_mask(constraints) -> np.ndarray:
     return mask
 
 
-def enumerate_assignments(constraints) -> list[OutcomeAssignment]:
-    """All assignments of ±1 to the six slots satisfying every constraint,
-    in ``OUTCOME_SIGNS`` row order."""
+def enumerate_assignments(constraints) -> np.ndarray:
+    """The ``OUTCOME_SIGNS`` rows satisfying every constraint: a (k, 6) int8
+    array of ±1 in ``CANONICAL_SLOTS`` column order, in row order."""
     satisfying = ~violation_mask(list(constraints)).any(axis=1)
-    return [
-        OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, signs)))
-        for signs in OUTCOME_SIGNS[satisfying].tolist()
-    ]
+    return OUTCOME_SIGNS[satisfying]

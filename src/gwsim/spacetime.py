@@ -94,13 +94,13 @@ def standard_geometry(side: float, tau: float) -> GeometrySpec:
     """Equilateral triangle of the given side, centered at the origin, with
     lab A on the +y axis; epochs 0, tau, 2·tau.
 
-    Requires 0 < tau < side: each epoch must be shorter than the light travel
-    time between labs, or cross-lab measurements stop being spacelike.
+    Any tau is accepted, so ``validate_geometry`` can name what fails; the
+    arrangement is valid for 0 < tau ≤ side·√3/2·MAX_SPEED, beyond which the
+    tilted frames need a superluminal boost. A nonpositive side is rejected
+    here, since validation only sees the (unsigned) distances.
     """
     if side <= 0:
         raise ValueError(f"side must be positive, got {side}")
-    if not 0 < tau < side:
-        raise ValueError(f"need 0 < tau < side for spacelike separation, got tau={tau}, side={side}")
     h = side / math.sqrt(3.0)
     return GeometrySpec(
         x_a=(0.0, h),

@@ -1,8 +1,8 @@
-"""Catalog of named physical states and basis expansions.
+"""Catalog of named physical states and support extraction.
 
 Spin eigenstates per axis, the 3-level laboratory register states, the
-three-electron GHZ state, and support extraction (which outcome tuples carry
-nonzero weight) for product-basis expansions.
+three-electron GHZ state, and ``support_table``: which joint outcome tuples
+of a list of labeled basis groups carry nonzero weight in a state.
 
 Phase conventions, fixed once and verified against a symbolic oracle in the
 test suite:
@@ -26,7 +26,6 @@ from enum import Enum
 import numpy as np
 
 from .qmath import (
-    BasisGroup,
     StateVector,
     grouped_amplitudes,
     layout,
@@ -74,11 +73,6 @@ def spin_vector(axis: SpinAxis, sign: int) -> np.ndarray:
     return _SPIN_VECTORS[(axis, sign)].copy()
 
 
-def spin_state(axis: SpinAxis, sign: int, factor: str = "A") -> StateVector:
-    """Spin eigenstate of one electron factor."""
-    return StateVector(layout(factor), spin_vector(axis, sign))
-
-
 def spin_basis(axis: SpinAxis) -> np.ndarray:
     """2x2 matrix with the +1 and -1 eigenvectors of ``axis`` as columns."""
     return np.column_stack([spin_vector(axis, +1), spin_vector(axis, -1)])
@@ -114,13 +108,6 @@ def initial_scenario_state() -> StateVector:
     return permute_factors(tensor(labs, ghz_state()), ("L", "A", "M", "B", "N", "C"))
 
 
-# A BasisSpec maps each measured factor (or factor group) to the basis it is
-# expanded in: factor name -> SpinAxis for electrons, or a prebuilt BasisGroup
-# for anything else (e.g. the joint lab+electron bases from the measurement
-# module).
-BasisSpec = dict
-
-
 @dataclass(frozen=True)
 class SupportEntry:
     """One surviving term of an expansion: outcome labels and its coefficient."""
@@ -140,21 +127,7 @@ class SupportEntry:
         return out
 
 
-def _groups_from_spec(state: StateVector, spec: BasisSpec) -> list[BasisGroup]:
-    groups: list[BasisGroup] = []
-    for key, basis in spec.items():
-        if isinstance(basis, BasisGroup):
-            groups.append(basis)
-        elif isinstance(basis, SpinAxis):
-            groups.append(BasisGroup((key,), (+1, -1), spin_basis(basis)))
-        else:
-            raise TypeError(f"basis for {key!r} must be a SpinAxis or BasisGroup, got {basis!r}")
-    return groups
-
-
-def support_table(
-    state: StateVector, groups, eps: float = SUPPORT_EPS
-) -> tuple[list[SupportEntry], float]:
+def support_table(state: StateVector, groups) -> tuple[list[SupportEntry], float]:
     """Support entries over the groups' joint labels, plus leftover weight.
 
     Factors not covered by any group are spectators: each entry's probability
@@ -176,23 +149,8 @@ def support_table(
             prob = float(np.sum(np.abs(amps[idx]) ** 2))
             amplitude = complex(np.sqrt(prob))
         total += prob
-        if prob > eps:
+        if prob > SUPPORT_EPS:
             labels = tuple(ls[i] for ls, i in zip(label_sets, idx))
             entries.append(SupportEntry(labels, amplitude))
     return entries, 1.0 - total
 
-
-def expand_in_basis(state: StateVector, spec: BasisSpec, eps: float = SUPPORT_EPS):
-    """Expand ``state`` in the product basis given by ``spec``.
-
-    ``spec`` must cover every factor of the state; amplitudes are then exact
-    inner products against the product basis. Entries below the support cutoff
-    are dropped (but still counted in the completeness sum, which tests check).
-    """
-    groups = _groups_from_spec(state, spec)
-    covered = {n for g in groups for n in g.factors}
-    missing = set(state.layout.names) - covered
-    if missing:
-        raise ValueError(f"basis spec does not cover factors {sorted(missing)}")
-    entries, _residual = support_table(state, groups, eps)
-    return entries

@@ -17,7 +17,7 @@ import sympy as sp
 
 from gwsim.measurement import measure, outsider_observable, spin_observable
 from gwsim.models import trial_rng
-from gwsim.qmath import apply_local
+from gwsim.qmath import BasisGroup, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     evolve_to,
@@ -26,7 +26,7 @@ from gwsim.scenario import (
     support_constraint,
 )
 from gwsim.spacetime import SpacetimePoint
-from gwsim.systems import SpinAxis
+from gwsim.systems import SpinAxis, spin_basis
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -158,12 +158,15 @@ def boost_point(f, p):
     return SpacetimePoint(gamma * (p.t - v_dot_x), (float(x_new[0]), float(x_new[1])))
 
 
-def axis_spec(state, axes) -> dict:
-    """One spin axis per factor, in the state's factor order."""
+def axis_spec(state, axes) -> list[BasisGroup]:
+    """One ±1 spin-axis basis group per factor, in the state's factor order."""
     axes = list(axes)
     if len(axes) != len(state.layout.names):
         raise ValueError(f"need {len(state.layout.names)} axes, got {len(axes)}")
-    return dict(zip(state.layout.names, axes))
+    return [
+        BasisGroup((name,), (+1, -1), spin_basis(axis))
+        for name, axis in zip(state.layout.names, axes)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,12 @@ from hypothesis import given, settings, strategies as st
 from gwsim.cli import (
     ConfigError,
     DEFAULT_CONFIG,
-    _geometry_spec_unchecked,
     _parse_model_spec,
     load_config,
     main,
 )
 from gwsim.scenario import standard_frames
-from gwsim.spacetime import MAX_SPEED
+from gwsim.spacetime import MAX_SPEED, standard_geometry
 
 REPORT_KEYS = {"schema_version", "command", "config", "results", "checks", "passed"}
 
@@ -191,6 +190,17 @@ class TestFrames:
         assert out == ""
         assert "tilted_frames_subluminal" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["frames"], ["ghz-nogo"], ["run", "--trials", "100"], ["sweep", "--models", "3"]]
+    )
+    def test_tiny_epochs_give_passing_reports(self, capsys, argv):
+        # Rounds group frame times relative to the frame's time scale, so a
+        # tau of 1e-9 orders the events as tau = 1 does.
+        code, out, err = run_cli(capsys, *argv, "--tau", "1e-9")
+        assert code == 0, err
+        assert err == ""
+        assert json.loads(out)["passed"] is True
+
 
 # tau / side where the tilted boosts reach the fastest speed a Frame allows,
 # and where cross-lab measurements stop being spacelike.
@@ -212,7 +222,7 @@ def test_frames_reports_every_geometry_near_the_bounds(side, bound, offset):
     assert err.getvalue() == ""
     checks = {c["name"]: c["passed"] for c in json.loads(out.getvalue())["checks"]}
     try:
-        standard_frames(_geometry_spec_unchecked(side, tau))
+        standard_frames(standard_geometry(side, tau))
         built = True
     except ValueError:
         built = False

@@ -7,7 +7,6 @@ from gwsim.measurement import (
     Observable,
     OutcomeDistribution,
     collapsed_record_mixture,
-    custom_model,
     distinguishability_report,
     distribution,
     door_observable,
@@ -21,13 +20,14 @@ from gwsim.measurement import (
     spin_observable,
 )
 from gwsim.qmath import LayoutError, Operator, StateVector, layout, tensor
-from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_state
+from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_vector
 
 from _oracles import random_state
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
-    return tensor(lab_state(lab, lab_factor), spin_state(SpinAxis.Z, sign, elec_factor))
+    electron = StateVector(layout(elec_factor), spin_vector(SpinAxis.Z, sign))
+    return tensor(lab_state(lab, lab_factor), electron)
 
 
 class TestIdealModel:
@@ -44,7 +44,8 @@ class TestIdealModel:
     def test_x_up_electron_becomes_two_term_entangled_state(self):
         # ready ⊗ |+1_x> evolves to the even superposition of the two records.
         model = ideal_von_neumann()
-        start = tensor(lab_state(LabLabel.READY, "L"), spin_state(SpinAxis.X, +1, "A"))
+        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        start = tensor(lab_state(LabLabel.READY, "L"), x_up)
         out = model.unitary("A").matrix @ start.amplitudes
         expected = (
             pair_state(LabLabel.RECORDED_UP, +1).amplitudes
@@ -67,7 +68,7 @@ class TestIdealModel:
 class TestCustomModel:
     def test_ideal_matrix_reproduces_ideal_model(self):
         ideal = ideal_von_neumann()
-        rebuilt = custom_model(ideal.unitary("A"))
+        rebuilt = MeasurementModel((ideal.unitary("A"),) * 3)
         for site in "ABC":
             assert_allclose(
                 rebuilt.unitary(site).matrix, ideal.unitary(site).matrix, atol=1e-15
@@ -75,16 +76,16 @@ class TestCustomModel:
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
-            custom_model(Operator(np.eye(6) * 2.0))
+            MeasurementModel((Operator(np.eye(6) * 2.0),) * 3)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(ValueError, match="6"):
-            custom_model(Operator(np.eye(4)))
+            MeasurementModel((Operator(np.eye(4)),) * 3)
 
     def test_recorded_states_stay_orthonormal_for_random_devices(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
-            model = custom_model(haar_random_unitary(6, rng))
+            model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
             plus = model.recorded_state("A", +1)
             minus = model.recorded_state("A", -1)
             assert np.vdot(plus, minus) == pytest.approx(0.0, abs=1e-10)
@@ -126,7 +127,7 @@ class TestObservables:
     def test_outsider_observable_completeness_for_random_models(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
-            model = custom_model(haar_random_unitary(6, rng))
+            model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
             obs = outsider_observable(model, "C")
             total = sum(p.matrix for _, p in obs.eigenpairs)
             assert_allclose(total, np.eye(6), atol=1e-10)
@@ -138,13 +139,13 @@ class TestObservables:
         assert outsider_observable(model, "C").targets == ("N", "C")
 
     def test_door_observable_reads_the_lab_register(self):
-        obs = door_observable(ideal_von_neumann(), "B")
+        obs = door_observable("B")
         assert obs.targets == ("M",)
         up = lab_state(LabLabel.RECORDED_UP, "M")
         assert distribution(obs, up).probability(+1.0) == pytest.approx(1.0)
 
     def test_door_on_recorded_up_with_any_electron(self):
-        obs = door_observable(ideal_von_neumann())
+        obs = door_observable()
         rng = np.random.default_rng(25)
         state = tensor(
             lab_state(LabLabel.RECORDED_UP, "L"),
@@ -181,15 +182,15 @@ class TestObservables:
 
 class TestDistributions:
     def test_z_spin_on_x_up_is_even(self):
-        dist = distribution(spin_observable(SpinAxis.Z), spin_state(SpinAxis.X, +1))
+        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        dist = distribution(spin_observable(SpinAxis.Z), x_up)
         assert dist.probability(+1.0) == pytest.approx(0.5, abs=1e-12)
         assert dist.probability(-1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_observable_on_own_eigenstate_is_point_mass(self):
         for sign in (+1, -1):
-            dist = distribution(
-                spin_observable(SpinAxis.Y), spin_state(SpinAxis.Y, sign)
-            )
+            eigenstate = StateVector(layout("A"), spin_vector(SpinAxis.Y, sign))
+            dist = distribution(spin_observable(SpinAxis.Y), eigenstate)
             assert dist.probability(float(sign)) == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_observable_on_unitary_record_state(self):
@@ -204,8 +205,9 @@ class TestDistributions:
         assert dist.probability(-1.0) == pytest.approx(0.5, abs=1e-12)
 
     def test_distribution_requires_target_factors_in_state(self):
+        z_up = StateVector(layout("A"), spin_vector(SpinAxis.Z, +1))
         with pytest.raises(LayoutError, match="not in layout"):
-            distribution(spin_observable(SpinAxis.Z, "B"), spin_state(SpinAxis.Z, +1, "A"))
+            distribution(spin_observable(SpinAxis.Z, "B"), z_up)
 
     def test_outcome_distribution_validates_total(self):
         with pytest.raises(ValueError, match="sum"):
@@ -214,7 +216,8 @@ class TestDistributions:
             OutcomeDistribution(((1.0, 1.3), (-1.0, -0.3)))
 
     def test_unknown_eigenvalue_lookup_raises(self):
-        dist = distribution(spin_observable(SpinAxis.Z), spin_state(SpinAxis.Z, +1))
+        z_up = StateVector(layout("A"), spin_vector(SpinAxis.Z, +1))
+        dist = distribution(spin_observable(SpinAxis.Z), z_up)
         with pytest.raises(KeyError):
             dist.probability(2.0)
 
@@ -222,7 +225,7 @@ class TestDistributions:
 class TestMeasure:
     def test_eigenstate_measurement_is_deterministic(self):
         rng = np.random.default_rng(26)
-        state = spin_state(SpinAxis.Y, -1)
+        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
         for _ in range(20):
             outcome, post = measure(spin_observable(SpinAxis.Y), state, rng)
             assert outcome == -1.0
@@ -232,7 +235,8 @@ class TestMeasure:
         rng = np.random.default_rng(27)
         for _ in range(50):
             state = StateVector(layout("L", "A"), random_state(6, rng))
-            obs = outsider_observable(custom_model(haar_random_unitary(6, rng)))
+            model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
+            obs = outsider_observable(model)
             v1, post1 = measure(obs, state, rng)
             v2, post2 = measure(obs, post1, rng)
             assert v1 == v2
@@ -240,15 +244,16 @@ class TestMeasure:
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(28)
-        state = spin_state(SpinAxis.X, +1)
+        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
         _, post = measure(spin_observable(SpinAxis.Z), state, rng)
         assert post.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_soundness_within_binomial_band(self):
         rng = np.random.default_rng(29)
         n = 4000
+        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
         ups = sum(
-            measure(spin_observable(SpinAxis.Z), spin_state(SpinAxis.X, +1), rng)[0] == 1.0
+            measure(spin_observable(SpinAxis.Z), x_up, rng)[0] == 1.0
             for _ in range(n)
         )
         band = 4 * np.sqrt(0.25 / n)
@@ -303,6 +308,6 @@ class TestDistinguishabilityReport:
                 assert a["distributions"][obs][state] == b["distributions"][obs][state]
 
     def test_report_accepts_custom_model(self):
-        model = custom_model(haar_random_unitary(6, np.random.default_rng(31)))
+        model = MeasurementModel((haar_random_unitary(6, np.random.default_rng(31)),) * 3)
         table = distinguishability_report(model)["distributions"]
         assert table["pair_x"]["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-10)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,6 @@ from gwsim.qmath import StateVector, layout
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
-    OutcomeAssignment,
     ParityConstraint,
     analyze,
     build_schedule,
@@ -31,6 +32,7 @@ from gwsim.scenario import (
     enumerate_assignments,
     order_events,
     standard_frames,
+    violation_mask,
 )
 from gwsim.spacetime import Frame
 from gwsim.systems import LabLabel, SpinAxis, lab_vector, spin_vector
@@ -95,8 +97,15 @@ class TestBornViolationCheck:
             ParityConstraint(("x_A", "x_B"), +1),
             ParityConstraint(("x_A", "x_B"), -1),
         ]
-        a = OutcomeAssignment((("x_A", +1), ("x_B", +1)))
-        assert born_violation_check(a, constraints) == (False, True)
+        # Sign rows in CANONICAL_SLOTS order: z_A, z_B, z_C, x_A, x_B, x_C.
+        assert born_violation_check((-1, -1, -1, +1, +1, -1), constraints) == (False, True)
+        assert born_violation_check((+1, +1, +1, +1, -1, +1), constraints) == (True, False)
+
+    def test_agrees_with_the_violation_mask_on_every_row(self, schedule, frames):
+        constraints = collect_constraints(schedule, frames)
+        mask = violation_mask(constraints)
+        for index, signs in enumerate(OUTCOME_SIGNS):
+            assert born_violation_check(signs, constraints) == tuple(mask[index])
 
 
 class TestRoundBorn:
@@ -109,7 +118,7 @@ class TestRoundBorn:
         m = InterpretationModel("round_born", frames["sigma"])
         report = run_model(schedule, m, 0, seed=0)
         assert report.assignments.shape == (0, 6)
-        assert report.violation_rate(0) == 0.0
+        assert report.violation_counts == (0,) * len(report.constraints)
         assert report.trials_violating_nonpreferred == 0
 
     def test_reports_the_four_constraints(self, born_sigma_report):
@@ -141,7 +150,8 @@ class TestRoundBorn:
         for i, preferred in enumerate(born_sigma_report.preferred_mask):
             if preferred:
                 continue
-            assert born_sigma_report.violation_rate(i) == pytest.approx(0.5, abs=band)
+            rate = born_sigma_report.violation_counts[i] / born_sigma_report.trials
+            assert rate == pytest.approx(0.5, abs=band)
 
     def test_every_trial_violates_some_nonpreferred_constraint(self, born_sigma_report):
         assert born_sigma_report.trials_violating_nonpreferred == TRIALS
@@ -182,7 +192,8 @@ class TestSequentialCollapse:
         # the outsiders' odd-parity rule holds only by chance.
         (index,) = [i for i, p in enumerate(collapse_report.preferred_mask) if p]
         band = four_sigma_band(0.5, TRIALS)
-        assert collapse_report.violation_rate(index) == pytest.approx(0.5, abs=band)
+        rate = collapse_report.violation_counts[index] / collapse_report.trials
+        assert rate == pytest.approx(0.5, abs=band)
 
     def test_outsider_outcomes_are_individually_unbiased(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
@@ -388,14 +399,14 @@ class TestExactTables:
         assert preferred
         probabilities, _ = self._table(table_schedules, spec, frame, "round_born")
         for index, signs in enumerate(OUTCOME_SIGNS):
-            assignment = OutcomeAssignment(tuple(zip(CANONICAL_SLOTS, map(int, signs))))
-            if any(born_violation_check(assignment, preferred)):
+            if any(born_violation_check(signs, preferred)):
                 assert probabilities[index] == 0.0
 
 
 def test_outcome_signs_follow_enumeration_order():
-    rows = [[a.value(slot) for slot in CANONICAL_SLOTS] for a in enumerate_assignments([])]
+    rows = list(itertools.product((+1, -1), repeat=len(CANONICAL_SLOTS)))
     np.testing.assert_array_equal(OUTCOME_SIGNS, rows)
+    np.testing.assert_array_equal(enumerate_assignments([]), OUTCOME_SIGNS)
     np.testing.assert_array_equal(outcome_indices(OUTCOME_SIGNS), np.arange(64))
 
 

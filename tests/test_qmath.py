@@ -14,10 +14,8 @@ from gwsim.qmath import (
     apply_local,
     check_unitary,
     grouped_amplitudes,
-    inner,
     layout,
     permute_factors,
-    reduced_density,
     tensor,
 )
 
@@ -83,20 +81,6 @@ def test_tensor_rejects_shared_factors():
     a = StateVector(layout("A"), np.array([1.0, 0.0]))
     with pytest.raises(LayoutError, match="duplicate"):
         tensor(a, a)
-
-
-def test_inner_requires_matching_layouts():
-    a = StateVector(layout("A"), np.array([1.0, 0.0]))
-    b = StateVector(layout("B"), np.array([1.0, 0.0]))
-    with pytest.raises(LayoutError, match="layout"):
-        inner(a, b)
-
-
-def test_inner_is_conjugate_linear_in_first_argument():
-    rng = np.random.default_rng(11)
-    a = StateVector(layout("A"), random_state(2, rng))
-    b = StateVector(layout("A"), random_state(2, rng))
-    assert inner(a, b) == pytest.approx(np.conj(inner(b, a)))
 
 
 def test_apply_local_single_factor_matches_embedding_oracle():
@@ -167,19 +151,6 @@ def test_check_unitary():
 def test_operator_requires_square_matrix():
     with pytest.raises(ValueError, match="square"):
         Operator(np.zeros((2, 3)))
-
-
-def test_reduced_density_of_product_state_is_pure():
-    a = StateVector(layout("A"), np.array([1.0, 1.0]) / np.sqrt(2))
-    b = StateVector(layout("B"), np.array([1.0, 0.0]))
-    rho = reduced_density(tensor(a, b), ("A",))
-    assert_allclose(rho, np.outer(a.amplitudes, a.amplitudes.conj()), atol=1e-12)
-
-
-def test_reduced_density_of_entangled_pair_is_mixed():
-    bell = StateVector(layout("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    rho = reduced_density(bell, ("B",))
-    assert_allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_mixed_state_weight_validation():

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import boost_point
+from gwsim.measurement import ideal_von_neumann
+from gwsim.scenario import build_schedule
 from gwsim.spacetime import (
     Frame,
     GeometrySpec,
@@ -34,10 +36,27 @@ def test_standard_geometry_side_length():
     assert standard_geometry(1000.0, 1.0).side == pytest.approx(1000.0, rel=1e-12)
 
 
+# The check each bad tau fails at side 10 (among others it may fail too).
+_BAD_TAU_CHECK = {
+    10.0: "epoch_shorter_than_separation",
+    20.0: "epoch_shorter_than_separation",
+    0.0: "equal_epochs",
+    -1.0: "equal_epochs",
+}
+
+
 @pytest.mark.parametrize("side,tau", [(10.0, 10.0), (10.0, 20.0), (10.0, 0.0), (10.0, -1.0), (0.0, 1.0), (-5.0, 1.0)])
 def test_standard_geometry_rejects_bad_parameters(side, tau):
-    with pytest.raises(ValueError):
-        standard_geometry(side, tau)
+    if side <= 0:
+        with pytest.raises(ValueError, match="side must be positive"):
+            standard_geometry(side, tau)
+        return
+    # A bad tau still gives a geometry, so validation can name what fails;
+    # building a schedule on it raises with those names.
+    failed = [r.name for r in validate_geometry(standard_geometry(side, tau)) if not r.passed]
+    assert _BAD_TAU_CHECK[tau] in failed
+    with pytest.raises(ValueError, match="geometry checks failed: " + ", ".join(failed) + "$"):
+        build_schedule(side, tau, ideal_von_neumann())
 
 
 def test_interval_examples():

@@ -10,12 +10,10 @@ from gwsim.systems import (
     LabLabel,
     SpinAxis,
     SupportEntry,
-    expand_in_basis,
     ghz_state,
     initial_scenario_state,
     lab_state,
     spin_basis,
-    spin_state,
     spin_vector,
     support_table,
 )
@@ -34,7 +32,7 @@ def test_spin_vectors_match_symbolic_conventions(axis, sign):
 
 def test_spin_state_rejects_bad_sign():
     with pytest.raises(ValueError, match="sign"):
-        spin_state(SpinAxis.X, 0)
+        spin_vector(SpinAxis.X, 0)
 
 
 def test_spin_bases_are_orthonormal():
@@ -79,7 +77,7 @@ def test_ghz_state_is_normalized():
 def test_expansions_match_symbolic_oracle(axes):
     state = ghz_state()
     spec = axis_spec(state, [SpinAxis(a) for a in axes])
-    entries = {e.labels: e.amplitude for e in expand_in_basis(state, spec)}
+    entries = {e.labels: e.amplitude for e in support_table(state, spec)[0]}
     exact = sym_ghz_amplitudes(axes)
     for signs in itertools.product((+1, -1), repeat=3):
         expected = complex(exact[signs].evalf())
@@ -89,7 +87,7 @@ def test_expansions_match_symbolic_oracle(axes):
 
 def test_z_expansion_has_full_support_at_one_eighth():
     state = ghz_state()
-    entries = expand_in_basis(state, axis_spec(state, [SpinAxis.Z] * 3))
+    entries = support_table(state, axis_spec(state, [SpinAxis.Z] * 3))[0]
     assert len(entries) == 8
     for e in entries:
         assert e.probability == pytest.approx(0.125, abs=1e-12)
@@ -97,7 +95,7 @@ def test_z_expansion_has_full_support_at_one_eighth():
 
 def test_x_expansion_is_the_odd_parity_quadruple():
     state = ghz_state()
-    entries = expand_in_basis(state, axis_spec(state, [SpinAxis.X] * 3))
+    entries = support_table(state, axis_spec(state, [SpinAxis.X] * 3))[0]
     assert sorted(e.labels for e in entries) == [
         (-1, -1, -1),
         (-1, +1, +1),
@@ -113,7 +111,7 @@ def test_single_x_expansions_are_even_parity(x_position):
     state = ghz_state()
     axes = [SpinAxis.Z] * 3
     axes[x_position] = SpinAxis.X
-    entries = expand_in_basis(state, axis_spec(state, axes))
+    entries = support_table(state, axis_spec(state, axes))[0]
     assert len(entries) == 4
     assert all(e.product == +1 for e in entries)
     assert all(e.probability == pytest.approx(0.25, abs=1e-12) for e in entries)
@@ -122,20 +120,8 @@ def test_single_x_expansions_are_even_parity(x_position):
 def test_expansion_probabilities_always_sum_to_one():
     state = ghz_state()
     for axes in itertools.product(list(SpinAxis), repeat=3):
-        entries = expand_in_basis(state, axis_spec(state, axes))
+        entries = support_table(state, axis_spec(state, axes))[0]
         assert sum(e.probability for e in entries) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_expand_in_basis_requires_full_coverage():
-    state = ghz_state()
-    with pytest.raises(ValueError, match="cover"):
-        expand_in_basis(state, {"A": SpinAxis.Z, "B": SpinAxis.Z})
-
-
-def test_expand_in_basis_rejects_unknown_basis_type():
-    state = ghz_state()
-    with pytest.raises(TypeError, match="SpinAxis or BasisGroup"):
-        expand_in_basis(state, {"A": "z", "B": SpinAxis.Z, "C": SpinAxis.Z})
 
 
 def test_axis_spec_length_check():
@@ -183,7 +169,7 @@ def test_support_entry_product():
 
 def test_support_entry_amplitude_is_exact_without_spectators():
     state = ghz_state()
-    entries = expand_in_basis(state, axis_spec(state, [SpinAxis.Z] * 3))
+    entries = support_table(state, axis_spec(state, [SpinAxis.Z] * 3))[0]
     by_label = {e.labels: e.amplitude for e in entries}
     # Amplitude of |+1_z,+1_z,+1_z> is (1-i)/4 under the pinned conventions.
     assert by_label[(+1, +1, +1)] == pytest.approx((1 - 1j) / 4, abs=1e-12)
