@@ -34,6 +34,7 @@ from .measurement import (
 from .models import (
     InterpretationModel,
     MODES,
+    QUARTER_TOL,
     erasure_experiment,
     nonideal_sweep,
     run_model,
@@ -246,7 +247,7 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
         if row.constraint is None or row.constraint in constraints:
             continue
         constraints.append(row.constraint)
-        if any(abs(e.probability - 0.25) > 1e-10 for e in row.entries):
+        if any(abs(e.probability - 0.25) > QUARTER_TOL for e in row.entries):
             support_ok = False
         tables.append(
             {

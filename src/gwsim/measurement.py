@@ -65,7 +65,12 @@ def _pair_basis_state(lab: LabLabel, spin_sign: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """One 6-dim measurement unitary per site (labs A, B, C in order)."""
+    """One 6-dim measurement unitary per site (labs A, B, C in order).
+
+    Site operators that are (M, 6, 6) stacks make one model of M device
+    models, analysed together (``scenario.analyze_stack``); ``unitary``,
+    ``recorded_state`` and ``pair_x_state`` then give stacks too.
+    """
 
     site_unitaries: tuple[Operator, Operator, Operator]
 

@@ -28,14 +28,15 @@ reproducible and the first *k* trials of any run are the *k*-trial run.
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
 way, and the sweep re-deriving the contradiction under random non-ideal
-measurement devices, each drawn from its own ``trial_rng`` stream.
+measurement devices, each drawn from its own ``trial_rng`` stream and all
+analysed in one stacked pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .scenario import (
     RoundAnalysis,
     Schedule,
     analyze,
+    analyze_stack,
     build_schedule,
     distinct_constraints,
     enumerate_assignments,
@@ -328,6 +330,9 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     )
 
 
+# A constraint-bearing round's possible outcome tuples have weight 1/4 within this.
+QUARTER_TOL = 1e-10
+
 CANONICAL_CONSTRAINT_KEYS = frozenset(
     {
         (("x_A", "x_B", "x_C"), -1),
@@ -372,11 +377,12 @@ def nonideal_sweep(
     """Re-derive the contradiction under imperfect measurement devices.
 
     Model 0 is the ideal baseline; each further model draws an independent
-    Haar-random 6-dim unitary per lab. The schedule, its geometry checks and
-    the frames' round orderings depend on the geometry alone and are built
-    once; each model swaps its devices into the schedule for one ``analyze``
-    pass. For every model the four collected constraints, the empty
-    satisfying set, and the 1/4 support magnitudes of each
+    Haar-random 6-dim unitary per lab from its own ``trial_rng`` stream. The
+    schedule, its geometry checks and the frames' round orderings depend on
+    the geometry alone and are built once; one ``analyze_stack`` pass covers
+    every model, and each model's result is read from the stacked tables.
+    For every model the four collected constraints, the empty satisfying
+    set, and the 1/4 support magnitudes (within QUARTER_TOL) of each
     constraint-bearing round must all come out unchanged.
     """
     if n_models < 1:
@@ -386,21 +392,34 @@ def nonideal_sweep(
         name: order_events(schedule, frame)
         for name, frame in standard_frames(schedule.geometry).items()
     }
+    models = [schedule.model]
+    for index in range(1, n_models):
+        rng = trial_rng(seed, index)
+        models.append(per_site_model(*(haar_random_unitary(6, rng) for _ in range(3))))
+
+    found: list[set] = [set() for _ in models]
+    support_ok = np.ones(n_models, dtype=bool)
+    for table in analyze_stack(models, orderings):
+        products = table.products
+        off_quarter = table.possible & (np.abs(table.probabilities - 0.25) > QUARTER_TOL)
+        support_ok &= (products == 0) | ~off_quarter.any(axis=1)
+        slots = round_slots(table.events)
+        for m in np.flatnonzero(products):
+            found[m].add((slots, int(products[m])))
+
+    satisfying: dict[frozenset, int] = {}  # per distinct constraint set
     results = []
-    for index in range(n_models):
-        kind = "ideal"
-        if index > 0:
-            rng = trial_rng(seed, index)
-            model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
-            schedule, kind = replace(schedule, model=model), "haar"
-        constrained = [r for r in analyze(schedule, orderings) if r.constraint is not None]
-        support_ok = not any(
-            abs(e.probability - 0.25) > 1e-9 for r in constrained for e in r.entries
-        )
-        constraints = distinct_constraints(constrained)
-        keys = {(c.slots, c.required_product) for c in constraints}
-        satisfying = len(enumerate_assignments(constraints))
+    for index, keys in enumerate(map(frozenset, found)):
+        if keys not in satisfying:
+            constraints = [ParityConstraint(slots, product) for slots, product in keys]
+            satisfying[keys] = len(enumerate_assignments(constraints))
         results.append(
-            SweepModelResult(index, kind, keys == CANONICAL_CONSTRAINT_KEYS, satisfying, support_ok)
+            SweepModelResult(
+                index,
+                "haar" if index else "ideal",
+                keys == CANONICAL_CONSTRAINT_KEYS,
+                satisfying[keys],
+                bool(support_ok[index]),
+            )
         )
     return SweepReport(n_models=n_models, seed=seed, results=tuple(results))

@@ -5,9 +5,12 @@ list of named factors (three 3-level laboratory registers L, M, N and three
 spin-1/2 electrons A, B, C). Operators act on named factors of a state
 (``apply_local``), factors can be reordered (``permute_factors``), and
 labeled basis groups are contracted against a state to give joint outcome
-amplitudes (``grouped_amplitudes``). All values are immutable after
-construction and all operations are pure functions, so everything here is
-safe to share across threads.
+amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
+carry one leading *stack* axis, one entry per device model, so that one call
+does the work of a loop over models (``apply_local``, ``stacked_amplitudes``);
+entry m of a stacked result is bit-identical to the single-model call on
+entry m. All values are immutable after construction and all operations are
+pure functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ FACTOR_DIMS = {"L": 3, "M": 3, "N": 3, "A": 2, "B": 2, "C": 2}
 CANONICAL_ORDER = ("L", "A", "M", "B", "N", "C")
 
 UNITARY_TOL = 1e-10
-NORM_TOL = 1e-10
 
 
 class LayoutError(ValueError):
@@ -85,16 +87,22 @@ CANONICAL_LAYOUT = layout(*CANONICAL_ORDER)
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over a factor layout (row-major basis order)."""
+    """Complex amplitude vector over a factor layout (row-major basis order).
+
+    A 2-D ``amplitudes`` array is a stack: one state per row, all on the
+    layout. ``norm`` is meant for a single state.
+    """
 
     layout: FactorLayout
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amps.size != self.layout.dim:
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = amps if amps.ndim == 2 else amps.reshape(-1)
+        if amps.shape[-1] != self.layout.dim:
             raise LayoutError(
-                f"amplitude length {amps.size} does not match layout dimension {self.layout.dim}"
+                f"amplitude length {amps.shape[-1]} does not match layout dimension "
+                f"{self.layout.dim}"
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("non-finite amplitude")
@@ -105,8 +113,9 @@ class StateVector:
         return self.layout.dim
 
     def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per factor (read-only view)."""
-        return self.amplitudes.reshape(self.layout.dims)
+        """Amplitudes reshaped to one axis per factor, after the stack axis if
+        any (read-only view)."""
+        return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.layout.dims)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -117,19 +126,20 @@ class StateVector:
 
 @dataclass(frozen=True)
 class Operator:
-    """Dense square matrix acting on the listed factors (row-major)."""
+    """Dense square matrix acting on the listed factors (row-major), or a
+    (stack, dim, dim) stack of them."""
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", _readonly(mat))
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -160,21 +170,23 @@ def apply_local(op: Operator, targets, state: StateVector) -> StateVector:
     """Apply ``op`` on the named target factors, identity elsewhere.
 
     ``targets`` is an ordered list of factor names; ``op`` must act on the
-    row-major product space of exactly those factors.
+    row-major product space of exactly those factors. On a stack of states,
+    a stack of operators applies entry by entry, one matmul for the stack.
     """
     targets = tuple(targets)
-    axes = state.layout.axes(targets)
     target_dim = prod(FACTOR_DIMS[n] for n in targets)
     if op.dim != target_dim:
         raise LayoutError(
             f"operator dimension {op.dim} does not match target dimension {target_dim} for {targets}"
         )
-    k = len(axes)
-    psi = np.moveaxis(state.tensor_view(), axes, range(k))
-    front, rest = psi.shape[:k], psi.shape[k:]
-    psi = op.matrix @ psi.reshape(target_dim, -1)
-    psi = np.moveaxis(psi.reshape(front + rest), range(k), axes)
-    return StateVector(state.layout, psi.reshape(-1))
+    stack = state.amplitudes.shape[:-1]
+    s, k = len(stack), len(targets)
+    axes = [s + a for a in state.layout.axes(targets)]
+    psi = np.moveaxis(state.tensor_view(), axes, range(s, s + k))
+    front, rest = psi.shape[s : s + k], psi.shape[s + k :]
+    psi = op.matrix @ psi.reshape(stack + (target_dim, -1))
+    psi = np.moveaxis(psi.reshape(stack + front + rest), range(s, s + k), axes)
+    return StateVector(state.layout, psi.reshape(stack + (-1,)))
 
 
 def permute_factors(state: StateVector, new_order) -> StateVector:
@@ -188,8 +200,8 @@ def permute_factors(state: StateVector, new_order) -> StateVector:
 
 
 def check_unitary(op: Operator) -> bool:
-    """True iff max |U†U - I| < UNITARY_TOL."""
-    gram = op.matrix.conj().T @ op.matrix
+    """True iff max |U†U - I| < UNITARY_TOL (over every matrix of a stack)."""
+    gram = op.matrix.conj().swapaxes(-1, -2) @ op.matrix
     return bool(np.max(np.abs(gram - np.eye(op.dim))) < UNITARY_TOL)
 
 
@@ -198,9 +210,10 @@ class BasisGroup:
     """A labeled orthonormal family of vectors on a group of factors.
 
     ``vectors`` holds one column per label in the row-major product space of
-    ``factors``. The columns need not span the group (a strict subspace models
-    measurements whose remaining outcomes never occur); orthonormality is
-    enforced at construction.
+    ``factors``, or is a (stack, dim, labels) stack of such families. The
+    columns need not span the group (a strict subspace models measurements
+    whose remaining outcomes never occur); orthonormality is enforced at
+    construction.
     """
 
     factors: tuple[str, ...]
@@ -210,11 +223,11 @@ class BasisGroup:
     def __post_init__(self):
         vecs = np.asarray(self.vectors, dtype=complex)
         dim = prod(FACTOR_DIMS[n] for n in self.factors)
-        if vecs.shape != (dim, len(self.labels)):
+        if vecs.ndim not in (2, 3) or vecs.shape[-2:] != (dim, len(self.labels)):
             raise LayoutError(
                 f"expected vectors of shape {(dim, len(self.labels))}, got {vecs.shape}"
             )
-        gram = vecs.conj().T @ vecs
+        gram = vecs.conj().swapaxes(-1, -2) @ vecs
         if np.max(np.abs(gram - np.eye(len(self.labels)))) > 1e-9:
             raise ValueError("basis-group columns must be orthonormal")
         object.__setattr__(self, "vectors", _readonly(vecs))
@@ -243,3 +256,28 @@ def grouped_amplitudes(state: StateVector, groups) -> tuple[np.ndarray, int]:
     for i, g in enumerate(groups):
         psi = np.moveaxis(np.tensordot(g.vectors.conj().T, psi, axes=([1], [i])), 0, i)
     return psi, spec_dim
+
+
+def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
+    """``grouped_amplitudes`` of every state of a stack, in one pass.
+
+    ``state`` is a stack of M states; each group's vectors are one family
+    shared by the stack or a stack of M. Returns the (M, labels..., spectator)
+    array whose entry m equals ``grouped_amplitudes`` of state m against entry
+    m of each group, bit for bit: the factors are ordered and each group is
+    contracted in the same way, one matmul per group for the whole stack.
+    """
+    groups = list(groups)
+    covered = [n for g in groups for n in g.factors]
+    spectators = [n for n in state.layout.names if n not in covered]
+    perm = [0] + [1 + a for a in state.layout.axes(covered + spectators)]
+    spec_dim = prod(FACTOR_DIMS[n] for n in spectators)
+    group_dims = [prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
+    n = len(state.amplitudes)
+    psi = np.transpose(state.tensor_view(), perm).reshape((n, *group_dims, spec_dim))
+    for i, g in enumerate(groups):
+        moved = np.moveaxis(psi, i + 1, 1)
+        bra = g.vectors.conj().swapaxes(-1, -2)
+        psi = bra @ moved.reshape(n, group_dims[i], -1)
+        psi = np.moveaxis(psi.reshape((n, len(g.labels)) + moved.shape[2:]), 1, i + 1)
+    return psi

@@ -4,10 +4,12 @@ Three sealed labs (A, B, C) each measure their electron's z-spin at time t1;
 an outsider then measures each whole lab+electron pair in the recorded-X
 basis at t2. Cross-lab events are spacelike separated, so inertial frames
 disagree on their order. For a given frame, events group into *rounds* of
-simultaneous measurements, which depend on the geometry alone. ``analyze``
-walks every round of every frame once, evolving each pre-round state from
-the previous one, and expands it in that round's outcome basis: this tells
-us which outcome tuples are possible at all (have nonzero Born weight).
+simultaneous measurements, which depend on the geometry alone. One pass
+walks every round of every frame once for a whole stack of device models
+(``analyze_stack``; ``analyze`` for one schedule's model), evolving each
+pre-round state from the previous one, and expands it in that round's
+outcome basis: this tells us which outcome tuples are possible at all (have
+nonzero Born weight).
 
 Whenever every possible tuple of a round shares a single product parity, the
 round yields a ParityConstraint. Collecting these over the rest frame and the
@@ -19,10 +21,12 @@ contradiction, obtained here by brute force over ``OUTCOME_SIGNS``.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .measurement import MeasurementModel
-from .qmath import BasisGroup, StateVector, apply_local
+from .measurement import SITES, MeasurementModel
+from .qmath import CANONICAL_LAYOUT, BasisGroup, Operator, StateVector, apply_local
 from .spacetime import (
     Frame,
     GeometrySpec,
@@ -37,10 +41,13 @@ from .spacetime import (
 )
 from .systems import (
     SITE_FACTORS,
+    SUPPORT_EPS,
     SpinAxis,
     SupportEntry,
+    abs_squared,
     initial_scenario_state,
     spin_basis,
+    stacked_support,
     support_table,
 )
 
@@ -203,8 +210,9 @@ def _event_basis_group(ev: MeasurementEvent, model: MeasurementModel) -> BasisGr
         # unitary runs, that outcome is just the electron's z value.
         return BasisGroup((ev.targets[1],), (+1, -1), spin_basis(SpinAxis.Z))
     if ev.kind == "outsider_x":
-        vectors = np.column_stack(
-            [model.pair_x_state(ev.site, +1), model.pair_x_state(ev.site, -1)]
+        # One (6, 2) family per model: a stacked model gives a stack of them.
+        vectors = np.stack(
+            [model.pair_x_state(ev.site, +1), model.pair_x_state(ev.site, -1)], axis=-1
         )
         return BasisGroup(ev.targets, (+1, -1), vectors)
     raise ValueError(f"unknown event kind {ev.kind!r}")
@@ -249,30 +257,123 @@ class RoundAnalysis:
     constraint: ParityConstraint | None
 
 
+@dataclass(frozen=True)
+class RoundTable:
+    """One round of one frame for a stack of M device models, as arrays.
+
+    Column j of ``amplitudes`` and ``weights`` is the joint outcome
+    ``labels[j]`` of the round's slots (``round_slots`` order); model m's row
+    is what ``support_table`` computes for that tuple before the cutoff.
+    """
+
+    frame: object  # the frame's key in the orderings given to ``analyze_stack``
+    events: tuple[MeasurementEvent, ...]
+    labels: tuple[tuple[int, ...], ...]
+    amplitudes: np.ndarray  # (M, K) each tuple's SupportEntry amplitude
+    weights: np.ndarray  # (M, K) each tuple's Born weight
+
+    @property
+    def possible(self) -> np.ndarray:
+        """(M, K) bool: the tuples whose weight clears the support cutoff."""
+        return self.weights > SUPPORT_EPS
+
+    @property
+    def probabilities(self) -> np.ndarray:
+        """(M, K): each tuple's ``SupportEntry.probability``."""
+        return abs_squared(self.amplitudes)
+
+    @property
+    def products(self) -> np.ndarray:
+        """(M,) int: the outcome product every possible tuple shares, or 0."""
+        parity = np.prod(self.labels, axis=1)
+        plus = (self.possible & (parity == 1)).any(axis=1)
+        minus = (self.possible & (parity == -1)).any(axis=1)
+        return np.where(plus == minus, 0, np.where(plus, 1, -1))
+
+    def support(self, m: int) -> tuple[list[SupportEntry], ParityConstraint | None]:
+        """Model m's ``support_constraint`` result."""
+        entries = [
+            SupportEntry(labels, complex(amplitude))
+            for labels, amplitude, ok in zip(self.labels, self.amplitudes[m], self.possible[m])
+            if ok
+        ]
+        product = int(self.products[m])
+        return entries, ParityConstraint(round_slots(self.events), product) if product else None
+
+
+def _analysis_pass(models, orderings) -> Iterator[tuple[RoundTable, StateVector]]:
+    """Each round's table with the stack of its pre-round states, frame by
+    frame in round order.
+
+    A pre-round state stack is the previous one with that round's friend
+    unitaries applied, as ``evolve_to`` replays them: one stacked
+    ``apply_local`` per distinct sequence of friend events, whatever the
+    stack size. Each round is one stacked contraction against outcome bases
+    built once. Each state stack is dropped after its last use.
+    """
+    models = list(models)
+    stacked = MeasurementModel(
+        tuple(Operator(np.stack([m.unitary(site).matrix for m in models])) for site in SITES)
+    )
+    plan = []  # (frame key, round, friend events applied before it)
+    for key, rounds in orderings.items():
+        applied: tuple[MeasurementEvent, ...] = ()
+        for rnd in rounds:
+            plan.append((key, rnd, applied))
+            applied += tuple(ev for ev in rnd if ev.kind == "friend_z")
+    # The last round that needs each state stack: for its own analysis, or
+    # to build a longer sequence from it.
+    last: dict[tuple, int] = {}
+    for i, (_, _, applied) in enumerate(plan):
+        for n in range(len(applied)):
+            if applied[: n + 1] not in last:
+                last[applied[:n]] = i
+        last[applied] = i
+
+    events = dict.fromkeys(ev for _, rnd, _ in plan for ev in rnd)
+    groups = {ev: _event_basis_group(ev, stacked) for ev in events}
+    initial = np.broadcast_to(_initial_state().amplitudes, (len(models), CANONICAL_LAYOUT.dim))
+    states = {(): StateVector(CANONICAL_LAYOUT, initial)}
+    for i, (key, rnd, applied) in enumerate(plan):
+        n = len(applied)
+        while applied[:n] not in states:
+            n -= 1
+        for ev in applied[n:]:
+            states[applied[: n + 1]] = apply_local(
+                stacked.unitary(ev.site), ev.targets, states[applied[:n]]
+            )
+            n += 1
+        round_groups = [groups[ev] for ev in sorted(rnd, key=lambda ev: _slot_key(ev.slot))]
+        amps, weights = stacked_support(states[applied], round_groups)
+        labels = tuple(itertools.product(*(g.labels for g in round_groups)))
+        yield RoundTable(key, rnd, labels, amps, weights), states[applied]
+        for seq in [seq for seq in states if last[seq] == i]:
+            del states[seq]
+
+
+def analyze_stack(models, orderings) -> list[RoundTable]:
+    """Every round of every frame for a stack of device models, in one pass.
+
+    ``orderings`` maps a key per frame to its rounds from ``order_events``;
+    tables come frame by frame, in round order, and ``table.support(m)`` is
+    ``support_constraint`` of model m's pre-round state, bit for bit. No
+    state outlives the pass.
+    """
+    return [table for table, _ in _analysis_pass(models, orderings)]
+
+
 def analyze(s: Schedule, orderings) -> list[RoundAnalysis]:
-    """Every round of every frame, frame by frame, in round order.
+    """Every round of every frame for ``s.model``, frame by frame, in round
+    order: the stacked pass with a stack of one.
 
     ``orderings`` maps a key per frame to its rounds from ``order_events``,
-    so a caller varying ``s.model`` orders the events once. A pre-round state
-    is the previous one with that round's friend unitaries applied, as
-    ``evolve_to`` replays them, so it is bit-identical to the replay. States
-    are cached by the friend events applied, each distinct sequence once.
+    so a caller varying ``s.model`` orders the events once. Each pre-round
+    state is bit-identical to ``evolve_to``'s replay.
     """
-    states = {(): _initial_state()}
     rows = []
-    for key, rounds in orderings.items():
-        applied: tuple[str, ...] = ()
-        pending: list[MeasurementEvent] = []
-        for rnd in rounds:
-            for ev in pending:
-                prior, applied = applied, applied + (ev.id,)
-                if applied not in states:
-                    states[applied] = apply_local(
-                        s.model.unitary(ev.site), ev.targets, states[prior]
-                    )
-            entries, constraint = support_constraint(states[applied], rnd, s.model)
-            rows.append(RoundAnalysis(key, rnd, states[applied], entries, constraint))
-            pending = [ev for ev in rnd if ev.kind == "friend_z"]
+    for table, states in _analysis_pass([s.model], orderings):
+        state = StateVector(states.layout, states.amplitudes[0])
+        rows.append(RoundAnalysis(table.frame, table.events, state, *table.support(0)))
     return rows
 
 

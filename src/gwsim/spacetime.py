@@ -20,8 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_SPEED = 1.0 - 1e-12
-# Two frame times count as simultaneous within this, scaled by max(1, |t|).
+# Two frame times count as simultaneous within this, scaled by the larger |t|.
 SIMULTANEITY_TOL = 1e-12
+# Geometry checks compare lengths and epochs within this, relative to their scale.
+GEOMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,7 +129,7 @@ def frame_time(f: Frame, p: SpacetimePoint) -> float:
 
 def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
     tp, tq = frame_time(f, p), frame_time(f, q)
-    return abs(tp - tq) <= SIMULTANEITY_TOL * max(1.0, abs(tp), abs(tq))
+    return abs(tp - tq) <= SIMULTANEITY_TOL * max(abs(tp), abs(tq))
 
 
 def _simultaneity_velocity(
@@ -141,7 +143,7 @@ def _simultaneity_velocity(
     dx = np.array([p.position - q.position, p.position - r.position])
     dt = np.array([p.t - q.t, p.t - r.t])
     v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
-    solved = np.allclose(dx @ v, dt, atol=1e-9 * max(1.0, float(np.max(np.abs(dt)))))
+    solved = np.allclose(dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt))))
     return v if solved else None
 
 
@@ -184,6 +186,8 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
     """Named checks for the arrangement's separation conditions.
 
     Failures are reported, not raised, so invalid geometries can be examined.
+    Tolerances scale with the geometry (its mean side, its largest epoch
+    time), so a geometry passes or fails alike at every scale.
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
@@ -192,21 +196,21 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
         for pair in ("AB", "BC", "CA")
     }
     mean_side = sum(dists.values()) / 3.0
-    tol = 1e-9 * max(1.0, mean_side)
     spread = max(dists.values()) - min(dists.values())
     results.append(
         CheckResult(
             "equilateral",
-            spread <= tol,
+            spread <= GEOMETRY_TOL * mean_side,
             f"pairwise distances {dists['AB']:.12g}, {dists['BC']:.12g}, {dists['CA']:.12g}",
         )
     )
 
     early, late = spec.t1 - spec.t0, spec.t2 - spec.t1
+    time_scale = max(abs(spec.t0), abs(spec.t1), abs(spec.t2))
     results.append(
         CheckResult(
             "equal_epochs",
-            abs(early - late) <= 1e-9 * max(1.0, abs(early)) and early > 0,
+            abs(early - late) <= GEOMETRY_TOL * time_scale and early > 0,
             f"t1−t0 = {early:.12g}, t2−t1 = {late:.12g}",
         )
     )

@@ -2,7 +2,8 @@
 
 Spin eigenstates per axis, the 3-level laboratory register states, the
 three-electron GHZ state, and ``support_table``: which joint outcome tuples
-of a list of labeled basis groups carry nonzero weight in a state.
+of a list of labeled basis groups carry nonzero weight in a state
+(``stacked_support`` gives the same for a stack of states, as arrays).
 
 Phase conventions, fixed once and verified against a symbolic oracle in the
 test suite:
@@ -30,6 +31,7 @@ from .qmath import (
     grouped_amplitudes,
     layout,
     permute_factors,
+    stacked_amplitudes,
     tensor,
 )
 
@@ -38,8 +40,6 @@ SQRT_HALF = np.sqrt(0.5)
 # |amplitude|² below this is treated as an impossible outcome (support cutoff).
 SUPPORT_EPS = 1e-9
 
-LAB_FACTORS = ("L", "M", "N")
-ELECTRON_FACTORS = ("A", "B", "C")
 # Each site pairs one lab register with the electron it measures.
 SITE_FACTORS = {"A": ("L", "A"), "B": ("M", "B"), "C": ("N", "C")}
 
@@ -154,3 +154,27 @@ def support_table(state: StateVector, groups) -> tuple[list[SupportEntry], float
             entries.append(SupportEntry(labels, amplitude))
     return entries, 1.0 - total
 
+
+def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
+    """``support_table`` for a stack of M states, before the cutoff.
+
+    Returns the (M, K) stored amplitude and Born weight of each of the K joint
+    outcome tuples, in ``support_table``'s order. A tuple is possible iff its
+    weight exceeds SUPPORT_EPS, and then ``SupportEntry(labels, amplitude)``
+    is ``support_table``'s entry for it, bit for bit.
+    """
+    amps = stacked_amplitudes(state, groups)
+    n, spec_dim = amps.shape[0], amps.shape[-1]
+    # The spectator axis stays last and contiguous, so each tuple's weight
+    # sums in the order np.sum takes for that tuple alone.
+    amps = amps.reshape(n, -1, spec_dim)
+    if spec_dim == 1:
+        return amps[:, :, 0], abs_squared(amps[:, :, 0])
+    weights = (np.abs(amps) ** 2).sum(axis=-1)
+    return np.sqrt(weights).astype(complex), weights
+
+
+def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
+    """Python's ``abs(a) ** 2`` of every amplitude, bit for bit (numpy's own
+    ``abs`` and ``** 2`` round differently): ``SupportEntry.probability``."""
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)

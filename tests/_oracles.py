@@ -3,8 +3,9 @@
 Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
-support extraction, and per-trial simulation with ``measure`` for the
-interpretation models' outcome tables. Slow and obvious on purpose.
+support extraction, per-trial simulation with ``measure`` for the
+interpretation models' outcome tables, and a model-by-model replay of the
+device sweep. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -15,14 +16,30 @@ import math
 import numpy as np
 import sympy as sp
 
-from gwsim.measurement import measure, outsider_observable, spin_observable
-from gwsim.models import trial_rng
+from gwsim.measurement import (
+    haar_random_unitary,
+    ideal_von_neumann,
+    measure,
+    outsider_observable,
+    per_site_model,
+    spin_observable,
+)
+from gwsim.models import (
+    CANONICAL_CONSTRAINT_KEYS,
+    QUARTER_TOL,
+    SweepModelResult,
+    SweepReport,
+    trial_rng,
+)
 from gwsim.qmath import BasisGroup, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
+    build_schedule,
+    enumerate_assignments,
     evolve_to,
     order_events,
     round_slots,
+    standard_frames,
     support_constraint,
 )
 from gwsim.spacetime import SpacetimePoint
@@ -225,3 +242,42 @@ def outcome_indices(rows: np.ndarray) -> np.ndarray:
     """Table index of each ±1 row: slot j is −1 iff bit (5 − j) is set."""
     bits = (np.asarray(rows) == -1).astype(int)
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+# ---------------------------------------------------------------------------
+# The device sweep, one model at a time
+
+
+def sweep_reference(n_models: int, seed: int) -> SweepReport:
+    """``nonideal_sweep`` model by model: the same device draws, then a fresh
+    schedule and ``evolve_to`` plus ``support_constraint`` for every round of
+    every standard frame."""
+    results = []
+    for index in range(n_models):
+        if index == 0:
+            model = ideal_von_neumann()
+        else:
+            rng = trial_rng(seed, index)
+            model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+        schedule = build_schedule(10.0, 1.0, model)
+        constraints = []
+        support_ok = True
+        for frame in standard_frames(schedule.geometry).values():
+            for k, rnd in enumerate(order_events(schedule, frame), start=1):
+                state = evolve_to(schedule, frame, k)
+                entries, constraint = support_constraint(state, rnd, model)
+                if constraint is None:
+                    continue
+                constraints.append(constraint)
+                support_ok &= all(abs(e.probability - 0.25) <= QUARTER_TOL for e in entries)
+        keys = {(c.slots, c.required_product) for c in constraints}
+        results.append(
+            SweepModelResult(
+                index,
+                "haar" if index else "ideal",
+                keys == CANONICAL_CONSTRAINT_KEYS,
+                len(enumerate_assignments(constraints)),
+                support_ok,
+            )
+        )
+    return SweepReport(n_models=n_models, seed=seed, results=tuple(results))

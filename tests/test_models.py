@@ -5,7 +5,12 @@ import pytest
 
 import gwsim.models
 import gwsim.scenario
-from _oracles import outcome_indices, sample_round_born, sample_sequential_collapse
+from _oracles import (
+    outcome_indices,
+    sample_round_born,
+    sample_sequential_collapse,
+    sweep_reference,
+)
 from gwsim.cli import _build_model
 from gwsim.measurement import ideal_von_neumann, outsider_observable, spin_observable
 from gwsim.models import (
@@ -270,6 +275,10 @@ class TestNonidealSweep:
             assert result.support_ok
         assert report.n_passed == 4
         assert report.all_passed
+
+    @pytest.mark.parametrize("seed", [3, 7, 21])
+    def test_matches_the_model_by_model_reference(self, seed):
+        assert nonideal_sweep(30, seed) == sweep_reference(30, seed)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError, match="at least one"):

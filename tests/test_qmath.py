@@ -16,6 +16,7 @@ from gwsim.qmath import (
     grouped_amplitudes,
     layout,
     permute_factors,
+    stacked_amplitudes,
     tensor,
 )
 
@@ -226,3 +227,72 @@ def test_tensor_norm_is_multiplicative(seed):
     sa = StateVector(layout("L"), a / max(np.linalg.norm(a), 1e-6) * 0.5)
     sb = StateVector(layout("A"), b / max(np.linalg.norm(b), 1e-6) * 0.25)
     assert tensor(sa, sb).norm() == pytest.approx(sa.norm() * sb.norm(), rel=1e-9)
+
+
+def random_stack(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    return np.array([random_state(dim, rng) for _ in range(n)])
+
+
+def test_state_vector_holds_a_stack_by_rows():
+    stack = StateVector(CANONICAL_LAYOUT, random_stack(4, 216, np.random.default_rng(30)))
+    assert stack.amplitudes.shape == (4, 216)
+    assert stack.tensor_view().shape == (4, *CANONICAL_LAYOUT.dims)
+    with pytest.raises(ValueError, match="216"):
+        StateVector(CANONICAL_LAYOUT, np.zeros((4, 8)))
+
+
+@pytest.mark.parametrize("targets", [("M",), ("N", "A"), ("L", "A"), ("C", "B", "L")])
+def test_apply_local_on_a_stack_matches_each_state(targets):
+    rng = np.random.default_rng(31)
+    stack = StateVector(CANONICAL_LAYOUT, random_stack(5, 216, rng))
+    dim = int(np.prod([FACTOR_DIMS[n] for n in targets]))
+    ops = np.array([random_unitary(dim, rng) for _ in range(5)])
+    stacked = apply_local(Operator(ops), targets, stack)
+    shared = apply_local(Operator(ops[0]), targets, stack)
+    for m in range(5):
+        state = StateVector(CANONICAL_LAYOUT, stack.amplitudes[m])
+        assert np.array_equal(
+            stacked.amplitudes[m], apply_local(Operator(ops[m]), targets, state).amplitudes
+        )
+        assert np.array_equal(
+            shared.amplitudes[m], apply_local(Operator(ops[0]), targets, state).amplitudes
+        )
+
+
+def test_stacked_amplitudes_match_grouped_amplitudes_of_each_state():
+    rng = np.random.default_rng(32)
+    stack = StateVector(CANONICAL_LAYOUT, random_stack(5, 216, rng))
+    pairs = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(5)])
+    for groups in (
+        [BasisGroup(("N", "C"), (+1, -1), pairs), BasisGroup(("A",), (+1, -1), np.eye(2))],
+        [
+            BasisGroup(("L", "A"), (+1, -1), pairs),
+            BasisGroup(("M", "B"), (+1, -1), pairs[::-1]),
+            BasisGroup(("N", "C"), (+1, -1), random_orthonormal_columns(6, 2, rng)),
+        ],
+    ):
+        amps = stacked_amplitudes(stack, groups)
+        for m in range(5):
+            state = StateVector(CANONICAL_LAYOUT, stack.amplitudes[m])
+            entry = [
+                BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
+                for g in groups
+            ]
+            expected, spectator_dim = grouped_amplitudes(state, entry)
+            assert amps.shape == (5, *expected.shape)
+            assert np.array_equal(amps[m], expected)
+
+
+def test_stacks_of_operators_and_basis_families_are_checked_entry_by_entry():
+    rng = np.random.default_rng(33)
+    unitaries = np.array([random_unitary(6, rng) for _ in range(3)])
+    assert check_unitary(Operator(unitaries.copy()))
+    unitaries[1] *= 1.5
+    assert not check_unitary(Operator(unitaries))
+    families = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(3)])
+    BasisGroup(("L", "A"), (+1, -1), families.copy())
+    families[2, :, 1] = families[2, :, 0]
+    with pytest.raises(ValueError, match="orthonormal"):
+        BasisGroup(("L", "A"), (+1, -1), families)
+    with pytest.raises(ValueError, match="square"):
+        Operator(np.zeros((2, 3, 3, 3)))

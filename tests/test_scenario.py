@@ -1,5 +1,7 @@
 import itertools
 import math
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +9,15 @@ import pytest
 import gwsim.scenario
 from gwsim.cli import _build_model
 from gwsim.measurement import haar_random_unitary, ideal_von_neumann, per_site_model
-from gwsim.models import CANONICAL_CONSTRAINT_KEYS
+from gwsim.models import CANONICAL_CONSTRAINT_KEYS, trial_rng
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     ParityConstraint,
     Schedule,
+    _analysis_pass,
     analyze,
+    analyze_stack,
     build_schedule,
     collect_constraints,
     distinct_constraints,
@@ -26,7 +30,7 @@ from gwsim.scenario import (
 )
 from gwsim.qmath import apply_local
 from gwsim.spacetime import Frame
-from gwsim.systems import initial_scenario_state
+from gwsim.systems import initial_scenario_state, stacked_support
 
 
 def event(schedule, event_id):
@@ -323,20 +327,74 @@ class TestAnalyze:
                 assert row.entries == entries
                 assert row.constraint == constraint
 
-    def test_each_friend_sequence_is_evolved_once(self, spec, monkeypatch):
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_each_friend_sequence_is_evolved_once(self, spec, size, monkeypatch):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
         orderings = standard_orderings(schedule)
-        calls = []
+        updates, contractions = [], []
 
-        def counting(*args):
-            calls.append(args[1])
+        def counting_update(*args):
+            updates.append(args[2].amplitudes.shape)
             return apply_local(*args)
 
-        monkeypatch.setattr(gwsim.scenario, "apply_local", counting)
-        analyze(schedule, orderings)
+        def counting_contraction(*args):
+            contractions.append(args[0].amplitudes.shape)
+            return stacked_support(*args)
+
+        monkeypatch.setattr(gwsim.scenario, "apply_local", counting_update)
+        monkeypatch.setattr(gwsim.scenario, "stacked_support", counting_contraction)
+        tables = analyze_stack([schedule.model] * size, orderings)
         # Distinct prefixes: A, AB, ABC (shared by sigma and sigma_p), then
-        # B, BA, BAC and C, CA, CAB; replaying each round costs 15.
-        assert len(calls) == 9
+        # B, BA, BAC and C, CA, CAB, each one stacked update whatever the
+        # stack size; replaying every round from the start costs 15 per model.
+        assert updates == [(size, 216)] * 9
+        # One stacked contraction per round: 2 + 3 + 3 + 3.
+        assert contractions == [(size, 216)] * 11
+        assert len(tables) == 11
+
+
+def stack_of(n):
+    """n device models: ideal, random:5, two Haar seeds, then trial_rng draws."""
+    models = [ANALYSIS_MODELS[spec]() for spec in ("ideal", "random:5", "haar:7", "haar:8")]
+    for index in range(4, n):
+        rng = trial_rng(11, index)
+        models.append(per_site_model(*(haar_random_unitary(6, rng) for _ in range(3))))
+    return models[:n]
+
+
+class TestAnalyzeStack:
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_every_model_matches_the_per_model_reference(self, schedule, frames, n):
+        models = stack_of(n)
+        orderings = standard_orderings(schedule)
+        passed = list(_analysis_pass(models, orderings))
+        tables = analyze_stack(models, orderings)
+        assert [(t.frame, t.events) for t in tables] == [
+            (name, rnd) for name, rounds in orderings.items() for rnd in rounds
+        ]
+        rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
+        for m, model in enumerate(models):
+            s = replace(schedule, model=model)
+            for table, (again, states), k in zip(tables, passed, rounds):
+                replayed = evolve_to(s, frames[table.frame], k)
+                entries, constraint = support_constraint(replayed, table.events, model)
+                assert np.array_equal(states.amplitudes[m], replayed.amplitudes)
+                assert table.support(m) == again.support(m) == (entries, constraint)
+                assert table.probabilities[m][table.possible[m]].tolist() == [
+                    e.probability for e in entries
+                ]
+                assert table.products[m] == (constraint.required_product if constraint else 0)
+
+    def test_state_stacks_are_dropped_after_their_last_use(self, schedule):
+        # The rounds of the four frames start from seven distinct state
+        # stacks; each is dropped once no later round needs it.
+        seen, most = [], 0
+        for _, states in _analysis_pass(stack_of(5), standard_orderings(schedule)):
+            if not any(ref() is states for ref in seen):
+                seen.append(weakref.ref(states))
+            most = max(most, sum(ref() is not None for ref in seen))
+        assert len(seen) == 7
+        assert most == 3
 
 
 def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from gwsim.spacetime import (
     point,
     simultaneous,
     standard_geometry,
+    tilted_frame_events,
     validate_geometry,
 )
 
@@ -193,6 +195,12 @@ def test_simultaneous_predicate():
     assert not simultaneous(f, point(g.t1, g.x_a), point(g.t2, g.x_a))
 
 
+def test_simultaneity_tolerance_scales_with_the_frame_times():
+    # 5e-13 apart is no tie when the frame times themselves are that small.
+    assert not simultaneous(REST_FRAME, point(0.0, (0.0, 0.0)), point(5e-13, (1.0, 0.0)))
+    assert simultaneous(REST_FRAME, point(1e-12, (0.0, 0.0)), point(1e-12, (1.0, 0.0)))
+
+
 def test_validate_geometry_passes_standard_arrangement():
     results = validate_geometry(standard_geometry(10.0, 1.0))
     assert [r.name for r in results] == [
@@ -234,6 +242,28 @@ def test_validate_geometry_flags_unequal_epochs():
     bad = GeometrySpec(g.x_a, g.x_b, g.x_c, t0=0.0, t1=1.0, t2=3.5)
     results = {r.name: r for r in validate_geometry(bad)}
     assert not results["equal_epochs"].passed
+
+
+def test_unequal_tiny_epochs_fail_equal_epochs():
+    bad = replace(standard_geometry(10.0, 1e-12), t2=5e-10)
+    results = {r.name: r for r in validate_geometry(bad)}
+    assert not results["equal_epochs"].passed
+
+
+def test_non_equilateral_tiny_triangle_fails_equilateral():
+    g = standard_geometry(1e-9, 1e-12)
+    bad = replace(g, x_c=(g.x_c[0] * 1.001, g.x_c[1]))
+    results = {r.name: r for r in validate_geometry(bad)}
+    assert not results["equilateral"].passed
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
+def test_standard_geometry_passes_every_check_at_any_scale(k):
+    g = standard_geometry(10.0 * k, 1.0 * k)
+    assert [r.name for r in validate_geometry(g) if not r.passed] == []
+    for events in tilted_frame_events(g):
+        f = boost_for_simultaneity(*events)
+        assert all(simultaneous(f, events[0], other) for other in events[1:])
 
 
 def test_point_rejects_non_finite_coordinates():

@@ -5,8 +5,9 @@ import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, layout
+from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, StateVector, layout
 from gwsim.systems import (
+    SUPPORT_EPS,
     LabLabel,
     SpinAxis,
     SupportEntry,
@@ -15,10 +16,18 @@ from gwsim.systems import (
     lab_state,
     spin_basis,
     spin_vector,
+    stacked_support,
     support_table,
 )
 
-from _oracles import axis_spec, sym_ghz, sym_ghz_amplitudes, sym_spin_vector
+from _oracles import (
+    axis_spec,
+    random_orthonormal_columns,
+    random_state,
+    sym_ghz,
+    sym_ghz_amplitudes,
+    sym_spin_vector,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -173,3 +182,28 @@ def test_support_entry_amplitude_is_exact_without_spectators():
     by_label = {e.labels: e.amplitude for e in entries}
     # Amplitude of |+1_z,+1_z,+1_z> is (1-i)/4 under the pinned conventions.
     assert by_label[(+1, +1, +1)] == pytest.approx((1 - 1j) / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("sites", ["A", "AB", "ABC"])
+def test_stacked_support_gives_support_table_entries_bit_for_bit(sites):
+    # One pair group per listed site, plus z on every other electron: the
+    # full-coverage case has no spectators, the others sum over them.
+    # (The analysis tests cover outcomes the cutoff drops.)
+    rng = np.random.default_rng(40)
+    stack = np.array([random_state(216, rng) for _ in range(6)])
+    families = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(6)])
+    pair = {"A": ("L", "A"), "B": ("M", "B"), "C": ("N", "C")}
+    groups = [BasisGroup(pair[s], (+1, -1), families) for s in sites]
+    groups += [BasisGroup((s,), (+1, -1), spin_basis(SpinAxis.Z)) for s in "ABC" if s not in sites]
+    amplitudes, weights = stacked_support(StateVector(CANONICAL_LAYOUT, stack), groups)
+    labels = list(itertools.product(*(g.labels for g in groups)))
+    for m in range(6):
+        single = [
+            BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
+            for g in groups
+        ]
+        entries, _ = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
+        kept = weights[m] > SUPPORT_EPS
+        assert entries == [
+            SupportEntry(l, complex(a)) for l, a, ok in zip(labels, amplitudes[m], kept) if ok
+        ]
