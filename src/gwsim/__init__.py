@@ -12,7 +12,6 @@ from .measurement import (
     measure,
     outsider_observable,
     door_observable,
-    per_site_model,
 )
 from .models import (
     InterpretationModel,
@@ -81,7 +80,6 @@ __all__ = [
     "nonideal_sweep",
     "order_events",
     "outsider_observable",
-    "per_site_model",
     "run_model",
     "standard_frames",
     "standard_geometry",

@@ -17,6 +17,7 @@ status is 0 iff all checks pass.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,7 +30,6 @@ from .measurement import (
     distinguishability_report,
     haar_random_unitary,
     ideal_von_neumann,
-    per_site_model,
 )
 from .models import (
     InterpretationModel,
@@ -145,6 +145,9 @@ def _validate_config(config: dict) -> dict:
         geometry[key] = float(value)
     if config["model"]["kind"] not in ("ideal", "random"):
         raise ConfigError(f"model.kind must be 'ideal' or 'random', got {config['model']['kind']!r}")
+    seed = config["model"]["seed"]
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"model.seed must be a non-negative integer, got {seed!r}")
     run = config["run"]
     if run["mode"] not in MODES:
         raise ConfigError(f"run.mode must be one of {MODES}, got {run['mode']!r}")
@@ -183,7 +186,7 @@ def _build_model(config: dict) -> MeasurementModel:
     if config["model"]["kind"] == "ideal":
         return ideal_von_neumann()
     rng = np.random.default_rng(config["model"]["seed"])
-    return per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+    return MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -641,19 +644,26 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
-def emit(report: dict, config: dict) -> None:
+def _write(report: dict, config: dict, out) -> None:
     if config["output"]["format"] == "json":
-        text = json.dumps(report, indent=2)
+        # Batched encoder chunks: the report is never one string, and writes are few.
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
+            out.write(batch)
     else:
-        text = render_text(report)
+        out.write(render_text(report))
+    out.write("\n")
+
+
+def emit(report: dict, config: dict) -> None:
     path = config["output"]["path"]
     if path:
         try:
             with open(path, "w") as fh:
-                fh.write(text + "\n")
+                _write(report, config, fh)
         except OSError as exc:
             raise ConfigError(f"cannot write output.path: {exc}") from exc
-    print(text)
+    _write(report, config, sys.stdout)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -119,17 +119,19 @@ def ideal_von_neumann() -> MeasurementModel:
     return MeasurementModel((op, op, op))
 
 
-def per_site_model(u_a: Operator, u_b: Operator, u_c: Operator) -> MeasurementModel:
-    """Model with an independent device per site."""
-    return MeasurementModel((u_a, u_b, u_c))
+def haar_unitaries(draws: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries from (..., 2, d, d) standard normal draws
+    (real, imaginary parts): one stacked QR of the complex Gaussians, each
+    column's phase fixed by R's diagonal (Mezzadri, Notices AMS 54, 2007).
+    Entry i is the unitary of ``draws[i]`` alone, bit for bit."""
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diagonal / np.abs(diagonal))[..., None, :]
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> Operator:
-    """Haar-distributed unitary: QR of a complex Gaussian, phases fixed."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r) / np.abs(np.diagonal(r))
-    return Operator(q * phases)
+    """Haar-distributed unitary from one (2, dim, dim) normal draw of ``rng``."""
+    return Operator(haar_unitaries(rng.normal(size=(2, dim, dim))))
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,8 @@ reproducible and the first *k* trials of any run are the *k*-trial run.
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
 way, and the sweep re-deriving the contradiction under random non-ideal
-measurement devices, each drawn from its own ``trial_rng`` stream and all
-analysed in one stacked pass.
+measurement devices, each drawn from its own ``trial_rng`` stream, in fixed
+blocks of one stacked Haar draw and one stacked pass each.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ import numpy as np
 from .measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
-    haar_random_unitary,
+    haar_unitaries,
     ideal_von_neumann,
     door_observable,
     outsider_observable,
-    per_site_model,
     spin_observable,
 )
-from .qmath import StateVector, apply_local, layout
+from .qmath import Operator, StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
@@ -332,6 +331,9 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
 
 # A constraint-bearing round's possible outcome tuples have weight 1/4 within this.
 QUARTER_TOL = 1e-10
+# Device models per stacked sweep pass: enough to amortise the pass's fixed
+# cost, few enough that a sweep's memory stays flat in its model count.
+SWEEP_BLOCK = 128
 
 CANONICAL_CONSTRAINT_KEYS = frozenset(
     {
@@ -343,7 +345,7 @@ CANONICAL_CONSTRAINT_KEYS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepModelResult:
     index: int
     kind: str  # "ideal" | "haar"
@@ -376,50 +378,39 @@ def nonideal_sweep(
 ) -> SweepReport:
     """Re-derive the contradiction under imperfect measurement devices.
 
-    Model 0 is the ideal baseline; each further model draws an independent
-    Haar-random 6-dim unitary per lab from its own ``trial_rng`` stream. The
-    schedule, its geometry checks and the frames' round orderings depend on
-    the geometry alone and are built once; one ``analyze_stack`` pass covers
-    every model, and each model's result is read from the stacked tables.
-    For every model the four collected constraints, the empty satisfying
-    set, and the 1/4 support magnitudes (within QUARTER_TOL) of each
-    constraint-bearing round must all come out unchanged.
+    Model 0 is the ideal device; model i ≥ 1 takes its three Haar-random lab
+    unitaries from one (3, 2, 6, 6) normal draw of its own ``trial_rng``
+    stream, so its devices do not depend on ``n_models``. Each block of
+    ``SWEEP_BLOCK`` models is one stacked QR, one stacked model (unitarity
+    checked once per site) and one ``analyze_stack`` pass, so memory stays
+    flat in ``n_models`` but for the results. Each model must yield the four
+    constraints, no satisfying assignment, and constraint-bearing rounds of
+    tuples weighing 1/4 within QUARTER_TOL.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
     schedule = build_schedule(side, tau, ideal_von_neumann())
-    orderings = {
-        name: order_events(schedule, frame)
-        for name, frame in standard_frames(schedule.geometry).items()
-    }
-    models = [schedule.model]
-    for index in range(1, n_models):
-        rng = trial_rng(seed, index)
-        models.append(per_site_model(*(haar_random_unitary(6, rng) for _ in range(3))))
-
-    found: list[set] = [set() for _ in models]
-    support_ok = np.ones(n_models, dtype=bool)
-    for table in analyze_stack(models, orderings):
-        products = table.products
-        off_quarter = table.possible & (np.abs(table.probabilities - 0.25) > QUARTER_TOL)
-        support_ok &= (products == 0) | ~off_quarter.any(axis=1)
-        slots = round_slots(table.events)
-        for m in np.flatnonzero(products):
-            found[m].add((slots, int(products[m])))
-
-    satisfying: dict[frozenset, int] = {}  # per distinct constraint set
+    frames = standard_frames(schedule.geometry)
+    orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
+    ideal = np.stack([u.matrix for u in schedule.model.site_unitaries])[None]
+    outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
     results = []
-    for index, keys in enumerate(map(frozenset, found)):
-        if keys not in satisfying:
-            constraints = [ParityConstraint(slots, product) for slots, product in keys]
-            satisfying[keys] = len(enumerate_assignments(constraints))
-        results.append(
-            SweepModelResult(
-                index,
-                "haar" if index else "ideal",
-                keys == CANONICAL_CONSTRAINT_KEYS,
-                satisfying[keys],
-                bool(support_ok[index]),
-            )
-        )
+    for start in range(0, n_models, SWEEP_BLOCK):
+        indices = range(max(start, 1), min(start + SWEEP_BLOCK, n_models))
+        draws = [trial_rng(seed, index).normal(size=(3, 2, 6, 6)) for index in indices]
+        unitaries = haar_unitaries(np.reshape(draws, (-1, 3, 2, 6, 6)))
+        if start == 0:
+            unitaries = np.concatenate([ideal, unitaries])
+        stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))
+        tables = analyze_stack(stacked, orderings)
+        products = np.stack([table.products for table in tables], axis=1)
+        off_quarter = [t.possible & (np.abs(t.probabilities - 0.25) > QUARTER_TOL) for t in tables]
+        bad = (products != 0) & np.stack([off.any(axis=1) for off in off_quarter], axis=1)
+        for index, (row, ok) in enumerate(zip(products, ~bad.any(axis=1)), start):
+            if (key := row.tobytes()) not in outcomes:
+                found = {(round_slots(t.events), int(p)) for t, p in zip(tables, row) if p}
+                satisfying = enumerate_assignments([ParityConstraint(*c) for c in found])
+                outcomes[key] = (found == CANONICAL_CONSTRAINT_KEYS, len(satisfying))
+            kind = "haar" if index else "ideal"
+            results.append(SweepModelResult(index, kind, *outcomes[key], bool(ok)))
     return SweepReport(n_models=n_models, seed=seed, results=tuple(results))

@@ -132,7 +132,7 @@ class Operator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
         object.__setattr__(self, "matrix", _readonly(mat))
@@ -221,7 +221,7 @@ class BasisGroup:
     vectors: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=complex)
+        vecs = np.array(self.vectors, dtype=complex)  # a copy, as in Operator
         dim = prod(FACTOR_DIMS[n] for n in self.factors)
         if vecs.ndim not in (2, 3) or vecs.shape[-2:] != (dim, len(self.labels)):
             raise LayoutError(

@@ -25,7 +25,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .measurement import SITES, MeasurementModel
+from .measurement import MeasurementModel
 from .qmath import CANONICAL_LAYOUT, BasisGroup, Operator, StateVector, apply_local
 from .spacetime import (
     Frame,
@@ -301,9 +301,9 @@ class RoundTable:
         return entries, ParityConstraint(round_slots(self.events), product) if product else None
 
 
-def _analysis_pass(models, orderings) -> Iterator[tuple[RoundTable, StateVector]]:
+def _analysis_pass(stacked, orderings) -> Iterator[tuple[RoundTable, StateVector]]:
     """Each round's table with the stack of its pre-round states, frame by
-    frame in round order.
+    frame in round order, for a model of (M, 6, 6) site unitary stacks.
 
     A pre-round state stack is the previous one with that round's friend
     unitaries applied, as ``evolve_to`` replays them: one stacked
@@ -311,10 +311,6 @@ def _analysis_pass(models, orderings) -> Iterator[tuple[RoundTable, StateVector]
     stack size. Each round is one stacked contraction against outcome bases
     built once. Each state stack is dropped after its last use.
     """
-    models = list(models)
-    stacked = MeasurementModel(
-        tuple(Operator(np.stack([m.unitary(site).matrix for m in models])) for site in SITES)
-    )
     plan = []  # (frame key, round, friend events applied before it)
     for key, rounds in orderings.items():
         applied: tuple[MeasurementEvent, ...] = ()
@@ -332,7 +328,8 @@ def _analysis_pass(models, orderings) -> Iterator[tuple[RoundTable, StateVector]
 
     events = dict.fromkeys(ev for _, rnd, _ in plan for ev in rnd)
     groups = {ev: _event_basis_group(ev, stacked) for ev in events}
-    initial = np.broadcast_to(_initial_state().amplitudes, (len(models), CANONICAL_LAYOUT.dim))
+    size = len(stacked.unitary("A").matrix)
+    initial = np.broadcast_to(_initial_state().amplitudes, (size, CANONICAL_LAYOUT.dim))
     states = {(): StateVector(CANONICAL_LAYOUT, initial)}
     for i, (key, rnd, applied) in enumerate(plan):
         n = len(applied)
@@ -351,15 +348,16 @@ def _analysis_pass(models, orderings) -> Iterator[tuple[RoundTable, StateVector]
             del states[seq]
 
 
-def analyze_stack(models, orderings) -> list[RoundTable]:
-    """Every round of every frame for a stack of device models, in one pass.
+def analyze_stack(stacked: MeasurementModel, orderings) -> list[RoundTable]:
+    """Every round of every frame for a stacked model of M devices (site
+    unitaries of shape (M, 6, 6)), in one pass.
 
     ``orderings`` maps a key per frame to its rounds from ``order_events``;
     tables come frame by frame, in round order, and ``table.support(m)`` is
-    ``support_constraint`` of model m's pre-round state, bit for bit. No
+    ``support_constraint`` of device m's pre-round state, bit for bit. No
     state outlives the pass.
     """
-    return [table for table, _ in _analysis_pass(models, orderings)]
+    return [table for table, _ in _analysis_pass(stacked, orderings)]
 
 
 def analyze(s: Schedule, orderings) -> list[RoundAnalysis]:
@@ -371,7 +369,8 @@ def analyze(s: Schedule, orderings) -> list[RoundAnalysis]:
     state is bit-identical to ``evolve_to``'s replay.
     """
     rows = []
-    for table, states in _analysis_pass([s.model], orderings):
+    one = MeasurementModel(tuple(Operator(u.matrix[None]) for u in s.model.site_unitaries))
+    for table, states in _analysis_pass(one, orderings):
         state = StateVector(states.layout, states.amplitudes[0])
         rows.append(RoundAnalysis(table.frame, table.events, state, *table.support(0)))
     return rows

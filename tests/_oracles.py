@@ -17,11 +17,10 @@ import numpy as np
 import sympy as sp
 
 from gwsim.measurement import (
-    haar_random_unitary,
+    MeasurementModel,
     ideal_von_neumann,
     measure,
     outsider_observable,
-    per_site_model,
     spin_observable,
 )
 from gwsim.models import (
@@ -31,7 +30,7 @@ from gwsim.models import (
     SweepReport,
     trial_rng,
 )
-from gwsim.qmath import BasisGroup, apply_local
+from gwsim.qmath import BasisGroup, Operator, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     build_schedule,
@@ -248,17 +247,29 @@ def outcome_indices(rows: np.ndarray) -> np.ndarray:
 # The device sweep, one model at a time
 
 
+def haar_unitary_reference(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar unitary the single-matrix way: a (dim, dim) normal draw for
+    the real part, another for the imaginary part, one QR, each column's
+    phase fixed by R's diagonal."""
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def sweep_reference(n_models: int, seed: int) -> SweepReport:
-    """``nonideal_sweep`` model by model: the same device draws, then a fresh
-    schedule and ``evolve_to`` plus ``support_constraint`` for every round of
-    every standard frame."""
+    """``nonideal_sweep`` model by model: the same device streams, each drawn
+    one unitary at a time (``haar_unitary_reference``), then a fresh schedule
+    and ``evolve_to`` plus ``support_constraint`` for every round of every
+    standard frame."""
     results = []
     for index in range(n_models):
         if index == 0:
             model = ideal_von_neumann()
         else:
             rng = trial_rng(seed, index)
-            model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+            model = MeasurementModel(
+                tuple(Operator(haar_unitary_reference(6, rng)) for _ in range(3))
+            )
         schedule = build_schedule(10.0, 1.0, model)
         constraints = []
         support_ok = True

@@ -20,7 +20,6 @@ from gwsim.measurement import (
     ideal_von_neumann,
     measure,
     outsider_observable,
-    per_site_model,
     spin_observable,
 )
 from gwsim.models import (
@@ -293,7 +292,7 @@ def _frame_order_invariance_campaign(cases, schedule, frames):
     lay = layout("L", "A", "M", "B", "N", "C")
     rng = np.random.default_rng(SEED + 3)
     for _ in range(cases):
-        model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+        model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
         start = StateVector(lay, random_state(lay.dim, rng))
         finals = []
         for rounds in orderings:

@@ -337,6 +337,16 @@ class TestRun:
         assert code == 2
         assert "run.seed" in err
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, True, -1])
+    def test_bad_model_seed_is_a_config_error(self, capsys, tmp_path, seed):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"model": {"kind": "random", "seed": seed}}))
+        code, out, err = run_cli(capsys, "ghz-nogo", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: model.seed must be a non-negative integer")
+        assert "Traceback" not in err
+
     def test_negative_trials_via_config(self, capsys, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"run": {"trials": -5}}))

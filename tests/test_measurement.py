@@ -12,17 +12,18 @@ from gwsim.measurement import (
     door_observable,
     entangled_record_state,
     haar_random_unitary,
+    haar_unitaries,
     ideal_von_neumann,
     measure,
     outsider_observable,
     pair_index,
-    per_site_model,
     spin_observable,
 )
+from gwsim.models import trial_rng
 from gwsim.qmath import LayoutError, Operator, StateVector, layout, tensor
 from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_vector
 
-from _oracles import random_state
+from _oracles import haar_unitary_reference, random_state
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
@@ -92,10 +93,10 @@ class TestCustomModel:
             assert np.linalg.norm(plus) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(minus) == pytest.approx(1.0, abs=1e-10)
 
-    def test_per_site_model_keeps_distinct_devices(self):
+    def test_model_keeps_distinct_devices_per_site(self):
         rng = np.random.default_rng(22)
         unitaries = [haar_random_unitary(6, rng) for _ in range(3)]
-        model = per_site_model(*unitaries)
+        model = MeasurementModel(tuple(unitaries))
         for site, u in zip("ABC", unitaries):
             assert model.unitary(site) is u
 
@@ -115,6 +116,24 @@ class TestHaarSampling:
         a = haar_random_unitary(6, np.random.default_rng(5)).matrix
         b = haar_random_unitary(6, np.random.default_rng(5)).matrix
         assert_allclose(a, b)
+
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_haar_unitary_matches_the_single_matrix_reference(self, dim):
+        for seed in range(5):
+            u = haar_random_unitary(dim, np.random.default_rng(seed)).matrix
+            assert np.array_equal(u, haar_unitary_reference(dim, np.random.default_rng(seed)))
+
+    def test_stacked_kernel_equals_per_model_single_draws(self):
+        # One (3, 2, 6, 6) draw from each model's stream, one QR over the
+        # stack: each model's three unitaries, bit for bit as drawn one by one.
+        indices = range(1, 41)
+        draws = np.array([trial_rng(3, index).normal(size=(3, 2, 6, 6)) for index in indices])
+        stacked = haar_unitaries(draws)
+        assert stacked.shape == (40, 3, 6, 6)
+        for m, index in enumerate(indices):
+            rng = trial_rng(3, index)
+            for site in range(3):
+                assert np.array_equal(stacked[m, site], haar_unitary_reference(6, rng))
 
 
 class TestObservables:

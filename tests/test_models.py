@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import _oracles
+import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 from _oracles import (
@@ -307,6 +310,57 @@ class TestNonidealSweep:
         report = nonideal_sweep(n_models, seed=3)
         assert report.all_passed
         assert counts == {"order_events": 4, "boost_for_simultaneity": 3}
+
+    def test_blocks_match_the_model_by_model_reference(self, monkeypatch):
+        # Models 0-3 (the ideal one first), 4-7 and 8-10: two block boundaries.
+        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
+        assert nonideal_sweep(11, 3) == sweep_reference(11, 3)
+
+    def test_blocks_report_the_reference_failures(self, monkeypatch):
+        # Below the rounding of some 1/4 weights, some models fail the
+        # support check; the blocked sweep must fail the same ones.
+        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
+        monkeypatch.setattr(gwsim.models, "QUARTER_TOL", 3e-16)
+        monkeypatch.setattr(_oracles, "QUARTER_TOL", 3e-16)
+        report = nonideal_sweep(11, 3)
+        assert not report.all_passed
+        assert report == sweep_reference(11, 3)
+
+    def test_one_qr_and_one_unitarity_check_per_site_stack_per_block(self, monkeypatch):
+        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
+        shapes = {"haar_unitaries": [], "check_unitary": []}
+
+        def recorded(module, name, shape_of):
+            original = getattr(module, name)
+
+            def wrapper(arg):
+                shapes[name].append(shape_of(arg))
+                return original(arg)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recorded(gwsim.models, "haar_unitaries", np.shape)
+        recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
+        assert nonideal_sweep(11, 3).all_passed
+        assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 6), (4, 3, 2, 6, 6), (3, 3, 2, 6, 6)]
+        # The schedule's ideal model, then three site stacks per block and no
+        # per-model device.
+        assert shapes["check_unitary"] == [(6, 6)] * 3 + [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
+
+    def test_memory_stays_flat_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
+        nonideal_sweep(200, 3)  # fills the interpreter's and numpy's caches
+        peaks = {}
+        for n_models in (8, 200):
+            tracemalloc.start()
+            try:
+                nonideal_sweep(n_models, 3)
+                peaks[n_models] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # Only the result records accumulate, well under 1 KB a model; one
+        # pass over all 200 models would hold about 25 KB a model.
+        assert (peaks[200] - peaks[8]) / 192 < 1000
 
 
 def test_run_model_analyses_once(schedule, frames, monkeypatch):

@@ -154,6 +154,17 @@ def test_operator_requires_square_matrix():
         Operator(np.zeros((2, 3)))
 
 
+def test_operator_and_basis_group_leave_the_callers_array_writable():
+    u = np.eye(6, dtype=complex)
+    op = Operator(u)
+    u[0, 0] = 2
+    assert op.matrix[0, 0] == 1 and not op.matrix.flags.writeable
+    v = np.eye(2, dtype=complex)
+    group = BasisGroup(("A",), (+1, -1), v)
+    v[0, 0] = 2
+    assert group.vectors[0, 0] == 1 and not group.vectors.flags.writeable
+
+
 def test_mixed_state_weight_validation():
     state = StateVector(layout("A"), np.array([1.0, 0.0]))
     MixedState(((0.5, state), (0.5, state)))

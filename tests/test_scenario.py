@@ -8,7 +8,7 @@ import pytest
 
 import gwsim.scenario
 from gwsim.cli import _build_model
-from gwsim.measurement import haar_random_unitary, ideal_von_neumann, per_site_model
+from gwsim.measurement import SITES, MeasurementModel, haar_random_unitary, ideal_von_neumann
 from gwsim.models import CANONICAL_CONSTRAINT_KEYS, trial_rng
 from gwsim.scenario import (
     CANONICAL_SLOTS,
@@ -28,7 +28,7 @@ from gwsim.scenario import (
     standard_frames,
     support_constraint,
 )
-from gwsim.qmath import apply_local
+from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
 from gwsim.systems import initial_scenario_state, stacked_support
 
@@ -279,7 +279,7 @@ class TestCollectConstraints:
 
     def test_reproduced_by_a_random_device_model(self):
         rng = np.random.default_rng(7)
-        model = per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+        model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
         schedule = build_schedule(10.0, 1.0, model)
         constraints = collect_constraints(schedule, standard_frames(schedule.geometry))
         assert {(c.slots, c.required_product) for c in constraints} == {
@@ -292,7 +292,7 @@ class TestCollectConstraints:
 
 def _haar_model(seed):
     rng = np.random.default_rng(seed)
-    return per_site_model(*(haar_random_unitary(6, rng) for _ in range(3)))
+    return MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
 
 
 ANALYSIS_MODELS = {
@@ -343,7 +343,7 @@ class TestAnalyze:
 
         monkeypatch.setattr(gwsim.scenario, "apply_local", counting_update)
         monkeypatch.setattr(gwsim.scenario, "stacked_support", counting_contraction)
-        tables = analyze_stack([schedule.model] * size, orderings)
+        tables = analyze_stack(stack_models([schedule.model] * size), orderings)
         # Distinct prefixes: A, AB, ABC (shared by sigma and sigma_p), then
         # B, BA, BAC and C, CA, CAB, each one stacked update whatever the
         # stack size; replaying every round from the start costs 15 per model.
@@ -358,8 +358,15 @@ def stack_of(n):
     models = [ANALYSIS_MODELS[spec]() for spec in ("ideal", "random:5", "haar:7", "haar:8")]
     for index in range(4, n):
         rng = trial_rng(11, index)
-        models.append(per_site_model(*(haar_random_unitary(6, rng) for _ in range(3))))
+        models.append(MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3))))
     return models[:n]
+
+
+def stack_models(models):
+    """One stacked model, the pass's input, whose entry m is ``models[m]``."""
+    return MeasurementModel(
+        tuple(Operator(np.stack([m.unitary(site).matrix for m in models])) for site in SITES)
+    )
 
 
 class TestAnalyzeStack:
@@ -367,8 +374,8 @@ class TestAnalyzeStack:
     def test_every_model_matches_the_per_model_reference(self, schedule, frames, n):
         models = stack_of(n)
         orderings = standard_orderings(schedule)
-        passed = list(_analysis_pass(models, orderings))
-        tables = analyze_stack(models, orderings)
+        passed = list(_analysis_pass(stack_models(models), orderings))
+        tables = analyze_stack(stack_models(models), orderings)
         assert [(t.frame, t.events) for t in tables] == [
             (name, rnd) for name, rounds in orderings.items() for rnd in rounds
         ]
@@ -389,7 +396,7 @@ class TestAnalyzeStack:
         # The rounds of the four frames start from seven distinct state
         # stacks; each is dropped once no later round needs it.
         seen, most = [], 0
-        for _, states in _analysis_pass(stack_of(5), standard_orderings(schedule)):
+        for _, states in _analysis_pass(stack_models(stack_of(5)), standard_orderings(schedule)):
             if not any(ref() is states for ref in seen):
                 seen.append(weakref.ref(states))
             most = max(most, sum(ref() is not None for ref in seen))
