@@ -43,7 +43,7 @@ from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     OUTCOME_SIGNS,
-    analyze,
+    analyze_stack,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -139,7 +139,7 @@ def _validate_config(config: dict) -> dict:
         if (
             isinstance(value, bool)
             or not isinstance(value, (int, float))
-            or not math.isfinite(value)
+            or not abs(value) <= sys.float_info.max  # false for nan and huge ints too
         ):
             raise ConfigError(f"geometry.{key} must be a finite number, got {value!r}")
         geometry[key] = float(value)
@@ -246,21 +246,22 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     tables = []
     constraints = []
     support_ok = True
-    for row in analyze(schedule, {name: order_events(schedule, f) for name, f in frames.items()}):
-        if row.constraint is None or row.constraint in constraints:
+    orderings = {name: order_events(schedule, f) for name, f in frames.items()}
+    for table in analyze_stack(model, orderings):
+        entries, constraint = table.support(0)
+        if constraint is None or constraint in constraints:
             continue
-        constraints.append(row.constraint)
-        if any(abs(e.probability - 0.25) > QUARTER_TOL for e in row.entries):
+        constraints.append(constraint)
+        if any(abs(e.probability - 0.25) > QUARTER_TOL for e in entries):
             support_ok = False
         tables.append(
             {
-                "frame": row.frame,
-                "slots": list(round_slots(row.events)),
+                "frame": table.frame,
+                "slots": list(round_slots(table.events)),
                 "entries": [
-                    {"labels": list(e.labels), "probability": e.probability}
-                    for e in row.entries
+                    {"labels": list(e.labels), "probability": e.probability} for e in entries
                 ],
-                "constraint": _constraint_dict(row.constraint),
+                "constraint": _constraint_dict(constraint),
             }
         )
 

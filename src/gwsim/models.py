@@ -54,9 +54,8 @@ from .scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
     ParityConstraint,
-    RoundAnalysis,
+    RoundTable,
     Schedule,
-    analyze,
     analyze_stack,
     build_schedule,
     distinct_constraints,
@@ -67,7 +66,7 @@ from .scenario import (
     violation_mask,
 )
 from .spacetime import Frame
-from .systems import LabLabel, SpinAxis, lab_vector, spin_vector
+from .systems import LabLabel, SpinAxis, initial_scenario_state, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
 
@@ -191,16 +190,20 @@ def _collapse_branches(state: StateVector, steps):
     return [(signs, weight) for signs, weight, _ in paths], pruned
 
 
-def round_born_distribution(rounds: list[RoundAnalysis]) -> tuple[np.ndarray, float]:
+def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
     """The round_born model's 64-entry distribution, and the weight it leaves out.
 
-    ``rounds`` is the preferred frame's analysis (``analyze``). Rounds are
-    independent, so an assignment's probability is the product of its
-    rounds' Born weights. Outcome tuples below the support cutoff are missing
-    from the round tables; their weight is the pruned weight.
+    ``rounds`` is the preferred frame's tables from ``analyze_stack``, read at
+    model 0. Rounds are independent, so an assignment's probability is the
+    product of its rounds' Born weights. Outcome tuples below the support
+    cutoff are left out; their weight is the pruned weight.
     """
     tables = [
-        [(_outcome_index(round_slots(r.events), e.labels), e.probability) for e in r.entries]
+        [
+            (_outcome_index(round_slots(r.events), labels), p)
+            for labels, p, ok in zip(r.labels, r.probabilities[0].tolist(), r.possible[0])
+            if ok
+        ]
         for r in rounds
     ]
     probabilities = np.zeros(len(OUTCOME_SIGNS))
@@ -210,23 +213,22 @@ def round_born_distribution(rounds: list[RoundAnalysis]) -> tuple[np.ndarray, fl
     return probabilities, max(0.0, 1.0 - kept)
 
 
-def sequential_collapse_distribution(
-    model: MeasurementModel, rounds: list[RoundAnalysis]
-) -> tuple[np.ndarray, float]:
+def sequential_collapse_distribution(model: MeasurementModel, rounds) -> tuple[np.ndarray, float]:
     """The sequential_collapse model's 64-entry distribution, and the pruned weight.
 
-    ``rounds`` is the preferred frame's analysis; branching starts from its
-    first pre-round state and runs over every event's projectors in the
-    frame's order. A friend's device unitary runs after its z projector.
+    ``rounds`` is the preferred frame's ordering from ``order_events``;
+    branching starts from the initial scenario state, every frame's first
+    pre-round state, and runs over every event's projectors in the frame's
+    order. A friend's device unitary runs after its z projector.
     """
-    events = [ev for r in rounds for ev in r.events]
+    events = [ev for rnd in rounds for ev in rnd]
     steps = [
         (spin_observable(SpinAxis.Z, ev.targets[1]), (model.unitary(ev.site), ev.targets))
         if ev.kind == "friend_z"
         else (outsider_observable(model, ev.site), None)
         for ev in events
     ]
-    branches, pruned = _collapse_branches(rounds[0].state, steps)
+    branches, pruned = _collapse_branches(initial_scenario_state(), steps)
     slots = [ev.slot for ev in events]
     probabilities = np.zeros(len(OUTCOME_SIGNS))
     for signs, p in branches:
@@ -237,24 +239,27 @@ def sequential_collapse_distribution(
 def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
     """Draw ``trials`` complete outcome assignments and tally violations.
 
-    One analysis covers the four standard frames and ``m.preferred``.
-    Constraints are those the standard frames yield; the preferred mask
-    marks the ones ``m.preferred``'s own rounds yield.
+    One ``analyze_stack`` pass over ``s.model`` covers the four standard
+    frames and ``m.preferred``. Constraints are those the standard frames
+    yield; the preferred mask marks the ones ``m.preferred``'s own rounds
+    yield.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
     standard = list(standard_frames(s.geometry).values())
-    frames = dict.fromkeys(standard + [m.preferred])
-    rows = analyze(s, {f: order_events(s, f) for f in frames})
-    constraints = tuple(distinct_constraints(r for r in rows if r.frame in standard))
-    preferred_rows = [r for r in rows if r.frame == m.preferred]
-    preferred = set(distinct_constraints(preferred_rows))
+    orderings = {f: order_events(s, f) for f in dict.fromkeys(standard + [m.preferred])}
+    tables = analyze_stack(s.model, orderings)
+    constraints = tuple(distinct_constraints(t for t in tables if t.frame in standard))
+    preferred_tables = [t for t in tables if t.frame == m.preferred]
+    preferred = set(distinct_constraints(preferred_tables))
     preferred_mask = tuple(c in preferred for c in constraints)
 
     if m.mode == "round_born":
-        probabilities, pruned = round_born_distribution(preferred_rows)
+        probabilities, pruned = round_born_distribution(preferred_tables)
     else:
-        probabilities, pruned = sequential_collapse_distribution(s.model, preferred_rows)
+        probabilities, pruned = sequential_collapse_distribution(
+            s.model, orderings[m.preferred]
+        )
 
     mask = violation_mask(constraints)
     outcomes = _draw(probabilities, trials, seed)

@@ -97,7 +97,7 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")  # a copy, as in Operator
         amps = amps if amps.ndim == 2 else amps.reshape(-1)
         if amps.shape[-1] != self.layout.dim:
             raise LayoutError(

@@ -5,11 +5,11 @@ an outsider then measures each whole lab+electron pair in the recorded-X
 basis at t2. Cross-lab events are spacelike separated, so inertial frames
 disagree on their order. For a given frame, events group into *rounds* of
 simultaneous measurements, which depend on the geometry alone. One pass
-walks every round of every frame once for a whole stack of device models
-(``analyze_stack``; ``analyze`` for one schedule's model), evolving each
-pre-round state from the previous one, and expands it in that round's
-outcome basis: this tells us which outcome tuples are possible at all (have
-nonzero Born weight).
+(``analyze_stack``) walks every round of every frame once, for one device
+model or a whole stack of them, evolving each pre-round state from the
+previous one, and expands it in that round's outcome basis. Its
+``RoundTable``s, the one form an analysed round takes, tell us which outcome
+tuples are possible at all (have nonzero Born weight).
 
 Whenever every possible tuple of a round shares a single product parity, the
 round yields a ParityConstraint. Collecting these over the rest frame and the
@@ -20,13 +20,11 @@ contradiction, obtained here by brute force over ``OUTCOME_SIGNS``.
 
 from __future__ import annotations
 
-import functools
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .measurement import MeasurementModel
-from .qmath import CANONICAL_LAYOUT, BasisGroup, Operator, StateVector, apply_local
+from .qmath import CANONICAL_LAYOUT, BasisGroup, StateVector, apply_local
 from .spacetime import (
     Frame,
     GeometrySpec,
@@ -240,23 +238,6 @@ def support_constraint(
     return entries, constraint
 
 
-@functools.cache
-def _initial_state() -> StateVector:
-    """``initial_scenario_state()``, built once: its amplitudes are read-only."""
-    return initial_scenario_state()
-
-
-@dataclass(frozen=True)
-class RoundAnalysis:
-    """One round of one frame: its pre-round state and ``support_constraint``."""
-
-    frame: object  # the frame's key in the orderings given to ``analyze``
-    events: tuple[MeasurementEvent, ...]
-    state: StateVector
-    entries: list[SupportEntry]
-    constraint: ParityConstraint | None
-
-
 @dataclass(frozen=True)
 class RoundTable:
     """One round of one frame for a stack of M device models, as arrays.
@@ -301,15 +282,20 @@ class RoundTable:
         return entries, ParityConstraint(round_slots(self.events), product) if product else None
 
 
-def _analysis_pass(stacked, orderings) -> Iterator[tuple[RoundTable, StateVector]]:
-    """Each round's table with the stack of its pre-round states, frame by
-    frame in round order, for a model of (M, 6, 6) site unitary stacks.
+def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
+    """Every round of every frame for M device models, in one pass.
 
-    A pre-round state stack is the previous one with that round's friend
+    ``model``'s site unitaries are (6, 6), read as a stack of one, or
+    (M, 6, 6). ``orderings`` maps a key per frame to its rounds from
+    ``order_events``; tables come frame by frame, in round order, and
+    ``table.support(m)`` is ``support_constraint`` of device m's pre-round
+    state, bit for bit.
+
+    Each pre-round state stack is the previous one with that round's friend
     unitaries applied, as ``evolve_to`` replays them: one stacked
-    ``apply_local`` per distinct sequence of friend events, whatever the
-    stack size. Each round is one stacked contraction against outcome bases
-    built once. Each state stack is dropped after its last use.
+    ``apply_local`` per distinct sequence of friend events, whatever M, and
+    one stacked contraction per round against outcome bases built once.
+    Each stack is dropped after its last use; none outlives the pass.
     """
     plan = []  # (frame key, round, friend events applied before it)
     for key, rounds in orderings.items():
@@ -327,58 +313,34 @@ def _analysis_pass(stacked, orderings) -> Iterator[tuple[RoundTable, StateVector
         last[applied] = i
 
     events = dict.fromkeys(ev for _, rnd, _ in plan for ev in rnd)
-    groups = {ev: _event_basis_group(ev, stacked) for ev in events}
-    size = len(stacked.unitary("A").matrix)
-    initial = np.broadcast_to(_initial_state().amplitudes, (size, CANONICAL_LAYOUT.dim))
+    groups = {ev: _event_basis_group(ev, model) for ev in events}
+    size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
+    initial = np.broadcast_to(initial_scenario_state().amplitudes, (size, CANONICAL_LAYOUT.dim))
     states = {(): StateVector(CANONICAL_LAYOUT, initial)}
+    tables = []
     for i, (key, rnd, applied) in enumerate(plan):
         n = len(applied)
         while applied[:n] not in states:
             n -= 1
         for ev in applied[n:]:
             states[applied[: n + 1]] = apply_local(
-                stacked.unitary(ev.site), ev.targets, states[applied[:n]]
+                model.unitary(ev.site), ev.targets, states[applied[:n]]
             )
             n += 1
         round_groups = [groups[ev] for ev in sorted(rnd, key=lambda ev: _slot_key(ev.slot))]
         amps, weights = stacked_support(states[applied], round_groups)
         labels = tuple(itertools.product(*(g.labels for g in round_groups)))
-        yield RoundTable(key, rnd, labels, amps, weights), states[applied]
+        tables.append(RoundTable(key, rnd, labels, amps, weights))
         for seq in [seq for seq in states if last[seq] == i]:
             del states[seq]
+    return tables
 
 
-def analyze_stack(stacked: MeasurementModel, orderings) -> list[RoundTable]:
-    """Every round of every frame for a stacked model of M devices (site
-    unitaries of shape (M, 6, 6)), in one pass.
-
-    ``orderings`` maps a key per frame to its rounds from ``order_events``;
-    tables come frame by frame, in round order, and ``table.support(m)`` is
-    ``support_constraint`` of device m's pre-round state, bit for bit. No
-    state outlives the pass.
-    """
-    return [table for table, _ in _analysis_pass(stacked, orderings)]
-
-
-def analyze(s: Schedule, orderings) -> list[RoundAnalysis]:
-    """Every round of every frame for ``s.model``, frame by frame, in round
-    order: the stacked pass with a stack of one.
-
-    ``orderings`` maps a key per frame to its rounds from ``order_events``,
-    so a caller varying ``s.model`` orders the events once. Each pre-round
-    state is bit-identical to ``evolve_to``'s replay.
-    """
-    rows = []
-    one = MeasurementModel(tuple(Operator(u.matrix[None]) for u in s.model.site_unitaries))
-    for table, states in _analysis_pass(one, orderings):
-        state = StateVector(states.layout, states.amplitudes[0])
-        rows.append(RoundAnalysis(table.frame, table.events, state, *table.support(0)))
-    return rows
-
-
-def distinct_constraints(rows) -> list[ParityConstraint]:
-    """The analysed rounds' constraints, each once, in the order first found."""
-    return list(dict.fromkeys(r.constraint for r in rows if r.constraint is not None))
+def distinct_constraints(tables) -> list[ParityConstraint]:
+    """Model 0's constraints over the analysed rounds, each once, in the order
+    first found."""
+    found = (table.support(0)[1] for table in tables)
+    return list(dict.fromkeys(c for c in found if c is not None))
 
 
 def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:
@@ -390,7 +352,7 @@ def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:
     if isinstance(frames, dict):
         frames = list(frames.values())
     return distinct_constraints(
-        analyze(s, {i: order_events(s, f) for i, f in enumerate(frames)})
+        analyze_stack(s.model, {i: order_events(s, f) for i, f in enumerate(frames)})
     )
 
 

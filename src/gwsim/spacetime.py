@@ -89,7 +89,7 @@ class GeometrySpec:
 
     @property
     def side(self) -> float:
-        return float(np.linalg.norm(self.position("A") - self.position("B")))
+        return math.hypot(*(self.position("A") - self.position("B")))
 
 
 def standard_geometry(side: float, tau: float) -> GeometrySpec:
@@ -187,15 +187,13 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
 
     Failures are reported, not raised, so invalid geometries can be examined.
     Tolerances scale with the geometry (its mean side, its largest epoch
-    time), so a geometry passes or fails alike at every scale.
+    time), and intervals are taken in units of the larger of the two, so a
+    geometry passes or fails alike at every scale a float can hold.
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
-    dists = {
-        pair: float(np.linalg.norm(pos[pair[0]] - pos[pair[1]]))
-        for pair in ("AB", "BC", "CA")
-    }
-    mean_side = sum(dists.values()) / 3.0
+    dists = {pair: math.hypot(*(pos[pair[0]] - pos[pair[1]])) for pair in ("AB", "BC", "CA")}
+    mean_side = sum(d / 3.0 for d in dists.values())
     spread = max(dists.values()) - min(dists.values())
     results.append(
         CheckResult(
@@ -225,21 +223,27 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
 
     # Every measurement event (friend at t1, outsider at t2) at one lab must
     # be spacelike separated from every measurement event at any other lab.
+    # Intervals are squared lengths, so they are taken on the points divided
+    # by the geometry's largest scale, where no coordinate exceeds 1, and
+    # reported in the geometry's units where a float holds them.
+    unit = max(mean_side, time_scale) or 1.0
     worst = -math.inf
     worst_pair = ""
     for labs in ("AB", "BC", "CA"):
         for ta in (spec.t1, spec.t2):
             for tb in (spec.t1, spec.t2):
                 s = interval(
-                    point(ta, tuple(pos[labs[0]])), point(tb, tuple(pos[labs[1]]))
+                    point(ta / unit, tuple(pos[labs[0]] / unit)),
+                    point(tb / unit, tuple(pos[labs[1]] / unit)),
                 )
                 if s > worst:
                     worst, worst_pair = s, f"({ta:g},{labs[0]})–({tb:g},{labs[1]})"
+    span = worst * unit * unit  # 0 or inf where a float cannot hold it
+    in_range = math.isfinite(span) and (span or not worst)
+    shown = f"{span:.12g}" if in_range else f"{worst:.12g}·({unit:.12g})²"
     results.append(
         CheckResult(
-            "cross_lab_spacelike",
-            worst < 0,
-            f"largest cross-lab interval {worst:.12g} at {worst_pair}",
+            "cross_lab_spacelike", worst < 0, f"largest cross-lab interval {shown} at {worst_pair}"
         )
     )
 

@@ -17,7 +17,7 @@ SRC = Path(gwsim.__file__).parent
 
 # Kept without a caller in src, each for a stated reason.
 ALLOWED_WITHOUT_CALLER = {
-    "scenario.evolve_to": "named by BENCHMARK.json; the tests' replay oracle for analyze",
+    "scenario.evolve_to": "named by BENCHMARK.json; the tests' replay oracle for analyze_stack",
     "scenario.support_constraint": (
         "named by BENCHMARK.json; the tests' reference for the stacked pass"
     ),

@@ -6,6 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gwsim.measurement
 from gwsim.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -332,6 +333,18 @@ class TestRun:
         assert out == ""
         assert f"{section}.{key}" in err
 
+    @pytest.mark.parametrize("key", ["side", "tau"])
+    @pytest.mark.parametrize("command", ["ghz-nogo", "frames", "run", "sweep"])
+    def test_huge_integer_geometry_is_a_config_error(self, capsys, tmp_path, command, key):
+        # A 401-digit JSON integer has no float value.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"geometry": {key: 10**400}}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: geometry.{key} must be a finite number")
+        assert "Traceback" not in err
+
     def test_negative_seed_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "--trials", "5", "--seed", "-1")
         assert code == 2
@@ -353,6 +366,22 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert "non-negative" in err
+
+
+@pytest.mark.parametrize("argv", [["ghz-nogo"], ["run", "--trials", "100"]])
+def test_each_device_is_checked_for_unitarity_once(capsys, monkeypatch, argv):
+    shapes = []
+    original = gwsim.measurement.check_unitary
+
+    def counting(op):
+        shapes.append(op.matrix.shape)
+        return original(op)
+
+    monkeypatch.setattr(gwsim.measurement, "check_unitary", counting)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    # One check per site of the schedule's model, which the analysis reads as it is.
+    assert shapes == [(6, 6)] * 3
 
 
 class TestErasure:

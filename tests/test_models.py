@@ -34,7 +34,7 @@ from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     ParityConstraint,
-    analyze,
+    analyze_stack,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -365,16 +365,19 @@ class TestNonidealSweep:
 
 def test_run_model_analyses_once(schedule, frames, monkeypatch):
     calls = []
-    original = gwsim.models.analyze
+    original = gwsim.models.analyze_stack
 
-    def counting(s, orderings):
-        calls.append(list(orderings))
-        return original(s, orderings)
+    def counting(model, orderings):
+        calls.append((model, list(orderings)))
+        return original(model, orderings)
 
-    monkeypatch.setattr(gwsim.models, "analyze", counting)
-    report = run_model(schedule, InterpretationModel("round_born", frames["sigma_p"]), 10, seed=1)
-    assert calls == [list(frames.values())]
-    assert report.preferred_mask == (False, True, False, False)
+    monkeypatch.setattr(gwsim.models, "analyze_stack", counting)
+    for mode in MODES:
+        report = run_model(schedule, InterpretationModel(mode, frames["sigma_p"]), 10, seed=1)
+        assert report.preferred_mask == (False, True, False, False)
+    # One pass per run, over the schedule's own model rather than a restacked copy.
+    assert calls == [(schedule.model, list(frames.values()))] * len(MODES)
+    assert all(model is schedule.model for model, _ in calls)
 
 
 def test_run_model_accepts_a_nonstandard_preferred_frame(schedule, frames):
@@ -408,8 +411,8 @@ ORACLE_CASES = [("ideal", frame) for frame in FRAME_NAMES] + [("random:5", "sigm
 
 
 def preferred_rounds(s, preferred):
-    """The preferred frame's analysis, the input of both distribution builders."""
-    return analyze(s, {preferred: order_events(s, preferred)})
+    """The preferred frame's round tables, round_born's input."""
+    return analyze_stack(s.model, {preferred: order_events(s, preferred)})
 
 
 SAMPLERS = {
@@ -420,7 +423,7 @@ SAMPLERS = {
     ),
     "sequential_collapse": (
         lambda s, preferred: sequential_collapse_distribution(
-            s.model, preferred_rounds(s, preferred)
+            s.model, order_events(s, preferred)
         ),
         sample_sequential_collapse,
         400,

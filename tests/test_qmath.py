@@ -165,6 +165,22 @@ def test_operator_and_basis_group_leave_the_callers_array_writable():
     assert group.vectors[0, 0] == 1 and not group.vectors.flags.writeable
 
 
+def test_state_vector_leaves_a_stacked_callers_array_writable():
+    a = np.zeros((2, 216), complex)
+    a[:, 0] = 1
+    state = StateVector(CANONICAL_LAYOUT, a)
+    a[0, 0] = 2
+    assert state.amplitudes[0, 0] == 1 and not state.amplitudes.flags.writeable
+
+
+def test_state_vector_does_not_alias_a_one_dimensional_callers_array():
+    b = np.zeros(216, complex)
+    b[0] = 1
+    state = StateVector(CANONICAL_LAYOUT, b)
+    b[0] = 5
+    assert state.amplitudes[0] == 1 and not state.amplitudes.flags.writeable
+
+
 def test_mixed_state_weight_validation():
     state = StateVector(layout("A"), np.array([1.0, 0.0]))
     MixedState(((0.5, state), (0.5, state)))

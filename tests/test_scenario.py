@@ -15,8 +15,6 @@ from gwsim.scenario import (
     FRAME_NAMES,
     ParityConstraint,
     Schedule,
-    _analysis_pass,
-    analyze,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -309,47 +307,68 @@ def standard_orderings(schedule):
     }
 
 
+def captured_states(monkeypatch):
+    """The pre-round state stacks the pass contracts, in round order: the
+    first argument of each ``stacked_support`` call."""
+    states = []
+
+    def capturing(state, groups):
+        states.append(state)
+        return stacked_support(state, groups)
+
+    monkeypatch.setattr(gwsim.scenario, "stacked_support", capturing)
+    return states
+
+
 @pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
 class TestAnalyze:
-    def test_matches_the_replay_oracle(self, spec):
+    def test_matches_the_replay_oracle(self, spec, monkeypatch):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
         frames = standard_frames(schedule.geometry)
         orderings = standard_orderings(schedule)
-        rows = analyze(schedule, orderings)
-        assert len(rows) == sum(len(rounds) for rounds in orderings.values())
+        states = captured_states(monkeypatch)
+        tables = analyze_stack(schedule.model, orderings)
+        assert len(tables) == len(states) == sum(len(rounds) for rounds in orderings.values())
         for name, frame in frames.items():
-            mine = [r for r in rows if r.frame == name]
-            assert [r.events for r in mine] == orderings[name]
-            for k, row in enumerate(mine, start=1):
+            mine = [(t, state) for t, state in zip(tables, states) if t.frame == name]
+            assert [t.events for t, _ in mine] == orderings[name]
+            for k, (table, state) in enumerate(mine, start=1):
                 replayed = evolve_to(schedule, frame, k)
-                assert np.array_equal(row.state.amplitudes, replayed.amplitudes)
-                entries, constraint = support_constraint(replayed, row.events, schedule.model)
-                assert row.entries == entries
-                assert row.constraint == constraint
+                assert state.amplitudes.shape == (1, replayed.dim)
+                assert np.array_equal(state.amplitudes[0], replayed.amplitudes)
+                expected = support_constraint(replayed, table.events, schedule.model)
+                assert table.support(0) == expected
+
+    def test_a_single_device_is_a_stack_of_one(self, spec):
+        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+        orderings = standard_orderings(schedule)
+        single = analyze_stack(schedule.model, orderings)
+        stacked = analyze_stack(stack_models([schedule.model]), orderings)
+        assert len(single) == len(stacked) == 11
+        for one, other in zip(single, stacked):
+            assert (one.frame, one.events, one.labels) == (other.frame, other.events, other.labels)
+            assert np.array_equal(one.amplitudes, other.amplitudes)
+            assert np.array_equal(one.weights, other.weights)
 
     @pytest.mark.parametrize("size", [1, 5])
     def test_each_friend_sequence_is_evolved_once(self, spec, size, monkeypatch):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
         orderings = standard_orderings(schedule)
-        updates, contractions = [], []
+        updates = []
 
         def counting_update(*args):
             updates.append(args[2].amplitudes.shape)
             return apply_local(*args)
 
-        def counting_contraction(*args):
-            contractions.append(args[0].amplitudes.shape)
-            return stacked_support(*args)
-
         monkeypatch.setattr(gwsim.scenario, "apply_local", counting_update)
-        monkeypatch.setattr(gwsim.scenario, "stacked_support", counting_contraction)
+        contracted = captured_states(monkeypatch)
         tables = analyze_stack(stack_models([schedule.model] * size), orderings)
         # Distinct prefixes: A, AB, ABC (shared by sigma and sigma_p), then
         # B, BA, BAC and C, CA, CAB, each one stacked update whatever the
         # stack size; replaying every round from the start costs 15 per model.
         assert updates == [(size, 216)] * 9
         # One stacked contraction per round: 2 + 3 + 3 + 3.
-        assert contractions == [(size, 216)] * 11
+        assert [state.amplitudes.shape for state in contracted] == [(size, 216)] * 11
         assert len(tables) == 11
 
 
@@ -371,42 +390,55 @@ def stack_models(models):
 
 class TestAnalyzeStack:
     @pytest.mark.parametrize("n", [1, 5, 40])
-    def test_every_model_matches_the_per_model_reference(self, schedule, frames, n):
+    def test_every_model_matches_the_per_model_reference(
+        self, schedule, frames, n, monkeypatch
+    ):
         models = stack_of(n)
         orderings = standard_orderings(schedule)
-        passed = list(_analysis_pass(stack_models(models), orderings))
+        states = captured_states(monkeypatch)
         tables = analyze_stack(stack_models(models), orderings)
         assert [(t.frame, t.events) for t in tables] == [
             (name, rnd) for name, rounds in orderings.items() for rnd in rounds
         ]
+        assert len(states) == len(tables)
         rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
         for m, model in enumerate(models):
             s = replace(schedule, model=model)
-            for table, (again, states), k in zip(tables, passed, rounds):
+            for table, state, k in zip(tables, states, rounds):
                 replayed = evolve_to(s, frames[table.frame], k)
                 entries, constraint = support_constraint(replayed, table.events, model)
-                assert np.array_equal(states.amplitudes[m], replayed.amplitudes)
-                assert table.support(m) == again.support(m) == (entries, constraint)
+                assert np.array_equal(state.amplitudes[m], replayed.amplitudes)
+                assert table.support(m) == (entries, constraint)
                 assert table.probabilities[m][table.possible[m]].tolist() == [
                     e.probability for e in entries
                 ]
                 assert table.products[m] == (constraint.required_product if constraint else 0)
 
-    def test_state_stacks_are_dropped_after_their_last_use(self, schedule):
+    def test_state_stacks_are_dropped_after_their_last_use(self, schedule, monkeypatch):
         # The rounds of the four frames start from seven distinct state
-        # stacks; each is dropped once no later round needs it.
+        # stacks; each is dropped once no later round needs it. The pass
+        # holds the only references, so each round's count of live stacks
+        # is the pass's own.
         seen, most = [], 0
-        for _, states in _analysis_pass(stack_models(stack_of(5)), standard_orderings(schedule)):
-            if not any(ref() is states for ref in seen):
-                seen.append(weakref.ref(states))
+
+        def watching(state, groups):
+            nonlocal most
+            if not any(ref() is state for ref in seen):
+                seen.append(weakref.ref(state))
             most = max(most, sum(ref() is not None for ref in seen))
+            return stacked_support(state, groups)
+
+        monkeypatch.setattr(gwsim.scenario, "stacked_support", watching)
+        tables = analyze_stack(stack_models(stack_of(5)), standard_orderings(schedule))
+        assert len(tables) == 11
         assert len(seen) == 7
         assert most == 3
+        assert all(ref() is None for ref in seen)
 
 
 def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
-    rows = analyze(schedule, standard_orderings(schedule))
-    found = [(c.slots, c.required_product) for c in distinct_constraints(rows)]
+    tables = analyze_stack(schedule.model, standard_orderings(schedule))
+    found = [(c.slots, c.required_product) for c in distinct_constraints(tables)]
     assert len(found) == 4
     assert set(found) == CANONICAL_CONSTRAINT_KEYS
 
@@ -420,9 +452,11 @@ def test_random_subluminal_frames_yield_no_new_constraint(schedule):
     frames = [
         Frame((float(v * math.cos(a)), float(v * math.sin(a)))) for v, a in zip(speeds, angles)
     ]
-    rows = analyze(schedule, {i: order_events(schedule, f) for i, f in enumerate(frames)})
-    assert {r.frame for r in rows} == set(range(1000))
-    for c in distinct_constraints(rows):
+    tables = analyze_stack(
+        schedule.model, {i: order_events(schedule, f) for i, f in enumerate(frames)}
+    )
+    assert {t.frame for t in tables} == set(range(1000))
+    for c in distinct_constraints(tables):
         assert (c.slots, c.required_product) in CANONICAL_CONSTRAINT_KEYS
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import boost_point
 from gwsim.measurement import ideal_von_neumann
-from gwsim.scenario import build_schedule
+from gwsim.scenario import build_schedule, order_events, standard_frames
 from gwsim.spacetime import (
     Frame,
     GeometrySpec,
@@ -264,6 +265,30 @@ def test_standard_geometry_passes_every_check_at_any_scale(k):
     for events in tilted_frame_events(g):
         f = boost_for_simultaneity(*events)
         assert all(simultaneous(f, events[0], other) for other in events[1:])
+
+
+def _orderings(side, tau):
+    schedule = build_schedule(side, tau, ideal_von_neumann())
+    return {
+        name: [[ev.id for ev in rnd] for rnd in order_events(schedule, f)]
+        for name, f in standard_frames(schedule.geometry).items()
+    }
+
+
+@pytest.mark.parametrize("side", [1e-300, 1e-200, 1e-170, 1e170, 1e200, 1e300, 1e308])
+def test_geometry_is_scale_free_where_squared_lengths_leave_float_range(side):
+    # ‖Δx‖² and the intervals under- or overflow at these sides; the checks,
+    # frames and orderings must come out as at side 10, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = standard_geometry(side, side / 10.0)
+        results = {r.name: r for r in validate_geometry(g)}
+        orderings = _orderings(side, side / 10.0)
+    assert [name for name, r in results.items() if not r.passed] == []
+    assert orderings == _orderings(10.0, 1.0)
+    assert g.side == pytest.approx(side, rel=1e-12)
+    detail = results["cross_lab_spacelike"].detail
+    assert "inf" not in detail and " at (" in detail
 
 
 def test_point_rejects_non_finite_coordinates():
