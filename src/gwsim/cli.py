@@ -33,6 +33,7 @@ from .measurement import (
 )
 from .models import (
     InterpretationModel,
+    MAX_TRIALS,
     MODES,
     QUARTER_TOL,
     erasure_experiment,
@@ -157,6 +158,8 @@ def _validate_config(config: dict) -> dict:
         )
     if not _is_int(run["trials"]) or run["trials"] < 0:
         raise ConfigError(f"run.trials must be a non-negative integer, got {run['trials']!r}")
+    if run["trials"] > MAX_TRIALS:
+        raise ConfigError(f"run.trials must be at most 2**63 - 1, got {run['trials']!r}")
     if run["seed"] is not None and not _is_int(run["seed"]):
         raise ConfigError(f"run.seed must be an integer, got {run['seed']!r}")
     if config["output"]["format"] not in ("json", "text"):
@@ -494,9 +497,9 @@ def cmd_run(config: dict) -> dict:
             ]
         else:
             outsider = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
-            minus = report.assignments[:, outsider].prod(axis=1) == -1
-            rate = int(np.count_nonzero(minus)) / trials
-            exact = float(report.probabilities[OUTCOME_SIGNS[:, outsider].prod(axis=1) == -1].sum())
+            minus = OUTCOME_SIGNS[:, outsider].prod(axis=1) == -1
+            rate = int(report.counts @ minus) / trials
+            exact = float(report.probabilities[minus].sum())
             results["run"]["outsider_product_minus_one_rate"] = rate
             results["run"]["outsider_product_minus_one_exact_rate"] = exact
             checks += [

@@ -4,8 +4,8 @@ The frame analysis shows no assignment of definite outcomes satisfies all
 four parity constraints. These models make that concrete: each posits a
 preferred frame in which outcomes actually happen. That fixes a probability
 for each of the 64 complete outcome assignments, and the constraints are
-tallied both exactly over that distribution and over assignments drawn from
-it.
+tallied both exactly over that distribution and over a sample of it, kept as
+one count per assignment.
 
 * ``round_born`` — each round's joint outcome tuple follows the Born weights
   of the unitarily evolved pre-round state in the preferred frame; rounds are
@@ -21,9 +21,10 @@ it.
 
 A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
 (row *i* of ``OUTCOME_SIGNS`` holds the ±1 values of index *i*). Monte Carlo
-is then one inverse-CDF draw: trial *i* takes the *i*-th uniform of a single
-counter-based Philox stream keyed by the master seed, so reports are
-reproducible and the first *k* trials of any run are the *k*-trial run.
+is then one inverse-CDF draw per trial: trial *i* takes the *i*-th uniform of
+one counter-based Philox stream keyed by the master seed, read in blocks and
+kept as counts, so reports are reproducible, memory is flat in the trial
+count, and the first *k* trials of any run are the *k*-trial run.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
@@ -69,6 +70,10 @@ from .spacetime import Frame
 from .systems import LabLabel, SpinAxis, initial_scenario_state, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
+# Uniforms per sampling block, so a run's memory stays flat in its trial count.
+DRAW_BLOCK = 1 << 16
+# The most trials an int64 outcome count holds.
+MAX_TRIALS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -92,35 +97,41 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Table indices of ``trials`` inverse-CDF draws; zero entries never occur.
+    """Per-entry counts of ``trials`` inverse-CDF draws; zero entries never occur.
 
-    Trial i takes the i-th uniform of one Philox stream keyed by ``seed``.
+    Trial i takes the i-th uniform of one Philox stream keyed by ``seed``,
+    read DRAW_BLOCK at a time: the stream is counter-based, so blocks change
+    no count.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     cdf = np.cumsum(probabilities)
-    return np.searchsorted(cdf / cdf[-1], rng.random(trials), side="right")
+    cdf /= cdf[-1]
+    counts = np.zeros(len(cdf), dtype=np.int64)
+    for start in range(0, trials, DRAW_BLOCK):
+        uniforms = rng.random(min(DRAW_BLOCK, trials - start))
+        counts += np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf))
+    return counts
 
 
 @dataclass(frozen=True)
 class RunReport:
-    """Exact outcome distribution, sampled assignments and constraint tallies
-    for one model run."""
+    """Exact outcome distribution, sampled outcome counts and constraint
+    tallies for one model run; no field grows with the trial count."""
 
-    mode: str
-    trials: int
-    seed: int
     constraints: tuple[ParityConstraint, ...]
     preferred_mask: tuple[bool, ...]  # True where the constraint is the preferred frame's
     probabilities: np.ndarray  # (64,) exact distribution, OUTCOME_SIGNS row order
     pruned_weight: float  # outcome weight the distribution leaves out
     violation_mask: np.ndarray  # (64, constraints) bool: outcome violates constraint
-    assignments: np.ndarray  # (trials, 6) int8: ±1 in CANONICAL_SLOTS column order
-    violation_counts: tuple[int, ...]
-    nonpreferred_violated_flags: np.ndarray  # (trials,) bool: ≥1 non-preferred violated
+    counts: np.ndarray  # (64,) int64: trials drawing each outcome, OUTCOME_SIGNS row order
+
+    @property
+    def violation_counts(self) -> tuple[int, ...]:
+        return tuple(int(n) for n in self.counts @ self.violation_mask)
 
     @property
     def trials_violating_nonpreferred(self) -> int:
-        return int(np.count_nonzero(self.nonpreferred_violated_flags))
+        return int(self.counts @ _any_nonpreferred(self.violation_mask, self.preferred_mask))
 
     @property
     def exact_rates(self) -> tuple[float, ...]:
@@ -261,21 +272,13 @@ def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> Ru
             s.model, orderings[m.preferred]
         )
 
-    mask = violation_mask(constraints)
-    outcomes = _draw(probabilities, trials, seed)
-    counts = np.bincount(outcomes, minlength=len(probabilities))
     return RunReport(
-        mode=m.mode,
-        trials=trials,
-        seed=seed,
         constraints=constraints,
         preferred_mask=preferred_mask,
         probabilities=probabilities,
         pruned_weight=pruned,
-        violation_mask=mask,
-        assignments=OUTCOME_SIGNS[outcomes],
-        violation_counts=tuple(int(n) for n in counts @ mask),
-        nonpreferred_violated_flags=_any_nonpreferred(mask, preferred_mask)[outcomes],
+        violation_mask=violation_mask(constraints),
+        counts=_draw(probabilities, trials, seed),
     )
 
 
@@ -284,9 +287,6 @@ class ErasureReport:
     """Single-lab run: record a z-up electron, let an outsider measure the
     pair, then open the door and read the record."""
 
-    trials: int
-    seed: int
-    skip_pair_x: bool
     pair_x_counts: dict
     door_counts: dict
     down_frequency: float
@@ -303,7 +303,7 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     behind the door half the time: the outsider has erased the record.
 
     The (pair-x, door) outcome table comes from branching over both
-    observables' projectors; trials are drawn from it as in ``run_model``.
+    observables' projectors; trials are counted from it as in ``run_model``.
     """
     model = ideal_von_neumann()
     start = StateVector(
@@ -314,18 +314,15 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     steps = [] if skip_pair_x else [(outsider_observable(model), None)]
     branches, pruned = _collapse_branches(recorded, steps + [(door_observable(), None)])
 
-    outcomes = _draw(np.array([p for _, p in branches]), trials, seed)
+    counts = _draw(np.array([p for _, p in branches]), trials, seed)
     pair_x_counts = {+1: 0, -1: 0}
     door_counts = {+1: 0, -1: 0, 0: 0}
-    for (signs, _), n in zip(branches, np.bincount(outcomes, minlength=len(branches))):
+    for (signs, _), n in zip(branches, counts):
         if not skip_pair_x:
             pair_x_counts[signs[0]] += int(n)
         door_counts[signs[-1]] += int(n)
 
     return ErasureReport(
-        trials=trials,
-        seed=seed,
-        skip_pair_x=skip_pair_x,
         pair_x_counts=pair_x_counts,
         door_counts=door_counts,
         down_frequency=door_counts[-1] / trials if trials else 0.0,

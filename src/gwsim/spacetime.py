@@ -15,6 +15,7 @@ measurement is simultaneous with given events at the other two labs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,16 @@ def standard_geometry(side: float, tau: float) -> GeometrySpec:
     Any tau is accepted, so ``validate_geometry`` can name what fails; the
     arrangement is valid for 0 < tau ≤ side·√3/2·MAX_SPEED, beyond which the
     tilted frames need a superluminal boost. A nonpositive side is rejected
-    here, since validation only sees the (unsigned) distances.
+    here, since validation only sees the (unsigned) distances; so are a
+    subnormal side, whose coordinates keep too few bits, and a tau whose
+    2·tau overflows.
     """
     if side <= 0:
         raise ValueError(f"side must be positive, got {side}")
+    if side < sys.float_info.min:
+        raise ValueError(f"side must be a normal float, at least {sys.float_info.min!r}, got {side!r}")
+    if not math.isfinite(2.0 * tau):
+        raise ValueError(f"tau must keep 2·tau finite, got {tau!r}")
     h = side / math.sqrt(3.0)
     return GeometrySpec(
         x_a=(0.0, h),
@@ -143,6 +150,8 @@ def _simultaneity_velocity(
     dx = np.array([p.position - q.position, p.position - r.position])
     dt = np.array([p.t - q.t, p.t - r.t])
     v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
+    if not np.isfinite(v).all():
+        return None
     solved = np.allclose(dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt))))
     return v if solved else None
 

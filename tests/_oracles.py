@@ -4,8 +4,9 @@ Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, per-trial simulation with ``measure`` for the
-interpretation models' outcome tables, and a model-by-model replay of the
-device sweep. Slow and obvious on purpose.
+interpretation models' outcome tables, one-shot draws of every trial's
+uniform for the blocked sampler, and a model-by-model replay of the device
+sweep. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -241,6 +242,14 @@ def outcome_indices(rows: np.ndarray) -> np.ndarray:
     """Table index of each ±1 row: slot j is −1 iff bit (5 − j) is set."""
     bits = (np.asarray(rows) == -1).astype(int)
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
+
+
+def draw_reference(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Table index of each of ``trials`` inverse-CDF draws, all in one shot:
+    trial i takes the i-th uniform of the Philox stream keyed by ``seed``."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    cdf = np.cumsum(probabilities)
+    return np.searchsorted(cdf / cdf[-1], rng.random(trials), side="right")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from gwsim.models import (
 from gwsim.qmath import BasisGroup, StateVector, apply_local, layout
 from gwsim.scenario import (
     CANONICAL_SLOTS,
+    OUTCOME_SIGNS,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -211,7 +212,8 @@ def test_criterion_7_sequential_collapse_contrast(schedule, frames):
     report = run_model(schedule, model, TRIALS, seed=SEED)
 
     outsiders = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
-    minus = np.count_nonzero(report.assignments[:, outsiders].prod(axis=1) == -1)
+    assert report.counts.sum() == TRIALS
+    minus = report.counts @ (OUTCOME_SIGNS[:, outsiders].prod(axis=1) == -1)
     assert abs(minus / TRIALS - 0.5) <= FOUR_SIGMA_HALF
 
     print("[acceptance] criterion 7: PASS")

@@ -184,6 +184,17 @@ class TestFrames:
         assert check["detail"].endswith(f"(need ≤ {MAX_SPEED!r})")
         assert "frames" not in report["results"]
 
+    def test_smallest_normal_scale_passes(self, capsys):
+        code, report = run_json(capsys, "frames", "--side", "1e-300", "--tau", "1e-301")
+        assert code == 0
+        assert report["passed"] is True
+
+    def test_an_unbounded_boost_fails_its_check_without_a_warning(self, capsys):
+        # The suite turns any RuntimeWarning into an error.
+        code, report = run_json(capsys, "frames", "--side", "1e-300", "--tau", "1e10")
+        assert code == 1
+        assert check_names(report)["geometry_tilted_frames_subluminal"] is False
+
     @pytest.mark.parametrize("command", ["ghz-nogo", "run", "sweep"])
     def test_superluminal_tilted_frames_are_rejected_by_name(self, capsys, command):
         code, out, err = run_cli(capsys, command, "--side", "10", "--tau", "8.7")
@@ -344,6 +355,27 @@ class TestRun:
         assert out == ""
         assert err.startswith(f"error: geometry.{key} must be a finite number")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "erasure"])
+    def test_trials_beyond_an_int64_count_are_a_config_error(self, capsys, tmp_path, command):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"run": {"trials": 10**30}}))
+        for argv in (["--trials", str(2**63)], ["--config", str(path)]):
+            code, out, err = run_cli(capsys, command, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: run.trials must be at most 2**63 - 1")
+
+    @pytest.mark.parametrize("command", ["ghz-nogo", "frames", "run", "sweep"])
+    @pytest.mark.parametrize(
+        "side, tau, key",
+        [("1e-308", "1e-309", "side"), ("1e-315", "1e-316", "side"), ("1", "1e308", "tau")],
+    )
+    def test_geometry_a_float_cannot_carry_is_a_config_error(self, capsys, command, side, tau, key):
+        code, out, err = run_cli(capsys, command, "--side", side, "--tau", tau)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {key} must ")
 
     def test_negative_seed_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "run", "--trials", "5", "--seed", "-1")

@@ -1,0 +1,108 @@
+"""Input fuzz campaign over JSON config files.
+
+Every ``geometry`` and ``run`` key is given values of every JSON type: floats
+(subnormals, ±1e308, 0, NaN and infinities, which Python's JSON reader
+accepts), integers of up to 400 digits, bools, null, strings, lists and
+objects, beside a few valid values so that some examples get past
+validation. Each example calls ``cli.main`` in-process and must end with a
+report (exit 0 or 1) or a clean ``error:`` line (exit 2), with no exception
+and no warning. ``run.trials`` is capped at 10⁴ so the campaign stays fast;
+the bound on trials has its own tests in ``test_cli.py``.
+"""
+
+import contextlib
+import io
+import json
+import sys
+import warnings
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from gwsim.cli import main
+from gwsim.models import MAX_TRIALS, MODES
+from gwsim.scenario import FRAME_NAMES
+
+TRIALS_CAP = 10**4
+
+SPECIAL_FLOATS = [
+    0.0,
+    -0.0,
+    1e308,
+    -1e308,
+    sys.float_info.max,
+    sys.float_info.min,
+    1e-310,
+    5e-324,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+]
+
+SCALARS = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIAL_FLOATS),
+    st.integers(-5, 50),
+    st.integers(-(10**400), 10**400),
+    st.booleans(),
+    st.none(),
+    st.text(max_size=8),
+)
+
+VALID = {
+    "geometry": {
+        "side": [10.0, 1.0, 1e-300, 1e308],
+        "tau": [1.0, 0.1, 8.7, 1e-9, 1e307],
+    },
+    "run": {
+        "mode": list(MODES),
+        "preferred_frame": list(FRAME_NAMES),
+        "trials": [0, 1, 100, TRIALS_CAP],
+        "seed": [None, 0, 7],
+    },
+}
+
+
+def _value(valid):
+    return st.one_of(
+        st.sampled_from(valid),
+        SCALARS,
+        st.lists(SCALARS, max_size=3),
+        st.dictionaries(st.text(max_size=4), SCALARS, max_size=2),
+    )
+
+
+CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        section: st.fixed_dictionaries(
+            {}, optional={key: _value(valid) for key, valid in keys.items()}
+        )
+        for section, keys in VALID.items()
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["frames", "ghz-nogo", "run", "erasure"]), config=CONFIGS)
+def test_every_config_gives_a_report_or_a_clean_error(config_path, command, config):
+    trials = config.get("run", {}).get("trials")
+    if type(trials) is int and TRIALS_CAP < trials <= MAX_TRIALS:
+        config["run"]["trials"] = TRIALS_CAP
+    config_path.write_text(json.dumps(config))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(config_path)])
+    event(f"exit {code}")
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["passed"] is (code == 0)

@@ -9,13 +9,19 @@ import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 from _oracles import (
+    draw_reference,
     outcome_indices,
     sample_round_born,
     sample_sequential_collapse,
     sweep_reference,
 )
 from gwsim.cli import _build_model
-from gwsim.measurement import ideal_von_neumann, outsider_observable, spin_observable
+from gwsim.measurement import (
+    door_observable,
+    ideal_von_neumann,
+    outsider_observable,
+    spin_observable,
+)
 from gwsim.models import (
     MODES,
     OUTCOME_SIGNS,
@@ -29,7 +35,7 @@ from gwsim.models import (
     sequential_collapse_distribution,
     trial_rng,
 )
-from gwsim.qmath import StateVector, layout
+from gwsim.qmath import StateVector, apply_local, layout
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
@@ -125,7 +131,8 @@ class TestRoundBorn:
     def test_zero_trials_gives_empty_report(self, schedule, frames):
         m = InterpretationModel("round_born", frames["sigma"])
         report = run_model(schedule, m, 0, seed=0)
-        assert report.assignments.shape == (0, 6)
+        assert report.counts.shape == (64,)
+        assert report.counts.sum() == 0
         assert report.violation_counts == (0,) * len(report.constraints)
         assert report.trials_violating_nonpreferred == 0
 
@@ -146,8 +153,11 @@ class TestRoundBorn:
         assert born_sigma_report.constraints[index].slots == ("x_A", "x_B", "x_C")
 
     def test_assignments_cover_all_six_slots(self, born_sigma_report):
-        assert born_sigma_report.assignments.shape == (TRIALS, len(CANONICAL_SLOTS))
-        assert set(np.unique(born_sigma_report.assignments)) == {-1, +1}
+        counts = born_sigma_report.counts
+        assert counts.shape == (64,)
+        assert counts.sum() == TRIALS
+        for col in range(len(CANONICAL_SLOTS)):
+            assert 0 < counts @ (OUTCOME_SIGNS[:, col] == +1) < TRIALS
 
     def test_preferred_constraint_never_violated(self, born_sigma_report):
         (index,) = [i for i, p in enumerate(born_sigma_report.preferred_mask) if p]
@@ -155,10 +165,11 @@ class TestRoundBorn:
 
     def test_nonpreferred_constraints_violated_half_the_time(self, born_sigma_report):
         band = four_sigma_band(0.5, TRIALS)
+        assert born_sigma_report.counts.sum() == TRIALS
         for i, preferred in enumerate(born_sigma_report.preferred_mask):
             if preferred:
                 continue
-            rate = born_sigma_report.violation_counts[i] / born_sigma_report.trials
+            rate = born_sigma_report.violation_counts[i] / TRIALS
             assert rate == pytest.approx(0.5, abs=band)
 
     def test_every_trial_violates_some_nonpreferred_constraint(self, born_sigma_report):
@@ -175,13 +186,14 @@ class TestRoundBorn:
     def test_same_seed_reproduces_assignments(self, schedule, frames, born_sigma_report):
         m = InterpretationModel("round_born", frames["sigma"])
         again = run_model(schedule, m, TRIALS, seed=11)
-        np.testing.assert_array_equal(again.assignments, born_sigma_report.assignments)
+        assert np.array_equal(again.counts, born_sigma_report.counts)
         assert again.violation_counts == born_sigma_report.violation_counts
 
     def test_different_seed_changes_assignments(self, schedule, frames, born_sigma_report):
         m = InterpretationModel("round_born", frames["sigma"])
         other = run_model(schedule, m, TRIALS, seed=12)
-        assert not np.array_equal(other.assignments, born_sigma_report.assignments)
+        assert other.counts.sum() == TRIALS
+        assert not np.array_equal(other.counts, born_sigma_report.counts)
 
 
 @pytest.fixture(scope="module")
@@ -192,33 +204,37 @@ def collapse_report(schedule, frames):
 
 class TestSequentialCollapse:
     def test_assignments_cover_all_six_slots(self, collapse_report):
-        assert collapse_report.assignments.shape == (TRIALS, len(CANONICAL_SLOTS))
-        assert set(np.unique(collapse_report.assignments)) == {-1, +1}
+        counts = collapse_report.counts
+        assert counts.shape == (64,)
+        assert counts.sum() == TRIALS
+        for col in range(len(CANONICAL_SLOTS)):
+            assert 0 < counts @ (OUTCOME_SIGNS[:, col] == +1) < TRIALS
 
     def test_even_the_preferred_constraint_fails_half_the_time(self, collapse_report):
         # Collapse after the friends' round kills the three-way coherence, so
         # the outsiders' odd-parity rule holds only by chance.
         (index,) = [i for i, p in enumerate(collapse_report.preferred_mask) if p]
         band = four_sigma_band(0.5, TRIALS)
-        rate = collapse_report.violation_counts[index] / collapse_report.trials
+        assert collapse_report.counts.sum() == TRIALS
+        rate = collapse_report.violation_counts[index] / TRIALS
         assert rate == pytest.approx(0.5, abs=band)
 
     def test_outsider_outcomes_are_individually_unbiased(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("x_A", "x_B", "x_C"):
-            ups = np.count_nonzero(collapse_report.assignments[:, column(slot)] == +1)
+            ups = collapse_report.counts @ (OUTCOME_SIGNS[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_friend_records_match_z_statistics(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("z_A", "z_B", "z_C"):
-            ups = np.count_nonzero(collapse_report.assignments[:, column(slot)] == +1)
+            ups = collapse_report.counts @ (OUTCOME_SIGNS[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_same_seed_reproduces(self, schedule, frames, collapse_report):
         m = InterpretationModel("sequential_collapse", frames["sigma"])
         again = run_model(schedule, m, TRIALS, seed=19)
-        np.testing.assert_array_equal(again.assignments, collapse_report.assignments)
+        assert np.array_equal(again.counts, collapse_report.counts)
 
 
 class TestErasure:
@@ -489,15 +505,84 @@ def test_reference_sampler_matches_the_exact_table(table_schedules, spec, frame,
     assert stat <= chi_square_bound(dof), (stat, dof)
 
 
+def reference_counts(probabilities, trials, seed, first=None):
+    """Counts of the first ``first`` (default: all) of ``trials`` one-shot draws."""
+    indices = draw_reference(probabilities, trials, seed)[:first]
+    return np.bincount(indices, minlength=len(probabilities))
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_run_is_a_prefix_of_a_longer_run(schedule, frames, mode):
+def test_run_is_a_prefix_of_a_longer_run(schedule, frames, mode, monkeypatch):
+    monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
     m = InterpretationModel(mode, frames["sigma_p"])
     long = run_model(schedule, m, 500, seed=31)
     short = run_model(schedule, m, 137, seed=31)
-    np.testing.assert_array_equal(short.assignments, long.assignments[:137])
-    np.testing.assert_array_equal(
-        short.nonpreferred_violated_flags, long.nonpreferred_violated_flags[:137]
-    )
+    assert np.array_equal(long.counts, reference_counts(long.probabilities, 500, 31))
+    assert np.array_equal(short.counts, reference_counts(long.probabilities, 500, 31, 137))
+    assert np.all(short.counts <= long.counts)
+
+
+class TestDraw:
+    """The blocked sampler against one-shot draws of the same stream."""
+
+    SIZES = [0, 1, 63, 64, 65, 1000]
+
+    @pytest.mark.parametrize("trials", SIZES)
+    def test_counts_match_the_one_shot_reference(self, monkeypatch, trials):
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+        probabilities = np.random.default_rng(2).dirichlet(np.ones(64))
+        probabilities[::5] = 0.0  # zero entries never occur
+        counts = gwsim.models._draw(probabilities, trials, seed=9)
+        assert counts.dtype == np.int64
+        assert counts.shape == (64,)
+        assert np.array_equal(counts, reference_counts(probabilities, trials, 9))
+        assert not counts[::5].any()
+
+    @pytest.mark.parametrize("trials", SIZES)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_counts_match_the_one_shot_reference(
+        self, schedule, frames, monkeypatch, mode, trials
+    ):
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+        report = run_model(schedule, InterpretationModel(mode, frames["sigma_pp"]), trials, 4)
+        assert np.array_equal(report.counts, reference_counts(report.probabilities, trials, 4))
+
+    @pytest.mark.parametrize("trials", SIZES)
+    @pytest.mark.parametrize("skip_pair_x", [False, True])
+    def test_erasure_counts_match_the_one_shot_reference(self, monkeypatch, trials, skip_pair_x):
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+        model = ideal_von_neumann()
+        start = StateVector(
+            layout("L", "A"), np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
+        )
+        recorded = apply_local(model.unitary("A"), ("L", "A"), start)
+        steps = [] if skip_pair_x else [(outsider_observable(model), None)]
+        branches, _ = _collapse_branches(recorded, steps + [(door_observable(), None)])
+        counts = reference_counts(np.array([p for _, p in branches]), trials, 6)
+        door = {+1: 0, -1: 0, 0: 0}
+        pair_x = {+1: 0, -1: 0}
+        for (signs, _), n in zip(branches, counts.tolist()):
+            door[signs[-1]] += n
+            if not skip_pair_x:
+                pair_x[signs[0]] += n
+        report = erasure_experiment(trials, 6, skip_pair_x=skip_pair_x)
+        assert (report.door_counts, report.pair_x_counts) == (door, pair_x)
+
+    def test_memory_stays_within_a_few_blocks(self, monkeypatch):
+        block = 4096
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
+        probabilities = np.full(64, 1 / 64)
+        gwsim.models._draw(probabilities, 2 * block, seed=1)  # warms numpy's caches
+        tracemalloc.start()
+        try:
+            counts = gwsim.models._draw(probabilities, 20 * block, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 20 * block
+        # One block holds its uniforms and their indices, 16 B a trial; a
+        # one-shot draw of all 20 blocks would hold 20 times that.
+        assert peak < 3 * 16 * block
 
 
 def test_erasure_counts_grow_with_the_prefix():
@@ -520,9 +605,12 @@ class TestExactRates:
         assert collapse_report.exact_rates == pytest.approx((0.5,) * 4, abs=1e-12)
 
     def test_counts_follow_the_violation_mask(self, collapse_report):
-        rows = outcome_indices(collapse_report.assignments)
-        expected = collapse_report.violation_mask[rows].sum(axis=0)
-        assert collapse_report.violation_counts == tuple(int(n) for n in expected)
+        # Each outcome's trials count once for every constraint it violates.
+        expected = [0] * len(collapse_report.constraints)
+        for signs, n in zip(OUTCOME_SIGNS, collapse_report.counts.tolist()):
+            for i, violated in enumerate(born_violation_check(signs, collapse_report.constraints)):
+                expected[i] += n * violated
+        assert collapse_report.violation_counts == tuple(expected)
 
     def test_pruned_weight_is_negligible(self, born_sigma_report, collapse_report):
         assert 0.0 <= born_sigma_report.pruned_weight <= 1e-12

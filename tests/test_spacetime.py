@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -294,3 +295,33 @@ def test_geometry_is_scale_free_where_squared_lengths_leave_float_range(side):
 def test_point_rejects_non_finite_coordinates():
     with pytest.raises(ValueError, match="finite"):
         point(float("nan"), (0.0, 0.0))
+
+
+@pytest.mark.parametrize("side", [1e-308, 1e-310, 1e-312, 1e-315, 5e-324])
+def test_standard_geometry_rejects_a_subnormal_side(side):
+    # Coordinates of a subnormal triangle keep too few bits to be equilateral.
+    with pytest.raises(ValueError, match="side must be a normal float"):
+        standard_geometry(side, side / 10.0)
+
+
+@pytest.mark.parametrize("tau", [1e308, -1e308, 9e307])
+def test_standard_geometry_rejects_a_tau_whose_double_overflows(tau):
+    with pytest.raises(ValueError, match="tau must keep 2·tau finite"):
+        standard_geometry(1.0, tau)
+
+
+def test_standard_geometry_accepts_the_smallest_normal_side():
+    g = standard_geometry(sys.float_info.min, sys.float_info.min / 10.0)
+    assert g.side == pytest.approx(sys.float_info.min, rel=1e-12)
+
+
+def test_an_unbounded_simultaneity_solve_is_no_boost_and_no_warning():
+    # At side 1e-300 and tau 1e10 the least-squares velocity overflows.
+    g = standard_geometry(1e-300, 1e10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = {r.name: r for r in validate_geometry(g)}
+        with pytest.raises(ValueError, match="no common simultaneity plane"):
+            boost_for_simultaneity(*tilted_frame_events(g)[0])
+    assert not results["tilted_frames_subluminal"].passed
+    assert "inf" in results["tilted_frames_subluminal"].detail
