@@ -352,8 +352,6 @@ def cmd_distinguish(config: dict) -> dict:
 
 def cmd_frames(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
-    if side <= 0:
-        raise ConfigError(f"geometry.side must be positive, got {side}")
     geometry = standard_geometry(side, tau)
     geo_checks = validate_geometry(geometry)
     checks = [_check(f"geometry_{r.name}", r.passed, r.detail) for r in geo_checks]

@@ -15,9 +15,11 @@ one count per assignment.
   with probability 1/2.
 * ``sequential_collapse`` — textbook projective collapse applied event by
   event in the preferred frame's order; the distribution comes from
-  branching once over every event's projectors. Collapse after the friends'
-  round destroys the three-way coherence, so even the preferred frame's
-  outsider parity fails with probability 1/2.
+  branching once over every event's projectors, with every surviving path
+  one row of a single stacked state, so each event is one ``apply_local``
+  per projector (and one for a friend's device) for all paths at once.
+  Collapse after the friends' round destroys the three-way coherence, so
+  even the preferred frame's outsider parity fails with probability 1/2.
 
 A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
 (row *i* of ``OUTCOME_SIGNS`` holds the ±1 values of index *i*). Monte Carlo
@@ -173,18 +175,24 @@ def _collapse_branches(state: StateVector, steps):
 
     Each step is an observable plus an optional ``(unitary, targets)`` run on
     the post-measurement state. Returns ``(signs, probability)`` per surviving
-    sequence, and the total weight of outcomes dropped because their
-    conditional probability fell below SAMPLE_FLOOR. A surviving outcome must
-    be ±1; any other eigenvalue means the state left the recorded subspace.
+    sequence, path-major and eigenpair-minor, and the total weight of outcomes
+    dropped because their conditional probability fell below SAMPLE_FLOOR. A
+    surviving outcome must be ±1; any other eigenvalue means the state left
+    the recorded subspace.
+
+    The surviving paths' states are the rows of one stacked state, so a step
+    is one ``apply_local`` per projector, and one for its device, whatever
+    the number of paths.
     """
-    paths = [((), 1.0, state)]
+    paths = [((), 1.0)]
+    stack = StateVector(state.layout, state.amplitudes[None])
     pruned = 0.0
     for obs, device in steps:
-        grown = []
-        for signs, weight, psi in paths:
-            for value, proj in obs.eigenpairs:
-                projected = apply_local(proj, obs.targets, psi)
-                p = float(np.vdot(projected.amplitudes, projected.amplitudes).real)
+        projected = [apply_local(proj, obs.targets, stack).amplitudes for _, proj in obs.eigenpairs]
+        grown, rows = [], []
+        for row, (signs, weight) in enumerate(paths):
+            for (value, _), amplitudes in zip(obs.eigenpairs, projected):
+                p = float(np.vdot(amplitudes[row], amplitudes[row]).real)
                 if p < SAMPLE_FLOOR:
                     pruned += weight * p
                     continue
@@ -193,12 +201,15 @@ def _collapse_branches(state: StateVector, steps):
                         f"outcome {value:g} on {'/'.join(obs.targets)} has probability "
                         f"{p:.3g}; only ±1 outcomes may occur"
                     )
-                post = StateVector(psi.layout, projected.amplitudes / np.sqrt(p))
-                if device is not None:
-                    post = apply_local(device[0], device[1], post)
-                grown.append((signs + (int(value),), weight * p, post))
+                grown.append((signs + (int(value),), weight * p))
+                rows.append(amplitudes[row] / np.sqrt(p))
         paths = grown
-    return [(signs, weight) for signs, weight, _ in paths], pruned
+        if not paths:
+            break
+        stack = StateVector(state.layout, np.stack(rows))
+        if device is not None:
+            stack = apply_local(device[0], device[1], stack)
+    return paths, pruned
 
 
 def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
@@ -230,7 +241,10 @@ def sequential_collapse_distribution(model: MeasurementModel, rounds) -> tuple[n
     ``rounds`` is the preferred frame's ordering from ``order_events``;
     branching starts from the initial scenario state, every frame's first
     pre-round state, and runs over every event's projectors in the frame's
-    order. A friend's device unitary runs after its z projector.
+    order. A friend's device unitary runs after its z projector. All
+    surviving paths are one stack, so the six events take 18 ``apply_local``
+    calls: three friends' two projectors and device, three outsiders' three
+    projectors.
     """
     events = [ev for rnd in rounds for ev in rnd]
     steps = [

@@ -97,12 +97,13 @@ def standard_geometry(side: float, tau: float) -> GeometrySpec:
     """Equilateral triangle of the given side, centered at the origin, with
     lab A on the +y axis; epochs 0, tau, 2·tau.
 
-    Any tau is accepted, so ``validate_geometry`` can name what fails; the
-    arrangement is valid for 0 < tau ≤ side·√3/2·MAX_SPEED, beyond which the
-    tilted frames need a superluminal boost. A nonpositive side is rejected
-    here, since validation only sees the (unsigned) distances; so are a
-    subnormal side, whose coordinates keep too few bits, and a tau whose
-    2·tau overflows.
+    Any other tau is accepted, so ``validate_geometry`` can name what fails;
+    the arrangement is valid for 0 < tau ≤ side·√3/2·MAX_SPEED, beyond which
+    the tilted frames need a superluminal boost. A nonpositive side is
+    rejected here, since validation only sees the (unsigned) distances; so
+    are a subnormal side, whose coordinates keep too few bits, a tau whose
+    2·tau overflows, and a positive tau whose tilted boost speed
+    tau/(side·√3/2) would be subnormal, which no float frame can solve for.
     """
     if side <= 0:
         raise ValueError(f"side must be positive, got {side}")
@@ -110,6 +111,12 @@ def standard_geometry(side: float, tau: float) -> GeometrySpec:
         raise ValueError(f"side must be a normal float, at least {sys.float_info.min!r}, got {side!r}")
     if not math.isfinite(2.0 * tau):
         raise ValueError(f"tau must keep 2·tau finite, got {tau!r}")
+    altitude = side * math.sqrt(3.0) / 2.0
+    if 0 < tau < sys.float_info.min * altitude:
+        raise ValueError(
+            f"tau must keep the tilted boost speed tau/(side·√3/2) a normal float, "
+            f"at least {sys.float_info.min * altitude!r} for side {side!r}, got {tau!r}"
+        )
     h = side / math.sqrt(3.0)
     return GeometrySpec(
         x_a=(0.0, h),

@@ -4,9 +4,10 @@ Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, per-trial simulation with ``measure`` for the
-interpretation models' outcome tables, one-shot draws of every trial's
-uniform for the blocked sampler, and a model-by-model replay of the device
-sweep. Slow and obvious on purpose.
+interpretation models' outcome tables, one state per collapse path for the
+stacked branching, one-shot draws of every trial's uniform for the blocked
+sampler, and a model-by-model replay of the device sweep. Slow and obvious
+on purpose.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 import sympy as sp
 
 from gwsim.measurement import (
+    SAMPLE_FLOOR,
     MeasurementModel,
     ideal_von_neumann,
     measure,
@@ -31,7 +33,7 @@ from gwsim.models import (
     SweepReport,
     trial_rng,
 )
-from gwsim.qmath import BasisGroup, Operator, apply_local
+from gwsim.qmath import BasisGroup, Operator, StateVector, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     build_schedule,
@@ -236,6 +238,30 @@ def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> n
             values[ev.slot] = int(round(sign))
         rows.append(_as_row(values))
     return np.array(rows, dtype=int).reshape(trials, len(CANONICAL_SLOTS))
+
+
+def collapse_branches_reference(state: StateVector, steps):
+    """``_collapse_branches`` one path at a time: each path keeps its own
+    state, and every projector and device runs on it alone."""
+    paths = [((), 1.0, state)]
+    pruned = 0.0
+    for obs, device in steps:
+        grown = []
+        for signs, weight, psi in paths:
+            for value, proj in obs.eigenpairs:
+                projected = apply_local(proj, obs.targets, psi)
+                p = float(np.vdot(projected.amplitudes, projected.amplitudes).real)
+                if p < SAMPLE_FLOOR:
+                    pruned += weight * p
+                    continue
+                if value not in (+1.0, -1.0):
+                    raise ValueError(f"outcome {value:g} has probability {p:.3g}")
+                post = StateVector(psi.layout, projected.amplitudes / np.sqrt(p))
+                if device is not None:
+                    post = apply_local(device[0], device[1], post)
+                grown.append((signs + (int(value),), weight * p, post))
+        paths = grown
+    return [(signs, weight) for signs, weight, _ in paths], pruned
 
 
 def outcome_indices(rows: np.ndarray) -> np.ndarray:

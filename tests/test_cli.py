@@ -168,10 +168,39 @@ class TestFrames:
         assert names["geometry_epoch_shorter_than_separation"] is False
         assert "frames" not in report["results"]
 
-    def test_nonpositive_side_is_a_config_error(self, capsys):
-        code, out, err = run_cli(capsys, "frames", "--side", "-3")
+    @pytest.mark.parametrize("command", ["frames", "ghz-nogo", "run", "sweep"])
+    def test_nonpositive_side_is_a_config_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--side", "-3")
         assert code == 2
-        assert "side" in err
+        assert out == ""
+        assert err == "error: side must be positive, got -3.0\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["frames", "--side", "1e300", "--tau", "1e-300"],
+            ["frames", "--side", "10", "--tau", "1e-320"],
+            ["sweep", "--tau", "1e-320"],
+            ["frames", "--side", "1", "--tau", "1e-308"],
+        ],
+    )
+    def test_a_subnormal_tilted_boost_speed_is_a_config_error(self, capsys, argv):
+        # tau/(side·√3/2) underflows, and no float frame can be solved for.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tau must keep the tilted boost speed")
+
+    def test_a_tiny_normal_tilted_boost_speed_passes(self, capsys):
+        code, report = run_json(capsys, "frames", "--side", "1", "--tau", "1e-300")
+        assert code == 0
+        assert report["passed"] is True
+
+    @pytest.mark.parametrize("tau", ["0", "-1e-320", "-1"])
+    def test_a_nonpositive_tau_fails_the_epoch_check(self, capsys, tau):
+        code, report = run_json(capsys, "frames", f"--tau={tau}")
+        assert code == 1
+        assert check_names(report)["geometry_equal_epochs"] is False
 
     def test_superluminal_tilted_frames_are_reported(self, capsys):
         # tau < side, but the tilted boosts would need speed 8.7 / (10·√3/2) > 1.

@@ -1,13 +1,15 @@
 """Input fuzz campaign over JSON config files.
 
-Every ``geometry`` and ``run`` key is given values of every JSON type: floats
-(subnormals, ±1e308, 0, NaN and infinities, which Python's JSON reader
-accepts), integers of up to 400 digits, bools, null, strings, lists and
-objects, beside a few valid values so that some examples get past
-validation. Each example calls ``cli.main`` in-process and must end with a
-report (exit 0 or 1) or a clean ``error:`` line (exit 2), with no exception
-and no warning. ``run.trials`` is capped at 10⁴ so the campaign stays fast;
-the bound on trials has its own tests in ``test_cli.py``.
+Every ``geometry``, ``model`` and ``run`` key and ``output.format`` is given
+values of every JSON type: floats (subnormals, ±1e308, 0, NaN and
+infinities, which Python's JSON reader accepts), integers of up to 400
+digits, bools, null, strings, lists and objects, beside a few valid values
+so that some examples get past validation. Each example calls ``cli.main``
+in-process, ``sweep`` with 1 to 20 models, and must end with a report
+(exit 0 or 1) whose ``passed`` matches the exit code, or a clean ``error:``
+line (exit 2), with no exception and no warning. ``run.trials`` is capped at
+10⁴ so the campaign stays fast; the bound on trials has its own tests in
+``test_cli.py``. ``output.path`` is left out, so no example writes a file.
 """
 
 import contextlib
@@ -54,12 +56,17 @@ VALID = {
         "side": [10.0, 1.0, 1e-300, 1e308],
         "tau": [1.0, 0.1, 8.7, 1e-9, 1e307],
     },
+    "model": {
+        "kind": ["ideal", "random"],
+        "seed": [0, 5, 2**64],
+    },
     "run": {
         "mode": list(MODES),
         "preferred_frame": list(FRAME_NAMES),
         "trials": [0, 1, 100, TRIALS_CAP],
         "seed": [None, 0, 7],
     },
+    "output": {"format": ["json", "text"]},
 }
 
 
@@ -88,9 +95,15 @@ def config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
 
 
-@settings(max_examples=200, deadline=None)
-@given(command=st.sampled_from(["frames", "ghz-nogo", "run", "erasure"]), config=CONFIGS)
-def test_every_config_gives_a_report_or_a_clean_error(config_path, command, config):
+COMMANDS = st.one_of(
+    st.sampled_from([["frames"], ["ghz-nogo"], ["run"], ["erasure"]]),
+    st.integers(1, 20).map(lambda n: ["sweep", "--models", str(n)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=COMMANDS, config=CONFIGS)
+def test_every_config_gives_a_report_or_a_clean_error(config_path, argv, config):
     trials = config.get("run", {}).get("trials")
     if type(trials) is int and TRIALS_CAP < trials <= MAX_TRIALS:
         config["run"]["trials"] = TRIALS_CAP
@@ -98,11 +111,14 @@ def test_every_config_gives_a_report_or_a_clean_error(config_path, command, conf
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        code = main([command, "--config", str(config_path)])
-    event(f"exit {code}")
+        code = main([*argv, "--config", str(config_path)])
+    event(f"{argv[0]} exit {code}")
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ")
+        return
+    assert err.getvalue() == ""
+    if config.get("output", {}).get("format") == "text":
+        assert out.getvalue().splitlines()[-1] == ("passed: yes" if code == 0 else "passed: no")
     else:
-        assert err.getvalue() == ""
         assert json.loads(out.getvalue())["passed"] is (code == 0)

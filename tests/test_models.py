@@ -9,6 +9,7 @@ import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 from _oracles import (
+    collapse_branches_reference,
     draw_reference,
     outcome_indices,
     sample_round_born,
@@ -648,3 +649,62 @@ class TestCollapseBranches:
     def test_erasure_reports_the_pruned_weight(self):
         report = erasure_experiment(10, seed=1)
         assert 0.0 <= report.pruned_weight <= 1e-12
+
+
+def checked_against_the_reference(monkeypatch):
+    """Swap ``_collapse_branches`` for a wrapper asserting that each call's
+    result equals the per-path reference exactly; returns the calls' steps."""
+    stacked = gwsim.models._collapse_branches
+    calls = []
+
+    def checked(state, steps):
+        branches, pruned = stacked(state, steps)
+        expected, expected_pruned = collapse_branches_reference(state, steps)
+        assert [signs for signs, _ in branches] == [signs for signs, _ in expected]
+        assert [p for _, p in branches] == [p for _, p in expected]
+        assert pruned == expected_pruned
+        calls.append(steps)
+        return branches, pruned
+
+    monkeypatch.setattr(gwsim.models, "_collapse_branches", checked)
+    return calls
+
+
+class TestStackedBranching:
+    @pytest.mark.parametrize("frame", FRAME_NAMES)
+    @pytest.mark.parametrize("spec", sorted(TABLE_MODELS))
+    def test_collapse_table_matches_the_per_path_reference(
+        self, monkeypatch, table_schedules, spec, frame
+    ):
+        calls = checked_against_the_reference(monkeypatch)
+        s = table_schedules[spec]
+        sequential_collapse_distribution(s.model, order_events(s, standard_frames(s.geometry)[frame]))
+        assert len(calls) == 1 and len(calls[0]) == 6
+
+    @pytest.mark.parametrize("skip_pair_x", [False, True])
+    def test_erasure_matches_the_per_path_reference(self, monkeypatch, skip_pair_x):
+        calls = checked_against_the_reference(monkeypatch)
+        erasure_experiment(10, seed=1, skip_pair_x=skip_pair_x)
+        assert [len(steps) for steps in calls] == [1 if skip_pair_x else 2]
+
+    def test_every_branch_pruned_leaves_no_paths(self):
+        zero = StateVector(layout("A"), np.zeros(2))
+        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
+        assert _collapse_branches(zero, steps) == ([], 0.0)
+        assert collapse_branches_reference(zero, steps) == ([], 0.0)
+
+    def test_one_apply_local_per_projector_and_device_per_step(self, monkeypatch, schedule, frames):
+        calls = checked_against_the_reference(monkeypatch)
+        applied = []
+
+        def counted(*args):
+            applied.append(args[1])
+            return apply_local(*args)
+
+        monkeypatch.setattr(gwsim.models, "apply_local", counted)
+        sequential_collapse_distribution(schedule.model, order_events(schedule, frames["sigma"]))
+        (steps,) = calls
+        per_step = sum(len(obs.eigenpairs) + (device is not None) for obs, device in steps)
+        # Three friends' z (two projectors and a device) and three outsiders'
+        # observables (three projectors), however many paths survive.
+        assert len(applied) == per_step == 18

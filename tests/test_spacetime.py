@@ -310,6 +310,14 @@ def test_standard_geometry_rejects_a_tau_whose_double_overflows(tau):
         standard_geometry(1.0, tau)
 
 
+@pytest.mark.parametrize("side", [1e308, 1e300, 10.0, 1.0, 1e-10])
+def test_a_tau_just_above_the_speed_bound_gives_finite_tilted_speeds(side):
+    tau = sys.float_info.min * side * math.sqrt(3.0) / 2.0 * 10.0
+    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))}
+    assert results["tilted_frames_subluminal"].passed
+    assert "inf" not in results["tilted_frames_subluminal"].detail
+
+
 def test_standard_geometry_accepts_the_smallest_normal_side():
     g = standard_geometry(sys.float_info.min, sys.float_info.min / 10.0)
     assert g.side == pytest.approx(sys.float_info.min, rel=1e-12)
