@@ -9,7 +9,6 @@ from .measurement import (
     distribution,
     haar_random_unitary,
     ideal_von_neumann,
-    measure,
     outsider_observable,
     door_observable,
 )
@@ -27,10 +26,8 @@ from .scenario import (
     build_schedule,
     collect_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
     standard_frames,
-    support_constraint,
 )
 from .spacetime import (
     Frame,
@@ -69,20 +66,17 @@ __all__ = [
     "door_observable",
     "enumerate_assignments",
     "erasure_experiment",
-    "evolve_to",
     "frame_time",
     "ghz_state",
     "haar_random_unitary",
     "ideal_von_neumann",
     "initial_scenario_state",
     "interval",
-    "measure",
     "nonideal_sweep",
     "order_events",
     "outsider_observable",
     "run_model",
     "standard_frames",
     "standard_geometry",
-    "support_constraint",
     "validate_geometry",
 ]

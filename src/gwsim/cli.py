@@ -44,6 +44,7 @@ from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     OUTCOME_SIGNS,
+    ParityConstraint,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -251,18 +252,22 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     support_ok = True
     orderings = {name: order_events(schedule, f) for name, f in frames.items()}
     for table in analyze_stack(model, orderings):
-        entries, constraint = table.support(0)
-        if constraint is None or constraint in constraints:
+        if not table.products[0]:
+            continue
+        constraint = ParityConstraint(round_slots(table.events), int(table.products[0]))
+        if constraint in constraints:
             continue
         constraints.append(constraint)
-        if any(abs(e.probability - 0.25) > QUARTER_TOL for e in entries):
-            support_ok = False
+        possible = table.possible[0]
+        probabilities = table.probabilities[0][possible].tolist()
+        support_ok &= all(abs(p - 0.25) <= QUARTER_TOL for p in probabilities)
         tables.append(
             {
                 "frame": table.frame,
-                "slots": list(round_slots(table.events)),
+                "slots": list(constraint.slots),
                 "entries": [
-                    {"labels": list(e.labels), "probability": e.probability} for e in entries
+                    {"labels": list(labels), "probability": p}
+                    for labels, p in zip(itertools.compress(table.labels, possible), probabilities)
                 ],
                 "constraint": _constraint_dict(constraint),
             }

@@ -5,12 +5,20 @@ every test prints a single ``[acceptance] criterion N: PASS`` line on success
 so a quick scan of the output shows the whole scorecard.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from _oracles import axis_spec, boost_point, brute_support, random_state, random_unitary
+from _oracles import (
+    axis_spec,
+    boost_point,
+    brute_support,
+    random_state,
+    random_unitary,
+    sym_ghz_amplitudes,
+)
 from gwsim.measurement import (
     MeasurementModel,
     distinguishability_report,
@@ -18,27 +26,28 @@ from gwsim.measurement import (
     door_observable,
     haar_random_unitary,
     ideal_von_neumann,
-    measure,
     outsider_observable,
     spin_observable,
 )
 from gwsim.models import (
+    SAMPLE_FLOOR,
     InterpretationModel,
+    _collapse_branches,
     erasure_experiment,
     nonideal_sweep,
     run_model,
 )
-from gwsim.qmath import BasisGroup, StateVector, apply_local, layout
+from gwsim.qmath import BasisGroup, Operator, StateVector, apply_local, layout
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
+    analyze_stack,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
+    round_slots,
     standard_frames,
-    support_constraint,
 )
 from gwsim.spacetime import (
     Frame,
@@ -49,12 +58,7 @@ from gwsim.spacetime import (
     standard_geometry,
     validate_geometry,
 )
-from gwsim.systems import (
-    SITE_FACTORS,
-    SpinAxis,
-    ghz_state,
-    support_table,
-)
+from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, SpinAxis, ghz_state, stacked_support
 
 SEED = 2026
 TRIALS = 10_000
@@ -71,29 +75,37 @@ def frames(schedule):
     return standard_frames(schedule.geometry)
 
 
+def stack_of_one(state: StateVector) -> StateVector:
+    return StateVector(state.layout, state.amplitudes[None])
+
+
 def test_criterion_1_ghz_expansions():
     tol = 1e-10
     ghz = ghz_state()
 
-    z_entries = support_table(ghz, axis_spec(ghz, [SpinAxis.Z] * 3))[0]
+    def support(axes):
+        groups = axis_spec(ghz, [SpinAxis(a) for a in axes])
+        _, weights = stacked_support(stack_of_one(ghz), groups)
+        exact = sym_ghz_amplitudes(axes)
+        labels = list(itertools.product(*(g.labels for g in groups)))
+        for signs, weight in zip(labels, weights[0]):
+            assert abs(weight - abs(complex(exact[signs].evalf())) ** 2) <= tol
+        return {signs: w for signs, w in zip(labels, weights[0]) if w > SUPPORT_EPS}
+
+    z_entries = support("zzz")
     assert len(z_entries) == 8
-    for entry in z_entries:
-        assert abs(entry.probability - 0.125) <= tol
+    assert all(abs(w - 0.125) <= tol for w in z_entries.values())
 
-    x_entries = support_table(ghz, axis_spec(ghz, [SpinAxis.X] * 3))[0]
+    x_entries = support("xxx")
     assert len(x_entries) == 4
-    for entry in x_entries:
-        assert entry.product == -1
-        assert abs(entry.probability - 0.25) <= tol
+    assert all(math.prod(signs) == -1 for signs in x_entries)
+    assert all(abs(w - 0.25) <= tol for w in x_entries.values())
 
-    for position in range(3):
-        axes = [SpinAxis.Z] * 3
-        axes[position] = SpinAxis.X
-        mixed = support_table(ghz, axis_spec(ghz, axes))[0]
+    for mixed_axes in ("xzz", "zxz", "zzx"):
+        mixed = support(mixed_axes)
         assert len(mixed) == 4
-        for entry in mixed:
-            assert entry.product == +1
-            assert abs(entry.probability - 0.25) <= tol
+        assert all(math.prod(signs) == +1 for signs in mixed)
+        assert all(abs(w - 0.25) <= tol for w in mixed.values())
 
     print("[acceptance] criterion 1: PASS")
 
@@ -152,18 +164,16 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
         "sigma_ppp": (("z_A", "z_B", "x_C"), +1),
     }
 
-    for name, frame in frames.items():
-        found = []
-        for k, rnd in enumerate(order_events(schedule, frame), start=1):
-            state = evolve_to(schedule, frame, k)
-            entries, constraint = support_constraint(state, rnd, schedule.model)
-            if constraint is None:
-                continue
-            found.append((constraint.slots, constraint.required_product))
-            assert len(entries) == 4
-            for entry in entries:
-                assert abs(entry.probability - 0.25) <= 1e-10
-        assert found == [expected_by_frame[name]]
+    orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
+    found = {name: [] for name in frames}
+    for table in analyze_stack(schedule.model, orderings):
+        if not table.products[0]:
+            continue
+        found[table.frame].append((round_slots(table.events), int(table.products[0])))
+        probabilities = table.probabilities[0][table.possible[0]]
+        assert len(probabilities) == 4
+        assert np.all(np.abs(probabilities - 0.25) <= 1e-10)
+    assert found == {name: [expected] for name, expected in expected_by_frame.items()}
 
     constraints = collect_constraints(schedule, frames)
     assert len(constraints) == 4
@@ -274,16 +284,22 @@ def _collapse_idempotence_campaign(cases):
     for case in range(cases):
         if case % 3 == 2:
             obs = spin_observable(axes[case % 9 // 3], "A")
-            state = StateVector(layout("A"), random_state(2, rng))
+            lay = layout("A")
         else:
             model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
             obs = outsider_observable(model) if case % 3 else door_observable()
-            state = StateVector(pair_layout, random_state(6, rng))
-        value, post = measure(obs, state, rng)
-        assert abs(distribution(obs, post).probability(value) - 1.0) <= 1e-10
-        again, post2 = measure(obs, post, rng)
-        assert again == value
-        assert np.max(np.abs(post2.amplitudes - post.amplitudes)) <= 1e-10
+            lay = pair_layout
+        # A random state within the ±1 eigenspaces, where every outcome is a
+        # record the collapse branching accepts.
+        records = Operator(sum(proj.matrix for value, proj in obs.eigenpairs if value))
+        psi = apply_local(records, obs.targets, StateVector(lay, random_state(lay.dim, rng)))
+        state = StateVector(lay, psi.amplitudes / psi.norm())
+        branches, pruned = _collapse_branches(state, [(obs, None), (obs, None)])
+        assert [signs for signs, _ in branches] == [(+1, +1), (-1, -1)]
+        born = distribution(obs, state)
+        for signs, p in branches:
+            assert abs(p - born.probability(signs[0])) <= 1e-10
+        assert pruned < SAMPLE_FLOOR
 
 
 def _frame_order_invariance_campaign(cases, schedule, frames):
@@ -340,16 +356,12 @@ def _support_oracle_campaign(cases):
                 (tuple(chunk), [columns[:, j] for j in range(n_labels)])
             )
 
-        entries, residual = support_table(state, pkg_groups)
+        _, weights = stacked_support(stack_of_one(state), pkg_groups)
         brute = brute_support(psi, dims, oracle_groups)
 
-        by_label = {e.labels: e.probability for e in entries}
-        for labels, probability in by_label.items():
-            assert abs(probability - brute[labels]) <= 1e-9
-        for choice, probability in brute.items():
-            if probability > 1e-8:
-                assert choice in by_label
-        assert abs(sum(brute.values()) - (1.0 - residual)) <= 1e-9
+        # Both run over the joint labels in itertools.product order.
+        assert list(brute) == list(itertools.product(*(g.labels for g in pkg_groups)))
+        assert np.max(np.abs(weights[0] - list(brute.values()))) <= 1e-9
 
 
 def test_criterion_9_property_suites(schedule, frames):

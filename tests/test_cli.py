@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -224,9 +225,19 @@ class TestFrames:
         assert code == 1
         assert check_names(report)["geometry_tilted_frames_subluminal"] is False
 
+    def test_a_boost_failing_simultaneity_fails_the_tilted_check(self, capsys):
+        # The tilted speed is a normal float, but tau keeps too few bits for
+        # the solved boost to make its three events simultaneous.
+        code, report = run_json(capsys, "frames", "--side", "1e-10", "--tau", "1.92697e-318")
+        assert code == 1
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["geometry_tilted_frames_subluminal"]
+        assert failed[0]["detail"].endswith("; solved boost fails the simultaneity check")
+
+    @pytest.mark.parametrize("geometry", [("10", "8.7"), ("1e-10", "1.92697e-318")])
     @pytest.mark.parametrize("command", ["ghz-nogo", "run", "sweep"])
-    def test_superluminal_tilted_frames_are_rejected_by_name(self, capsys, command):
-        code, out, err = run_cli(capsys, command, "--side", "10", "--tau", "8.7")
+    def test_unbuildable_tilted_frames_are_rejected_by_name(self, capsys, command, geometry):
+        code, out, err = run_cli(capsys, command, "--side", geometry[0], "--tau", geometry[1])
         assert code == 2
         assert out == ""
         assert "tilted_frames_subluminal" in err
@@ -244,13 +255,14 @@ class TestFrames:
 
 
 # tau / side where the tilted boosts reach the fastest speed a Frame allows,
-# and where cross-lab measurements stop being spacelike.
-_TAU_BOUNDS = (MAX_SPEED * math.sqrt(3.0) / 2.0, 1.0)
+# where cross-lab measurements stop being spacelike, and where the tilted
+# boost speed falls to the smallest normal float.
+_TAU_BOUNDS = (MAX_SPEED * math.sqrt(3.0) / 2.0, 1.0, sys.float_info.min * math.sqrt(3.0) / 2.0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    side=st.floats(1e-3, 1e4),
+    side=st.floats(1e-12, 1e4),
     bound=st.sampled_from(_TAU_BOUNDS),
     offset=st.one_of(st.floats(-1e-3, 1e-3), st.floats(-1e-13, 1e-13)),
 )
@@ -259,11 +271,17 @@ def test_frames_reports_every_geometry_near_the_bounds(side, bound, offset):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["frames", "--side", repr(side), "--tau", repr(tau)])
+    try:
+        geometry = standard_geometry(side, tau)
+    except ValueError as exc:
+        # Below the last bound the geometry itself is rejected.
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {exc}\n")
+        return
     assert code in (0, 1), err.getvalue()
     assert err.getvalue() == ""
     checks = {c["name"]: c["passed"] for c in json.loads(out.getvalue())["checks"]}
     try:
-        standard_frames(standard_geometry(side, tau))
+        standard_frames(geometry)
         built = True
     except ValueError:
         built = False

@@ -9,16 +9,21 @@ import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 from _oracles import (
+    born_violation_check,
     collapse_branches_reference,
     draw_reference,
     outcome_indices,
+    random_state,
     sample_round_born,
     sample_sequential_collapse,
     sweep_reference,
 )
 from gwsim.cli import _build_model
 from gwsim.measurement import (
+    MeasurementModel,
     door_observable,
+    entangled_record_state,
+    haar_random_unitary,
     ideal_von_neumann,
     outsider_observable,
     spin_observable,
@@ -27,8 +32,8 @@ from gwsim.models import (
     MODES,
     OUTCOME_SIGNS,
     InterpretationModel,
+    SAMPLE_FLOOR,
     _collapse_branches,
-    born_violation_check,
     erasure_experiment,
     nonideal_sweep,
     round_born_distribution,
@@ -106,17 +111,18 @@ class TestTrialRng:
         assert not np.array_equal(a, b)
 
 
-class TestBornViolationCheck:
-    def test_flags_follow_constraint_order(self):
+class TestViolationMask:
+    def test_columns_follow_constraint_order(self):
         constraints = [
             ParityConstraint(("x_A", "x_B"), +1),
             ParityConstraint(("x_A", "x_B"), -1),
         ]
+        mask = violation_mask(constraints)
         # Sign rows in CANONICAL_SLOTS order: z_A, z_B, z_C, x_A, x_B, x_C.
-        assert born_violation_check((-1, -1, -1, +1, +1, -1), constraints) == (False, True)
-        assert born_violation_check((+1, +1, +1, +1, -1, +1), constraints) == (True, False)
+        rows = [(-1, -1, -1, +1, +1, -1), (+1, +1, +1, +1, -1, +1)]
+        assert mask[outcome_indices(rows)].tolist() == [[False, True], [True, False]]
 
-    def test_agrees_with_the_violation_mask_on_every_row(self, schedule, frames):
+    def test_agrees_with_the_per_row_check_on_every_row(self, schedule, frames):
         constraints = collect_constraints(schedule, frames)
         mask = violation_mask(constraints)
         for index, signs in enumerate(OUTCOME_SIGNS):
@@ -645,6 +651,41 @@ class TestCollapseBranches:
         )
         with pytest.raises(ValueError, match="only ±1 outcomes"):
             _collapse_branches(unrecorded, [(outsider_observable(model), None)])
+
+    def test_an_eigenstate_has_a_single_branch(self):
+        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
+        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Y), None)])
+        assert [signs for signs, _ in branches] == [(-1,)]
+        assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert pruned < SAMPLE_FLOOR
+
+    def test_each_branch_is_renormalized_before_the_next_step(self):
+        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
+        branches, _ = _collapse_branches(state, steps)
+        assert [signs for signs, _ in branches] == [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+        assert [p for _, p in branches] == pytest.approx([0.25] * 4, abs=1e-15)
+
+    def test_a_repeated_measurement_repeats_its_outcome(self):
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            obs = outsider_observable(MeasurementModel((haar_random_unitary(6, rng),) * 3))
+            plus_minus = sum(proj.matrix for value, proj in obs.eigenpairs if value)
+            psi = plus_minus @ random_state(6, rng)
+            state = StateVector(layout("L", "A"), psi / np.linalg.norm(psi))
+            branches, pruned = _collapse_branches(state, [(obs, None), (obs, None)])
+            assert [signs for signs, _ in branches] == [(+1, +1), (-1, -1)]
+            assert sum(p for _, p in branches) == pytest.approx(1.0, abs=1e-10)
+            assert pruned < SAMPLE_FLOOR
+
+    def test_an_outcome_below_the_floor_is_pruned_not_taken(self):
+        # The unitary record lies in the pair observable's ±1 plane: its −1
+        # and 0 outcomes carry no weight, so only +1 survives.
+        model = ideal_von_neumann()
+        state = entangled_record_state(model)
+        branches, pruned = _collapse_branches(state, [(outsider_observable(model), None)])
+        assert [signs for signs, _ in branches] == [(+1,)]
+        assert pruned < SAMPLE_FLOOR
 
     def test_erasure_reports_the_pruned_weight(self):
         report = erasure_experiment(10, seed=1)

@@ -13,7 +13,6 @@ from gwsim.qmath import (
     StateVector,
     apply_local,
     check_unitary,
-    grouped_amplitudes,
     layout,
     permute_factors,
     stacked_amplitudes,
@@ -23,6 +22,7 @@ from gwsim.qmath import (
 from _oracles import (
     brute_product_amplitude,
     embed_operator,
+    grouped_amplitudes,
     random_orthonormal_columns,
     random_state,
     random_unitary,
@@ -208,41 +208,40 @@ def test_basis_group_label_count_must_match_columns():
         BasisGroup(("A",), (+1,), np.eye(2))
 
 
-def test_grouped_amplitudes_full_coverage_matches_bra_oracle():
+def test_stacked_amplitudes_full_coverage_matches_bra_oracle():
     rng = np.random.default_rng(17)
     lay = layout("L", "A", "M")
-    state = StateVector(lay, random_state(18, rng))
+    state = StateVector(lay, random_state(18, rng)[None])  # a stack of one
     g_lab = BasisGroup(("L",), (0, 1, 2), random_unitary(3, rng))
     g_pair = BasisGroup(("A", "M"), ("p", "q"), random_orthonormal_columns(6, 2, rng))
-    amps, spectator_dim = grouped_amplitudes(state, [g_lab, g_pair])
-    assert spectator_dim == 1
-    assert amps.shape == (3, 2, 1)
+    amps = stacked_amplitudes(state, [g_lab, g_pair])
+    assert amps.shape == (1, 3, 2, 1)
     for i in range(3):
         for j in range(2):
             expected = brute_product_amplitude(
-                state.amplitudes,
+                state.amplitudes[0],
                 lay.dims,
                 [((0,), g_lab.vectors[:, i]), ((1, 2), g_pair.vectors[:, j])],
             )
-            assert amps[i, j, 0] == pytest.approx(expected, abs=1e-12)
+            assert amps[0, i, j, 0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_grouped_amplitudes_spectator_axis_carries_leftover_weight():
+def test_stacked_amplitudes_spectator_axis_carries_leftover_weight():
     rng = np.random.default_rng(18)
     lay = layout("L", "A", "M")
-    state = StateVector(lay, random_state(18, rng))
+    state = StateVector(lay, random_state(18, rng)[None])
     group = BasisGroup(("A",), (+1, -1), np.eye(2))
-    amps, spectator_dim = grouped_amplitudes(state, [group])
-    assert spectator_dim == 9
+    amps = stacked_amplitudes(state, [group])
+    assert amps.shape == (1, 2, 9)
     total = float(np.sum(np.abs(amps) ** 2))
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_grouped_amplitudes_rejects_overlapping_groups():
-    state = StateVector(layout("A", "B"), np.array([1, 0, 0, 0], dtype=complex))
+def test_stacked_amplitudes_rejects_overlapping_groups():
+    state = StateVector(layout("A", "B"), np.array([[1, 0, 0, 0]], dtype=complex))
     g = BasisGroup(("A",), (+1, -1), np.eye(2))
     with pytest.raises(LayoutError, match="overlap"):
-        grouped_amplitudes(state, [g, g])
+        stacked_amplitudes(state, [g, g])
 
 
 @settings(max_examples=50, deadline=None)

@@ -14,21 +14,22 @@ from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     ParityConstraint,
+    RoundTable,
     Schedule,
     analyze_stack,
     build_schedule,
     collect_constraints,
     distinct_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
     round_slots,
     standard_frames,
-    support_constraint,
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
 from gwsim.systems import initial_scenario_state, stacked_support
+
+from _oracles import evolve_to, support_constraint
 
 
 def event(schedule, event_id):
@@ -156,93 +157,88 @@ class TestOrderEvents:
         assert orderings(10.0 * k, 1.0 * k) == orderings(10.0, 1.0)
 
 
-class TestEvolveTo:
-    def test_round_index_bounds(self, schedule, frames):
-        with pytest.raises(ValueError, match="round index"):
-            evolve_to(schedule, frames["sigma"], 0)
-        with pytest.raises(ValueError, match="round index"):
-            evolve_to(schedule, frames["sigma"], 3)
+@pytest.fixture(scope="module")
+def ideal_tables(schedule):
+    """The ideal device's round tables, by frame name, in round order."""
+    by_frame = {}
+    for table in analyze_stack(schedule.model, standard_orderings(schedule)):
+        by_frame.setdefault(table.frame, []).append(table)
+    return by_frame
 
-    def test_first_round_sees_the_initial_state(self, schedule, frames):
-        state = evolve_to(schedule, frames["sigma"], 1)
-        np.testing.assert_allclose(
-            state.amplitudes, initial_scenario_state().amplitudes, atol=1e-12
-        )
 
-    def test_rest_frame_second_round_applies_all_three_devices(self, schedule, frames):
+class TestPreRoundStates:
+    @pytest.fixture
+    def states(self, schedule, monkeypatch):
+        """The ideal device's pre-round states from one pass, by frame name."""
+        captured = captured_states(monkeypatch)
+        tables = analyze_stack(schedule.model, standard_orderings(schedule))
+        by_frame = {}
+        for table, state in zip(tables, captured):
+            by_frame.setdefault(table.frame, []).append(state.amplitudes[0])
+        return by_frame
+
+    def test_first_round_sees_the_initial_state(self, states):
+        for name in FRAME_NAMES:
+            assert np.array_equal(states[name][0], initial_scenario_state().amplitudes)
+
+    def test_rest_frame_second_round_applies_all_three_devices(self, schedule, states):
         expected = initial_scenario_state()
         for site in "ABC":
             expected = apply_local(
                 schedule.model.unitary(site), event(schedule, f"friend_{site}").targets, expected
             )
-        state = evolve_to(schedule, frames["sigma"], 2)
-        np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-12)
+        np.testing.assert_allclose(states["sigma"][1], expected.amplitudes, atol=1e-12)
 
-    def test_tilted_frame_second_round_applies_only_its_lab(self, schedule, frames):
-        expected = apply_local(
-            schedule.model.unitary("A"), ("L", "A"), initial_scenario_state()
-        )
-        state = evolve_to(schedule, frames["sigma_p"], 2)
-        np.testing.assert_allclose(state.amplitudes, expected.amplitudes, atol=1e-12)
+    def test_tilted_frame_second_round_applies_only_its_lab(self, schedule, states):
+        expected = apply_local(schedule.model.unitary("A"), ("L", "A"), initial_scenario_state())
+        np.testing.assert_allclose(states["sigma_p"][1], expected.amplitudes, atol=1e-12)
 
-    def test_last_round_state_is_frame_independent(self, schedule, frames):
+    def test_last_round_state_is_frame_independent(self, states):
         # Every frame has all three friend events before its final round, so
         # the pre-final-round state must agree exactly across frames.
-        states = []
-        for frame in frames.values():
-            n = len(order_events(schedule, frame))
-            states.append(evolve_to(schedule, frame, n).amplitudes)
-        for other in states[1:]:
-            np.testing.assert_allclose(other, states[0], atol=1e-12)
+        for name in FRAME_NAMES[1:]:
+            np.testing.assert_allclose(states[name][-1], states["sigma"][-1], atol=1e-12)
 
-    def test_norm_is_preserved(self, schedule, frames):
-        for frame in frames.values():
-            for k in range(1, len(order_events(schedule, frame)) + 1):
-                assert evolve_to(schedule, frame, k).norm() == pytest.approx(1.0, abs=1e-12)
+    def test_norm_is_preserved(self, states):
+        for name in FRAME_NAMES:
+            for state in states[name]:
+                assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestSupportConstraint:
-    def test_friends_round_has_full_support_and_no_constraint(self, schedule, frames):
-        rounds = order_events(schedule, frames["sigma"])
-        state = evolve_to(schedule, frames["sigma"], 1)
-        entries, constraint = support_constraint(state, rounds[0], schedule.model)
-        assert constraint is None
-        assert len(entries) == 8
-        for entry in entries:
-            assert entry.probability == pytest.approx(0.125, abs=1e-10)
+def possible_labels(table) -> set:
+    return set(itertools.compress(table.labels, table.possible[0]))
 
-    def test_outsiders_round_yields_odd_parity(self, schedule, frames):
-        rounds = order_events(schedule, frames["sigma"])
-        state = evolve_to(schedule, frames["sigma"], 2)
-        entries, constraint = support_constraint(state, rounds[1], schedule.model)
-        assert constraint == ParityConstraint(("x_A", "x_B", "x_C"), -1)
-        assert {e.labels for e in entries} == {
-            (+1, +1, -1),
-            (+1, -1, +1),
-            (-1, +1, +1),
-            (-1, -1, -1),
-        }
-        for entry in entries:
-            assert entry.probability == pytest.approx(0.25, abs=1e-10)
 
-    def test_mixed_round_yields_even_parity(self, schedule, frames):
-        rounds = order_events(schedule, frames["sigma_p"])
-        state = evolve_to(schedule, frames["sigma_p"], 2)
-        entries, constraint = support_constraint(state, rounds[1], schedule.model)
-        assert constraint == ParityConstraint(("x_A", "z_B", "z_C"), +1)
-        assert {e.labels for e in entries} == {
-            (+1, +1, +1),
-            (+1, -1, -1),
-            (-1, +1, -1),
-            (-1, -1, +1),
-        }
+class TestRoundTables:
+    def test_friends_round_has_full_support_and_no_constraint(self, ideal_tables):
+        table = ideal_tables["sigma"][0]
+        assert table.products[0] == 0
+        assert table.possible[0].sum() == 8
+        np.testing.assert_allclose(table.probabilities[0], 0.125, atol=1e-10)
 
-    def test_two_slot_round_is_unconstrained(self, schedule, frames):
-        rounds = order_events(schedule, frames["sigma_p"])
-        state = evolve_to(schedule, frames["sigma_p"], 3)
-        entries, constraint = support_constraint(state, rounds[2], schedule.model)
-        assert constraint is None
-        assert len(entries) == 4
+    def test_outsiders_round_yields_odd_parity(self, ideal_tables):
+        table = ideal_tables["sigma"][1]
+        assert distinct_constraints([table]) == [ParityConstraint(("x_A", "x_B", "x_C"), -1)]
+        assert possible_labels(table) == {(+1, +1, -1), (+1, -1, +1), (-1, +1, +1), (-1, -1, -1)}
+        probabilities = table.probabilities[0][table.possible[0]]
+        np.testing.assert_allclose(probabilities, 0.25, atol=1e-10)
+
+    def test_mixed_round_yields_even_parity(self, ideal_tables):
+        table = ideal_tables["sigma_p"][1]
+        assert distinct_constraints([table]) == [ParityConstraint(("x_A", "z_B", "z_C"), +1)]
+        assert possible_labels(table) == {(+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1)}
+
+    def test_products_need_one_parity_shared_by_the_possible_tuples(self):
+        labels = ((+1, -1, -1), (-1, +1, +1), (+1, +1, +1))
+        weights = np.array([[0.5, 0, 0.5], [0, 1.0, 0], [0.5, 0.5, 0], [1e-10, 1.0, 0]])
+        table = RoundTable("sigma", (), labels, np.sqrt(weights).astype(complex), weights)
+        assert table.products.tolist() == [+1, -1, 0, -1]
+
+    def test_two_slot_round_is_unconstrained(self, ideal_tables):
+        table = ideal_tables["sigma_p"][2]
+        assert table.products[0] == 0
+        assert distinct_constraints([table]) == []
+        assert len(possible_labels(table)) == 4
 
 
 class TestCollectConstraints:
@@ -320,6 +316,18 @@ def captured_states(monkeypatch):
     return states
 
 
+def assert_row_is_the_replay(table, m, replayed, model):
+    """Model m's row of the table holds the scalar path's support entries and
+    constraint for the replayed pre-round state, bit for bit."""
+    entries, constraint = support_constraint(replayed, table.events, model)
+    possible = table.possible[m]
+    assert list(itertools.compress(table.labels, possible)) == [e.labels for e in entries]
+    assert table.amplitudes[m][possible].tolist() == [e.amplitude for e in entries]
+    assert table.probabilities[m][possible].tolist() == [e.probability for e in entries]
+    assert table.products[m] == (constraint.required_product if constraint else 0)
+    assert constraint is None or constraint.slots == round_slots(table.events)
+
+
 @pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
 class TestAnalyze:
     def test_matches_the_replay_oracle(self, spec, monkeypatch):
@@ -336,8 +344,7 @@ class TestAnalyze:
                 replayed = evolve_to(schedule, frame, k)
                 assert state.amplitudes.shape == (1, replayed.dim)
                 assert np.array_equal(state.amplitudes[0], replayed.amplitudes)
-                expected = support_constraint(replayed, table.events, schedule.model)
-                assert table.support(0) == expected
+                assert_row_is_the_replay(table, 0, replayed, schedule.model)
 
     def test_a_single_device_is_a_stack_of_one(self, spec):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
@@ -406,13 +413,8 @@ class TestAnalyzeStack:
             s = replace(schedule, model=model)
             for table, state, k in zip(tables, states, rounds):
                 replayed = evolve_to(s, frames[table.frame], k)
-                entries, constraint = support_constraint(replayed, table.events, model)
                 assert np.array_equal(state.amplitudes[m], replayed.amplitudes)
-                assert table.support(m) == (entries, constraint)
-                assert table.probabilities[m][table.possible[m]].tolist() == [
-                    e.probability for e in entries
-                ]
-                assert table.products[m] == (constraint.required_product if constraint else 0)
+                assert_row_is_the_replay(table, m, replayed, model)
 
     def test_state_stacks_are_dropped_after_their_last_use(self, schedule, monkeypatch):
         # The rounds of the four frames start from seven distinct state

@@ -318,6 +318,22 @@ def test_a_tau_just_above_the_speed_bound_gives_finite_tilted_speeds(side):
     assert "inf" not in results["tilted_frames_subluminal"].detail
 
 
+@pytest.mark.parametrize("side, built", [(1e-10, False), (1e-4, False), (1.0, True), (1e300, True)])
+def test_the_tilted_check_passes_exactly_when_the_tilted_frames_build(side, built):
+    # Just above the smallest tau a geometry takes, a small side leaves tau
+    # too few bits for the solved boost to pass the simultaneity check.
+    tau = sys.float_info.min * side * math.sqrt(3.0) / 2.0 * (1.0 + 1e-6)
+    g = standard_geometry(side, tau)
+    try:
+        frames = standard_frames(g)
+    except ValueError as exc:
+        assert str(exc) == "solved boost fails the simultaneity check"
+        frames = None
+    check = {r.name: r for r in validate_geometry(g)}["tilted_frames_subluminal"]
+    assert (frames is not None) == check.passed == built
+    assert check.detail.endswith("(need ≤ 0.999999999999)") == built
+
+
 def test_standard_geometry_accepts_the_smallest_normal_side():
     g = standard_geometry(sys.float_info.min, sys.float_info.min / 10.0)
     assert g.side == pytest.approx(sys.float_info.min, rel=1e-12)

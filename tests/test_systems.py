@@ -1,35 +1,49 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 import sympy as sp
 from numpy.testing import assert_allclose
 
-from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, StateVector, layout
+from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, StateVector
 from gwsim.systems import (
     SUPPORT_EPS,
     LabLabel,
     SpinAxis,
-    SupportEntry,
     ghz_state,
     initial_scenario_state,
     lab_state,
     spin_basis,
     spin_vector,
     stacked_support,
-    support_table,
 )
 
 from _oracles import (
+    SupportEntry,
     axis_spec,
     random_orthonormal_columns,
     random_state,
+    support_table,
     sym_ghz,
     sym_ghz_amplitudes,
     sym_spin_vector,
 )
 
 SQ2 = np.sqrt(2.0)
+
+
+def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
+    """(amplitude, weight) of each possible outcome tuple: ``stacked_support``
+    of a stack of one."""
+    stack = StateVector(state.layout, state.amplitudes[None])
+    amplitudes, weights = stacked_support(stack, groups)
+    labels = itertools.product(*(g.labels for g in groups))
+    return {l: (a, w) for l, a, w in zip(labels, amplitudes[0], weights[0]) if w > SUPPORT_EPS}
+
+
+def ghz_expansion(axes) -> dict[tuple, tuple[complex, float]]:
+    return expansion(ghz_state(), axis_spec(ghz_state(), axes))
 
 
 @pytest.mark.parametrize("axis", list(SpinAxis))
@@ -84,53 +98,46 @@ def test_ghz_state_is_normalized():
     ],
 )
 def test_expansions_match_symbolic_oracle(axes):
-    state = ghz_state()
-    spec = axis_spec(state, [SpinAxis(a) for a in axes])
-    entries = {e.labels: e.amplitude for e in support_table(state, spec)[0]}
+    entries = ghz_expansion([SpinAxis(a) for a in axes])
     exact = sym_ghz_amplitudes(axes)
     for signs in itertools.product((+1, -1), repeat=3):
         expected = complex(exact[signs].evalf())
-        got = entries.get(signs, 0.0)
+        got = entries.get(signs, (0.0, 0.0))[0]
         assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_z_expansion_has_full_support_at_one_eighth():
-    state = ghz_state()
-    entries = support_table(state, axis_spec(state, [SpinAxis.Z] * 3))[0]
+    entries = ghz_expansion([SpinAxis.Z] * 3)
     assert len(entries) == 8
-    for e in entries:
-        assert e.probability == pytest.approx(0.125, abs=1e-12)
+    for _, weight in entries.values():
+        assert weight == pytest.approx(0.125, abs=1e-12)
 
 
 def test_x_expansion_is_the_odd_parity_quadruple():
-    state = ghz_state()
-    entries = support_table(state, axis_spec(state, [SpinAxis.X] * 3))[0]
-    assert sorted(e.labels for e in entries) == [
+    entries = ghz_expansion([SpinAxis.X] * 3)
+    assert sorted(entries) == [
         (-1, -1, -1),
         (-1, +1, +1),
         (+1, -1, +1),
         (+1, +1, -1),
     ]
-    assert all(e.product == -1 for e in entries)
-    assert all(e.probability == pytest.approx(0.25, abs=1e-12) for e in entries)
+    assert all(weight == pytest.approx(0.25, abs=1e-12) for _, weight in entries.values())
 
 
 @pytest.mark.parametrize("x_position", [0, 1, 2])
 def test_single_x_expansions_are_even_parity(x_position):
-    state = ghz_state()
     axes = [SpinAxis.Z] * 3
     axes[x_position] = SpinAxis.X
-    entries = support_table(state, axis_spec(state, axes))[0]
+    entries = ghz_expansion(axes)
     assert len(entries) == 4
-    assert all(e.product == +1 for e in entries)
-    assert all(e.probability == pytest.approx(0.25, abs=1e-12) for e in entries)
+    assert all(math.prod(labels) == +1 for labels in entries)
+    assert all(weight == pytest.approx(0.25, abs=1e-12) for _, weight in entries.values())
 
 
 def test_expansion_probabilities_always_sum_to_one():
-    state = ghz_state()
     for axes in itertools.product(list(SpinAxis), repeat=3):
-        entries = support_table(state, axis_spec(state, axes))[0]
-        assert sum(e.probability for e in entries) == pytest.approx(1.0, abs=1e-10)
+        entries = ghz_expansion(axes)
+        assert sum(weight for _, weight in entries.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_axis_spec_length_check():
@@ -155,33 +162,23 @@ def test_initial_scenario_state_layout_and_content():
     groups = [
         BasisGroup((name,), (0, 1, 2), np.eye(3)) for name in ("L", "M", "N")
     ]
-    entries, _ = support_table(state, groups)
-    assert len(entries) == 1
-    assert entries[0].labels == (0, 0, 0)
-    assert entries[0].probability == pytest.approx(1.0, abs=1e-12)
+    entries = expansion(state, groups)
+    assert list(entries) == [(0, 0, 0)]
+    assert entries[(0, 0, 0)][1] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_support_table_reports_residual_outside_labeled_subspace():
-    # Label only the |ready> level of lab L: the residual is the weight on
-    # the other two levels.
+def test_weights_leave_out_what_lies_outside_the_labeled_subspace():
+    # Label only the |ready> level of lab L: a recorded lab has no weight on it.
     state = lab_state(LabLabel.RECORDED_UP, "L")
     group = BasisGroup(("L",), (0,), np.eye(3)[:, :1])
-    entries, residual = support_table(state, [group])
-    assert entries == []
-    assert residual == pytest.approx(1.0, abs=1e-12)
+    _, weights = stacked_support(StateVector(state.layout, state.amplitudes[None]), [group])
+    assert weights.tolist() == [[0.0]]
 
 
-def test_support_entry_product():
-    assert SupportEntry((+1, -1, -1), 0.5 + 0j).product == +1
-    assert SupportEntry((-1, +1, +1), 0.5 + 0j).product == -1
-
-
-def test_support_entry_amplitude_is_exact_without_spectators():
-    state = ghz_state()
-    entries = support_table(state, axis_spec(state, [SpinAxis.Z] * 3))[0]
-    by_label = {e.labels: e.amplitude for e in entries}
+def test_amplitude_is_exact_without_spectators():
     # Amplitude of |+1_z,+1_z,+1_z> is (1-i)/4 under the pinned conventions.
-    assert by_label[(+1, +1, +1)] == pytest.approx((1 - 1j) / 4, abs=1e-12)
+    amplitude, _ = ghz_expansion([SpinAxis.Z] * 3)[(+1, +1, +1)]
+    assert amplitude == pytest.approx((1 - 1j) / 4, abs=1e-12)
 
 
 @pytest.mark.parametrize("sites", ["A", "AB", "ABC"])
@@ -202,7 +199,7 @@ def test_stacked_support_gives_support_table_entries_bit_for_bit(sites):
             BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
             for g in groups
         ]
-        entries, _ = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
+        entries = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
         kept = weights[m] > SUPPORT_EPS
         assert entries == [
             SupportEntry(l, complex(a)) for l, a, ok in zip(labels, amplitudes[m], kept) if ok
