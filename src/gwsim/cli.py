@@ -44,13 +44,11 @@ from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     OUTCOME_SIGNS,
-    ParityConstraint,
     analyze_stack,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
     order_events,
-    round_slots,
     standard_frames,
 )
 from .spacetime import standard_geometry, validate_geometry
@@ -252,10 +250,8 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     support_ok = True
     orderings = {name: order_events(schedule, f) for name, f in frames.items()}
     for table in analyze_stack(model, orderings):
-        if not table.products[0]:
-            continue
-        constraint = ParityConstraint(round_slots(table.events), int(table.products[0]))
-        if constraint in constraints:
+        constraint = table.constraint(0)
+        if constraint is None or constraint in constraints:
             continue
         constraints.append(constraint)
         possible = table.possible[0]

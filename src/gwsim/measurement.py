@@ -15,8 +15,9 @@ On top of a model we build the composite observables:
 * the door observable — what you learn by asking the lab for its record:
   ±1 on the RecordedUp/RecordedDown lab levels, 0 on Ready,
 
-plus Born distributions and the distinguishability table contrasting the
-unitary and collapsed descriptions of a completed measurement.
+plus Born distributions, projective sampling with collapse, and the
+distinguishability table contrasting the unitary and collapsed descriptions
+of a completed measurement.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ from .systems import (
 
 PAIR_DIM = 6  # 3-level lab register times 2-level electron
 PROJECTOR_TOL = 1e-10
+# Sampling an eigenvalue this improbable means the state is corrupted.
+SAMPLE_FLOOR = 1e-12
 
 SITES = ("A", "B", "C")
 
@@ -263,6 +266,25 @@ def distribution(obs: Observable, state) -> OutcomeDistribution:
     else:
         probs = _pure_probabilities(obs, state)
     return OutcomeDistribution(tuple(zip(obs.eigenvalues, probs)))
+
+
+def measure(
+    obs: Observable, state: StateVector, rng: np.random.Generator
+) -> tuple[float, StateVector]:
+    """Sample one outcome and collapse: post = P|ψ> / ‖P|ψ>‖."""
+    probs = _pure_probabilities(obs, state)
+    total = probs.sum()
+    idx = rng.choice(len(probs), p=probs / total)
+    prob = probs[idx]
+    if prob < SAMPLE_FLOOR:
+        raise RuntimeError(
+            f"sampled eigenvalue {obs.eigenvalues[idx]} with probability {prob:g}; "
+            "state is numerically corrupted"
+        )
+    value, proj = obs.eigenpairs[idx]
+    post = apply_local(proj, obs.targets, state)
+    amps = post.amplitudes / np.sqrt(prob)
+    return value, StateVector(state.layout, amps)
 
 
 def entangled_record_state(model: MeasurementModel, site: str = "A") -> StateVector:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measurement import (
+    SAMPLE_FLOOR,
     MeasurementModel,
     haar_unitaries,
     ideal_von_neumann,
@@ -75,8 +76,6 @@ MODES = ("round_born", "sequential_collapse")
 DRAW_BLOCK = 1 << 16
 # The most trials an int64 outcome count holds.
 MAX_TRIALS = 2**63 - 1
-# A collapse branch whose outcome is less probable than this is pruned.
-SAMPLE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +145,16 @@ class RunReport:
         """Probability that an assignment violates ≥1 non-preferred constraint."""
         nonpreferred = _any_nonpreferred(self.violation_mask, self.preferred_mask)
         return float(self.probabilities @ nonpreferred)
+
+
+def born_violation_check(signs, constraints) -> tuple[bool, ...]:
+    """Per-constraint flag: True where the sign row (±1 per slot, in
+    ``CANONICAL_SLOTS`` order) violates it."""
+    return tuple(
+        math.prod(int(signs[CANONICAL_SLOTS.index(slot)]) for slot in c.slots)
+        != c.required_product
+        for c in constraints
+    )
 
 
 def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:

@@ -5,12 +5,12 @@ list of named factors (three 3-level laboratory registers L, M, N and three
 spin-1/2 electrons A, B, C). Operators act on named factors of a state
 (``apply_local``), factors can be reordered (``permute_factors``), and
 labeled basis groups are contracted against a state to give joint outcome
-amplitudes (``stacked_amplitudes``). States, operators and basis vectors may
+amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
 carry one leading *stack* axis, one entry per device model, so that one call
-does the work of a loop over models; entry m of a stacked result is what the
-same call gives for entry m alone. All values are immutable after
-construction and all operations are pure functions, so everything here is
-safe to share across threads.
+does the work of a loop over models (``apply_local``, ``stacked_amplitudes``);
+entry m of a stacked result is bit-identical to the single-model call on
+entry m. All values are immutable after construction and all operations are
+pure functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -233,15 +233,39 @@ class BasisGroup:
         object.__setattr__(self, "vectors", _readonly(vecs))
 
 
+def grouped_amplitudes(state: StateVector, groups) -> tuple[np.ndarray, int]:
+    """Contract each group's labeled vectors against the state.
+
+    Returns ``(amps, spectator_dim)`` where ``amps`` has one axis per group
+    (indexed by label position) plus a final spectator axis collecting all
+    factors not covered by any group. ``|amps[i, j, ..., :]|²`` summed over the
+    spectator axis is the Born probability of the joint labeled outcome.
+    """
+    groups = list(groups)
+    covered: list[str] = []
+    for g in groups:
+        covered.extend(g.factors)
+    if len(set(covered)) != len(covered):
+        raise LayoutError("basis groups overlap on factors")
+    spectators = [n for n in state.layout.names if n not in covered]
+    order = tuple(n for g in groups for n in g.factors) + tuple(spectators)
+    psi = permute_factors(state, order).amplitudes
+    group_dims = [prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
+    spec_dim = prod(FACTOR_DIMS[n] for n in spectators) if spectators else 1
+    psi = psi.reshape(tuple(group_dims) + (spec_dim,))
+    for i, g in enumerate(groups):
+        psi = np.moveaxis(np.tensordot(g.vectors.conj().T, psi, axes=([1], [i])), 0, i)
+    return psi, spec_dim
+
+
 def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
-    """Contract each group's labeled vectors against every state of a stack.
+    """``grouped_amplitudes`` of every state of a stack, in one pass.
 
     ``state`` is a stack of M states; each group's vectors are one family
-    shared by the stack or a stack of M. Returns the (M, labels...,
-    spectator) array with one axis per group, indexed by label position, and
-    a last axis over the factors no group covers: ``|amps[m, i, j, ..., :]|²``
-    summed over that axis is state m's Born weight of the joint outcome. Each
-    group is one matmul for the whole stack.
+    shared by the stack or a stack of M. Returns the (M, labels..., spectator)
+    array whose entry m equals ``grouped_amplitudes`` of state m against entry
+    m of each group, bit for bit: the factors are ordered and each group is
+    contracted in the same way, one matmul per group for the whole stack.
     """
     groups = list(groups)
     covered = [n for g in groups for n in g.factors]

@@ -7,9 +7,9 @@ disagree on their order. For a given frame, events group into *rounds* of
 simultaneous measurements, which depend on the geometry alone. One pass
 (``analyze_stack``) walks every round of every frame once, for one device
 model or a whole stack of them, evolving each pre-round state from the
-previous one, and expands it in that round's outcome basis. Each round's
-``RoundTable`` holds the Born weight of every outcome tuple, so it tells us
-which tuples are possible at all (have nonzero weight).
+previous one, and expands it in that round's outcome basis. Its
+``RoundTable``s, the one form an analysed round takes, tell us which outcome
+tuples are possible at all (have nonzero Born weight).
 
 Whenever every possible tuple of a round shares a single product parity, the
 round yields a ParityConstraint. Collecting these over the rest frame and the
@@ -41,10 +41,12 @@ from .systems import (
     SITE_FACTORS,
     SUPPORT_EPS,
     SpinAxis,
+    SupportEntry,
     abs_squared,
     initial_scenario_state,
     spin_basis,
     stacked_support,
+    support_table,
 )
 
 import numpy as np
@@ -155,6 +157,26 @@ def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:
     return out
 
 
+def evolve_to(s: Schedule, f: Frame, round_index: int) -> StateVector:
+    """State just before the given (1-based) round in the frame's ordering.
+
+    Purely unitary: friend events of strictly earlier rounds contribute their
+    lab-pair unitaries; outsider events contribute nothing (they are the
+    measurements whose pre-state this is). Frame changes act as identity on
+    amplitudes — the tilted frames can be made arbitrarily slow, and state
+    supports are frame-transport invariant either way.
+    """
+    rounds = order_events(s, f)
+    if not 1 <= round_index <= len(rounds):
+        raise ValueError(f"round index must be in 1..{len(rounds)}, got {round_index}")
+    state = initial_scenario_state()
+    for rnd in rounds[: round_index - 1]:
+        for ev in rnd:
+            if ev.kind == "friend_z":
+                state = apply_local(s.model.unitary(ev.site), ev.targets, state)
+    return state
+
+
 @dataclass(frozen=True)
 class ParityConstraint:
     """The product of the named slots' outcomes must equal required_product."""
@@ -176,7 +198,7 @@ def _slot_key(slot: str) -> tuple[str, str]:
 
 
 def round_slots(round_events) -> tuple[str, ...]:
-    """Outcome slots of a round, in the order a RoundTable's labels give them."""
+    """Outcome slots of a round, in the order support entries label them."""
     return tuple(sorted((ev.slot for ev in round_events), key=_slot_key))
 
 
@@ -194,22 +216,41 @@ def _event_basis_group(ev: MeasurementEvent, model: MeasurementModel) -> BasisGr
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 
+def support_constraint(
+    state: StateVector, round_events, model: MeasurementModel
+) -> tuple[list[SupportEntry], ParityConstraint | None]:
+    """Possible outcome tuples of a round, and their shared parity if any.
+
+    An outcome tuple is possible iff its term in the round's eigenbasis
+    expansion of ``state`` has |coefficient|² above SUPPORT_EPS. Factors no event
+    of the round touches are spectators, summed over. When every surviving
+    tuple has the same product of outcomes, that parity is a constraint any
+    single-outcome account of the round must obey.
+    """
+    events = sorted(round_events, key=lambda ev: _slot_key(ev.slot))
+    groups = [_event_basis_group(ev, model) for ev in events]
+    entries, _residual = support_table(state, groups)
+    slots = tuple(ev.slot for ev in events)
+    parities = {entry.product for entry in entries}
+    constraint = None
+    if entries and len(parities) == 1:
+        constraint = ParityConstraint(slots, parities.pop())
+    return entries, constraint
+
+
 @dataclass(frozen=True)
 class RoundTable:
     """One round of one frame for a stack of M device models, as arrays.
 
     Column j of ``amplitudes`` and ``weights`` is the joint outcome
     ``labels[j]`` of the round's slots (``round_slots`` order); model m's row
-    is the ``stacked_support`` expansion of device m's pre-round state in the
-    round's outcome basis. A tuple is possible iff its weight clears the
-    support cutoff; when every possible tuple shares one outcome product,
-    the round yields a ParityConstraint with that product.
+    is what ``support_table`` computes for that tuple before the cutoff.
     """
 
     frame: object  # the frame's key in the orderings given to ``analyze_stack``
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
-    amplitudes: np.ndarray  # (M, K) each tuple's coefficient (√weight if spectators)
+    amplitudes: np.ndarray  # (M, K) each tuple's SupportEntry amplitude
     weights: np.ndarray  # (M, K) each tuple's Born weight
 
     @property
@@ -219,7 +260,7 @@ class RoundTable:
 
     @property
     def probabilities(self) -> np.ndarray:
-        """(M, K): each tuple's |amplitude|², as Python's ``abs(a) ** 2``."""
+        """(M, K): each tuple's ``SupportEntry.probability``."""
         return abs_squared(self.amplitudes)
 
     @property
@@ -230,23 +271,26 @@ class RoundTable:
         minus = (self.possible & (parity == -1)).any(axis=1)
         return np.where(plus == minus, 0, np.where(plus, 1, -1))
 
+    def constraint(self, m: int) -> ParityConstraint | None:
+        """Model m's constraint: the product its possible tuples share, if any."""
+        product = int(self.products[m])
+        return ParityConstraint(round_slots(self.events), product) if product else None
+
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     """Every round of every frame for M device models, in one pass.
 
     ``model``'s site unitaries are (6, 6), read as a stack of one, or
     (M, 6, 6). ``orderings`` maps a key per frame to its rounds from
-    ``order_events``; tables come frame by frame, in round order.
+    ``order_events``; tables come frame by frame, in round order. Row m
+    holds, bit for bit, the entries ``support_constraint`` finds for device
+    m's pre-round state, and ``table.constraint(m)`` is its constraint.
 
-    A round's pre-round state is the initial scenario state with the device
-    unitaries of every friend event of the frame's earlier rounds applied, in
-    round order; outsider events apply nothing, since they are the
-    measurements whose pre-state this is, and a change of frame acts as the
-    identity on amplitudes. The pass builds each such state stack from the
-    longest one already built: one stacked ``apply_local`` per distinct
-    sequence of friend events, whatever M, and one stacked contraction per
-    round against outcome bases built once. Each stack is dropped after its
-    last use; none outlives the pass.
+    Each pre-round state stack is the previous one with that round's friend
+    unitaries applied, as ``evolve_to`` replays them: one stacked
+    ``apply_local`` per distinct sequence of friend events, whatever M, and
+    one stacked contraction per round against outcome bases built once.
+    Each stack is dropped after its last use; none outlives the pass.
     """
     plan = []  # (frame key, round, friend events applied before it)
     for key, rounds in orderings.items():
@@ -290,12 +334,8 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
 def distinct_constraints(tables) -> list[ParityConstraint]:
     """Model 0's constraints over the analysed rounds, each once, in the order
     first found."""
-    found = (
-        ParityConstraint(round_slots(t.events), int(t.products[0]))
-        for t in tables
-        if t.products[0]
-    )
-    return list(dict.fromkeys(found))
+    found = (table.constraint(0) for table in tables)
+    return list(dict.fromkeys(c for c in found if c is not None))
 
 
 def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:

@@ -146,11 +146,10 @@ def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
     return abs(tp - tq) <= SIMULTANEITY_TOL * max(abs(tp), abs(tq))
 
 
-def _solve_boost(
+def _simultaneity_velocity(
     p: SpacetimePoint, q: SpacetimePoint, r: SpacetimePoint
-) -> tuple[float, Frame | str]:
-    """Speed of the boost giving p, q and r one frame time (inf if none
-    solves), and its frame, or why no frame gives them one.
+) -> np.ndarray | None:
+    """Boost velocity giving p, q and r one frame time, or None if none does.
 
     Equal frame times γ(t − v·x) reduce to the linear system
     v·(x_p − x_q) = t_p − t_q, v·(x_p − x_r) = t_p − t_r.
@@ -158,17 +157,10 @@ def _solve_boost(
     dx = np.array([p.position - q.position, p.position - r.position])
     dt = np.array([p.t - q.t, p.t - r.t])
     v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
-    if not np.isfinite(v).all() or not np.allclose(
-        dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt)))
-    ):
-        return math.inf, "events admit no common simultaneity plane"
-    speed = math.hypot(*v)
-    if speed > MAX_SPEED:
-        return speed, f"boost speed {speed} is not subluminal"
-    frame = Frame((float(v[0]), float(v[1])))
-    if not (simultaneous(frame, p, q) and simultaneous(frame, p, r)):
-        return speed, "solved boost fails the simultaneity check"
-    return speed, frame
+    if not np.isfinite(v).all():
+        return None
+    solved = np.allclose(dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt))))
+    return v if solved else None
 
 
 def boost_for_simultaneity(
@@ -179,9 +171,13 @@ def boost_for_simultaneity(
     Raises if no subluminal velocity gives them one (e.g. a timelike pair
     among the arguments).
     """
-    _, frame = _solve_boost(p, q, r)
-    if isinstance(frame, str):
-        raise ValueError(frame)
+    v = _simultaneity_velocity(p, q, r)
+    if v is None:
+        raise ValueError("events admit no common simultaneity plane")
+    frame = Frame((float(v[0]), float(v[1])))  # raises past MAX_SPEED
+    for other in (q, r):
+        if not simultaneous(frame, p, other):
+            raise ValueError("solved boost fails the simultaneity check")
     return frame
 
 
@@ -269,17 +265,25 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
 
     # A tilted frame exists only if its boost is subluminal (for the standard
     # triangle the speed is tau / (side·√3/2)) and, in float arithmetic,
-    # really makes its three events simultaneous: the frame construction's
-    # own test, so the check passes exactly when the frames can be built.
-    solved = [_solve_boost(*events) for events in tilted_frame_events(spec)]
-    speeds = ", ".join(f"{speed:.12g}" for speed, _ in solved)
-    unsolved = {f for speed, f in solved if isinstance(f, str) and speed <= MAX_SPEED}
+    # really makes its three events simultaneous. The check builds the frames,
+    # so it passes exactly when they can be built; where the speeds pass, the
+    # detail says why a frame still could not be.
+    events = tilted_frame_events(spec)
+    velocities = [_simultaneity_velocity(*e) for e in events]
+    speeds = [math.inf if v is None else math.hypot(*v) for v in velocities]
+    reasons = set()
+    for e in events:
+        try:
+            boost_for_simultaneity(*e)
+        except ValueError as exc:
+            reasons.add(str(exc))
+    shown = sorted(reasons) if max(speeds) <= MAX_SPEED else []
     results.append(
         CheckResult(
             "tilted_frames_subluminal",
-            all(isinstance(f, Frame) for _, f in solved),
-            f"tilted-frame boost speeds {speeds} (need ≤ {MAX_SPEED!r})"
-            + "".join(f"; {reason}" for reason in sorted(unsolved)),
+            not reasons,
+            f"tilted-frame boost speeds {', '.join(f'{v:.12g}' for v in speeds)} "
+            f"(need ≤ {MAX_SPEED!r})" + "".join(f"; {reason}" for reason in shown),
         )
     )
     return results

@@ -1,9 +1,9 @@
 """Catalog of named physical states and support extraction.
 
 Spin eigenstates per axis, the 3-level laboratory register states, the
-three-electron GHZ state, and ``stacked_support``: the amplitude and Born
-weight of every joint outcome tuple of a list of labeled basis groups, for
-each state of a stack, so the tuples with nonzero weight can be read off.
+three-electron GHZ state, and ``support_table``: which joint outcome tuples
+of a list of labeled basis groups carry nonzero weight in a state
+(``stacked_support`` gives the same for a stack of states, as arrays).
 
 Phase conventions, fixed once and verified against a symbolic oracle in the
 test suite:
@@ -20,12 +20,15 @@ whole scenario is built on.
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .qmath import (
     StateVector,
+    grouped_amplitudes,
     layout,
     permute_factors,
     stacked_amplitudes,
@@ -105,16 +108,60 @@ def initial_scenario_state() -> StateVector:
     return permute_factors(tensor(labs, ghz_state()), ("L", "A", "M", "B", "N", "C"))
 
 
-def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude and Born weight of every joint outcome tuple, per state.
+@dataclass(frozen=True)
+class SupportEntry:
+    """One surviving term of an expansion: outcome labels and its coefficient."""
 
-    Returns two (M, K) arrays for a stack of M states, one column per joint
-    outcome tuple, in ``itertools.product`` order over the groups' labels.
-    Factors no group covers are spectators: a tuple's weight is summed over
-    them, and its amplitude is the complex coefficient when there are none,
-    else √weight with the (ill-defined) phase dropped. A tuple is possible
-    iff its weight exceeds SUPPORT_EPS. Where a group's labeled vectors do
-    not span its factors, the weights may sum to less than 1.
+    labels: tuple[int, ...]
+    amplitude: complex
+
+    @property
+    def probability(self) -> float:
+        return abs(self.amplitude) ** 2
+
+    @property
+    def product(self) -> int:
+        out = 1
+        for s in self.labels:
+            out *= s
+        return out
+
+
+def support_table(state: StateVector, groups) -> tuple[list[SupportEntry], float]:
+    """Support entries over the groups' joint labels, plus leftover weight.
+
+    Factors not covered by any group are spectators: each entry's probability
+    is summed over them, and its amplitude is the honest complex coefficient
+    when there are no spectators, else √probability with the (ill-defined)
+    phase dropped. The residual is the weight outside the labeled subspaces;
+    probabilities plus residual always sum to 1 for a normalized state.
+    """
+    groups = list(groups)
+    amps, spec_dim = grouped_amplitudes(state, groups)
+    label_sets = [g.labels for g in groups]
+    entries: list[SupportEntry] = []
+    total = 0.0
+    for idx in itertools.product(*(range(len(ls)) for ls in label_sets)):
+        if spec_dim == 1:
+            amplitude = complex(amps[idx + (0,)])
+            prob = abs(amplitude) ** 2
+        else:
+            prob = float(np.sum(np.abs(amps[idx]) ** 2))
+            amplitude = complex(np.sqrt(prob))
+        total += prob
+        if prob > SUPPORT_EPS:
+            labels = tuple(ls[i] for ls, i in zip(label_sets, idx))
+            entries.append(SupportEntry(labels, amplitude))
+    return entries, 1.0 - total
+
+
+def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
+    """``support_table`` for a stack of M states, before the cutoff.
+
+    Returns the (M, K) stored amplitude and Born weight of each of the K joint
+    outcome tuples, in ``support_table``'s order. A tuple is possible iff its
+    weight exceeds SUPPORT_EPS, and then ``SupportEntry(labels, amplitude)``
+    is ``support_table``'s entry for it, bit for bit.
     """
     amps = stacked_amplitudes(state, groups)
     n, spec_dim = amps.shape[0], amps.shape[-1]
@@ -129,5 +176,5 @@ def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]
 
 def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
     """Python's ``abs(a) ** 2`` of every amplitude, bit for bit (numpy's own
-    ``abs`` and ``** 2`` round differently)."""
+    ``abs`` and ``** 2`` round differently): ``SupportEntry.probability``."""
     return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)

@@ -1,57 +1,51 @@
 """Independent reference implementations the test suite checks against.
 
-Most of what is here is built from different primitives than the package:
-exact symbolic algebra (sympy) for the three-electron expansions, plain index
-arithmetic over raveled kron indices for operator embedding and support
-extraction, per-trial simulation with ``measure`` for the interpretation
-models' outcome tables, one state per collapse path for the stacked
-branching, one-shot draws of every trial's uniform for the blocked sampler,
-and a model-by-model replay of the device sweep. Slow and obvious on purpose.
-
-The scalar support path (``evolve_to``, ``support_constraint`` and what they
-use) is the exception. It analyses one state at a time, replaying every
-round from the initial state, with the package's own kernels and outcome
-bases (``apply_local``, ``permute_factors``, ``_event_basis_group``). What it
-checks is what ``analyze_stack`` adds on top of them, stacking and
-incremental evolution, and it must agree with that pass bit for bit.
+Everything here is deliberately built from different primitives than the
+package: exact symbolic algebra (sympy) for the three-electron expansions,
+plain index arithmetic over raveled kron indices for operator embedding and
+support extraction, per-trial simulation with ``measure`` for the
+interpretation models' outcome tables, one state per collapse path for the
+stacked branching, one-shot draws of every trial's uniform for the blocked
+sampler, and a model-by-model replay of the device sweep. Slow and obvious
+on purpose.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
 
 from gwsim.measurement import (
+    SAMPLE_FLOOR,
     MeasurementModel,
     ideal_von_neumann,
+    measure,
     outsider_observable,
     spin_observable,
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
     QUARTER_TOL,
-    SAMPLE_FLOOR,
     SweepModelResult,
     SweepReport,
     trial_rng,
 )
-from gwsim.qmath import FACTOR_DIMS, BasisGroup, Operator, StateVector, apply_local, permute_factors
+from gwsim.qmath import BasisGroup, Operator, StateVector, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
-    ParityConstraint,
-    _event_basis_group,
     build_schedule,
     enumerate_assignments,
+    evolve_to,
     order_events,
     round_slots,
     standard_frames,
+    support_constraint,
 )
 from gwsim.spacetime import SpacetimePoint
-from gwsim.systems import SUPPORT_EPS, SpinAxis, initial_scenario_state, spin_basis
+from gwsim.systems import SpinAxis, spin_basis
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -198,94 +192,6 @@ def axis_spec(state, axes) -> list[BasisGroup]:
 
 
 # ---------------------------------------------------------------------------
-# The scalar support path: one state at a time, every round replayed
-
-
-@dataclass(frozen=True)
-class SupportEntry:
-    """One surviving term of an expansion: outcome labels and its coefficient."""
-
-    labels: tuple[int, ...]
-    amplitude: complex
-
-    @property
-    def probability(self) -> float:
-        return abs(self.amplitude) ** 2
-
-
-def grouped_amplitudes(state: StateVector, groups) -> tuple[np.ndarray, int]:
-    """One state's amplitudes: an axis per group (label position), then one
-    spectator axis over the factors no group covers."""
-    covered = [n for g in groups for n in g.factors]
-    spectators = [n for n in state.layout.names if n not in covered]
-    psi = permute_factors(state, covered + spectators).amplitudes
-    group_dims = [math.prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
-    spec_dim = math.prod(FACTOR_DIMS[n] for n in spectators)
-    psi = psi.reshape(tuple(group_dims) + (spec_dim,))
-    for i, g in enumerate(groups):
-        psi = np.moveaxis(np.tensordot(g.vectors.conj().T, psi, axes=([1], [i])), 0, i)
-    return psi, spec_dim
-
-
-def support_table(state: StateVector, groups) -> list[SupportEntry]:
-    """Entries of the joint labels above SUPPORT_EPS. An entry's amplitude is
-    the complex coefficient without spectators, else √probability."""
-    amps, spec_dim = grouped_amplitudes(state, groups)
-    label_sets = [g.labels for g in groups]
-    entries = []
-    for idx in itertools.product(*(range(len(ls)) for ls in label_sets)):
-        if spec_dim == 1:
-            amplitude = complex(amps[idx + (0,)])
-            prob = abs(amplitude) ** 2
-        else:
-            prob = float(np.sum(np.abs(amps[idx]) ** 2))
-            amplitude = complex(np.sqrt(prob))
-        if prob > SUPPORT_EPS:
-            entries.append(SupportEntry(tuple(ls[i] for ls, i in zip(label_sets, idx)), amplitude))
-    return entries
-
-
-def evolve_to(s, f, round_index: int) -> StateVector:
-    """State before the (1-based) round of the frame's ordering, replayed from
-    the initial state: the device unitary of every friend event before it."""
-    state = initial_scenario_state()
-    for rnd in order_events(s, f)[: round_index - 1]:
-        for ev in rnd:
-            if ev.kind == "friend_z":
-                state = apply_local(s.model.unitary(ev.site), ev.targets, state)
-    return state
-
-
-def support_constraint(state: StateVector, round_events, model):
-    """The round's support entries, and the parity they all share, if any."""
-    events = sorted(round_events, key=lambda ev: ev.site)  # one event per site
-    entries = support_table(state, [_event_basis_group(ev, model) for ev in events])
-    parities = {math.prod(e.labels) for e in entries}
-    constraint = None
-    if len(parities) == 1:
-        constraint = ParityConstraint(tuple(ev.slot for ev in events), parities.pop())
-    return entries, constraint
-
-
-def measure(obs, state: StateVector, rng: np.random.Generator):
-    """Sample one outcome and collapse: post = P|ψ> / ‖P|ψ>‖."""
-    projected = [apply_local(proj, obs.targets, state).amplitudes for _, proj in obs.eigenpairs]
-    probs = np.array([max(0.0, float(np.vdot(state.amplitudes, p).real)) for p in projected])
-    idx = rng.choice(len(probs), p=probs / probs.sum())
-    return obs.eigenvalues[idx], StateVector(state.layout, projected[idx] / np.sqrt(probs[idx]))
-
-
-def born_violation_check(signs, constraints) -> tuple[bool, ...]:
-    """Per constraint: True where the sign row (±1 per slot, in
-    ``CANONICAL_SLOTS`` order) violates it."""
-    return tuple(
-        math.prod(int(signs[CANONICAL_SLOTS.index(slot)]) for slot in c.slots)
-        != c.required_product
-        for c in constraints
-    )
-
-
-# ---------------------------------------------------------------------------
 # Per-trial model samplers: one state simulation and one seeded stream per
 # trial, returning a (trials, 6) array of ±1 in CANONICAL_SLOTS column order.
 
@@ -322,7 +228,7 @@ def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> n
         else outsider_observable(schedule.model, ev.site)
         for ev in events
     }
-    initial = initial_scenario_state()
+    initial = evolve_to(schedule, preferred, 1)
     rows = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)

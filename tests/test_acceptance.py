@@ -20,6 +20,7 @@ from _oracles import (
     sym_ghz_amplitudes,
 )
 from gwsim.measurement import (
+    SAMPLE_FLOOR,
     MeasurementModel,
     distinguishability_report,
     distribution,
@@ -30,7 +31,6 @@ from gwsim.measurement import (
     spin_observable,
 )
 from gwsim.models import (
-    SAMPLE_FLOOR,
     InterpretationModel,
     _collapse_branches,
     erasure_experiment,
@@ -46,7 +46,6 @@ from gwsim.scenario import (
     collect_constraints,
     enumerate_assignments,
     order_events,
-    round_slots,
     standard_frames,
 )
 from gwsim.spacetime import (
@@ -167,9 +166,10 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
     orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
     found = {name: [] for name in frames}
     for table in analyze_stack(schedule.model, orderings):
-        if not table.products[0]:
+        constraint = table.constraint(0)
+        if constraint is None:
             continue
-        found[table.frame].append((round_slots(table.events), int(table.products[0])))
+        found[table.frame].append((constraint.slots, constraint.required_product))
         probabilities = table.probabilities[0][table.possible[0]]
         assert len(probabilities) == 4
         assert np.all(np.abs(probabilities - 0.25) <= 1e-10)

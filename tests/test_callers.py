@@ -15,6 +15,16 @@ import gwsim
 
 SRC = Path(gwsim.__file__).parent
 
+# Kept without a caller in src, each for a stated reason.
+ALLOWED_WITHOUT_CALLER = {
+    "scenario.evolve_to": "named by BENCHMARK.json; the tests' replay oracle for analyze_stack",
+    "scenario.support_constraint": (
+        "named by BENCHMARK.json; the tests' reference for the stacked pass"
+    ),
+    "measurement.measure": "named by BENCHMARK.json; the tests' per-trial reference samplers",
+    "models.born_violation_check": "named by BENCHMARK.json; the tests' check of violation_mask",
+}
+
 
 def _modules() -> dict[str, ast.Module]:
     return {
@@ -70,7 +80,8 @@ def _unused(modules, definitions) -> list[str]:
 
 def test_every_public_definition_has_a_caller_in_src():
     modules = _modules()
-    assert _unused(modules, _public_definitions(modules)) == []
+    callerless = _unused(modules, _public_definitions(modules))
+    assert sorted(set(callerless) - set(ALLOWED_WITHOUT_CALLER)) == []
 
 
 def test_every_public_constant_has_a_reader_in_src():
@@ -82,6 +93,11 @@ def test_the_constant_scan_sees_module_level_constants():
     modules = {"m": ast.parse("A_B = 1\nC: int = 2\n_D = 3\ne = 4\nF = A_B\n")}
     assert [q for q, _, _ in _public_constants(modules)] == ["m.A_B", "m.C", "m.F"]
     assert _unused(modules, _public_constants(modules)) == ["m.C", "m.F"]
+
+
+def test_allowlist_names_only_existing_definitions():
+    defined = {qualified for qualified, _, _ in _public_definitions(_modules())}
+    assert set(ALLOWED_WITHOUT_CALLER) <= defined
 
 
 def test_every_exported_name_resolves():

@@ -14,6 +14,7 @@ from gwsim.measurement import (
     haar_random_unitary,
     haar_unitaries,
     ideal_von_neumann,
+    measure,
     outsider_observable,
     pair_index,
     spin_observable,
@@ -238,6 +239,64 @@ class TestDistributions:
         dist = distribution(spin_observable(SpinAxis.Z), z_up)
         with pytest.raises(KeyError):
             dist.probability(2.0)
+
+
+class TestMeasure:
+    def test_eigenstate_measurement_is_deterministic(self):
+        rng = np.random.default_rng(26)
+        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
+        for _ in range(20):
+            outcome, post = measure(spin_observable(SpinAxis.Y), state, rng)
+            assert outcome == -1.0
+            assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
+
+    def test_repeated_measurement_is_stable(self):
+        rng = np.random.default_rng(27)
+        for _ in range(50):
+            state = StateVector(layout("L", "A"), random_state(6, rng))
+            model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
+            obs = outsider_observable(model)
+            v1, post1 = measure(obs, state, rng)
+            v2, post2 = measure(obs, post1, rng)
+            assert v1 == v2
+            assert_allclose(post2.amplitudes, post1.amplitudes, atol=1e-10)
+
+    def test_collapse_renormalizes(self):
+        rng = np.random.default_rng(28)
+        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        _, post = measure(spin_observable(SpinAxis.Z), state, rng)
+        assert post.norm() == pytest.approx(1.0, abs=1e-12)
+
+    def test_sampling_soundness_within_binomial_band(self):
+        rng = np.random.default_rng(29)
+        n = 4000
+        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        ups = sum(
+            measure(spin_observable(SpinAxis.Z), x_up, rng)[0] == 1.0
+            for _ in range(n)
+        )
+        band = 4 * np.sqrt(0.25 / n)
+        assert abs(ups / n - 0.5) <= band
+
+    def test_pair_measurement_of_recorded_up_state_reaches_recorded_down(self):
+        # Measuring the pair observable on a definite record leaves the lab
+        # in a superposition that includes the opposite record.
+        model = ideal_von_neumann()
+        state = pair_state(LabLabel.RECORDED_UP, +1)
+        rng = np.random.default_rng(30)
+        _, post = measure(outsider_observable(model), state, rng)
+        down_index = pair_index(LabLabel.RECORDED_DOWN, -1)
+        assert abs(post.amplitudes[down_index]) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+
+    def test_sampling_an_impossible_outcome_is_an_error(self):
+        class RiggedRNG:
+            def choice(self, n, p):
+                return len(p) - 1  # force the zero-probability eigenvalue
+
+        model = ideal_von_neumann()
+        state = entangled_record_state(model)  # no weight outside the X plane
+        with pytest.raises(RuntimeError, match="corrupt"):
+            measure(outsider_observable(model), state, RiggedRNG())
 
 
 class TestDistinguishabilityReport:

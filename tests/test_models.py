@@ -9,7 +9,6 @@ import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 from _oracles import (
-    born_violation_check,
     collapse_branches_reference,
     draw_reference,
     outcome_indices,
@@ -20,6 +19,7 @@ from _oracles import (
 )
 from gwsim.cli import _build_model
 from gwsim.measurement import (
+    SAMPLE_FLOOR,
     MeasurementModel,
     door_observable,
     entangled_record_state,
@@ -32,8 +32,8 @@ from gwsim.models import (
     MODES,
     OUTCOME_SIGNS,
     InterpretationModel,
-    SAMPLE_FLOOR,
     _collapse_branches,
+    born_violation_check,
     erasure_experiment,
     nonideal_sweep,
     round_born_distribution,

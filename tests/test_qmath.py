@@ -13,6 +13,7 @@ from gwsim.qmath import (
     StateVector,
     apply_local,
     check_unitary,
+    grouped_amplitudes,
     layout,
     permute_factors,
     stacked_amplitudes,
@@ -22,7 +23,6 @@ from gwsim.qmath import (
 from _oracles import (
     brute_product_amplitude,
     embed_operator,
-    grouped_amplitudes,
     random_orthonormal_columns,
     random_state,
     random_unitary,
@@ -237,11 +237,13 @@ def test_stacked_amplitudes_spectator_axis_carries_leftover_weight():
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_stacked_amplitudes_rejects_overlapping_groups():
-    state = StateVector(layout("A", "B"), np.array([[1, 0, 0, 0]], dtype=complex))
+@pytest.mark.parametrize("stacked", [False, True])
+def test_contractions_reject_overlapping_groups(stacked):
+    amplitudes = np.array([1, 0, 0, 0], dtype=complex)
     g = BasisGroup(("A",), (+1, -1), np.eye(2))
+    contract = stacked_amplitudes if stacked else grouped_amplitudes
     with pytest.raises(LayoutError, match="overlap"):
-        stacked_amplitudes(state, [g, g])
+        contract(StateVector(layout("A", "B"), amplitudes[None] if stacked else amplitudes), [g, g])
 
 
 @settings(max_examples=50, deadline=None)

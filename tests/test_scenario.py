@@ -21,15 +21,15 @@ from gwsim.scenario import (
     collect_constraints,
     distinct_constraints,
     enumerate_assignments,
+    evolve_to,
     order_events,
     round_slots,
     standard_frames,
+    support_constraint,
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
 from gwsim.systems import initial_scenario_state, stacked_support
-
-from _oracles import evolve_to, support_constraint
 
 
 def event(schedule, event_id):
@@ -166,6 +166,13 @@ def ideal_tables(schedule):
     return by_frame
 
 
+def test_evolve_to_round_index_bounds(schedule, frames):
+    with pytest.raises(ValueError, match="round index"):
+        evolve_to(schedule, frames["sigma"], 0)
+    with pytest.raises(ValueError, match="round index"):
+        evolve_to(schedule, frames["sigma"], 3)
+
+
 class TestPreRoundStates:
     @pytest.fixture
     def states(self, schedule, monkeypatch):
@@ -218,14 +225,14 @@ class TestRoundTables:
 
     def test_outsiders_round_yields_odd_parity(self, ideal_tables):
         table = ideal_tables["sigma"][1]
-        assert distinct_constraints([table]) == [ParityConstraint(("x_A", "x_B", "x_C"), -1)]
+        assert table.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), -1)
         assert possible_labels(table) == {(+1, +1, -1), (+1, -1, +1), (-1, +1, +1), (-1, -1, -1)}
         probabilities = table.probabilities[0][table.possible[0]]
         np.testing.assert_allclose(probabilities, 0.25, atol=1e-10)
 
     def test_mixed_round_yields_even_parity(self, ideal_tables):
         table = ideal_tables["sigma_p"][1]
-        assert distinct_constraints([table]) == [ParityConstraint(("x_A", "z_B", "z_C"), +1)]
+        assert table.constraint(0) == ParityConstraint(("x_A", "z_B", "z_C"), +1)
         assert possible_labels(table) == {(+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1)}
 
     def test_products_need_one_parity_shared_by_the_possible_tuples(self):
@@ -237,7 +244,7 @@ class TestRoundTables:
     def test_two_slot_round_is_unconstrained(self, ideal_tables):
         table = ideal_tables["sigma_p"][2]
         assert table.products[0] == 0
-        assert distinct_constraints([table]) == []
+        assert table.constraint(0) is None
         assert len(possible_labels(table)) == 4
 
 

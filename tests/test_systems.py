@@ -11,20 +11,20 @@ from gwsim.systems import (
     SUPPORT_EPS,
     LabLabel,
     SpinAxis,
+    SupportEntry,
     ghz_state,
     initial_scenario_state,
     lab_state,
     spin_basis,
     spin_vector,
     stacked_support,
+    support_table,
 )
 
 from _oracles import (
-    SupportEntry,
     axis_spec,
     random_orthonormal_columns,
     random_state,
-    support_table,
     sym_ghz,
     sym_ghz_amplitudes,
     sym_spin_vector,
@@ -175,6 +175,21 @@ def test_weights_leave_out_what_lies_outside_the_labeled_subspace():
     assert weights.tolist() == [[0.0]]
 
 
+def test_support_table_reports_residual_outside_labeled_subspace():
+    # Label only the |ready> level of lab L: the residual is the weight on
+    # the other two levels.
+    state = lab_state(LabLabel.RECORDED_UP, "L")
+    group = BasisGroup(("L",), (0,), np.eye(3)[:, :1])
+    entries, residual = support_table(state, [group])
+    assert entries == []
+    assert residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_support_entry_product():
+    assert SupportEntry((+1, -1, -1), 0.5 + 0j).product == +1
+    assert SupportEntry((-1, +1, +1), 0.5 + 0j).product == -1
+
+
 def test_amplitude_is_exact_without_spectators():
     # Amplitude of |+1_z,+1_z,+1_z> is (1-i)/4 under the pinned conventions.
     amplitude, _ = ghz_expansion([SpinAxis.Z] * 3)[(+1, +1, +1)]
@@ -199,7 +214,7 @@ def test_stacked_support_gives_support_table_entries_bit_for_bit(sites):
             BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
             for g in groups
         ]
-        entries = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
+        entries, _ = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
         kept = weights[m] > SUPPORT_EPS
         assert entries == [
             SupportEntry(l, complex(a)) for l, a, ok in zip(labels, amplitudes[m], kept) if ok
