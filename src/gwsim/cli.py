@@ -33,6 +33,7 @@ from .measurement import (
 )
 from .models import (
     InterpretationModel,
+    MAX_MODELS,
     MAX_TRIALS,
     MODES,
     QUARTER_TOL,
@@ -53,7 +54,7 @@ from .scenario import (
 )
 from .spacetime import standard_geometry, validate_geometry
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
@@ -255,7 +256,7 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
             continue
         constraints.append(constraint)
         possible = table.possible[0]
-        probabilities = table.probabilities[0][possible].tolist()
+        probabilities = table.weights[0][possible].tolist()
         support_ok &= all(abs(p - 0.25) <= QUARTER_TOL for p in probabilities)
         tables.append(
             {
@@ -569,9 +570,11 @@ def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
 
 
 def cmd_sweep(config: dict, n_models: int) -> dict:
-    seed = _resolve_seed(config)
     if n_models < 1:
         raise ConfigError(f"--models must be ≥ 1, got {n_models}")
+    if n_models > MAX_MODELS:
+        raise ConfigError(f"--models must be at most {MAX_MODELS}, got {n_models}")
+    seed = _resolve_seed(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     report = nonideal_sweep(n_models, seed, side=side, tau=tau)
     results = {
@@ -667,6 +670,7 @@ def emit(report: dict, config: dict) -> None:
         except OSError as exc:
             raise ConfigError(f"cannot write output.path: {exc}") from exc
     _write(report, config, sys.stdout)
+    sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -750,6 +754,13 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout early (``gwsim sweep | head -1``): stop
+        # quietly, with stdout on devnull so the flush at exit cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0 if report["passed"] else 1
 
 

@@ -223,7 +223,7 @@ def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float
     tables = [
         [
             (_outcome_index(round_slots(r.events), labels), p)
-            for labels, p, ok in zip(r.labels, r.probabilities[0].tolist(), r.possible[0])
+            for labels, p, ok in zip(r.labels, r.weights[0].tolist(), r.possible[0])
             if ok
         ]
         for r in rounds
@@ -350,6 +350,8 @@ QUARTER_TOL = 1e-10
 # Device models per stacked sweep pass: enough to amortise the pass's fixed
 # cost, few enough that a sweep's memory stays flat in its model count.
 SWEEP_BLOCK = 128
+# The most models one sweep takes: its report lists every model.
+MAX_MODELS = 10**6
 
 CANONICAL_CONSTRAINT_KEYS = frozenset(
     {
@@ -420,7 +422,7 @@ def nonideal_sweep(
         stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))
         tables = analyze_stack(stacked, orderings)
         products = np.stack([table.products for table in tables], axis=1)
-        off_quarter = [t.possible & (np.abs(t.probabilities - 0.25) > QUARTER_TOL) for t in tables]
+        off_quarter = [t.possible & (np.abs(t.weights - 0.25) > QUARTER_TOL) for t in tables]
         bad = (products != 0) & np.stack([off.any(axis=1) for off in off_quarter], axis=1)
         for index, (row, ok) in enumerate(zip(products, ~bad.any(axis=1)), start):
             if (key := row.tobytes()) not in outcomes:

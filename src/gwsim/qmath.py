@@ -6,11 +6,13 @@ spin-1/2 electrons A, B, C). Operators act on named factors of a state
 (``apply_local``), factors can be reordered (``permute_factors``), and
 labeled basis groups are contracted against a state to give joint outcome
 amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
-carry one leading *stack* axis, one entry per device model, so that one call
-does the work of a loop over models (``apply_local``, ``stacked_amplitudes``);
-entry m of a stacked result is bit-identical to the single-model call on
-entry m. All values are immutable after construction and all operations are
-pure functions, so everything here is safe to share across threads.
+carry one leading *stack* axis, so that one ``apply_local`` call does the
+work of a loop (over collapse paths, or device models); entry m of a stacked
+result is bit-identical to the single-state call on entry m. The frame
+analysis does not run here: it works on the initial state's two product
+terms (``scenario.analyze_stack``). All values are immutable after
+construction and all operations are pure functions, so everything here is
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -257,29 +259,3 @@ def grouped_amplitudes(state: StateVector, groups) -> tuple[np.ndarray, int]:
         psi = np.moveaxis(np.tensordot(g.vectors.conj().T, psi, axes=([1], [i])), 0, i)
     return psi, spec_dim
 
-
-def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
-    """``grouped_amplitudes`` of every state of a stack, in one pass.
-
-    ``state`` is a stack of M states; each group's vectors are one family
-    shared by the stack or a stack of M. Returns the (M, labels..., spectator)
-    array whose entry m equals ``grouped_amplitudes`` of state m against entry
-    m of each group, bit for bit: the factors are ordered and each group is
-    contracted in the same way, one matmul per group for the whole stack.
-    """
-    groups = list(groups)
-    covered = [n for g in groups for n in g.factors]
-    if len(set(covered)) != len(covered):
-        raise LayoutError("basis groups overlap on factors")
-    spectators = [n for n in state.layout.names if n not in covered]
-    perm = [0] + [1 + a for a in state.layout.axes(covered + spectators)]
-    spec_dim = prod(FACTOR_DIMS[n] for n in spectators)
-    group_dims = [prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
-    n = len(state.amplitudes)
-    psi = np.transpose(state.tensor_view(), perm).reshape((n, *group_dims, spec_dim))
-    for i, g in enumerate(groups):
-        moved = np.moveaxis(psi, i + 1, 1)
-        bra = g.vectors.conj().swapaxes(-1, -2)
-        psi = bra @ moved.reshape(n, group_dims[i], -1)
-        psi = np.moveaxis(psi.reshape((n, len(g.labels)) + moved.shape[2:]), 1, i + 1)
-    return psi

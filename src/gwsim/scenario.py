@@ -6,8 +6,10 @@ basis at t2. Cross-lab events are spacelike separated, so inertial frames
 disagree on their order. For a given frame, events group into *rounds* of
 simultaneous measurements, which depend on the geometry alone. One pass
 (``analyze_stack``) walks every round of every frame once, for one device
-model or a whole stack of them, evolving each pre-round state from the
-previous one, and expands it in that round's outcome basis. Its
+model or a whole stack of them, and gives each outcome tuple of the round its
+Born weight in the pre-round state. That state is always a sum of two
+product states (the GHZ state's two terms, each site's pair evolved only by
+its own device), so the pass never builds the 216-dim vector. Its
 ``RoundTable``s, the one form an analysed round takes, tell us which outcome
 tuples are possible at all (have nonzero Born weight).
 
@@ -23,8 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .measurement import MeasurementModel
-from .qmath import CANONICAL_LAYOUT, BasisGroup, StateVector, apply_local
+from .measurement import SITES, MeasurementModel
+from .qmath import BasisGroup, StateVector, apply_local
 from .spacetime import (
     Frame,
     GeometrySpec,
@@ -42,10 +44,9 @@ from .systems import (
     SUPPORT_EPS,
     SpinAxis,
     SupportEntry,
-    abs_squared,
+    initial_product_terms,
     initial_scenario_state,
     spin_basis,
-    stacked_support,
     support_table,
 )
 
@@ -242,26 +243,20 @@ def support_constraint(
 class RoundTable:
     """One round of one frame for a stack of M device models, as arrays.
 
-    Column j of ``amplitudes`` and ``weights`` is the joint outcome
-    ``labels[j]`` of the round's slots (``round_slots`` order); model m's row
-    is what ``support_table`` computes for that tuple before the cutoff.
+    Column j of ``weights`` is the joint outcome ``labels[j]`` of the round's
+    slots (``round_slots`` order); model m's row holds each tuple's Born
+    weight in model m's pre-round state, before the support cutoff.
     """
 
     frame: object  # the frame's key in the orderings given to ``analyze_stack``
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
-    amplitudes: np.ndarray  # (M, K) each tuple's SupportEntry amplitude
-    weights: np.ndarray  # (M, K) each tuple's Born weight
+    weights: np.ndarray  # (M, K) each tuple's Born weight, never negative
 
     @property
     def possible(self) -> np.ndarray:
         """(M, K) bool: the tuples whose weight clears the support cutoff."""
         return self.weights > SUPPORT_EPS
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """(M, K): each tuple's ``SupportEntry.probability``."""
-        return abs_squared(self.amplitudes)
 
     @property
     def products(self) -> np.ndarray:
@@ -277,57 +272,78 @@ class RoundTable:
         return ParityConstraint(round_slots(self.events), product) if product else None
 
 
+def _site_gram(vectors: np.ndarray, ev: MeasurementEvent | None, model) -> np.ndarray:
+    """One site's Gram factor per outcome of its event: (4, labels, M).
+
+    ``vectors`` (2, 6, M) are the site's pair vectors in the two product
+    terms for each model (M = 1 before the site's device runs: one pair for
+    every model). Entry [2k + j, l, m] is ⟨v_j|P_l|v_k⟩ for the projector
+    P_l on outcome l: the electron's z-spin for a friend, the recorded-basis
+    superposition |±1X> for an outsider, and the identity (one label) for a
+    spectator site. Models run along the last axis, so every loop is long.
+    """
+    scale = 1.0
+    if ev is None:
+        parts = vectors[:, None]
+    elif ev.kind == "friend_z":
+        # Pair index 2·lab + 0 holds the electron's +1 z-spin, 2·lab + 1 its −1.
+        parts = np.stack([vectors[:, 0::2], vectors[:, 1::2]], axis=1)
+    else:
+        # √2·<±1X|v> = <+1Z|v> ± <-1Z|v>; the √½ enters the Gram squared, as 1/2.
+        recorded = np.stack(
+            [np.reshape(model.recorded_state(ev.site, sign), (-1, 6)).T for sign in (+1, -1)]
+        )
+        plus, minus = (recorded.conj()[:, None] * vectors).sum(axis=2)
+        parts = np.stack([plus + minus, plus - minus], axis=1)[:, :, None]
+        scale = 0.5
+    gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
+    return gram.reshape(4, *gram.shape[2:])
+
+
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     """Every round of every frame for M device models, in one pass.
 
     ``model``'s site unitaries are (6, 6), read as a stack of one, or
     (M, 6, 6). ``orderings`` maps a key per frame to its rounds from
-    ``order_events``; tables come frame by frame, in round order. Row m
-    holds, bit for bit, the entries ``support_constraint`` finds for device
-    m's pre-round state, and ``table.constraint(m)`` is its constraint.
+    ``order_events``; tables come frame by frame, in round order, and
+    ``table.constraint(m)`` is device m's constraint.
 
-    Each pre-round state stack is the previous one with that round's friend
-    unitaries applied, as ``evolve_to`` replays them: one stacked
-    ``apply_local`` per distinct sequence of friend events, whatever M, and
-    one stacked contraction per round against outcome bases built once.
-    Each stack is dropped after its last use; none outlives the pass.
+    The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
+    where a site's v_k has its device applied iff its friend's event fell in
+    an earlier round, as ``evolve_to`` replays it. A tuple's Born weight is
+    then Σ_{k,j} c_k c̄_j Π_site g_site[k, j], from one 2×2 Gram factor per
+    site (``_site_gram``), each built once per pass. Rounding leaves
+    impossible tuples about ±1e-17, so weights are clamped at 0.
     """
-    plan = []  # (frame key, round, friend events applied before it)
-    for key, rounds in orderings.items():
-        applied: tuple[MeasurementEvent, ...] = ()
-        for rnd in rounds:
-            plan.append((key, rnd, applied))
-            applied += tuple(ev for ev in rnd if ev.kind == "friend_z")
-    # The last round that needs each state stack: for its own analysis, or
-    # to build a longer sequence from it.
-    last: dict[tuple, int] = {}
-    for i, (_, _, applied) in enumerate(plan):
-        for n in range(len(applied)):
-            if applied[: n + 1] not in last:
-                last[applied[:n]] = i
-        last[applied] = i
-
-    events = dict.fromkeys(ev for _, rnd, _ in plan for ev in rnd)
-    groups = {ev: _event_basis_group(ev, model) for ev in events}
+    coefficients, pair = initial_product_terms()
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)  # c_k c̄_j
     size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
-    initial = np.broadcast_to(initial_scenario_state().amplitudes, (size, CANONICAL_LAYOUT.dim))
-    states = {(): StateVector(CANONICAL_LAYOUT, initial)}
+    grams: dict[tuple, np.ndarray] = {}
     tables = []
-    for i, (key, rnd, applied) in enumerate(plan):
-        n = len(applied)
-        while applied[:n] not in states:
-            n -= 1
-        for ev in applied[n:]:
-            states[applied[: n + 1]] = apply_local(
-                model.unitary(ev.site), ev.targets, states[applied[:n]]
-            )
-            n += 1
-        round_groups = [groups[ev] for ev in sorted(rnd, key=lambda ev: _slot_key(ev.slot))]
-        amps, weights = stacked_support(states[applied], round_groups)
-        labels = tuple(itertools.product(*(g.labels for g in round_groups)))
-        tables.append(RoundTable(key, rnd, labels, amps, weights))
-        for seq in [seq for seq in states if last[seq] == i]:
-            del states[seq]
+    for key, rounds in orderings.items():
+        recorded: set[str] = set()  # sites whose friend's device has run
+        for rnd in rounds:
+            events = {ev.site: ev for ev in rnd}
+            factors = []
+            for site in SITES:
+                ev = events.get(site)
+                index = (site, site in recorded, ev and ev.kind)
+                if index not in grams:
+                    vectors = pair[:, :, None]
+                    if site in recorded:
+                        # v_k → U v_k for every model (einsum: numpy's complex
+                        # matmul is many times slower for these shapes).
+                        unitary = model.unitary(site).matrix.reshape(-1, 6, 6)
+                        vectors = np.einsum("kc,mrc->krm", pair, unitary)
+                    grams[index] = _site_gram(vectors, ev, model)
+                factors.append(grams[index])
+            a, b, c = factors
+            product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
+            weights = product.sum(axis=0).real.reshape(-1, product.shape[-1]).T
+            labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
+            weights = np.maximum(np.broadcast_to(weights, (size, len(labels))), 0.0)
+            tables.append(RoundTable(key, rnd, labels, weights))
+            recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
     return tables
 
 

@@ -1,9 +1,10 @@
 """Catalog of named physical states and support extraction.
 
 Spin eigenstates per axis, the 3-level laboratory register states, the
-three-electron GHZ state, and ``support_table``: which joint outcome tuples
-of a list of labeled basis groups carry nonzero weight in a state
-(``stacked_support`` gives the same for a stack of states, as arrays).
+three-electron GHZ state, the initial scenario state both as one dense
+216-dim vector (``initial_scenario_state``) and as its two product terms
+(``initial_product_terms``), and ``support_table``: which joint outcome
+tuples of a list of labeled basis groups carry nonzero weight in a state.
 
 Phase conventions, fixed once and verified against a symbolic oracle in the
 test suite:
@@ -27,11 +28,11 @@ from enum import Enum
 import numpy as np
 
 from .qmath import (
+    CANONICAL_LAYOUT,
     StateVector,
     grouped_amplitudes,
     layout,
     permute_factors,
-    stacked_amplitudes,
     tensor,
 )
 
@@ -105,7 +106,22 @@ def initial_scenario_state() -> StateVector:
         tensor(lab_state(LabLabel.READY, "L"), lab_state(LabLabel.READY, "M")),
         lab_state(LabLabel.READY, "N"),
     )
-    return permute_factors(tensor(labs, ghz_state()), ("L", "A", "M", "B", "N", "C"))
+    return permute_factors(tensor(labs, ghz_state()), CANONICAL_LAYOUT.names)
+
+
+def initial_product_terms() -> tuple[np.ndarray, np.ndarray]:
+    """The initial scenario state as a sum of two product states, exactly.
+
+    Returns the coefficients c (2,) and pair vectors v (2, 6), row-major over
+    (lab register, electron), with ``initial_scenario_state()`` equal to
+    Σ_k c_k v_k ⊗ v_k ⊗ v_k: every lab is ready, and every electron is
+    √2·|+1_y> = (1, −i) in term 0 and √2·|-1_y> = (1, i) in term 1. The four
+    factors √½ of ``ghz_state`` fold into c = (1/4, −i/4), so every entry is
+    exact in binary floating point.
+    """
+    ready = lab_vector(LabLabel.READY)
+    vectors = np.stack([np.kron(ready, spin_vector(SpinAxis.Y, s) / SQRT_HALF) for s in (+1, -1)])
+    return np.array([0.25, -0.25j]), vectors
 
 
 @dataclass(frozen=True)
@@ -154,27 +170,3 @@ def support_table(state: StateVector, groups) -> tuple[list[SupportEntry], float
             entries.append(SupportEntry(labels, amplitude))
     return entries, 1.0 - total
 
-
-def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
-    """``support_table`` for a stack of M states, before the cutoff.
-
-    Returns the (M, K) stored amplitude and Born weight of each of the K joint
-    outcome tuples, in ``support_table``'s order. A tuple is possible iff its
-    weight exceeds SUPPORT_EPS, and then ``SupportEntry(labels, amplitude)``
-    is ``support_table``'s entry for it, bit for bit.
-    """
-    amps = stacked_amplitudes(state, groups)
-    n, spec_dim = amps.shape[0], amps.shape[-1]
-    # The spectator axis stays last and contiguous, so each tuple's weight
-    # sums in the order np.sum takes for that tuple alone.
-    amps = amps.reshape(n, -1, spec_dim)
-    if spec_dim == 1:
-        return amps[:, :, 0], abs_squared(amps[:, :, 0])
-    weights = (np.abs(amps) ** 2).sum(axis=-1)
-    return np.sqrt(weights).astype(complex), weights
-
-
-def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
-    """Python's ``abs(a) ** 2`` of every amplitude, bit for bit (numpy's own
-    ``abs`` and ``** 2`` round differently): ``SupportEntry.probability``."""
-    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)

@@ -3,11 +3,12 @@
 Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
-support extraction, per-trial simulation with ``measure`` for the
-interpretation models' outcome tables, one state per collapse path for the
-stacked branching, one-shot draws of every trial's uniform for the blocked
-sampler, and a model-by-model replay of the device sweep. Slow and obvious
-on purpose.
+support extraction, the dense 216-dim state contracted against basis groups
+for the frame pass's product form, per-trial simulation with ``measure`` for
+the interpretation models' outcome tables, one state per collapse path for
+the stacked branching, one-shot draws of every trial's uniform for the
+blocked sampler, and a model-by-model replay of the device sweep. Slow and
+obvious on purpose.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from gwsim.models import (
     SweepReport,
     trial_rng,
 )
-from gwsim.qmath import BasisGroup, Operator, StateVector, apply_local
+from gwsim.qmath import FACTOR_DIMS, BasisGroup, LayoutError, Operator, StateVector, apply_local
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     build_schedule,
@@ -189,6 +190,76 @@ def axis_spec(state, axes) -> list[BasisGroup]:
         BasisGroup((name,), (+1, -1), spin_basis(axis))
         for name, axis in zip(state.layout.names, axes)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The dense 216-dim contraction the frame pass's product form replaced
+
+
+def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
+    """Each group's labeled vectors contracted against every state of a stack.
+
+    ``state`` is a stack of M states; each group's vectors are one family
+    shared by the stack or a stack of M. Returns the (M, labels...,
+    spectator) array of joint outcome amplitudes, the spectator axis
+    collecting every factor no group covers, one matmul per group for the
+    whole stack.
+    """
+    groups = list(groups)
+    covered = [n for g in groups for n in g.factors]
+    if len(set(covered)) != len(covered):
+        raise LayoutError("basis groups overlap on factors")
+    spectators = [n for n in state.layout.names if n not in covered]
+    perm = [0] + [1 + a for a in state.layout.axes(covered + spectators)]
+    spec_dim = math.prod(FACTOR_DIMS[n] for n in spectators)
+    group_dims = [math.prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
+    n = len(state.amplitudes)
+    psi = np.transpose(state.tensor_view(), perm).reshape((n, *group_dims, spec_dim))
+    for i, g in enumerate(groups):
+        moved = np.moveaxis(psi, i + 1, 1)
+        bra = g.vectors.conj().swapaxes(-1, -2)
+        psi = bra @ moved.reshape(n, group_dims[i], -1)
+        psi = np.moveaxis(psi.reshape((n, len(g.labels)) + moved.shape[2:]), 1, i + 1)
+    return psi
+
+
+def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
+    """Python's ``abs(a) ** 2`` of every amplitude, bit for bit (numpy's own
+    ``abs`` and ``** 2`` round differently): ``SupportEntry.probability``."""
+    return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
+
+
+def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
+    """``support_table`` for a stack of M states, before the cutoff.
+
+    Returns the (M, K) stored amplitude and Born weight of each of the K joint
+    outcome tuples, in ``support_table``'s order. A tuple is possible iff its
+    weight exceeds SUPPORT_EPS, and then ``SupportEntry(labels, amplitude)``
+    is ``support_table``'s entry for it, bit for bit.
+    """
+    amps = stacked_amplitudes(state, groups)
+    n, spec_dim = amps.shape[0], amps.shape[-1]
+    # The spectator axis stays last and contiguous, so each tuple's weight
+    # sums in the order np.sum takes for that tuple alone.
+    amps = amps.reshape(n, -1, spec_dim)
+    if spec_dim == 1:
+        return amps[:, :, 0], abs_squared(amps[:, :, 0])
+    weights = (np.abs(amps) ** 2).sum(axis=-1)
+    return np.sqrt(weights).astype(complex), weights
+
+
+def dense_weights(state: StateVector, round_events, model) -> np.ndarray:
+    """(K,) Born weight of each outcome tuple of a round in a dense state,
+    before the cutoff, in ``round_slots`` label order: friends measure their
+    electron's z-spin, outsiders their pair in the model's |±1X> basis."""
+    groups = []
+    for ev in sorted(round_events, key=lambda ev: round_slots(round_events).index(ev.slot)):
+        if ev.kind == "friend_z":
+            groups.append(BasisGroup((ev.targets[1],), (+1, -1), spin_basis(SpinAxis.Z)))
+        else:
+            bases = [model.pair_x_state(ev.site, sign) for sign in (+1, -1)]
+            groups.append(BasisGroup(ev.targets, (+1, -1), np.column_stack(bases)))
+    return stacked_support(StateVector(state.layout, state.amplitudes[None]), groups)[1][0]
 
 
 # ---------------------------------------------------------------------------

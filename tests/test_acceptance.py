@@ -17,6 +17,7 @@ from _oracles import (
     brute_support,
     random_state,
     random_unitary,
+    stacked_support,
     sym_ghz_amplitudes,
 )
 from gwsim.measurement import (
@@ -57,7 +58,7 @@ from gwsim.spacetime import (
     standard_geometry,
     validate_geometry,
 )
-from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, SpinAxis, ghz_state, stacked_support
+from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, SpinAxis, ghz_state
 
 SEED = 2026
 TRIALS = 10_000
@@ -170,7 +171,7 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
         if constraint is None:
             continue
         found[table.frame].append((constraint.slots, constraint.required_product))
-        probabilities = table.probabilities[0][table.possible[0]]
+        probabilities = table.weights[0][table.possible[0]]
         assert len(probabilities) == 4
         assert np.all(np.abs(probabilities - 0.25) <= 1e-10)
     assert found == {name: [expected] for name, expected in expected_by_frame.items()}

@@ -2,11 +2,15 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gwsim.cli
 import gwsim.measurement
 from gwsim.cli import (
     ConfigError,
@@ -15,6 +19,7 @@ from gwsim.cli import (
     load_config,
     main,
 )
+from gwsim.models import MAX_MODELS
 from gwsim.scenario import standard_frames
 from gwsim.spacetime import MAX_SPEED, standard_geometry
 
@@ -89,7 +94,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "2"
+        assert report["schema_version"] == "3"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -100,7 +105,7 @@ class TestGhzNogo:
         for table in tables:
             assert len(table["entries"]) == 4
             for entry in table["entries"]:
-                assert entry["probability"] == pytest.approx(0.25, abs=1e-10)
+                assert entry["probability"] == 0.25  # exact for the ideal device
         assert check_names(report) == {
             "support_tables_quarter": True,
             "constraint_count": True,
@@ -506,6 +511,52 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--models", "0")
         assert code == 2
         assert "--models" in err
+
+    @pytest.mark.parametrize("models", [MAX_MODELS + 1, 10**400])
+    def test_models_beyond_the_bound_are_a_config_error(self, capsys, monkeypatch, models):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sweep started")
+
+        monkeypatch.setattr(gwsim.cli, "nonideal_sweep", refuse)
+        code, out, err = run_cli(capsys, "sweep", "--models", str(models))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --models must be at most {MAX_MODELS}, got {models}\n"
+
+    def test_the_bound_itself_is_accepted(self, monkeypatch):
+        class Started(Exception):
+            pass
+
+        def started(n_models, *args, **kwargs):
+            raise Started(n_models)
+
+        monkeypatch.setattr(gwsim.cli, "nonideal_sweep", started)
+        with pytest.raises(Started, match=f"^{MAX_MODELS}$"):
+            main(["sweep", "--models", str(MAX_MODELS)])
+
+
+def test_a_closed_stdout_ends_the_report_quietly():
+    # A reader that stops after one line (``gwsim sweep | head -1``) closes
+    # the pipe while the report is still being written.
+    src = str(Path(gwsim.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gwsim.cli", "sweep", "--models", "1000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    try:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    finally:
+        proc.kill()
+        proc.wait()
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 class TestSeedResolution:

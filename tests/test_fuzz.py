@@ -7,12 +7,13 @@ digits, bools, null, strings, lists and objects, beside a few valid values
 so that some examples get past validation. Each example may also pass its
 command's ``--side``, ``--tau``, ``--seed``, ``--trials``, ``--models`` and
 ``--format`` flags, with valid or adversarial strings. It calls ``cli.main``
-in-process, ``sweep`` with 1 to 20 models, and must end with a report (exit
-0 or 1) whose ``passed`` matches the exit code, or a clean exit 2: an
-``error:`` line, or argparse's ``usage:`` message. No exception and no
-warning is accepted. Trials are capped at 10⁴ so the campaign stays fast;
-the bound on trials has its own tests in ``test_cli.py``. ``output.path``
-is left out, so no example writes a file.
+in-process, and must end with a report (exit 0 or 1) whose ``passed``
+matches the exit code, or a clean exit 2: an ``error:`` line, or argparse's
+``usage:`` message. No exception and no warning is accepted. Trials are
+capped at 10⁴ and models at 20 so the campaign stays fast; values above
+``MAX_TRIALS`` or ``MAX_MODELS`` are kept and must exit 2, and the bounds
+have their own tests in ``test_cli.py``. ``output.path`` is left out, so no
+example writes a file.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from gwsim.cli import main
-from gwsim.models import MAX_TRIALS, MODES
+from gwsim.models import MAX_MODELS, MAX_TRIALS, MODES
 from gwsim.scenario import FRAME_NAMES
 
 TRIALS_CAP = 10**4
@@ -114,7 +115,7 @@ FLAG_VALUES = st.one_of(
     st.integers(-(10**400), 10**400).map(str),
 )
 # Per capped flag: its cap, and the largest value lowered to it.
-CAPS = {"--trials": (TRIALS_CAP, MAX_TRIALS), "--models": (MODELS_CAP, math.inf)}
+CAPS = {"--trials": (TRIALS_CAP, MAX_TRIALS), "--models": (MODELS_CAP, MAX_MODELS)}
 
 
 def _capped(flag: str, value: str) -> str:

@@ -16,7 +16,6 @@ from gwsim.qmath import (
     grouped_amplitudes,
     layout,
     permute_factors,
-    stacked_amplitudes,
     tensor,
 )
 
@@ -26,6 +25,7 @@ from _oracles import (
     random_orthonormal_columns,
     random_state,
     random_unitary,
+    stacked_amplitudes,
 )
 
 

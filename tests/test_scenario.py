@@ -1,14 +1,20 @@
 import itertools
 import math
-import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import gwsim.scenario
+from _oracles import dense_weights
 from gwsim.cli import _build_model
-from gwsim.measurement import SITES, MeasurementModel, haar_random_unitary, ideal_von_neumann
+from gwsim.measurement import (
+    SITES,
+    MeasurementModel,
+    haar_random_unitary,
+    haar_unitaries,
+    ideal_von_neumann,
+)
 from gwsim.models import CANONICAL_CONSTRAINT_KEYS, trial_rng
 from gwsim.scenario import (
     CANONICAL_SLOTS,
@@ -29,7 +35,7 @@ from gwsim.scenario import (
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
-from gwsim.systems import initial_scenario_state, stacked_support
+from gwsim.systems import initial_scenario_state
 
 
 def event(schedule, event_id):
@@ -175,14 +181,15 @@ def test_evolve_to_round_index_bounds(schedule, frames):
 
 class TestPreRoundStates:
     @pytest.fixture
-    def states(self, schedule, monkeypatch):
-        """The ideal device's pre-round states from one pass, by frame name."""
-        captured = captured_states(monkeypatch)
-        tables = analyze_stack(schedule.model, standard_orderings(schedule))
-        by_frame = {}
-        for table, state in zip(tables, captured):
-            by_frame.setdefault(table.frame, []).append(state.amplitudes[0])
-        return by_frame
+    def states(self, schedule, frames):
+        """The ideal device's replayed pre-round states, by frame name."""
+        return {
+            name: [
+                evolve_to(schedule, frame, k).amplitudes
+                for k in range(1, len(order_events(schedule, frame)) + 1)
+            ]
+            for name, frame in frames.items()
+        }
 
     def test_first_round_sees_the_initial_state(self, states):
         for name in FRAME_NAMES:
@@ -221,14 +228,13 @@ class TestRoundTables:
         table = ideal_tables["sigma"][0]
         assert table.products[0] == 0
         assert table.possible[0].sum() == 8
-        np.testing.assert_allclose(table.probabilities[0], 0.125, atol=1e-10)
+        np.testing.assert_allclose(table.weights[0], 0.125, atol=1e-10)
 
     def test_outsiders_round_yields_odd_parity(self, ideal_tables):
         table = ideal_tables["sigma"][1]
         assert table.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), -1)
         assert possible_labels(table) == {(+1, +1, -1), (+1, -1, +1), (-1, +1, +1), (-1, -1, -1)}
-        probabilities = table.probabilities[0][table.possible[0]]
-        np.testing.assert_allclose(probabilities, 0.25, atol=1e-10)
+        np.testing.assert_allclose(table.weights[0][table.possible[0]], 0.25, atol=1e-10)
 
     def test_mixed_round_yields_even_parity(self, ideal_tables):
         table = ideal_tables["sigma_p"][1]
@@ -238,7 +244,7 @@ class TestRoundTables:
     def test_products_need_one_parity_shared_by_the_possible_tuples(self):
         labels = ((+1, -1, -1), (-1, +1, +1), (+1, +1, +1))
         weights = np.array([[0.5, 0, 0.5], [0, 1.0, 0], [0.5, 0.5, 0], [1e-10, 1.0, 0]])
-        table = RoundTable("sigma", (), labels, np.sqrt(weights).astype(complex), weights)
+        table = RoundTable("sigma", (), labels, weights)
         assert table.products.tolist() == [+1, -1, 0, -1]
 
     def test_two_slot_round_is_unconstrained(self, ideal_tables):
@@ -310,48 +316,35 @@ def standard_orderings(schedule):
     }
 
 
-def captured_states(monkeypatch):
-    """The pre-round state stacks the pass contracts, in round order: the
-    first argument of each ``stacked_support`` call."""
-    states = []
-
-    def capturing(state, groups):
-        states.append(state)
-        return stacked_support(state, groups)
-
-    monkeypatch.setattr(gwsim.scenario, "stacked_support", capturing)
-    return states
-
-
-def assert_row_is_the_replay(table, m, replayed, model):
-    """Model m's row of the table holds the scalar path's support entries and
-    constraint for the replayed pre-round state, bit for bit."""
+def assert_row_matches_the_dense_oracle(table, m, replayed, model):
+    """Model m's row of the table against the dense replayed pre-round state:
+    the scalar path's possible tuples and constraint exactly, and every
+    tuple's weight within 1e-14, since the two sum in different orders."""
     entries, constraint = support_constraint(replayed, table.events, model)
     possible = table.possible[m]
     assert list(itertools.compress(table.labels, possible)) == [e.labels for e in entries]
-    assert table.amplitudes[m][possible].tolist() == [e.amplitude for e in entries]
-    assert table.probabilities[m][possible].tolist() == [e.probability for e in entries]
     assert table.products[m] == (constraint.required_product if constraint else 0)
     assert constraint is None or constraint.slots == round_slots(table.events)
+    assert table.weights[m].min() >= 0.0
+    dense = dense_weights(replayed, table.events, model)
+    np.testing.assert_allclose(table.weights[m], dense, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
 class TestAnalyze:
-    def test_matches_the_replay_oracle(self, spec, monkeypatch):
+    def test_matches_the_replay_oracle(self, spec):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
         frames = standard_frames(schedule.geometry)
         orderings = standard_orderings(schedule)
-        states = captured_states(monkeypatch)
         tables = analyze_stack(schedule.model, orderings)
-        assert len(tables) == len(states) == sum(len(rounds) for rounds in orderings.values())
+        assert len(tables) == sum(len(rounds) for rounds in orderings.values())
         for name, frame in frames.items():
-            mine = [(t, state) for t, state in zip(tables, states) if t.frame == name]
-            assert [t.events for t, _ in mine] == orderings[name]
-            for k, (table, state) in enumerate(mine, start=1):
+            mine = [t for t in tables if t.frame == name]
+            assert [t.events for t in mine] == orderings[name]
+            for k, table in enumerate(mine, start=1):
+                assert table.weights.shape == (1, len(table.labels))
                 replayed = evolve_to(schedule, frame, k)
-                assert state.amplitudes.shape == (1, replayed.dim)
-                assert np.array_equal(state.amplitudes[0], replayed.amplitudes)
-                assert_row_is_the_replay(table, 0, replayed, schedule.model)
+                assert_row_matches_the_dense_oracle(table, 0, replayed, schedule.model)
 
     def test_a_single_device_is_a_stack_of_one(self, spec):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
@@ -361,29 +354,45 @@ class TestAnalyze:
         assert len(single) == len(stacked) == 11
         for one, other in zip(single, stacked):
             assert (one.frame, one.events, one.labels) == (other.frame, other.events, other.labels)
-            assert np.array_equal(one.amplitudes, other.amplitudes)
             assert np.array_equal(one.weights, other.weights)
 
     @pytest.mark.parametrize("size", [1, 5])
-    def test_each_friend_sequence_is_evolved_once(self, spec, size, monkeypatch):
+    def test_each_site_factor_is_built_once(self, spec, size, monkeypatch):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
-        orderings = standard_orderings(schedule)
-        updates = []
+        built, site_gram = [], gwsim.scenario._site_gram
 
-        def counting_update(*args):
-            updates.append(args[2].amplitudes.shape)
-            return apply_local(*args)
+        def counting(vectors, ev, model):
+            gram = site_gram(vectors, ev, model)
+            built.append((ev and ev.kind, gram.shape))
+            return gram
 
-        monkeypatch.setattr(gwsim.scenario, "apply_local", counting_update)
-        contracted = captured_states(monkeypatch)
-        tables = analyze_stack(stack_models([schedule.model] * size), orderings)
-        # Distinct prefixes: A, AB, ABC (shared by sigma and sigma_p), then
-        # B, BA, BAC and C, CA, CAB, each one stacked update whatever the
-        # stack size; replaying every round from the start costs 15 per model.
-        assert updates == [(size, 216)] * 9
-        # One stacked contraction per round: 2 + 3 + 3 + 3.
-        assert [state.amplitudes.shape for state in contracted] == [(size, 216)] * 11
+        monkeypatch.setattr(gwsim.scenario, "_site_gram", counting)
+        tables = analyze_stack(stack_models([schedule.model] * size), standard_orderings(schedule))
         assert len(tables) == 11
+        # Each site is seen before its device (as a spectator and by its
+        # friend), one factor shared by every model, and after it (as a
+        # spectator and by its outsider), one per model: 4 × 3 factors,
+        # whatever the stack size.
+        assert sorted(built, key=str) == sorted(
+            [(None, (4, 1, 1)), ("friend_z", (4, 2, 1))] * 3
+            + [(None, (4, 1, size)), ("outsider_x", (4, 2, size))] * 3,
+            key=str,
+        )
+
+
+def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
+    # The pass works on the two product terms alone: it neither builds the
+    # 216-dim initial state nor updates one.
+    def refuse(*args):
+        raise AssertionError("dense state built by the frame pass")
+
+    monkeypatch.setattr(gwsim.scenario, "apply_local", refuse)
+    monkeypatch.setattr(gwsim.scenario, "initial_scenario_state", refuse)
+    tables = analyze_stack(stack_models(stack_of(5)), standard_orderings(schedule))
+    assert len(tables) == 11
+    assert {(c.slots, c.required_product) for c in distinct_constraints(tables)} == (
+        CANONICAL_CONSTRAINT_KEYS
+    )
 
 
 def stack_of(n):
@@ -404,45 +413,58 @@ def stack_models(models):
 
 class TestAnalyzeStack:
     @pytest.mark.parametrize("n", [1, 5, 40])
-    def test_every_model_matches_the_per_model_reference(
-        self, schedule, frames, n, monkeypatch
-    ):
+    def test_every_model_matches_the_per_model_reference(self, schedule, frames, n):
         models = stack_of(n)
         orderings = standard_orderings(schedule)
-        states = captured_states(monkeypatch)
         tables = analyze_stack(stack_models(models), orderings)
         assert [(t.frame, t.events) for t in tables] == [
             (name, rnd) for name, rounds in orderings.items() for rnd in rounds
         ]
-        assert len(states) == len(tables)
+        assert all(t.weights.shape == (n, len(t.labels)) for t in tables)
         rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
         for m, model in enumerate(models):
             s = replace(schedule, model=model)
-            for table, state, k in zip(tables, states, rounds):
+            for table, k in zip(tables, rounds):
                 replayed = evolve_to(s, frames[table.frame], k)
-                assert np.array_equal(state.amplitudes[m], replayed.amplitudes)
-                assert_row_is_the_replay(table, m, replayed, model)
+                assert_row_matches_the_dense_oracle(table, m, replayed, model)
 
-    def test_state_stacks_are_dropped_after_their_last_use(self, schedule, monkeypatch):
-        # The rounds of the four frames start from seven distinct state
-        # stacks; each is dropped once no later round needs it. The pass
-        # holds the only references, so each round's count of live stacks
-        # is the pass's own.
-        seen, most = [], 0
+    def test_margins_hold_over_2000_haar_devices(self, schedule):
+        # The ideal device plus 2000 Haar models drawn as the sweep draws
+        # them (seed 3): impossible tuples stay far below the support
+        # cutoff, possible ones far above it, and each round's weights
+        # sum to 1.
+        draws = [trial_rng(3, index).normal(size=(3, 2, 6, 6)) for index in range(1, 2001)]
+        unitaries = haar_unitaries(np.array(draws))
+        ideal = ideal_von_neumann()
+        stacked = MeasurementModel(
+            tuple(
+                Operator(np.concatenate([ideal.unitary(site).matrix[None], unitaries[:, k]]))
+                for k, site in enumerate(SITES)
+            )
+        )
+        for table in analyze_stack(stacked, standard_orderings(schedule)):
+            assert table.weights.shape == (2001, len(table.labels))
+            assert table.weights.min() >= 0.0
+            possible = table.possible
+            assert np.where(possible, 0.0, table.weights).max() < 1e-12
+            assert np.where(possible, table.weights, 1.0).min() >= 0.1
+            assert np.abs(1.0 - table.weights.sum(axis=1)).max() < 1e-12
 
-        def watching(state, groups):
-            nonlocal most
-            if not any(ref() is state for ref in seen):
-                seen.append(weakref.ref(state))
-            most = max(most, sum(ref() is not None for ref in seen))
-            return stacked_support(state, groups)
 
-        monkeypatch.setattr(gwsim.scenario, "stacked_support", watching)
-        tables = analyze_stack(stack_models(stack_of(5)), standard_orderings(schedule))
-        assert len(tables) == 11
-        assert len(seen) == 7
-        assert most == 3
-        assert all(ref() is None for ref in seen)
+def test_weights_of_the_ideal_device_are_exact_dyadic_fractions(ideal_tables):
+    # The product terms, the permutation device and the unnormalised
+    # recorded-basis overlaps are all exact in binary floating point, so the
+    # ideal device's weights come out exact: no rounding reaches the cutoff.
+    expected = {
+        "sigma": [{0.125}, {0.0, 0.25}],
+        "sigma_p": [{0.5}, {0.0, 0.25}, {0.25}],
+        "sigma_pp": [{0.5}, {0.0, 0.25}, {0.25}],
+        "sigma_ppp": [{0.5}, {0.0, 0.25}, {0.25}],
+    }
+    assert {
+        name: [set(table.weights[0].tolist()) for table in tables]
+        for name, tables in ideal_tables.items()
+    } == expected
 
 
 def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
@@ -454,19 +476,36 @@ def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
 
 def test_random_subluminal_frames_yield_no_new_constraint(schedule):
     # Generic frames split the six events into singleton rounds; whatever a
-    # frame yields must be one of the four the standard frames give.
+    # frame yields must be one of the four the standard frames give, and
+    # every device's row must match its dense replay.
     rng = np.random.default_rng(20181106)
     speeds = 0.999 * rng.random(1000)
     angles = 2.0 * math.pi * rng.random(1000)
     frames = [
         Frame((float(v * math.cos(a)), float(v * math.sin(a)))) for v, a in zip(speeds, angles)
     ]
-    tables = analyze_stack(
-        schedule.model, {i: order_events(schedule, f) for i, f in enumerate(frames)}
-    )
+    orderings = {i: order_events(schedule, f) for i, f in enumerate(frames)}
+    models = stack_of(4)
+    tables = analyze_stack(stack_models(models), orderings)
     assert {t.frame for t in tables} == set(range(1000))
-    for c in distinct_constraints(tables):
-        assert (c.slots, c.required_product) in CANONICAL_CONSTRAINT_KEYS
+    for m in range(len(models)):
+        for c in filter(None, (t.constraint(m) for t in tables)):
+            assert (c.slots, c.required_product) in CANONICAL_CONSTRAINT_KEYS
+    # Many frames share an ordering, so each distinct pre-round state and
+    # round (the friends measured before it, its events) is replayed once,
+    # and every other table of it must hold the same weights.
+    replayed_rounds = {}
+    rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
+    for table, k in zip(tables, rounds):
+        before = orderings[table.frame][: k - 1]
+        friends = tuple(ev.id for rnd in before for ev in rnd if ev.kind == "friend_z")
+        first, _ = replayed_rounds.setdefault((friends, table.events), (table, k))
+        assert np.array_equal(table.weights, first.weights)
+    assert len(replayed_rounds) > 20
+    for table, k in replayed_rounds.values():
+        for m, model in enumerate(models):
+            replayed = evolve_to(replace(schedule, model=model), frames[table.frame], k)
+            assert_row_matches_the_dense_oracle(table, m, replayed, model)
 
 
 class TestEnumerateAssignments:

@@ -13,11 +13,11 @@ from gwsim.systems import (
     SpinAxis,
     SupportEntry,
     ghz_state,
+    initial_product_terms,
     initial_scenario_state,
     lab_state,
     spin_basis,
     spin_vector,
-    stacked_support,
     support_table,
 )
 
@@ -25,6 +25,7 @@ from _oracles import (
     axis_spec,
     random_orthonormal_columns,
     random_state,
+    stacked_support,
     sym_ghz,
     sym_ghz_amplitudes,
     sym_spin_vector,
@@ -165,6 +166,20 @@ def test_initial_scenario_state_layout_and_content():
     entries = expansion(state, groups)
     assert list(entries) == [(0, 0, 0)]
     assert entries[(0, 0, 0)][1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_product_terms_sum_to_the_initial_state():
+    # The frame pass's two product terms are the dense initial state, so
+    # they carry the y-sign convention the symbolic oracle pins.
+    coefficients, vectors = initial_product_terms()
+    terms = [c * np.kron(np.kron(v, v), v) for c, v in zip(coefficients, vectors)]
+    assert_allclose(sum(terms), initial_scenario_state().amplitudes, rtol=0, atol=1e-15)
+
+
+def test_product_terms_are_exact_in_binary_floating_point():
+    coefficients, vectors = initial_product_terms()
+    assert coefficients.tolist() == [0.25, -0.25j]
+    assert vectors.tolist() == [[1, -1j, 0, 0, 0, 0], [1, 1j, 0, 0, 0, 0]]
 
 
 def test_weights_leave_out_what_lies_outside_the_labeled_subspace():
