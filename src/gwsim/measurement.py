@@ -68,8 +68,8 @@ class MeasurementModel:
     """One 6-dim measurement unitary per site (labs A, B, C in order).
 
     Site operators that are (M, 6, 6) stacks make one model of M device
-    models, analysed together (``scenario.analyze_stack``); ``unitary``,
-    ``recorded_state`` and ``pair_x_state`` then give stacks too.
+    models, analysed together (``scenario.analyze_stack``); ``unitary`` and
+    the pair states then give stacks too.
     """
 
     site_unitaries: tuple[Operator, Operator, Operator]
@@ -90,11 +90,13 @@ class MeasurementModel:
         """|±1Z> = U(|ready> ⊗ |±1_z>), the pair state after recording sign."""
         return self.unitary(site).matrix @ _pair_basis_state(LabLabel.READY, sign)
 
+    def recorded_sum(self, site: str, sign: int) -> np.ndarray:
+        """|+1Z> ± |-1Z> = √2·|±1X>, the recorded-basis superposition unnormalised."""
+        return self.recorded_state(site, +1) + sign * self.recorded_state(site, -1)
+
     def pair_x_state(self, site: str, sign: int) -> np.ndarray:
         """|±1X> = (|+1Z> ± |-1Z>)/√2, the recorded-basis superpositions."""
-        plus = self.recorded_state(site, +1)
-        minus = self.recorded_state(site, -1)
-        return (plus + sign * minus) / np.sqrt(2.0)
+        return self.recorded_sum(site, sign) / np.sqrt(2.0)
 
 
 def _ideal_matrix() -> np.ndarray:

@@ -9,10 +9,9 @@ amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
 carry one leading *stack* axis, so that one ``apply_local`` call does the
 work of a loop (over collapse paths, or device models); entry m of a stacked
 result is bit-identical to the single-state call on entry m. The frame
-analysis does not run here: it works on the initial state's two product
-terms (``scenario.analyze_stack``). All values are immutable after
-construction and all operations are pure functions, so everything here is
-safe to share across threads.
+analysis (``scenario.analyze_stack``) applies it to 6-dim pair vectors only.
+All values are immutable after construction and all operations are pure
+functions, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .measurement import SITES, MeasurementModel
-from .qmath import BasisGroup, StateVector, apply_local
+from .measurement import SITES, MeasurementModel, pair_index
+from .qmath import BasisGroup, StateVector, apply_local, layout
 from .spacetime import (
     Frame,
     GeometrySpec,
@@ -42,6 +42,7 @@ from .spacetime import (
 from .systems import (
     SITE_FACTORS,
     SUPPORT_EPS,
+    LabLabel,
     SpinAxis,
     SupportEntry,
     initial_product_terms,
@@ -286,15 +287,13 @@ def _site_gram(vectors: np.ndarray, ev: MeasurementEvent | None, model) -> np.nd
     if ev is None:
         parts = vectors[:, None]
     elif ev.kind == "friend_z":
-        # Pair index 2·lab + 0 holds the electron's +1 z-spin, 2·lab + 1 its −1.
-        parts = np.stack([vectors[:, 0::2], vectors[:, 1::2]], axis=1)
+        # The z-record projector keeps the pair entries with that electron spin.
+        split = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
+        parts = np.stack([vectors[:, rows] for rows in split], axis=1)
     else:
-        # √2·<±1X|v> = <+1Z|v> ± <-1Z|v>; the √½ enters the Gram squared, as 1/2.
-        recorded = np.stack(
-            [np.reshape(model.recorded_state(ev.site, sign), (-1, 6)).T for sign in (+1, -1)]
-        )
-        plus, minus = (recorded.conj()[:, None] * vectors).sum(axis=2)
-        parts = np.stack([plus + minus, plus - minus], axis=1)[:, :, None]
+        # ⟨b_±|v⟩ for b_± = √2·|±1X>; the √½ enters the Gram squared, as 1/2.
+        bras = [np.reshape(model.recorded_sum(ev.site, sign), (-1, 6)).T for sign in (+1, -1)]
+        parts = (np.stack(bras).conj()[None] * vectors[:, None]).sum(axis=2)[:, :, None]
         scale = 0.5
     gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
     return gram.reshape(4, *gram.shape[2:])
@@ -310,14 +309,20 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
 
     The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
     where a site's v_k has its device applied iff its friend's event fell in
-    an earlier round, as ``evolve_to`` replays it. A tuple's Born weight is
-    then Σ_{k,j} c_k c̄_j Π_site g_site[k, j], from one 2×2 Gram factor per
-    site (``_site_gram``), each built once per pass. Rounding leaves
-    impossible tuples about ±1e-17, so weights are clamped at 0.
+    an earlier round, as ``evolve_to`` replays it (once per site and term,
+    by ``apply_local`` on the 6-dim pair). A tuple's Born weight is then
+    Σ_{k,j} c_k c̄_j Π_site g_site[k, j], from one 2×2 Gram factor per site
+    (``_site_gram``), each built once per pass. Rounding leaves impossible
+    tuples about ±1e-17, so weights are clamped at 0.
     """
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)  # c_k c̄_j
     size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
+    recorded_terms = {}  # site -> (2, 6, M): U v_k for each term k and model
+    for site, targets in SITE_FACTORS.items():
+        copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
+        evolved = [apply_local(model.unitary(site), targets, state) for state in copies]
+        recorded_terms[site] = np.stack([state.amplitudes.T for state in evolved])
     grams: dict[tuple, np.ndarray] = {}
     tables = []
     for key, rounds in orderings.items():
@@ -329,12 +334,7 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                 ev = events.get(site)
                 index = (site, site in recorded, ev and ev.kind)
                 if index not in grams:
-                    vectors = pair[:, :, None]
-                    if site in recorded:
-                        # v_k → U v_k for every model (einsum: numpy's complex
-                        # matmul is many times slower for these shapes).
-                        unitary = model.unitary(site).matrix.reshape(-1, 6, 6)
-                        vectors = np.einsum("kc,mrc->krm", pair, unitary)
+                    vectors = recorded_terms[site] if site in recorded else pair[:, :, None]
                     grams[index] = _site_gram(vectors, ev, model)
                 factors.append(grams[index])
             a, b, c = factors

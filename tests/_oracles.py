@@ -356,6 +356,15 @@ def draw_reference(probabilities: np.ndarray, trials: int, seed: int) -> np.ndar
 # The device sweep, one model at a time
 
 
+def sweep_reference_model(index: int, seed: int) -> MeasurementModel:
+    """Model ``index`` of a sweep: the ideal device first, then three
+    ``random_unitary`` draws from the model's own ``trial_rng`` stream."""
+    if index == 0:
+        return ideal_von_neumann()
+    rng = trial_rng(seed, index)
+    return MeasurementModel(tuple(Operator(random_unitary(6, rng)) for _ in range(3)))
+
+
 def sweep_reference(n_models: int, seed: int) -> SweepReport:
     """``nonideal_sweep`` model by model: the same device streams, each drawn
     one unitary at a time (``random_unitary``), then a fresh schedule
@@ -363,13 +372,7 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
     standard frame."""
     results = []
     for index in range(n_models):
-        if index == 0:
-            model = ideal_von_neumann()
-        else:
-            rng = trial_rng(seed, index)
-            model = MeasurementModel(
-                tuple(Operator(random_unitary(6, rng)) for _ in range(3))
-            )
+        model = sweep_reference_model(index, seed)
         schedule = build_schedule(10.0, 1.0, model)
         constraints = []
         support_ok = True

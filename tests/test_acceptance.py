@@ -17,7 +17,6 @@ from _oracles import (
     brute_support,
     random_state,
     random_unitary,
-    stacked_support,
     sym_ghz_amplitudes,
 )
 from gwsim.measurement import (
@@ -38,7 +37,14 @@ from gwsim.models import (
     nonideal_sweep,
     run_model,
 )
-from gwsim.qmath import BasisGroup, Operator, StateVector, apply_local, layout
+from gwsim.qmath import (
+    BasisGroup,
+    Operator,
+    StateVector,
+    apply_local,
+    grouped_amplitudes,
+    layout,
+)
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
@@ -58,7 +64,14 @@ from gwsim.spacetime import (
     standard_geometry,
     validate_geometry,
 )
-from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, SpinAxis, ghz_state
+from gwsim.systems import (
+    SITE_FACTORS,
+    SUPPORT_EPS,
+    SpinAxis,
+    SupportEntry,
+    ghz_state,
+    support_table,
+)
 
 SEED = 2026
 TRIALS = 10_000
@@ -75,8 +88,23 @@ def frames(schedule):
     return standard_frames(schedule.geometry)
 
 
-def stack_of_one(state: StateVector) -> StateVector:
-    return StateVector(state.layout, state.amplitudes[None])
+def package_weights(state: StateVector, groups) -> np.ndarray:
+    """Born weight of every joint outcome tuple, in ``itertools.product``
+    order of the groups' labels: the package's ``grouped_amplitudes`` summed
+    over the spectator axis."""
+    amps, _ = grouped_amplitudes(state, groups)
+    return (np.abs(amps) ** 2).sum(axis=-1).ravel()
+
+
+def assert_support_table_keeps(state: StateVector, groups, weights) -> list[SupportEntry]:
+    """``support_table`` keeps exactly the tuples whose weight clears the
+    cutoff, each with that weight."""
+    entries, _ = support_table(state, groups)
+    labels = list(itertools.product(*(g.labels for g in groups)))
+    kept = [(l, w) for l, w in zip(labels, weights) if w > SUPPORT_EPS]
+    assert [e.labels for e in entries] == [l for l, _ in kept]
+    assert all(abs(e.probability - w) <= 1e-12 for e, (_, w) in zip(entries, kept))
+    return entries
 
 
 def test_criterion_1_ghz_expansions():
@@ -85,12 +113,13 @@ def test_criterion_1_ghz_expansions():
 
     def support(axes):
         groups = axis_spec(ghz, [SpinAxis(a) for a in axes])
-        _, weights = stacked_support(stack_of_one(ghz), groups)
+        weights = package_weights(ghz, groups)
         exact = sym_ghz_amplitudes(axes)
         labels = list(itertools.product(*(g.labels for g in groups)))
-        for signs, weight in zip(labels, weights[0]):
+        for signs, weight in zip(labels, weights):
             assert abs(weight - abs(complex(exact[signs].evalf())) ** 2) <= tol
-        return {signs: w for signs, w in zip(labels, weights[0]) if w > SUPPORT_EPS}
+        entries = assert_support_table_keeps(ghz, groups, weights)
+        return {e.labels: e.probability for e in entries}
 
     z_entries = support("zzz")
     assert len(z_entries) == 8
@@ -357,12 +386,13 @@ def _support_oracle_campaign(cases):
                 (tuple(chunk), [columns[:, j] for j in range(n_labels)])
             )
 
-        _, weights = stacked_support(stack_of_one(state), pkg_groups)
+        weights = package_weights(state, pkg_groups)
         brute = brute_support(psi, dims, oracle_groups)
 
         # Both run over the joint labels in itertools.product order.
         assert list(brute) == list(itertools.product(*(g.labels for g in pkg_groups)))
-        assert np.max(np.abs(weights[0] - list(brute.values()))) <= 1e-9
+        assert np.max(np.abs(weights - list(brute.values()))) <= 1e-9
+        assert_support_table_keeps(state, pkg_groups, weights)
 
 
 def test_criterion_9_property_suites(schedule, frames):

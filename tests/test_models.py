@@ -1,9 +1,11 @@
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import _oracles
 import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
@@ -15,6 +17,7 @@ from _oracles import (
     sample_round_born,
     sample_sequential_collapse,
     sweep_reference,
+    sweep_reference_model,
 )
 from gwsim.cli import _build_model
 from gwsim.measurement import (
@@ -49,8 +52,10 @@ from gwsim.scenario import (
     build_schedule,
     collect_constraints,
     enumerate_assignments,
+    evolve_to,
     order_events,
     standard_frames,
+    support_constraint,
     violation_mask,
 )
 from gwsim.spacetime import Frame
@@ -283,6 +288,24 @@ class TestErasure:
         assert a.pair_x_counts == b.pair_x_counts
 
 
+def quarter_weight_pairs(model) -> list[tuple[float, float]]:
+    """(product-form weight, dense weight) of every possible tuple of every
+    constraint-bearing round of the standard frames, for one device model."""
+    s = build_schedule(10.0, 1.0, model)
+    frames = standard_frames(s.geometry)
+    orderings = {name: order_events(s, f) for name, f in frames.items()}
+    tables = iter(analyze_stack(model, orderings))
+    pairs = []
+    for name, rounds in orderings.items():
+        for k, rnd in enumerate(rounds, start=1):
+            table = next(tables)
+            entries, constraint = support_constraint(evolve_to(s, frames[name], k), rnd, model)
+            if constraint is not None:
+                weights = dict(zip(table.labels, table.weights[0]))
+                pairs += [(weights[e.labels], e.probability) for e in entries]
+    return pairs
+
+
 class TestNonidealSweep:
     def test_single_model_is_the_ideal_baseline(self):
         report = nonideal_sweep(1, seed=0)
@@ -340,17 +363,31 @@ class TestNonidealSweep:
 
     def test_blocks_report_the_reference_failures(self, monkeypatch):
         # Below the rounding of some 1/4 weights, some models fail the
-        # support check; the blocked sweep must fail the same ones as a pass
-        # per model. (The dense reference rounds differently, so at this
-        # tolerance it fails other models; the frame pass's tests bound the
-        # difference by 1e-14.)
-        monkeypatch.setattr(gwsim.models, "QUARTER_TOL", 3e-16)
+        # support check. The blocked sweep must fail the same ones as a pass
+        # per model, and as the dense reference but where a 1/4 weight falls
+        # on the other side of the tolerance in the dense sum; those weights
+        # must still agree within 1e-14.
+        tol = 3e-16
+        monkeypatch.setattr(gwsim.models, "QUARTER_TOL", tol)
+        monkeypatch.setattr(_oracles, "QUARTER_TOL", tol)
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 1)
         one_by_one = nonideal_sweep(11, 3)
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
         report = nonideal_sweep(11, 3)
         assert not report.all_passed
         assert report == one_by_one
+        reference = sweep_reference(11, 3)
+        assert (report.n_models, report.seed) == (reference.n_models, reference.seed)
+        verdicts_agree = 0
+        for mine, dense in zip(report.results, reference.results, strict=True):
+            assert replace(mine, support_ok=dense.support_ok) == dense
+            if mine.support_ok == dense.support_ok:
+                verdicts_agree += 1
+                continue
+            pairs = quarter_weight_pairs(sweep_reference_model(mine.index, 3))
+            assert max(abs(a - b) for a, b in pairs) <= 1e-14
+            assert any((abs(a - 0.25) <= tol) != (abs(b - 0.25) <= tol) for a, b in pairs)
+        assert verdicts_agree >= 8
 
     def test_one_qr_and_one_unitarity_check_per_site_stack_per_block(self, monkeypatch):
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)

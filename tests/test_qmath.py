@@ -208,31 +208,41 @@ def test_basis_group_label_count_must_match_columns():
         BasisGroup(("A",), (+1,), np.eye(2))
 
 
-def test_stacked_amplitudes_full_coverage_matches_bra_oracle():
+def contract_one(stacked: bool, state: StateVector, groups) -> np.ndarray:
+    """One state's joint outcome amplitudes: the package's ``grouped_amplitudes``,
+    or the dense oracle's ``stacked_amplitudes`` on a stack of one."""
+    if stacked:
+        return stacked_amplitudes(StateVector(state.layout, state.amplitudes[None]), groups)[0]
+    return grouped_amplitudes(state, groups)[0]
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_contractions_with_full_coverage_match_bra_oracle(stacked):
     rng = np.random.default_rng(17)
     lay = layout("L", "A", "M")
-    state = StateVector(lay, random_state(18, rng)[None])  # a stack of one
+    state = StateVector(lay, random_state(18, rng))
     g_lab = BasisGroup(("L",), (0, 1, 2), random_unitary(3, rng))
     g_pair = BasisGroup(("A", "M"), ("p", "q"), random_orthonormal_columns(6, 2, rng))
-    amps = stacked_amplitudes(state, [g_lab, g_pair])
-    assert amps.shape == (1, 3, 2, 1)
+    amps = contract_one(stacked, state, [g_lab, g_pair])
+    assert amps.shape == (3, 2, 1)
     for i in range(3):
         for j in range(2):
             expected = brute_product_amplitude(
-                state.amplitudes[0],
+                state.amplitudes,
                 lay.dims,
                 [((0,), g_lab.vectors[:, i]), ((1, 2), g_pair.vectors[:, j])],
             )
-            assert amps[0, i, j, 0] == pytest.approx(expected, abs=1e-12)
+            assert amps[i, j, 0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_stacked_amplitudes_spectator_axis_carries_leftover_weight():
+@pytest.mark.parametrize("stacked", [False, True])
+def test_contraction_spectator_axis_carries_leftover_weight(stacked):
     rng = np.random.default_rng(18)
     lay = layout("L", "A", "M")
-    state = StateVector(lay, random_state(18, rng)[None])
+    state = StateVector(lay, random_state(18, rng))
     group = BasisGroup(("A",), (+1, -1), np.eye(2))
-    amps = stacked_amplitudes(state, [group])
-    assert amps.shape == (1, 2, 9)
+    amps = contract_one(stacked, state, [group])
+    assert amps.shape == (2, 9)
     total = float(np.sum(np.abs(amps) ** 2))
     assert total == pytest.approx(1.0, abs=1e-10)
 

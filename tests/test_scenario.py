@@ -35,7 +35,7 @@ from gwsim.scenario import (
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
-from gwsim.systems import initial_scenario_state
+from gwsim.systems import SITE_FACTORS, initial_scenario_state
 
 
 def event(schedule, event_id):
@@ -381,15 +381,25 @@ class TestAnalyze:
 
 
 def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
-    # The pass works on the two product terms alone: it neither builds the
-    # 216-dim initial state nor updates one.
+    # The pass works on the two product terms alone: it never builds the
+    # 216-dim initial state, and ``apply_local`` only runs each site's device
+    # on that site's 6-dim pair vectors, once per product term for the whole
+    # stack.
+    applied, apply = [], gwsim.scenario.apply_local
+
+    def pair_only(op, targets, state):
+        assert state.layout.names == tuple(targets) and state.dim == 6
+        applied.append((tuple(targets), state.amplitudes.shape))
+        return apply(op, targets, state)
+
     def refuse(*args):
         raise AssertionError("dense state built by the frame pass")
 
-    monkeypatch.setattr(gwsim.scenario, "apply_local", refuse)
+    monkeypatch.setattr(gwsim.scenario, "apply_local", pair_only)
     monkeypatch.setattr(gwsim.scenario, "initial_scenario_state", refuse)
     tables = analyze_stack(stack_models(stack_of(5)), standard_orderings(schedule))
     assert len(tables) == 11
+    assert sorted(applied) == sorted([(SITE_FACTORS[site], (5, 6)) for site in SITES] * 2)
     assert {(c.slots, c.required_product) for c in distinct_constraints(tables)} == (
         CANONICAL_CONSTRAINT_KEYS
     )

@@ -35,12 +35,10 @@ SQ2 = np.sqrt(2.0)
 
 
 def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
-    """(amplitude, weight) of each possible outcome tuple: ``stacked_support``
-    of a stack of one."""
-    stack = StateVector(state.layout, state.amplitudes[None])
-    amplitudes, weights = stacked_support(stack, groups)
-    labels = itertools.product(*(g.labels for g in groups))
-    return {l: (a, w) for l, a, w in zip(labels, amplitudes[0], weights[0]) if w > SUPPORT_EPS}
+    """(amplitude, weight) of each possible outcome tuple: ``support_table``'s
+    entries."""
+    entries, _ = support_table(state, groups)
+    return {e.labels: (e.amplitude, e.probability) for e in entries}
 
 
 def ghz_expansion(axes) -> dict[tuple, tuple[complex, float]]:
