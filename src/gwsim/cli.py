@@ -54,7 +54,7 @@ from .scenario import (
 )
 from .spacetime import standard_geometry, validate_geometry
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12

@@ -40,7 +40,6 @@ from .systems import (
     LabLabel,
     SpinAxis,
     lab_vector,
-    spin_basis,
     spin_vector,
 )
 
@@ -210,18 +209,6 @@ def door_observable(site: str = "A") -> Observable:
             (+1.0, Operator(projs[LabLabel.RECORDED_UP])),
             (-1.0, Operator(projs[LabLabel.RECORDED_DOWN])),
             (0.0, Operator(projs[LabLabel.READY])),
-        ),
-    )
-
-
-def spin_observable(axis: SpinAxis, factor: str = "A") -> Observable:
-    """±1 spin component of one electron along the given axis."""
-    basis = spin_basis(axis)
-    return Observable(
-        (factor,),
-        (
-            (+1.0, Operator(_rank1(basis[:, 0]))),
-            (-1.0, Operator(_rank1(basis[:, 1]))),
         ),
     )
 

@@ -14,10 +14,8 @@ one count per assignment.
   is paid elsewhere: each constraint belonging to another frame is violated
   with probability 1/2.
 * ``sequential_collapse`` — textbook projective collapse applied event by
-  event in the preferred frame's order; the distribution comes from
-  branching once over every event's projectors, with every surviving path
-  one row of a single stacked state, so each event is one ``apply_local``
-  per projector (and one for a friend's device) for all paths at once.
+  event; each outcome's weight is read off the initial state's two product
+  terms by the frame pass's Gram rule, and is the same in every frame.
   Collapse after the friends' round destroys the three-way coherence, so
   even the preferred frame's outsider parity fails with probability 1/2.
 
@@ -37,25 +35,22 @@ blocks of one stacked Haar draw and one stacked pass each.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measurement import (
+    PAIR_DIM,
     SAMPLE_FLOOR,
+    SITES,
     MeasurementModel,
     haar_unitaries,
     ideal_von_neumann,
-    door_observable,
-    outsider_observable,
-    spin_observable,
 )
 from .qmath import Operator, StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
-    OUTCOME_SIGNS,
     ParityConstraint,
     RoundTable,
     Schedule,
@@ -67,9 +62,11 @@ from .scenario import (
     round_slots,
     standard_frames,
     violation_mask,
+    _born_weights,
+    _site_gram,
 )
 from .spacetime import Frame
-from .systems import LabLabel, SpinAxis, initial_scenario_state, lab_vector, spin_vector
+from .systems import LabLabel, SpinAxis, initial_product_terms, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
 # Uniforms per sampling block, so a run's memory stays flat in its trial count.
@@ -161,55 +158,36 @@ def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
     return mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
 
 
-def _outcome_index(slots, signs) -> int:
-    """Table index of the outcome giving ``signs`` to ``slots``, +1 elsewhere."""
-    return sum(
-        1 << (len(CANONICAL_SLOTS) - 1 - CANONICAL_SLOTS.index(slot))
-        for slot, sign in zip(slots, signs)
-        if sign == -1
-    )
+def _signed_outcomes(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The ±1 block of an outcome table, and the weight pruned from the table.
 
-
-def _collapse_branches(state: StateVector, steps):
-    """Every outcome sequence of measuring ``steps`` in turn, with collapse.
-
-    Each step is an observable plus an optional ``(unitary, targets)`` run on
-    the post-measurement state. Returns ``(signs, probability)`` per surviving
-    sequence, path-major and eigenpair-minor, and the total weight of outcomes
-    dropped because their conditional probability fell below SAMPLE_FLOOR. A
-    surviving outcome must be ±1; any other eigenvalue means the state left
-    the recorded subspace.
-
-    The surviving paths' states are the rows of one stacked state, so a step
-    is one ``apply_local`` per projector, and one for its device, whatever
-    the number of paths.
+    Each axis of ``weights`` runs over one measurement's values (+1, −1, 0),
+    the 0 absent where it cannot occur. Outcomes whose joint weight (not
+    their weight given the earlier outcomes) is below SAMPLE_FLOOR are
+    pruned; a 0 outcome above it means a pair left the recorded subspace, so
+    it raises ``ValueError``.
     """
-    paths = [((), 1.0)]
-    stack = StateVector(state.layout, state.amplitudes[None])
-    pruned = 0.0
-    for obs, device in steps:
-        projected = [apply_local(proj, obs.targets, stack).amplitudes for _, proj in obs.eigenpairs]
-        grown, rows = [], []
-        for row, (signs, weight) in enumerate(paths):
-            for (value, _), amplitudes in zip(obs.eigenpairs, projected):
-                p = float(np.vdot(amplitudes[row], amplitudes[row]).real)
-                if p < SAMPLE_FLOOR:
-                    pruned += weight * p
-                    continue
-                if value not in (+1.0, -1.0):
-                    raise ValueError(
-                        f"outcome {value:g} on {'/'.join(obs.targets)} has probability "
-                        f"{p:.3g}; only ±1 outcomes may occur"
-                    )
-                grown.append((signs + (int(value),), weight * p))
-                rows.append(amplitudes[row] / np.sqrt(p))
-        paths = grown
-        if not paths:
-            break
-        stack = StateVector(state.layout, np.stack(rows))
-        if device is not None:
-            stack = apply_local(device[0], device[1], stack)
-    return paths, pruned
+    light = weights < SAMPLE_FLOOR
+    kept = np.where(light, 0.0, weights)
+    signed = (slice(0, 2),) * weights.ndim
+    rest = kept.copy()
+    rest[signed] = 0.0
+    if rest.any():
+        raise ValueError(f"a 0 outcome weighs {rest.max():.3g}; only ±1 outcomes may occur")
+    return kept[signed], float(weights[light].sum())
+
+
+def _outsider_projectors(model: MeasurementModel, site: str) -> list[np.ndarray]:
+    """Q_+, Q_−, Q_0 of the outsider's measurement at ``site``: ½ b_± b_±† for
+    b_± = |+1Z> ± |-1Z>, then the rest projector."""
+    q = [0.5 * np.outer(b, b.conj()) for b in (model.recorded_sum(site, s) for s in (+1, -1))]
+    return [*q, np.eye(PAIR_DIM) - q[0] - q[1]]
+
+
+def _in_slot_order(weights: np.ndarray, slots) -> np.ndarray:
+    """A (2,)*6 outcome tensor, axis i for ``slots[i]`` (+1 first), as the
+    64-entry table in ``OUTCOME_SIGNS`` row order."""
+    return weights.transpose([slots.index(slot) for slot in CANONICAL_SLOTS]).reshape(-1)
 
 
 def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
@@ -218,47 +196,43 @@ def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float
     ``rounds`` is the preferred frame's tables from ``analyze_stack``, read at
     model 0. Rounds are independent, so an assignment's probability is the
     product of its rounds' Born weights. Outcome tuples below the support
-    cutoff are left out; their weight is the pruned weight.
+    cutoff are left out, and the pruned weight is 1 − Π_r (1 − d_r) for
+    round r's left-out weight d_r.
     """
-    tables = [
-        [
-            (_outcome_index(round_slots(r.events), labels), p)
-            for labels, p, ok in zip(r.labels, r.weights[0].tolist(), r.possible[0])
-            if ok
-        ]
-        for r in rounds
-    ]
-    probabilities = np.zeros(len(OUTCOME_SIGNS))
-    for combo in itertools.product(*tables):
-        probabilities[sum(i for i, _ in combo)] = math.prod(p for _, p in combo)
-    kept = math.prod(sum(p for _, p in entries) for entries in tables)
-    return probabilities, max(0.0, 1.0 - kept)
+    weights, slots, dropped = np.ones(()), [], []
+    for r in rounds:
+        kept = np.where(r.possible[0], r.weights[0], 0.0).reshape((2,) * len(r.events))
+        weights = np.multiply.outer(weights, kept)
+        slots += round_slots(r.events)
+        dropped.append(float(r.weights[0][~r.possible[0]].sum()))
+    # max() turns the −0.0 of no dropped weight into 0.0.
+    pruned = max(0.0, -math.expm1(math.fsum(math.log1p(-d) for d in dropped)))
+    return _in_slot_order(weights, slots), pruned
 
 
-def sequential_collapse_distribution(model: MeasurementModel, rounds) -> tuple[np.ndarray, float]:
+def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarray, float]:
     """The sequential_collapse model's 64-entry distribution, and the pruned weight.
 
-    ``rounds`` is the preferred frame's ordering from ``order_events``;
-    branching starts from the initial scenario state, every frame's first
-    pre-round state, and runs over every event's projectors in the frame's
-    order. A friend's device unitary runs after its z projector. All
-    surviving paths are one stack, so the six events take 18 ``apply_local``
-    calls: three friends' two projectors and device, three outsiders' three
-    projectors.
+    Site outcome (z, x) applies K = Q_x U P_z to the site's pair: the friend's
+    z projector, the device, then the outsider's projector. An outcome's
+    probability is ‖Π_site K_site ψ‖² on the initial product form, one
+    ``_site_gram`` per site. Operators at different sites commute and each
+    site's friend event precedes its outsider event in every frame, so the
+    table does not depend on the preferred frame. ``_signed_outcomes``
+    prunes it.
     """
-    events = [ev for rnd in rounds for ev in rnd]
-    steps = [
-        (spin_observable(SpinAxis.Z, ev.targets[1]), (model.unitary(ev.site), ev.targets))
-        if ev.kind == "friend_z"
-        else (outsider_observable(model, ev.site), None)
-        for ev in events
-    ]
-    branches, pruned = _collapse_branches(initial_scenario_state(), steps)
-    slots = [ev.slot for ev in events]
-    probabilities = np.zeros(len(OUTCOME_SIGNS))
-    for signs, p in branches:
-        probabilities[_outcome_index(slots, signs)] = p
-    return probabilities, pruned
+    coefficients, pair = initial_product_terms()
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
+    z_projectors = [np.kron(np.eye(3), np.diag(spin_vector(SpinAxis.Z, s))) for s in (+1, -1)]
+    factors = []
+    for site in SITES:
+        u = model.unitary(site).matrix
+        operators = [q @ u @ p for p in z_projectors for q in _outsider_projectors(model, site)]
+        factors.append(_site_gram(pair[:, :, None], np.stack(operators)[..., None]))
+    # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
+    weights = np.maximum(_born_weights(terms, factors), 0.0).reshape((2, 3) * 3)
+    kept, pruned = _signed_outcomes(weights)
+    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), pruned
 
 
 def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
@@ -282,9 +256,7 @@ def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> Ru
     if m.mode == "round_born":
         probabilities, pruned = round_born_distribution(preferred_tables)
     else:
-        probabilities, pruned = sequential_collapse_distribution(
-            s.model, orderings[m.preferred]
-        )
+        probabilities, pruned = sequential_collapse_distribution(s.model)
 
     return RunReport(
         constraints=constraints,
@@ -316,31 +288,30 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     collapses it onto (|+1Z> ± |-1Z>)/√2, either of which shows RecordedDown
     behind the door half the time: the outsider has erased the record.
 
-    The (pair-x, door) outcome table comes from branching over both
-    observables' projectors; trials are counted from it as in ``run_model``.
+    The (pair-x, door) outcome table is the collapse rule's one-site,
+    one-term case: outcome (x, d) weighs ‖D_d Q_x ψ‖² for the door projector
+    D_d. Trials are counted from it as in ``run_model``.
     """
     model = ideal_von_neumann()
-    start = StateVector(
-        layout("L", "A"),
-        np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1)),
-    )
-    recorded = apply_local(model.unitary("A"), ("L", "A"), start)
-    steps = [] if skip_pair_x else [(outsider_observable(model), None)]
-    branches, pruned = _collapse_branches(recorded, steps + [(door_observable(), None)])
+    start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
+    recorded = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
+    labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
+    door = [np.kron(np.diag(lab_vector(label)), np.eye(2)) for label in labels]
+    pair_x = [np.eye(PAIR_DIM)] if skip_pair_x else _outsider_projectors(model, "A")
+    operators = np.stack([d @ q for q in pair_x for d in door])[..., None]
+    gram = _site_gram(recorded.amplitudes[None, :, None], operators)
+    kept, pruned = _signed_outcomes(gram.real.reshape(len(pair_x), len(door)))
 
-    counts = _draw(np.array([p for _, p in branches]), trials, seed)
-    pair_x_counts = {+1: 0, -1: 0}
-    door_counts = {+1: 0, -1: 0, 0: 0}
-    for (signs, _), n in zip(branches, counts):
-        if not skip_pair_x:
-            pair_x_counts[signs[0]] += int(n)
-        door_counts[signs[-1]] += int(n)
+    counts = _draw(kept.ravel(), trials, seed).reshape(kept.shape)
+    up, down = counts.sum(axis=0).tolist()
+    pair_x_counts = dict(zip((+1, -1), [0, 0] if skip_pair_x else counts.sum(axis=1).tolist()))
+    door_counts = {+1: up, -1: down, 0: 0}
 
     return ErasureReport(
         pair_x_counts=pair_x_counts,
         door_counts=door_counts,
         down_frequency=door_counts[-1] / trials if trials else 0.0,
-        exact_down_probability=float(sum(p for signs, p in branches if signs[-1] == -1)),
+        exact_down_probability=float(kept[:, 1].sum()),
         pruned_weight=pruned,
     )
 

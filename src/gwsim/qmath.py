@@ -7,9 +7,9 @@ spin-1/2 electrons A, B, C). Operators act on named factors of a state
 labeled basis groups are contracted against a state to give joint outcome
 amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
 carry one leading *stack* axis, so that one ``apply_local`` call does the
-work of a loop (over collapse paths, or device models); entry m of a stacked
-result is bit-identical to the single-state call on entry m. The frame
-analysis (``scenario.analyze_stack``) applies it to 6-dim pair vectors only.
+work of a loop over device models; entry m of a stacked result is
+bit-identical to the single-state call on entry m. The frame analysis
+(``scenario.analyze_stack``) applies it to 6-dim pair vectors only.
 All values are immutable after construction and all operations are pure
 functions, so everything here is safe to share across threads.
 """

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .measurement import SITES, MeasurementModel, pair_index
+from .measurement import PAIR_DIM, SITES, MeasurementModel, pair_index
 from .qmath import BasisGroup, StateVector, apply_local, layout
 from .spacetime import (
     Frame,
@@ -273,30 +273,43 @@ class RoundTable:
         return ParityConstraint(round_slots(self.events), product) if product else None
 
 
-def _site_gram(vectors: np.ndarray, ev: MeasurementEvent | None, model) -> np.ndarray:
-    """One site's Gram factor per outcome of its event: (4, labels, M).
+def _site_gram(vectors: np.ndarray, operators, scale: float = 1.0) -> np.ndarray:
+    """One site's Gram factor per outcome operator: (terms², labels, M).
 
-    ``vectors`` (2, 6, M) are the site's pair vectors in the two product
-    terms for each model (M = 1 before the site's device runs: one pair for
-    every model). Entry [2k + j, l, m] is ⟨v_j|P_l|v_k⟩ for the projector
-    P_l on outcome l: the electron's z-spin for a friend, the recorded-basis
-    superposition |±1X> for an outsider, and the identity (one label) for a
-    spectator site. Models run along the last axis, so every loop is long.
+    ``vectors`` (terms, d, M) are the site's vectors in each product term,
+    ``operators`` (labels, rows, d, M) one operator K_l per outcome, or None
+    for the identity; M = 1 where every model shares them. Entry
+    [terms·k + j, l, m] is scale·⟨K_l v_j|K_l v_k⟩. Models run along the last
+    axis, so every loop is long.
     """
-    scale = 1.0
-    if ev is None:
+    if operators is None:
         parts = vectors[:, None]
-    elif ev.kind == "friend_z":
-        # The z-record projector keeps the pair entries with that electron spin.
-        split = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
-        parts = np.stack([vectors[:, rows] for rows in split], axis=1)
     else:
-        # ⟨b_±|v⟩ for b_± = √2·|±1X>; the √½ enters the Gram squared, as 1/2.
-        bras = [np.reshape(model.recorded_sum(ev.site, sign), (-1, 6)).T for sign in (+1, -1)]
-        parts = (np.stack(bras).conj()[None] * vectors[:, None]).sum(axis=2)[:, :, None]
-        scale = 0.5
+        parts = (operators * vectors[:, None, None]).sum(axis=3)
     gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
-    return gram.reshape(4, *gram.shape[2:])
+    return gram.reshape(-1, *gram.shape[2:])
+
+
+def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | None, float]:
+    """The outcome operators of a round's event at one site (None: a spectator
+    site), and their Gram scale."""
+    if ev is None:
+        return None, 1.0
+    if ev.kind == "friend_z":
+        # The z-record keeps the pair entries with that electron spin.
+        rows = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
+        return np.eye(PAIR_DIM)[rows][..., None], 1.0
+    # ⟨b_±| for b_± = √2·|±1X>; the √½ enters the Gram squared, as 1/2.
+    bras = [np.reshape(model.recorded_sum(ev.site, sign), (-1, PAIR_DIM)).T for sign in (+1, -1)]
+    return np.stack(bras).conj()[:, None], 0.5
+
+
+def _born_weights(terms: np.ndarray, factors) -> np.ndarray:
+    """Σ_{k,j} c_k c̄_j Π_site g_site[k, j] for ``terms`` c_k c̄_j and one
+    ``_site_gram`` per site: (labels_A, labels_B, labels_C, M)."""
+    a, b, c = factors
+    product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
+    return product.sum(axis=0).real
 
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
@@ -335,11 +348,10 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                 index = (site, site in recorded, ev and ev.kind)
                 if index not in grams:
                     vectors = recorded_terms[site] if site in recorded else pair[:, :, None]
-                    grams[index] = _site_gram(vectors, ev, model)
+                    grams[index] = _site_gram(vectors, *_event_operators(ev, model))
                 factors.append(grams[index])
-            a, b, c = factors
-            product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
-            weights = product.sum(axis=0).real.reshape(-1, product.shape[-1]).T
+            weights = _born_weights(terms, factors)
+            weights = weights.reshape(-1, weights.shape[-1]).T
             labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
             weights = np.maximum(np.broadcast_to(weights, (size, len(labels))), 0.0)
             tables.append(RoundTable(key, rnd, labels, weights))

@@ -5,10 +5,10 @@ package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, the dense 216-dim state contracted against basis groups
 for the frame pass's product form, per-trial simulation with ``measure`` for
-the interpretation models' outcome tables, one state per collapse path for
-the stacked branching, one-shot draws of every trial's uniform for the
-blocked sampler, and a model-by-model replay of the device sweep. Slow and
-obvious on purpose.
+the interpretation models' outcome tables, one dense state per collapse path
+for the product-form collapse and erasure tables, one-shot draws of every
+trial's uniform for the blocked sampler, and a model-by-model replay of the
+device sweep. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import sympy as sp
 from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
+    Observable,
     ideal_von_neumann,
     measure,
     outsider_observable,
-    spin_observable,
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
@@ -148,6 +148,18 @@ def brute_product_amplitude(
             val *= vec[sub]
         bra[i] = val
     return complex(np.vdot(bra, psi))
+
+
+def spin_observable(axis: SpinAxis, factor: str = "A") -> Observable:
+    """±1 spin component of one electron along the given axis."""
+    basis = spin_basis(axis)
+    return Observable(
+        (factor,),
+        tuple(
+            (value, Operator(np.outer(basis[:, i], basis[:, i].conj())))
+            for i, value in enumerate((+1.0, -1.0))
+        ),
+    )
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,8 +327,16 @@ def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> n
 
 
 def collapse_branches_reference(state: StateVector, steps):
-    """``_collapse_branches`` one path at a time: each path keeps its own
-    state, and every projector and device runs on it alone."""
+    """Every outcome sequence of measuring ``steps`` in turn, with collapse.
+
+    Each step is an observable plus an optional ``(unitary, targets)`` run on
+    the post-measurement state. Each path keeps its own dense state, and
+    every projector and device runs on it alone. Returns ``(signs,
+    probability)`` per surviving path, path-major and eigenpair-minor, and
+    the total weight of outcomes dropped because their conditional
+    probability fell below SAMPLE_FLOOR; a surviving outcome other than ±1
+    raises ``ValueError``.
+    """
     paths = [((), 1.0, state)]
     pruned = 0.0
     for obs, device in steps:

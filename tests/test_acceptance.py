@@ -17,6 +17,7 @@ from _oracles import (
     brute_support,
     random_state,
     random_unitary,
+    spin_observable,
     sym_ghz_amplitudes,
 )
 from gwsim.measurement import (
@@ -28,11 +29,10 @@ from gwsim.measurement import (
     haar_random_unitary,
     ideal_von_neumann,
     outsider_observable,
-    spin_observable,
 )
 from gwsim.models import (
     InterpretationModel,
-    _collapse_branches,
+    _signed_outcomes,
     erasure_experiment,
     nonideal_sweep,
     run_model,
@@ -48,6 +48,7 @@ from gwsim.qmath import (
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     OUTCOME_SIGNS,
+    _site_gram,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -320,15 +321,21 @@ def _collapse_idempotence_campaign(cases):
             obs = outsider_observable(model) if case % 3 else door_observable()
             lay = pair_layout
         # A random state within the ±1 eigenspaces, where every outcome is a
-        # record the collapse branching accepts.
+        # record the collapse tables accept.
         records = Operator(sum(proj.matrix for value, proj in obs.eigenpairs if value))
         psi = apply_local(records, obs.targets, StateVector(lay, random_state(lay.dim, rng)))
         state = StateVector(lay, psi.amplitudes / psi.norm())
-        branches, pruned = _collapse_branches(state, [(obs, None), (obs, None)])
-        assert [signs for signs, _ in branches] == [(+1, +1), (-1, -1)]
+        # Measuring twice gives outcome (a, b) the weight ‖P_b P_a ψ‖², the
+        # eigenvalues running +1, −1 (, 0). The targets lead the state's
+        # layout, so P ⊗ 1 lifts a projector onto it.
+        n = len(obs.eigenpairs)
+        full = [np.kron(p.matrix, np.eye(lay.dim // p.dim)) for _, p in obs.eigenpairs]
+        operators = np.stack([pb @ pa for pa in full for pb in full])
+        gram = _site_gram(state.amplitudes[None, :, None], operators[..., None])
+        kept, pruned = _signed_outcomes(gram[0, :, 0].real.reshape(n, n))
         born = distribution(obs, state)
-        for signs, p in branches:
-            assert abs(p - born.probability(signs[0])) <= 1e-10
+        assert np.abs(kept - np.diag([born.probability(v) for v in (+1, -1)])).max() <= 1e-10
+        assert np.count_nonzero(kept) == 2
         assert pruned < SAMPLE_FLOOR
 
 

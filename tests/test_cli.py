@@ -12,6 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 import gwsim.cli
 import gwsim.measurement
+import gwsim.models
+import gwsim.scenario
+import gwsim.systems
 from gwsim.cli import (
     ConfigError,
     DEFAULT_CONFIG,
@@ -94,7 +97,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "3"
+        assert report["schema_version"] == "4"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -345,11 +348,43 @@ class TestRun:
         assert rate == pytest.approx(0.5, abs=4.0 * (0.25 / 400) ** 0.5)
         assert check_names(report)["outsider_parity_rate_half"] is True
         run = report["results"]["run"]
-        assert run["outsider_product_minus_one_exact_rate"] == pytest.approx(0.5, abs=1e-12)
+        # The ideal device's collapse table is exactly 1/64 per outcome.
+        assert run["outsider_product_minus_one_exact_rate"] == 0.5
         for s in run["constraint_statistics"]:
-            assert s["exact_rate"] == pytest.approx(0.5, abs=1e-12)
+            assert s["exact_rate"] == 0.5
+        assert run["pruned_weight"] == 0.0
         assert check_names(report)["outsider_parity_exact_half"] is True
         assert check_names(report)["pruned_weight_negligible"] is True
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("run", "--mode", "sequential_collapse", "--trials", "200"),
+            ("run", "--mode", "sequential_collapse", "--model", "random:5", "--trials", "200"),
+            ("erasure", "--trials", "200"),
+            ("erasure", "--trials", "200", "--skip-j"),
+        ],
+    )
+    def test_collapse_and_erasure_simulate_only_pairs(self, capsys, monkeypatch, argv):
+        # Neither table builds the 216-dim state: ``apply_local`` only ever
+        # sees one site's 6-dim pair.
+        def pair_only(apply):
+            def checked(op, targets, state):
+                assert state.layout.names == tuple(targets) and state.dim == 6
+                return apply(op, targets, state)
+
+            return checked
+
+        def refuse(*args):
+            raise AssertionError("dense scenario state built")
+
+        for module in (gwsim.models, gwsim.scenario):
+            monkeypatch.setattr(module, "apply_local", pair_only(module.apply_local))
+        for module in (gwsim.systems, gwsim.scenario):
+            monkeypatch.setattr(module, "initial_scenario_state", refuse)
+        code, report = run_json(capsys, *argv)
+        assert code == 0
+        assert report["passed"] is True
 
     def test_preferred_frame_flag(self, capsys):
         code, report = run_json(

@@ -17,13 +17,12 @@ from gwsim.measurement import (
     measure,
     outsider_observable,
     pair_index,
-    spin_observable,
 )
 from gwsim.models import trial_rng
 from gwsim.qmath import LayoutError, Operator, StateVector, layout, tensor
 from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_vector
 
-from _oracles import random_state, random_unitary
+from _oracles import random_state, random_unitary, spin_observable
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:

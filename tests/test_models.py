@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import _oracles
 import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
+import gwsim.systems
 from _oracles import (
     collapse_branches_reference,
     draw_reference,
@@ -16,6 +18,7 @@ from _oracles import (
     random_state,
     sample_round_born,
     sample_sequential_collapse,
+    spin_observable,
     sweep_reference,
     sweep_reference_model,
 )
@@ -28,13 +31,13 @@ from gwsim.measurement import (
     haar_random_unitary,
     ideal_von_neumann,
     outsider_observable,
-    spin_observable,
+    pair_index,
 )
 from gwsim.models import (
     MODES,
-    OUTCOME_SIGNS,
     InterpretationModel,
-    _collapse_branches,
+    _outsider_projectors,
+    _signed_outcomes,
     born_violation_check,
     erasure_experiment,
     nonideal_sweep,
@@ -43,11 +46,13 @@ from gwsim.models import (
     sequential_collapse_distribution,
     trial_rng,
 )
-from gwsim.qmath import StateVector, apply_local, layout
+from gwsim.qmath import CANONICAL_LAYOUT, StateVector, apply_local, layout
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
+    OUTCOME_SIGNS,
     ParityConstraint,
+    _site_gram,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -59,7 +64,14 @@ from gwsim.scenario import (
     violation_mask,
 )
 from gwsim.spacetime import Frame
-from gwsim.systems import LabLabel, SpinAxis, lab_vector, spin_vector
+from gwsim.systems import (
+    LabLabel,
+    SpinAxis,
+    initial_product_terms,
+    initial_scenario_state,
+    lab_vector,
+    spin_vector,
+)
 
 TRIALS = 2000
 
@@ -485,9 +497,7 @@ SAMPLERS = {
         2000,
     ),
     "sequential_collapse": (
-        lambda s, preferred: sequential_collapse_distribution(
-            s.model, order_events(s, preferred)
-        ),
+        lambda s, preferred: sequential_collapse_distribution(s.model),
         sample_sequential_collapse,
         400,
     ),
@@ -598,13 +608,7 @@ class TestDraw:
     @pytest.mark.parametrize("skip_pair_x", [False, True])
     def test_erasure_counts_match_the_one_shot_reference(self, monkeypatch, trials, skip_pair_x):
         monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
-        model = ideal_von_neumann()
-        start = StateVector(
-            layout("L", "A"), np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
-        )
-        recorded = apply_local(model.unitary("A"), ("L", "A"), start)
-        steps = [] if skip_pair_x else [(outsider_observable(model), None)]
-        branches, _ = _collapse_branches(recorded, steps + [(door_observable(), None)])
+        branches, _ = erasure_reference(skip_pair_x)
         counts = reference_counts(np.array([p for _, p in branches]), trials, 6)
         door = {+1: 0, -1: 0, 0: 0}
         pair_x = {+1: 0, -1: 0}
@@ -664,58 +668,197 @@ class TestExactRates:
         assert 0.0 <= collapse_report.pruned_weight <= 1e-12
 
 
-class TestCollapseBranches:
-    def test_branch_probabilities_follow_born(self):
-        lay = layout("A")
-        state = StateVector(lay, spin_vector(SpinAxis.X, +1))
-        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Z), None)])
-        assert [signs for signs, _ in branches] == [(+1,), (-1,)]
-        assert [p for _, p in branches] == pytest.approx([0.5, 0.5], abs=1e-15)
+# ---------------------------------------------------------------------------
+# The collapse and erasure tables on the product form, against the per-path
+# dense reference
+
+
+def collapse_reference(model, rounds, state=None):
+    """The collapse table by ``collapse_branches_reference``, every event
+    measured on the dense ``state`` (default: the initial scenario state) in
+    the order of ``rounds``."""
+    events = [ev for rnd in rounds for ev in rnd]
+    steps = [
+        (spin_observable(SpinAxis.Z, ev.targets[1]), (model.unitary(ev.site), ev.targets))
+        if ev.kind == "friend_z"
+        else (outsider_observable(model, ev.site), None)
+        for ev in events
+    ]
+    branches, pruned = collapse_branches_reference(state or initial_scenario_state(), steps)
+    probabilities = np.zeros(len(OUTCOME_SIGNS))
+    for signs, p in branches:
+        values = dict(zip((ev.slot for ev in events), signs))
+        probabilities[outcome_indices([[values[slot] for slot in CANONICAL_SLOTS]])[0]] = p
+    return probabilities, pruned
+
+
+def erasure_reference(skip_pair_x):
+    """The erasure branches by ``collapse_branches_reference``: (pair-x, door)
+    signs per path, or the door's alone when the pair is not measured."""
+    model = ideal_von_neumann()
+    start = StateVector(
+        layout("L", "A"), np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
+    )
+    recorded = apply_local(model.unitary("A"), ("L", "A"), start)
+    steps = [] if skip_pair_x else [(outsider_observable(model), None)]
+    return collapse_branches_reference(recorded, steps + [(door_observable(), None)])
+
+
+COLLAPSE_MODELS = {
+    "ideal": ideal_von_neumann,
+    **{
+        f"random:{seed}": lambda seed=seed: _build_model({"model": {"kind": "random", "seed": seed}})
+        for seed in (5, 7, 11)
+    },
+    # A small stack of Haar devices, drawn as a sweep draws its models 1-3.
+    **{f"haar:{index}": lambda index=index: sweep_reference_model(index, 3) for index in (1, 2, 3)},
+}
+
+
+@pytest.fixture(scope="module")
+def collapse_tables():
+    """Each model's collapse table, built once: it is the same in every frame."""
+    tables = {}
+    for spec, build in COLLAPSE_MODELS.items():
+        model = build()
+        tables[spec] = (model, *sequential_collapse_distribution(model))
+    return tables
+
+
+class TestCollapseTable:
+    @pytest.mark.parametrize("frame", FRAME_NAMES)
+    @pytest.mark.parametrize("spec", sorted(COLLAPSE_MODELS))
+    def test_collapse_table_matches_the_per_path_reference(self, collapse_tables, spec, frame):
+        model, probabilities, pruned = collapse_tables[spec]
+        s = build_schedule(10.0, 1.0, model)
+        rounds = order_events(s, standard_frames(s.geometry)[frame])
+        expected, expected_pruned = collapse_reference(model, rounds)
+        assert np.abs(probabilities - expected).max() <= 1e-15
+        assert np.array_equal(probabilities > SAMPLE_FLOOR, expected > SAMPLE_FLOOR)
+        assert abs(pruned - expected_pruned) <= 1e-15
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_state_off_the_ghz_form_matches_the_per_path_reference(self, monkeypatch, seed):
+        # Every device gives the GHZ state the uniform table, so a random
+        # two-term state also checks which slot each weight lands in.
+        rng = np.random.default_rng(seed)
+        ready = lab_vector(LabLabel.READY)
+        pair = np.stack([np.kron(ready, random_state(2, rng)) for _ in range(2)])
+        coefficients = rng.normal(size=2) + 1j * rng.normal(size=2)
+        dense = sum(c * np.kron(np.kron(v, v), v) for c, v in zip(coefficients, pair))
+        coefficients /= np.linalg.norm(dense)
+        monkeypatch.setattr(gwsim.models, "initial_product_terms", lambda: (coefficients, pair))
+        model = COLLAPSE_MODELS["random:5"]()
+        probabilities, pruned = sequential_collapse_distribution(model)
+        assert np.ptp(probabilities) > 1e-3
+        state = StateVector(CANONICAL_LAYOUT, dense / np.linalg.norm(dense))
+        s = build_schedule(10.0, 1.0, model)
+        for frame in standard_frames(s.geometry).values():
+            expected, expected_pruned = collapse_reference(model, order_events(s, frame), state)
+            assert np.abs(probabilities - expected).max() <= 1e-15
+            assert abs(pruned - expected_pruned) <= 1e-15
+
+    def test_ideal_collapse_table_is_exact(self, collapse_tables):
+        _, probabilities, pruned = collapse_tables["ideal"]
+        assert probabilities.tolist() == [1 / 64] * 64
         assert pruned == 0.0
 
-    def test_improbable_outcomes_are_pruned_and_weighed(self):
-        tiny = 1e-14
-        state = StateVector(layout("A"), np.array([np.sqrt(1.0 - tiny), np.sqrt(tiny)]))
-        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Z), None)])
-        assert [signs for signs, _ in branches] == [(+1,)]
-        assert branches[0][1] == pytest.approx(1.0 - tiny, abs=1e-15)
-        assert pruned == pytest.approx(tiny, rel=1e-6)
+    def test_collapse_table_runs_no_state_simulation(self, monkeypatch):
+        # Three site Gram factors on the two product terms: no dense state,
+        # and no ``apply_local`` at all.
+        def refuse(*args):
+            raise AssertionError("state simulation in the collapse table")
 
-    def test_surviving_outcome_other_than_plus_minus_one_raises(self):
-        # Before the device runs, the pair sits outside the recorded subspace:
-        # the outsider observable's 0 eigenvalue carries all the weight.
-        model = ideal_von_neumann()
-        unrecorded = StateVector(
-            layout("L", "A"),
-            np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1)),
-        )
+        for module in (gwsim.models, gwsim.scenario):
+            monkeypatch.setattr(module, "apply_local", refuse)
+        for module in (gwsim.systems, gwsim.scenario):
+            monkeypatch.setattr(module, "initial_scenario_state", refuse)
+        probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
+        assert probabilities.tolist() == [1 / 64] * 64
+
+    def test_a_rest_outcome_above_the_floor_raises(self, monkeypatch):
+        # Labs holding a record before their friends measure: the ideal device
+        # moves such a pair out of the recorded subspace, onto the outsider's
+        # rest outcome.
+        coefficients, pair = initial_product_terms()
+        # v[:2] is the electron beside the ready register.
+        moved = np.stack([np.kron(lab_vector(LabLabel.RECORDED_UP), v[:2]) for v in pair])
+        monkeypatch.setattr(gwsim.models, "initial_product_terms", lambda: (coefficients, moved))
         with pytest.raises(ValueError, match="only ±1 outcomes"):
-            _collapse_branches(unrecorded, [(outsider_observable(model), None)])
+            sequential_collapse_distribution(ideal_von_neumann())
 
-    def test_an_eigenstate_has_a_single_branch(self):
-        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
-        branches, pruned = _collapse_branches(state, [(spin_observable(SpinAxis.Y), None)])
-        assert [signs for signs, _ in branches] == [(-1,)]
-        assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
-        assert pruned < SAMPLE_FLOOR
+    def test_pruning_reads_the_joint_weight(self, monkeypatch):
+        # One product term whose electrons are −z with probability t each: an
+        # outcome with one −z record weighs about t, above SAMPLE_FLOOR, and
+        # is kept; two or three −z records weigh t² or t³ jointly, below it,
+        # and are pruned although each record's conditional probability is t.
+        t = 1e-7
+        electron = np.array([np.sqrt(1.0 - t), np.sqrt(t)])
+        pair = np.kron(lab_vector(LabLabel.READY), electron)
+        monkeypatch.setattr(
+            gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
+        )
+        probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
+        downs = (OUTCOME_SIGNS[:, :3] == -1).sum(axis=1)
+        assert np.all(probabilities[downs <= 1] > SAMPLE_FLOOR)
+        assert not probabilities[downs >= 2].any()
+        assert pruned == pytest.approx(3 * t**2 * (1 - t) + t**3, rel=1e-9)
+        assert probabilities.sum() + pruned == pytest.approx(1.0, abs=1e-15)
 
-    def test_each_branch_is_renormalized_before_the_next_step(self):
-        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
-        branches, _ = _collapse_branches(state, steps)
-        assert [signs for signs, _ in branches] == [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
-        assert [p for _, p in branches] == pytest.approx([0.25] * 4, abs=1e-15)
+
+class TestErasureTable:
+    @pytest.mark.parametrize("skip_pair_x", [False, True])
+    def test_erasure_matches_the_per_path_reference(self, skip_pair_x):
+        branches, pruned = erasure_reference(skip_pair_x)
+        report = erasure_experiment(0, seed=1, skip_pair_x=skip_pair_x)
+        down = sum(p for signs, p in branches if signs[-1] == -1)
+        assert abs(report.exact_down_probability - down) <= 1e-15
+        assert abs(report.pruned_weight - pruned) <= 1e-15
+
+    @pytest.mark.parametrize("skip_pair_x, down", [(False, 0.5), (True, 0.0)])
+    def test_ideal_erasure_is_exact(self, skip_pair_x, down):
+        report = erasure_experiment(10, seed=1, skip_pair_x=skip_pair_x)
+        assert report.exact_down_probability == down
+        assert report.pruned_weight == 0.0
+
+    @pytest.mark.parametrize("skip_pair_x", [False, True])
+    def test_a_pair_off_the_recorded_subspace_raises(self, monkeypatch, skip_pair_x):
+        # Without its device step the pair stays |ready> ⊗ |+1_z>: all its
+        # weight is on the outsider's rest outcome, or on the door's Ready.
+        monkeypatch.setattr(gwsim.models, "apply_local", lambda op, targets, state: state)
+        with pytest.raises(ValueError, match="only ±1 outcomes"):
+            erasure_experiment(10, seed=1, skip_pair_x=skip_pair_x)
+
+    def test_light_outcomes_are_pruned_and_weighed(self, monkeypatch):
+        tiny = 1e-14
+        leaked = np.zeros(6, dtype=complex)
+        leaked[pair_index(LabLabel.RECORDED_UP, +1)] = np.sqrt(1.0 - tiny)
+        leaked[pair_index(LabLabel.RECORDED_DOWN, -1)] = np.sqrt(tiny)
+        monkeypatch.setattr(
+            gwsim.models, "apply_local", lambda op, targets, state: StateVector(state.layout, leaked)
+        )
+        report = erasure_experiment(100, seed=1, skip_pair_x=True)
+        assert report.door_counts == {+1: 100, -1: 0, 0: 0}
+        assert report.exact_down_probability == 0.0
+        assert report.pruned_weight == pytest.approx(tiny, rel=1e-6)
+
+
+class TestSiteOutcomes:
+    """Outcome operators on one pair, through the tables' own helpers."""
 
     def test_a_repeated_measurement_repeats_its_outcome(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
-            obs = outsider_observable(MeasurementModel((haar_random_unitary(6, rng),) * 3))
-            plus_minus = sum(proj.matrix for value, proj in obs.eigenpairs if value)
-            psi = plus_minus @ random_state(6, rng)
-            state = StateVector(layout("L", "A"), psi / np.linalg.norm(psi))
-            branches, pruned = _collapse_branches(state, [(obs, None), (obs, None)])
-            assert [signs for signs, _ in branches] == [(+1, +1), (-1, -1)]
-            assert sum(p for _, p in branches) == pytest.approx(1.0, abs=1e-10)
+            model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
+            q = _outsider_projectors(model, "A")
+            psi = (q[0] + q[1]) @ random_state(6, rng)
+            psi /= np.linalg.norm(psi)
+            operators = np.stack([qb @ qa for qa in q for qb in q])[..., None]
+            weights = _site_gram(psi[None, :, None], operators)[0, :, 0].real.reshape(3, 3)
+            kept, pruned = _signed_outcomes(weights)
+            born = [np.vdot(psi, qa @ psi).real for qa in q[:2]]
+            assert kept == pytest.approx(np.diag(born), abs=1e-12)
+            assert np.count_nonzero(kept) == 2
             assert pruned < SAMPLE_FLOOR
 
     def test_an_outcome_below_the_floor_is_pruned_not_taken(self):
@@ -723,69 +866,60 @@ class TestCollapseBranches:
         # and 0 outcomes carry no weight, so only +1 survives.
         model = ideal_von_neumann()
         state = entangled_record_state(model)
-        branches, pruned = _collapse_branches(state, [(outsider_observable(model), None)])
-        assert [signs for signs, _ in branches] == [(+1,)]
+        operators = np.stack(_outsider_projectors(model, "A"))[..., None]
+        weights = _site_gram(state.amplitudes[None, :, None], operators)[0, :, 0].real
+        kept, pruned = _signed_outcomes(weights)
+        assert kept.tolist() == [pytest.approx(1.0, abs=1e-15), 0.0]
         assert pruned < SAMPLE_FLOOR
 
-    def test_erasure_reports_the_pruned_weight(self):
-        report = erasure_experiment(10, seed=1)
-        assert 0.0 <= report.pruned_weight <= 1e-12
 
+class TestCollapseReference:
+    """The per-path reference the tables are checked against."""
 
-def checked_against_the_reference(monkeypatch):
-    """Swap ``_collapse_branches`` for a wrapper asserting that each call's
-    result equals the per-path reference exactly; returns the calls' steps."""
-    stacked = gwsim.models._collapse_branches
-    calls = []
+    def test_branch_probabilities_follow_born(self):
+        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        branches, pruned = collapse_branches_reference(state, [(spin_observable(SpinAxis.Z), None)])
+        assert [signs for signs, _ in branches] == [(+1,), (-1,)]
+        assert [p for _, p in branches] == pytest.approx([0.5, 0.5], abs=1e-15)
+        assert pruned == 0.0
 
-    def checked(state, steps):
-        branches, pruned = stacked(state, steps)
-        expected, expected_pruned = collapse_branches_reference(state, steps)
-        assert [signs for signs, _ in branches] == [signs for signs, _ in expected]
-        assert [p for _, p in branches] == [p for _, p in expected]
-        assert pruned == expected_pruned
-        calls.append(steps)
-        return branches, pruned
+    def test_an_eigenstate_has_a_single_branch(self):
+        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
+        branches, pruned = collapse_branches_reference(state, [(spin_observable(SpinAxis.Y), None)])
+        assert [signs for signs, _ in branches] == [(-1,)]
+        assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
+        assert pruned < SAMPLE_FLOOR
 
-    monkeypatch.setattr(gwsim.models, "_collapse_branches", checked)
-    return calls
-
-
-class TestStackedBranching:
-    @pytest.mark.parametrize("frame", FRAME_NAMES)
-    @pytest.mark.parametrize("spec", sorted(TABLE_MODELS))
-    def test_collapse_table_matches_the_per_path_reference(
-        self, monkeypatch, table_schedules, spec, frame
-    ):
-        calls = checked_against_the_reference(monkeypatch)
-        s = table_schedules[spec]
-        sequential_collapse_distribution(s.model, order_events(s, standard_frames(s.geometry)[frame]))
-        assert len(calls) == 1 and len(calls[0]) == 6
-
-    @pytest.mark.parametrize("skip_pair_x", [False, True])
-    def test_erasure_matches_the_per_path_reference(self, monkeypatch, skip_pair_x):
-        calls = checked_against_the_reference(monkeypatch)
-        erasure_experiment(10, seed=1, skip_pair_x=skip_pair_x)
-        assert [len(steps) for steps in calls] == [1 if skip_pair_x else 2]
+    def test_each_branch_is_renormalized_before_the_next_step(self):
+        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
+        branches, _ = collapse_branches_reference(state, steps)
+        assert [signs for signs, _ in branches] == [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
+        assert [p for _, p in branches] == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_every_branch_pruned_leaves_no_paths(self):
         zero = StateVector(layout("A"), np.zeros(2))
         steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
-        assert _collapse_branches(zero, steps) == ([], 0.0)
         assert collapse_branches_reference(zero, steps) == ([], 0.0)
 
-    def test_one_apply_local_per_projector_and_device_per_step(self, monkeypatch, schedule, frames):
-        calls = checked_against_the_reference(monkeypatch)
-        applied = []
 
-        def counted(*args):
-            applied.append(args[1])
-            return apply_local(*args)
+class TestRoundBornPrunedWeight:
+    def test_the_ideal_device_drops_nothing(self, schedule, frames):
+        for frame in frames.values():
+            _, pruned = round_born_distribution(preferred_rounds(schedule, frame))
+            assert pruned == 0.0 and math.copysign(1.0, pruned) == 1.0
 
-        monkeypatch.setattr(gwsim.models, "apply_local", counted)
-        sequential_collapse_distribution(schedule.model, order_events(schedule, frames["sigma"]))
-        (steps,) = calls
-        per_step = sum(len(obs.eigenpairs) + (device is not None) for obs, device in steps)
-        # Three friends' z (two projectors and a device) and three outsiders'
-        # observables (three projectors), however many paths survive.
-        assert len(applied) == per_step == 18
+    @pytest.mark.parametrize("spec", ["random:5", "random:11"])
+    def test_pruned_weight_is_the_dropped_weight(self, spec):
+        seed = int(spec.split(":")[1])
+        s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": seed}}))
+        for frame in standard_frames(s.geometry).values():
+            rounds = preferred_rounds(s, frame)
+            _, pruned = round_born_distribution(rounds)
+            dropped = sum(float(r.weights[0][~r.possible[0]].sum()) for r in rounds)
+            assert pruned == pytest.approx(dropped, rel=1e-9, abs=0.0)
+
+    def test_random_11_sigma_pp_drops_almost_nothing(self):
+        s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": 11}}))
+        _, pruned = round_born_distribution(preferred_rounds(s, standard_frames(s.geometry)["sigma_pp"]))
+        assert 0.0 <= pruned <= 1e-30

@@ -361,9 +361,9 @@ class TestAnalyze:
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
         built, site_gram = [], gwsim.scenario._site_gram
 
-        def counting(vectors, ev, model):
-            gram = site_gram(vectors, ev, model)
-            built.append((ev and ev.kind, gram.shape))
+        def counting(vectors, operators, scale=1.0):
+            gram = site_gram(vectors, operators, scale)
+            built.append((scale, gram.shape))
             return gram
 
         monkeypatch.setattr(gwsim.scenario, "_site_gram", counting)
@@ -371,11 +371,11 @@ class TestAnalyze:
         assert len(tables) == 11
         # Each site is seen before its device (as a spectator and by its
         # friend), one factor shared by every model, and after it (as a
-        # spectator and by its outsider), one per model: 4 × 3 factors,
-        # whatever the stack size.
+        # spectator and by its outsider, whose Gram carries the scale 1/2),
+        # one per model: 4 × 3 factors, whatever the stack size.
         assert sorted(built, key=str) == sorted(
-            [(None, (4, 1, 1)), ("friend_z", (4, 2, 1))] * 3
-            + [(None, (4, 1, size)), ("outsider_x", (4, 2, size))] * 3,
+            [(1.0, (4, 1, 1)), (1.0, (4, 2, 1))] * 3
+            + [(1.0, (4, 1, size)), (0.5, (4, 2, size))] * 3,
             key=str,
         )
 
