@@ -54,7 +54,7 @@ from .scenario import (
 )
 from .spacetime import standard_geometry, validate_geometry
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
@@ -399,7 +399,8 @@ def cmd_run(config: dict) -> dict:
     mode = config["run"]["mode"]
     preferred_name = config["run"]["preferred_frame"]
     if trials > 0:
-        report = run_model(schedule, InterpretationModel(mode, frames[preferred_name]), trials, seed)
+        preferred = InterpretationModel(mode, frames[preferred_name])
+        report = run_model(schedule, preferred, trials, seed, frames)
         constraints = report.constraints
     else:
         constraints = collect_constraints(schedule, frames)

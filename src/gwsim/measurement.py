@@ -22,7 +22,7 @@ of a completed measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -35,13 +35,7 @@ from .qmath import (
     check_unitary,
     layout,
 )
-from .systems import (
-    SITE_FACTORS,
-    LabLabel,
-    SpinAxis,
-    lab_vector,
-    spin_vector,
-)
+from .systems import SITE_FACTORS, LabLabel, lab_vector
 
 PAIR_DIM = 6  # 3-level lab register times 2-level electron
 PROJECTOR_TOL = 1e-10
@@ -62,8 +56,7 @@ def _pair_basis_state(lab: LabLabel, spin_sign: int) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class MeasurementModel:
+class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
     """One 6-dim measurement unitary per site (labs A, B, C in order).
 
     Site operators that are (M, 6, 6) stacks make one model of M device
@@ -71,16 +64,17 @@ class MeasurementModel:
     the pair states then give stacks too.
     """
 
-    site_unitaries: tuple[Operator, Operator, Operator]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.site_unitaries) != len(SITES):
-            raise ValueError(f"need {len(SITES)} unitaries, got {len(self.site_unitaries)}")
-        for site, op in zip(SITES, self.site_unitaries):
+    def __new__(cls, site_unitaries: tuple[Operator, Operator, Operator]):
+        if len(site_unitaries) != len(SITES):
+            raise ValueError(f"need {len(SITES)} unitaries, got {len(site_unitaries)}")
+        for site, op in zip(SITES, site_unitaries):
             if op.dim != PAIR_DIM:
                 raise ValueError(f"site {site}: unitary must be {PAIR_DIM}-dim, got {op.dim}")
             if not check_unitary(op):
                 raise ValueError(f"site {site}: matrix is not unitary within {UNITARY_TOL}")
+        return super().__new__(cls, site_unitaries)
 
     def unitary(self, site: str) -> Operator:
         return self.site_unitaries[SITES.index(site)]
@@ -135,19 +129,17 @@ def haar_random_unitary(dim: int, rng: np.random.Generator) -> Operator:
     return Operator(haar_unitaries(rng.normal(size=(2, dim, dim))))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(namedtuple("Observable", "targets eigenpairs")):
     """Spectral decomposition: distinct eigenvalues with orthogonal projectors
     summing to the identity on the target factors."""
 
-    targets: tuple[str, ...]
-    eigenpairs: tuple[tuple[float, Operator], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        values = [v for v, _ in self.eigenpairs]
+    def __new__(cls, targets: tuple[str, ...], eigenpairs: tuple[tuple[float, Operator], ...]):
+        values = [v for v, _ in eigenpairs]
         if len(set(values)) != len(values):
             raise ValueError(f"eigenvalues must be distinct, got {values}")
-        mats = [p.matrix for _, p in self.eigenpairs]
+        mats = [p.matrix for _, p in eigenpairs]
         dim = mats[0].shape[0]
         total = np.zeros((dim, dim), dtype=complex)
         for val, mat in zip(values, mats):
@@ -163,14 +155,18 @@ class Observable:
             total += mat
         if np.max(np.abs(total - np.eye(dim))) > PROJECTOR_TOL:
             raise ValueError("projectors do not sum to the identity")
+        return super().__new__(cls, targets, eigenpairs)
 
     @property
     def eigenvalues(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.eigenpairs)
 
 
-def _rank1(vec: np.ndarray) -> np.ndarray:
-    return np.outer(vec, vec.conj())
+def _outsider_projectors(model: MeasurementModel, site: str) -> list[np.ndarray]:
+    """Q_+, Q_−, Q_0 of the outsider's measurement at ``site``: ½ b_± b_±† for
+    b_± = |+1Z> ± |-1Z>, then the rest projector."""
+    q = [0.5 * np.outer(b, b.conj()) for b in (model.recorded_sum(site, s) for s in (+1, -1))]
+    return [*q, np.eye(PAIR_DIM) - q[0] - q[1]]
 
 
 def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
@@ -181,15 +177,8 @@ def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
     The 0 eigenvalue pads the 4-dim rest of the pair space, which carries no
     weight on any state arising in the scenario.
     """
-    plus = model.pair_x_state(site, +1)
-    minus = model.pair_x_state(site, -1)
-    p_plus = _rank1(plus)
-    p_minus = _rank1(minus)
-    p_rest = np.eye(PAIR_DIM) - p_plus - p_minus
-    return Observable(
-        SITE_FACTORS[site],
-        ((+1.0, Operator(p_plus)), (-1.0, Operator(p_minus)), (0.0, Operator(p_rest))),
-    )
+    projectors = map(Operator, _outsider_projectors(model, site))
+    return Observable(SITE_FACTORS[site], tuple(zip((+1.0, -1.0, 0.0), projectors)))
 
 
 def door_observable(site: str = "A") -> Observable:
@@ -199,7 +188,7 @@ def door_observable(site: str = "A") -> Observable:
     same whatever the measurement device.
     """
     projs = {
-        label: _rank1(lab_vector(label))
+        label: np.diag(lab_vector(label))
         for label in (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
     }
     lab_factor = SITE_FACTORS[site][0]
@@ -213,20 +202,20 @@ def door_observable(site: str = "A") -> Observable:
     )
 
 
-@dataclass(frozen=True)
-class OutcomeDistribution:
+class OutcomeDistribution(namedtuple("OutcomeDistribution", "pairs")):
     """Probabilities per eigenvalue; validated to be a distribution."""
 
-    pairs: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, pairs: tuple[tuple[float, float], ...]):
         total = 0.0
-        for value, prob in self.pairs:
+        for value, prob in pairs:
             if not -PROJECTOR_TOL <= prob <= 1 + PROJECTOR_TOL:
                 raise ValueError(f"probability of outcome {value} out of range: {prob}")
             total += prob
         if abs(total - 1.0) > PROJECTOR_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        return super().__new__(cls, pairs)
 
     def probability(self, value: float) -> float:
         for v, p in self.pairs:
@@ -276,18 +265,6 @@ def measure(
     return value, StateVector(state.layout, amps)
 
 
-def entangled_record_state(model: MeasurementModel, site: str = "A") -> StateVector:
-    """Unitary description of a completed measurement on an x-up electron.
-
-    The pair starts in |ready> ⊗ |+1_x> and the device unitary is applied;
-    the result is (|+1Z> + |-1Z>)/√2 — a single superposed pure state.
-    """
-    lab_f, elec_f = SITE_FACTORS[site]
-    start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.X, +1))
-    amps = model.unitary(site).matrix @ start
-    return StateVector(layout(lab_f, elec_f), amps)
-
-
 def collapsed_record_mixture(model: MeasurementModel, site: str = "A") -> MixedState:
     """Collapsed description of the same measurement: an even classical
     mixture of the two recorded states."""
@@ -307,11 +284,15 @@ def distinguishability_report(model: MeasurementModel | None = None) -> dict:
     Deterministic (no sampling). The door rows agree — opening the door
     cannot tell the descriptions apart — while the pair observable gives a
     point mass on +1 for the unitary state against 50/50 for the mixture.
+    The unitary record is read as ½|b_+><b_+| for the unnormalised
+    b_+ = |+1Z> + |-1Z>, as ``erasure`` reads it, so the ideal device's
+    table is exact.
     """
     if model is None:
         model = ideal_von_neumann()
+    b_plus = StateVector(layout(*SITE_FACTORS["A"]), model.recorded_sum("A", +1))
     states = {
-        "unitary_record": entangled_record_state(model),
+        "unitary_record": MixedState(((0.5, b_plus),)),
         "collapsed_record": collapsed_record_mixture(model),
     }
     observables = {

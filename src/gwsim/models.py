@@ -36,7 +36,8 @@ blocks of one stacked Haar draw and one stacked pass each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +46,7 @@ from .measurement import (
     SAMPLE_FLOOR,
     SITES,
     MeasurementModel,
+    _outsider_projectors,
     haar_unitaries,
     ideal_von_neumann,
 )
@@ -75,17 +77,16 @@ DRAW_BLOCK = 1 << 16
 MAX_TRIALS = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class InterpretationModel:
+class InterpretationModel(namedtuple("InterpretationModel", "mode preferred")):
     """How single outcomes are supposed to come about: sampling mode plus the
     frame whose ordering is taken as the real one."""
 
-    mode: str
-    preferred: Frame
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+    def __new__(cls, mode: str, preferred: Frame):
+        if mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        return super().__new__(cls, mode, preferred)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -112,8 +113,7 @@ def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Exact outcome distribution, sampled outcome counts and constraint
     tallies for one model run; no field grows with the trial count."""
 
@@ -177,13 +177,6 @@ def _signed_outcomes(weights: np.ndarray) -> tuple[np.ndarray, float]:
     return kept[signed], float(weights[light].sum())
 
 
-def _outsider_projectors(model: MeasurementModel, site: str) -> list[np.ndarray]:
-    """Q_+, Q_−, Q_0 of the outsider's measurement at ``site``: ½ b_± b_±† for
-    b_± = |+1Z> ± |-1Z>, then the rest projector."""
-    q = [0.5 * np.outer(b, b.conj()) for b in (model.recorded_sum(site, s) for s in (+1, -1))]
-    return [*q, np.eye(PAIR_DIM) - q[0] - q[1]]
-
-
 def _in_slot_order(weights: np.ndarray, slots) -> np.ndarray:
     """A (2,)*6 outcome tensor, axis i for ``slots[i]`` (+1 first), as the
     64-entry table in ``OUTCOME_SIGNS`` row order."""
@@ -235,17 +228,22 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), pruned
 
 
-def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
+def run_model(
+    s: Schedule, m: InterpretationModel, trials: int, seed: int, frames: dict | None = None
+) -> RunReport:
     """Draw ``trials`` complete outcome assignments and tally violations.
 
     One ``analyze_stack`` pass over ``s.model`` covers the four standard
     frames and ``m.preferred``. Constraints are those the standard frames
     yield; the preferred mask marks the ones ``m.preferred``'s own rounds
-    yield.
+    yield. ``frames`` are ``standard_frames(s.geometry)`` where the caller
+    has built them already; they are built here otherwise.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
-    standard = list(standard_frames(s.geometry).values())
+    if frames is None:
+        frames = standard_frames(s.geometry)
+    standard = list(frames.values())
     orderings = {f: order_events(s, f) for f in dict.fromkeys(standard + [m.preferred])}
     tables = analyze_stack(s.model, orderings)
     constraints = tuple(distinct_constraints(t for t in tables if t.frame in standard))
@@ -268,8 +266,7 @@ def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> Ru
     )
 
 
-@dataclass(frozen=True)
-class ErasureReport:
+class ErasureReport(NamedTuple):
     """Single-lab run: record a z-up electron, let an outsider measure the
     pair, then open the door and read the record."""
 
@@ -334,8 +331,7 @@ CANONICAL_CONSTRAINT_KEYS = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SweepModelResult:
+class SweepModelResult(NamedTuple):
     index: int
     kind: str  # "ideal" | "haar"
     constraints_match: bool
@@ -347,8 +343,7 @@ class SweepModelResult:
         return self.constraints_match and self.satisfying_count == 0 and self.support_ok
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     n_models: int
     seed: int
     results: tuple[SweepModelResult, ...]

@@ -10,13 +10,15 @@ carry one leading *stack* axis, so that one ``apply_local`` call does the
 work of a loop over device models; entry m of a stacked result is
 bit-identical to the single-state call on entry m. The frame analysis
 (``scenario.analyze_stack``) applies it to 6-dim pair vectors only.
-All values are immutable after construction and all operations are pure
-functions, so everything here is safe to share across threads.
+All values are immutable after construction (named tuples, each validated in
+its ``__new__``; ``_replace`` skips that check, so build a changed value
+anew) and all operations are pure functions, so everything here is safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import prod
 
 import numpy as np
@@ -42,18 +44,18 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class FactorLayout:
+class FactorLayout(namedtuple("FactorLayout", "names")):
     """Ordered list of named tensor factors."""
 
-    names: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise LayoutError(f"duplicate factor names in {self.names}")
-        for name in self.names:
+    def __new__(cls, names: tuple[str, ...]):
+        if len(set(names)) != len(names):
+            raise LayoutError(f"duplicate factor names in {names}")
+        for name in names:
             if name not in FACTOR_DIMS:
                 raise LayoutError(f"unknown factor {name!r}; expected one of {sorted(FACTOR_DIMS)}")
+        return super().__new__(cls, names)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -86,28 +88,25 @@ def layout(*names: str) -> FactorLayout:
 CANONICAL_LAYOUT = layout(*CANONICAL_ORDER)
 
 
-@dataclass(frozen=True)
-class StateVector:
+class StateVector(namedtuple("StateVector", "layout amplitudes")):
     """Complex amplitude vector over a factor layout (row-major basis order).
 
     A 2-D ``amplitudes`` array is a stack: one state per row, all on the
     layout. ``norm`` is meant for a single state.
     """
 
-    layout: FactorLayout
-    amplitudes: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex, order="C")  # a copy, as in Operator
+    def __new__(cls, layout: FactorLayout, amplitudes: np.ndarray):
+        amps = np.array(amplitudes, dtype=complex, order="C")  # a copy, as in Operator
         amps = amps if amps.ndim == 2 else amps.reshape(-1)
-        if amps.shape[-1] != self.layout.dim:
+        if amps.shape[-1] != layout.dim:
             raise LayoutError(
-                f"amplitude length {amps.shape[-1]} does not match layout dimension "
-                f"{self.layout.dim}"
+                f"amplitude length {amps.shape[-1]} does not match layout dimension {layout.dim}"
             )
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("non-finite amplitude")
-        object.__setattr__(self, "amplitudes", _readonly(amps))
+        return super().__new__(cls, layout, _readonly(amps))
 
     @property
     def dim(self) -> int:
@@ -125,41 +124,44 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-@dataclass(frozen=True)
-class Operator:
+class Operator(namedtuple("Operator", "matrix")):
     """Dense square matrix acting on the listed factors (row-major), or a
     (stack, dim, dim) stack of them."""
 
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
+    def __new__(cls, matrix: np.ndarray):
+        mat = np.array(matrix, dtype=complex)  # a copy: the caller's array stays writable
         if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
             raise ValueError(f"operator matrix must be square, got shape {mat.shape}")
-        object.__setattr__(self, "matrix", _readonly(mat))
+        return super().__new__(cls, _readonly(mat))
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
 
 
-@dataclass(frozen=True)
-class MixedState:
-    """Explicit weighted ensemble of pure states (all on one layout)."""
+class MixedState(namedtuple("MixedState", "components")):
+    """Explicit weighted ensemble Σ w |ψ><ψ| of pure states on one layout.
 
-    components: tuple[tuple[float, StateVector], ...]
+    A component may be unnormalised (½ on √2·|ψ>, say), so what must be 1 is
+    the trace Σ w ‖ψ‖².
+    """
 
-    def __post_init__(self):
-        if not self.components:
+    __slots__ = ()
+
+    def __new__(cls, components: tuple[tuple[float, StateVector], ...]):
+        if not components:
             raise ValueError("mixed state needs at least one component")
-        weights = [w for w, _ in self.components]
+        weights = [w for w, _ in components]
         if any(w < -1e-12 or w > 1 + 1e-12 for w in weights):
             raise ValueError(f"weights must lie in [0, 1], got {weights}")
-        if abs(sum(weights) - 1.0) > 1e-12:
-            raise ValueError(f"weights must sum to 1, got {sum(weights)}")
-        layouts = {sv.layout for _, sv in self.components}
-        if len(layouts) != 1:
+        trace = sum(w * sv.norm() ** 2 for w, sv in components)
+        if abs(trace - 1.0) > 1e-12:
+            raise ValueError(f"weights times squared norms must sum to 1, got {trace}")
+        if len({sv.layout for _, sv in components}) != 1:
             raise LayoutError("mixed-state components must share one layout")
+        return super().__new__(cls, components)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
@@ -206,8 +208,7 @@ def check_unitary(op: Operator) -> bool:
     return bool(np.max(np.abs(gram - np.eye(op.dim))) < UNITARY_TOL)
 
 
-@dataclass(frozen=True)
-class BasisGroup:
+class BasisGroup(namedtuple("BasisGroup", "factors labels vectors")):
     """A labeled orthonormal family of vectors on a group of factors.
 
     ``vectors`` holds one column per label in the row-major product space of
@@ -217,21 +218,17 @@ class BasisGroup:
     construction.
     """
 
-    factors: tuple[str, ...]
-    labels: tuple[int, ...]
-    vectors: np.ndarray = field(repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        vecs = np.array(self.vectors, dtype=complex)  # a copy, as in Operator
-        dim = prod(FACTOR_DIMS[n] for n in self.factors)
-        if vecs.ndim not in (2, 3) or vecs.shape[-2:] != (dim, len(self.labels)):
-            raise LayoutError(
-                f"expected vectors of shape {(dim, len(self.labels))}, got {vecs.shape}"
-            )
+    def __new__(cls, factors: tuple[str, ...], labels: tuple[int, ...], vectors: np.ndarray):
+        vecs = np.array(vectors, dtype=complex)  # a copy, as in Operator
+        dim = prod(FACTOR_DIMS[n] for n in factors)
+        if vecs.ndim not in (2, 3) or vecs.shape[-2:] != (dim, len(labels)):
+            raise LayoutError(f"expected vectors of shape {(dim, len(labels))}, got {vecs.shape}")
         gram = vecs.conj().swapaxes(-1, -2) @ vecs
-        if np.max(np.abs(gram - np.eye(len(self.labels)))) > 1e-9:
+        if np.max(np.abs(gram - np.eye(len(labels)))) > 1e-9:
             raise ValueError("basis-group columns must be orthonormal")
-        object.__setattr__(self, "vectors", _readonly(vecs))
+        return super().__new__(cls, factors, labels, _readonly(vecs))
 
 
 def grouped_amplitudes(state: StateVector, groups) -> tuple[np.ndarray, int]:

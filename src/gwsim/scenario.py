@@ -23,7 +23,8 @@ contradiction, obtained here by brute force over ``OUTCOME_SIGNS``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .measurement import PAIR_DIM, SITES, MeasurementModel, pair_index
 from .qmath import BasisGroup, StateVector, apply_local, layout
@@ -68,8 +69,7 @@ OUTCOME_SIGNS = (1 - 2 * ((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1))
 FRAME_NAMES = ("sigma", "sigma_p", "sigma_pp", "sigma_ppp")
 
 
-@dataclass(frozen=True)
-class MeasurementEvent:
+class MeasurementEvent(NamedTuple):
     """One measurement: a friend's z-spin recording or an outsider's
     whole-pair X measurement."""
 
@@ -89,8 +89,7 @@ class MeasurementEvent:
         return f"{prefix}_{self.site}"
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     geometry: GeometrySpec
     events: tuple[MeasurementEvent, ...]
     model: MeasurementModel
@@ -179,19 +178,17 @@ def evolve_to(s: Schedule, f: Frame, round_index: int) -> StateVector:
     return state
 
 
-@dataclass(frozen=True)
-class ParityConstraint:
+class ParityConstraint(namedtuple("ParityConstraint", "slots required_product")):
     """The product of the named slots' outcomes must equal required_product."""
 
-    slots: tuple[str, ...]
-    required_product: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.slots:
+    def __new__(cls, slots: tuple[str, ...], required_product: int):
+        if not slots:
             raise ValueError("constraint needs at least one slot")
-        if self.required_product not in (+1, -1):
-            raise ValueError(f"required product must be ±1, got {self.required_product}")
-        object.__setattr__(self, "slots", tuple(sorted(self.slots, key=_slot_key)))
+        if required_product not in (+1, -1):
+            raise ValueError(f"required product must be ±1, got {required_product}")
+        return super().__new__(cls, tuple(sorted(slots, key=_slot_key)), required_product)
 
 
 def _slot_key(slot: str) -> tuple[str, str]:
@@ -240,8 +237,7 @@ def support_constraint(
     return entries, constraint
 
 
-@dataclass(frozen=True)
-class RoundTable:
+class RoundTable(NamedTuple):
     """One round of one frame for a stack of M device models, as arrays.
 
     Column j of ``weights`` is the joint outcome ``labels[j]`` of the round's

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,16 +28,15 @@ SIMULTANEITY_TOL = 1e-12
 GEOMETRY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SpacetimePoint:
+class SpacetimePoint(namedtuple("SpacetimePoint", "t x")):
     """Event location: time and planar position, c = 1."""
 
-    t: float
-    x: tuple[float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.t) and all(math.isfinite(c) for c in self.x)):
-            raise ValueError(f"non-finite spacetime point ({self.t}, {self.x})")
+    def __new__(cls, t: float, x: tuple[float, float]):
+        if not (math.isfinite(t) and all(math.isfinite(c) for c in x)):
+            raise ValueError(f"non-finite spacetime point ({t}, {x})")
+        return super().__new__(cls, t, x)
 
     @property
     def position(self) -> np.ndarray:
@@ -47,16 +47,16 @@ def point(t: float, x: tuple[float, float]) -> SpacetimePoint:
     return SpacetimePoint(float(t), (float(x[0]), float(x[1])))
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(namedtuple("Frame", "velocity")):
     """Inertial frame, given by its boost velocity relative to the rest frame."""
 
-    velocity: tuple[float, float]
+    __slots__ = ()
 
-    def __post_init__(self):
-        speed = math.hypot(*self.velocity)
+    def __new__(cls, velocity: tuple[float, float]):
+        speed = math.hypot(*velocity)
         if speed > MAX_SPEED:
             raise ValueError(f"boost speed {speed} is not subluminal")
+        return super().__new__(cls, velocity)
 
     @property
     def speed(self) -> float:
@@ -70,8 +70,7 @@ class Frame:
 REST_FRAME = Frame((0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class GeometrySpec:
+class GeometrySpec(NamedTuple):
     """Lab positions and the three epoch times t0 < t1 < t2.
 
     Deliberately constructible with invalid values; ``validate_geometry``
@@ -191,8 +190,7 @@ def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
     ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -22,8 +22,8 @@ whole scenario is built on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +124,7 @@ def initial_product_terms() -> tuple[np.ndarray, np.ndarray]:
     return np.array([0.25, -0.25j]), vectors
 
 
-@dataclass(frozen=True)
-class SupportEntry:
+class SupportEntry(NamedTuple):
     """One surviving term of an expansion: outcome labels and its coefficient."""
 
     labels: tuple[int, ...]

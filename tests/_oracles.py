@@ -34,7 +34,15 @@ from gwsim.models import (
     SweepReport,
     trial_rng,
 )
-from gwsim.qmath import FACTOR_DIMS, BasisGroup, LayoutError, Operator, StateVector, apply_local
+from gwsim.qmath import (
+    FACTOR_DIMS,
+    BasisGroup,
+    LayoutError,
+    Operator,
+    StateVector,
+    apply_local,
+    layout,
+)
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     build_schedule,
@@ -46,7 +54,7 @@ from gwsim.scenario import (
     support_constraint,
 )
 from gwsim.spacetime import SpacetimePoint
-from gwsim.systems import SpinAxis, spin_basis
+from gwsim.systems import SITE_FACTORS, LabLabel, SpinAxis, lab_vector, spin_basis, spin_vector
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -160,6 +168,16 @@ def spin_observable(axis: SpinAxis, factor: str = "A") -> Observable:
             for i, value in enumerate((+1.0, -1.0))
         ),
     )
+
+
+def entangled_record_state(model: MeasurementModel, site: str = "A") -> StateVector:
+    """Unitary description of a completed measurement on an x-up electron.
+
+    The pair starts in |ready> ⊗ |+1_x> and the device unitary is applied;
+    the result is (|+1Z> + |-1Z>)/√2 — a single superposed pure state.
+    """
+    start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.X, +1))
+    return StateVector(layout(*SITE_FACTORS[site]), model.unitary(site).matrix @ start)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -97,7 +97,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "4"
+        assert report["schema_version"] == "5"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -152,6 +152,17 @@ class TestDistinguish:
         assert dists["pair_x"]["collapsed_record"]["+1"] == pytest.approx(0.5, abs=1e-10)
         assert dists["pair_x"]["collapsed_record"]["-1"] == pytest.approx(0.5, abs=1e-10)
         assert all(check_names(report).values())
+
+    def test_the_ideal_device_prints_exact_probabilities(self, capsys):
+        code, report = run_json(capsys, "distinguish")
+        assert code == 0
+        dists = report["results"]["distributions"]
+        half = {"+1": 0.5, "-1": 0.5, "0": 0.0}
+        assert dists["door"] == {"unitary_record": half, "collapsed_record": half}
+        assert dists["pair_x"] == {
+            "unitary_record": {"+1": 1.0, "-1": 0.0, "0": 0.0},
+            "collapsed_record": half,
+        }
 
 
 class TestFrames:
@@ -394,6 +405,20 @@ class TestRun:
         stats = report["results"]["run"]["constraint_statistics"]
         (preferred,) = [s for s in stats if s["preferred"]]
         assert preferred["slots"] == ["z_A", "x_B", "z_C"]
+
+    @pytest.mark.parametrize("mode", ["round_born", "sequential_collapse"])
+    def test_the_frames_are_built_once(self, capsys, monkeypatch, mode):
+        built = []
+
+        def counting_standard_frames(geometry):
+            built.append(geometry)
+            return standard_frames(geometry)
+
+        for module in ("gwsim.cli", "gwsim.models"):
+            monkeypatch.setattr(f"{module}.standard_frames", counting_standard_frames)
+        code, report = run_json(capsys, "run", "--trials", "100", "--mode", mode)
+        assert code == 0 and report["passed"] is True
+        assert len(built) == 1
 
     def test_zero_trials_skips_the_monte_carlo(self, capsys, monkeypatch):
         def no_run_model(*args):

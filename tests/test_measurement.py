@@ -10,7 +10,6 @@ from gwsim.measurement import (
     distinguishability_report,
     distribution,
     door_observable,
-    entangled_record_state,
     haar_random_unitary,
     haar_unitaries,
     ideal_von_neumann,
@@ -22,7 +21,7 @@ from gwsim.models import trial_rng
 from gwsim.qmath import LayoutError, Operator, StateVector, layout, tensor
 from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_vector
 
-from _oracles import random_state, random_unitary, spin_observable
+from _oracles import entangled_record_state, random_state, random_unitary, spin_observable
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
@@ -316,6 +315,15 @@ class TestDistinguishabilityReport:
         assert table["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-12)
         assert table["collapsed_record"][+1.0] == pytest.approx(0.5, abs=1e-12)
         assert table["collapsed_record"][-1.0] == pytest.approx(0.5, abs=1e-12)
+
+    def test_ideal_table_is_exact(self):
+        table = distinguishability_report()["distributions"]
+        half = {+1.0: 0.5, -1.0: 0.5, 0.0: 0.0}
+        assert table["door"] == {"unitary_record": half, "collapsed_record": half}
+        assert table["pair_x"] == {
+            "unitary_record": {+1.0: 1.0, -1.0: 0.0, 0.0: 0.0},
+            "collapsed_record": half,
+        }
 
     def test_report_is_deterministic(self):
         a = distinguishability_report()

@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +13,7 @@ import gwsim.systems
 from _oracles import (
     collapse_branches_reference,
     draw_reference,
+    entangled_record_state,
     outcome_indices,
     random_state,
     sample_round_born,
@@ -27,7 +27,6 @@ from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
     door_observable,
-    entangled_record_state,
     haar_random_unitary,
     ideal_von_neumann,
     outsider_observable,
@@ -392,7 +391,7 @@ class TestNonidealSweep:
         assert (report.n_models, report.seed) == (reference.n_models, reference.seed)
         verdicts_agree = 0
         for mine, dense in zip(report.results, reference.results, strict=True):
-            assert replace(mine, support_ok=dense.support_ok) == dense
+            assert mine._replace(support_ok=dense.support_ok) == dense
             if mine.support_ok == dense.support_ok:
                 verdicts_agree += 1
                 continue

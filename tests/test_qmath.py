@@ -190,6 +190,15 @@ def test_mixed_state_weight_validation():
         MixedState(((-0.1, state), (1.1, state)))
 
 
+def test_mixed_state_weighs_unnormalised_components_by_their_squared_norm():
+    doubled = StateVector(layout("A"), np.array([1.0, 1.0]))  # √2·|+1_x>
+    assert MixedState(((0.5, doubled),)).components[0][1] is doubled
+    with pytest.raises(ValueError, match="sum"):
+        MixedState(((1.0, doubled),))
+    with pytest.raises(ValueError, match="sum"):
+        MixedState(((0.5, doubled), (0.5, doubled)))
+
+
 def test_mixed_state_requires_common_layout():
     a = StateVector(layout("A"), np.array([1.0, 0.0]))
     b = StateVector(layout("B"), np.array([1.0, 0.0]))

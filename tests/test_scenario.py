@@ -1,6 +1,5 @@
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -433,7 +432,7 @@ class TestAnalyzeStack:
         assert all(t.weights.shape == (n, len(t.labels)) for t in tables)
         rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
         for m, model in enumerate(models):
-            s = replace(schedule, model=model)
+            s = schedule._replace(model=model)
             for table, k in zip(tables, rounds):
                 replayed = evolve_to(s, frames[table.frame], k)
                 assert_row_matches_the_dense_oracle(table, m, replayed, model)
@@ -514,7 +513,7 @@ def test_random_subluminal_frames_yield_no_new_constraint(schedule):
     assert len(replayed_rounds) > 20
     for table, k in replayed_rounds.values():
         for m, model in enumerate(models):
-            replayed = evolve_to(replace(schedule, model=model), frames[table.frame], k)
+            replayed = evolve_to(schedule._replace(model=model), frames[table.frame], k)
             assert_row_matches_the_dense_oracle(table, m, replayed, model)
 
 

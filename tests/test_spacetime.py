@@ -1,7 +1,6 @@
 import math
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,14 +246,14 @@ def test_validate_geometry_flags_unequal_epochs():
 
 
 def test_unequal_tiny_epochs_fail_equal_epochs():
-    bad = replace(standard_geometry(10.0, 1e-12), t2=5e-10)
+    bad = standard_geometry(10.0, 1e-12)._replace(t2=5e-10)
     results = {r.name: r for r in validate_geometry(bad)}
     assert not results["equal_epochs"].passed
 
 
 def test_non_equilateral_tiny_triangle_fails_equilateral():
     g = standard_geometry(1e-9, 1e-12)
-    bad = replace(g, x_c=(g.x_c[0] * 1.001, g.x_c[1]))
+    bad = g._replace(x_c=(g.x_c[0] * 1.001, g.x_c[1]))
     results = {r.name: r for r in validate_geometry(bad)}
     assert not results["equilateral"].passed
 
