@@ -27,7 +27,6 @@ from .scenario import (
     collect_constraints,
     enumerate_assignments,
     order_events,
-    standard_frames,
 )
 from .spacetime import (
     Frame,
@@ -37,6 +36,7 @@ from .spacetime import (
     frame_time,
     interval,
     standard_geometry,
+    tilted_frames,
     validate_geometry,
 )
 from .systems import SpinAxis, LabLabel, ghz_state, initial_scenario_state
@@ -76,7 +76,7 @@ __all__ = [
     "order_events",
     "outsider_observable",
     "run_model",
-    "standard_frames",
     "standard_geometry",
+    "tilted_frames",
     "validate_geometry",
 ]

@@ -47,12 +47,12 @@ from .scenario import (
     OUTCOME_SIGNS,
     analyze_stack,
     build_schedule,
+    checked_schedule,
     collect_constraints,
     enumerate_assignments,
     order_events,
-    standard_frames,
 )
-from .spacetime import standard_geometry, validate_geometry
+from .spacetime import standard_geometry
 
 SCHEMA_VERSION = "5"
 ENV_SEED = "GWSIM_SEED"
@@ -178,7 +178,13 @@ def _is_int(value) -> bool:
 def _resolve_seed(config: dict) -> int:
     seed = config["run"]["seed"]
     if seed is None:
-        seed = int(os.environ.get(ENV_SEED, "0"))
+        text = os.environ.get(ENV_SEED, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            seed = -1
+        if seed < 0:
+            raise ConfigError(f"{ENV_SEED} must be a non-negative integer, got {text!r}")
     if seed < 0:
         raise ConfigError(f"run.seed must be non-negative, got {seed}")
     config["run"]["seed"] = seed
@@ -244,12 +250,11 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     model = _build_model(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     schedule = build_schedule(side, tau, model)
-    frames = standard_frames(schedule.geometry)
 
     tables = []
     constraints = []
     support_ok = True
-    orderings = {name: order_events(schedule, f) for name, f in frames.items()}
+    orderings = {name: order_events(schedule, f) for name, f in schedule.frames.items()}
     for table in analyze_stack(model, orderings):
         constraint = table.constraint(0)
         if constraint is None or constraint in constraints:
@@ -355,7 +360,7 @@ def cmd_distinguish(config: dict) -> dict:
 def cmd_frames(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     geometry = standard_geometry(side, tau)
-    geo_checks = validate_geometry(geometry)
+    geo_checks, schedule = checked_schedule(geometry, _build_model(config))
     checks = [_check(f"geometry_{r.name}", r.passed, r.detail) for r in geo_checks]
     results: dict = {
         "geometry": {
@@ -366,10 +371,8 @@ def cmd_frames(config: dict) -> dict:
         }
     }
 
-    if all(r.passed for r in geo_checks):
-        model = _build_model(config)
-        schedule = build_schedule(side, tau, model)
-        frames = standard_frames(schedule.geometry)
+    if schedule is not None:
+        frames = schedule.frames
         speeds = [f.speed for name, f in frames.items() if name != "sigma"]
         results["frames"] = {
             name: {"velocity": list(f.velocity), "speed": f.speed, "gamma": f.gamma}
@@ -394,16 +397,15 @@ def cmd_run(config: dict) -> dict:
     model = _build_model(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     schedule = build_schedule(side, tau, model)
-    frames = standard_frames(schedule.geometry)
     trials = config["run"]["trials"]
     mode = config["run"]["mode"]
     preferred_name = config["run"]["preferred_frame"]
     if trials > 0:
-        preferred = InterpretationModel(mode, frames[preferred_name])
-        report = run_model(schedule, preferred, trials, seed, frames)
+        preferred = InterpretationModel(mode, schedule.frames[preferred_name])
+        report = run_model(schedule, preferred, trials, seed)
         constraints = report.constraints
     else:
-        constraints = collect_constraints(schedule, frames)
+        constraints = collect_constraints(schedule, schedule.frames)
     satisfying = enumerate_assignments(constraints)
 
     checks = [

@@ -22,9 +22,11 @@ one count per assignment.
 A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
 (row *i* of ``OUTCOME_SIGNS`` holds the ±1 values of index *i*). Monte Carlo
 is then one inverse-CDF draw per trial: trial *i* takes the *i*-th uniform of
-one counter-based Philox stream keyed by the master seed, read in blocks and
-kept as counts, so reports are reproducible, memory is flat in the trial
-count, and the first *k* trials of any run are the *k*-trial run.
+numpy's counter-based Philox4x64-10 stream keyed by ``SeedSequence(seed)``,
+computed here in numpy integer arithmetic (so ``numpy.random`` is never
+imported) and read in blocks, each counted by sorting it. Reports are
+reproducible, memory is flat in the trial count, and the first *k* trials of
+any run are the *k*-trial run.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
@@ -35,6 +37,7 @@ blocks of one stacked Haar draw and one stacked pass each.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from typing import NamedTuple
@@ -62,7 +65,6 @@ from .scenario import (
     enumerate_assignments,
     order_events,
     round_slots,
-    standard_frames,
     violation_mask,
     _born_weights,
     _site_gram,
@@ -75,6 +77,10 @@ MODES = ("round_born", "sequential_collapse")
 DRAW_BLOCK = 1 << 16
 # The most trials an int64 outcome count holds.
 MAX_TRIALS = 2**63 - 1
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
+PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_KEY_STEPS = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+MASK32, MASK64 = 2**32 - 1, 2**64 - 1
 
 
 class InterpretationModel(namedtuple("InterpretationModel", "mode preferred")):
@@ -96,20 +102,90 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
+def _philox_key(seed: int) -> tuple[int, int]:
+    """``SeedSequence(seed).generate_state(2, np.uint64)`` in Python ints: the
+    seed's 32-bit words hashed into a pool of four, mixed, then hashed out."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> shift & MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    const = 0x43B0D7E5
+
+    def hashmix(value: int, mult: int = 0x931E8875) -> int:
+        nonlocal const
+        const, value = const * mult & MASK32, value ^ const
+        value = value * const & MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    const = 0x8B51F9DD
+    halves = [hashmix(p, 0x58F38DED) for p in pool]
+    return halves[0] | halves[1] << 32, halves[2] | halves[3] << 32
+
+
+def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
+    """High words of the 128-bit products x·m (x uint64), from 32-bit halves."""
+    lo, hi = x & MASK32, x >> 32
+    mid = lo * (m >> 32)
+    lo *= m & MASK32
+    lo >>= 32
+    mid += lo  # < 2**64: the middle partial product plus the carry from below
+    lo = (mid & MASK32) + hi * (m & MASK32)
+    hi *= m >> 32
+    hi += mid >> 32
+    hi += lo >> 32
+    return hi
+
+
+def _philox_uniforms(key: tuple[int, int], start: int, n: int) -> np.ndarray:
+    """Uniforms ``start`` … ``start + n − 1`` of numpy's Philox4x64-10 stream
+    under ``key``, as ``Generator.random`` draws them: uniform i is
+    (w >> 11)·2⁻⁵³ for word i mod 4 of counter ⌊i/4⌋ + 1 after ten rounds,
+    each run in place on every counter at once."""
+    first = start // 4
+    x0 = np.arange(first + 1, (start + n + 3) // 4 + 1, dtype=np.uint64)
+    x1, x2, x3 = np.zeros((3, len(x0)), dtype=np.uint64)
+    (m0, m1), (k0, k1) = PHILOX_MULTIPLIERS, key
+    for _ in range(10):
+        # (x0, x1, x2, x3) → (hi(M1·x2) ⊕ x1 ⊕ k0, lo(M1·x2), hi(M0·x0) ⊕ x3 ⊕ k1, lo(M0·x0))
+        x1 ^= k0
+        x1 ^= _mulhi(x2, m1)
+        x3 ^= k1
+        x3 ^= _mulhi(x0, m0)
+        x0 *= m0
+        x2 *= m1
+        x0, x1, x2, x3 = x1, x2, x3, x0
+        k0, k1 = (k0 + PHILOX_KEY_STEPS[0]) & MASK64, (k1 + PHILOX_KEY_STEPS[1]) & MASK64
+    words = np.stack([x0, x1, x2, x3], axis=1).reshape(-1)[start - 4 * first :][:n]
+    words >>= 11
+    uniforms = words.astype(np.float64)
+    uniforms *= 2.0**-53
+    return uniforms
+
+
 def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Per-entry counts of ``trials`` inverse-CDF draws; zero entries never occur.
 
-    Trial i takes the i-th uniform of one Philox stream keyed by ``seed``,
-    read DRAW_BLOCK at a time: the stream is counter-based, so blocks change
-    no count.
+    Trial i takes the i-th uniform of numpy's Philox4x64-10 stream keyed by
+    ``SeedSequence(seed)``, computed in numpy integer arithmetic DRAW_BLOCK at
+    a time: the stream is counter-based, so blocks change no count. A block
+    is counted by sorting it: its uniforms below cdf[j] draw entries 0 … j.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    key = _philox_key(seed)
     cdf = np.cumsum(probabilities)
     cdf /= cdf[-1]
     counts = np.zeros(len(cdf), dtype=np.int64)
     for start in range(0, trials, DRAW_BLOCK):
-        uniforms = rng.random(min(DRAW_BLOCK, trials - start))
-        counts += np.bincount(np.searchsorted(cdf, uniforms, side="right"), minlength=len(cdf))
+        uniforms = _philox_uniforms(key, start, min(DRAW_BLOCK, trials - start))
+        uniforms.sort()
+        counts += np.diff(np.searchsorted(uniforms, cdf), prepend=0)
     return counts
 
 
@@ -228,22 +304,17 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), pruned
 
 
-def run_model(
-    s: Schedule, m: InterpretationModel, trials: int, seed: int, frames: dict | None = None
-) -> RunReport:
+def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
     """Draw ``trials`` complete outcome assignments and tally violations.
 
     One ``analyze_stack`` pass over ``s.model`` covers the four standard
     frames and ``m.preferred``. Constraints are those the standard frames
     yield; the preferred mask marks the ones ``m.preferred``'s own rounds
-    yield. ``frames`` are ``standard_frames(s.geometry)`` where the caller
-    has built them already; they are built here otherwise.
+    yield.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
-    if frames is None:
-        frames = standard_frames(s.geometry)
-    standard = list(frames.values())
+    standard = list(s.frames.values())
     orderings = {f: order_events(s, f) for f in dict.fromkeys(standard + [m.preferred])}
     tables = analyze_stack(s.model, orderings)
     constraints = tuple(distinct_constraints(t for t in tables if t.frame in standard))
@@ -374,8 +445,7 @@ def nonideal_sweep(
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
     schedule = build_schedule(side, tau, ideal_von_neumann())
-    frames = standard_frames(schedule.geometry)
-    orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
+    orderings = {name: order_events(schedule, frame) for name, frame in schedule.frames.items()}
     ideal = np.stack([u.matrix for u in schedule.model.site_unitaries])[None]
     outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
     results = []

@@ -29,15 +29,15 @@ from typing import NamedTuple
 from .measurement import PAIR_DIM, SITES, MeasurementModel, pair_index
 from .qmath import BasisGroup, StateVector, apply_local, layout
 from .spacetime import (
+    CheckResult,
     Frame,
     GeometrySpec,
     REST_FRAME,
     SpacetimePoint,
-    boost_for_simultaneity,
     frame_time,
     point,
     standard_geometry,
-    tilted_frame_events,
+    tilted_frames,
     validate_geometry,
 )
 from .systems import (
@@ -93,19 +93,22 @@ class Schedule(NamedTuple):
     geometry: GeometrySpec
     events: tuple[MeasurementEvent, ...]
     model: MeasurementModel
+    frames: dict[str, Frame]  # FRAME_NAMES: the rest frame, then each lab's tilted frame
 
 
-def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule:
-    """Standard arrangement: friends stamped at t1, outsiders at t2.
+def checked_schedule(
+    geometry: GeometrySpec, model: MeasurementModel
+) -> tuple[list[CheckResult], Schedule | None]:
+    """The geometry's checks, and its schedule where all of them pass.
 
-    The events really occupy the intervals (t0,t1) and (t1,t2); only their
-    completion order matters for pre-measurement states, so completion times
-    serve as the event times.
+    Friends are stamped at t1, outsiders at t2. The events really occupy the
+    intervals (t0,t1) and (t1,t2); only their completion order matters for
+    pre-measurement states, so completion times serve as the event times.
     """
-    geometry = standard_geometry(side, tau)
-    failed = [r.name for r in validate_geometry(geometry) if not r.passed]
-    if failed:
-        raise ValueError(f"geometry checks failed: {', '.join(failed)}")
+    tilted = tilted_frames(geometry)
+    checks = validate_geometry(geometry, tilted)
+    if not all(r.passed for r in checks):
+        return checks, None
     events = []
     for site in "ABC":
         pos = tuple(geometry.position(site))
@@ -115,14 +118,17 @@ def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule
         events.append(
             MeasurementEvent(f"outsider_{site}", site, "outsider_x", point(geometry.t2, pos))
         )
-    return Schedule(geometry, tuple(events), model)
+    frames = dict(zip(FRAME_NAMES, [REST_FRAME, *tilted]))
+    return checks, Schedule(geometry, tuple(events), model, frames)
 
 
-def standard_frames(geometry: GeometrySpec) -> dict[str, Frame]:
-    """The rest frame plus the three frames tilting one lab's inside
-    measurement into simultaneity with the start of the other two."""
-    tilted = [boost_for_simultaneity(*events) for events in tilted_frame_events(geometry)]
-    return dict(zip(FRAME_NAMES, [REST_FRAME, *tilted]))
+def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule:
+    """The standard arrangement's schedule; raises naming the checks that fail."""
+    checks, schedule = checked_schedule(standard_geometry(side, tau), model)
+    if schedule is None:
+        failed = [r.name for r in checks if not r.passed]
+        raise ValueError(f"geometry checks failed: {', '.join(failed)}")
+    return schedule
 
 
 def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:

@@ -190,19 +190,32 @@ def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
     ]
 
 
+def tilted_frames(spec: GeometrySpec) -> list[Frame | ValueError]:
+    """Per lab A, B, C: the frame making its ``tilted_frame_events``
+    simultaneous, or the error ``boost_for_simultaneity`` raised for it."""
+    frames = []
+    for events in tilted_frame_events(spec):
+        try:
+            frames.append(boost_for_simultaneity(*events))
+        except ValueError as exc:
+            frames.append(exc)
+    return frames
+
+
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
+def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[CheckResult]:
     """Named checks for the arrangement's separation conditions.
 
     Failures are reported, not raised, so invalid geometries can be examined.
     Tolerances scale with the geometry (its mean side, its largest epoch
     time), and intervals are taken in units of the larger of the two, so a
     geometry passes or fails alike at every scale a float can hold.
+    ``tilted`` is ``tilted_frames(spec)`` where the caller has built it.
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
@@ -263,18 +276,17 @@ def validate_geometry(spec: GeometrySpec) -> list[CheckResult]:
 
     # A tilted frame exists only if its boost is subluminal (for the standard
     # triangle the speed is tau / (side·√3/2)) and, in float arithmetic,
-    # really makes its three events simultaneous. The check builds the frames,
-    # so it passes exactly when they can be built; where the speeds pass, the
-    # detail says why a frame still could not be.
-    events = tilted_frame_events(spec)
-    velocities = [_simultaneity_velocity(*e) for e in events]
+    # really makes its three events simultaneous. The check reads the built
+    # frames, so it passes exactly when they can be built; where the speeds
+    # pass, the detail says why a frame still could not be. A frame that
+    # failed is solved once more for its speed.
+    frames = tilted or tilted_frames(spec)
+    reasons = {str(f) for f in frames if isinstance(f, ValueError)}
+    velocities = [
+        f.velocity if isinstance(f, Frame) else _simultaneity_velocity(*events)
+        for events, f in zip(tilted_frame_events(spec), frames)
+    ]
     speeds = [math.inf if v is None else math.hypot(*v) for v in velocities]
-    reasons = set()
-    for e in events:
-        try:
-            boost_for_simultaneity(*e)
-        except ValueError as exc:
-            reasons.add(str(exc))
     shown = sorted(reasons) if max(speeds) <= MAX_SPEED else []
     results.append(
         CheckResult(

@@ -50,7 +50,6 @@ from gwsim.scenario import (
     evolve_to,
     order_events,
     round_slots,
-    standard_frames,
     support_constraint,
 )
 from gwsim.spacetime import SpacetimePoint
@@ -414,7 +413,7 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
         schedule = build_schedule(10.0, 1.0, model)
         constraints = []
         support_ok = True
-        for frame in standard_frames(schedule.geometry).values():
+        for frame in schedule.frames.values():
             for k, rnd in enumerate(order_events(schedule, frame), start=1):
                 state = evolve_to(schedule, frame, k)
                 entries, constraint = support_constraint(state, rnd, model)

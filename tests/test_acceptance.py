@@ -54,7 +54,6 @@ from gwsim.scenario import (
     collect_constraints,
     enumerate_assignments,
     order_events,
-    standard_frames,
 )
 from gwsim.spacetime import (
     Frame,
@@ -86,7 +85,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def frames(schedule):
-    return standard_frames(schedule.geometry)
+    return schedule.frames
 
 
 def package_weights(state: StateVector, groups) -> np.ndarray:

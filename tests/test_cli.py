@@ -23,8 +23,13 @@ from gwsim.cli import (
     main,
 )
 from gwsim.models import MAX_MODELS
-from gwsim.scenario import standard_frames
-from gwsim.spacetime import MAX_SPEED, standard_geometry
+import gwsim.spacetime
+from gwsim.spacetime import (
+    MAX_SPEED,
+    boost_for_simultaneity,
+    standard_geometry,
+    tilted_frame_events,
+)
 
 REPORT_KEYS = {"schema_version", "command", "config", "results", "checks", "passed"}
 
@@ -300,11 +305,41 @@ def test_frames_reports_every_geometry_near_the_bounds(side, bound, offset):
     assert err.getvalue() == ""
     checks = {c["name"]: c["passed"] for c in json.loads(out.getvalue())["checks"]}
     try:
-        standard_frames(geometry)
+        [boost_for_simultaneity(*events) for events in tilted_frame_events(geometry)]
         built = True
     except ValueError:
         built = False
     assert checks["geometry_tilted_frames_subluminal"] == built
+
+
+@pytest.mark.parametrize(
+    "argv, code, solves",
+    [
+        (["run", "--trials", "100", "--mode", "round_born"], 0, 3),
+        (["run", "--trials", "100", "--mode", "sequential_collapse"], 0, 3),
+        (["sweep", "--models", "3"], 0, 3),
+        (["ghz-nogo"], 0, 3),
+        (["frames"], 0, 3),
+        # Superluminal tilted frames: each failed boost is solved once more
+        # for the speed the check prints.
+        (["frames", "--tau", "9"], 1, 6),
+    ],
+    ids=["round_born", "sequential_collapse", "sweep", "ghz-nogo", "frames", "frames-failing"],
+)
+def test_each_tilted_frame_is_solved_once(capsys, monkeypatch, argv, code, solves):
+    # Each tilted frame is solved and boosted once, for the geometry
+    # checks and the schedule's frames both.
+    counts = {"_simultaneity_velocity": 0, "boost_for_simultaneity": 0}
+    for name in counts:
+        original = getattr(gwsim.spacetime, name)
+
+        def counted(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gwsim.spacetime, name, counted)
+    assert run_json(capsys, *argv)[0] == code
+    assert counts == {"_simultaneity_velocity": solves, "boost_for_simultaneity": 3}
 
 
 class TestRun:
@@ -405,20 +440,6 @@ class TestRun:
         stats = report["results"]["run"]["constraint_statistics"]
         (preferred,) = [s for s in stats if s["preferred"]]
         assert preferred["slots"] == ["z_A", "x_B", "z_C"]
-
-    @pytest.mark.parametrize("mode", ["round_born", "sequential_collapse"])
-    def test_the_frames_are_built_once(self, capsys, monkeypatch, mode):
-        built = []
-
-        def counting_standard_frames(geometry):
-            built.append(geometry)
-            return standard_frames(geometry)
-
-        for module in ("gwsim.cli", "gwsim.models"):
-            monkeypatch.setattr(f"{module}.standard_frames", counting_standard_frames)
-        code, report = run_json(capsys, "run", "--trials", "100", "--mode", mode)
-        assert code == 0 and report["passed"] is True
-        assert len(built) == 1
 
     def test_zero_trials_skips_the_monte_carlo(self, capsys, monkeypatch):
         def no_run_model(*args):
@@ -645,6 +666,13 @@ class TestSeedResolution:
         code, report = run_json(capsys, "erasure", "--trials", "10")
         assert code == 0
         assert report["config"]["run"]["seed"] == 0
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_a_bad_env_seed_is_named_in_the_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GWSIM_SEED", value)
+        code, out, err = run_cli(capsys, "erasure", "--trials", "10")
+        assert (code, out) == (2, "")
+        assert err == f"error: GWSIM_SEED must be a non-negative integer, got {value!r}\n"
 
 
 class TestFlagPrecedence:

@@ -1,6 +1,10 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import _oracles
 import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
+import gwsim.spacetime
 import gwsim.systems
 from _oracles import (
     collapse_branches_reference,
@@ -58,7 +63,6 @@ from gwsim.scenario import (
     enumerate_assignments,
     evolve_to,
     order_events,
-    standard_frames,
     support_constraint,
     violation_mask,
 )
@@ -90,7 +94,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def frames(schedule):
-    return standard_frames(schedule.geometry)
+    return schedule.frames
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +307,7 @@ def quarter_weight_pairs(model) -> list[tuple[float, float]]:
     """(product-form weight, dense weight) of every possible tuple of every
     constraint-bearing round of the standard frames, for one device model."""
     s = build_schedule(10.0, 1.0, model)
-    frames = standard_frames(s.geometry)
+    frames = s.frames
     orderings = {name: order_events(s, f) for name, f in frames.items()}
     tables = iter(analyze_stack(model, orderings))
     pairs = []
@@ -362,7 +366,7 @@ class TestNonidealSweep:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(gwsim.models, "order_events")
-        counted(gwsim.scenario, "boost_for_simultaneity")
+        counted(gwsim.spacetime, "boost_for_simultaneity")
         report = nonideal_sweep(n_models, seed=3)
         assert report.all_passed
         assert counts == {"order_events": 4, "boost_for_simultaneity": 3}
@@ -516,7 +520,7 @@ def table_schedules():
 class TestExactTables:
     def _table(self, table_schedules, spec, frame, mode):
         s = table_schedules[spec]
-        return SAMPLERS[mode][0](s, standard_frames(s.geometry)[frame])
+        return SAMPLERS[mode][0](s, s.frames[frame])
 
     @pytest.mark.parametrize("mode, support", [("round_born", 32), ("sequential_collapse", 64)])
     def test_table_is_a_distribution_with_the_expected_support(
@@ -533,7 +537,7 @@ class TestExactTables:
         self, table_schedules, spec, frame
     ):
         s = table_schedules[spec]
-        preferred = collect_constraints(s, [standard_frames(s.geometry)[frame]])
+        preferred = collect_constraints(s, [s.frames[frame]])
         assert preferred
         probabilities, _ = self._table(table_schedules, spec, frame, "round_born")
         for index, signs in enumerate(OUTCOME_SIGNS):
@@ -553,7 +557,7 @@ def test_outcome_signs_follow_enumeration_order():
 def test_reference_sampler_matches_the_exact_table(table_schedules, spec, frame, mode):
     build, sample, trials = SAMPLERS[mode]
     s = table_schedules[spec]
-    preferred = standard_frames(s.geometry)[frame]
+    preferred = s.frames[frame]
     probabilities, _ = build(s, preferred)
     indices = outcome_indices(sample(s, preferred, trials, seed=23))
     assert np.all(probabilities[indices] > 0), "reference sample outside the exact support"
@@ -578,14 +582,45 @@ def test_run_is_a_prefix_of_a_longer_run(schedule, frames, mode, monkeypatch):
     assert np.all(short.counts <= long.counts)
 
 
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128, 10**400]
+
+
+class TestPhilox:
+    """The integer-arithmetic Philox4x64-10 against numpy's own."""
+
+    def test_a_negative_seed_is_rejected(self):
+        # As numpy's SeedSequence rejects it.
+        with pytest.raises(ValueError, match="non-negative"):
+            erasure_experiment(10, seed=-1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_key_is_the_seed_sequence_state(self, seed):
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        assert np.array_equal(np.array(gwsim.models._philox_key(seed), dtype=np.uint64), key)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "start, n",
+        # The last range crosses the first block boundary.
+        [(0, 0), (0, 1), (0, 5), (3, 10), (65533, 7), (gwsim.models.DRAW_BLOCK - 6, 13)],
+    )
+    def test_uniforms_are_numpys_stream(self, seed, start, n):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        expected = rng.random(start + n)[start:]
+        uniforms = gwsim.models._philox_uniforms(gwsim.models._philox_key(seed), start, n)
+        assert np.array_equal(uniforms, expected)
+
+
 class TestDraw:
     """The blocked sampler against one-shot draws of the same stream."""
 
     SIZES = [0, 1, 63, 64, 65, 1000]
+    BLOCKS = [7, 64]
 
     @pytest.mark.parametrize("trials", SIZES)
-    def test_counts_match_the_one_shot_reference(self, monkeypatch, trials):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_counts_match_the_one_shot_reference(self, monkeypatch, trials, block):
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
         probabilities = np.random.default_rng(2).dirichlet(np.ones(64))
         probabilities[::5] = 0.0  # zero entries never occur
         counts = gwsim.models._draw(probabilities, trials, seed=9)
@@ -596,17 +631,21 @@ class TestDraw:
 
     @pytest.mark.parametrize("trials", SIZES)
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("block", BLOCKS)
     def test_run_counts_match_the_one_shot_reference(
-        self, schedule, frames, monkeypatch, mode, trials
+        self, schedule, frames, monkeypatch, mode, trials, block
     ):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
         report = run_model(schedule, InterpretationModel(mode, frames["sigma_pp"]), trials, 4)
         assert np.array_equal(report.counts, reference_counts(report.probabilities, trials, 4))
 
     @pytest.mark.parametrize("trials", SIZES)
     @pytest.mark.parametrize("skip_pair_x", [False, True])
-    def test_erasure_counts_match_the_one_shot_reference(self, monkeypatch, trials, skip_pair_x):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_erasure_counts_match_the_one_shot_reference(
+        self, monkeypatch, trials, skip_pair_x, block
+    ):
+        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
         branches, _ = erasure_reference(skip_pair_x)
         counts = reference_counts(np.array([p for _, p in branches]), trials, 6)
         door = {+1: 0, -1: 0, 0: 0}
@@ -633,6 +672,29 @@ class TestDraw:
         # One block holds its uniforms and their indices, 16 B a trial; a
         # one-shot draw of all 20 blocks would hold 20 times that.
         assert peak < 3 * 16 * block
+
+
+def test_sampling_imports_no_numpy_random():
+    # The stream is computed in integer arithmetic, so run and erasure load
+    # neither numpy.random nor the hashlib it pulls in.
+    src = str(Path(gwsim.models.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import contextlib, io, sys, gwsim.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for mode in ('round_born', 'sequential_collapse'):\n"
+        "        assert gwsim.cli.main(['run', '--model', 'ideal', '--mode', mode]) == 0\n"
+        "    assert gwsim.cli.main(['erasure']) == 0\n"
+        "sys.exit(', '.join(sorted({'numpy.random', 'hashlib'} & set(sys.modules))) or None)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_erasure_counts_grow_with_the_prefix():
@@ -730,7 +792,7 @@ class TestCollapseTable:
     def test_collapse_table_matches_the_per_path_reference(self, collapse_tables, spec, frame):
         model, probabilities, pruned = collapse_tables[spec]
         s = build_schedule(10.0, 1.0, model)
-        rounds = order_events(s, standard_frames(s.geometry)[frame])
+        rounds = order_events(s, s.frames[frame])
         expected, expected_pruned = collapse_reference(model, rounds)
         assert np.abs(probabilities - expected).max() <= 1e-15
         assert np.array_equal(probabilities > SAMPLE_FLOOR, expected > SAMPLE_FLOOR)
@@ -752,7 +814,7 @@ class TestCollapseTable:
         assert np.ptp(probabilities) > 1e-3
         state = StateVector(CANONICAL_LAYOUT, dense / np.linalg.norm(dense))
         s = build_schedule(10.0, 1.0, model)
-        for frame in standard_frames(s.geometry).values():
+        for frame in s.frames.values():
             expected, expected_pruned = collapse_reference(model, order_events(s, frame), state)
             assert np.abs(probabilities - expected).max() <= 1e-15
             assert abs(pruned - expected_pruned) <= 1e-15
@@ -912,7 +974,7 @@ class TestRoundBornPrunedWeight:
     def test_pruned_weight_is_the_dropped_weight(self, spec):
         seed = int(spec.split(":")[1])
         s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": seed}}))
-        for frame in standard_frames(s.geometry).values():
+        for frame in s.frames.values():
             rounds = preferred_rounds(s, frame)
             _, pruned = round_born_distribution(rounds)
             dropped = sum(float(r.weights[0][~r.possible[0]].sum()) for r in rounds)
@@ -920,5 +982,5 @@ class TestRoundBornPrunedWeight:
 
     def test_random_11_sigma_pp_drops_almost_nothing(self):
         s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": 11}}))
-        _, pruned = round_born_distribution(preferred_rounds(s, standard_frames(s.geometry)["sigma_pp"]))
+        _, pruned = round_born_distribution(preferred_rounds(s, s.frames["sigma_pp"]))
         assert 0.0 <= pruned <= 1e-30

@@ -25,7 +25,6 @@ from gwsim.scenario import (
     analyze_stack,
     build_schedule,
     order_events,
-    standard_frames,
 )
 from gwsim.spacetime import CheckResult, Frame, SpacetimePoint
 from gwsim.systems import SupportEntry
@@ -34,7 +33,7 @@ from gwsim.systems import SupportEntry
 def _records() -> dict:
     """One instance of each record type, with the field the test assigns to."""
     schedule = build_schedule(10.0, 1.0, ideal_von_neumann())
-    frames = standard_frames(schedule.geometry)
+    frames = schedule.frames
     preferred = InterpretationModel("round_born", frames["sigma"])
     state = StateVector(layout("A"), np.array([1.0, 0.0]))
     (table, *_) = analyze_stack(schedule.model, {"sigma": order_events(schedule, frames["sigma"])})
@@ -58,7 +57,7 @@ def _records() -> dict:
         "ParityConstraint": (ParityConstraint(("x_A",), 1), "slots"),
         "RoundTable": (table, "weights"),
         "InterpretationModel": (preferred, "mode"),
-        "RunReport": (run_model(schedule, preferred, 10, 1, frames), "counts"),
+        "RunReport": (run_model(schedule, preferred, 10, 1), "counts"),
         "ErasureReport": (erasure_experiment(10, 1), "down_frequency"),
         "SweepModelResult": (result, "support_ok"),
         "SweepReport": (SweepReport(1, 0, (result,)), "results"),

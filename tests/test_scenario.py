@@ -20,7 +20,6 @@ from gwsim.scenario import (
     FRAME_NAMES,
     ParityConstraint,
     RoundTable,
-    Schedule,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -29,7 +28,6 @@ from gwsim.scenario import (
     evolve_to,
     order_events,
     round_slots,
-    standard_frames,
     support_constraint,
 )
 from gwsim.qmath import Operator, apply_local
@@ -48,7 +46,7 @@ def schedule():
 
 @pytest.fixture(scope="module")
 def frames(schedule):
-    return standard_frames(schedule.geometry)
+    return schedule.frames
 
 
 class TestSchedule:
@@ -144,9 +142,9 @@ class TestOrderEvents:
     def test_rejects_simultaneous_events_on_shared_factors(self, schedule):
         ev = event(schedule, "friend_A")
         clash = type(ev)("friend_A2", "A", "friend_z", ev.location)
-        broken = Schedule(schedule.geometry, (ev, clash), schedule.model)
+        broken = schedule._replace(events=(ev, clash))
         with pytest.raises(ValueError, match="overlap"):
-            order_events(broken, standard_frames(schedule.geometry)["sigma"])
+            order_events(broken, schedule.frames["sigma"])
 
     @pytest.mark.parametrize("k", [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
     def test_orderings_do_not_depend_on_the_geometry_scale(self, k):
@@ -156,7 +154,7 @@ class TestOrderEvents:
             s = build_schedule(side, tau, ideal_von_neumann())
             return {
                 name: [[ev.id for ev in rnd] for rnd in order_events(s, f)]
-                for name, f in standard_frames(s.geometry).items()
+                for name, f in s.frames.items()
             }
 
         assert orderings(10.0 * k, 1.0 * k) == orderings(10.0, 1.0)
@@ -287,7 +285,7 @@ class TestCollectConstraints:
         rng = np.random.default_rng(7)
         model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
         schedule = build_schedule(10.0, 1.0, model)
-        constraints = collect_constraints(schedule, standard_frames(schedule.geometry))
+        constraints = collect_constraints(schedule, schedule.frames)
         assert {(c.slots, c.required_product) for c in constraints} == {
             (("x_A", "x_B", "x_C"), -1),
             (("x_A", "z_B", "z_C"), +1),
@@ -311,7 +309,7 @@ ANALYSIS_MODELS = {
 
 def standard_orderings(schedule):
     return {
-        name: order_events(schedule, f) for name, f in standard_frames(schedule.geometry).items()
+        name: order_events(schedule, f) for name, f in schedule.frames.items()
     }
 
 
@@ -333,7 +331,7 @@ def assert_row_matches_the_dense_oracle(table, m, replayed, model):
 class TestAnalyze:
     def test_matches_the_replay_oracle(self, spec):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
-        frames = standard_frames(schedule.geometry)
+        frames = schedule.frames
         orderings = standard_orderings(schedule)
         tables = analyze_stack(schedule.model, orderings)
         assert len(tables) == sum(len(rounds) for rounds in orderings.values())

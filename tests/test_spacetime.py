@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import boost_point
 from gwsim.measurement import ideal_von_neumann
-from gwsim.scenario import build_schedule, order_events, standard_frames
+from gwsim.scenario import build_schedule, order_events
 from gwsim.spacetime import (
     Frame,
     GeometrySpec,
@@ -271,7 +271,7 @@ def _orderings(side, tau):
     schedule = build_schedule(side, tau, ideal_von_neumann())
     return {
         name: [[ev.id for ev in rnd] for rnd in order_events(schedule, f)]
-        for name, f in standard_frames(schedule.geometry).items()
+        for name, f in schedule.frames.items()
     }
 
 
@@ -324,7 +324,7 @@ def test_the_tilted_check_passes_exactly_when_the_tilted_frames_build(side, buil
     tau = sys.float_info.min * side * math.sqrt(3.0) / 2.0 * (1.0 + 1e-6)
     g = standard_geometry(side, tau)
     try:
-        frames = standard_frames(g)
+        frames = [boost_for_simultaneity(*events) for events in tilted_frame_events(g)]
     except ValueError as exc:
         assert str(exc) == "solved boost fails the simultaneity check"
         frames = None
