@@ -360,7 +360,8 @@ def cmd_distinguish(config: dict) -> dict:
 def cmd_frames(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     geometry = standard_geometry(side, tau)
-    geo_checks, schedule = checked_schedule(geometry, _build_model(config))
+    # The report reads nothing of the devices, so the ideal one stands in for any.
+    geo_checks, schedule = checked_schedule(geometry, ideal_von_neumann())
     checks = [_check(f"geometry_{r.name}", r.passed, r.detail) for r in geo_checks]
     results: dict = {
         "geometry": {

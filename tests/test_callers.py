@@ -23,6 +23,9 @@ ALLOWED_WITHOUT_CALLER = {
     ),
     "measurement.measure": "named by BENCHMARK.json; the tests' per-trial reference samplers",
     "models.born_violation_check": "named by BENCHMARK.json; the tests' check of violation_mask",
+    "models.trial_rng": (
+        "named by BENCHMARK.json; the tests' reference for the sweep's device stream"
+    ),
 }
 
 

@@ -611,6 +611,72 @@ class TestPhilox:
         assert np.array_equal(uniforms, expected)
 
 
+class TestSweepNormals:
+    """The sweep's stacked ziggurat normals against numpy's Generator.normal."""
+
+    SHAPE = (3, 2, 6, 6)
+
+    @staticmethod
+    def reference(seed, indices, shape):
+        return np.array([trial_rng(seed, index).normal(size=shape) for index in indices])
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 2**32, 2**63 - 1, 10**400])
+    def test_spawn_keys_are_the_seed_sequence_states(self, seed):
+        indices = [0, 1, 127, 128, 2**32 - 1]
+        k0, k1 = gwsim.models._philox_key(seed, np.array(indices, dtype=np.uint64))
+        for index, key in zip(indices, np.stack([k0, k1], axis=1)):
+            state = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+            assert np.array_equal(key, state), index
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1, 10**400])
+    def test_normals_are_numpys_for_every_model(self, seed, monkeypatch):
+        seen = []
+
+        def ziggurat(words):
+            values, drawn = ziggurat_of_block(words)
+            seen.append((words, values, drawn))
+            return values, drawn
+
+        ziggurat_of_block = gwsim.models._ziggurat
+        monkeypatch.setattr(gwsim.models, "_ziggurat", ziggurat)
+        indices = range(1, 2001)
+        normals = gwsim.models._standard_normals(seed, indices, self.SHAPE)
+        assert normals.shape == (2000, *self.SHAPE)
+        assert np.array_equal(normals, self.reference(seed, indices, self.SHAPE))
+        # Every path of the ziggurat ran: a draw from each of the 256 layers,
+        # a tail draw beyond r, and a wedge word rejected where a fast draw
+        # before it shows that it starts a draw of its own.
+        (words, values, drawn), *_ = seen
+        layer = words & 0xFF
+        fast = words >> 9 & 2**52 - 1 < gwsim.models._KI[layer]
+        assert len(np.unique(layer[drawn])) == 256
+        assert np.abs(values[drawn]).max() > gwsim.models.ZIGGURAT_R
+        rejected = ~fast[:, 1:] & (layer[:, 1:] != 0) & ~drawn[:, 1:] & fast[:, :-1] & drawn[:, :-1]
+        assert rejected.any()
+
+    @pytest.mark.parametrize("counters", [1, 54, 55])
+    def test_a_model_that_runs_out_of_words_reads_more_counters(self, monkeypatch, counters):
+        # 54 counters hold exactly 216 words, so any model with a slow word
+        # runs out; with one counter, every model reads 2, 4, … 64 counters.
+        monkeypatch.setattr(gwsim.models, "NORMAL_COUNTERS", counters)
+        indices = range(1, 201)
+        normals = gwsim.models._standard_normals(3, indices, self.SHAPE)
+        assert np.array_equal(normals, self.reference(3, indices, self.SHAPE))
+
+    def test_a_draw_that_runs_out_of_words_draws_nothing_from_there_on(self):
+        slow, fast = (2**52 - 1) << 9, 1 << 9 | 5  # rabs above every ki; a fast draw
+        # A wedge word without a next word, and a tail word with one of two.
+        for words in ([fast, slow | 7], [fast, slow, fast]):
+            _, drawn = gwsim.models._ziggurat(np.array([words], dtype=np.uint64))
+            assert drawn.tolist() == [[True] + [False] * (len(words) - 1)]
+
+    def test_no_model_and_a_negative_zero(self):
+        assert gwsim.models._standard_normals(3, [], self.SHAPE).shape == (0, *self.SHAPE)
+        # A negative word with rabs = 0 draws −0.0; normal() returns 0.0 + x.
+        values, drawn = gwsim.models._ziggurat(np.array([[0x100 | 5]], dtype=np.uint64))
+        assert drawn.all() and values[0, 0] == 0.0 and not np.signbit(values[0, 0])
+
+
 class TestDraw:
     """The blocked sampler against one-shot draws of the same stream."""
 
@@ -675,8 +741,9 @@ class TestDraw:
 
 
 def test_sampling_imports_no_numpy_random():
-    # The stream is computed in integer arithmetic, so run and erasure load
-    # neither numpy.random nor the hashlib it pulls in.
+    # The streams are computed in integer arithmetic, so run, erasure and
+    # sweep load neither numpy.random nor the hashlib it pulls in; frames
+    # builds no device at all.
     src = str(Path(gwsim.models.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
@@ -685,6 +752,8 @@ def test_sampling_imports_no_numpy_random():
         "    for mode in ('round_born', 'sequential_collapse'):\n"
         "        assert gwsim.cli.main(['run', '--model', 'ideal', '--mode', mode]) == 0\n"
         "    assert gwsim.cli.main(['erasure']) == 0\n"
+        "    assert gwsim.cli.main(['sweep', '--models', '130']) == 0\n"
+        "    assert gwsim.cli.main(['frames', '--model', 'random:5']) == 0\n"
         "sys.exit(', '.join(sorted({'numpy.random', 'hashlib'} & set(sys.modules))) or None)"
     )
     proc = subprocess.run(
