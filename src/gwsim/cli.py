@@ -23,14 +23,7 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .measurement import (
-    MeasurementModel,
-    distinguishability_report,
-    haar_random_unitary,
-    ideal_von_neumann,
-)
+from .measurement import MeasurementModel, distinguishability_report, ideal_von_neumann
 from .models import (
     InterpretationModel,
     MAX_MODELS,
@@ -40,7 +33,9 @@ from .models import (
     erasure_experiment,
     nonideal_sweep,
     run_model,
+    _haar_devices,
 )
+from .qmath import Operator
 from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
@@ -54,7 +49,7 @@ from .scenario import (
 )
 from .spacetime import standard_geometry
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
@@ -194,8 +189,8 @@ def _resolve_seed(config: dict) -> int:
 def _build_model(config: dict) -> MeasurementModel:
     if config["model"]["kind"] == "ideal":
         return ideal_von_neumann()
-    rng = np.random.default_rng(config["model"]["seed"])
-    return MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
+    # Spawn 0 of the model seed: the stream no sweep model and no run draws.
+    return MeasurementModel(tuple(map(Operator, _haar_devices(config["model"]["seed"], [0])[0])))
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:

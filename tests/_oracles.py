@@ -8,7 +8,8 @@ for the frame pass's product form, per-trial simulation with ``measure`` for
 the interpretation models' outcome tables, one dense state per collapse path
 for the product-form collapse and erasure tables, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
-device sweep. Slow and obvious on purpose.
+device sweep, its normals computed one by one in libm from numpy's own
+Philox uniforms. Slow and obvious on purpose.
 """
 
 from __future__ import annotations
@@ -184,13 +185,17 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """One Haar unitary the single-matrix way: a (dim, dim) normal draw for
-    the real part, another for the imaginary part, one QR, each column's
-    phase fixed by R's diagonal."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def phase_fixed_q(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of one complex Gaussian matrix the single-matrix
+    way: one QR, each column's phase fixed by R's diagonal."""
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``phase_fixed_q`` of a (dim, dim) normal draw for the real part and
+    another for the imaginary part."""
+    return phase_fixed_q(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
 
 
 def random_orthonormal_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -393,18 +398,32 @@ def draw_reference(probabilities: np.ndarray, trials: int, seed: int) -> np.ndar
 # The device sweep, one model at a time
 
 
+def box_muller_normals(seed: int, index: int, shape) -> np.ndarray:
+    """Spawn ``index``'s device normals: Box–Muller pairs of numpy's own
+    ``trial_rng(seed, index).random`` uniforms, one element at a time in libm.
+    Normals 2j and 2j + 1 are r·cos θ and r·sin θ, with r = √(−2·log1p(−u₂ⱼ))
+    and θ = 2π·u₂ⱼ₊₁."""
+    uniforms = trial_rng(seed, index).random(math.prod(shape)).tolist()
+    normals = []
+    for u, v in zip(uniforms[0::2], uniforms[1::2]):
+        r, theta = math.sqrt(-2.0 * math.log1p(-u)), 2.0 * math.pi * v
+        normals += [r * math.cos(theta), r * math.sin(theta)]
+    return np.reshape(normals, shape)
+
+
 def sweep_reference_model(index: int, seed: int) -> MeasurementModel:
     """Model ``index`` of a sweep: the ideal device first, then three
-    ``random_unitary`` draws from the model's own ``trial_rng`` stream."""
+    ``phase_fixed_q`` unitaries, one a site, of the model's
+    ``box_muller_normals``: real parts, then imaginary parts."""
     if index == 0:
         return ideal_von_neumann()
-    rng = trial_rng(seed, index)
-    return MeasurementModel(tuple(Operator(random_unitary(6, rng)) for _ in range(3)))
+    normals = box_muller_normals(seed, index, (3, 2, 6, 6))
+    return MeasurementModel(tuple(Operator(phase_fixed_q(re + 1j * im)) for re, im in normals))
 
 
 def sweep_reference(n_models: int, seed: int) -> SweepReport:
     """``nonideal_sweep`` model by model: the same device streams, each drawn
-    one unitary at a time (``random_unitary``), then a fresh schedule
+    one unitary at a time (``sweep_reference_model``), then a fresh schedule
     and ``evolve_to`` plus ``support_constraint`` for every round of every
     standard frame."""
     results = []

@@ -102,7 +102,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "5"
+        assert report["schema_version"] == "6"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -167,6 +167,17 @@ class TestDistinguish:
         assert dists["pair_x"] == {
             "unitary_record": {"+1": 1.0, "-1": 0.0, "0": 0.0},
             "collapsed_record": half,
+        }
+
+    def test_a_random_device_lets_the_door_see_the_branch_coherence(self, capsys):
+        # A non-ideal recorder leaves the branches' coherence in the lab, so the
+        # door's rows differ between the unitary and the collapsed record.
+        code, report = run_json(capsys, "distinguish", "--model", "random:7")
+        assert code == 1
+        assert check_names(report) == {
+            "door_rows_equal": False,
+            "pair_x_unitary_point_mass": True,
+            "pair_x_collapsed_even": True,
         }
 
 
