@@ -1,22 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: ``gwsim COMMAND [FLAG ...]``.
 
-Subcommands map onto the package's main results: ``ghz-nogo`` (support
-tables and the unsatisfiable constraint set), ``distinguish`` (door vs pair
-observable on the unitary and collapsed descriptions), ``frames`` (geometry
-validation, boost velocities, per-frame event orderings), ``run`` (constraint
-collection plus Monte Carlo model statistics), ``erasure`` (the single-lab
-record-erasure experiment), and ``sweep`` (the contradiction re-derived under
-random non-ideal devices).
-
-Configuration comes from an optional JSON file plus flag overrides; every
-report echoes the fully-resolved configuration, carries a named pass/fail
-check list, and is byte-identical for identical inputs (no timestamps). Exit
-status is 0 iff all checks pass.
+``COMMANDS`` maps each subcommand onto one of the package's main results and
+lists its flags; ``FLAGS`` declares every flag once, and ``parse_args`` reads
+a command line against the two. Configuration comes from an optional JSON
+file plus flag overrides; every report echoes the fully-resolved
+configuration, carries a named pass/fail check list, and is byte-identical
+for identical inputs (no timestamps). Exit status is 0 if all checks pass,
+1 if one fails, and 2 on a usage or configuration error (``error: ...``).
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
@@ -90,31 +84,11 @@ def load_config(path: str | None) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an integer past the digit limit
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     return _merge(config, data)
-
-
-def _apply_flags(config: dict, args: argparse.Namespace) -> dict:
-    if getattr(args, "side", None) is not None:
-        config["geometry"]["side"] = args.side
-    if getattr(args, "tau", None) is not None:
-        config["geometry"]["tau"] = args.tau
-    if getattr(args, "model", None) is not None:
-        config["model"] = _parse_model_spec(args.model)
-    if getattr(args, "trials", None) is not None:
-        config["run"]["trials"] = args.trials
-    if getattr(args, "mode", None) is not None:
-        config["run"]["mode"] = args.mode
-    if getattr(args, "preferred", None) is not None:
-        config["run"]["preferred_frame"] = args.preferred
-    if getattr(args, "seed", None) is not None:
-        config["run"]["seed"] = args.seed
-    if getattr(args, "format", None) is not None:
-        config["output"]["format"] = args.format
-    return config
 
 
 def _parse_model_spec(text: str) -> dict:
@@ -517,21 +491,21 @@ def cmd_run(config: dict) -> dict:
     return _report("run", config, results, checks)
 
 
-def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
+def cmd_erasure(config: dict, skip_j: bool = False) -> dict:
     seed = _resolve_seed(config)
     trials = config["run"]["trials"]
-    report = erasure_experiment(trials, seed, skip_pair_x=skip_pair_x)
+    report = erasure_experiment(trials, seed, skip_pair_x=skip_j)
     results = {
         "trials": trials,
         "seed": seed,
-        "skip_pair_x": skip_pair_x,
+        "skip_pair_x": skip_j,
         "pair_x_counts": {_sign_key(k): v for k, v in report.pair_x_counts.items()},
         "door_counts": {_sign_key(k): v for k, v in report.door_counts.items()},
         "down_frequency": report.down_frequency,
         "exact_down_probability": report.exact_down_probability,
         "pruned_weight": report.pruned_weight,
     }
-    if skip_pair_x:
+    if skip_j:
         checks = [
             _check(
                 "exact_down_zero",
@@ -568,16 +542,16 @@ def cmd_erasure(config: dict, skip_pair_x: bool = False) -> dict:
     return _report("erasure", config, results, checks)
 
 
-def cmd_sweep(config: dict, n_models: int) -> dict:
-    if n_models < 1:
-        raise ConfigError(f"--models must be ≥ 1, got {n_models}")
-    if n_models > MAX_MODELS:
-        raise ConfigError(f"--models must be at most {MAX_MODELS}, got {n_models}")
+def cmd_sweep(config: dict, models: int = 101) -> dict:
+    if models < 1:
+        raise ConfigError(f"--models must be ≥ 1, got {models}")
+    if models > MAX_MODELS:
+        raise ConfigError(f"--models must be at most {MAX_MODELS}, got {models}")
     seed = _resolve_seed(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
-    report = nonideal_sweep(n_models, seed, side=side, tau=tau)
+    report = nonideal_sweep(models, seed, side=side, tau=tau)
     results = {
-        "n_models": n_models,
+        "n_models": models,
         "seed": seed,
         "n_passed": report.n_passed,
         "models": [
@@ -596,7 +570,7 @@ def cmd_sweep(config: dict, n_models: int) -> dict:
         _check(
             "all_models_reproduce_contradiction",
             report.all_passed,
-            f"{report.n_passed} of {n_models} models yield the four constraints "
+            f"{report.n_passed} of {models} models yield the four constraints "
             "and an empty satisfying set",
         )
     ]
@@ -672,83 +646,124 @@ def emit(report: dict, config: dict) -> None:
     sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gwsim",
-        description="Three-laboratory GHZ experiment with nested observers: "
-        "support tables, frame analysis, and single-outcome model statistics.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Every flag once: its type (int, float, str, allowed values, or None for a switch),
+# what it sets (a config key; ``model`` sets the section from its spec; None,
+# the command's keyword named after the flag), and its help.
+FLAGS = {
+    "--config": (str, None, "JSON config file"),
+    "--format": (("json", "text"), "output.format", "report format"),
+    "--side": (float, "geometry.side", "triangle side length"),
+    "--tau": (float, "geometry.tau", "epoch duration (t1−t0 = t2−t1)"),
+    "--model": (str, "model", "measurement devices: 'ideal' or 'random:<seed>'"),
+    "--seed": (int, "run.seed", f"master seed (default ${ENV_SEED} or 0)"),
+    "--trials": (int, "run.trials", "number of trials"),
+    "--mode": (MODES, "run.mode", "interpretation model"),
+    "--preferred": (FRAME_NAMES, "run.preferred_frame", "preferred frame"),
+    "--drop-constraint": (int, None, "drop the K-th constraint (1-based) before enumerating"),
+    "--skip-j": (None, None, "skip the outsider pair measurement"),
+    "--models": (int, None, "number of models, the first ideal (default 101)"),
+}
+HELP = ("-h", "--help")
+# Per command: its function, its help, and its flags beside --config and --format.
+COMMANDS = {
+    "ghz-nogo": (cmd_ghz_nogo, "support tables and the unsatisfiable constraint set",
+                 "--side --tau --model --drop-constraint"),
+    "distinguish": (cmd_distinguish, "door vs pair statistics on the two descriptions", "--model"),
+    "frames": (cmd_frames, "geometry validation, boosts, event orderings", "--side --tau --model"),
+    "run": (cmd_run, "constraints plus Monte Carlo model statistics",
+            "--side --tau --model --seed --trials --mode --preferred"),
+    "erasure": (cmd_erasure, "single-lab record erasure experiment", "--seed --trials --skip-j"),
+    "sweep": (cmd_sweep, "contradiction under random non-ideal devices",
+              "--side --tau --model --seed --models"),
+}
 
-    def common(p: argparse.ArgumentParser, *, geometry=True, model=True, seed=True):
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--format", choices=("json", "text"), help="report format")
-        if geometry:
-            p.add_argument("--side", type=float, help="triangle side length")
-            p.add_argument("--tau", type=float, help="epoch duration (t1−t0 = t2−t1)")
-        if model:
-            p.add_argument(
-                "--model",
-                metavar="SPEC",
-                help="measurement devices: 'ideal' or 'random:<seed>'",
-            )
-        if seed:
-            p.add_argument("--seed", type=int, help=f"master seed (default ${ENV_SEED} or 0)")
 
-    p = sub.add_parser("ghz-nogo", help="support tables and the unsatisfiable constraint set")
-    common(p, seed=False)
-    p.add_argument(
-        "--drop-constraint",
-        type=int,
-        metavar="K",
-        help="drop the K-th constraint (1-based) before enumerating",
-    )
+class UsageError(ConfigError):
+    """A command line the flag table does not accept."""
 
-    p = sub.add_parser("distinguish", help="door vs pair statistics on the two descriptions")
-    common(p, geometry=False, seed=False)
 
-    p = sub.add_parser("frames", help="geometry validation, boosts, event orderings")
-    common(p, seed=False)
+def _flags(command: str | None) -> tuple[str, ...]:
+    return ("--config", "--format", *COMMANDS[command][2].split(), *HELP) if command else HELP
 
-    p = sub.add_parser("run", help="constraints plus Monte Carlo model statistics")
-    common(p)
-    p.add_argument("--trials", type=int, help="number of trials")
-    p.add_argument("--mode", choices=MODES, help="interpretation model")
-    p.add_argument("--preferred", choices=FRAME_NAMES, help="preferred frame")
 
-    p = sub.add_parser("erasure", help="single-lab record erasure experiment")
-    common(p, geometry=False, model=False)
-    p.add_argument("--trials", type=int, help="number of trials")
-    p.add_argument("--skip-j", action="store_true", help="skip the outsider pair measurement")
+def _help(command: str | None) -> str:
+    if command is None:
+        head = "usage: gwsim COMMAND [FLAG ...]  ('gwsim COMMAND -h' lists its flags)\n\ncommands:"
+        rows = [(name, about) for name, (_, about, _) in COMMANDS.items()]
+    else:
+        head = f"usage: gwsim {command} [FLAG ...]\n\n{COMMANDS[command][1]}\n\nflags:"
+        rows = [("-h, --help", "print this help and exit")]
+        for flag in _flags(command)[:-2]:
+            kind, _, about = FLAGS[flag]
+            choices = f": {', '.join(kind)}" if isinstance(kind, tuple) else ""
+            rows.append((flag if kind is None else f"{flag} {flag[2:].upper()}", about + choices))
+    width = max(len(name) for name, _ in rows) + 2
+    return "\n".join([head] + [f"  {name:<{width}}{about}" for name, about in rows])
 
-    p = sub.add_parser("sweep", help="contradiction under random non-ideal devices")
-    common(p)
-    p.add_argument("--models", type=int, default=101, help="number of models (first is ideal)")
 
-    return parser
+def parse_args(argv: list[str]) -> tuple[str, dict, dict] | None:
+    """The command, its validated config and the keyword arguments for it.
+
+    A flag reads ``--flag value`` or ``--flag=value``, and the token after a
+    valued flag is its value, even one starting with ``-``. A unique prefix
+    names a flag, an exact name wins over a longer one, and a repeated flag
+    keeps its last value. Prints the help and returns None on -h or --help.
+    """
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    if command is None and not (argv and argv[0].startswith("-")):
+        raise UsageError(f"the first argument must be a command: {', '.join(COMMANDS)}")
+    overrides, arguments, allowed = {}, {}, _flags(command)
+    tokens = iter(argv[1:] if command else argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in allowed:
+            matches = [f for f in allowed if f.startswith(flag)] if len(flag) > 2 else []
+            if len(matches) > 1:
+                raise UsageError(f"ambiguous option: {flag} could match {', '.join(matches)}")
+            if not matches:
+                raise UsageError(f"unrecognized argument: {token}")
+            flag = matches[0]
+        kind, target, _ = FLAGS.get(flag, (None, None, None))
+        if kind is None:
+            if eq:
+                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            if flag in HELP:
+                print(_help(command))
+                return None
+            value = True
+        elif not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise UsageError(f"argument {flag}: expected one argument")
+        if isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+        if kind in (int, float):
+            try:
+                value = kind(value)
+            except ValueError:
+                raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+        if target:
+            overrides[target] = value
+        else:
+            arguments[flag[2:].replace("-", "_")] = value
+    config = load_config(arguments.pop("config", None))
+    if "model" in overrides:
+        config["model"] = _parse_model_spec(overrides.pop("model"))
+    for key, value in overrides.items():
+        section, field = key.split(".")
+        config[section][field] = value
+    return command, _validate_config(config), arguments
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit status."""
     try:
-        config = load_config(args.config)
-        config = _apply_flags(config, args)
-        config = _validate_config(config)
-        if args.command == "ghz-nogo":
-            report = cmd_ghz_nogo(config, drop_constraint=args.drop_constraint)
-        elif args.command == "distinguish":
-            report = cmd_distinguish(config)
-        elif args.command == "frames":
-            report = cmd_frames(config)
-        elif args.command == "run":
-            report = cmd_run(config)
-        elif args.command == "erasure":
-            report = cmd_erasure(config, skip_pair_x=args.skip_j)
-        elif args.command == "sweep":
-            report = cmd_sweep(config, n_models=args.models)
-        else:  # pragma: no cover — argparse enforces the choices
-            raise ConfigError(f"unknown command {args.command!r}")
+        parsed = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            return 0
+        command, config, arguments = parsed
+        # The module's binding, not the table's, so a wrapper set on the module runs.
+        report = globals()[COMMANDS[command][0].__name__](config, **arguments)
         emit(report, config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,17 +9,20 @@ the interpretation models' outcome tables, one dense state per collapse path
 for the product-form collapse and erasure tables, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
 device sweep, its normals computed one by one in libm from numpy's own
-Philox uniforms. Slow and obvious on purpose.
+Philox uniforms, and the argparse front end the CLI's flag table replaced.
+Slow and obvious on purpose.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 
 import numpy as np
 import sympy as sp
 
+from gwsim.cli import ENV_SEED, _parse_model_spec, _validate_config, load_config
 from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
@@ -30,6 +33,7 @@ from gwsim.measurement import (
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
+    MODES,
     QUARTER_TOL,
     SweepModelResult,
     SweepReport,
@@ -46,6 +50,7 @@ from gwsim.qmath import (
 )
 from gwsim.scenario import (
     CANONICAL_SLOTS,
+    FRAME_NAMES,
     build_schedule,
     enumerate_assignments,
     evolve_to,
@@ -451,3 +456,87 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
             )
         )
     return SweepReport(n_models=n_models, seed=seed, results=tuple(results))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser ``gwsim.cli`` used before its flag table."""
+    parser = argparse.ArgumentParser(
+        prog="gwsim",
+        description="Three-laboratory GHZ experiment with nested observers: "
+        "support tables, frame analysis, and single-outcome model statistics.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p: argparse.ArgumentParser, *, geometry=True, model=True, seed=True):
+        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        p.add_argument("--format", choices=("json", "text"), help="report format")
+        if geometry:
+            p.add_argument("--side", type=float, help="triangle side length")
+            p.add_argument("--tau", type=float, help="epoch duration (t1−t0 = t2−t1)")
+        if model:
+            p.add_argument(
+                "--model",
+                metavar="SPEC",
+                help="measurement devices: 'ideal' or 'random:<seed>'",
+            )
+        if seed:
+            p.add_argument("--seed", type=int, help=f"master seed (default ${ENV_SEED} or 0)")
+
+    p = sub.add_parser("ghz-nogo", help="support tables and the unsatisfiable constraint set")
+    common(p, seed=False)
+    p.add_argument(
+        "--drop-constraint",
+        type=int,
+        metavar="K",
+        help="drop the K-th constraint (1-based) before enumerating",
+    )
+
+    p = sub.add_parser("distinguish", help="door vs pair statistics on the two descriptions")
+    common(p, geometry=False, seed=False)
+
+    p = sub.add_parser("frames", help="geometry validation, boosts, event orderings")
+    common(p, seed=False)
+
+    p = sub.add_parser("run", help="constraints plus Monte Carlo model statistics")
+    common(p)
+    p.add_argument("--trials", type=int, help="number of trials")
+    p.add_argument("--mode", choices=MODES, help="interpretation model")
+    p.add_argument("--preferred", choices=FRAME_NAMES, help="preferred frame")
+
+    p = sub.add_parser("erasure", help="single-lab record erasure experiment")
+    common(p, geometry=False, model=False)
+    p.add_argument("--trials", type=int, help="number of trials")
+    p.add_argument("--skip-j", action="store_true", help="skip the outsider pair measurement")
+
+    p = sub.add_parser("sweep", help="contradiction under random non-ideal devices")
+    common(p)
+    p.add_argument("--models", type=int, default=101, help="number of models (first is ideal)")
+
+    return parser
+
+
+def reference_parse(argv: list[str]) -> tuple[str, dict, dict]:
+    """The command, validated config and command keyword arguments that the
+    argparse front end made of a command line. Raises SystemExit where
+    argparse stopped (2 on an error) and ConfigError where the config did."""
+    args = build_parser().parse_args(argv)
+    config = load_config(args.config)
+    if getattr(args, "side", None) is not None:
+        config["geometry"]["side"] = args.side
+    if getattr(args, "tau", None) is not None:
+        config["geometry"]["tau"] = args.tau
+    if getattr(args, "model", None) is not None:
+        config["model"] = _parse_model_spec(args.model)
+    if getattr(args, "trials", None) is not None:
+        config["run"]["trials"] = args.trials
+    if getattr(args, "mode", None) is not None:
+        config["run"]["mode"] = args.mode
+    if getattr(args, "preferred", None) is not None:
+        config["run"]["preferred_frame"] = args.preferred
+    if getattr(args, "seed", None) is not None:
+        config["run"]["seed"] = args.seed
+    if getattr(args, "format", None) is not None:
+        config["output"]["format"] = args.format
+    names = {"ghz-nogo": ["drop_constraint"], "erasure": ["skip_j"], "sweep": ["models"]}
+    arguments = {name: getattr(args, name) for name in names.get(args.command, [])}
+    return args.command, _validate_config(config), arguments

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -8,21 +10,26 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
+import _oracles
 import gwsim.cli
 import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
 import gwsim.systems
 from gwsim.cli import (
+    COMMANDS,
     ConfigError,
     DEFAULT_CONFIG,
+    FLAGS,
     _parse_model_spec,
     load_config,
     main,
+    parse_args,
 )
-from gwsim.models import MAX_MODELS
+from gwsim.models import MAX_MODELS, MODES
+from gwsim.scenario import FRAME_NAMES
 import gwsim.spacetime
 from gwsim.spacetime import (
     MAX_SPEED,
@@ -30,6 +37,7 @@ from gwsim.spacetime import (
     standard_geometry,
     tilted_frame_events,
 )
+from test_fuzz import FLAG_VALUES
 
 REPORT_KEYS = {"schema_version", "command", "config", "results", "checks", "passed"}
 
@@ -87,6 +95,18 @@ class TestConfigLoading:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff{}", b'{"run": {"trials": 1' + b"0" * 5000 + b"}}"],
+        ids=["invalid-utf-8", "integer-past-the-digit-limit"],
+    )
+    def test_every_decode_failure_names_the_config_file(self, capsys, tmp_path, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config file is not valid JSON: ")
 
     def test_model_spec_parsing(self):
         assert _parse_model_spec("ideal") == {"kind": "ideal", "seed": 0}
@@ -738,3 +758,187 @@ class TestOutput:
     def test_json_is_parseable_and_has_no_extra_top_level_keys(self, capsys):
         _, report = run_json(capsys, "frames")
         assert set(report) == REPORT_KEYS
+
+
+# ---------------------------------------------------------------------------
+# The flag table against the argparse front end it replaced
+
+
+def _takes_a_dash_value(argv) -> bool:
+    """Whether a valued flag, given with a space, is followed by a token
+    starting with ``-`` that its type reads: a value argparse took for a flag."""
+    allowed = gwsim.cli._flags(argv[0]) if argv and argv[0] in COMMANDS else ()
+    for token, value in zip(argv[1:], argv[2:]):
+        matches = [f for f in allowed if f == token] or [f for f in allowed if f.startswith(token)]
+        if len(matches) != 1 or not value.startswith("-"):
+            continue
+        kind = FLAGS.get(matches[0], (None,))[0]
+        if kind in (int, float, str):
+            try:
+                kind(value)
+            except ValueError:
+                continue
+            return True
+    return False
+
+
+def assert_parses_as_argparse(argv):
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            expected = _oracles.reference_parse(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, "help is tested on its own"
+        expected, reason = None, err.getvalue()
+    except ConfigError as exc:
+        expected, reason = None, str(exc)
+    if expected is None:
+        try:
+            parse_args(argv)
+        except ConfigError:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == 2
+            assert out.getvalue() == ""
+            return "both refuse"
+        # The one difference: the token after a valued flag is its value.
+        assert "expected one argument" in reason and _takes_a_dash_value(argv), reason
+        return "a dash value"
+    command, config, arguments = parse_args(argv)
+    bound = inspect.signature(COMMANDS[command][0]).bind(config, **arguments)
+    bound.apply_defaults()
+    assert (command, config, dict(list(bound.arguments.items())[1:])) == expected
+    assert json.dumps(config) == json.dumps(expected[1])  # -0.0 and 0.0 apart
+    return "both accept"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["--trials", "5", "run"],
+        ["run", "--trials", "5", "--seed=3"],
+        ["run", "--tri", "5"],
+        ["run", "--tri=5", "--se", "1", "--pref=sigma_pp"],
+        ["run", "--mod", "round_born"],
+        ["run", "--mode", "sequential_collapse", "--model", "random:2"],
+        ["run", "--s", "5"],
+        ["run", "--trials", "5", "--trials", "7", "--tr=9"],
+        ["run", "--trials"],
+        ["run", "--seed=1", "--trials"],
+        ["run", "5"],
+        ["run", "--bogus"],
+        ["run", "--bogus=1"],
+        ["run", "-x"],
+        ["run", "--"],
+        ["run", "--trials", "x"],
+        ["run", "--trials", "10" * 2200],
+        ["run", "--format", "xml"],
+        ["run", "--format", "xml", "--format", "json"],
+        ["run", "--mode", "bogus", "--mode", "round_born"],
+        ["run", "--preferred", "sigma_q"],
+        ["run", "--tau", "-inf"],
+        ["run", "--config", "no-such-file.json"],
+        ["sweep", "--model", "random:3", "--models", "4"],
+        ["sweep", "--mod", "random:3"],
+        ["sweep", "--mode", "round_born"],
+        ["sweep", "--models=7", "--mo", "1"],
+        ["erasure", "--s", "5"],
+        ["erasure", "--sk", "--see", "4"],
+        ["erasure", "--skip-j=1"],
+        ["erasure", "--skip-j=", "--trials", "3"],
+        ["erasure", "--skip-j", "--skip-j"],
+        ["erasure", "--side", "1"],
+        ["ghz-nogo", "--drop-constraint=2"],
+        ["ghz-nogo", "--dr", "x"],
+        ["ghz-nogo", "--model", "perfect", "--model", "ideal"],
+        ["ghz-nogo", "--model", "perfect"],
+        ["distinguish", "--side", "1"],
+        ["distinguish", "--s", "1"],
+        ["frames", "--side", "-3", "--tau=-1e-3"],
+        ["frames", "--side", "-1e-3"],
+        ["frames", "--si", "20", "--ta", "2", "--format=text"],
+    ],
+)
+def test_the_flag_table_parses_as_argparse_did(argv):
+    assert_parses_as_argparse(argv)
+
+
+SPELLINGS = sorted(set(FLAGS) | {"--bogus", "--sides", "-x"})
+GOOD_VALUES = {
+    int: ["0", "3", "7", "-5", "-1_0"],
+    float: ["0.5", "1", "20", "-.5", "-1e-3"],
+    "--format": ["json", "text", "xml", ""],
+    "--mode": [*MODES, "bogus"],
+    "--preferred": [*FRAME_NAMES, "sigma_q"],
+    "--model": ["ideal", "random:5", "random:x", "perfect", "-1"],
+}
+
+
+@st.composite
+def flag_argvs(draw, config_file):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command]
+    own = [f for f in gwsim.cli._flags(command) if f in FLAGS]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(SPELLINGS if draw(st.integers(0, 3)) == 3 else own))
+        kind = FLAGS.get(flag, (str,))[0]
+        good = [config_file] if flag == "--config" else GOOD_VALUES.get(flag, GOOD_VALUES.get(kind))
+        if flag.startswith("--") and draw(st.booleans()):  # abbreviated, maybe ambiguously
+            flag = flag[: draw(st.integers(3, len(flag)))]
+        value = draw(FLAG_VALUES if not good or draw(st.integers(0, 3)) == 3 else st.sampled_from(good))
+        forms = ["bare"] * 3 + ["eq"] if kind is None else ["space"] * 3 + ["eq"] * 3 + ["bare", "stray"]
+        form = draw(st.sampled_from(forms))
+        if form == "space":
+            argv += [flag, value]
+        elif form == "eq":
+            argv.append(f"{flag}={value}")
+        else:
+            argv.append(flag if form == "bare" else value)
+    return argv
+
+
+@pytest.fixture(scope="module")
+def flag_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flags") / "config.json"
+    path.write_text(json.dumps({"geometry": {"side": 20.0}, "run": {"trials": 7, "seed": 3}}))
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_flag_line_parses_as_argparse_did(flag_config, data):
+    event(assert_parses_as_argparse(data.draw(flag_argvs(flag_config))))
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["frames", "--side", "-1e-3"], 2, "error: side must be positive, got -0.001\n"),
+        (["run", "--tau", "-inf"], 2, "error: geometry.tau must be a finite number, got -inf\n"),
+        (["erasure", "--seed", "-1_0"], 2, "error: run.seed must be non-negative, got -10\n"),
+        (["frames", "--tau", "-1e-320"], 1, ""),
+    ],
+)
+def test_a_negative_value_reads_the_same_after_a_space_as_after_equals(capsys, argv, code, err):
+    spaced = run_cli(capsys, *argv)
+    joined = run_cli(capsys, argv[0], f"{argv[1]}={argv[2]}")
+    assert spaced == joined
+    assert spaced[0::2] == (code, err)
+
+
+def test_help_lists_every_command_and_flag(capsys):
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert all(f"  {command} " in out for command in COMMANDS)
+    commands = next(
+        a for a in _oracles.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert set(commands) == set(COMMANDS)
+    for command, parser in commands.items():
+        code, out, err = run_cli(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        accepted = {s for a in parser._actions for s in a.option_strings if s.startswith("--")}
+        listed = {word for word in out.split() if word.startswith("--")}
+        assert listed == accepted
+        assert out.startswith(f"usage: gwsim {command} ")

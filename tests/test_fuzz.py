@@ -8,8 +8,9 @@ so that some examples get past validation. Each example may also pass its
 command's ``--side``, ``--tau``, ``--seed``, ``--trials``, ``--models`` and
 ``--format`` flags, with valid or adversarial strings. It calls ``cli.main``
 in-process, and must end with a report (exit 0 or 1) whose ``passed``
-matches the exit code, or a clean exit 2: an ``error:`` line, or argparse's
-``usage:`` message. No exception and no warning is accepted. Trials are
+matches the exit code, or a clean exit 2 with an ``error:`` line, which
+usage errors such as a flag value its type cannot read give too. No
+exception, ``SystemExit`` included, and no warning is accepted. Trials are
 capped at 10⁴ and models at 20 so the campaign stays fast; values above
 ``MAX_TRIALS`` or ``MAX_MODELS`` are kept and must exit 2, and the bounds
 have their own tests in ``test_cli.py``. ``output.path`` is left out, so no
@@ -121,7 +122,7 @@ CAPS = {"--trials": (TRIALS_CAP, MAX_TRIALS), "--models": (MODELS_CAP, MAX_MODEL
 def _capped(flag: str, value: str) -> str:
     cap, most = CAPS.get(flag, (math.inf, math.inf))
     try:
-        return str(cap) if cap < int(value) <= most else value  # int() as argparse reads it
+        return str(cap) if cap < int(value) <= most else value  # int() as the flag table reads it
     except ValueError:
         return value
 
@@ -145,10 +146,7 @@ def test_every_config_gives_a_report_or_a_clean_error(config_path, argv, config)
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        try:
-            code = main([*argv, "--config", str(config_path)])
-        except SystemExit as exc:  # argparse rejecting a flag value
-            code = exc.code
+        code = main([*argv, "--config", str(config_path)])
     event(f"{argv[0]} exit {code}")
     if code == 2:
         assert out.getvalue() == ""

@@ -749,12 +749,16 @@ class TestDraw:
 def test_sampling_imports_no_numpy_random():
     # The streams are computed in integer arithmetic, so no command loads
     # numpy.random or the hashlib it pulls in, with ideal or random devices;
-    # frames builds no device at all.
+    # frames builds no device at all. The flag table reads the command line,
+    # help and usage errors included, without argparse and its gettext and
+    # locale.
     src = str(Path(gwsim.models.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import contextlib, io, sys, gwsim.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert gwsim.cli.main(['-h']) == gwsim.cli.main(['run', '--help']) == 0\n"
+        "    assert gwsim.cli.main(['run', '--trials', 'x']) == gwsim.cli.main(['run', '--m']) == 2\n"
         "    for model in ('ideal', 'random:5'):\n"
         "        for mode in ('round_born', 'sequential_collapse'):\n"
         "            assert gwsim.cli.main(['run', '--model', model, '--mode', mode]) == 0\n"
@@ -764,7 +768,8 @@ def test_sampling_imports_no_numpy_random():
         "    assert gwsim.cli.main(['erasure']) == 0\n"
         "    assert gwsim.cli.main(['sweep', '--models', '130']) == 0\n"
         "    assert gwsim.cli.main(['frames', '--model', 'random:5']) == 0\n"
-        "sys.exit(', '.join(sorted({'numpy.random', 'hashlib'} & set(sys.modules))) or None)"
+        "banned = {'numpy.random', 'hashlib', 'argparse', 'gettext', 'locale'}\n"
+        "sys.exit(', '.join(sorted(banned & set(sys.modules))) or None)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
