@@ -43,7 +43,7 @@ from .scenario import (
 )
 from .spacetime import standard_geometry
 
-SCHEMA_VERSION = "6"
+SCHEMA_VERSION = "7"
 ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
@@ -374,51 +374,47 @@ def cmd_run(config: dict) -> dict:
         preferred = InterpretationModel(mode, schedule.frames[preferred_name])
         report = run_model(schedule, preferred, trials, seed)
         constraints = report.constraints
+        satisfying = int((~report.violation_mask.any(axis=1)).sum())
     else:
         constraints = collect_constraints(schedule, schedule.frames)
-    satisfying = enumerate_assignments(constraints)
+        satisfying = len(enumerate_assignments(constraints))
 
     checks = [
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),
         _check(
-            "unsatisfiable",
-            len(satisfying) == 0,
-            f"{len(satisfying)} of 64 assignments satisfy all constraints",
+            "unsatisfiable", satisfying == 0, f"{satisfying} of 64 assignments satisfy all constraints"
         ),
     ]
     results: dict = {
         "constraints": [_constraint_dict(c) for c in constraints],
-        "satisfying_assignments": len(satisfying),
+        "satisfying_assignments": satisfying,
     }
 
     if trials > 0:
-        exact_rates = report.exact_rates
-        stats = []
-        for c, preferred, count, exact in zip(
-            report.constraints, report.preferred_mask, report.violation_counts, exact_rates
-        ):
-            stats.append(
-                {
-                    **_constraint_dict(c),
-                    "preferred": preferred,
-                    "violations": count,
-                    "rate": count / trials,
-                    "exact_rate": exact,
-                }
-            )
+        # Each RunReport property is a fresh product: read each once.
+        exact_rates, violations = report.exact_rates, report.violation_counts
+        violating, preferred_mask = report.trials_violating_nonpreferred, report.preferred_mask
+        stats = [
+            {**_constraint_dict(c), "preferred": preferred, "violations": count,
+             "rate": count / trials, "exact_rate": exact}
+            for c, preferred, count, exact in zip(constraints, preferred_mask, violations, exact_rates)
+        ]
         results["run"] = {
             "mode": mode,
             "preferred_frame": preferred_name,
             "trials": trials,
             "seed": seed,
             "constraint_statistics": stats,
-            "trials_violating_nonpreferred": report.trials_violating_nonpreferred,
+            "trials_violating_nonpreferred": violating,
             "pruned_weight": report.pruned_weight,
         }
         checks.append(_pruned_weight_check(report.pruned_weight))
         if mode == "round_born":
-            exact_preferred = [r for r, p in zip(exact_rates, report.preferred_mask) if p]
-            exact_nonpreferred = [r for r, p in zip(exact_rates, report.preferred_mask) if not p]
+            exact_preferred = [r for r, p in zip(exact_rates, preferred_mask) if p]
+            exact_nonpreferred = [r for r, p in zip(exact_rates, preferred_mask) if not p]
+            exact_any = report.exact_nonpreferred_probability
+            band = _binomial_band(0.5, trials)
+            nonpreferred_rates = [n / trials for n, p in zip(violations, preferred_mask) if not p]
             checks += [
                 _check(
                     "preferred_exact_rates_zero",
@@ -433,39 +429,24 @@ def cmd_run(config: dict) -> dict:
                 ),
                 _check(
                     "exact_nonpreferred_violation_certain",
-                    abs(report.exact_nonpreferred_probability - 1.0) <= EXACT_TOL,
+                    abs(exact_any - 1.0) <= EXACT_TOL,
                     f"an assignment violates ≥1 non-preferred constraint with "
-                    f"probability {report.exact_nonpreferred_probability:.12g}",
+                    f"probability {exact_any:.12g}",
                 ),
-            ]
-            band = _binomial_band(0.5, trials)
-            preferred_ok = all(
-                count == 0
-                for count, preferred in zip(report.violation_counts, report.preferred_mask)
-                if preferred
-            )
-            nonpreferred_rates = [
-                count / trials
-                for count, preferred in zip(report.violation_counts, report.preferred_mask)
-                if not preferred
-            ]
-            checks += [
                 _check(
                     "preferred_constraints_never_violated",
-                    preferred_ok,
+                    all(n == 0 for n, p in zip(violations, preferred_mask) if p),
                     "preferred frame's parity holds in every trial",
                 ),
                 _check(
                     "nonpreferred_rates_half",
                     all(abs(r - 0.5) <= band for r in nonpreferred_rates),
-                    f"rates {_rates(nonpreferred_rates)} "
-                    f"within 4σ band ±{band:.3g} of 1/2",
+                    f"rates {_rates(nonpreferred_rates)} within 4σ band ±{band:.3g} of 1/2",
                 ),
                 _check(
                     "every_trial_violates_nonpreferred",
-                    report.trials_violating_nonpreferred == trials,
-                    f"{report.trials_violating_nonpreferred} of {trials} trials "
-                    "violate at least one non-preferred constraint",
+                    violating == trials,
+                    f"{violating} of {trials} trials violate at least one non-preferred constraint",
                 ),
             ]
         else:

@@ -50,12 +50,6 @@ def pair_index(lab: LabLabel, spin_sign: int) -> int:
     return lab.value * 2 + (0 if spin_sign == +1 else 1)
 
 
-def _pair_basis_state(lab: LabLabel, spin_sign: int) -> np.ndarray:
-    vec = np.zeros(PAIR_DIM, dtype=complex)
-    vec[pair_index(lab, spin_sign)] = 1.0
-    return vec
-
-
 class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
     """One 6-dim measurement unitary per site (labs A, B, C in order).
 
@@ -69,19 +63,22 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
     def __new__(cls, site_unitaries: tuple[Operator, Operator, Operator]):
         if len(site_unitaries) != len(SITES):
             raise ValueError(f"need {len(SITES)} unitaries, got {len(site_unitaries)}")
+        checked: set[int] = set()  # sites may share one Operator: check it once
         for site, op in zip(SITES, site_unitaries):
             if op.dim != PAIR_DIM:
                 raise ValueError(f"site {site}: unitary must be {PAIR_DIM}-dim, got {op.dim}")
-            if not check_unitary(op):
+            if id(op) not in checked and not check_unitary(op):
                 raise ValueError(f"site {site}: matrix is not unitary within {UNITARY_TOL}")
+            checked.add(id(op))
         return super().__new__(cls, site_unitaries)
 
     def unitary(self, site: str) -> Operator:
         return self.site_unitaries[SITES.index(site)]
 
     def recorded_state(self, site: str, sign: int) -> np.ndarray:
-        """|±1Z> = U(|ready> ⊗ |±1_z>), the pair state after recording sign."""
-        return self.unitary(site).matrix @ _pair_basis_state(LabLabel.READY, sign)
+        """|±1Z> = U(|ready> ⊗ |±1_z>), the pair state after recording sign:
+        column ``pair_index(READY, sign)`` of U."""
+        return self.unitary(site).matrix[..., pair_index(LabLabel.READY, sign)]
 
     def recorded_sum(self, site: str, sign: int) -> np.ndarray:
         """|+1Z> ± |-1Z> = √2·|±1X>, the recorded-basis superposition unnormalised."""

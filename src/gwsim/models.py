@@ -324,11 +324,12 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     """
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
-    z_projectors = [np.kron(np.eye(3), np.diag(spin_vector(SpinAxis.Z, s))) for s in (+1, -1)]
+    z_projectors = [np.diag(np.tile(spin_vector(SpinAxis.Z, s), 3)) for s in (+1, -1)]
     factors = []
     for site in SITES:
         u = model.unitary(site).matrix
-        operators = [q @ u @ p for p in z_projectors for q in _outsider_projectors(model, site)]
+        after_device = [q @ u for q in _outsider_projectors(model, site)]
+        operators = [qu @ p for p in z_projectors for qu in after_device]
         factors.append(_site_gram(pair[:, :, None], np.stack(operators)[..., None]))
     # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
     weights = np.maximum(_born_weights(terms, factors), 0.0).reshape((2, 3) * 3)

@@ -111,7 +111,7 @@ def checked_schedule(
         return checks, None
     events = []
     for site in "ABC":
-        pos = tuple(geometry.position(site))
+        pos = geometry.position(site)
         events.append(
             MeasurementEvent(f"friend_{site}", site, "friend_z", point(geometry.t1, pos))
         )
@@ -249,30 +249,33 @@ class RoundTable(NamedTuple):
     Column j of ``weights`` is the joint outcome ``labels[j]`` of the round's
     slots (``round_slots`` order); model m's row holds each tuple's Born
     weight in model m's pre-round state, before the support cutoff.
+    ``products[m]`` is the outcome product every tuple possible for model m
+    shares, or 0 where they share none (``_shared_parity``).
     """
 
     frame: object  # the frame's key in the orderings given to ``analyze_stack``
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
     weights: np.ndarray  # (M, K) each tuple's Born weight, never negative
+    products: np.ndarray  # (M,) int: the possible tuples' shared product, or 0
 
     @property
     def possible(self) -> np.ndarray:
         """(M, K) bool: the tuples whose weight clears the support cutoff."""
         return self.weights > SUPPORT_EPS
 
-    @property
-    def products(self) -> np.ndarray:
-        """(M,) int: the outcome product every possible tuple shares, or 0."""
-        parity = np.prod(self.labels, axis=1)
-        plus = (self.possible & (parity == 1)).any(axis=1)
-        minus = (self.possible & (parity == -1)).any(axis=1)
-        return np.where(plus == minus, 0, np.where(plus, 1, -1))
-
     def constraint(self, m: int) -> ParityConstraint | None:
         """Model m's constraint: the product its possible tuples share, if any."""
         product = int(self.products[m])
         return ParityConstraint(round_slots(self.events), product) if product else None
+
+
+def _shared_parity(possible: np.ndarray, parity: np.ndarray, axis) -> np.ndarray:
+    """+1 or −1 where every possible tuple, reduced over ``axis``, has that
+    outcome product, else 0; a parity of 0 marks an entry that is no tuple."""
+    plus = (possible & (parity == 1)).any(axis=axis)
+    minus = (possible & (parity == -1)).any(axis=axis)
+    return np.where(plus == minus, 0, np.where(plus, 1, -1))
 
 
 def _site_gram(vectors: np.ndarray, operators, scale: float = 1.0) -> np.ndarray:
@@ -308,10 +311,11 @@ def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | N
 
 def _born_weights(terms: np.ndarray, factors) -> np.ndarray:
     """Σ_{k,j} c_k c̄_j Π_site g_site[k, j] for ``terms`` c_k c̄_j and one
-    ``_site_gram`` per site: (labels_A, labels_B, labels_C, M)."""
+    ``_site_gram`` per site, each (..., terms², labels, M) for any leading
+    axes: (..., labels_A, labels_B, labels_C, M)."""
     a, b, c = factors
-    product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
-    return product.sum(axis=0).real
+    product = terms * a[..., None, None, :] * b[..., None, :, None, :] * c[..., None, None, :, :]
+    return product.sum(axis=-5).real
 
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
@@ -327,8 +331,11 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     an earlier round, as ``evolve_to`` replays it (once per site and term,
     by ``apply_local`` on the 6-dim pair). A tuple's Born weight is then
     Σ_{k,j} c_k c̄_j Π_site g_site[k, j], from one 2×2 Gram factor per site
-    (``_site_gram``), each built once per pass. Rounding leaves impossible
-    tuples about ±1e-17, so weights are clamped at 0.
+    (``_site_gram``), each built once per pass, when a round first needs it.
+    Every round's weights come from one product over all rounds, in which a
+    spectator site's factor is broadcast to both labels and then indexed
+    out; the rounds' parity rows come from the same array. Rounding leaves
+    impossible tuples about ±1e-17, so weights are clamped at 0.
     """
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)  # c_k c̄_j
@@ -338,26 +345,34 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
         copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
         evolved = [apply_local(model.unitary(site), targets, state) for state in copies]
         recorded_terms[site] = np.stack([state.amplitudes.T for state in evolved])
+    rounds = [(key, rnd) for key, frame_rounds in orderings.items() for rnd in frame_rounds]
+    factors = np.empty((len(SITES), len(rounds), 4, 2, size), dtype=complex)
+    active = []  # per round: whether each site has an event in it
     grams: dict[tuple, np.ndarray] = {}
-    tables = []
-    for key, rounds in orderings.items():
+    for key, frame_rounds in orderings.items():
         recorded: set[str] = set()  # sites whose friend's device has run
-        for rnd in rounds:
+        for rnd in frame_rounds:
             events = {ev.site: ev for ev in rnd}
-            factors = []
-            for site in SITES:
+            for i, site in enumerate(SITES):
                 ev = events.get(site)
                 index = (site, site in recorded, ev and ev.kind)
                 if index not in grams:
                     vectors = recorded_terms[site] if site in recorded else pair[:, :, None]
                     grams[index] = _site_gram(vectors, *_event_operators(ev, model))
-                factors.append(grams[index])
-            weights = _born_weights(terms, factors)
-            weights = weights.reshape(-1, weights.shape[-1]).T
-            labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
-            weights = np.maximum(np.broadcast_to(weights, (size, len(labels))), 0.0)
-            tables.append(RoundTable(key, rnd, labels, weights))
+                factors[i, len(active)] = grams[index]
+            active.append([site in events for site in SITES])
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
+    weights = np.maximum(_born_weights(terms, factors), 0.0)  # (rounds, 2, 2, 2, M)
+    # A spectator's second label is no tuple: its sign 0 gives it parity 0.
+    active = np.array(active, dtype=bool).reshape(len(rounds), len(SITES))
+    a, b, c = np.where(active[..., None], (1, -1), (1, 0)).transpose(1, 0, 2)
+    parity = a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
+    products = _shared_parity(weights > SUPPORT_EPS, parity[..., None], axis=(1, 2, 3))
+    tables = []
+    for r, (key, rnd) in enumerate(rounds):
+        round_weights = weights[r][tuple(slice(None) if on else 0 for on in active[r])]
+        labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
+        tables.append(RoundTable(key, rnd, labels, round_weights.reshape(-1, size).T, products[r]))
     return tables
 
 

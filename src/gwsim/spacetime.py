@@ -10,6 +10,9 @@ lets different inertial frames disagree about their order.
 Frames are specified by their boost velocity relative to the rest frame of
 the labs. ``boost_for_simultaneity`` constructs the frame in which one lab's
 measurement is simultaneous with given events at the other two labs.
+
+All arithmetic is on plain Python floats: the geometry is a handful of
+numbers, and numpy's per-call cost would exceed the work.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 import sys
 from collections import namedtuple
 from typing import NamedTuple
-
-import numpy as np
 
 MAX_SPEED = 1.0 - 1e-12
 # Two frame times count as simultaneous within this, scaled by the larger |t|.
@@ -37,10 +38,6 @@ class SpacetimePoint(namedtuple("SpacetimePoint", "t x")):
         if not (math.isfinite(t) and all(math.isfinite(c) for c in x)):
             raise ValueError(f"non-finite spacetime point ({t}, {x})")
         return super().__new__(cls, t, x)
-
-    @property
-    def position(self) -> np.ndarray:
-        return np.array(self.x, dtype=float)
 
 
 def point(t: float, x: tuple[float, float]) -> SpacetimePoint:
@@ -84,12 +81,12 @@ class GeometrySpec(NamedTuple):
     t1: float
     t2: float
 
-    def position(self, site: str) -> np.ndarray:
-        return np.array({"A": self.x_a, "B": self.x_b, "C": self.x_c}[site], dtype=float)
+    def position(self, site: str) -> tuple[float, float]:
+        return {"A": self.x_a, "B": self.x_b, "C": self.x_c}[site]
 
     @property
     def side(self) -> float:
-        return math.hypot(*(self.position("A") - self.position("B")))
+        return math.dist(self.x_a, self.x_b)
 
 
 def standard_geometry(side: float, tau: float) -> GeometrySpec:
@@ -129,15 +126,14 @@ def standard_geometry(side: float, tau: float) -> GeometrySpec:
 
 def interval(p: SpacetimePoint, q: SpacetimePoint) -> float:
     """Invariant interval (Δt)² − ‖Δx‖²; negative means spacelike."""
-    dt = p.t - q.t
-    dx = p.position - q.position
-    return dt * dt - float(dx @ dx)
+    dt, dx0, dx1 = p.t - q.t, p.x[0] - q.x[0], p.x[1] - q.x[1]
+    return dt * dt - (dx0 * dx0 + dx1 * dx1)
 
 
 def frame_time(f: Frame, p: SpacetimePoint) -> float:
     """Time coordinate of the event in the boosted frame: γ(t − v·x)."""
-    v = np.array(f.velocity)
-    return f.gamma * (p.t - float(v @ p.position))
+    (v0, v1), (x0, x1) = f.velocity, p.x
+    return f.gamma * (p.t - v0 * x0 - v1 * x1)
 
 
 def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
@@ -147,18 +143,24 @@ def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
 
 def _simultaneity_velocity(
     p: SpacetimePoint, q: SpacetimePoint, r: SpacetimePoint
-) -> np.ndarray | None:
+) -> tuple[float, float] | None:
     """Boost velocity giving p, q and r one frame time, or None if none does.
 
     Equal frame times γ(t − v·x) reduce to the linear system
-    v·(x_p − x_q) = t_p − t_q, v·(x_p − x_r) = t_p − t_r.
+    v·(x_p − x_q) = t_p − t_q, v·(x_p − x_r) = t_p − t_r. It is solved in
+    closed form on its rows divided by their largest |Δx|, so no product of
+    two terms leaves float range, and accepted where every row holds within
+    GEOMETRY_TOL·max|Δt| + 1e-5·|Δt|: a non-finite v holds in none.
     """
-    dx = np.array([p.position - q.position, p.position - r.position])
-    dt = np.array([p.t - q.t, p.t - r.t])
-    v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
-    if not np.isfinite(v).all():
+    rows = [(p.x[0] - o.x[0], p.x[1] - o.x[1], p.t - o.t) for o in (q, r)]
+    scale = max(abs(c) for row in rows for c in row[:2]) or 1.0
+    (a0, a1, e0), (b0, b1, e1) = [[c / scale for c in row] for row in rows]
+    det = a0 * b1 - a1 * b0
+    if det == 0.0:
         return None
-    solved = np.allclose(dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt))))
+    v = ((e0 * b1 - a1 * e1) / det, (a0 * e1 - e0 * b0) / det)
+    atol = GEOMETRY_TOL * max(abs(dt) for *_, dt in rows)
+    solved = all(abs(c0 * v[0] + c1 * v[1] - dt) <= atol + 1e-5 * abs(dt) for c0, c1, dt in rows)
     return v if solved else None
 
 
@@ -173,7 +175,7 @@ def boost_for_simultaneity(
     v = _simultaneity_velocity(p, q, r)
     if v is None:
         raise ValueError("events admit no common simultaneity plane")
-    frame = Frame((float(v[0]), float(v[1])))  # raises past MAX_SPEED
+    frame = Frame(v)  # raises past MAX_SPEED
     for other in (q, r):
         if not simultaneous(frame, p, other):
             raise ValueError("solved boost fails the simultaneity check")
@@ -183,7 +185,7 @@ def boost_for_simultaneity(
 def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
     """Per lab A, B, C: its inside measurement (t1) and the start (t0) at the
     other two labs, the events one tilted frame makes simultaneous."""
-    pos = {site: tuple(spec.position(site)) for site in "ABC"}
+    pos = {site: spec.position(site) for site in "ABC"}
     return [
         (point(spec.t1, pos[lab]), point(spec.t0, pos[a]), point(spec.t0, pos[b]))
         for lab, a, b in ("ABC", "BAC", "CAB")
@@ -219,7 +221,7 @@ def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[Ch
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
-    dists = {pair: math.hypot(*(pos[pair[0]] - pos[pair[1]])) for pair in ("AB", "BC", "CA")}
+    dists = {pair: math.dist(pos[pair[0]], pos[pair[1]]) for pair in ("AB", "BC", "CA")}
     mean_side = sum(d / 3.0 for d in dists.values())
     spread = max(dists.values()) - min(dists.values())
     results.append(
@@ -260,8 +262,8 @@ def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[Ch
         for ta in (spec.t1, spec.t2):
             for tb in (spec.t1, spec.t2):
                 s = interval(
-                    point(ta / unit, tuple(pos[labs[0]] / unit)),
-                    point(tb / unit, tuple(pos[labs[1]] / unit)),
+                    point(ta / unit, [c / unit for c in pos[labs[0]]]),
+                    point(tb / unit, [c / unit for c in pos[labs[1]]]),
                 )
                 if s > worst:
                     worst, worst_pair = s, f"({ta:g},{labs[0]})–({tb:g},{labs[1]})"

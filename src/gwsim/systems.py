@@ -119,8 +119,9 @@ def initial_product_terms() -> tuple[np.ndarray, np.ndarray]:
     factors √½ of ``ghz_state`` fold into c = (1/4, −i/4), so every entry is
     exact in binary floating point.
     """
-    ready = lab_vector(LabLabel.READY)
-    vectors = np.stack([np.kron(ready, spin_vector(SpinAxis.Y, s) / SQRT_HALF) for s in (+1, -1)])
+    vectors = np.zeros((2, 6), dtype=complex)  # row-major: entries 0, 1 are ready ⊗ |±1_z>
+    vectors[:, 0] = 1.0
+    vectors.imag[:, 1] = (-1.0, 1.0)
     return np.array([0.25, -0.25j]), vectors
 
 

@@ -4,7 +4,8 @@ Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, the dense 216-dim state contracted against basis groups
-for the frame pass's product form, per-trial simulation with ``measure`` for
+for the frame pass's product form, the pass's own round-by-round Born
+weights and parity rule, the least-squares simultaneity solve, per-trial simulation with ``measure`` for
 the interpretation models' outcome tables, one dense state per collapse path
 for the product-form collapse and erasure tables, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
@@ -58,8 +59,18 @@ from gwsim.scenario import (
     round_slots,
     support_constraint,
 )
-from gwsim.spacetime import SpacetimePoint
-from gwsim.systems import SITE_FACTORS, LabLabel, SpinAxis, lab_vector, spin_basis, spin_vector
+from gwsim.scenario import _event_operators, _site_gram
+from gwsim.spacetime import GEOMETRY_TOL, SpacetimePoint
+from gwsim.systems import (
+    SITE_FACTORS,
+    SUPPORT_EPS,
+    LabLabel,
+    SpinAxis,
+    initial_product_terms,
+    lab_vector,
+    spin_basis,
+    spin_vector,
+)
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -213,11 +224,26 @@ def boost_point(f, p):
     speed2 = float(v @ v)
     if speed2 == 0.0:
         return p
-    x = p.position
+    x = np.array(p.x)
     v_dot_x = float(v @ x)
     gamma = f.gamma
     x_new = x + ((gamma - 1.0) / speed2) * v_dot_x * v - gamma * p.t * v
     return SpacetimePoint(gamma * (p.t - v_dot_x), (float(x_new[0]), float(x_new[1])))
+
+
+def lstsq_velocity(p: SpacetimePoint, q: SpacetimePoint, r: SpacetimePoint):
+    """The simultaneity velocity by least squares, accepted by ``np.allclose``:
+    the solve ``spacetime._simultaneity_velocity`` replaced. Extreme
+    geometries overflow quietly, as the package's solve does."""
+    x = {event: np.array(event.x) for event in (p, q, r)}
+    dx = np.array([x[p] - x[q], x[p] - x[r]])
+    dt = np.array([p.t - q.t, p.t - r.t])
+    with np.errstate(all="ignore"):
+        v, *_ = np.linalg.lstsq(dx, dt, rcond=None)
+        if not np.isfinite(v).all():
+            return None
+        solved = np.allclose(dx @ v, dt, atol=GEOMETRY_TOL * float(np.max(np.abs(dt))))
+    return (float(v[0]), float(v[1])) if solved else None
 
 
 def axis_spec(state, axes) -> list[BasisGroup]:
@@ -299,6 +325,44 @@ def dense_weights(state: StateVector, round_events, model) -> np.ndarray:
             bases = [model.pair_x_state(ev.site, sign) for sign in (+1, -1)]
             groups.append(BasisGroup(ev.targets, (+1, -1), np.column_stack(bases)))
     return stacked_support(StateVector(state.layout, state.amplitudes[None]), groups)[1][0]
+
+
+def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per round of ``analyze_stack``: its (M, K) Born weights and (M,) shared
+    outcome products, one round's product and one round's parity at a time,
+    as the pass computed them before its rounds were stacked."""
+    coefficients, pair = initial_product_terms()
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
+    size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
+    recorded_terms = {}
+    for site, targets in SITE_FACTORS.items():
+        copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
+        evolved = [apply_local(model.unitary(site), targets, state) for state in copies]
+        recorded_terms[site] = np.stack([state.amplitudes.T for state in evolved])
+    out = []
+    for rounds in orderings.values():
+        recorded: set[str] = set()
+        for rnd in rounds:
+            events = {ev.site: ev for ev in rnd}
+            a, b, c = [
+                _site_gram(
+                    recorded_terms[site] if site in recorded else pair[:, :, None],
+                    *_event_operators(events.get(site), model),
+                )
+                for site in ("A", "B", "C")
+            ]
+            product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
+            weights = product.sum(axis=0).real
+            weights = weights.reshape(-1, weights.shape[-1]).T
+            labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
+            weights = np.maximum(np.broadcast_to(weights, (size, len(labels))), 0.0)
+            possible = weights > SUPPORT_EPS
+            parity = np.prod(labels, axis=1)
+            plus = (possible & (parity == 1)).any(axis=1)
+            minus = (possible & (parity == -1)).any(axis=1)
+            out.append((weights, np.where(plus == minus, 0, np.where(plus, 1, -1))))
+            recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
+    return out
 
 
 # ---------------------------------------------------------------------------

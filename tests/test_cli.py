@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -122,7 +124,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "6"
+        assert report["schema_version"] == "7"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -373,6 +375,57 @@ def test_each_tilted_frame_is_solved_once(capsys, monkeypatch, argv, code, solve
     assert counts == {"_simultaneity_velocity": solves, "boost_for_simultaneity": 3}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--trials", "100", "--mode", "round_born"],
+        ["run", "--trials", "100", "--mode", "sequential_collapse"],
+        ["ghz-nogo"],
+    ],
+    ids=["round_born", "sequential_collapse", "ghz-nogo"],
+)
+def test_the_ideal_device_needs_no_numpy_linalg(capsys, monkeypatch, argv):
+    # The geometry is solved in closed form and the ideal device is a fixed
+    # permutation, so neither least squares nor QR (nor any other routine
+    # of numpy.linalg) runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy.linalg routine ran")
+
+    routines = [name for name in np.linalg.__all__ if not inspect.isclass(getattr(np.linalg, name))]
+    assert {"lstsq", "qr"} <= set(routines)
+    for name in routines:
+        monkeypatch.setattr(np.linalg, name, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
+# SHA-256 of stdout and the exit code per command line. Every number these
+# reports print is exact or an integer, so the digests hold on any platform.
+# A change that moves a byte edits its pin and says why.
+PINNED_DIGESTS = [
+    ("sweep --models 60 --seed 1 --format json", 0, "1e1ae0f174e80091e080d91028ebec828f305ef66f5b848e48cc1a96b6b77e4a"),
+    ("sweep --models 60 --seed 1 --format text", 0, "d6f42495183c615d00db4aa09cccd1a9b901d2ac10a2be436de613b938ceacc1"),
+    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "a1de3816cdbc2f87726cf161b3f5553facc37d34667b8bb5403669e188c8cf83"),
+    ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "f7367267e32318946b74080e1f9652c851561fb400322478b2f4433f09689b99"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "d8f7843a5eea9b497190dab7bdf43148b116b75fd0dcce604a48932720949d3d"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "e0fae9c2e646160f1ee4f5e00de770ea7e279f87eb579b8b2b17640d40d40929"),
+    ("erasure --trials 2000 --seed 1 --format json", 0, "a5cbe51ea0efa0e1c5adabb3990100b42dcf10f45bf442b6aecea2d3c2ab52de"),
+    ("erasure --trials 2000 --seed 1 --format text", 0, "ef69724258b3a5db865e98ec3d054ddb675c1978c11556325f4cceb3971f5eda"),
+    ("ghz-nogo --format json", 0, "ae17d57a1c9077fddb1a37a5b66dd479f2a46055310263368d6e688b87ff990e"),
+    ("ghz-nogo --format text", 0, "14605ca7e2ecd6fea3f84103b99e29c3d93b699c37a960b60d67a95f1d0ae1b3"),
+    ("frames --format json", 0, "49016346fb3ff6f88c418c8f0d6bb91f1a488190e79c8a96c2f1abc8d6554d5c"),
+    ("frames --format text", 0, "f15e2fd5e462033b2a7b23444617524b9fd7e944b2dab84df46fa3d560488cba"),
+    ("distinguish --format json", 0, "37ed015d3814b260d66c053ad4584b8495fe74fcd88f7f1e653c6c7e79225c06"),
+    ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
+]
+
+
+@pytest.mark.parametrize("line, code, digest", PINNED_DIGESTS, ids=[p[0] for p in PINNED_DIGESTS])
+def test_reports_match_pinned_digests(capsys, line, code, digest):
+    actual, out, err = run_cli(capsys, *line.split())
+    assert (actual, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
 class TestRun:
     def test_round_born(self, capsys):
         code, report = run_json(
@@ -564,8 +617,11 @@ class TestRun:
         assert "non-negative" in err
 
 
-@pytest.mark.parametrize("argv", [["ghz-nogo"], ["run", "--trials", "100"]])
-def test_each_device_is_checked_for_unitarity_once(capsys, monkeypatch, argv):
+@pytest.mark.parametrize(
+    "argv, devices",
+    [(["ghz-nogo"], 1), (["run", "--trials", "100"], 1), (["ghz-nogo", "--model", "random:7"], 3)],
+)
+def test_each_device_is_checked_for_unitarity_once(capsys, monkeypatch, argv, devices):
     shapes = []
     original = gwsim.measurement.check_unitary
 
@@ -576,8 +632,9 @@ def test_each_device_is_checked_for_unitarity_once(capsys, monkeypatch, argv):
     monkeypatch.setattr(gwsim.measurement, "check_unitary", counting)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    # One check per site of the schedule's model, which the analysis reads as it is.
-    assert shapes == [(6, 6)] * 3
+    # One check per distinct device of the schedule's model, which the
+    # analysis reads as it is: the ideal model's three sites share one.
+    assert shapes == [(6, 6)] * devices
 
 
 class TestErasure:

@@ -102,6 +102,15 @@ class TestCustomModel:
         with pytest.raises(ValueError, match="not unitary"):
             MeasurementModel((Operator(np.ones((6, 6))),) * 3)
 
+    @pytest.mark.parametrize("site", ["A", "B", "C"])
+    def test_a_non_unitary_device_at_any_one_site_is_named(self, site):
+        # The shared ideal device is checked once; a distinct one at any
+        # site is checked too, and the error names its site.
+        ideal = ideal_von_neumann().unitary("A")
+        ops = tuple(Operator(np.ones((6, 6))) if s == site else ideal for s in "ABC")
+        with pytest.raises(ValueError, match=f"^site {site}: matrix is not unitary"):
+            MeasurementModel(ops)
+
 
 class TestHaarSampling:
     def test_haar_unitary_is_unitary(self):

@@ -432,9 +432,9 @@ class TestNonidealSweep:
         recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
         assert nonideal_sweep(11, 3).all_passed
         assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 6), (4, 3, 2, 6, 6), (3, 3, 2, 6, 6)]
-        # The schedule's ideal model, then three site stacks per block and no
-        # per-model device.
-        assert shapes["check_unitary"] == [(6, 6)] * 3 + [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
+        # The schedule's ideal model, one device shared by its three sites,
+        # then three site stacks per block and no per-model device.
+        assert shapes["check_unitary"] == [(6, 6)] + [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
 
     def test_memory_stays_flat_across_blocks(self, monkeypatch):
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)

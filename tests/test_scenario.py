@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gwsim.scenario
-from _oracles import dense_weights
+from _oracles import dense_weights, round_by_round_tables
 from gwsim.cli import _build_model
 from gwsim.measurement import (
     SITES,
@@ -14,12 +14,13 @@ from gwsim.measurement import (
     haar_unitaries,
     ideal_von_neumann,
 )
-from gwsim.models import CANONICAL_CONSTRAINT_KEYS, trial_rng
+from gwsim.models import CANONICAL_CONSTRAINT_KEYS, SWEEP_BLOCK, _haar_devices, trial_rng
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     ParityConstraint,
     RoundTable,
+    _shared_parity,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -32,7 +33,7 @@ from gwsim.scenario import (
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
-from gwsim.systems import SITE_FACTORS, initial_scenario_state
+from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, initial_scenario_state
 
 
 def event(schedule, event_id):
@@ -241,8 +242,21 @@ class TestRoundTables:
     def test_products_need_one_parity_shared_by_the_possible_tuples(self):
         labels = ((+1, -1, -1), (-1, +1, +1), (+1, +1, +1))
         weights = np.array([[0.5, 0, 0.5], [0, 1.0, 0], [0.5, 0.5, 0], [1e-10, 1.0, 0]])
-        table = RoundTable("sigma", (), labels, weights)
+        possible = weights > SUPPORT_EPS
+        products = _shared_parity(possible, np.prod(labels, axis=1), axis=1)
+        table = RoundTable("sigma", (), labels, weights, products)
         assert table.products.tolist() == [+1, -1, 0, -1]
+        # Parity 0 marks an entry that is no tuple (a spectator's second
+        # label in the pass): however heavy, it takes no side.
+        assert _shared_parity(possible, np.array([1, 0, 1]), axis=1).tolist() == [1, 0, 1, 0]
+
+    def test_constraints_read_the_products_field(self, ideal_tables):
+        table = ideal_tables["sigma"][1]
+        flipped = table._replace(products=-table.products)
+        assert flipped.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), +1)
+        assert distinct_constraints([flipped, table._replace(products=0 * table.products)]) == [
+            ParityConstraint(("x_A", "x_B", "x_C"), +1)
+        ]
 
     def test_two_slot_round_is_unconstrained(self, ideal_tables):
         table = ideal_tables["sigma_p"][2]
@@ -261,6 +275,10 @@ class TestCollectConstraints:
             (("z_A", "z_B", "x_C"), +1),
         }
         assert len(constraints) == 4
+
+    def test_no_frames_give_no_tables_and_no_constraints(self, schedule):
+        assert analyze_stack(schedule.model, {}) == []
+        assert collect_constraints(schedule, []) == []
 
     def test_accepts_a_plain_frame_list(self, schedule, frames):
         constraints = collect_constraints(schedule, [frames["sigma"], frames["sigma"]])
@@ -375,6 +393,26 @@ class TestAnalyze:
             + [(1.0, (4, 1, size)), (0.5, (4, 2, size))] * 3,
             key=str,
         )
+
+
+@pytest.mark.parametrize("spec", ["ideal", "random:3", "haar-block"])
+def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
+    # One product over all rounds, spectators broadcast and indexed out,
+    # gives every weight the same operations in the same order as one
+    # product per round; the parity rows follow the per-round rule.
+    if spec == "haar-block":
+        devices = _haar_devices(5, range(SWEEP_BLOCK))
+        model = MeasurementModel(tuple(Operator(devices[:, k]) for k in range(3)))
+    else:
+        model = _build_model({"model": {"kind": spec[:6], "seed": int(spec[7:] or 0)}})
+    orderings = standard_orderings(build_schedule(10.0, 1.0, model))
+    tables = analyze_stack(model, orderings)
+    oracle = round_by_round_tables(model, orderings)
+    assert len(tables) == len(oracle) == 11
+    for table, (weights, products) in zip(tables, oracle):
+        assert table.weights.shape == weights.shape
+        assert np.array_equal(table.weights, weights)
+        assert np.array_equal(table.products, products)
 
 
 def test_the_pass_builds_no_dense_state(schedule, monkeypatch):

@@ -1,18 +1,22 @@
 import math
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import boost_point
+import gwsim.spacetime
+from _oracles import boost_point, lstsq_velocity
 from gwsim.measurement import ideal_von_neumann
 from gwsim.scenario import build_schedule, order_events
 from gwsim.spacetime import (
+    MAX_SPEED,
     Frame,
     GeometrySpec,
     REST_FRAME,
+    _simultaneity_velocity,
     boost_for_simultaneity,
     frame_time,
     interval,
@@ -348,3 +352,57 @@ def test_an_unbounded_simultaneity_solve_is_no_boost_and_no_warning():
             boost_for_simultaneity(*tilted_frame_events(g)[0])
     assert not results["tilted_frames_subluminal"].passed
     assert "inf" in results["tilted_frames_subluminal"].detail
+
+
+def assert_the_solves_agree(g: GeometrySpec) -> None:
+    """The closed-form solve against least squares on one geometry: where
+    both solve, velocities within 1e-12 of the speed; every geometry check
+    alike, but for the tilted check where a speed lies within 1e-12 relative
+    of MAX_SPEED."""
+    near_bound = False
+    for events in tilted_frame_events(g):
+        mine, reference = _simultaneity_velocity(*events), lstsq_velocity(*events)
+        for v in (mine, reference):
+            near_bound |= v is not None and abs(math.hypot(*v) - MAX_SPEED) <= 1e-12 * MAX_SPEED
+        if mine is not None and reference is not None:
+            assert math.dist(mine, reference) <= 1e-12 * math.hypot(*reference)
+    checks = validate_geometry(g)
+    with mock.patch.object(gwsim.spacetime, "_simultaneity_velocity", lstsq_velocity):
+        expected = validate_geometry(g)
+    compared = slice(None, -1) if near_bound else slice(None)
+    assert [c.passed for c in checks][compared] == [c.passed for c in expected][compared]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    side_exponent=st.floats(-300, 300),
+    tau_fraction=st.one_of(
+        st.floats(-330, 0).map(lambda e: 10.0**e), st.floats(0.0, 1.0), st.just(1.0)
+    ),
+)
+def test_the_closed_form_solve_agrees_with_least_squares(side_exponent, tau_fraction):
+    side = 10.0**side_exponent
+    try:
+        g = standard_geometry(side, tau_fraction * side * SQ3 / 2.0 * MAX_SPEED)
+    except ValueError:
+        return  # a tau too small for the side: rejected before any solve
+    assert_the_solves_agree(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    side_exponent=st.floats(-300, 300),
+    tau_fraction=st.floats(1e-6, 1.2),
+    offsets=st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+)
+def test_the_closed_form_solve_agrees_on_perturbed_geometries(side_exponent, tau_fraction, offsets):
+    # Labs moved by up to 0.3 of the side and epochs stretched by up to 30 %:
+    # no longer equilateral, nor equal epochs, so the checks may fail.
+    side = 10.0**side_exponent
+    g = standard_geometry(side, tau_fraction * side * SQ3 / 2.0)
+    moved = [
+        (x + side * offsets[2 * i], y + side * offsets[2 * i + 1])
+        for i, (x, y) in enumerate((g.x_a, g.x_b, g.x_c))
+    ]
+    t1, t2 = g.t1 * (1.0 + offsets[6]), g.t2 * (1.0 + offsets[7])
+    assert_the_solves_agree(GeometrySpec(*moved, g.t0, t1, t2))
