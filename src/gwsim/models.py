@@ -317,7 +317,8 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     Site outcome (z, x) applies K = Q_x U P_z to the site's pair: the friend's
     z projector, the device, then the outsider's projector. An outcome's
     probability is ‖Π_site K_site ψ‖² on the initial product form, one
-    ``_site_gram`` per site. Operators at different sites commute and each
+    ``_site_gram`` per distinct device, shared by the sites that share its
+    ``Operator``. Operators at different sites commute and each
     site's friend event precedes its outsider event in every frame, so the
     table does not depend on the preferred frame. ``_signed_outcomes``
     prunes it.
@@ -325,12 +326,13 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
     z_projectors = [np.diag(np.tile(spin_vector(SpinAxis.Z, s), 3)) for s in (+1, -1)]
-    factors = []
-    for site in SITES:
-        u = model.unitary(site).matrix
-        after_device = [q @ u for q in _outsider_projectors(model, site)]
-        operators = [qu @ p for p in z_projectors for qu in after_device]
-        factors.append(_site_gram(pair[:, :, None], np.stack(operators)[..., None]))
+    grams = {}  # id(device) -> the factor of every site sharing that device
+    for site, device in zip(SITES, model.site_unitaries):
+        if id(device) not in grams:
+            after_device = [q @ device.matrix for q in _outsider_projectors(model, site)]
+            operators = [qu @ p for p in z_projectors for qu in after_device]
+            grams[id(device)] = _site_gram(pair[:, :, None], np.stack(operators)[..., None])
+    factors = [grams[id(device)] for device in model.site_unitaries]
     # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
     weights = np.maximum(_born_weights(terms, factors), 0.0).reshape((2, 3) * 3)
     kept, pruned = _signed_outcomes(weights)
@@ -505,7 +507,7 @@ def nonideal_sweep(
     results = []
     for start in range(0, n_models, SWEEP_BLOCK):
         indices = range(max(start, 1), min(start + SWEEP_BLOCK, n_models))
-        unitaries = _haar_devices(seed, indices)
+        unitaries = _haar_devices(seed, indices) if indices else ideal[:0]
         if start == 0:
             unitaries = np.concatenate([ideal, unitaries])
         stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))

@@ -328,10 +328,13 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
 
     The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
     where a site's v_k has its device applied iff its friend's event fell in
-    an earlier round, as ``evolve_to`` replays it (once per site and term,
-    by ``apply_local`` on the 6-dim pair). A tuple's Born weight is then
-    Σ_{k,j} c_k c̄_j Π_site g_site[k, j], from one 2×2 Gram factor per site
-    (``_site_gram``), each built once per pass, when a round first needs it.
+    an earlier round, as ``evolve_to`` replays it (by ``apply_local`` on the
+    6-dim pair). A tuple's Born weight is then Σ_{k,j} c_k c̄_j Π_site
+    g_site[k, j], from 2×2 Gram factors (``_site_gram``), each built once per
+    pass, when a round first needs it. Device-dependent work is done once per
+    distinct device, keyed by its ``Operator``'s identity: its U v_k, and the
+    factor of a site that has run it or whose outsider measures. A site whose
+    device has not run reads only the shared v_k, so that factor serves every site.
     Every round's weights come from one product over all rounds, in which a
     spectator site's factor is broadcast to both labels and then indexed
     out; the rounds' parity rows come from the same array. Rounding leaves
@@ -340,11 +343,14 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)  # c_k c̄_j
     size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
-    recorded_terms = {}  # site -> (2, 6, M): U v_k for each term k and model
+    recorded_terms = {}  # id(device) -> (2, 6, M): U v_k for each term k and model
     for site, targets in SITE_FACTORS.items():
+        device = model.unitary(site)
+        if id(device) in recorded_terms:
+            continue
         copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
-        evolved = [apply_local(model.unitary(site), targets, state) for state in copies]
-        recorded_terms[site] = np.stack([state.amplitudes.T for state in evolved])
+        evolved = [apply_local(device, targets, state) for state in copies]
+        recorded_terms[id(device)] = np.stack([state.amplitudes.T for state in evolved])
     rounds = [(key, rnd) for key, frame_rounds in orderings.items() for rnd in frame_rounds]
     factors = np.empty((len(SITES), len(rounds), 4, 2, size), dtype=complex)
     active = []  # per round: whether each site has an event in it
@@ -354,10 +360,11 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
         for rnd in frame_rounds:
             events = {ev.site: ev for ev in rnd}
             for i, site in enumerate(SITES):
-                ev = events.get(site)
-                index = (site, site in recorded, ev and ev.kind)
+                ev, device = events.get(site), id(model.unitary(site))
+                reads_device = site in recorded or (ev and ev.kind == "outsider_x")
+                index = (device if reads_device else None, site in recorded, ev and ev.kind)
                 if index not in grams:
-                    vectors = recorded_terms[site] if site in recorded else pair[:, :, None]
+                    vectors = recorded_terms[device] if site in recorded else pair[:, :, None]
                     grams[index] = _site_gram(vectors, *_event_operators(ev, model))
                 factors[i, len(active)] = grams[index]
             active.append([site in events for site in SITES])

@@ -417,6 +417,13 @@ PINNED_DIGESTS = [
     ("frames --format text", 0, "f15e2fd5e462033b2a7b23444617524b9fd7e944b2dab84df46fa3d560488cba"),
     ("distinguish --format json", 0, "37ed015d3814b260d66c053ad4584b8495fe74fcd88f7f1e653c6c7e79225c06"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
+    # Three distinct devices, one per site: no device-dependent work is shared.
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "7372dd9ed7854056dfe3a358b9d2d6dea01f32d2809f110ae20c4c30c3500f9c"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "b888d250b2eb75163752b5a94da8bbcc84bb7de84f71b025b51abc4a85bc4335"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "4c3778a41a9c828bf5dde8961d879d437977f54862f14a655874c5a31464ab22"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "23fb6fab29f8e96a2a1252c944a7c47af4f7d46555c9d6dce84ce888e8b68539"),
+    ("ghz-nogo --model random:7 --format json", 0, "081faab71fa11f62f361f135e93d6b5ffe0d50188950babd5092201bda801407"),
+    ("ghz-nogo --model random:7 --format text", 0, "450d0ce3743c53cd3e49932d01c67be69509753ef146a1ec99bae912c35c26ea"),
 ]
 
 

@@ -330,8 +330,16 @@ def sweep_model(index: int, seed: int) -> MeasurementModel:
 
 
 class TestNonidealSweep:
-    def test_single_model_is_the_ideal_baseline(self):
+    def test_single_model_is_the_ideal_baseline(self, monkeypatch):
+        reference = sweep_reference(1, 0)
+
+        def refuse(seed, indices):
+            raise AssertionError(f"Haar devices drawn for models {list(indices)}")
+
+        # A block holding no Haar model draws no devices.
+        monkeypatch.setattr(gwsim.models, "_haar_devices", refuse)
         report = nonideal_sweep(1, seed=0)
+        assert report == reference
         assert report.n_models == 1
         assert report.results[0].kind == "ideal"
         assert report.results[0].passed

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import gwsim.models
 import gwsim.scenario
 from _oracles import dense_weights, round_by_round_tables
 from gwsim.cli import _build_model
@@ -14,7 +15,13 @@ from gwsim.measurement import (
     haar_unitaries,
     ideal_von_neumann,
 )
-from gwsim.models import CANONICAL_CONSTRAINT_KEYS, SWEEP_BLOCK, _haar_devices, trial_rng
+from gwsim.models import (
+    CANONICAL_CONSTRAINT_KEYS,
+    SWEEP_BLOCK,
+    _haar_devices,
+    sequential_collapse_distribution,
+    trial_rng,
+)
 from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
@@ -374,25 +381,61 @@ class TestAnalyze:
     @pytest.mark.parametrize("size", [1, 5])
     def test_each_site_factor_is_built_once(self, spec, size, monkeypatch):
         schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+        # Stack each distinct device, keeping the sites that share one sharing it.
+        sites = schedule.model.site_unitaries
+        stacks = {id(u): Operator(np.stack([u.matrix] * size)) for u in sites}
+        model = MeasurementModel(tuple(stacks[id(u)] for u in sites))
         built, site_gram = [], gwsim.scenario._site_gram
+        applied, apply = [], gwsim.scenario.apply_local
 
         def counting(vectors, operators, scale=1.0):
             gram = site_gram(vectors, operators, scale)
             built.append((scale, gram.shape))
             return gram
 
+        def counting_apply(op, targets, state):
+            applied.append(op)
+            return apply(op, targets, state)
+
         monkeypatch.setattr(gwsim.scenario, "_site_gram", counting)
-        tables = analyze_stack(stack_models([schedule.model] * size), standard_orderings(schedule))
+        monkeypatch.setattr(gwsim.scenario, "apply_local", counting_apply)
+        tables = analyze_stack(model, standard_orderings(schedule))
         assert len(tables) == 11
-        # Each site is seen before its device (as a spectator and by its
-        # friend), one factor shared by every model, and after it (as a
-        # spectator and by its outsider, whose Gram carries the scale 1/2),
-        # one per model: 4 × 3 factors, whatever the stack size.
+        # Before its device runs, a site (a spectator, or its friend) reads the
+        # pair vectors every site shares: two factors for the whole pass, one
+        # shared by every model. After it (a spectator, or its outsider, whose
+        # Gram carries the scale 1/2), one per device and model: 4 factors
+        # for the ideal device shared by all three sites, 8 for three devices.
+        devices = len(stacks)
+        assert (spec == "ideal") == (devices == 1)
         assert sorted(built, key=str) == sorted(
-            [(1.0, (4, 1, 1)), (1.0, (4, 2, 1))] * 3
-            + [(1.0, (4, 1, size)), (0.5, (4, 2, size))] * 3,
+            [(1.0, (4, 1, 1)), (1.0, (4, 2, 1))]
+            + [(1.0, (4, 1, size)), (0.5, (4, 2, size))] * devices,
             key=str,
         )
+        # The device runs on each product term once, whichever sites share it.
+        assert len(applied) == 2 * devices
+        assert set(map(id, applied)) == set(map(id, model.site_unitaries))
+
+
+@pytest.mark.parametrize("matrix", ["ideal", "haar"])
+def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
+    # Three equal but distinct copies of one device get none of the pass's
+    # or the collapse table's per-device reuse; the results are the same bits.
+    built, site_gram = [], gwsim.models._site_gram
+    monkeypatch.setattr(gwsim.models, "_site_gram", lambda *a: built.append(a) or site_gram(*a))
+    device = ideal_von_neumann().unitary("A") if matrix == "ideal" else _haar_model(7).unitary("B")
+    shared = MeasurementModel((device,) * 3)
+    copies = MeasurementModel(tuple(Operator(device.matrix) for _ in SITES))
+    orderings = standard_orderings(schedule)
+    one, three = analyze_stack(shared, orderings), analyze_stack(copies, orderings)
+    assert len(one) == len(three) == 11
+    for a, b in zip(one, three):
+        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.products, b.products)
+    assert distinct_constraints(one) == distinct_constraints(three)
+    collapse = [sequential_collapse_distribution(m) for m in (shared, copies)]
+    assert np.array_equal(collapse[0][0], collapse[1][0]) and collapse[0][1] == collapse[1][1]
+    assert len(built) == 1 + 3  # one collapse factor per distinct device
 
 
 @pytest.mark.parametrize("spec", ["ideal", "random:3", "haar-block"])
