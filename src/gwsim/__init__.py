@@ -6,11 +6,8 @@ from .measurement import (
     MeasurementModel,
     Observable,
     distinguishability_report,
-    distribution,
     haar_random_unitary,
     ideal_von_neumann,
-    outsider_observable,
-    door_observable,
 )
 from .models import (
     InterpretationModel,
@@ -19,7 +16,7 @@ from .models import (
     nonideal_sweep,
     run_model,
 )
-from .qmath import MixedState, Operator, StateVector
+from .qmath import Operator, StateVector
 from .scenario import (
     ParityConstraint,
     Schedule,
@@ -49,7 +46,6 @@ __all__ = [
     "InterpretationModel",
     "LabLabel",
     "MeasurementModel",
-    "MixedState",
     "Observable",
     "Operator",
     "ParityConstraint",
@@ -62,8 +58,6 @@ __all__ = [
     "build_schedule",
     "collect_constraints",
     "distinguishability_report",
-    "distribution",
-    "door_observable",
     "enumerate_assignments",
     "erasure_experiment",
     "frame_time",
@@ -74,7 +68,6 @@ __all__ = [
     "interval",
     "nonideal_sweep",
     "order_events",
-    "outsider_observable",
     "run_model",
     "standard_geometry",
     "tilted_frames",

@@ -6,18 +6,19 @@ pair of orthonormal *recorded* states. The ideal case is a basis permutation
 (the lab flips to RecordedUp/RecordedDown and the electron is untouched); any
 other unitary models an imperfect device.
 
-On top of a model we build the composite observables:
+Two measurements read a completed record, each as projectors on the pair:
 
-* the outsider observable — eigenvalue ±1 on the two superpositions
+* the outsider's (``_outsider_projectors``) — ±1 on the two superpositions
   ``(|+1Z> ± |-1Z>)/√2`` of recorded states, 0 on the rest of the pair space;
-  measuring it probes the lab+electron pair *as a whole*, in a basis
-  incompatible with the record,
-* the door observable — what you learn by asking the lab for its record:
-  ±1 on the RecordedUp/RecordedDown lab levels, 0 on Ready,
+  it probes the lab+electron pair *as a whole*, in a basis incompatible with
+  the record,
+* the door's (``_door_projectors``) — what you learn by asking the lab for
+  its record: ±1 on the RecordedUp/RecordedDown lab levels, 0 on Ready.
 
-plus Born distributions, projective sampling with collapse, and the
-distinguishability table contrasting the unitary and collapsed descriptions
-of a completed measurement.
+``distinguishability_report`` weighs both measurements' outcomes on the
+unitary and collapsed descriptions of a completed measurement, each an even
+mixture of pair vectors v: an outcome with projector P weighs ½ Σ_v ‖P v‖².
+``measure`` samples an ``Observable`` with collapse on a dense state.
 """
 
 from __future__ import annotations
@@ -26,16 +27,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from .qmath import (
-    MixedState,
-    Operator,
-    StateVector,
-    UNITARY_TOL,
-    apply_local,
-    check_unitary,
-    layout,
-)
-from .systems import SITE_FACTORS, LabLabel, lab_vector
+from .qmath import Operator, StateVector, UNITARY_TOL, apply_local, check_unitary
+from .systems import LabLabel, lab_vector
 
 PAIR_DIM = 6  # 3-level lab register times 2-level electron
 PROJECTOR_TOL = 1e-10
@@ -166,88 +159,22 @@ def _outsider_projectors(model: MeasurementModel, site: str) -> list[np.ndarray]
     return [*q, np.eye(PAIR_DIM) - q[0] - q[1]]
 
 
-def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
-    """±1 on the recorded-basis superpositions |±1X>, 0 on their complement.
-
-    This is the observable someone outside the sealed lab measures on the
-    whole lab+electron pair; its eigenbasis is incompatible with the record.
-    The 0 eigenvalue pads the 4-dim rest of the pair space, which carries no
-    weight on any state arising in the scenario.
-    """
-    projectors = map(Operator, _outsider_projectors(model, site))
-    return Observable(SITE_FACTORS[site], tuple(zip((+1.0, -1.0, 0.0), projectors)))
-
-
-def door_observable(site: str = "A") -> Observable:
-    """Ask the lab for its record: +1 RecordedUp, −1 RecordedDown, 0 Ready.
-
-    Acts on the lab register alone, in its fixed 3-level basis, so it is the
-    same whatever the measurement device.
-    """
-    projs = {
-        label: np.diag(lab_vector(label))
-        for label in (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
-    }
-    lab_factor = SITE_FACTORS[site][0]
-    return Observable(
-        (lab_factor,),
-        (
-            (+1.0, Operator(projs[LabLabel.RECORDED_UP])),
-            (-1.0, Operator(projs[LabLabel.RECORDED_DOWN])),
-            (0.0, Operator(projs[LabLabel.READY])),
-        ),
-    )
-
-
-class OutcomeDistribution(namedtuple("OutcomeDistribution", "pairs")):
-    """Probabilities per eigenvalue; validated to be a distribution."""
-
-    __slots__ = ()
-
-    def __new__(cls, pairs: tuple[tuple[float, float], ...]):
-        total = 0.0
-        for value, prob in pairs:
-            if not -PROJECTOR_TOL <= prob <= 1 + PROJECTOR_TOL:
-                raise ValueError(f"probability of outcome {value} out of range: {prob}")
-            total += prob
-        if abs(total - 1.0) > PROJECTOR_TOL:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        return super().__new__(cls, pairs)
-
-    def probability(self, value: float) -> float:
-        for v, p in self.pairs:
-            if v == value:
-                return p
-        raise KeyError(f"no eigenvalue {value}")
-
-    def as_dict(self) -> dict[float, float]:
-        return dict(self.pairs)
-
-
-def _pure_probabilities(obs: Observable, state: StateVector) -> np.ndarray:
-    probs = np.empty(len(obs.eigenpairs))
-    for i, (_, proj) in enumerate(obs.eigenpairs):
-        projected = apply_local(proj, obs.targets, state)
-        probs[i] = max(0.0, float(np.real(np.vdot(state.amplitudes, projected.amplitudes))))
-    return probs
-
-
-def distribution(obs: Observable, state) -> OutcomeDistribution:
-    """Born distribution of ``obs`` on a pure or mixed state."""
-    if isinstance(state, MixedState):
-        probs = np.zeros(len(obs.eigenpairs))
-        for weight, component in state.components:
-            probs += weight * _pure_probabilities(obs, component)
-    else:
-        probs = _pure_probabilities(obs, state)
-    return OutcomeDistribution(tuple(zip(obs.eigenvalues, probs)))
+def _door_projectors() -> list[np.ndarray]:
+    """D_+, D_−, D_0 of asking the lab for its record: diag(lab_l) ⊗ 1₂ on the
+    pair for RecordedUp, RecordedDown and Ready. They act on the lab register
+    alone, so they are the same whatever the device."""
+    labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
+    return [np.kron(np.diag(lab_vector(label)), np.eye(2)) for label in labels]
 
 
 def measure(
     obs: Observable, state: StateVector, rng: np.random.Generator
 ) -> tuple[float, StateVector]:
     """Sample one outcome and collapse: post = P|ψ> / ‖P|ψ>‖."""
-    probs = _pure_probabilities(obs, state)
+    probs = np.empty(len(obs.eigenpairs))
+    for i, (_, proj) in enumerate(obs.eigenpairs):
+        projected = apply_local(proj, obs.targets, state)
+        probs[i] = max(0.0, float(np.real(np.vdot(state.amplitudes, projected.amplitudes))))
     total = probs.sum()
     idx = rng.choice(len(probs), p=probs / total)
     prob = probs[idx]
@@ -262,49 +189,30 @@ def measure(
     return value, StateVector(state.layout, amps)
 
 
-def collapsed_record_mixture(model: MeasurementModel, site: str = "A") -> MixedState:
-    """Collapsed description of the same measurement: an even classical
-    mixture of the two recorded states."""
-    lab_f, elec_f = SITE_FACTORS[site]
-    lay = layout(lab_f, elec_f)
-    return MixedState(
-        (
-            (0.5, StateVector(lay, model.recorded_state(site, +1))),
-            (0.5, StateVector(lay, model.recorded_state(site, -1))),
-        )
-    )
-
-
 def distinguishability_report(model: MeasurementModel | None = None) -> dict:
-    """Door vs pair observable on the unitary and collapsed descriptions.
+    """Door vs pair measurement on the unitary and collapsed descriptions.
 
-    Deterministic (no sampling). The door rows agree — opening the door
-    cannot tell the descriptions apart — while the pair observable gives a
-    point mass on +1 for the unitary state against 50/50 for the mixture.
-    The unitary record is read as ½|b_+><b_+| for the unnormalised
-    b_+ = |+1Z> + |-1Z>, as ``erasure`` reads it, so the ideal device's
-    table is exact.
+    Deterministic (no sampling). Each description is an even mixture of pair
+    vectors: the unitary record is ½|b_+><b_+| for the unnormalised
+    b_+ = |+1Z> + |-1Z>, the collapsed record the two recorded states. An
+    outcome with projector P weighs ½ Σ_v ‖P v‖², the rule ``erasure`` reads
+    its table by, so the ideal device's table is exact. The door rows agree —
+    opening the door cannot tell the descriptions apart — while the pair
+    measurement gives a point mass on +1 for the unitary record against
+    50/50 for the collapsed one.
     """
     if model is None:
         model = ideal_von_neumann()
-    b_plus = StateVector(layout(*SITE_FACTORS["A"]), model.recorded_sum("A", +1))
     states = {
-        "unitary_record": MixedState(((0.5, b_plus),)),
-        "collapsed_record": collapsed_record_mixture(model),
+        "unitary_record": [model.recorded_sum("A", +1)],
+        "collapsed_record": [model.recorded_state("A", sign) for sign in (+1, -1)],
     }
-    observables = {
-        "door": door_observable(),
-        "pair_x": outsider_observable(model),
-    }
-    table = {
-        obs_name: {
-            state_name: distribution(obs, state).as_dict()
-            for state_name, state in states.items()
-        }
-        for obs_name, obs in observables.items()
-    }
-    return {
-        "observables": list(observables),
-        "states": list(states),
-        "distributions": table,
-    }
+    projectors = {"door": _door_projectors(), "pair_x": _outsider_projectors(model, "A")}
+    table = {}
+    for name, projs in projectors.items():
+        table[name] = {}
+        for state, vectors in states.items():
+            projected = np.stack(projs) @ np.stack(vectors, axis=-1)  # (outcomes, 6, vectors)
+            weights = 0.5 * (projected.conj() * projected).real.sum(axis=(1, 2))
+            table[name][state] = dict(zip((+1.0, -1.0, 0.0), weights.tolist()))
+    return {"observables": list(projectors), "states": list(states), "distributions": table}

@@ -51,6 +51,7 @@ from .measurement import (
     SAMPLE_FLOOR,
     SITES,
     MeasurementModel,
+    _door_projectors,
     _outsider_projectors,
     haar_unitaries,
     ideal_von_neumann,
@@ -398,8 +399,7 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     model = ideal_von_neumann()
     start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
     recorded = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
-    labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
-    door = [np.kron(np.diag(lab_vector(label)), np.eye(2)) for label in labels]
+    door = _door_projectors()
     pair_x = [np.eye(PAIR_DIM)] if skip_pair_x else _outsider_projectors(model, "A")
     operators = np.stack([d @ q for q in pair_x for d in door])[..., None]
     gram = _site_gram(recorded.amplitudes[None, :, None], operators)

@@ -92,7 +92,7 @@ class StateVector(namedtuple("StateVector", "layout amplitudes")):
     """Complex amplitude vector over a factor layout (row-major basis order).
 
     A 2-D ``amplitudes`` array is a stack: one state per row, all on the
-    layout. ``norm`` is meant for a single state.
+    layout.
     """
 
     __slots__ = ()
@@ -117,12 +117,6 @@ class StateVector(namedtuple("StateVector", "layout amplitudes")):
         any (read-only view)."""
         return self.amplitudes.reshape(self.amplitudes.shape[:-1] + self.layout.dims)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 class Operator(namedtuple("Operator", "matrix")):
     """Dense square matrix acting on the listed factors (row-major), or a
@@ -139,29 +133,6 @@ class Operator(namedtuple("Operator", "matrix")):
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-
-class MixedState(namedtuple("MixedState", "components")):
-    """Explicit weighted ensemble Σ w |ψ><ψ| of pure states on one layout.
-
-    A component may be unnormalised (½ on √2·|ψ>, say), so what must be 1 is
-    the trace Σ w ‖ψ‖².
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, components: tuple[tuple[float, StateVector], ...]):
-        if not components:
-            raise ValueError("mixed state needs at least one component")
-        weights = [w for w, _ in components]
-        if any(w < -1e-12 or w > 1 + 1e-12 for w in weights):
-            raise ValueError(f"weights must lie in [0, 1], got {weights}")
-        trace = sum(w * sv.norm() ** 2 for w, sv in components)
-        if abs(trace - 1.0) > 1e-12:
-            raise ValueError(f"weights times squared norms must sum to 1, got {trace}")
-        if len({sv.layout for _, sv in components}) != 1:
-            raise LayoutError("mixed-state components must share one layout")
-        return super().__new__(cls, components)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:

@@ -84,10 +84,6 @@ class GeometrySpec(NamedTuple):
     def position(self, site: str) -> tuple[float, float]:
         return {"A": self.x_a, "B": self.x_b, "C": self.x_c}[site]
 
-    @property
-    def side(self) -> float:
-        return math.dist(self.x_a, self.x_b)
-
 
 def standard_geometry(side: float, tau: float) -> GeometrySpec:
     """Equilateral triangle of the given side, centered at the origin, with
@@ -255,18 +251,24 @@ def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[Ch
     # Intervals are squared lengths, so they are taken on the points divided
     # by the geometry's largest scale, where no coordinate exceeds 1, and
     # reported in the geometry's units where a float holds them.
+    # The detail names the first pair, in the loops' order, within
+    # GEOMETRY_TOL of the largest: intervals equal by symmetry differ in the
+    # last digits, so the largest alone would name one of them by rounding.
     unit = max(mean_side, time_scale) or 1.0
-    worst = -math.inf
-    worst_pair = ""
-    for labs in ("AB", "BC", "CA"):
-        for ta in (spec.t1, spec.t2):
-            for tb in (spec.t1, spec.t2):
-                s = interval(
-                    point(ta / unit, [c / unit for c in pos[labs[0]]]),
-                    point(tb / unit, [c / unit for c in pos[labs[1]]]),
-                )
-                if s > worst:
-                    worst, worst_pair = s, f"({ta:g},{labs[0]})–({tb:g},{labs[1]})"
+    intervals = [
+        (
+            interval(
+                point(ta / unit, [c / unit for c in pos[labs[0]]]),
+                point(tb / unit, [c / unit for c in pos[labs[1]]]),
+            ),
+            f"({ta:g},{labs[0]})–({tb:g},{labs[1]})",
+        )
+        for labs in ("AB", "BC", "CA")
+        for ta in (spec.t1, spec.t2)
+        for tb in (spec.t1, spec.t2)
+    ]
+    worst = max(s for s, _ in intervals)
+    worst_pair = next(pair for s, pair in intervals if s >= worst - GEOMETRY_TOL)
     span = worst * unit * unit  # 0 or inf where a float cannot hold it
     in_range = math.isfinite(span) and (span or not worst)
     shown = f"{span:.12g}" if in_range else f"{worst:.12g}·({unit:.12g})²"

@@ -132,10 +132,6 @@ class SupportEntry(NamedTuple):
     amplitude: complex
 
     @property
-    def probability(self) -> float:
-        return abs(self.amplitude) ** 2
-
-    @property
     def product(self) -> int:
         out = 1
         for s in self.labels:

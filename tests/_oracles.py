@@ -7,7 +7,8 @@ support extraction, the dense 216-dim state contracted against basis groups
 for the frame pass's product form, the pass's own round-by-round Born
 weights and parity rule, the least-squares simultaneity solve, per-trial simulation with ``measure`` for
 the interpretation models' outcome tables, one dense state per collapse path
-for the product-form collapse and erasure tables, one-shot draws of every
+for the product-form collapse and erasure tables, the dense ensemble rule
+the ``distinguish`` table replaced, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
 device sweep, its normals computed one by one in libm from numpy's own
 Philox uniforms, and the argparse front end the CLI's flag table replaced.
@@ -30,7 +31,6 @@ from gwsim.measurement import (
     Observable,
     ideal_von_neumann,
     measure,
-    outsider_observable,
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
@@ -186,6 +186,49 @@ def spin_observable(axis: SpinAxis, factor: str = "A") -> Observable:
     )
 
 
+def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
+    """The outsider's measurement of the whole lab+electron pair: ±1 on the
+    recorded-basis superpositions |±1X> = b_±/√2 for b_± = ``recorded_sum``,
+    0 on the 4-dim rest of the pair space."""
+    sums = [model.recorded_sum(site, sign) for sign in (+1, -1)]
+    plus, minus = (0.5 * np.outer(b, b.conj()) for b in sums)
+    projectors = map(Operator, (plus, minus, np.eye(6) - plus - minus))
+    return Observable(SITE_FACTORS[site], tuple(zip((+1.0, -1.0, 0.0), projectors)))
+
+
+def door_observable(site: str = "A") -> Observable:
+    """Ask the lab for its record: +1 RecordedUp, −1 RecordedDown, 0 Ready,
+    on the lab register alone."""
+    labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
+    projectors = [Operator(np.diag(lab_vector(label))) for label in labels]
+    return Observable(SITE_FACTORS[site][:1], tuple(zip((+1.0, -1.0, 0.0), projectors)))
+
+
+def distinguish_reference(model: MeasurementModel) -> dict:
+    """``distinguishability_report``'s table by the dense rule it replaced:
+    eigenvalue v of an observable weighs Σ_w w·Re⟨ψ|P_v ψ⟩ on the ensemble
+    Σ_w w|ψ><ψ|, each P_v|ψ> by ``apply_local`` on the observable's factors.
+    The unitary record is ½ on b_+ = ``recorded_sum("A", +1)``, the collapsed
+    record ½ on each ``recorded_state("A", ±1)``."""
+    pair = layout(*SITE_FACTORS["A"])
+    ensembles = {
+        "unitary_record": [(0.5, model.recorded_sum("A", +1))],
+        "collapsed_record": [(0.5, model.recorded_state("A", sign)) for sign in (+1, -1)],
+    }
+    table = {}
+    for name, obs in (("door", door_observable()), ("pair_x", outsider_observable(model))):
+        table[name] = {}
+        for state, ensemble in ensembles.items():
+            probs = np.zeros(len(obs.eigenpairs))
+            for weight, amplitudes in ensemble:
+                psi = StateVector(pair, amplitudes)
+                for i, (_, proj) in enumerate(obs.eigenpairs):
+                    projected = apply_local(proj, obs.targets, psi).amplitudes
+                    probs[i] += weight * max(0.0, float(np.vdot(psi.amplitudes, projected).real))
+            table[name][state] = dict(zip((+1.0, -1.0, 0.0), probs.tolist()))
+    return table
+
+
 def entangled_record_state(model: MeasurementModel, site: str = "A") -> StateVector:
     """Unitary description of a completed measurement on an x-up electron.
 
@@ -290,7 +333,8 @@ def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
 
 def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
     """Python's ``abs(a) ** 2`` of every amplitude, bit for bit (numpy's own
-    ``abs`` and ``** 2`` round differently): ``SupportEntry.probability``."""
+    ``abs`` and ``** 2`` round differently), as a ``SupportEntry``'s weight
+    is read from its amplitude."""
     return np.float_power(np.hypot(amplitudes.real, amplitudes.imag), 2.0)
 
 
@@ -380,7 +424,7 @@ def sample_round_born(schedule, preferred, trials: int, seed: int) -> np.ndarray
     for k, rnd in enumerate(order_events(schedule, preferred), start=1):
         state = evolve_to(schedule, preferred, k)
         entries, _ = support_constraint(state, rnd, schedule.model)
-        probs = np.array([e.probability for e in entries])
+        probs = np.array([abs(e.amplitude) ** 2 for e in entries])
         tables.append((round_slots(rnd), [e.labels for e in entries], probs / probs.sum()))
     rows = []
     for trial in range(trials):
@@ -508,7 +552,7 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
                 if constraint is None:
                     continue
                 constraints.append(constraint)
-                support_ok &= all(abs(e.probability - 0.25) <= QUARTER_TOL for e in entries)
+                support_ok &= all(abs(abs(e.amplitude) ** 2 - 0.25) <= QUARTER_TOL for e in entries)
         keys = {(c.slots, c.required_product) for c in constraints}
         results.append(
             SweepModelResult(

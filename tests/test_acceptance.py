@@ -15,6 +15,8 @@ from _oracles import (
     axis_spec,
     boost_point,
     brute_support,
+    door_observable,
+    outsider_observable,
     random_state,
     random_unitary,
     spin_observable,
@@ -24,11 +26,8 @@ from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
     distinguishability_report,
-    distribution,
-    door_observable,
     haar_random_unitary,
     ideal_von_neumann,
-    outsider_observable,
 )
 from gwsim.models import (
     InterpretationModel,
@@ -103,7 +102,7 @@ def assert_support_table_keeps(state: StateVector, groups, weights) -> list[Supp
     labels = list(itertools.product(*(g.labels for g in groups)))
     kept = [(l, w) for l, w in zip(labels, weights) if w > SUPPORT_EPS]
     assert [e.labels for e in entries] == [l for l, _ in kept]
-    assert all(abs(e.probability - w) <= 1e-12 for e, (_, w) in zip(entries, kept))
+    assert all(abs(abs(e.amplitude) ** 2 - w) <= 1e-12 for e, (_, w) in zip(entries, kept))
     return entries
 
 
@@ -119,7 +118,7 @@ def test_criterion_1_ghz_expansions():
         for signs, weight in zip(labels, weights):
             assert abs(weight - abs(complex(exact[signs].evalf())) ** 2) <= tol
         entries = assert_support_table_keeps(ghz, groups, weights)
-        return {e.labels: e.probability for e in entries}
+        return {e.labels: abs(e.amplitude) ** 2 for e in entries}
 
     z_entries = support("zzz")
     assert len(z_entries) == 8
@@ -289,7 +288,7 @@ def _norm_preservation_campaign(cases):
         dim = math.prod(lay.dims[lay.axis(t)] for t in targets)
         u = haar_random_unitary(dim, rng)
         moved = apply_local(u, targets, state)
-        assert abs(moved.norm() - 1.0) <= 1e-10
+        assert abs(np.linalg.norm(moved.amplitudes) - 1.0) <= 1e-10
 
 
 def _projector_completeness_campaign(cases):
@@ -323,7 +322,7 @@ def _collapse_idempotence_campaign(cases):
         # record the collapse tables accept.
         records = Operator(sum(proj.matrix for value, proj in obs.eigenpairs if value))
         psi = apply_local(records, obs.targets, StateVector(lay, random_state(lay.dim, rng)))
-        state = StateVector(lay, psi.amplitudes / psi.norm())
+        state = StateVector(lay, psi.amplitudes / np.linalg.norm(psi.amplitudes))
         # Measuring twice gives outcome (a, b) the weight ‖P_b P_a ψ‖², the
         # eigenvalues running +1, −1 (, 0). The targets lead the state's
         # layout, so P ⊗ 1 lifts a projector onto it.
@@ -332,8 +331,12 @@ def _collapse_idempotence_campaign(cases):
         operators = np.stack([pb @ pa for pa in full for pb in full])
         gram = _site_gram(state.amplitudes[None, :, None], operators[..., None])
         kept, pruned = _signed_outcomes(gram[0, :, 0].real.reshape(n, n))
-        born = distribution(obs, state)
-        assert np.abs(kept - np.diag([born.probability(v) for v in (+1, -1)])).max() <= 1e-10
+        # Against the Born weights ⟨ψ|P ψ⟩ of one measurement.
+        born = {
+            value: np.vdot(state.amplitudes, apply_local(proj, obs.targets, state).amplitudes).real
+            for value, proj in obs.eigenpairs
+        }
+        assert np.abs(kept - np.diag([born[v] for v in (+1, -1)])).max() <= 1e-10
         assert np.count_nonzero(kept) == 2
         assert pruned < SAMPLE_FLOOR
 

@@ -1,11 +1,14 @@
-"""Every public function, class and constant in ``src/gwsim`` has a use in ``src``.
+"""Every public function, class, method and constant in ``src/gwsim`` has a
+use in ``src``.
 
 Code whose only callers are tests is reachable from no ``gwsim`` command.
 The scan is syntactic: a name counts as used where a ``Name`` or
 ``Attribute`` node outside its own definition spells it, in any module but
 ``__init__`` (which only re-exports). Docstrings and ``__all__`` strings are
 constants, so they never count. A constant is a module-level assignment to
-an upper-case name.
+an upper-case name; a method is a public class's public method or property.
+The scan goes by name alone, so a method whose name a variable in ``src``
+also spells counts as used.
 """
 
 import ast
@@ -43,6 +46,15 @@ def _public_definitions(modules):
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
                 yield f"{module}.{node.name}", node.name, node
+
+
+def _public_methods(modules):
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                        yield f"{module}.{cls.name}.{node.name}", node.name, node
 
 
 def _public_constants(modules):
@@ -93,6 +105,30 @@ def test_allowlisted_names_have_no_caller_in_src():
     modules = _modules()
     callerless = _unused(modules, _public_definitions(modules))
     assert sorted(set(ALLOWED_WITHOUT_CALLER) - set(callerless)) == []
+
+
+def test_every_public_method_has_a_caller_in_src():
+    modules = _modules()
+    assert _unused(modules, _public_methods(modules)) == []
+
+
+def test_the_method_scan_sees_public_methods_and_properties():
+    source = (
+        "class K:\n"
+        "    def __new__(cls): return cls.used(cls)\n"
+        "    def used(self): return self.shown\n"
+        "    @property\n"
+        "    def shown(self): return 1\n"
+        "    @property\n"
+        "    def unread(self): return self.unread\n"
+        "    def _private(self): pass\n"
+        "class _Hidden:\n"
+        "    def method(self): pass\n"
+    )
+    modules = {"m": ast.parse(source)}
+    found = [q for q, _, _ in _public_methods(modules)]
+    assert found == ["m.K.used", "m.K.shown", "m.K.unread"]
+    assert _unused(modules, _public_methods(modules)) == ["m.K.unread"]
 
 
 def test_every_public_constant_has_a_reader_in_src():

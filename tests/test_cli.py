@@ -124,7 +124,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "7"
+        assert report["schema_version"] == "8"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -403,27 +403,30 @@ def test_the_ideal_device_needs_no_numpy_linalg(capsys, monkeypatch, argv):
 # reports print is exact or an integer, so the digests hold on any platform.
 # A change that moves a byte edits its pin and says why.
 PINNED_DIGESTS = [
-    ("sweep --models 60 --seed 1 --format json", 0, "1e1ae0f174e80091e080d91028ebec828f305ef66f5b848e48cc1a96b6b77e4a"),
+    ("sweep --models 60 --seed 1 --format json", 0, "48699669c66f1dd835845652eb22216af0888168a9d9cc1f6f4aee959b919009"),
     ("sweep --models 60 --seed 1 --format text", 0, "d6f42495183c615d00db4aa09cccd1a9b901d2ac10a2be436de613b938ceacc1"),
-    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "a1de3816cdbc2f87726cf161b3f5553facc37d34667b8bb5403669e188c8cf83"),
+    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "ca254f057183937b3e13b1de60ebec6bf98dd5d44bdb866009954233b3f89711"),
     ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "f7367267e32318946b74080e1f9652c851561fb400322478b2f4433f09689b99"),
-    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "d8f7843a5eea9b497190dab7bdf43148b116b75fd0dcce604a48932720949d3d"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "3db6f893d10b6adbe650d2d0a7bd56b1e138e374cdd65b5176baae528a2baab0"),
     ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "e0fae9c2e646160f1ee4f5e00de770ea7e279f87eb579b8b2b17640d40d40929"),
-    ("erasure --trials 2000 --seed 1 --format json", 0, "a5cbe51ea0efa0e1c5adabb3990100b42dcf10f45bf442b6aecea2d3c2ab52de"),
+    ("erasure --trials 2000 --seed 1 --format json", 0, "42077b5aba87b9652d43a4c180f3bf6121bc3f588fbcefbbf6a31dc0c7858c8c"),
     ("erasure --trials 2000 --seed 1 --format text", 0, "ef69724258b3a5db865e98ec3d054ddb675c1978c11556325f4cceb3971f5eda"),
-    ("ghz-nogo --format json", 0, "ae17d57a1c9077fddb1a37a5b66dd479f2a46055310263368d6e688b87ff990e"),
+    ("ghz-nogo --format json", 0, "30a2273e0d2ab40084f27fee2774fde33889adacb845d2a094393c1648a9ff1b"),
     ("ghz-nogo --format text", 0, "14605ca7e2ecd6fea3f84103b99e29c3d93b699c37a960b60d67a95f1d0ae1b3"),
-    ("frames --format json", 0, "49016346fb3ff6f88c418c8f0d6bb91f1a488190e79c8a96c2f1abc8d6554d5c"),
-    ("frames --format text", 0, "f15e2fd5e462033b2a7b23444617524b9fd7e944b2dab84df46fa3d560488cba"),
-    ("distinguish --format json", 0, "37ed015d3814b260d66c053ad4584b8495fe74fcd88f7f1e653c6c7e79225c06"),
+    ("frames --format json", 0, "9be391ee059b1113ce2fe3635aad578614cbb3d864bf4c66e71afa4e8f195415"),
+    ("frames --format text", 0, "e20cad287ea3ed625c5048e479a3f371a41d13801306b1218f8fc7756e69dad5"),
+    ("distinguish --format json", 0, "29f3f2bf99242894df0d98de553e69c2615ba7b223b200fdb83078f1ec7b2e06"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
     # Three distinct devices, one per site: no device-dependent work is shared.
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "7372dd9ed7854056dfe3a358b9d2d6dea01f32d2809f110ae20c4c30c3500f9c"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "461bacff1a5c6b9d9f1604cd8b92fa8c67dd2faa2a670fc2b9cc7858c41d069e"),
     ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "b888d250b2eb75163752b5a94da8bbcc84bb7de84f71b025b51abc4a85bc4335"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "4c3778a41a9c828bf5dde8961d879d437977f54862f14a655874c5a31464ab22"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "3dbe4953fb8895aea19a1712643629531faa06ba34478b42e886c68542728a0b"),
     ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "23fb6fab29f8e96a2a1252c944a7c47af4f7d46555c9d6dce84ce888e8b68539"),
-    ("ghz-nogo --model random:7 --format json", 0, "081faab71fa11f62f361f135e93d6b5ffe0d50188950babd5092201bda801407"),
+    ("ghz-nogo --model random:7 --format json", 0, "446588d1171fcf0a28647d66214b63c74c6af43bed4946b74050aa8724ded9f8"),
     ("ghz-nogo --model random:7 --format text", 0, "450d0ce3743c53cd3e49932d01c67be69509753ef146a1ec99bae912c35c26ea"),
+    # A non-ideal recorder: the door sees the branch coherence, so the door check fails.
+    ("distinguish --model random:7 --format json", 1, "7c2892658890aa775678b38142908f6893dce33c857acec3eb9ca6ba7782d9a7"),
+    ("distinguish --model random:7 --format text", 1, "69cea4d93803895e9e996be228db859613dd327e7140954d7e433b36775965f9"),
 ]
 
 

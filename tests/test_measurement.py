@@ -5,23 +5,41 @@ from numpy.testing import assert_allclose
 from gwsim.measurement import (
     MeasurementModel,
     Observable,
-    OutcomeDistribution,
-    collapsed_record_mixture,
+    _door_projectors,
+    _outsider_projectors,
     distinguishability_report,
-    distribution,
-    door_observable,
     haar_random_unitary,
     haar_unitaries,
     ideal_von_neumann,
     measure,
-    outsider_observable,
     pair_index,
 )
-from gwsim.models import trial_rng
-from gwsim.qmath import LayoutError, Operator, StateVector, layout, tensor
-from gwsim.systems import LabLabel, SpinAxis, lab_state, spin_vector
+from gwsim.models import _haar_devices, trial_rng
+from gwsim.qmath import LayoutError, Operator, StateVector, apply_local, layout, tensor
+from gwsim.systems import SITE_FACTORS, LabLabel, SpinAxis, lab_state, spin_vector
 
-from _oracles import entangled_record_state, random_state, random_unitary, spin_observable
+from _oracles import (
+    distinguish_reference,
+    door_observable,
+    entangled_record_state,
+    outsider_observable,
+    random_state,
+    random_unitary,
+    spin_observable,
+)
+
+
+def born(obs: Observable, state: StateVector) -> dict[float, float]:
+    """Re⟨ψ|P ψ⟩ for each eigenvalue's projector P."""
+    return {
+        value: float(np.vdot(state.amplitudes, apply_local(proj, obs.targets, state).amplitudes).real)
+        for value, proj in obs.eigenpairs
+    }
+
+
+def mixture_weights(projectors, vectors) -> list[float]:
+    """½ Σ_v ‖P v‖² for each projector P, one vector at a time."""
+    return [0.5 * sum(float(np.vdot(p @ v, p @ v).real) for v in vectors) for p in projectors]
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
@@ -145,40 +163,44 @@ class TestHaarSampling:
 
 class TestObservables:
     def test_outsider_projector_ranks(self):
-        obs = outsider_observable(ideal_von_neumann())
-        ranks = [int(round(np.trace(p.matrix).real)) for _, p in obs.eigenpairs]
-        assert obs.eigenvalues == (+1.0, -1.0, 0.0)
-        assert ranks == [1, 1, 4]
+        projectors = _outsider_projectors(ideal_von_neumann(), "A")
+        assert [int(round(np.trace(p).real)) for p in projectors] == [1, 1, 4]
 
     def test_outsider_observable_completeness_for_random_models(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
-            obs = outsider_observable(model, "C")
-            total = sum(p.matrix for _, p in obs.eigenpairs)
-            assert_allclose(total, np.eye(6), atol=1e-10)
+            assert_allclose(sum(_outsider_projectors(model, "C")), np.eye(6), atol=1e-10)
 
     def test_outsider_targets_follow_site(self):
-        model = ideal_von_neumann()
-        assert outsider_observable(model, "A").targets == ("L", "A")
-        assert outsider_observable(model, "B").targets == ("M", "B")
-        assert outsider_observable(model, "C").targets == ("N", "C")
+        # The tests' observables hold the package's projectors on the site's factors.
+        rng = np.random.default_rng(26)
+        model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
+        for site in "ABC":
+            outsider, door = outsider_observable(model, site), door_observable(site)
+            assert outsider.targets == SITE_FACTORS[site]
+            assert door.targets == SITE_FACTORS[site][:1]
+            assert outsider.eigenvalues == door.eigenvalues == (+1.0, -1.0, 0.0)
+            for (_, proj), expected in zip(outsider.eigenpairs, _outsider_projectors(model, site)):
+                assert np.array_equal(proj.matrix, expected)
+            for (_, proj), expected in zip(door.eigenpairs, _door_projectors()):
+                assert np.array_equal(np.kron(proj.matrix, np.eye(2)), expected)
 
     def test_door_observable_reads_the_lab_register(self):
-        obs = door_observable("B")
-        assert obs.targets == ("M",)
-        up = lab_state(LabLabel.RECORDED_UP, "M")
-        assert distribution(obs, up).probability(+1.0) == pytest.approx(1.0)
+        # RecordedUp, RecordedDown, Ready: each keeps its lab level, any electron.
+        projectors = _door_projectors()
+        kept = [np.flatnonzero(np.diag(p)).tolist() for p in projectors]
+        assert kept == [[2, 3], [4, 5], [0, 1]]
+        assert np.array_equal(sum(projectors), np.eye(6))
 
     def test_door_on_recorded_up_with_any_electron(self):
-        obs = door_observable()
         rng = np.random.default_rng(25)
         state = tensor(
             lab_state(LabLabel.RECORDED_UP, "L"),
             StateVector(layout("A"), random_state(2, rng)),
         )
-        dist = distribution(obs, state)
-        assert dist.probability(+1.0) == pytest.approx(1.0, abs=1e-12)
+        weights = mixture_weights(_door_projectors(), [np.sqrt(2.0) * state.amplitudes])
+        assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_observable_rejects_duplicate_eigenvalues(self):
         p = np.diag([1.0, 0.0])
@@ -209,43 +231,30 @@ class TestObservables:
 class TestDistributions:
     def test_z_spin_on_x_up_is_even(self):
         x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        dist = distribution(spin_observable(SpinAxis.Z), x_up)
-        assert dist.probability(+1.0) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(-1.0) == pytest.approx(0.5, abs=1e-12)
+        weights = born(spin_observable(SpinAxis.Z), x_up)
+        assert weights == pytest.approx({+1.0: 0.5, -1.0: 0.5}, abs=1e-12)
 
     def test_observable_on_own_eigenstate_is_point_mass(self):
         for sign in (+1, -1):
             eigenstate = StateVector(layout("A"), spin_vector(SpinAxis.Y, sign))
-            dist = distribution(spin_observable(SpinAxis.Y), eigenstate)
-            assert dist.probability(float(sign)) == pytest.approx(1.0, abs=1e-12)
+            assert born(spin_observable(SpinAxis.Y), eigenstate)[sign] == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_observable_on_unitary_record_state(self):
         model = ideal_von_neumann()
-        dist = distribution(outsider_observable(model), entangled_record_state(model))
-        assert dist.probability(+1.0) == pytest.approx(1.0, abs=1e-12)
+        vector = np.sqrt(2.0) * entangled_record_state(model).amplitudes
+        weights = mixture_weights(_outsider_projectors(model, "A"), [vector])
+        assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_pair_observable_on_collapsed_mixture(self):
         model = ideal_von_neumann()
-        dist = distribution(outsider_observable(model), collapsed_record_mixture(model))
-        assert dist.probability(+1.0) == pytest.approx(0.5, abs=1e-12)
-        assert dist.probability(-1.0) == pytest.approx(0.5, abs=1e-12)
+        vectors = [model.recorded_state("A", sign) for sign in (+1, -1)]
+        weights = mixture_weights(_outsider_projectors(model, "A"), vectors)
+        assert weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
     def test_distribution_requires_target_factors_in_state(self):
         z_up = StateVector(layout("A"), spin_vector(SpinAxis.Z, +1))
         with pytest.raises(LayoutError, match="not in layout"):
-            distribution(spin_observable(SpinAxis.Z, "B"), z_up)
-
-    def test_outcome_distribution_validates_total(self):
-        with pytest.raises(ValueError, match="sum"):
-            OutcomeDistribution(((1.0, 0.7), (-1.0, 0.7)))
-        with pytest.raises(ValueError, match="range"):
-            OutcomeDistribution(((1.0, 1.3), (-1.0, -0.3)))
-
-    def test_unknown_eigenvalue_lookup_raises(self):
-        z_up = StateVector(layout("A"), spin_vector(SpinAxis.Z, +1))
-        dist = distribution(spin_observable(SpinAxis.Z), z_up)
-        with pytest.raises(KeyError):
-            dist.probability(2.0)
+            measure(spin_observable(SpinAxis.Z, "B"), z_up, np.random.default_rng(0))
 
 
 class TestMeasure:
@@ -272,7 +281,7 @@ class TestMeasure:
         rng = np.random.default_rng(28)
         state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
         _, post = measure(spin_observable(SpinAxis.Z), state, rng)
-        assert post.norm() == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_soundness_within_binomial_band(self):
         rng = np.random.default_rng(29)
@@ -346,3 +355,19 @@ class TestDistinguishabilityReport:
         model = MeasurementModel((haar_random_unitary(6, np.random.default_rng(31)),) * 3)
         table = distinguishability_report(model)["distributions"]
         assert table["pair_x"]["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_ideal_table_equals_the_dense_reference_exactly(self):
+        model = ideal_von_neumann()
+        assert distinguishability_report(model)["distributions"] == distinguish_reference(model)
+
+    def test_haar_tables_match_the_dense_reference(self):
+        # ‖P v‖² and ⟨v|P v⟩ differ by rounding only where U is not exactly unitary.
+        for devices in _haar_devices(12, range(20)):
+            model = MeasurementModel(tuple(map(Operator, devices)))
+            table = distinguishability_report(model)["distributions"]
+            reference = distinguish_reference(model)
+            for name, rows in reference.items():
+                for state, expected in rows.items():
+                    assert table[name][state].keys() == expected.keys()
+                    for value, weight in expected.items():
+                        assert abs(table[name][state][value] - weight) <= 1e-15

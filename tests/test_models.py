@@ -18,9 +18,11 @@ import gwsim.systems
 from _oracles import (
     box_muller_normals,
     collapse_branches_reference,
+    door_observable,
     draw_reference,
     entangled_record_state,
     outcome_indices,
+    outsider_observable,
     random_state,
     sample_round_born,
     sample_sequential_collapse,
@@ -32,10 +34,8 @@ from gwsim.cli import _build_model
 from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
-    door_observable,
     haar_random_unitary,
     ideal_von_neumann,
-    outsider_observable,
     pair_index,
 )
 from gwsim.models import (
@@ -318,7 +318,7 @@ def quarter_weight_pairs(model) -> list[tuple[float, float]]:
             entries, constraint = support_constraint(evolve_to(s, frames[name], k), rnd, model)
             if constraint is not None:
                 weights = dict(zip(table.labels, table.weights[0]))
-                pairs += [(weights[e.labels], e.probability) for e in entries]
+                pairs += [(weights[e.labels], abs(e.amplitude) ** 2) for e in entries]
     return pairs
 
 

@@ -8,7 +8,6 @@ from gwsim.qmath import (
     FACTOR_DIMS,
     BasisGroup,
     LayoutError,
-    MixedState,
     Operator,
     StateVector,
     apply_local,
@@ -63,12 +62,6 @@ def test_state_vector_is_read_only():
         state.amplitudes[0] = 0.5
 
 
-def test_norm_and_probabilities():
-    state = StateVector(layout("A"), np.array([3.0, 4.0]) / 5.0)
-    assert state.norm() == pytest.approx(1.0)
-    assert_allclose(state.probabilities(), [0.36, 0.64])
-
-
 def test_tensor_matches_kron_and_concatenates_layouts():
     rng = np.random.default_rng(10)
     a = StateVector(layout("L"), random_state(3, rng))
@@ -118,7 +111,7 @@ def test_apply_local_preserves_norm_for_unitaries():
         targets = tuple(rng.choice(names, size=k, replace=False))
         dim = int(np.prod([FACTOR_DIMS[t] for t in targets]))
         out = apply_local(Operator(random_unitary(dim, rng)), targets, state)
-        assert out.norm() == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_permute_factors_round_trip():
@@ -179,31 +172,6 @@ def test_state_vector_does_not_alias_a_one_dimensional_callers_array():
     state = StateVector(CANONICAL_LAYOUT, b)
     b[0] = 5
     assert state.amplitudes[0] == 1 and not state.amplitudes.flags.writeable
-
-
-def test_mixed_state_weight_validation():
-    state = StateVector(layout("A"), np.array([1.0, 0.0]))
-    MixedState(((0.5, state), (0.5, state)))
-    with pytest.raises(ValueError, match="sum"):
-        MixedState(((0.6, state), (0.5, state)))
-    with pytest.raises(ValueError, match="weight"):
-        MixedState(((-0.1, state), (1.1, state)))
-
-
-def test_mixed_state_weighs_unnormalised_components_by_their_squared_norm():
-    doubled = StateVector(layout("A"), np.array([1.0, 1.0]))  # √2·|+1_x>
-    assert MixedState(((0.5, doubled),)).components[0][1] is doubled
-    with pytest.raises(ValueError, match="sum"):
-        MixedState(((1.0, doubled),))
-    with pytest.raises(ValueError, match="sum"):
-        MixedState(((0.5, doubled), (0.5, doubled)))
-
-
-def test_mixed_state_requires_common_layout():
-    a = StateVector(layout("A"), np.array([1.0, 0.0]))
-    b = StateVector(layout("B"), np.array([1.0, 0.0]))
-    with pytest.raises(LayoutError, match="layout"):
-        MixedState(((0.5, a), (0.5, b)))
 
 
 def test_basis_group_rejects_non_orthonormal_columns():
@@ -273,7 +241,8 @@ def test_tensor_norm_is_multiplicative(seed):
     b = rng.normal(size=2) + 1j * rng.normal(size=2)
     sa = StateVector(layout("L"), a / max(np.linalg.norm(a), 1e-6) * 0.5)
     sb = StateVector(layout("A"), b / max(np.linalg.norm(b), 1e-6) * 0.25)
-    assert tensor(sa, sb).norm() == pytest.approx(sa.norm() * sb.norm(), rel=1e-9)
+    norm = [np.linalg.norm(s.amplitudes) for s in (tensor(sa, sb), sa, sb)]
+    assert norm[0] == pytest.approx(norm[1] * norm[2], rel=1e-9)
 
 
 def random_stack(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:

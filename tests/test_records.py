@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gwsim.cli
-from gwsim.measurement import OutcomeDistribution, door_observable, ideal_von_neumann
+from gwsim.measurement import ideal_von_neumann
 from gwsim.models import (
     InterpretationModel,
     SweepModelResult,
@@ -19,7 +19,7 @@ from gwsim.models import (
     erasure_experiment,
     run_model,
 )
-from gwsim.qmath import BasisGroup, MixedState, Operator, StateVector, layout
+from gwsim.qmath import BasisGroup, Operator, StateVector, layout
 from gwsim.scenario import (
     ParityConstraint,
     analyze_stack,
@@ -28,6 +28,8 @@ from gwsim.scenario import (
 )
 from gwsim.spacetime import CheckResult, Frame, SpacetimePoint
 from gwsim.systems import SupportEntry
+
+from _oracles import door_observable
 
 
 def _records() -> dict:
@@ -42,12 +44,10 @@ def _records() -> dict:
         "FactorLayout": (layout("A"), "names"),
         "StateVector": (state, "amplitudes"),
         "Operator": (Operator(np.eye(2)), "matrix"),
-        "MixedState": (MixedState(((1.0, state),)), "components"),
         "BasisGroup": (BasisGroup(("A",), (+1, -1), np.eye(2)), "vectors"),
         "SupportEntry": (SupportEntry((+1,), 1.0), "amplitude"),
         "MeasurementModel": (schedule.model, "site_unitaries"),
         "Observable": (door_observable(), "eigenpairs"),
-        "OutcomeDistribution": (OutcomeDistribution(((1.0, 1.0),)), "pairs"),
         "SpacetimePoint": (SpacetimePoint(0.0, (0.0, 0.0)), "t"),
         "Frame": (frames["sigma_p"], "velocity"),
         "GeometrySpec": (schedule.geometry, "t1"),

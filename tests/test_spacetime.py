@@ -39,8 +39,10 @@ def test_standard_geometry_coordinates():
 
 
 def test_standard_geometry_side_length():
-    assert standard_geometry(10.0, 1.0).side == pytest.approx(10.0, abs=1e-12)
-    assert standard_geometry(1000.0, 1.0).side == pytest.approx(1000.0, rel=1e-12)
+    g = standard_geometry(10.0, 1.0)
+    assert math.dist(g.x_a, g.x_b) == pytest.approx(10.0, abs=1e-12)
+    g = standard_geometry(1000.0, 1.0)
+    assert math.dist(g.x_a, g.x_b) == pytest.approx(1000.0, rel=1e-12)
 
 
 # The check each bad tau fails at side 10 (among others it may fail too).
@@ -290,9 +292,19 @@ def test_geometry_is_scale_free_where_squared_lengths_leave_float_range(side):
         orderings = _orderings(side, side / 10.0)
     assert [name for name, r in results.items() if not r.passed] == []
     assert orderings == _orderings(10.0, 1.0)
-    assert g.side == pytest.approx(side, rel=1e-12)
+    assert math.dist(g.x_a, g.x_b) == pytest.approx(side, rel=1e-12)
     detail = results["cross_lab_spacelike"].detail
     assert "inf" not in detail and " at (" in detail
+
+
+@pytest.mark.parametrize("side", [10.0, 1e-10, 1e10])
+def test_the_cross_lab_detail_names_one_pair_at_every_scale(side):
+    # The largest cross-lab intervals tie by symmetry; rounding must not pick
+    # which of them the detail names.
+    tau = side / 10.0
+    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))}
+    detail = results["cross_lab_spacelike"].detail
+    assert detail.endswith(f" at ({tau:g},A)–({2.0 * tau:g},B)")
 
 
 def test_point_rejects_non_finite_coordinates():
@@ -339,7 +351,7 @@ def test_the_tilted_check_passes_exactly_when_the_tilted_frames_build(side, buil
 
 def test_standard_geometry_accepts_the_smallest_normal_side():
     g = standard_geometry(sys.float_info.min, sys.float_info.min / 10.0)
-    assert g.side == pytest.approx(sys.float_info.min, rel=1e-12)
+    assert math.dist(g.x_a, g.x_b) == pytest.approx(sys.float_info.min, rel=1e-12)
 
 
 def test_an_unbounded_simultaneity_solve_is_no_boost_and_no_warning():

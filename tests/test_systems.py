@@ -38,7 +38,7 @@ def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
     """(amplitude, weight) of each possible outcome tuple: ``support_table``'s
     entries."""
     entries, _ = support_table(state, groups)
-    return {e.labels: (e.amplitude, e.probability) for e in entries}
+    return {e.labels: (e.amplitude, abs(e.amplitude) ** 2) for e in entries}
 
 
 def ghz_expansion(axes) -> dict[tuple, tuple[complex, float]]:
@@ -81,7 +81,7 @@ def test_ghz_state_matches_symbolic_oracle():
 
 
 def test_ghz_state_is_normalized():
-    assert ghz_state().norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(ghz_state().amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ def test_lab_states_are_basis_vectors():
 def test_initial_scenario_state_layout_and_content():
     state = initial_scenario_state()
     assert state.layout == CANONICAL_LAYOUT
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     # Lab factors are all |ready>: expanding each lab in its own basis puts
     # every bit of weight on the ready label.
     groups = [
