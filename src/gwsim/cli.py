@@ -23,9 +23,9 @@ from .models import (
     MAX_MODELS,
     MAX_TRIALS,
     MODES,
-    QUARTER_TOL,
     erasure_experiment,
     nonideal_sweep,
+    quarter_support,
     run_model,
     _haar_devices,
 )
@@ -34,7 +34,6 @@ from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     OUTCOME_SIGNS,
-    analyze_stack,
     build_schedule,
     checked_schedule,
     collect_constraints,
@@ -219,22 +218,16 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     model = _build_model(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     schedule = build_schedule(side, tau, model)
+    analysed, found = collect_constraints(schedule)
+    names = {frame: name for name, frame in schedule.frames.items()}
 
     tables = []
-    constraints = []
-    support_ok = True
-    orderings = {name: order_events(schedule, f) for name, f in schedule.frames.items()}
-    for table in analyze_stack(model, orderings):
-        constraint = table.constraint(0)
-        if constraint is None or constraint in constraints:
-            continue
-        constraints.append(constraint)
+    for constraint, table in found.items():
         possible = table.possible[0]
         probabilities = table.weights[0][possible].tolist()
-        support_ok &= all(abs(p - 0.25) <= QUARTER_TOL for p in probabilities)
         tables.append(
             {
-                "frame": table.frame,
+                "frame": names[table.frame],
                 "slots": list(constraint.slots),
                 "entries": [
                     {"labels": list(labels), "probability": p}
@@ -244,10 +237,11 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
             }
         )
 
+    constraints = list(found)
     checks = [
         _check(
             "support_tables_quarter",
-            support_ok and all(len(t["entries"]) == 4 for t in tables),
+            quarter_support(analysed)[0] and all(len(t["entries"]) == 4 for t in tables),
             "every constrained round has 4 outcome tuples of weight 1/4",
         ),
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),
@@ -375,7 +369,7 @@ def cmd_run(config: dict) -> dict:
         report = run_model(schedule, preferred, trials, seed)
         constraints = report.constraints
     else:
-        constraints = collect_constraints(schedule, schedule.frames)
+        constraints = list(collect_constraints(schedule)[1])
     satisfying = len(enumerate_assignments(constraints))
 
     checks = [

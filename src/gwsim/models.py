@@ -62,11 +62,9 @@ from .scenario import (
     ParityConstraint,
     RoundTable,
     Schedule,
-    analyze_stack,
     build_schedule,
-    distinct_constraints,
+    collect_constraints,
     enumerate_assignments,
-    order_events,
     round_slots,
     violation_mask,
     _born_weights,
@@ -343,19 +341,17 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
 def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
     """Draw ``trials`` complete outcome assignments and tally violations.
 
-    One ``analyze_stack`` pass over ``s.model`` covers the four standard
-    frames and ``m.preferred``. Constraints are those the standard frames
-    yield; the preferred mask marks the ones ``m.preferred``'s own rounds
-    yield.
+    One ``collect_constraints`` call, with ``m.preferred`` as its extra
+    frame, gives the standard frames' constraints and the preferred frame's
+    tables; a preferred frame equal to a standard frame is analysed once. The
+    preferred mask marks the constraints ``m.preferred``'s own rounds yield.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
-    standard = list(s.frames.values())
-    orderings = {f: order_events(s, f) for f in dict.fromkeys(standard + [m.preferred])}
-    tables = analyze_stack(s.model, orderings)
-    constraints = tuple(distinct_constraints(t for t in tables if t.frame in standard))
+    tables, found = collect_constraints(s, extra=(m.preferred,))
+    constraints = tuple(found)
     preferred_tables = [t for t in tables if t.frame == m.preferred]
-    preferred = set(distinct_constraints(preferred_tables))
+    preferred = {t.constraint(0) for t in preferred_tables}
     preferred_mask = tuple(c in preferred for c in constraints)
 
     if m.mode == "round_born":
@@ -437,6 +433,13 @@ CANONICAL_CONSTRAINT_KEYS = frozenset(
 )
 
 
+def quarter_support(tables) -> np.ndarray:
+    """(M,) bool: per model, whether every round that yields it a constraint
+    gives each of its possible tuples weight 1/4 within QUARTER_TOL."""
+    off = [(t.possible & (np.abs(t.weights - 0.25) > QUARTER_TOL)).any(axis=1) for t in tables]
+    return ~np.any([(t.products != 0) & o for t, o in zip(tables, off)], axis=0)
+
+
 def _haar_devices(seed: int, indices) -> np.ndarray:
     """The three Haar-random device unitaries of each model i in ``indices``,
     shape (M, 3, 6, 6), from 216 standard normals of its own Philox stream,
@@ -493,15 +496,13 @@ def nonideal_sweep(
     spawn-keyed Philox stream, so its devices do not depend on ``n_models``.
     Each block of ``SWEEP_BLOCK`` models is one stacked draw, one stacked QR,
     one stacked model (unitarity checked once per site) and one
-    ``analyze_stack`` pass, so memory stays flat in ``n_models`` but for the
-    results. Each model must yield the four constraints, no satisfying
-    assignment, and constraint-bearing rounds of tuples weighing 1/4 within
-    QUARTER_TOL.
+    ``collect_constraints`` pass, so memory stays flat in ``n_models`` but for
+    the results. Each model must yield the four constraints, no satisfying
+    assignment, and ``quarter_support``.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
     schedule = build_schedule(side, tau, ideal_von_neumann())
-    orderings = {name: order_events(schedule, frame) for name, frame in schedule.frames.items()}
     ideal = np.stack([u.matrix for u in schedule.model.site_unitaries])[None]
     outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
     results = []
@@ -511,11 +512,9 @@ def nonideal_sweep(
         if start == 0:
             unitaries = np.concatenate([ideal, unitaries])
         stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))
-        tables = analyze_stack(stacked, orderings)
+        tables, _ = collect_constraints(schedule._replace(model=stacked))
         products = np.stack([table.products for table in tables], axis=1)
-        off_quarter = [t.possible & (np.abs(t.weights - 0.25) > QUARTER_TOL) for t in tables]
-        bad = (products != 0) & np.stack([off.any(axis=1) for off in off_quarter], axis=1)
-        for index, (row, ok) in enumerate(zip(products, ~bad.any(axis=1)), start):
+        for index, (row, ok) in enumerate(zip(products, quarter_support(tables)), start):
             if (key := row.tobytes()) not in outcomes:
                 found = {(round_slots(t.events), int(p)) for t, p in zip(tables, row) if p}
                 satisfying = enumerate_assignments([ParityConstraint(*c) for c in found])

@@ -14,10 +14,11 @@ its own device), so the pass never builds the 216-dim vector. Its
 tuples are possible at all (have nonzero Born weight).
 
 Whenever every possible tuple of a round shares a single product parity, the
-round yields a ParityConstraint. Collecting these over the rest frame and the
-three tilted frames yields four constraints over the six outcome slots that
-no assignment of ±1 values satisfies — the frame-by-frame form of the GHZ
-contradiction, obtained here by brute force over ``OUTCOME_SIGNS``.
+round yields a ParityConstraint. ``collect_constraints``, the one analysis
+that ``ghz-nogo``, ``run`` and ``sweep`` read, finds four over the rest frame
+and the three tilted frames that no assignment of ±1 values to the six
+outcome slots satisfies: the frame-by-frame GHZ contradiction, found by brute
+force over ``OUTCOME_SIGNS``.
 """
 
 from __future__ import annotations
@@ -383,24 +384,29 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     return tables
 
 
-def distinct_constraints(tables) -> list[ParityConstraint]:
+def distinct_constraints(tables) -> dict[ParityConstraint, RoundTable]:
     """Model 0's constraints over the analysed rounds, each once, in the order
-    first found."""
-    found = (table.constraint(0) for table in tables)
-    return list(dict.fromkeys(c for c in found if c is not None))
+    first found, each mapped to the first table that yields it."""
+    found: dict[ParityConstraint, RoundTable] = {}
+    for table in tables:
+        constraint = table.constraint(0)
+        if constraint is not None:
+            found.setdefault(constraint, table)
+    return found
 
 
-def collect_constraints(s: Schedule, frames) -> list[ParityConstraint]:
-    """Parity constraints from every round of every frame, deduplicated.
-
-    Pass the four standard frames to reproduce the full contradiction; any
-    subset yields the constraints visible from those frames alone.
+def collect_constraints(s: Schedule, extra=()) -> tuple[list[RoundTable], dict]:
+    """The one analysis of the standard frames: every table of one
+    ``analyze_stack`` pass over ``s.model`` on ``s.frames`` and each ``extra``
+    frame not already among them (tables keyed by ``Frame``), and model 0's
+    distinct constraints over the standard frames alone, in the order first
+    found, each mapped to the table that first yields it; that table's
+    ``.frame`` and ``.events`` name the frame and the round.
     """
-    if isinstance(frames, dict):
-        frames = list(frames.values())
-    return distinct_constraints(
-        analyze_stack(s.model, {i: order_events(s, f) for i, f in enumerate(frames)})
-    )
+    standard = list(s.frames.values())
+    frames = dict.fromkeys(standard + list(extra))
+    tables = analyze_stack(s.model, {f: order_events(s, f) for f in frames})
+    return tables, distinct_constraints(t for t in tables if t.frame in standard)
 
 
 def violation_mask(constraints) -> np.ndarray:

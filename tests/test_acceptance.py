@@ -204,7 +204,7 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
         assert np.all(np.abs(probabilities - 0.25) <= 1e-10)
     assert found == {name: [expected] for name, expected in expected_by_frame.items()}
 
-    constraints = collect_constraints(schedule, frames)
+    constraints = list(collect_constraints(schedule)[1])
     assert len(constraints) == 4
     assert {(c.slots, c.required_product) for c in constraints} == set(
         expected_by_frame.values()

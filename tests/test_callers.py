@@ -12,11 +12,13 @@ also spells counts as used.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import gwsim
 
 SRC = Path(gwsim.__file__).parent
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Kept without a caller in src, each for a stated reason.
 ALLOWED_WITHOUT_CALLER = {
@@ -145,6 +147,14 @@ def test_the_constant_scan_sees_module_level_constants():
 def test_allowlist_names_only_existing_definitions():
     defined = {qualified for qualified, _, _ in _public_definitions(_modules())}
     assert set(ALLOWED_WITHOUT_CALLER) <= defined
+
+
+def test_readme_names_every_allowlisted_entry():
+    # The README item that introduces the allowlist names each entry's function.
+    items = re.split(r"\n(?:\n|\* )", README.read_text(encoding="utf-8"))
+    (item,) = [text for text in items if "`ALLOWED_WITHOUT_CALLER`" in text]
+    unnamed = [q for q in ALLOWED_WITHOUT_CALLER if f"`{q.rpartition('.')[2]}`" not in item]
+    assert unnamed == []
 
 
 def test_every_exported_name_resolves():

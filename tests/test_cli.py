@@ -427,6 +427,16 @@ PINNED_DIGESTS = [
     # A non-ideal recorder: the door sees the branch coherence, so the door check fails.
     ("distinguish --model random:7 --format json", 1, "7c2892658890aa775678b38142908f6893dce33c857acec3eb9ca6ba7782d9a7"),
     ("distinguish --model random:7 --format text", 1, "69cea4d93803895e9e996be228db859613dd327e7140954d7e433b36775965f9"),
+    # The standard frames' analysis read without trials, with a constraint
+    # dropped, and for a Haar device and a stacked sweep at another geometry.
+    ("run --trials 0 --format json", 0, "2eb864238b5f52400fe5c1d828d296b3110c73b380cd6debc6c41ba1f57d2b26"),
+    ("run --trials 0 --format text", 0, "f80367970bdecbdbcc55fa3e623bcf4ac40c8eee040bd89a4dd3e2be54d807d2"),
+    ("ghz-nogo --drop-constraint 2 --format json", 0, "23489dff5009fde374385bd29f6c83a1fc9c6825276ab83e44b7f1f1b5bc3b60"),
+    ("ghz-nogo --drop-constraint 2 --format text", 0, "ce0c742c3c92e65fc0950f9017dcf2f6ef943feda9c6c77c3f00676aa155b2a9"),
+    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "97127d8ee992775ad8956366f1b5ab93c8831ea507e4981d1355daa4f246804b"),
+    ("ghz-nogo --model random:7 --side 3 --tau 2 --format text", 0, "7af1cc06d899ee487ab53636a104fce5b6e5aaf831ee8dfd0b3935a9952bb2ea"),
+    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "237851661117fbcc07ccaa97c0a7f6517fac80a244467f7723def59e37dcc555"),
+    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
 ]
 
 
@@ -712,6 +722,33 @@ class TestSweep:
         monkeypatch.setattr(gwsim.cli, "nonideal_sweep", started)
         with pytest.raises(Started, match=f"^{MAX_MODELS}$"):
             main(["sweep", "--models", str(MAX_MODELS)])
+
+
+@pytest.mark.parametrize("spec", ["ideal", "random:7"])
+def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
+    lists = []
+    for argv in (["ghz-nogo"], ["run", "--trials", "0"], ["run", "--trials", "50"]):
+        code, report = run_json(capsys, *argv, "--model", spec)
+        assert code == 0
+        lists.append(report["results"]["constraints"])
+    assert lists[0] == lists[1] == lists[2]
+    assert len(lists[0]) == 4
+
+    # The sweep's model 0, with this device in place of the ideal one.
+    device = gwsim.cli._build_model({"model": _parse_model_spec(spec)})
+    monkeypatch.setattr(gwsim.models, "ideal_von_neumann", lambda: device)
+    found, collect = [], gwsim.models.collect_constraints
+
+    def recorded(schedule):
+        tables, constraints = collect(schedule)
+        found.append(constraints)
+        return tables, constraints
+
+    monkeypatch.setattr(gwsim.models, "collect_constraints", recorded)
+    code, report = run_json(capsys, "sweep", "--models", "2")
+    assert code == 0 and report["results"]["models"][0]["constraints_match"]
+    assert len(found) == 1
+    assert [gwsim.cli._constraint_dict(c) for c in found[0]] == lists[0]
 
 
 def test_a_closed_stdout_ends_the_report_quietly():

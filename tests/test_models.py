@@ -61,6 +61,7 @@ from gwsim.scenario import (
     analyze_stack,
     build_schedule,
     collect_constraints,
+    distinct_constraints,
     enumerate_assignments,
     evolve_to,
     order_events,
@@ -142,8 +143,8 @@ class TestViolationMask:
         rows = [(-1, -1, -1, +1, +1, -1), (+1, +1, +1, +1, -1, +1)]
         assert mask[outcome_indices(rows)].tolist() == [[False, True], [True, False]]
 
-    def test_agrees_with_the_per_row_check_on_every_row(self, schedule, frames):
-        constraints = collect_constraints(schedule, frames)
+    def test_agrees_with_the_per_row_check_on_every_row(self, schedule):
+        constraints = list(collect_constraints(schedule)[1])
         mask = violation_mask(constraints)
         for index, signs in enumerate(OUTCOME_SIGNS):
             assert born_violation_check(signs, constraints) == tuple(mask[index])
@@ -381,7 +382,7 @@ class TestNonidealSweep:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(gwsim.models, "order_events")
+        counted(gwsim.scenario, "order_events")
         counted(gwsim.spacetime, "boost_for_simultaneity")
         report = nonideal_sweep(n_models, seed=3)
         assert report.all_passed
@@ -462,13 +463,13 @@ class TestNonidealSweep:
 
 def test_run_model_analyses_once(schedule, frames, monkeypatch):
     calls = []
-    original = gwsim.models.analyze_stack
+    original = gwsim.scenario.analyze_stack
 
     def counting(model, orderings):
         calls.append((model, list(orderings)))
         return original(model, orderings)
 
-    monkeypatch.setattr(gwsim.models, "analyze_stack", counting)
+    monkeypatch.setattr(gwsim.scenario, "analyze_stack", counting)
     for mode in MODES:
         report = run_model(schedule, InterpretationModel(mode, frames["sigma_p"]), 10, seed=1)
         assert report.preferred_mask == (False, True, False, False)
@@ -477,11 +478,11 @@ def test_run_model_analyses_once(schedule, frames, monkeypatch):
     assert all(model is schedule.model for model, _ in calls)
 
 
-def test_run_model_accepts_a_nonstandard_preferred_frame(schedule, frames):
+def test_run_model_accepts_a_nonstandard_preferred_frame(schedule):
     # A generic frame has singleton rounds: it adds no constraint of its own.
     generic = Frame((0.3, -0.2))
     report = run_model(schedule, InterpretationModel("round_born", generic), 10, seed=1)
-    assert report.constraints == tuple(collect_constraints(schedule, frames))
+    assert report.constraints == tuple(collect_constraints(schedule)[1])
     assert report.preferred_mask == (False,) * 4
     assert abs(report.probabilities.sum() - 1.0) <= 1e-12
 
@@ -556,7 +557,7 @@ class TestExactTables:
         self, table_schedules, spec, frame
     ):
         s = table_schedules[spec]
-        preferred = collect_constraints(s, [s.frames[frame]])
+        preferred = list(distinct_constraints(preferred_rounds(s, s.frames[frame])))
         assert preferred
         probabilities, _ = self._table(table_schedules, spec, frame, "round_born")
         for index, signs in enumerate(OUTCOME_SIGNS):

@@ -261,9 +261,10 @@ class TestRoundTables:
         table = ideal_tables["sigma"][1]
         flipped = table._replace(products=-table.products)
         assert flipped.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), +1)
-        assert distinct_constraints([flipped, table._replace(products=0 * table.products)]) == [
-            ParityConstraint(("x_A", "x_B", "x_C"), +1)
-        ]
+        later = flipped._replace(frame="sigma_p")
+        found = distinct_constraints([flipped, table._replace(products=0 * table.products), later])
+        assert list(found) == [ParityConstraint(("x_A", "x_B", "x_C"), +1)]
+        assert found[ParityConstraint(("x_A", "x_B", "x_C"), +1)] is flipped
 
     def test_two_slot_round_is_unconstrained(self, ideal_tables):
         table = ideal_tables["sigma_p"][2]
@@ -273,8 +274,8 @@ class TestRoundTables:
 
 
 class TestCollectConstraints:
-    def test_four_frames_give_the_canonical_quartet(self, schedule, frames):
-        constraints = collect_constraints(schedule, frames)
+    def test_four_frames_give_the_canonical_quartet(self, schedule):
+        _, constraints = collect_constraints(schedule)
         assert {(c.slots, c.required_product) for c in constraints} == {
             (("x_A", "x_B", "x_C"), -1),
             (("x_A", "z_B", "z_C"), +1),
@@ -285,11 +286,25 @@ class TestCollectConstraints:
 
     def test_no_frames_give_no_tables_and_no_constraints(self, schedule):
         assert analyze_stack(schedule.model, {}) == []
-        assert collect_constraints(schedule, []) == []
+        assert distinct_constraints(analyze_stack(schedule.model, {})) == {}
 
-    def test_accepts_a_plain_frame_list(self, schedule, frames):
-        constraints = collect_constraints(schedule, [frames["sigma"], frames["sigma"]])
-        assert constraints == [ParityConstraint(("x_A", "x_B", "x_C"), -1)]
+    def test_accepts_a_plain_frame_list(self, schedule, frames, monkeypatch):
+        # A standard frame given as an extra, even twice, adds no pass and no rounds.
+        plain, standard = collect_constraints(schedule)
+        calls, ordered = [], []
+        analyze, order = gwsim.scenario.analyze_stack, gwsim.scenario.order_events
+
+        def counting(model, orderings):
+            calls.append((model, list(orderings)))
+            return analyze(model, orderings)
+
+        monkeypatch.setattr(gwsim.scenario, "analyze_stack", counting)
+        monkeypatch.setattr(gwsim.scenario, "order_events", lambda s, f: ordered.append(f) or order(s, f))
+        tables, constraints = collect_constraints(schedule, [frames["sigma_pp"]] * 2)
+        assert calls == [(schedule.model, list(frames.values()))]
+        assert ordered == list(frames.values())
+        assert [(t.frame, t.events) for t in tables] == [(t.frame, t.events) for t in plain]
+        assert list(constraints) == list(standard)
 
     @pytest.mark.parametrize(
         "name,slots,product",
@@ -303,14 +318,44 @@ class TestCollectConstraints:
     def test_each_frame_contributes_one_constraint(
         self, schedule, frames, name, slots, product
     ):
-        constraints = collect_constraints(schedule, [frames[name]])
-        assert constraints == [ParityConstraint(slots, product)]
+        orderings = {name: order_events(schedule, frames[name])}
+        constraints = distinct_constraints(analyze_stack(schedule.model, orderings))
+        assert list(constraints) == [ParityConstraint(slots, product)]
+
+    def test_a_generic_extra_frame_adds_only_its_own_rounds(self, schedule, frames):
+        generic = Frame((0.3, -0.2))
+        plain, standard = collect_constraints(schedule)
+        tables, constraints = collect_constraints(schedule, extra=(generic,))
+        own = [(generic, rnd) for rnd in order_events(schedule, generic)]
+        assert [(t.frame, t.events) for t in tables] == [(t.frame, t.events) for t in plain] + own
+        assert all(t.constraint(0) is None for t in tables[len(plain) :])
+        assert list(constraints) == list(standard)
+        assert {t.frame for t in constraints.values()} == set(frames.values())
+
+    def test_an_extra_frames_constraint_is_not_counted(self, schedule, frames):
+        # sigma_p's outsider-and-friends round bears a constraint; as the
+        # extra frame of a schedule whose one standard frame is sigma, it is
+        # analysed but not collected.
+        only_sigma = schedule._replace(frames={"sigma": frames["sigma"]})
+        tables, constraints = collect_constraints(only_sigma, extra=(frames["sigma_p"],))
+        extra = ParityConstraint(("x_A", "z_B", "z_C"), +1)
+        assert any(t.frame == frames["sigma_p"] and t.constraint(0) == extra for t in tables)
+        assert list(constraints) == [ParityConstraint(("x_A", "x_B", "x_C"), -1)]
+
+    @pytest.mark.parametrize("spec", [{"kind": "ideal", "seed": 0}, {"kind": "random", "seed": 7}])
+    def test_each_constraint_maps_to_the_first_table_yielding_it(self, spec):
+        schedule = build_schedule(10.0, 1.0, _build_model({"model": spec}))
+        tables, constraints = collect_constraints(schedule)
+        assert len(constraints) == 4
+        for constraint, table in constraints.items():
+            assert table is next(t for t in tables if t.constraint(0) == constraint)
+            assert table.frame in schedule.frames.values()
 
     def test_reproduced_by_a_random_device_model(self):
         rng = np.random.default_rng(7)
         model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
         schedule = build_schedule(10.0, 1.0, model)
-        constraints = collect_constraints(schedule, schedule.frames)
+        _, constraints = collect_constraints(schedule)
         assert {(c.slots, c.required_product) for c in constraints} == {
             (("x_A", "x_B", "x_C"), -1),
             (("x_A", "z_B", "z_C"), +1),
@@ -432,7 +477,7 @@ def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     assert len(one) == len(three) == 11
     for a, b in zip(one, three):
         assert np.array_equal(a.weights, b.weights) and np.array_equal(a.products, b.products)
-    assert distinct_constraints(one) == distinct_constraints(three)
+    assert list(distinct_constraints(one)) == list(distinct_constraints(three))
     collapse = [sequential_collapse_distribution(m) for m in (shared, copies)]
     assert np.array_equal(collapse[0][0], collapse[1][0]) and collapse[0][1] == collapse[1][1]
     assert len(built) == 1 + 3  # one collapse factor per distinct device
@@ -602,8 +647,8 @@ class TestEnumerateAssignments:
         assert len(rows) == 64
         assert rows.shape == (64, len(CANONICAL_SLOTS)) and rows.dtype == np.int8
 
-    def test_matches_the_exhaustive_loop(self, schedule, frames):
-        canonical = collect_constraints(schedule, frames)
+    def test_matches_the_exhaustive_loop(self, schedule):
+        canonical = list(collect_constraints(schedule)[1])
         cases = [
             list(subset)
             for n in range(len(canonical) + 1)
@@ -623,12 +668,12 @@ class TestEnumerateAssignments:
             expected = np.array(expected, dtype=np.int8).reshape(-1, len(CANONICAL_SLOTS))
             assert np.array_equal(enumerate_assignments(constraints), expected)
 
-    def test_full_quartet_is_unsatisfiable(self, schedule, frames):
-        constraints = collect_constraints(schedule, frames)
+    def test_full_quartet_is_unsatisfiable(self, schedule):
+        constraints = list(collect_constraints(schedule)[1])
         assert enumerate_assignments(constraints).shape == (0, len(CANONICAL_SLOTS))
 
-    def test_dropping_any_one_constraint_leaves_eight(self, schedule, frames):
-        constraints = collect_constraints(schedule, frames)
+    def test_dropping_any_one_constraint_leaves_eight(self, schedule):
+        constraints = list(collect_constraints(schedule)[1])
         for skip in range(4):
             kept = [c for i, c in enumerate(constraints) if i != skip]
             assert len(enumerate_assignments(kept)) == 8
