@@ -217,9 +217,7 @@ def _pruned_weight_check(pruned: float) -> dict:
 def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     model = _build_model(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
-    schedule = build_schedule(side, tau, model)
-    analysed, found = collect_constraints(schedule)
-    names = {frame: name for name, frame in schedule.frames.items()}
+    analysed, found = collect_constraints(build_schedule(side, tau), model)
 
     tables = []
     for constraint, table in found.items():
@@ -227,7 +225,7 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
         probabilities = table.weights[0][possible].tolist()
         tables.append(
             {
-                "frame": names[table.frame],
+                "frame": table.frame,
                 "slots": list(constraint.slots),
                 "entries": [
                     {"labels": list(labels), "probability": p}
@@ -323,8 +321,7 @@ def cmd_distinguish(config: dict) -> dict:
 def cmd_frames(config: dict) -> dict:
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
     geometry = standard_geometry(side, tau)
-    # The report reads nothing of the devices, so the ideal one stands in for any.
-    geo_checks, schedule = checked_schedule(geometry, ideal_von_neumann())
+    geo_checks, schedule = checked_schedule(geometry)
     checks = [_check(f"geometry_{r.name}", r.passed, r.detail) for r in geo_checks]
     results: dict = {
         "geometry": {
@@ -360,16 +357,12 @@ def cmd_run(config: dict) -> dict:
     seed = _resolve_seed(config)
     model = _build_model(config)
     side, tau = config["geometry"]["side"], config["geometry"]["tau"]
-    schedule = build_schedule(side, tau, model)
     trials = config["run"]["trials"]
     mode = config["run"]["mode"]
     preferred_name = config["run"]["preferred_frame"]
-    if trials > 0:
-        preferred = InterpretationModel(mode, schedule.frames[preferred_name])
-        report = run_model(schedule, preferred, trials, seed)
-        constraints = report.constraints
-    else:
-        constraints = list(collect_constraints(schedule)[1])
+    preferred = InterpretationModel(mode, preferred_name)
+    report = run_model(build_schedule(side, tau), model, preferred, trials, seed)
+    constraints = report.constraints
     satisfying = len(enumerate_assignments(constraints))
 
     checks = [
@@ -384,13 +377,12 @@ def cmd_run(config: dict) -> dict:
     }
 
     if trials > 0:
-        # Each RunReport property is a fresh product: read each once.
-        exact_rates, violations = report.exact_rates, report.violation_counts
-        violating, preferred_mask = report.trials_violating_nonpreferred, report.preferred_mask
         stats = [
             {**_constraint_dict(c), "preferred": preferred, "violations": count,
              "rate": count / trials, "exact_rate": exact}
-            for c, preferred, count, exact in zip(constraints, preferred_mask, violations, exact_rates)
+            for c, preferred, count, exact in zip(
+                constraints, report.preferred_mask, report.violation_counts, report.exact_rates
+            )
         ]
         results["run"] = {
             "mode": mode,
@@ -398,16 +390,18 @@ def cmd_run(config: dict) -> dict:
             "trials": trials,
             "seed": seed,
             "constraint_statistics": stats,
-            "trials_violating_nonpreferred": violating,
+            "trials_violating_nonpreferred": report.trials_violating_nonpreferred,
             "pruned_weight": report.pruned_weight,
         }
         checks.append(_pruned_weight_check(report.pruned_weight))
         if mode == "round_born":
-            exact_preferred = [r for r, p in zip(exact_rates, preferred_mask) if p]
-            exact_nonpreferred = [r for r, p in zip(exact_rates, preferred_mask) if not p]
+            rows = list(zip(report.exact_rates, report.violation_counts, report.preferred_mask))
+            exact_preferred = [r for r, _, p in rows if p]
+            exact_nonpreferred = [r for r, _, p in rows if not p]
             exact_any = report.exact_nonpreferred_probability
+            violating = report.trials_violating_nonpreferred
             band = _binomial_band(0.5, trials)
-            nonpreferred_rates = [n / trials for n, p in zip(violations, preferred_mask) if not p]
+            nonpreferred_rates = [n / trials for _, n, p in rows if not p]
             checks += [
                 _check(
                     "preferred_exact_rates_zero",
@@ -428,7 +422,7 @@ def cmd_run(config: dict) -> dict:
                 ),
                 _check(
                     "preferred_constraints_never_violated",
-                    all(n == 0 for n, p in zip(violations, preferred_mask) if p),
+                    all(n == 0 for _, n, p in rows if p),
                     "preferred frame's parity holds in every trial",
                 ),
                 _check(

@@ -2,10 +2,12 @@
 
 The frame analysis shows no assignment of definite outcomes satisfies all
 four parity constraints. These models make that concrete: each posits a
-preferred frame in which outcomes actually happen. That fixes a probability
-for each of the 64 complete outcome assignments, and the constraints are
-tallied both exactly over that distribution and over a sample of it, kept as
-one count per assignment.
+preferred frame, named by one of ``FRAME_NAMES``, in which outcomes actually
+happen. ``run_model(s, model, m, trials, seed)`` runs one on the device-free
+schedule ``s`` with the device ``model``. That fixes a probability for each
+of the 64 complete outcome assignments, and the constraints are tallied both
+exactly over that distribution and over a sample of it, kept as one count
+per assignment.
 
 * ``round_born`` — each round's joint outcome tuple follows the Born weights
   of the unitarily evolved pre-round state in the preferred frame; rounds are
@@ -31,10 +33,11 @@ any run are the *k*-trial run.
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
 way, and the sweep re-deriving the contradiction under random non-ideal
-measurement devices, in fixed blocks of one stacked Haar draw and one
-stacked pass each. Model i's devices come from Box–Muller normals on its own
-Philox stream, keyed by ``SeedSequence(seed, spawn_key=(i,))``; the devices
-of ``--model random:N`` are spawn 0 of seed N, which no sweep model draws.
+measurement devices: one device-free schedule, and fixed blocks of one
+stacked Haar draw and one stacked pass each. Model i's devices come from
+Box–Muller normals on its own Philox stream, keyed by
+``SeedSequence(seed, spawn_key=(i,))``; the devices of ``--model random:N``
+are spawn 0 of seed N, which no sweep model draws.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .measurement import (
 from .qmath import Operator, StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
+    FRAME_NAMES,
     ParityConstraint,
     RoundTable,
     Schedule,
@@ -70,7 +74,6 @@ from .scenario import (
     _born_weights,
     _site_gram,
 )
-from .spacetime import Frame
 from .systems import LabLabel, SpinAxis, initial_product_terms, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
@@ -86,13 +89,16 @@ MASK32, MASK64 = 2**32 - 1, 2**64 - 1
 
 class InterpretationModel(namedtuple("InterpretationModel", "mode preferred")):
     """How single outcomes are supposed to come about: sampling mode plus the
-    frame whose ordering is taken as the real one."""
+    name, one of ``FRAME_NAMES``, of the frame whose ordering is taken as the
+    real one."""
 
     __slots__ = ()
 
-    def __new__(cls, mode: str, preferred: Frame):
+    def __new__(cls, mode: str, preferred: str):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if preferred not in FRAME_NAMES:
+            raise ValueError(f"preferred frame must be one of {FRAME_NAMES}, got {preferred!r}")
         return super().__new__(cls, mode, preferred)
 
 
@@ -230,25 +236,10 @@ class RunReport(NamedTuple):
     pruned_weight: float  # outcome weight the distribution leaves out
     violation_mask: np.ndarray  # (64, constraints) bool: outcome violates constraint
     counts: np.ndarray  # (64,) int64: trials drawing each outcome, OUTCOME_SIGNS row order
-
-    @property
-    def violation_counts(self) -> tuple[int, ...]:
-        return tuple(int(n) for n in self.counts @ self.violation_mask)
-
-    @property
-    def trials_violating_nonpreferred(self) -> int:
-        return int(self.counts @ _any_nonpreferred(self.violation_mask, self.preferred_mask))
-
-    @property
-    def exact_rates(self) -> tuple[float, ...]:
-        """Per constraint: the probability that an assignment violates it."""
-        return tuple(float(p) for p in self.probabilities @ self.violation_mask)
-
-    @property
-    def exact_nonpreferred_probability(self) -> float:
-        """Probability that an assignment violates ≥1 non-preferred constraint."""
-        nonpreferred = _any_nonpreferred(self.violation_mask, self.preferred_mask)
-        return float(self.probabilities @ nonpreferred)
+    violation_counts: tuple[int, ...]  # per constraint: trials violating it
+    trials_violating_nonpreferred: int  # trials violating ≥1 non-preferred constraint
+    exact_rates: tuple[float, ...]  # per constraint: probability of violating it
+    exact_nonpreferred_probability: float  # of violating ≥1 non-preferred constraint
 
 
 def born_violation_check(signs, constraints) -> tuple[bool, ...]:
@@ -259,10 +250,6 @@ def born_violation_check(signs, constraints) -> tuple[bool, ...]:
         != c.required_product
         for c in constraints
     )
-
-
-def _any_nonpreferred(mask: np.ndarray, preferred_mask) -> np.ndarray:
-    return mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
 
 
 def _signed_outcomes(weights: np.ndarray) -> tuple[np.ndarray, float]:
@@ -338,17 +325,19 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), pruned
 
 
-def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> RunReport:
-    """Draw ``trials`` complete outcome assignments and tally violations.
+def run_model(
+    s: Schedule, model: MeasurementModel, m: InterpretationModel, trials: int, seed: int
+) -> RunReport:
+    """Draw ``trials`` complete outcome assignments of device ``model`` and
+    tally violations, each tally computed once.
 
-    One ``collect_constraints`` call, with ``m.preferred`` as its extra
-    frame, gives the standard frames' constraints and the preferred frame's
-    tables; a preferred frame equal to a standard frame is analysed once. The
-    preferred mask marks the constraints ``m.preferred``'s own rounds yield.
+    One ``collect_constraints`` pass gives the schedule's constraints and,
+    by ``m.preferred``'s name, the preferred frame's tables. The preferred
+    mask marks the constraints that frame's own rounds yield.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
-    tables, found = collect_constraints(s, extra=(m.preferred,))
+    tables, found = collect_constraints(s, model)
     constraints = tuple(found)
     preferred_tables = [t for t in tables if t.frame == m.preferred]
     preferred = {t.constraint(0) for t in preferred_tables}
@@ -357,15 +346,22 @@ def run_model(s: Schedule, m: InterpretationModel, trials: int, seed: int) -> Ru
     if m.mode == "round_born":
         probabilities, pruned = round_born_distribution(preferred_tables)
     else:
-        probabilities, pruned = sequential_collapse_distribution(s.model)
+        probabilities, pruned = sequential_collapse_distribution(model)
 
+    mask = violation_mask(constraints)
+    nonpreferred = mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
+    counts = _draw(probabilities, trials, seed)
     return RunReport(
         constraints=constraints,
         preferred_mask=preferred_mask,
         probabilities=probabilities,
         pruned_weight=pruned,
-        violation_mask=violation_mask(constraints),
-        counts=_draw(probabilities, trials, seed),
+        violation_mask=mask,
+        counts=counts,
+        violation_counts=tuple(int(n) for n in counts @ mask),
+        trials_violating_nonpreferred=int(counts @ nonpreferred),
+        exact_rates=tuple(float(p) for p in probabilities @ mask),
+        exact_nonpreferred_probability=float(probabilities @ nonpreferred),
     )
 
 
@@ -502,8 +498,8 @@ def nonideal_sweep(
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
-    schedule = build_schedule(side, tau, ideal_von_neumann())
-    ideal = np.stack([u.matrix for u in schedule.model.site_unitaries])[None]
+    schedule = build_schedule(side, tau)
+    ideal = np.stack([u.matrix for u in ideal_von_neumann().site_unitaries])[None]
     outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
     results = []
     for start in range(0, n_models, SWEEP_BLOCK):
@@ -512,7 +508,7 @@ def nonideal_sweep(
         if start == 0:
             unitaries = np.concatenate([ideal, unitaries])
         stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))
-        tables, _ = collect_constraints(schedule._replace(model=stacked))
+        tables, _ = collect_constraints(schedule, stacked)
         products = np.stack([table.products for table in tables], axis=1)
         for index, (row, ok) in enumerate(zip(products, quarter_support(tables)), start):
             if (key := row.tobytes()) not in outcomes:

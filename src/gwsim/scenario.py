@@ -13,12 +13,14 @@ its own device), so the pass never builds the 216-dim vector. Its
 ``RoundTable``s, the one form an analysed round takes, tell us which outcome
 tuples are possible at all (have nonzero Born weight).
 
-Whenever every possible tuple of a round shares a single product parity, the
-round yields a ParityConstraint. ``collect_constraints``, the one analysis
-that ``ghz-nogo``, ``run`` and ``sweep`` read, finds four over the rest frame
-and the three tilted frames that no assignment of ±1 values to the six
-outcome slots satisfies: the frame-by-frame GHZ contradiction, found by brute
-force over ``OUTCOME_SIGNS``.
+A schedule holds the geometry, the events and the four named frames; it
+holds no device. Whenever every possible tuple of a round shares a single
+product parity, the round yields a ParityConstraint. ``collect_constraints``,
+the one analysis that ``ghz-nogo``, ``run`` and ``sweep`` read, runs one pass
+of a given device stack over the rest frame and the three tilted frames and
+finds four that no assignment of ±1 values to the six outcome slots
+satisfies: the frame-by-frame GHZ contradiction, found by brute force over
+``OUTCOME_SIGNS``.
 """
 
 from __future__ import annotations
@@ -93,13 +95,10 @@ class MeasurementEvent(NamedTuple):
 class Schedule(NamedTuple):
     geometry: GeometrySpec
     events: tuple[MeasurementEvent, ...]
-    model: MeasurementModel
     frames: dict[str, Frame]  # FRAME_NAMES: the rest frame, then each lab's tilted frame
 
 
-def checked_schedule(
-    geometry: GeometrySpec, model: MeasurementModel
-) -> tuple[list[CheckResult], Schedule | None]:
+def checked_schedule(geometry: GeometrySpec) -> tuple[list[CheckResult], Schedule | None]:
     """The geometry's checks, and its schedule where all of them pass.
 
     Friends are stamped at t1, outsiders at t2. The events really occupy the
@@ -120,12 +119,12 @@ def checked_schedule(
             MeasurementEvent(f"outsider_{site}", site, "outsider_x", point(geometry.t2, pos))
         )
     frames = dict(zip(FRAME_NAMES, [REST_FRAME, *tilted]))
-    return checks, Schedule(geometry, tuple(events), model, frames)
+    return checks, Schedule(geometry, tuple(events), frames)
 
 
-def build_schedule(side: float, tau: float, model: MeasurementModel) -> Schedule:
+def build_schedule(side: float, tau: float) -> Schedule:
     """The standard arrangement's schedule; raises naming the checks that fail."""
-    checks, schedule = checked_schedule(standard_geometry(side, tau), model)
+    checks, schedule = checked_schedule(standard_geometry(side, tau))
     if schedule is None:
         failed = [r.name for r in checks if not r.passed]
         raise ValueError(f"geometry checks failed: {', '.join(failed)}")
@@ -165,13 +164,13 @@ def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:
     return out
 
 
-def evolve_to(s: Schedule, f: Frame, round_index: int) -> StateVector:
+def evolve_to(s: Schedule, f: Frame, round_index: int, model: MeasurementModel) -> StateVector:
     """State just before the given (1-based) round in the frame's ordering.
 
     Purely unitary: friend events of strictly earlier rounds contribute their
-    lab-pair unitaries; outsider events contribute nothing (they are the
-    measurements whose pre-state this is). Frame changes act as identity on
-    amplitudes — the tilted frames can be made arbitrarily slow, and state
+    ``model`` lab-pair unitaries; outsider events contribute nothing (they are
+    the measurements whose pre-state this is). Frame changes act as identity
+    on amplitudes — the tilted frames can be made arbitrarily slow, and state
     supports are frame-transport invariant either way.
     """
     rounds = order_events(s, f)
@@ -181,7 +180,7 @@ def evolve_to(s: Schedule, f: Frame, round_index: int) -> StateVector:
     for rnd in rounds[: round_index - 1]:
         for ev in rnd:
             if ev.kind == "friend_z":
-                state = apply_local(s.model.unitary(ev.site), ev.targets, state)
+                state = apply_local(model.unitary(ev.site), ev.targets, state)
     return state
 
 
@@ -254,7 +253,7 @@ class RoundTable(NamedTuple):
     shares, or 0 where they share none (``_shared_parity``).
     """
 
-    frame: object  # the frame's key in the orderings given to ``analyze_stack``
+    frame: str  # the frame's key in the orderings given to ``analyze_stack``: its name
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
     weights: np.ndarray  # (M, K) each tuple's Born weight, never negative
@@ -384,29 +383,20 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     return tables
 
 
-def distinct_constraints(tables) -> dict[ParityConstraint, RoundTable]:
-    """Model 0's constraints over the analysed rounds, each once, in the order
-    first found, each mapped to the first table that yields it."""
+def collect_constraints(s: Schedule, model: MeasurementModel) -> tuple[list[RoundTable], dict]:
+    """The one analysis of a schedule's frames: every table of one
+    ``analyze_stack`` pass over ``model`` on ``s.frames``, keyed by name, and
+    model 0's distinct constraints, in the order first found, each mapped to
+    the table that first yields it; that table's ``.frame`` and ``.events``
+    name the frame and the round.
+    """
+    tables = analyze_stack(model, {name: order_events(s, f) for name, f in s.frames.items()})
     found: dict[ParityConstraint, RoundTable] = {}
     for table in tables:
         constraint = table.constraint(0)
         if constraint is not None:
             found.setdefault(constraint, table)
-    return found
-
-
-def collect_constraints(s: Schedule, extra=()) -> tuple[list[RoundTable], dict]:
-    """The one analysis of the standard frames: every table of one
-    ``analyze_stack`` pass over ``s.model`` on ``s.frames`` and each ``extra``
-    frame not already among them (tables keyed by ``Frame``), and model 0's
-    distinct constraints over the standard frames alone, in the order first
-    found, each mapped to the table that first yields it; that table's
-    ``.frame`` and ``.events`` name the frame and the round.
-    """
-    standard = list(s.frames.values())
-    frames = dict.fromkeys(standard + list(extra))
-    tables = analyze_stack(s.model, {f: order_events(s, f) for f in frames})
-    return tables, distinct_constraints(t for t in tables if t.frame in standard)
+    return tables, found
 
 
 def violation_mask(constraints) -> np.ndarray:

@@ -418,12 +418,12 @@ def _as_row(values: dict[str, int]) -> list[int]:
     return [values[slot] for slot in CANONICAL_SLOTS]
 
 
-def sample_round_born(schedule, preferred, trials: int, seed: int) -> np.ndarray:
+def sample_round_born(schedule, model, preferred, trials: int, seed: int) -> np.ndarray:
     """Each round's outcome tuple drawn from its Born table, rounds independent."""
     tables = []
     for k, rnd in enumerate(order_events(schedule, preferred), start=1):
-        state = evolve_to(schedule, preferred, k)
-        entries, _ = support_constraint(state, rnd, schedule.model)
+        state = evolve_to(schedule, preferred, k, model)
+        entries, _ = support_constraint(state, rnd, model)
         probs = np.array([abs(e.amplitude) ** 2 for e in entries])
         tables.append((round_slots(rnd), [e.labels for e in entries], probs / probs.sum()))
     rows = []
@@ -436,17 +436,17 @@ def sample_round_born(schedule, preferred, trials: int, seed: int) -> np.ndarray
     return np.array(rows, dtype=int).reshape(trials, len(CANONICAL_SLOTS))
 
 
-def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> np.ndarray:
+def sample_sequential_collapse(schedule, model, preferred, trials: int, seed: int) -> np.ndarray:
     """Projective collapse event by event, the friend's device run after its
     z measurement."""
     events = [ev for rnd in order_events(schedule, preferred) for ev in rnd]
     observables = {
         ev.slot: spin_observable(SpinAxis.Z, ev.targets[1])
         if ev.kind == "friend_z"
-        else outsider_observable(schedule.model, ev.site)
+        else outsider_observable(model, ev.site)
         for ev in events
     }
-    initial = evolve_to(schedule, preferred, 1)
+    initial = evolve_to(schedule, preferred, 1, model)
     rows = []
     for trial in range(trials):
         rng = trial_rng(seed, trial)
@@ -455,7 +455,7 @@ def sample_sequential_collapse(schedule, preferred, trials: int, seed: int) -> n
         for ev in events:
             sign, state = measure(observables[ev.slot], state, rng)
             if ev.kind == "friend_z":
-                state = apply_local(schedule.model.unitary(ev.site), ev.targets, state)
+                state = apply_local(model.unitary(ev.site), ev.targets, state)
             values[ev.slot] = int(round(sign))
         rows.append(_as_row(values))
     return np.array(rows, dtype=int).reshape(trials, len(CANONICAL_SLOTS))
@@ -536,18 +536,17 @@ def sweep_reference_model(index: int, seed: int) -> MeasurementModel:
 
 def sweep_reference(n_models: int, seed: int) -> SweepReport:
     """``nonideal_sweep`` model by model: the same device streams, each drawn
-    one unitary at a time (``sweep_reference_model``), then a fresh schedule
-    and ``evolve_to`` plus ``support_constraint`` for every round of every
-    standard frame."""
+    one unitary at a time (``sweep_reference_model``), then ``evolve_to`` plus
+    ``support_constraint`` for every round of every standard frame."""
+    schedule = build_schedule(10.0, 1.0)
     results = []
     for index in range(n_models):
         model = sweep_reference_model(index, seed)
-        schedule = build_schedule(10.0, 1.0, model)
         constraints = []
         support_ok = True
         for frame in schedule.frames.values():
             for k, rnd in enumerate(order_events(schedule, frame), start=1):
-                state = evolve_to(schedule, frame, k)
+                state = evolve_to(schedule, frame, k, model)
                 entries, constraint = support_constraint(state, rnd, model)
                 if constraint is None:
                     continue

@@ -79,7 +79,7 @@ FOUR_SIGMA_HALF = 4.0 * math.sqrt(0.25 / TRIALS)
 
 @pytest.fixture(scope="module")
 def schedule():
-    return build_schedule(10.0, 1.0, ideal_von_neumann())
+    return build_schedule(10.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -194,7 +194,7 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
 
     orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
     found = {name: [] for name in frames}
-    for table in analyze_stack(schedule.model, orderings):
+    for table in analyze_stack(ideal_von_neumann(), orderings):
         constraint = table.constraint(0)
         if constraint is None:
             continue
@@ -204,7 +204,7 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
         assert np.all(np.abs(probabilities - 0.25) <= 1e-10)
     assert found == {name: [expected] for name, expected in expected_by_frame.items()}
 
-    constraints = list(collect_constraints(schedule)[1])
+    constraints = list(collect_constraints(schedule, ideal_von_neumann())[1])
     assert len(constraints) == 4
     assert {(c.slots, c.required_product) for c in constraints} == set(
         expected_by_frame.values()
@@ -229,9 +229,9 @@ def test_criterion_5_nonideal_sweep():
     print("[acceptance] criterion 5: PASS")
 
 
-def test_criterion_6_preferred_frame_model(schedule, frames):
-    model = InterpretationModel("round_born", frames["sigma"])
-    report = run_model(schedule, model, TRIALS, seed=SEED)
+def test_criterion_6_preferred_frame_model(schedule):
+    model = InterpretationModel("round_born", "sigma")
+    report = run_model(schedule, ideal_von_neumann(), model, TRIALS, seed=SEED)
 
     (preferred_index,) = [i for i, p in enumerate(report.preferred_mask) if p]
     assert report.violation_counts[preferred_index] == 0
@@ -246,9 +246,9 @@ def test_criterion_6_preferred_frame_model(schedule, frames):
     print("[acceptance] criterion 6: PASS")
 
 
-def test_criterion_7_sequential_collapse_contrast(schedule, frames):
-    model = InterpretationModel("sequential_collapse", frames["sigma"])
-    report = run_model(schedule, model, TRIALS, seed=SEED)
+def test_criterion_7_sequential_collapse_contrast(schedule):
+    model = InterpretationModel("sequential_collapse", "sigma")
+    report = run_model(schedule, ideal_von_neumann(), model, TRIALS, seed=SEED)
 
     outsiders = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
     assert report.counts.sum() == TRIALS

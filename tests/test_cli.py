@@ -446,6 +446,20 @@ def test_reports_match_pinned_digests(capsys, line, code, digest):
     assert (actual, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_frames_builds_no_device(capsys, monkeypatch, fmt):
+    # The schedule holds no device, so the frames report builds none.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a device model was built")
+
+    monkeypatch.setattr(gwsim.cli, "ideal_von_neumann", refuse)
+    monkeypatch.setattr(gwsim.measurement.MeasurementModel, "__new__", refuse)
+    line = f"frames --format {fmt}"
+    ((_, code, digest),) = [pin for pin in PINNED_DIGESTS if pin[0] == line]
+    actual, out, err = run_cli(capsys, *line.split())
+    assert (actual, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
 class TestRun:
     def test_round_born(self, capsys):
         code, report = run_json(
@@ -546,10 +560,11 @@ class TestRun:
         assert preferred["slots"] == ["z_A", "x_B", "z_C"]
 
     def test_zero_trials_skips_the_monte_carlo(self, capsys, monkeypatch):
-        def no_run_model(*args):
-            raise AssertionError("run_model called at zero trials")
+        # Zero trials go through run_model too, but draw no uniform.
+        def no_uniforms(*args):
+            raise AssertionError("uniforms drawn at zero trials")
 
-        monkeypatch.setattr("gwsim.cli.run_model", no_run_model)
+        monkeypatch.setattr(gwsim.models, "_philox_uniforms", no_uniforms)
         code, report = run_json(capsys, "run", "--trials", "0")
         assert code == 0
         assert "run" not in report["results"]
@@ -652,8 +667,8 @@ def test_each_device_is_checked_for_unitarity_once(capsys, monkeypatch, argv, de
     monkeypatch.setattr(gwsim.measurement, "check_unitary", counting)
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
-    # One check per distinct device of the schedule's model, which the
-    # analysis reads as it is: the ideal model's three sites share one.
+    # One check per distinct device of the model, which the analysis reads
+    # as it is: the ideal model's three sites share one.
     assert shapes == [(6, 6)] * devices
 
 
@@ -739,8 +754,8 @@ def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
     monkeypatch.setattr(gwsim.models, "ideal_von_neumann", lambda: device)
     found, collect = [], gwsim.models.collect_constraints
 
-    def recorded(schedule):
-        tables, constraints = collect(schedule)
+    def recorded(schedule, model):
+        tables, constraints = collect(schedule, model)
         found.append(constraints)
         return tables, constraints
 
@@ -868,10 +883,11 @@ class TestOutput:
 # The flag table against the argparse front end it replaced
 
 
-def _takes_a_dash_value(argv) -> bool:
-    """Whether a valued flag, given with a space, is followed by a token
-    starting with ``-`` that its type reads: a value argparse took for a flag."""
+def _dash_values(argv) -> list[str]:
+    """The tokens starting with ``-`` that follow a valued flag, given with a
+    space, and that its type reads: values argparse took for flags."""
     allowed = gwsim.cli._flags(argv[0]) if argv and argv[0] in COMMANDS else ()
+    values = []
     for token, value in zip(argv[1:], argv[2:]):
         matches = [f for f in allowed if f == token] or [f for f in allowed if f.startswith(token)]
         if len(matches) != 1 or not value.startswith("-"):
@@ -882,8 +898,8 @@ def _takes_a_dash_value(argv) -> bool:
                 kind(value)
             except ValueError:
                 continue
-            return True
-    return False
+            values.append(value)
+    return values
 
 
 def assert_parses_as_argparse(argv):
@@ -905,7 +921,13 @@ def assert_parses_as_argparse(argv):
             assert out.getvalue() == ""
             return "both refuse"
         # The one difference: the token after a valued flag is its value.
-        assert "expected one argument" in reason and _takes_a_dash_value(argv), reason
+        # argparse refuses the flag left without one, or the value itself
+        # when it reads as an ambiguous abbreviation of a flag.
+        values = _dash_values(argv)
+        assert values and (
+            "expected one argument" in reason
+            or any(f"ambiguous option: {v} could match" in reason for v in values)
+        ), reason
         return "a dash value"
     command, config, arguments = parse_args(argv)
     bound = inspect.signature(COMMANDS[command][0]).bind(config, **arguments)
@@ -947,6 +969,7 @@ def assert_parses_as_argparse(argv):
         ["sweep", "--mod", "random:3"],
         ["sweep", "--mode", "round_born"],
         ["sweep", "--models=7", "--mo", "1"],
+        ["sweep", "--config", "--mode=round_born"],
         ["erasure", "--s", "5"],
         ["erasure", "--sk", "--see", "4"],
         ["erasure", "--skip-j=1"],

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -61,14 +62,12 @@ from gwsim.scenario import (
     analyze_stack,
     build_schedule,
     collect_constraints,
-    distinct_constraints,
     enumerate_assignments,
     evolve_to,
     order_events,
     support_constraint,
     violation_mask,
 )
-from gwsim.spacetime import Frame
 from gwsim.systems import (
     LabLabel,
     SpinAxis,
@@ -79,6 +78,7 @@ from gwsim.systems import (
 )
 
 TRIALS = 2000
+IDEAL = ideal_von_neumann()
 
 
 def four_sigma_band(p: float, n: int) -> float:
@@ -91,28 +91,28 @@ def column(slot: str) -> int:
 
 @pytest.fixture(scope="module")
 def schedule():
-    return build_schedule(10.0, 1.0, ideal_von_neumann())
+    return build_schedule(10.0, 1.0)
 
 
 @pytest.fixture(scope="module")
-def frames(schedule):
-    return schedule.frames
-
-
-@pytest.fixture(scope="module")
-def born_sigma_report(schedule, frames):
-    m = InterpretationModel("round_born", frames["sigma"])
-    return run_model(schedule, m, TRIALS, seed=11)
+def born_sigma_report(schedule):
+    m = InterpretationModel("round_born", "sigma")
+    return run_model(schedule, IDEAL, m, TRIALS, seed=11)
 
 
 class TestInterpretationModel:
-    def test_valid_modes(self, frames):
+    def test_valid_modes(self):
         for mode in ("round_born", "sequential_collapse"):
-            assert InterpretationModel(mode, frames["sigma"]).mode == mode
+            assert InterpretationModel(mode, "sigma").mode == mode
 
-    def test_rejects_unknown_mode(self, frames):
+    def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
-            InterpretationModel("copenhagen", frames["sigma"])
+            InterpretationModel("copenhagen", "sigma")
+
+    def test_rejects_an_unknown_frame_name(self):
+        for preferred in ("sigma_pppp", "", None):
+            with pytest.raises(ValueError, match=re.escape(str(FRAME_NAMES))):
+                InterpretationModel("round_born", preferred)
 
 
 class TestTrialRng:
@@ -144,21 +144,21 @@ class TestViolationMask:
         assert mask[outcome_indices(rows)].tolist() == [[False, True], [True, False]]
 
     def test_agrees_with_the_per_row_check_on_every_row(self, schedule):
-        constraints = list(collect_constraints(schedule)[1])
+        constraints = list(collect_constraints(schedule, IDEAL)[1])
         mask = violation_mask(constraints)
         for index, signs in enumerate(OUTCOME_SIGNS):
             assert born_violation_check(signs, constraints) == tuple(mask[index])
 
 
 class TestRoundBorn:
-    def test_rejects_negative_trials(self, schedule, frames):
-        m = InterpretationModel("round_born", frames["sigma"])
+    def test_rejects_negative_trials(self, schedule):
+        m = InterpretationModel("round_born", "sigma")
         with pytest.raises(ValueError, match="trials"):
-            run_model(schedule, m, -1, seed=0)
+            run_model(schedule, IDEAL, m, -1, seed=0)
 
-    def test_zero_trials_gives_empty_report(self, schedule, frames):
-        m = InterpretationModel("round_born", frames["sigma"])
-        report = run_model(schedule, m, 0, seed=0)
+    def test_zero_trials_gives_empty_report(self, schedule):
+        m = InterpretationModel("round_born", "sigma")
+        report = run_model(schedule, IDEAL, m, 0, seed=0)
         assert report.counts.shape == (64,)
         assert report.counts.sum() == 0
         assert report.violation_counts == (0,) * len(report.constraints)
@@ -203,31 +203,31 @@ class TestRoundBorn:
     def test_every_trial_violates_some_nonpreferred_constraint(self, born_sigma_report):
         assert born_sigma_report.trials_violating_nonpreferred == TRIALS
 
-    def test_tilted_preferred_frame_swaps_the_protected_constraint(self, schedule, frames):
-        m = InterpretationModel("round_born", frames["sigma_p"])
-        report = run_model(schedule, m, 400, seed=3)
+    def test_tilted_preferred_frame_swaps_the_protected_constraint(self, schedule):
+        m = InterpretationModel("round_born", "sigma_p")
+        report = run_model(schedule, IDEAL, m, 400, seed=3)
         (index,) = [i for i, p in enumerate(report.preferred_mask) if p]
         assert report.constraints[index].slots == ("x_A", "z_B", "z_C")
         assert report.violation_counts[index] == 0
         assert report.trials_violating_nonpreferred == 400
 
-    def test_same_seed_reproduces_assignments(self, schedule, frames, born_sigma_report):
-        m = InterpretationModel("round_born", frames["sigma"])
-        again = run_model(schedule, m, TRIALS, seed=11)
+    def test_same_seed_reproduces_assignments(self, schedule, born_sigma_report):
+        m = InterpretationModel("round_born", "sigma")
+        again = run_model(schedule, IDEAL, m, TRIALS, seed=11)
         assert np.array_equal(again.counts, born_sigma_report.counts)
         assert again.violation_counts == born_sigma_report.violation_counts
 
-    def test_different_seed_changes_assignments(self, schedule, frames, born_sigma_report):
-        m = InterpretationModel("round_born", frames["sigma"])
-        other = run_model(schedule, m, TRIALS, seed=12)
+    def test_different_seed_changes_assignments(self, schedule, born_sigma_report):
+        m = InterpretationModel("round_born", "sigma")
+        other = run_model(schedule, IDEAL, m, TRIALS, seed=12)
         assert other.counts.sum() == TRIALS
         assert not np.array_equal(other.counts, born_sigma_report.counts)
 
 
 @pytest.fixture(scope="module")
-def collapse_report(schedule, frames):
-    m = InterpretationModel("sequential_collapse", frames["sigma"])
-    return run_model(schedule, m, TRIALS, seed=19)
+def collapse_report(schedule):
+    m = InterpretationModel("sequential_collapse", "sigma")
+    return run_model(schedule, IDEAL, m, TRIALS, seed=19)
 
 
 class TestSequentialCollapse:
@@ -259,9 +259,9 @@ class TestSequentialCollapse:
             ups = collapse_report.counts @ (OUTCOME_SIGNS[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
-    def test_same_seed_reproduces(self, schedule, frames, collapse_report):
-        m = InterpretationModel("sequential_collapse", frames["sigma"])
-        again = run_model(schedule, m, TRIALS, seed=19)
+    def test_same_seed_reproduces(self, schedule, collapse_report):
+        m = InterpretationModel("sequential_collapse", "sigma")
+        again = run_model(schedule, IDEAL, m, TRIALS, seed=19)
         assert np.array_equal(again.counts, collapse_report.counts)
 
 
@@ -308,7 +308,7 @@ class TestErasure:
 def quarter_weight_pairs(model) -> list[tuple[float, float]]:
     """(product-form weight, dense weight) of every possible tuple of every
     constraint-bearing round of the standard frames, for one device model."""
-    s = build_schedule(10.0, 1.0, model)
+    s = build_schedule(10.0, 1.0)
     frames = s.frames
     orderings = {name: order_events(s, f) for name, f in frames.items()}
     tables = iter(analyze_stack(model, orderings))
@@ -316,7 +316,8 @@ def quarter_weight_pairs(model) -> list[tuple[float, float]]:
     for name, rounds in orderings.items():
         for k, rnd in enumerate(rounds, start=1):
             table = next(tables)
-            entries, constraint = support_constraint(evolve_to(s, frames[name], k), rnd, model)
+            state = evolve_to(s, frames[name], k, model)
+            entries, constraint = support_constraint(state, rnd, model)
             if constraint is not None:
                 weights = dict(zip(table.labels, table.weights[0]))
                 pairs += [(weights[e.labels], abs(e.amplitude) ** 2) for e in entries]
@@ -441,7 +442,7 @@ class TestNonidealSweep:
         recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
         assert nonideal_sweep(11, 3).all_passed
         assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 6), (4, 3, 2, 6, 6), (3, 3, 2, 6, 6)]
-        # The schedule's ideal model, one device shared by its three sites,
+        # The ideal model, one device shared by its three sites,
         # then three site stacks per block and no per-model device.
         assert shapes["check_unitary"] == [(6, 6)] + [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
 
@@ -461,7 +462,7 @@ class TestNonidealSweep:
         assert (peaks[200] - peaks[8]) / 192 < 1000
 
 
-def test_run_model_analyses_once(schedule, frames, monkeypatch):
+def test_run_model_analyses_once(schedule, monkeypatch):
     calls = []
     original = gwsim.scenario.analyze_stack
 
@@ -471,20 +472,12 @@ def test_run_model_analyses_once(schedule, frames, monkeypatch):
 
     monkeypatch.setattr(gwsim.scenario, "analyze_stack", counting)
     for mode in MODES:
-        report = run_model(schedule, InterpretationModel(mode, frames["sigma_p"]), 10, seed=1)
+        report = run_model(schedule, IDEAL, InterpretationModel(mode, "sigma_p"), 10, seed=1)
         assert report.preferred_mask == (False, True, False, False)
-    # One pass per run, over the schedule's own model rather than a restacked copy.
-    assert calls == [(schedule.model, list(frames.values()))] * len(MODES)
-    assert all(model is schedule.model for model, _ in calls)
-
-
-def test_run_model_accepts_a_nonstandard_preferred_frame(schedule):
-    # A generic frame has singleton rounds: it adds no constraint of its own.
-    generic = Frame((0.3, -0.2))
-    report = run_model(schedule, InterpretationModel("round_born", generic), 10, seed=1)
-    assert report.constraints == tuple(collect_constraints(schedule)[1])
-    assert report.preferred_mask == (False,) * 4
-    assert abs(report.probabilities.sum() - 1.0) <= 1e-12
+    # One pass per run over the four named frames, with the given model
+    # rather than a restacked copy.
+    assert calls == [(IDEAL, list(FRAME_NAMES))] * len(MODES)
+    assert all(model is IDEAL for model, _ in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -508,19 +501,25 @@ TABLE_MODELS = {"ideal": {"kind": "ideal", "seed": 0}, "random:5": {"kind": "ran
 ORACLE_CASES = [("ideal", frame) for frame in FRAME_NAMES] + [("random:5", "sigma_pp")]
 
 
-def preferred_rounds(s, preferred):
-    """The preferred frame's round tables, round_born's input."""
-    return analyze_stack(s.model, {preferred: order_events(s, preferred)})
+def one_frame(name):
+    """The standard schedule with only the named frame."""
+    s = build_schedule(10.0, 1.0)
+    return s._replace(frames={name: s.frames[name]})
+
+
+def preferred_rounds(model, name):
+    """The named frame's round tables, round_born's input."""
+    return collect_constraints(one_frame(name), model)[0]
 
 
 SAMPLERS = {
     "round_born": (
-        lambda s, preferred: round_born_distribution(preferred_rounds(s, preferred)),
+        lambda model, name: round_born_distribution(preferred_rounds(model, name)),
         sample_round_born,
         2000,
     ),
     "sequential_collapse": (
-        lambda s, preferred: sequential_collapse_distribution(s.model),
+        lambda model, name: sequential_collapse_distribution(model),
         sample_sequential_collapse,
         400,
     ),
@@ -528,25 +527,21 @@ SAMPLERS = {
 
 
 @pytest.fixture(scope="module")
-def table_schedules():
-    return {
-        spec: build_schedule(10.0, 1.0, _build_model({"model": model}))
-        for spec, model in TABLE_MODELS.items()
-    }
+def table_models():
+    return {spec: _build_model({"model": model}) for spec, model in TABLE_MODELS.items()}
 
 
 @pytest.mark.parametrize("frame", FRAME_NAMES)
 @pytest.mark.parametrize("spec", sorted(TABLE_MODELS))
 class TestExactTables:
-    def _table(self, table_schedules, spec, frame, mode):
-        s = table_schedules[spec]
-        return SAMPLERS[mode][0](s, s.frames[frame])
+    def _table(self, table_models, spec, frame, mode):
+        return SAMPLERS[mode][0](table_models[spec], frame)
 
     @pytest.mark.parametrize("mode, support", [("round_born", 32), ("sequential_collapse", 64)])
     def test_table_is_a_distribution_with_the_expected_support(
-        self, table_schedules, spec, frame, mode, support
+        self, table_models, spec, frame, mode, support
     ):
-        probabilities, pruned = self._table(table_schedules, spec, frame, mode)
+        probabilities, pruned = self._table(table_models, spec, frame, mode)
         assert probabilities.shape == (64,)
         assert probabilities.min() >= 0.0
         assert abs(probabilities.sum() - 1.0) <= 1e-12
@@ -554,12 +549,11 @@ class TestExactTables:
         assert 0.0 <= pruned <= 1e-12
 
     def test_round_born_puts_no_mass_on_preferred_violations(
-        self, table_schedules, spec, frame
+        self, table_models, spec, frame
     ):
-        s = table_schedules[spec]
-        preferred = list(distinct_constraints(preferred_rounds(s, s.frames[frame])))
+        preferred = list(collect_constraints(one_frame(frame), table_models[spec])[1])
         assert preferred
-        probabilities, _ = self._table(table_schedules, spec, frame, "round_born")
+        probabilities, _ = self._table(table_models, spec, frame, "round_born")
         for index, signs in enumerate(OUTCOME_SIGNS):
             if any(born_violation_check(signs, preferred)):
                 assert probabilities[index] == 0.0
@@ -574,12 +568,11 @@ def test_outcome_signs_follow_enumeration_order():
 
 @pytest.mark.parametrize("mode", sorted(SAMPLERS))
 @pytest.mark.parametrize("spec, frame", ORACLE_CASES)
-def test_reference_sampler_matches_the_exact_table(table_schedules, spec, frame, mode):
+def test_reference_sampler_matches_the_exact_table(schedule, table_models, spec, frame, mode):
     build, sample, trials = SAMPLERS[mode]
-    s = table_schedules[spec]
-    preferred = s.frames[frame]
-    probabilities, _ = build(s, preferred)
-    indices = outcome_indices(sample(s, preferred, trials, seed=23))
+    model = table_models[spec]
+    probabilities, _ = build(model, frame)
+    indices = outcome_indices(sample(schedule, model, schedule.frames[frame], trials, seed=23))
     assert np.all(probabilities[indices] > 0), "reference sample outside the exact support"
     stat, dof = chi_square(np.bincount(indices, minlength=64), probabilities)
     assert stat <= chi_square_bound(dof), (stat, dof)
@@ -592,11 +585,11 @@ def reference_counts(probabilities, trials, seed, first=None):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_run_is_a_prefix_of_a_longer_run(schedule, frames, mode, monkeypatch):
+def test_run_is_a_prefix_of_a_longer_run(schedule, mode, monkeypatch):
     monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
-    m = InterpretationModel(mode, frames["sigma_p"])
-    long = run_model(schedule, m, 500, seed=31)
-    short = run_model(schedule, m, 137, seed=31)
+    m = InterpretationModel(mode, "sigma_p")
+    long = run_model(schedule, IDEAL, m, 500, seed=31)
+    short = run_model(schedule, IDEAL, m, 137, seed=31)
     assert np.array_equal(long.counts, reference_counts(long.probabilities, 500, 31))
     assert np.array_equal(short.counts, reference_counts(long.probabilities, 500, 31, 137))
     assert np.all(short.counts <= long.counts)
@@ -714,10 +707,10 @@ class TestDraw:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("block", BLOCKS)
     def test_run_counts_match_the_one_shot_reference(
-        self, schedule, frames, monkeypatch, mode, trials, block
+        self, schedule, monkeypatch, mode, trials, block
     ):
         monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
-        report = run_model(schedule, InterpretationModel(mode, frames["sigma_pp"]), trials, 4)
+        report = run_model(schedule, IDEAL, InterpretationModel(mode, "sigma_pp"), trials, 4)
         assert np.array_equal(report.counts, reference_counts(report.probabilities, trials, 4))
 
     @pytest.mark.parametrize("trials", SIZES)
@@ -884,7 +877,7 @@ class TestCollapseTable:
     @pytest.mark.parametrize("spec", sorted(COLLAPSE_MODELS))
     def test_collapse_table_matches_the_per_path_reference(self, collapse_tables, spec, frame):
         model, probabilities, pruned = collapse_tables[spec]
-        s = build_schedule(10.0, 1.0, model)
+        s = build_schedule(10.0, 1.0)
         rounds = order_events(s, s.frames[frame])
         expected, expected_pruned = collapse_reference(model, rounds)
         assert np.abs(probabilities - expected).max() <= 1e-15
@@ -906,7 +899,7 @@ class TestCollapseTable:
         probabilities, pruned = sequential_collapse_distribution(model)
         assert np.ptp(probabilities) > 1e-3
         state = StateVector(CANONICAL_LAYOUT, dense / np.linalg.norm(dense))
-        s = build_schedule(10.0, 1.0, model)
+        s = build_schedule(10.0, 1.0)
         for frame in s.frames.values():
             expected, expected_pruned = collapse_reference(model, order_events(s, frame), state)
             assert np.abs(probabilities - expected).max() <= 1e-15
@@ -1058,18 +1051,18 @@ class TestCollapseReference:
 
 
 class TestRoundBornPrunedWeight:
-    def test_the_ideal_device_drops_nothing(self, schedule, frames):
-        for frame in frames.values():
-            _, pruned = round_born_distribution(preferred_rounds(schedule, frame))
+    def test_the_ideal_device_drops_nothing(self):
+        for name in FRAME_NAMES:
+            _, pruned = round_born_distribution(preferred_rounds(IDEAL, name))
             assert pruned == 0.0 and math.copysign(1.0, pruned) == 1.0
 
     @pytest.mark.parametrize("spec", ["random:5", "random:11"])
     def test_pruned_weight_is_the_dropped_weight(self, spec):
         seed = int(spec.split(":")[1])
-        s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": seed}}))
+        model = _build_model({"model": {"kind": "random", "seed": seed}})
         drops = []
-        for frame in s.frames.values():
-            rounds = preferred_rounds(s, frame)
+        for name in FRAME_NAMES:
+            rounds = preferred_rounds(model, name)
             _, pruned = round_born_distribution(rounds)
             dropped = sum(float(r.weights[0][~r.possible[0]].sum()) for r in rounds)
             assert pruned == pytest.approx(dropped, rel=1e-9, abs=0.0)
@@ -1079,10 +1072,10 @@ class TestRoundBornPrunedWeight:
     def test_random_11_frames_that_drop_nothing_report_no_rounding_drift(self):
         # Where every tuple below the cutoff weighs exactly 0, the pruned
         # weight is exactly 0, though 1 − Π_r Σ kept weights drifts there.
-        s = build_schedule(10.0, 1.0, _build_model({"model": {"kind": "random", "seed": 11}}))
+        model = _build_model({"model": {"kind": "random", "seed": 11}})
         clean = 0
-        for frame in s.frames.values():
-            rounds = preferred_rounds(s, frame)
+        for name in FRAME_NAMES:
+            rounds = preferred_rounds(model, name)
             if any(r.weights[0][~r.possible[0]].any() for r in rounds):
                 continue
             clean += 1

@@ -34,11 +34,12 @@ from _oracles import door_observable
 
 def _records() -> dict:
     """One instance of each record type, with the field the test assigns to."""
-    schedule = build_schedule(10.0, 1.0, ideal_von_neumann())
+    schedule = build_schedule(10.0, 1.0)
     frames = schedule.frames
-    preferred = InterpretationModel("round_born", frames["sigma"])
+    model = ideal_von_neumann()
+    preferred = InterpretationModel("round_born", "sigma")
     state = StateVector(layout("A"), np.array([1.0, 0.0]))
-    (table, *_) = analyze_stack(schedule.model, {"sigma": order_events(schedule, frames["sigma"])})
+    (table, *_) = analyze_stack(model, {"sigma": order_events(schedule, frames["sigma"])})
     result = SweepModelResult(0, "ideal", True, 0, True)
     return {
         "FactorLayout": (layout("A"), "names"),
@@ -46,18 +47,18 @@ def _records() -> dict:
         "Operator": (Operator(np.eye(2)), "matrix"),
         "BasisGroup": (BasisGroup(("A",), (+1, -1), np.eye(2)), "vectors"),
         "SupportEntry": (SupportEntry((+1,), 1.0), "amplitude"),
-        "MeasurementModel": (schedule.model, "site_unitaries"),
+        "MeasurementModel": (model, "site_unitaries"),
         "Observable": (door_observable(), "eigenpairs"),
         "SpacetimePoint": (SpacetimePoint(0.0, (0.0, 0.0)), "t"),
         "Frame": (frames["sigma_p"], "velocity"),
         "GeometrySpec": (schedule.geometry, "t1"),
         "CheckResult": (CheckResult("check", True, ""), "passed"),
         "MeasurementEvent": (schedule.events[0], "site"),
-        "Schedule": (schedule, "model"),
+        "Schedule": (schedule, "frames"),
         "ParityConstraint": (ParityConstraint(("x_A",), 1), "slots"),
         "RoundTable": (table, "weights"),
         "InterpretationModel": (preferred, "mode"),
-        "RunReport": (run_model(schedule, preferred, 10, 1), "counts"),
+        "RunReport": (run_model(schedule, model, preferred, 10, 1), "counts"),
         "ErasureReport": (erasure_experiment(10, 1), "down_frequency"),
         "SweepModelResult": (result, "support_ok"),
         "SweepReport": (SweepReport(1, 0, (result,)), "results"),

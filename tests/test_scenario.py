@@ -31,7 +31,6 @@ from gwsim.scenario import (
     analyze_stack,
     build_schedule,
     collect_constraints,
-    distinct_constraints,
     enumerate_assignments,
     evolve_to,
     order_events,
@@ -43,13 +42,16 @@ from gwsim.spacetime import Frame
 from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, initial_scenario_state
 
 
+IDEAL = ideal_von_neumann()
+
+
 def event(schedule, event_id):
     return next(ev for ev in schedule.events if ev.id == event_id)
 
 
 @pytest.fixture(scope="module")
 def schedule():
-    return build_schedule(10.0, 1.0, ideal_von_neumann())
+    return build_schedule(10.0, 1.0)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +88,7 @@ class TestSchedule:
 
     def test_rejects_epochs_longer_than_separation(self):
         with pytest.raises(ValueError):
-            build_schedule(10.0, 20.0, ideal_von_neumann())
+            build_schedule(10.0, 20.0)
 
 
 class TestStandardFrames:
@@ -159,7 +161,7 @@ class TestOrderEvents:
         # Rounds group frame times relative to the frame's own time scale, so
         # scaling side and tau together leaves every ordering unchanged.
         def orderings(side, tau):
-            s = build_schedule(side, tau, ideal_von_neumann())
+            s = build_schedule(side, tau)
             return {
                 name: [[ev.id for ev in rnd] for rnd in order_events(s, f)]
                 for name, f in s.frames.items()
@@ -172,16 +174,16 @@ class TestOrderEvents:
 def ideal_tables(schedule):
     """The ideal device's round tables, by frame name, in round order."""
     by_frame = {}
-    for table in analyze_stack(schedule.model, standard_orderings(schedule)):
+    for table in analyze_stack(IDEAL, standard_orderings(schedule)):
         by_frame.setdefault(table.frame, []).append(table)
     return by_frame
 
 
 def test_evolve_to_round_index_bounds(schedule, frames):
     with pytest.raises(ValueError, match="round index"):
-        evolve_to(schedule, frames["sigma"], 0)
+        evolve_to(schedule, frames["sigma"], 0, IDEAL)
     with pytest.raises(ValueError, match="round index"):
-        evolve_to(schedule, frames["sigma"], 3)
+        evolve_to(schedule, frames["sigma"], 3, IDEAL)
 
 
 class TestPreRoundStates:
@@ -190,7 +192,7 @@ class TestPreRoundStates:
         """The ideal device's replayed pre-round states, by frame name."""
         return {
             name: [
-                evolve_to(schedule, frame, k).amplitudes
+                evolve_to(schedule, frame, k, IDEAL).amplitudes
                 for k in range(1, len(order_events(schedule, frame)) + 1)
             ]
             for name, frame in frames.items()
@@ -204,12 +206,12 @@ class TestPreRoundStates:
         expected = initial_scenario_state()
         for site in "ABC":
             expected = apply_local(
-                schedule.model.unitary(site), event(schedule, f"friend_{site}").targets, expected
+                IDEAL.unitary(site), event(schedule, f"friend_{site}").targets, expected
             )
         np.testing.assert_allclose(states["sigma"][1], expected.amplitudes, atol=1e-12)
 
     def test_tilted_frame_second_round_applies_only_its_lab(self, schedule, states):
-        expected = apply_local(schedule.model.unitary("A"), ("L", "A"), initial_scenario_state())
+        expected = apply_local(IDEAL.unitary("A"), ("L", "A"), initial_scenario_state())
         np.testing.assert_allclose(states["sigma_p"][1], expected.amplitudes, atol=1e-12)
 
     def test_last_round_state_is_frame_independent(self, states):
@@ -257,12 +259,14 @@ class TestRoundTables:
         # label in the pass): however heavy, it takes no side.
         assert _shared_parity(possible, np.array([1, 0, 1]), axis=1).tolist() == [1, 0, 1, 0]
 
-    def test_constraints_read_the_products_field(self, ideal_tables):
+    def test_constraints_read_the_products_field(self, schedule, ideal_tables, monkeypatch):
         table = ideal_tables["sigma"][1]
         flipped = table._replace(products=-table.products)
         assert flipped.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), +1)
         later = flipped._replace(frame="sigma_p")
-        found = distinct_constraints([flipped, table._replace(products=0 * table.products), later])
+        tables = [flipped, table._replace(products=0 * table.products), later]
+        monkeypatch.setattr(gwsim.scenario, "analyze_stack", lambda model, orderings: tables)
+        _, found = collect_constraints(schedule, IDEAL)
         assert list(found) == [ParityConstraint(("x_A", "x_B", "x_C"), +1)]
         assert found[ParityConstraint(("x_A", "x_B", "x_C"), +1)] is flipped
 
@@ -275,7 +279,7 @@ class TestRoundTables:
 
 class TestCollectConstraints:
     def test_four_frames_give_the_canonical_quartet(self, schedule):
-        _, constraints = collect_constraints(schedule)
+        _, constraints = collect_constraints(schedule, IDEAL)
         assert {(c.slots, c.required_product) for c in constraints} == {
             (("x_A", "x_B", "x_C"), -1),
             (("x_A", "z_B", "z_C"), +1),
@@ -285,12 +289,13 @@ class TestCollectConstraints:
         assert len(constraints) == 4
 
     def test_no_frames_give_no_tables_and_no_constraints(self, schedule):
-        assert analyze_stack(schedule.model, {}) == []
-        assert distinct_constraints(analyze_stack(schedule.model, {})) == {}
+        assert analyze_stack(IDEAL, {}) == []
+        assert collect_constraints(schedule._replace(frames={}), IDEAL) == ([], {})
 
     def test_accepts_a_plain_frame_list(self, schedule, frames, monkeypatch):
-        # A standard frame given as an extra, even twice, adds no pass and no rounds.
-        plain, standard = collect_constraints(schedule)
+        # The four frames named from a plain list give one pass, each frame
+        # ordered once, and the schedule's own tables and constraints.
+        plain, standard = collect_constraints(schedule, IDEAL)
         calls, ordered = [], []
         analyze, order = gwsim.scenario.analyze_stack, gwsim.scenario.order_events
 
@@ -300,8 +305,9 @@ class TestCollectConstraints:
 
         monkeypatch.setattr(gwsim.scenario, "analyze_stack", counting)
         monkeypatch.setattr(gwsim.scenario, "order_events", lambda s, f: ordered.append(f) or order(s, f))
-        tables, constraints = collect_constraints(schedule, [frames["sigma_pp"]] * 2)
-        assert calls == [(schedule.model, list(frames.values()))]
+        named = schedule._replace(frames=dict(zip(FRAME_NAMES, list(frames.values()))))
+        tables, constraints = collect_constraints(named, IDEAL)
+        assert calls == [(IDEAL, list(FRAME_NAMES))]
         assert ordered == list(frames.values())
         assert [(t.frame, t.events) for t in tables] == [(t.frame, t.events) for t in plain]
         assert list(constraints) == list(standard)
@@ -318,44 +324,22 @@ class TestCollectConstraints:
     def test_each_frame_contributes_one_constraint(
         self, schedule, frames, name, slots, product
     ):
-        orderings = {name: order_events(schedule, frames[name])}
-        constraints = distinct_constraints(analyze_stack(schedule.model, orderings))
+        only = schedule._replace(frames={name: frames[name]})
+        _, constraints = collect_constraints(only, IDEAL)
         assert list(constraints) == [ParityConstraint(slots, product)]
 
-    def test_a_generic_extra_frame_adds_only_its_own_rounds(self, schedule, frames):
-        generic = Frame((0.3, -0.2))
-        plain, standard = collect_constraints(schedule)
-        tables, constraints = collect_constraints(schedule, extra=(generic,))
-        own = [(generic, rnd) for rnd in order_events(schedule, generic)]
-        assert [(t.frame, t.events) for t in tables] == [(t.frame, t.events) for t in plain] + own
-        assert all(t.constraint(0) is None for t in tables[len(plain) :])
-        assert list(constraints) == list(standard)
-        assert {t.frame for t in constraints.values()} == set(frames.values())
-
-    def test_an_extra_frames_constraint_is_not_counted(self, schedule, frames):
-        # sigma_p's outsider-and-friends round bears a constraint; as the
-        # extra frame of a schedule whose one standard frame is sigma, it is
-        # analysed but not collected.
-        only_sigma = schedule._replace(frames={"sigma": frames["sigma"]})
-        tables, constraints = collect_constraints(only_sigma, extra=(frames["sigma_p"],))
-        extra = ParityConstraint(("x_A", "z_B", "z_C"), +1)
-        assert any(t.frame == frames["sigma_p"] and t.constraint(0) == extra for t in tables)
-        assert list(constraints) == [ParityConstraint(("x_A", "x_B", "x_C"), -1)]
-
     @pytest.mark.parametrize("spec", [{"kind": "ideal", "seed": 0}, {"kind": "random", "seed": 7}])
-    def test_each_constraint_maps_to_the_first_table_yielding_it(self, spec):
-        schedule = build_schedule(10.0, 1.0, _build_model({"model": spec}))
-        tables, constraints = collect_constraints(schedule)
+    def test_each_constraint_maps_to_the_first_table_yielding_it(self, schedule, spec):
+        tables, constraints = collect_constraints(schedule, _build_model({"model": spec}))
         assert len(constraints) == 4
         for constraint, table in constraints.items():
             assert table is next(t for t in tables if t.constraint(0) == constraint)
-            assert table.frame in schedule.frames.values()
+            assert table.frame in FRAME_NAMES
 
-    def test_reproduced_by_a_random_device_model(self):
+    def test_reproduced_by_a_random_device_model(self, schedule):
         rng = np.random.default_rng(7)
         model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
-        schedule = build_schedule(10.0, 1.0, model)
-        _, constraints = collect_constraints(schedule)
+        _, constraints = collect_constraints(schedule, model)
         assert {(c.slots, c.required_product) for c in constraints} == {
             (("x_A", "x_B", "x_C"), -1),
             (("x_A", "z_B", "z_C"), +1),
@@ -399,35 +383,34 @@ def assert_row_matches_the_dense_oracle(table, m, replayed, model):
 
 @pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
 class TestAnalyze:
-    def test_matches_the_replay_oracle(self, spec):
-        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+    def test_matches_the_replay_oracle(self, schedule, spec):
+        model = ANALYSIS_MODELS[spec]()
         frames = schedule.frames
         orderings = standard_orderings(schedule)
-        tables = analyze_stack(schedule.model, orderings)
+        tables = analyze_stack(model, orderings)
         assert len(tables) == sum(len(rounds) for rounds in orderings.values())
         for name, frame in frames.items():
             mine = [t for t in tables if t.frame == name]
             assert [t.events for t in mine] == orderings[name]
             for k, table in enumerate(mine, start=1):
                 assert table.weights.shape == (1, len(table.labels))
-                replayed = evolve_to(schedule, frame, k)
-                assert_row_matches_the_dense_oracle(table, 0, replayed, schedule.model)
+                replayed = evolve_to(schedule, frame, k, model)
+                assert_row_matches_the_dense_oracle(table, 0, replayed, model)
 
-    def test_a_single_device_is_a_stack_of_one(self, spec):
-        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+    def test_a_single_device_is_a_stack_of_one(self, schedule, spec):
+        model = ANALYSIS_MODELS[spec]()
         orderings = standard_orderings(schedule)
-        single = analyze_stack(schedule.model, orderings)
-        stacked = analyze_stack(stack_models([schedule.model]), orderings)
+        single = analyze_stack(model, orderings)
+        stacked = analyze_stack(stack_models([model]), orderings)
         assert len(single) == len(stacked) == 11
         for one, other in zip(single, stacked):
             assert (one.frame, one.events, one.labels) == (other.frame, other.events, other.labels)
             assert np.array_equal(one.weights, other.weights)
 
     @pytest.mark.parametrize("size", [1, 5])
-    def test_each_site_factor_is_built_once(self, spec, size, monkeypatch):
-        schedule = build_schedule(10.0, 1.0, ANALYSIS_MODELS[spec]())
+    def test_each_site_factor_is_built_once(self, schedule, spec, size, monkeypatch):
         # Stack each distinct device, keeping the sites that share one sharing it.
-        sites = schedule.model.site_unitaries
+        sites = ANALYSIS_MODELS[spec]().site_unitaries
         stacks = {id(u): Operator(np.stack([u.matrix] * size)) for u in sites}
         model = MeasurementModel(tuple(stacks[id(u)] for u in sites))
         built, site_gram = [], gwsim.scenario._site_gram
@@ -472,12 +455,12 @@ def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     device = ideal_von_neumann().unitary("A") if matrix == "ideal" else _haar_model(7).unitary("B")
     shared = MeasurementModel((device,) * 3)
     copies = MeasurementModel(tuple(Operator(device.matrix) for _ in SITES))
-    orderings = standard_orderings(schedule)
-    one, three = analyze_stack(shared, orderings), analyze_stack(copies, orderings)
+    one, found_one = collect_constraints(schedule, shared)
+    three, found_three = collect_constraints(schedule, copies)
     assert len(one) == len(three) == 11
     for a, b in zip(one, three):
         assert np.array_equal(a.weights, b.weights) and np.array_equal(a.products, b.products)
-    assert list(distinct_constraints(one)) == list(distinct_constraints(three))
+    assert list(found_one) == list(found_three)
     collapse = [sequential_collapse_distribution(m) for m in (shared, copies)]
     assert np.array_equal(collapse[0][0], collapse[1][0]) and collapse[0][1] == collapse[1][1]
     assert len(built) == 1 + 3  # one collapse factor per distinct device
@@ -493,7 +476,7 @@ def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
         model = MeasurementModel(tuple(Operator(devices[:, k]) for k in range(3)))
     else:
         model = _build_model({"model": {"kind": spec[:6], "seed": int(spec[7:] or 0)}})
-    orderings = standard_orderings(build_schedule(10.0, 1.0, model))
+    orderings = standard_orderings(build_schedule(10.0, 1.0))
     tables = analyze_stack(model, orderings)
     oracle = round_by_round_tables(model, orderings)
     assert len(tables) == len(oracle) == 11
@@ -520,10 +503,10 @@ def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
 
     monkeypatch.setattr(gwsim.scenario, "apply_local", pair_only)
     monkeypatch.setattr(gwsim.scenario, "initial_scenario_state", refuse)
-    tables = analyze_stack(stack_models(stack_of(5)), standard_orderings(schedule))
+    tables, found = collect_constraints(schedule, stack_models(stack_of(5)))
     assert len(tables) == 11
     assert sorted(applied) == sorted([(SITE_FACTORS[site], (5, 6)) for site in SITES] * 2)
-    assert {(c.slots, c.required_product) for c in distinct_constraints(tables)} == (
+    assert {(c.slots, c.required_product) for c in found} == (
         CANONICAL_CONSTRAINT_KEYS
     )
 
@@ -556,9 +539,8 @@ class TestAnalyzeStack:
         assert all(t.weights.shape == (n, len(t.labels)) for t in tables)
         rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
         for m, model in enumerate(models):
-            s = schedule._replace(model=model)
             for table, k in zip(tables, rounds):
-                replayed = evolve_to(s, frames[table.frame], k)
+                replayed = evolve_to(schedule, frames[table.frame], k, model)
                 assert_row_matches_the_dense_oracle(table, m, replayed, model)
 
     def test_margins_hold_over_2000_haar_devices(self, schedule):
@@ -601,8 +583,7 @@ def test_weights_of_the_ideal_device_are_exact_dyadic_fractions(ideal_tables):
 
 
 def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
-    tables = analyze_stack(schedule.model, standard_orderings(schedule))
-    found = [(c.slots, c.required_product) for c in distinct_constraints(tables)]
+    found = [(c.slots, c.required_product) for c in collect_constraints(schedule, IDEAL)[1]]
     assert len(found) == 4
     assert set(found) == CANONICAL_CONSTRAINT_KEYS
 
@@ -637,7 +618,7 @@ def test_random_subluminal_frames_yield_no_new_constraint(schedule):
     assert len(replayed_rounds) > 20
     for table, k in replayed_rounds.values():
         for m, model in enumerate(models):
-            replayed = evolve_to(schedule._replace(model=model), frames[table.frame], k)
+            replayed = evolve_to(schedule, frames[table.frame], k, model)
             assert_row_matches_the_dense_oracle(table, m, replayed, model)
 
 
@@ -648,7 +629,7 @@ class TestEnumerateAssignments:
         assert rows.shape == (64, len(CANONICAL_SLOTS)) and rows.dtype == np.int8
 
     def test_matches_the_exhaustive_loop(self, schedule):
-        canonical = list(collect_constraints(schedule)[1])
+        canonical = list(collect_constraints(schedule, IDEAL)[1])
         cases = [
             list(subset)
             for n in range(len(canonical) + 1)
@@ -669,11 +650,11 @@ class TestEnumerateAssignments:
             assert np.array_equal(enumerate_assignments(constraints), expected)
 
     def test_full_quartet_is_unsatisfiable(self, schedule):
-        constraints = list(collect_constraints(schedule)[1])
+        constraints = list(collect_constraints(schedule, IDEAL)[1])
         assert enumerate_assignments(constraints).shape == (0, len(CANONICAL_SLOTS))
 
     def test_dropping_any_one_constraint_leaves_eight(self, schedule):
-        constraints = list(collect_constraints(schedule)[1])
+        constraints = list(collect_constraints(schedule, IDEAL)[1])
         for skip in range(4):
             kept = [c for i, c in enumerate(constraints) if i != skip]
             assert len(enumerate_assignments(kept)) == 8

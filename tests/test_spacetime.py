@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 import gwsim.spacetime
 from _oracles import boost_point, lstsq_velocity
-from gwsim.measurement import ideal_von_neumann
 from gwsim.scenario import build_schedule, order_events
 from gwsim.spacetime import (
     MAX_SPEED,
@@ -65,7 +64,7 @@ def test_standard_geometry_rejects_bad_parameters(side, tau):
     failed = [r.name for r in validate_geometry(standard_geometry(side, tau)) if not r.passed]
     assert _BAD_TAU_CHECK[tau] in failed
     with pytest.raises(ValueError, match="geometry checks failed: " + ", ".join(failed) + "$"):
-        build_schedule(side, tau, ideal_von_neumann())
+        build_schedule(side, tau)
 
 
 def test_interval_examples():
@@ -274,7 +273,7 @@ def test_standard_geometry_passes_every_check_at_any_scale(k):
 
 
 def _orderings(side, tau):
-    schedule = build_schedule(side, tau, ideal_von_neumann())
+    schedule = build_schedule(side, tau)
     return {
         name: [[ev.id for ev in rnd] for rnd in order_events(schedule, f)]
         for name, f in schedule.frames.items()
