@@ -22,13 +22,12 @@ per assignment.
   even the preferred frame's outsider parity fails with probability 1/2.
 
 A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
-(row *i* of ``OUTCOME_SIGNS`` holds the ±1 values of index *i*). Monte Carlo
-is then one inverse-CDF draw per trial: trial *i* takes the *i*-th uniform of
-numpy's counter-based Philox4x64-10 stream keyed by ``SeedSequence(seed)``,
-computed here in numpy integer arithmetic (so ``numpy.random`` is never
-imported) and read in blocks, each counted by sorting it. Reports are
-reproducible, memory is flat in the trial count, and the first *k* trials of
-any run are the *k*-trial run.
+(row *i* of ``OUTCOME_SIGNS``). A run keeps one count per outcome, so Monte
+Carlo draws the count vector at once, as numpy's ``Generator.multinomial``
+does on Philox4x64-10 keyed by ``SeedSequence(seed)``: one binomial per
+nonzero entry, each reading a few uniforms whatever the trial count. Stream
+and binomials are computed in Python ints and floats, bit for bit numpy's,
+so ``numpy.random`` is never imported.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
@@ -77,8 +76,6 @@ from .scenario import (
 from .systems import LabLabel, SpinAxis, initial_product_terms, lab_vector, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
-# Uniforms per sampling block, so a run's memory stays flat in its trial count.
-DRAW_BLOCK = 1 << 16
 # The most trials an int64 outcome count holds.
 MAX_TRIALS = 2**63 - 1
 # Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments.
@@ -207,22 +204,123 @@ def _philox_uniforms(key, start: int, n: int) -> np.ndarray:
     return uniforms
 
 
-def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Per-entry counts of ``trials`` inverse-CDF draws; zero entries never occur.
+def _philox_block(key, counter: int) -> tuple[int, int, int, int]:
+    """``_philox_words`` for the one counter (counter, 0, 0, 0), in Python ints."""
+    (m0, m1), (k0, k1), (s0, s1) = PHILOX_MULTIPLIERS, key, PHILOX_KEY_STEPS
+    x0, x1, x2, x3 = counter, 0, 0, 0
+    for _ in range(10):
+        p0, p2 = x0 * m0, x2 * m1
+        x0, x1, x2, x3 = (p2 >> 64) ^ x1 ^ k0, p2 & MASK64, (p0 >> 64) ^ x3 ^ k1, p0 & MASK64
+        k0, k1 = (k0 + s0) & MASK64, (k1 + s1) & MASK64
+    return x0, x1, x2, x3
 
-    Trial i takes the i-th uniform of numpy's Philox4x64-10 stream keyed by
-    ``SeedSequence(seed)``, computed in numpy integer arithmetic DRAW_BLOCK at
-    a time: the stream is counter-based, so blocks change no count. A block
-    is counted by sorting it: its uniforms below cdf[j] draw entries 0 … j.
-    """
-    key = _philox_key(seed)
-    cdf = np.cumsum(probabilities)
-    cdf /= cdf[-1]
-    counts = np.zeros(len(cdf), dtype=np.int64)
-    for start in range(0, trials, DRAW_BLOCK):
-        uniforms = _philox_uniforms(key, start, min(DRAW_BLOCK, trials - start))
-        uniforms.sort()
-        counts += np.diff(np.searchsorted(uniforms, cdf), prepend=0)
+
+def _uniform_stream(key):
+    """numpy's ``Generator.random`` draws under ``key``, one at a time."""
+    for counter in itertools.count(1):
+        for word in _philox_block(key, counter):
+            yield (word >> 11) * 2.0**-53
+
+
+def _binomial_inversion(uniform, n: int, p: float) -> int:
+    """numpy's Bin(n, p) draw for p ≤ 1/2 and n·p ≤ 30: walk the pmf up from
+    0, starting over past its mean plus ten deviations."""
+    q, mean = 1.0 - p, n * p
+    qn, bound = math.exp(n * math.log1p(-p)), min(n, int(mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px, u = 0, qn, uniform()
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u = 0, qn, uniform()
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _binomial_btpe(uniform, n: int, p: float) -> int:
+    """numpy's Bin(n, p) draw for p ≤ 1/2 and n·p > 30: BTPE (Kachitvichyanukul &
+    Schmeiser, CACM 31, 216 (1988)), step for step. Every float operation is
+    numpy's, in its order, and so are the two places its int64 arithmetic wraps."""
+    q, fm, nrq = 1.0 - p, n * p + p, n * p * (1.0 - p)
+    m = math.floor(fm)
+    p1 = math.floor(2.195 * math.sqrt(nrq) - 4.6 * q) + 0.5
+    xm = m + 0.5
+    xl, xr, c = xm - p1, xm + p1, 0.134 + 20.5 / (15.3 + m)
+    laml, lamr = (a * (1.0 + a / 2.0) for a in ((fm - xl) / (fm - xl * p), (xr - fm) / (xr * q)))
+    p2 = p1 * (1.0 + 2.0 * c)
+    p3, p4 = p2 + c / laml, p2 + c / laml + c / lamr
+    while True:
+        u, v = uniform() * p4, uniform()
+        if u <= p1:  # the triangle: accepted outright
+            return math.floor(xm - p1 * v + u)
+        if u <= p2:  # the parallelograms
+            x = xl + (u - p1) / c
+            v = v * c + 1.0 - abs(m - x + 0.5) / p1
+            if v > 1.0:
+                continue
+            y = math.floor(x)
+        elif u <= p3:  # the left tail
+            if v == 0.0 or (y := math.floor(xl + math.log(v) / laml)) < 0:
+                continue
+            v = v * (u - p2) * laml
+        else:  # the right tail
+            if v == 0.0 or (y := math.floor(xr - math.log(v) / lamr)) > n:
+                continue
+            v = v * (u - p3) * lamr
+        k = abs(y - m)
+        if k <= 20 or k >= nrq / 2.0 - 1:  # f(y)/f(m) by its recursion
+            s = p / q
+            a, f = s * (n + 1 if n < MAX_TRIALS else -(2**63)), 1.0  # int64 n + 1
+            for i in range(m + 1, y + 1):
+                f *= a / i - s
+            for i in range(y + 1, m + 1):
+                f /= a / i - s
+            if v <= f:
+                return y
+            continue
+        rho = (k / nrq) * ((k * (k / 3.0 + 0.625) + 0.1666666666666) / nrq + 0.5)
+        t = ((2**63 - k * k) % 2**64 - 2**63) / (2 * nrq)  # int64 −k·k
+        log_v = math.log(v) if v > 0.0 else -math.inf
+        if log_v < t - rho:
+            return y
+        if log_v > t + rho:
+            continue
+        x1, f1, z, w = float(y + 1), float(m + 1), float(n) + 1 - m, float(n) - y + 1
+        bound = xm * math.log(f1 / x1) + (n - m + 0.5) * math.log(z / w)
+        bound += (y - m) * math.log(w * p / (x1 * q))
+        for g in (f1, x1, z, w):
+            g2 = g * g
+            bound += (13680.0 - (462.0 - (132.0 - (99.0 - 140.0 / g2) / g2) / g2) / g2) / g / 166320.0
+        if log_v <= bound:
+            return y
+
+
+def _binomial(uniform, n: int, p: float) -> int:
+    """numpy's ``random_binomial``: Bin(n, min(p, 1 − p)), reflected."""
+    if n == 0 or p == 0.0:
+        return 0
+    r = min(p, 1.0 - p)
+    y = (_binomial_inversion if r * n <= 30.0 else _binomial_btpe)(uniform, n, r)
+    return y if p <= 0.5 else n - y
+
+
+def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
+    """Per-entry counts of ``trials`` draws from the table, bit for bit numpy's
+    ``Generator(Philox(SeedSequence(seed))).multinomial(trials, p)`` on its
+    nonzero entries p, in table order, so zero entries never occur. Entry j
+    takes Bin(trials left, p_j / p left) and the last what is left; a binomial
+    reads a few uniforms whatever its n, so every trial count costs the same."""
+    uniform = _uniform_stream(_philox_key(seed)).__next__
+    counts = np.zeros(len(probabilities), dtype=np.int64)
+    (*entries, last), left, remaining = np.flatnonzero(probabilities).tolist(), trials, 1.0
+    for j, p in zip(entries, probabilities[entries].tolist()):
+        # p_j / p_left passes 1 only by rounding, and numpy then draws all n.
+        counts[j] = drawn = _binomial(uniform, left, min(p / remaining, 1.0))
+        left, remaining = left - drawn, remaining - p
+        if left <= 0:
+            return counts
+    counts[last] = left
     return counts
 
 

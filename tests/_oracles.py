@@ -499,14 +499,6 @@ def outcome_indices(rows: np.ndarray) -> np.ndarray:
     return bits @ (1 << np.arange(bits.shape[1] - 1, -1, -1))
 
 
-def draw_reference(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Table index of each of ``trials`` inverse-CDF draws, all in one shot:
-    trial i takes the i-th uniform of the Philox stream keyed by ``seed``."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cdf = np.cumsum(probabilities)
-    return np.searchsorted(cdf / cdf[-1], rng.random(trials), side="right")
-
-
 # ---------------------------------------------------------------------------
 # The device sweep, one model at a time
 

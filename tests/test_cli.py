@@ -30,7 +30,7 @@ from gwsim.cli import (
     main,
     parse_args,
 )
-from gwsim.models import MAX_MODELS, MODES
+from gwsim.models import MAX_MODELS, MAX_TRIALS, MODES
 from gwsim.scenario import FRAME_NAMES
 import gwsim.spacetime
 from gwsim.spacetime import (
@@ -124,7 +124,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "8"
+        assert report["schema_version"] == "9"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -403,39 +403,39 @@ def test_the_ideal_device_needs_no_numpy_linalg(capsys, monkeypatch, argv):
 # reports print is exact or an integer, so the digests hold on any platform.
 # A change that moves a byte edits its pin and says why.
 PINNED_DIGESTS = [
-    ("sweep --models 60 --seed 1 --format json", 0, "48699669c66f1dd835845652eb22216af0888168a9d9cc1f6f4aee959b919009"),
+    ("sweep --models 60 --seed 1 --format json", 0, "59207ac2ff3072dc9e04cf6673d4e10d71de2ceb4b6a105a5695e6cc13650a11"),
     ("sweep --models 60 --seed 1 --format text", 0, "d6f42495183c615d00db4aa09cccd1a9b901d2ac10a2be436de613b938ceacc1"),
-    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "ca254f057183937b3e13b1de60ebec6bf98dd5d44bdb866009954233b3f89711"),
-    ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "f7367267e32318946b74080e1f9652c851561fb400322478b2f4433f09689b99"),
-    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "3db6f893d10b6adbe650d2d0a7bd56b1e138e374cdd65b5176baae528a2baab0"),
-    ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "e0fae9c2e646160f1ee4f5e00de770ea7e279f87eb579b8b2b17640d40d40929"),
-    ("erasure --trials 2000 --seed 1 --format json", 0, "42077b5aba87b9652d43a4c180f3bf6121bc3f588fbcefbbf6a31dc0c7858c8c"),
-    ("erasure --trials 2000 --seed 1 --format text", 0, "ef69724258b3a5db865e98ec3d054ddb675c1978c11556325f4cceb3971f5eda"),
-    ("ghz-nogo --format json", 0, "30a2273e0d2ab40084f27fee2774fde33889adacb845d2a094393c1648a9ff1b"),
+    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "e80dc073e0fffaa37f8ccef5b749765cd6024486991e073bea4cb0da6acc945d"),
+    ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "c63758d2a091c1741e05a7bc69e42ac09f9afa02f075a9da80d9cc126539105d"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "fe417d40b659aa007322d71ad978a911b455ec40cc9291b6e254c9822690f3e9"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "a3e890fb65f37162acbdeb3f1913cf2dd0e1c2a0bf0342d9f314bf006b036f9f"),
+    ("erasure --trials 2000 --seed 1 --format json", 0, "a7e46ce05eaed75f033aba865813b32e140ce39b179e7140dee04f13fe4caa6f"),
+    ("erasure --trials 2000 --seed 1 --format text", 0, "190ba532bfd79a1c3a2bfec9eb1a3623568991f1e14ba93c51a7bb38f15c03a1"),
+    ("ghz-nogo --format json", 0, "584eef3e200ea0ca7a183c5708bab749276f4a24bcb43010672b0ad85724fcfb"),
     ("ghz-nogo --format text", 0, "14605ca7e2ecd6fea3f84103b99e29c3d93b699c37a960b60d67a95f1d0ae1b3"),
-    ("frames --format json", 0, "9be391ee059b1113ce2fe3635aad578614cbb3d864bf4c66e71afa4e8f195415"),
+    ("frames --format json", 0, "1575a602e66dfccb0860adfa67aff8b3c270904b7b81d3c415fe76bedca323af"),
     ("frames --format text", 0, "e20cad287ea3ed625c5048e479a3f371a41d13801306b1218f8fc7756e69dad5"),
-    ("distinguish --format json", 0, "29f3f2bf99242894df0d98de553e69c2615ba7b223b200fdb83078f1ec7b2e06"),
+    ("distinguish --format json", 0, "41432b912ed2dac249506f35f6bb8545a26b28bd1b0e41edf88fda8c3bfb96c5"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
     # Three distinct devices, one per site: no device-dependent work is shared.
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "461bacff1a5c6b9d9f1604cd8b92fa8c67dd2faa2a670fc2b9cc7858c41d069e"),
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "b888d250b2eb75163752b5a94da8bbcc84bb7de84f71b025b51abc4a85bc4335"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "3dbe4953fb8895aea19a1712643629531faa06ba34478b42e886c68542728a0b"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "23fb6fab29f8e96a2a1252c944a7c47af4f7d46555c9d6dce84ce888e8b68539"),
-    ("ghz-nogo --model random:7 --format json", 0, "446588d1171fcf0a28647d66214b63c74c6af43bed4946b74050aa8724ded9f8"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "4299601ada3927822c7245010dd1507f0021b63c8169f2140e50d56e090131cf"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "96420c785de2cfd8750f971fd8d138adaa62e1ecb71a29fb6c3e0bb57f39c8d7"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "bc126a105eb4452a0f74897ff32f3de2a304e68a60a0387da4143b5b733aa6dc"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "5c991a9621da47c5935ca19ae4335a0900c1bc3ee1faa718b5aacf8caa071c53"),
+    ("ghz-nogo --model random:7 --format json", 0, "a548e47841758d5864ae29a006a4ebc69e9676ec755a2d00dad9371dcec7b600"),
     ("ghz-nogo --model random:7 --format text", 0, "450d0ce3743c53cd3e49932d01c67be69509753ef146a1ec99bae912c35c26ea"),
     # A non-ideal recorder: the door sees the branch coherence, so the door check fails.
-    ("distinguish --model random:7 --format json", 1, "7c2892658890aa775678b38142908f6893dce33c857acec3eb9ca6ba7782d9a7"),
+    ("distinguish --model random:7 --format json", 1, "693e0ef4614f69a083e88bb2cc70bdd97fad4a83936f6cc1b4b83f7c69c9dd5b"),
     ("distinguish --model random:7 --format text", 1, "69cea4d93803895e9e996be228db859613dd327e7140954d7e433b36775965f9"),
     # The standard frames' analysis read without trials, with a constraint
     # dropped, and for a Haar device and a stacked sweep at another geometry.
-    ("run --trials 0 --format json", 0, "2eb864238b5f52400fe5c1d828d296b3110c73b380cd6debc6c41ba1f57d2b26"),
+    ("run --trials 0 --format json", 0, "9bc5c281d99905cb7a525ebe4578b249341442f062ac177563c9cf130997002b"),
     ("run --trials 0 --format text", 0, "f80367970bdecbdbcc55fa3e623bcf4ac40c8eee040bd89a4dd3e2be54d807d2"),
-    ("ghz-nogo --drop-constraint 2 --format json", 0, "23489dff5009fde374385bd29f6c83a1fc9c6825276ab83e44b7f1f1b5bc3b60"),
+    ("ghz-nogo --drop-constraint 2 --format json", 0, "5a0b74275fd0d8db26faeb80e24fad67702e7339ba2e887f3b0dd5d9ce0f4e99"),
     ("ghz-nogo --drop-constraint 2 --format text", 0, "ce0c742c3c92e65fc0950f9017dcf2f6ef943feda9c6c77c3f00676aa155b2a9"),
-    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "97127d8ee992775ad8956366f1b5ab93c8831ea507e4981d1355daa4f246804b"),
+    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "ca89ce633d61f6054ca5de3645ede6209582647d0fe33373095ebde947b09297"),
     ("ghz-nogo --model random:7 --side 3 --tau 2 --format text", 0, "7af1cc06d899ee487ab53636a104fce5b6e5aaf831ee8dfd0b3935a9952bb2ea"),
-    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "237851661117fbcc07ccaa97c0a7f6517fac80a244467f7723def59e37dcc555"),
+    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "e5dca6596fa66d2495629df96d5f7c518aea844d56328309a49e264e5530f112"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
 ]
 
@@ -564,7 +564,7 @@ class TestRun:
         def no_uniforms(*args):
             raise AssertionError("uniforms drawn at zero trials")
 
-        monkeypatch.setattr(gwsim.models, "_philox_uniforms", no_uniforms)
+        monkeypatch.setattr(gwsim.models, "_philox_block", no_uniforms)
         code, report = run_json(capsys, "run", "--trials", "0")
         assert code == 0
         assert "run" not in report["results"]
@@ -788,6 +788,45 @@ def test_a_closed_stdout_ends_the_report_quietly():
         proc.wait()
     assert b"Traceback" not in err
     assert err == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--mode", "round_born"],
+        ["run", "--mode", "sequential_collapse"],
+        ["erasure"],
+    ],
+)
+def test_the_most_trials_accepted_give_a_report(argv):
+    # The draw costs the same at every trial count, so the largest one
+    # accepted reports in a fresh process well within the timeout.
+    src = str(Path(gwsim.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gwsim.cli", *argv, "--trials", str(MAX_TRIALS), "--format", "json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=10,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert all(check["passed"] for check in report["checks"])
+    results = report["results"]
+    if argv[0] == "erasure":
+        assert sum(results["door_counts"].values()) == MAX_TRIALS
+        assert sum(results["pair_x_counts"].values()) == MAX_TRIALS
+    else:
+        # The report prints tallies, not the counts behind them.
+        assert results["run"]["trials"] == MAX_TRIALS
+        schedule = gwsim.scenario.build_schedule(10.0, 1.0)
+        m = gwsim.models.InterpretationModel(argv[2], "sigma")
+        model = gwsim.measurement.ideal_von_neumann()
+        run = gwsim.models.run_model(schedule, model, m, MAX_TRIALS, 0)
+        assert run.counts.sum() == MAX_TRIALS
+        stats = results["run"]["constraint_statistics"]
+        assert [stat["violations"] for stat in stats] == list(run.violation_counts)
 
 
 class TestSeedResolution:

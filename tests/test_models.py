@@ -20,7 +20,6 @@ from _oracles import (
     box_muller_normals,
     collapse_branches_reference,
     door_observable,
-    draw_reference,
     entangled_record_state,
     outcome_indices,
     outsider_observable,
@@ -40,6 +39,7 @@ from gwsim.measurement import (
     pair_index,
 )
 from gwsim.models import (
+    MAX_TRIALS,
     MODES,
     InterpretationModel,
     _outsider_projectors,
@@ -578,23 +578,6 @@ def test_reference_sampler_matches_the_exact_table(schedule, table_models, spec,
     assert stat <= chi_square_bound(dof), (stat, dof)
 
 
-def reference_counts(probabilities, trials, seed, first=None):
-    """Counts of the first ``first`` (default: all) of ``trials`` one-shot draws."""
-    indices = draw_reference(probabilities, trials, seed)[:first]
-    return np.bincount(indices, minlength=len(probabilities))
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_run_is_a_prefix_of_a_longer_run(schedule, mode, monkeypatch):
-    monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", 64)
-    m = InterpretationModel(mode, "sigma_p")
-    long = run_model(schedule, IDEAL, m, 500, seed=31)
-    short = run_model(schedule, IDEAL, m, 137, seed=31)
-    assert np.array_equal(long.counts, reference_counts(long.probabilities, 500, 31))
-    assert np.array_equal(short.counts, reference_counts(long.probabilities, 500, 31, 137))
-    assert np.all(short.counts <= long.counts)
-
-
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128, 10**400]
 
 
@@ -615,7 +598,7 @@ class TestPhilox:
     @pytest.mark.parametrize(
         "start, n",
         # The last range crosses the first block boundary.
-        [(0, 0), (0, 1), (0, 5), (3, 10), (65533, 7), (gwsim.models.DRAW_BLOCK - 6, 13)],
+        [(0, 0), (0, 1), (0, 5), (3, 10), (65533, 7), (65530, 13)],
     )
     def test_uniforms_are_numpys_stream(self, seed, start, n):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
@@ -685,67 +668,134 @@ class TestSweepNormals:
         assert gwsim.models._haar_devices(3, []).shape == (0, 3, 6, 6)
 
 
+def numpy_counts(probabilities, trials: int, seed: int) -> np.ndarray:
+    """numpy's own ``multinomial`` on the table's nonzero entries, scattered
+    back into the table."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    counts = np.zeros(len(probabilities), dtype=np.int64)
+    counts[probabilities > 0] = rng.multinomial(trials, probabilities[probabilities > 0])
+    return counts
+
+
+# Every trial count the binomials treat apart: none, inversion around n·p = 30
+# for the small entries, BTPE beyond it, and the most an int64 count holds.
+DRAW_SIZES = [0, 1, 30, 31, 600, 10**4, 10**12, MAX_TRIALS]
+
+
+def zero_gapped_table() -> np.ndarray:
+    """A 64-entry table whose zero entries sit between nonzero ones."""
+    probabilities = np.random.default_rng(2).dirichlet(np.ones(64))
+    probabilities[::5] = 0.0
+    return probabilities
+
+
 class TestDraw:
-    """The blocked sampler against one-shot draws of the same stream."""
+    """The count draw against numpy's ``Generator.multinomial``, bit for bit."""
 
-    SIZES = [0, 1, 63, 64, 65, 1000]
-    BLOCKS = [7, 64]
+    @pytest.fixture(scope="class")
+    def tables(self, schedule):
+        haar = _build_model({"model": {"kind": "random", "seed": 5}})
+        born = run_model(schedule, IDEAL, InterpretationModel("round_born", "sigma"), 0, 0)
+        collapse = sequential_collapse_distribution(IDEAL)[0]
+        erasure = np.array([p for _, p in erasure_reference(False)[0]])
+        return {
+            "round_born": born.probabilities,
+            "collapse": collapse,
+            "erasure": erasure,
+            "collapse random:5": sequential_collapse_distribution(haar)[0],
+            "zero gaps": zero_gapped_table(),
+            # Sums to 1, yet 1 − 0.3 rounds below the middle entry, so its
+            # binomial's p passes 1 and it takes every trial.
+            "rounded remainder": np.array([0.3, math.nextafter(0.7, 1.0), 1e-20]),
+        }
 
-    @pytest.mark.parametrize("trials", SIZES)
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_counts_match_the_one_shot_reference(self, monkeypatch, trials, block):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
-        probabilities = np.random.default_rng(2).dirichlet(np.ones(64))
-        probabilities[::5] = 0.0  # zero entries never occur
-        counts = gwsim.models._draw(probabilities, trials, seed=9)
-        assert counts.dtype == np.int64
-        assert counts.shape == (64,)
-        assert np.array_equal(counts, reference_counts(probabilities, trials, 9))
-        assert not counts[::5].any()
+    @pytest.mark.parametrize("trials", DRAW_SIZES)
+    @pytest.mark.parametrize(
+        "name",
+        ["round_born", "collapse", "erasure", "collapse random:5", "zero gaps", "rounded remainder"],
+    )
+    def test_counts_are_numpys_multinomial(self, tables, name, trials):
+        probabilities = tables[name]
+        for seed in (4, 2**63 - 1):
+            counts = gwsim.models._draw(probabilities, trials, seed)
+            assert counts.dtype == np.int64 and counts.shape == probabilities.shape
+            assert np.array_equal(counts, numpy_counts(probabilities, trials, seed))
+            assert counts.sum() == trials
+            assert not counts[probabilities == 0].any()
 
-    @pytest.mark.parametrize("trials", SIZES)
+    @pytest.mark.parametrize("trials", DRAW_SIZES)
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_run_counts_match_the_one_shot_reference(
-        self, schedule, monkeypatch, mode, trials, block
-    ):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
+    def test_run_counts_are_numpys_multinomial(self, schedule, mode, trials):
         report = run_model(schedule, IDEAL, InterpretationModel(mode, "sigma_pp"), trials, 4)
-        assert np.array_equal(report.counts, reference_counts(report.probabilities, trials, 4))
+        assert np.array_equal(report.counts, numpy_counts(report.probabilities, trials, 4))
 
-    @pytest.mark.parametrize("trials", SIZES)
+    @pytest.mark.parametrize("trials", DRAW_SIZES)
     @pytest.mark.parametrize("skip_pair_x", [False, True])
-    @pytest.mark.parametrize("block", BLOCKS)
-    def test_erasure_counts_match_the_one_shot_reference(
-        self, monkeypatch, trials, skip_pair_x, block
-    ):
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
+    def test_erasure_counts_are_numpys_multinomial(self, monkeypatch, trials, skip_pair_x):
+        # The (pair-x, door) table erasure draws from is the reference's
+        # branch table up to rounding, which 2⁶³ − 1 trials would see, so the
+        # counts are checked on the table the draw is given.
+        tables = []
+        draw = gwsim.models._draw
+
+        def recorded(probabilities, n, seed):
+            tables.append(probabilities)
+            return draw(probabilities, n, seed)
+
+        monkeypatch.setattr(gwsim.models, "_draw", recorded)
+        report = erasure_experiment(trials, 6, skip_pair_x=skip_pair_x)
+        (table,) = tables
         branches, _ = erasure_reference(skip_pair_x)
-        counts = reference_counts(np.array([p for _, p in branches]), trials, 6)
+        nonzero = table > 0  # the reference lists no branch of weight 0
+        np.testing.assert_allclose(table[nonzero], [p for _, p in branches], rtol=0, atol=1e-15)
         door = {+1: 0, -1: 0, 0: 0}
         pair_x = {+1: 0, -1: 0}
-        for (signs, _), n in zip(branches, counts.tolist()):
+        for (signs, _), n in zip(branches, numpy_counts(table, trials, 6)[nonzero].tolist()):
             door[signs[-1]] += n
             if not skip_pair_x:
                 pair_x[signs[0]] += n
-        report = erasure_experiment(trials, 6, skip_pair_x=skip_pair_x)
         assert (report.door_counts, report.pair_x_counts) == (door, pair_x)
 
-    def test_memory_stays_within_a_few_blocks(self, monkeypatch):
-        block = 4096
-        monkeypatch.setattr(gwsim.models, "DRAW_BLOCK", block)
-        probabilities = np.full(64, 1 / 64)
-        gwsim.models._draw(probabilities, 2 * block, seed=1)  # warms numpy's caches
-        tracemalloc.start()
-        try:
-            counts = gwsim.models._draw(probabilities, 20 * block, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert counts.sum() == 20 * block
-        # One block holds its uniforms and their indices, 16 B a trial; a
-        # one-shot draw of all 20 blocks would hold 20 times that.
-        assert peak < 3 * 16 * block
+    @pytest.mark.parametrize(
+        "trials, p",
+        # n + 1 and −k·k overflow numpy's int64 at the largest n. Below
+        # p ≈ 1e-16, 1 − p rounds to 1, so inversion needs numpy's log1p(−p),
+        # and BTPE's Stirling bound turns on how n − m + 1 and n − y + 1 round.
+        [(MAX_TRIALS, 100 / MAX_TRIALS), (MAX_TRIALS, 0.5), (MAX_TRIALS, 0.3),
+         (2**62, 1.2e-18), (9223311546057693780, 1.0066447009423966e-17),
+         (2**62 + 12345, 3e-17), (10**17, 0.999), (10**6, 1e-5), (40, 0.9)],
+    )
+    def test_binomials_are_numpys(self, trials, p):
+        for seed in range(60):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            expected = rng.binomial(trials, p, size=4).tolist()
+            uniform = gwsim.models._uniform_stream(gwsim.models._philox_key(seed)).__next__
+            assert [gwsim.models._binomial(uniform, trials, p) for _ in range(4)] == expected
+
+    def test_blocks_read_do_not_grow_with_the_trial_count(self, tables, monkeypatch):
+        # 63 binomials on the 64-entry collapse table; each reads a few uniforms.
+        calls = []
+        block = gwsim.models._philox_block
+
+        def counting(key, counter):
+            calls.append(counter)
+            return block(key, counter)
+
+        monkeypatch.setattr(gwsim.models, "_philox_block", counting)
+        read = {}
+        for trials in (10**4, MAX_TRIALS):
+            calls.clear()
+            gwsim.models._draw(tables["collapse"], trials, seed=1)
+            read[trials] = len(calls)
+            assert calls == list(range(1, len(calls) + 1))
+        assert all(0 < n <= 64 for n in read.values()), read
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_scalar_block_is_the_vector_philox(self, seed):
+        key = gwsim.models._philox_key(seed)
+        counters = [0, 1, 2, 3, 255, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        words = gwsim.models._philox_words(key, np.array(counters, dtype=np.uint64))
+        assert [list(gwsim.models._philox_block(key, c)) for c in counters] == words.tolist()
 
 
 def test_sampling_imports_no_numpy_random():
@@ -781,15 +831,6 @@ def test_sampling_imports_no_numpy_random():
         timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-
-
-def test_erasure_counts_grow_with_the_prefix():
-    full = erasure_experiment(400, seed=31)
-    for k in (1, 57, 399):
-        part = erasure_experiment(k, seed=31)
-        for sign in (+1, -1):
-            assert part.door_counts[sign] <= full.door_counts[sign]
-            assert part.pair_x_counts[sign] <= full.pair_x_counts[sign]
 
 
 class TestExactRates:
