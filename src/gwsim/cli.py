@@ -637,12 +637,12 @@ COMMANDS = {
     "ghz-nogo": (cmd_ghz_nogo, "support tables and the unsatisfiable constraint set",
                  "--side --tau --model --drop-constraint"),
     "distinguish": (cmd_distinguish, "door vs pair statistics on the two descriptions", "--model"),
-    "frames": (cmd_frames, "geometry validation, boosts, event orderings", "--side --tau --model"),
+    "frames": (cmd_frames, "geometry validation, boosts, event orderings", "--side --tau"),
     "run": (cmd_run, "constraints plus Monte Carlo model statistics",
             "--side --tau --model --seed --trials --mode --preferred"),
     "erasure": (cmd_erasure, "single-lab record erasure experiment", "--seed --trials --skip-j"),
     "sweep": (cmd_sweep, "contradiction under random non-ideal devices",
-              "--side --tau --model --seed --models"),
+              "--side --tau --seed --models"),
 }
 
 

@@ -105,13 +105,15 @@ def ideal_von_neumann() -> MeasurementModel:
 
 
 def haar_unitaries(draws: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries from (..., 2, d, d) standard normal draws
-    (real, imaginary parts): one stacked QR of the complex Gaussians, each
-    column's phase fixed by R's diagonal (Mezzadri, Notices AMS 54, 2007).
-    Entry i is the unitary of ``draws[i]`` alone, bit for bit."""
-    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
+    """Haar-distributed unitaries from (..., 2, d, k) standard normal draws
+    (real, imaginary parts): one stacked QR of the complex Gaussians, the
+    first k columns' phases fixed by R's diagonal (Mezzadri, Notices AMS 54,
+    2007) and bit for bit those of a (d, d) draw's; LAPACK completes the
+    rest. Entry i is the unitary of ``draws[i]`` alone, bit for bit."""
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :], mode="complete")
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diagonal / np.abs(diagonal))[..., None, :]
+    q[..., : r.shape[-1]] *= (diagonal / np.abs(diagonal))[..., None, :]
+    return q
 
 
 def haar_random_unitary(dim: int, rng: np.random.Generator) -> Operator:

@@ -36,7 +36,8 @@ measurement devices: one device-free schedule, and fixed blocks of one
 stacked Haar draw and one stacked pass each. Model i's devices come from
 Box–Muller normals on its own Philox stream, keyed by
 ``SeedSequence(seed, spawn_key=(i,))``; the devices of ``--model random:N``
-are spawn 0 of seed N, which no sweep model draws.
+are spawn 0 of seed N, which no sweep model draws. Only a device's Ready
+columns are read, so only they are drawn, bit for bit the full draw's.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .measurement import (
     SITES,
     MeasurementModel,
     _door_projectors,
+    _ideal_matrix,
     _outsider_projectors,
     haar_unitaries,
     ideal_von_neumann,
@@ -189,15 +191,13 @@ def _philox_words(key, counters: np.ndarray) -> np.ndarray:
     return np.stack([x0, x1, x2, x3], axis=-1)
 
 
-def _philox_uniforms(key, start: int, n: int) -> np.ndarray:
-    """Uniforms ``start`` … ``start + n − 1`` of numpy's Philox4x64-10 stream
-    under ``key``, as ``Generator.random`` draws them: uniform i is
-    (w >> 11)·2⁻⁵³ for word i mod 4 of counter ⌊i/4⌋ + 1. With one key per
-    row, as ``_philox_words`` takes it, each row holds its key's uniforms."""
-    first = start // 4
-    counters = np.arange(first + 1, (start + n + 3) // 4 + 1, dtype=np.uint64)
+def _philox_uniforms(key, counters: np.ndarray) -> np.ndarray:
+    """The uniforms of numpy's Philox4x64-10 stream under ``key`` at the
+    ``counters`` (uint64), shape counters.shape + (4,): as ``Generator.random``
+    draws them, uniform 4(c − 1) + i is (w >> 11)·2⁻⁵³ for word i of counter c.
+    With one key per row, as ``_philox_words`` takes it, each row holds its
+    key's uniforms."""
     words = _philox_words(key, counters)
-    words = words.reshape(*words.shape[:-2], 4 * len(counters))[..., start - 4 * first :][..., :n]
     words >>= 11
     uniforms = words.astype(np.float64)
     uniforms *= 2.0**-53
@@ -536,22 +536,26 @@ def quarter_support(tables) -> np.ndarray:
 
 def _haar_devices(seed: int, indices) -> np.ndarray:
     """The three Haar-random device unitaries of each model i in ``indices``,
-    shape (M, 3, 6, 6), from 216 standard normals of its own Philox stream,
-    keyed by ``SeedSequence(seed, spawn_key=(i,))``.
+    shape (M, 3, 6, 6), from its own Philox stream, keyed by
+    ``SeedSequence(seed, spawn_key=(i,))``.
 
-    The normals are Box–Muller pairs (Box & Muller, Ann. Math. Stat. 29, 610,
-    1958) of the stream's uniforms u: normals 2j and 2j + 1 are r·cos θ and
-    r·sin θ, with r = √(−2·log1p(−u₂ⱼ)) and θ = 2π·u₂ⱼ₊₁. So a model reads
-    exactly 54 counters, with no rejection. ``haar_unitaries`` reads them as
-    one (3, 2, 6, 6) draw: per site, real parts then imaginary parts.
+    The full draw is 216 normals, per site real then imaginary parts, as
+    Box–Muller pairs (Box & Muller, Ann. Math. Stat. 29, 610, 1958) of the
+    stream's uniforms u: normals 2j and 2j + 1 are r·cos θ and r·sin θ, with
+    r = √(−2·log1p(−u₂ⱼ)) and θ = 2π·u₂ⱼ₊₁, in 54 counters. Only the Ready
+    columns 0–1 are read (``MeasurementModel.recorded_state``), so only their
+    72 normals are drawn, from 36 counters: rows 2r and 2r + 1 of the 6×6
+    draw d are words 0–1 of counter 3t + 1 and 2–3 of 3t + 2, t = 3d + r.
+    ``haar_unitaries`` gives the full draw's Ready columns, bit for bit.
     """
-    shape = (3, 2, PAIR_DIM, PAIR_DIM)
     k0, k1 = _philox_key(seed, np.asarray(indices, dtype=np.uint64))
-    uniforms = _philox_uniforms((k0[:, None], k1[:, None]), 0, math.prod(shape))
-    radii = np.sqrt(-2.0 * np.log1p(-uniforms[:, 0::2]))
-    angles = 2.0 * math.pi * uniforms[:, 1::2]
+    counters = np.arange(1, 55, dtype=np.uint64).reshape(18, 3)[:, :2]
+    uniforms = _philox_uniforms((k0[:, None], k1[:, None]), counters.ravel())
+    uniforms = uniforms.reshape(len(k0), 18, 2, 2, 2)[:, :, [0, 1], [0, 1]]
+    radii = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
+    angles = 2.0 * math.pi * uniforms[..., 1]
     normals = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
-    return haar_unitaries(normals.reshape(len(k0), *shape))
+    return haar_unitaries(normals.reshape(len(k0), 3, 2, PAIR_DIM, 2))
 
 
 class SweepModelResult(NamedTuple):
@@ -586,10 +590,11 @@ def nonideal_sweep(
     """Re-derive the contradiction under imperfect measurement devices.
 
     Model 0 is the ideal device; model i ≥ 1 takes its three Haar-random lab
-    unitaries from ``_haar_devices``, 216 Box–Muller normals of its own
-    spawn-keyed Philox stream, so its devices do not depend on ``n_models``.
-    Each block of ``SWEEP_BLOCK`` models is one stacked draw, one stacked QR,
-    one stacked model (unitarity checked once per site) and one
+    unitaries from ``_haar_devices``, whose Ready columns are 72 Box–Muller
+    normals in 36 counters of its own spawn-keyed Philox stream, so its
+    devices do not depend on ``n_models``. Each block of ``SWEEP_BLOCK``
+    models is one stacked draw, one stacked 6×2 QR, one stacked model
+    (unitarity checked once per site, the ideal row's with it) and one
     ``collect_constraints`` pass, so memory stays flat in ``n_models`` but for
     the results. Each model must yield the four constraints, no satisfying
     assignment, and ``quarter_support``.
@@ -597,7 +602,7 @@ def nonideal_sweep(
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
     schedule = build_schedule(side, tau)
-    ideal = np.stack([u.matrix for u in ideal_von_neumann().site_unitaries])[None]
+    ideal = np.stack([_ideal_matrix()] * 3)[None]
     outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
     results = []
     for start in range(0, n_models, SWEEP_BLOCK):

@@ -23,7 +23,8 @@ from collections import namedtuple
 from typing import NamedTuple
 
 MAX_SPEED = 1.0 - 1e-12
-# Two frame times count as simultaneous within this, scaled by the larger |t|.
+# Two frame times count as simultaneous within this, scaled by the larger of
+# the frame times and the terms γ·t, γ·v·x that they are summed from.
 SIMULTANEITY_TOL = 1e-12
 # Geometry checks compare lengths and epochs within this, relative to their scale.
 GEOMETRY_TOL = 1e-9
@@ -133,8 +134,18 @@ def frame_time(f: Frame, p: SpacetimePoint) -> float:
 
 
 def simultaneous(f: Frame, p: SpacetimePoint, q: SpacetimePoint) -> bool:
+    """Equal frame times within SIMULTANEITY_TOL of their scale.
+
+    A frame time near 0 is a sum that cancels, and carries the rounding of
+    its terms γ·t and γ·v·x, so the scale is the largest of those terms as
+    well as of the two frame times.
+    """
     tp, tq = frame_time(f, p), frame_time(f, q)
-    return abs(tp - tq) <= SIMULTANEITY_TOL * max(abs(tp), abs(tq))
+    (v0, v1), gamma = f.velocity, f.gamma
+    terms = max(max(abs(e.t), abs(v0 * e.x[0]), abs(v1 * e.x[1])) for e in (p, q))
+    # SIMULTANEITY_TOL·γ first, so the product stays finite where γ·terms would not.
+    tol = max(SIMULTANEITY_TOL * max(abs(tp), abs(tq)), SIMULTANEITY_TOL * gamma * terms)
+    return abs(tp - tq) <= tol
 
 
 def _simultaneity_velocity(

@@ -594,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, geometry=False, seed=False)
 
     p = sub.add_parser("frames", help="geometry validation, boosts, event orderings")
-    common(p, seed=False)
+    common(p, model=False, seed=False)
 
     p = sub.add_parser("run", help="constraints plus Monte Carlo model statistics")
     common(p)
@@ -608,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-j", action="store_true", help="skip the outsider pair measurement")
 
     p = sub.add_parser("sweep", help="contradiction under random non-ideal devices")
-    common(p)
+    common(p, model=False)
     p.add_argument("--models", type=int, default=101, help="number of models (first is ideal)")
 
     return parser

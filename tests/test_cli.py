@@ -749,14 +749,16 @@ def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
     assert lists[0] == lists[1] == lists[2]
     assert len(lists[0]) == 4
 
-    # The sweep's model 0, with this device in place of the ideal one.
-    device = gwsim.cli._build_model({"model": _parse_model_spec(spec)})
-    monkeypatch.setattr(gwsim.models, "ideal_von_neumann", lambda: device)
+    # The sweep's model 0, with this device's site A unitary at every site
+    # in place of the ideal one.
+    device = gwsim.cli._build_model({"model": _parse_model_spec(spec)}).unitary("A").matrix
+    monkeypatch.setattr(gwsim.models, "_ideal_matrix", lambda: device)
     found, collect = [], gwsim.models.collect_constraints
 
     def recorded(schedule, model):
         tables, constraints = collect(schedule, model)
         found.append(constraints)
+        assert all(np.array_equal(u.matrix[0], device) for u in model.site_unitaries)
         return tables, constraints
 
     monkeypatch.setattr(gwsim.models, "collect_constraints", recorded)
@@ -764,6 +766,49 @@ def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
     assert code == 0 and report["results"]["models"][0]["constraints_match"]
     assert len(found) == 1
     assert [gwsim.cli._constraint_dict(c) for c in found[0]] == lists[0]
+
+
+@pytest.mark.parametrize(
+    "command, error",
+    [
+        ("frames", "unrecognized argument: --model"),
+        # --model now abbreviates --models.
+        ("sweep", "argument --models: invalid int value: 'random:3'"),
+    ],
+)
+def test_commands_without_a_device_take_no_model(capsys, command, error):
+    # frames builds no device, and sweep's model 0 is always the ideal one.
+    assert "--model " not in gwsim.cli._help(command)
+    assert run_cli(capsys, command, "--model", "random:3") == (2, "", f"error: {error}\n")
+
+
+def test_no_report_reads_a_device_past_its_ready_columns(capsys, monkeypatch):
+    # Turning columns 2-5 of every Haar device by one random 4×4 unitary
+    # keeps the devices unitary and their Ready columns, and every report.
+    turn = gwsim.measurement.haar_unitaries(np.random.default_rng(5).normal(size=(2, 4, 4)))
+    haar_devices = gwsim.models._haar_devices
+
+    def turned(seed, indices):
+        devices = haar_devices(seed, indices)
+        devices[..., 2:] = devices[..., 2:] @ turn
+        return devices
+
+    assert not np.array_equal(turned(7, [0]), haar_devices(7, [0]))
+    argvs = [
+        ["ghz-nogo", "--model", "random:7"],
+        ["run", "--model", "random:11", "--mode", "round_born", "--trials", "1000"],
+        ["run", "--model", "random:4", "--mode", "sequential_collapse", "--trials", "1000"],
+        ["distinguish", "--model", "random:7"],
+        ["sweep", "--models", "300", "--seed", "3"],
+    ]
+    for argv in argvs:
+        reports = []
+        for devices in (haar_devices, turned):
+            monkeypatch.setattr(gwsim.cli, "_haar_devices", devices)
+            monkeypatch.setattr(gwsim.models, "_haar_devices", devices)
+            for text in ("json", "text"):
+                reports.append(run_cli(capsys, *argv, "--format", text))
+        assert reports[:2] == reports[2:], argv
 
 
 def test_a_closed_stdout_ends_the_report_quietly():

@@ -161,6 +161,20 @@ class TestHaarSampling:
                 assert np.array_equal(stacked[m, site], random_unitary(6, rng))
 
 
+    @pytest.mark.parametrize("dim", [2, 3, 6])
+    def test_leading_columns_are_the_square_draws(self, dim):
+        # k Gaussian columns give the (dim, dim) draw's first k unitary
+        # columns, bit for bit, completed to a unitary.
+        draws = np.random.default_rng(dim).normal(size=(40, 2, dim, dim))
+        square = haar_unitaries(draws)
+        for k in range(1, dim + 1):
+            unitaries = haar_unitaries(draws[..., :k])
+            assert unitaries.shape == (40, dim, dim)
+            assert np.array_equal(unitaries[..., :k], square[..., :k])
+            products = unitaries @ unitaries.conj().swapaxes(-1, -2)
+            assert_allclose(products, np.broadcast_to(np.eye(dim), products.shape), atol=1e-12)
+
+
 class TestObservables:
     def test_outsider_projector_ranks(self):
         projectors = _outsider_projectors(ideal_von_neumann(), "A")

@@ -35,6 +35,7 @@ from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
     haar_random_unitary,
+    haar_unitaries,
     ideal_von_neumann,
     pair_index,
 )
@@ -441,10 +442,11 @@ class TestNonidealSweep:
         recorded(gwsim.models, "haar_unitaries", np.shape)
         recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
         assert nonideal_sweep(11, 3).all_passed
-        assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 6), (4, 3, 2, 6, 6), (3, 3, 2, 6, 6)]
-        # The ideal model, one device shared by its three sites,
-        # then three site stacks per block and no per-model device.
-        assert shapes["check_unitary"] == [(6, 6)] + [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
+        # Only the two Ready columns of each device are drawn.
+        assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 2), (4, 3, 2, 6, 2), (3, 3, 2, 6, 2)]
+        # Three site stacks per block, the ideal row in block 0's: no
+        # separate ideal model and no per-model device.
+        assert shapes["check_unitary"] == [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
 
     def test_memory_stays_flat_across_blocks(self, monkeypatch):
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
@@ -601,10 +603,13 @@ class TestPhilox:
         [(0, 0), (0, 1), (0, 5), (3, 10), (65533, 7), (65530, 13)],
     )
     def test_uniforms_are_numpys_stream(self, seed, start, n):
+        # Uniforms start … start + n − 1 lie in counters ⌊start/4⌋ + 1 … ⌈(start + n)/4⌉.
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        expected = rng.random(start + n)[start:]
-        uniforms = gwsim.models._philox_uniforms(gwsim.models._philox_key(seed), start, n)
-        assert np.array_equal(uniforms, expected)
+        counters = np.arange(start // 4 + 1, (start + n + 3) // 4 + 1, dtype=np.uint64)
+        expected = rng.random(4 * (start // 4 + len(counters)))[4 * (start // 4) :]
+        uniforms = gwsim.models._philox_uniforms(gwsim.models._philox_key(seed), counters)
+        assert uniforms.shape == (len(counters), 4)
+        assert np.array_equal(uniforms.ravel(), expected)
 
 
 class TestSweepNormals:
@@ -623,13 +628,13 @@ class TestSweepNormals:
 
     @staticmethod
     def draws(monkeypatch, seed, indices):
-        """``_haar_devices(seed, indices)``, with the uniforms and the normals
-        it draws them from."""
+        """``_haar_devices(seed, indices)``, with the counters it reads, their
+        uniforms, and the normals it draws from them."""
         seen = {}
         uniforms_of, unitaries_of = gwsim.models._philox_uniforms, gwsim.models.haar_unitaries
 
-        def uniforms(*args):
-            seen["uniforms"] = uniforms_of(*args)
+        def uniforms(key, counters):
+            seen["counters"], seen["uniforms"] = counters, uniforms_of(key, counters)
             return seen["uniforms"]
 
         def unitaries(normals):
@@ -638,22 +643,49 @@ class TestSweepNormals:
 
         monkeypatch.setattr(gwsim.models, "_philox_uniforms", uniforms)
         monkeypatch.setattr(gwsim.models, "haar_unitaries", unitaries)
-        return gwsim.models._haar_devices(seed, indices), seen["uniforms"], seen["normals"]
+        devices = gwsim.models._haar_devices(seed, indices)
+        return devices, seen["counters"], seen["uniforms"], seen["normals"]
 
     @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1, 10**400])
     def test_uniforms_are_numpys_and_normals_the_reference(self, monkeypatch, seed):
-        devices, uniforms, normals = self.draws(monkeypatch, seed, self.INDICES)
+        devices, counters, uniforms, normals = self.draws(monkeypatch, seed, self.INDICES)
         assert devices.shape == (len(self.INDICES), 3, 6, 6)
-        expected = [trial_rng(seed, index).random(216) for index in self.INDICES]
-        assert np.array_equal(uniforms, expected)
+        assert normals.shape == (len(self.INDICES), 3, 2, 6, 2)
+        # Normal j of the full (3, 2, 6, 6) draw reads uniform j, which is
+        # word j mod 4 of counter ⌊j/4⌋ + 1; the Ready columns are j mod 6 < 2.
+        full = np.array([trial_rng(seed, index).random(216) for index in self.INDICES])
+        read = 4 * (counters.astype(int)[:, None] - 1) + np.arange(4)
+        assert np.array_equal(uniforms, full[:, read])
+        ready = np.flatnonzero(np.arange(216) % 6 < 2)
+        assert set(ready) <= set(read.ravel())
         # numpy's SIMD ufuncs may round log1p, cos and sin differently from libm.
         reference = [box_muller_normals(seed, index, self.SHAPE) for index in self.INDICES]
-        np.testing.assert_array_max_ulp(normals, np.array(reference), maxulp=8)
+        np.testing.assert_array_max_ulp(normals, np.array(reference)[..., :2], maxulp=8)
+        # The Ready columns are those of the full draw's unitaries, bit for bit.
+        radii = np.sqrt(-2.0 * np.log1p(-full[:, 0::2]))
+        angles = 2.0 * math.pi * full[:, 1::2]
+        draw = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
+        unitaries = haar_unitaries(draw.reshape(len(self.INDICES), *self.SHAPE))
+        assert np.array_equal(devices[..., :2], unitaries[..., :2])
+
+    def test_a_model_evaluates_36_counters(self, monkeypatch):
+        counted = []
+        words_of = gwsim.models._philox_words
+
+        def words(key, counters):
+            counted.append((len(key[0]), counters.tolist()))
+            return words_of(key, counters)
+
+        monkeypatch.setattr(gwsim.models, "_philox_words", words)
+        gwsim.models._haar_devices(3, range(1, 6))
+        ready = sorted(3 * t + c for t in range(18) for c in (1, 2))
+        assert counted == [(5, ready)]
 
     def test_normals_have_the_standard_moments(self, monkeypatch):
         # 432000 normals: each bound is over four standard errors wide.
-        _, _, normals = self.draws(monkeypatch, 3, range(1, 2001))
+        _, _, _, normals = self.draws(monkeypatch, 3, range(1, 6001))
         x = normals.ravel()
+        assert x.size == 432000
         mean, var = x.mean(), x.var()
         kurtosis = np.mean((x - mean) ** 4) / var**2
         assert abs(mean) < 0.01 and abs(var - 1.0) < 0.01 and abs(kurtosis - 3.0) < 0.05
@@ -801,7 +833,7 @@ class TestDraw:
 def test_sampling_imports_no_numpy_random():
     # The streams are computed in integer arithmetic, so no command loads
     # numpy.random or the hashlib it pulls in, with ideal or random devices;
-    # frames builds no device at all. The flag table reads the command line,
+    # frames builds no device at all, and takes no --model. The flag table reads the command line,
     # help and usage errors included, without argparse and its gettext and
     # locale.
     src = str(Path(gwsim.models.__file__).parents[1])
@@ -819,7 +851,8 @@ def test_sampling_imports_no_numpy_random():
         "    assert gwsim.cli.main(['distinguish', '--model', 'random:5']) == 1\n"
         "    assert gwsim.cli.main(['erasure']) == 0\n"
         "    assert gwsim.cli.main(['sweep', '--models', '130']) == 0\n"
-        "    assert gwsim.cli.main(['frames', '--model', 'random:5']) == 0\n"
+        "    assert gwsim.cli.main(['frames']) == 0\n"
+        "    assert gwsim.cli.main(['frames', '--model', 'random:5']) == 2\n"
         "banned = {'numpy.random', 'hashlib', 'argparse', 'gettext', 'locale'}\n"
         "sys.exit(', '.join(sorted(banned & set(sys.modules))) or None)"
     )

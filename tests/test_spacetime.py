@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gwsim.spacetime
 from _oracles import boost_point, lstsq_velocity
@@ -207,6 +207,18 @@ def test_simultaneity_tolerance_scales_with_the_frame_times():
     assert simultaneous(REST_FRAME, point(1e-12, (0.0, 0.0)), point(1e-12, (1.0, 0.0)))
 
 
+def test_a_frame_time_near_zero_is_compared_on_the_scale_of_its_terms():
+    # γ(t − v·x) cancels to about 1e-16 here; a rounding-sized difference is a tie,
+    # and one on the scale of t is none.
+    f = Frame((0.5, 0.0))
+    assert simultaneous(f, point(0.5, (1.0, 0.0)), point(0.5 + 2e-16, (1.0, 0.0)))
+    assert not simultaneous(f, point(0.5, (1.0, 0.0)), point(0.5 + 1e-9, (1.0, 0.0)))
+    # γ·t overflows here (γ ≈ 2.29), but the tolerance stays finite.
+    f = Frame((0.9, 0.0))
+    far = sys.float_info.max / 2.0
+    assert not simultaneous(f, point(far, (far, 0.0)), point(0.0, (0.0, 0.0)))
+
+
 def test_validate_geometry_passes_standard_arrangement():
     results = validate_geometry(standard_geometry(10.0, 1.0))
     assert [r.name for r in results] == [
@@ -405,6 +417,13 @@ def test_the_closed_form_solve_agrees_with_least_squares(side_exponent, tau_frac
     side_exponent=st.floats(-300, 300),
     tau_fraction=st.floats(1e-6, 1.2),
     offsets=st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+)
+# Lab C's common frame time is 1.9e-4 on terms near 0.4: the two solves'
+# frame times differ by 2.5e-16, a tie only on the scale of those terms.
+@example(
+    side_exponent=0.0,
+    tau_fraction=0.5,
+    offsets=[0.29999999999999993, -0.091796875, 0.16796875, -0.248046875, 0.0, 0.0, 0.0, 0.0],
 )
 def test_the_closed_form_solve_agrees_on_perturbed_geometries(side_exponent, tau_fraction, offsets):
     # Labs moved by up to 0.3 of the side and epochs stretched by up to 30 %:
