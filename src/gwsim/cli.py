@@ -40,10 +40,9 @@ from .scenario import (
     enumerate_assignments,
     order_events,
 )
-from .spacetime import standard_geometry
+from .spacetime import GEOMETRY_TOL, standard_geometry
 
 SCHEMA_VERSION = "9"
-ENV_SEED = "GWSIM_SEED"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
 
@@ -130,6 +129,8 @@ def _validate_config(config: dict) -> dict:
         raise ConfigError(f"run.trials must be at most 2**63 - 1, got {run['trials']!r}")
     if run["seed"] is not None and not _is_int(run["seed"]):
         raise ConfigError(f"run.seed must be an integer, got {run['seed']!r}")
+    if run["seed"] is not None and run["seed"] < 0:
+        raise ConfigError(f"run.seed must be non-negative, got {run['seed']}")
     if config["output"]["format"] not in ("json", "text"):
         raise ConfigError(f"output.format must be 'json' or 'text', got {config['output']['format']!r}")
     if config["output"]["path"] is not None and not isinstance(config["output"]["path"], str):
@@ -144,19 +145,9 @@ def _is_int(value) -> bool:
 
 
 def _resolve_seed(config: dict) -> int:
-    seed = config["run"]["seed"]
-    if seed is None:
-        text = os.environ.get(ENV_SEED, "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            seed = -1
-        if seed < 0:
-            raise ConfigError(f"{ENV_SEED} must be a non-negative integer, got {text!r}")
-    if seed < 0:
-        raise ConfigError(f"run.seed must be non-negative, got {seed}")
-    config["run"]["seed"] = seed
-    return seed
+    # A null run.seed means 0, and the report echoes the seed it ran with.
+    config["run"]["seed"] = config["run"]["seed"] or 0
+    return config["run"]["seed"]
 
 
 def _build_model(config: dict) -> MeasurementModel:
@@ -296,21 +287,21 @@ def cmd_distinguish(config: dict) -> dict:
     door = table["door"]
     pair = table["pair_x"]
     door_equal = all(
-        abs(door["unitary_record"][k] - door["collapsed_record"][k]) <= 1e-10
+        abs(door["unitary_record"][k] - door["collapsed_record"][k]) <= EXACT_TOL
         for k in door["unitary_record"]
     )
     checks = [
         _check("door_rows_equal", door_equal, "door statistics identical on both descriptions"),
         _check(
             "pair_x_unitary_point_mass",
-            abs(pair["unitary_record"]["+1"] - 1.0) <= 1e-10,
+            abs(pair["unitary_record"]["+1"] - 1.0) <= EXACT_TOL,
             f"pair observable on unitary description: +1 with probability "
             f"{pair['unitary_record']['+1']:.12g}",
         ),
         _check(
             "pair_x_collapsed_even",
-            abs(pair["collapsed_record"]["+1"] - 0.5) <= 1e-10
-            and abs(pair["collapsed_record"]["-1"] - 0.5) <= 1e-10,
+            abs(pair["collapsed_record"]["+1"] - 0.5) <= EXACT_TOL
+            and abs(pair["collapsed_record"]["-1"] - 0.5) <= EXACT_TOL,
             "pair observable on collapsed description: 1/2, 1/2",
         ),
     ]
@@ -346,7 +337,7 @@ def cmd_frames(config: dict) -> dict:
         checks.append(
             _check(
                 "tilted_speeds_equal",
-                max(speeds) - min(speeds) <= 1e-9,
+                max(speeds) - min(speeds) <= GEOMETRY_TOL,
                 f"tilted-frame speeds {', '.join(f'{s:.12g}' for s in speeds)}",
             )
         )
@@ -623,7 +614,7 @@ FLAGS = {
     "--side": (float, "geometry.side", "triangle side length"),
     "--tau": (float, "geometry.tau", "epoch duration (t1−t0 = t2−t1)"),
     "--model": (str, "model", "measurement devices: 'ideal' or 'random:<seed>'"),
-    "--seed": (int, "run.seed", f"master seed (default ${ENV_SEED} or 0)"),
+    "--seed": (int, "run.seed", "master seed (default 0)"),
     "--trials": (int, "run.trials", "number of trials"),
     "--mode": (MODES, "run.mode", "interpretation model"),
     "--preferred": (FRAME_NAMES, "run.preferred_frame", "preferred frame"),
@@ -644,10 +635,6 @@ COMMANDS = {
     "sweep": (cmd_sweep, "contradiction under random non-ideal devices",
               "--side --tau --seed --models"),
 }
-
-
-class UsageError(ConfigError):
-    """A command line the flag table does not accept."""
 
 
 def _flags(command: str | None) -> tuple[str, ...]:
@@ -672,29 +659,24 @@ def _help(command: str | None) -> str:
 def parse_args(argv: list[str]) -> tuple[str, dict, dict] | None:
     """The command, its validated config and the keyword arguments for it.
 
-    A flag reads ``--flag value`` or ``--flag=value``, and the token after a
-    valued flag is its value, even one starting with ``-``. A unique prefix
-    names a flag, an exact name wins over a longer one, and a repeated flag
-    keeps its last value. Prints the help and returns None on -h or --help.
+    A flag is spelled in full, as ``--flag value`` or ``--flag=value``, and
+    the token after a valued flag is its value, even one starting with ``-``.
+    A repeated flag keeps its last value. Prints the help and returns None on
+    -h or --help.
     """
     command = argv[0] if argv and argv[0] in COMMANDS else None
     if command is None and not (argv and argv[0].startswith("-")):
-        raise UsageError(f"the first argument must be a command: {', '.join(COMMANDS)}")
+        raise ConfigError(f"the first argument must be a command: {', '.join(COMMANDS)}")
     overrides, arguments, allowed = {}, {}, _flags(command)
     tokens = iter(argv[1:] if command else argv)
     for token in tokens:
         flag, eq, value = token.partition("=")
         if flag not in allowed:
-            matches = [f for f in allowed if f.startswith(flag)] if len(flag) > 2 else []
-            if len(matches) > 1:
-                raise UsageError(f"ambiguous option: {flag} could match {', '.join(matches)}")
-            if not matches:
-                raise UsageError(f"unrecognized argument: {token}")
-            flag = matches[0]
+            raise ConfigError(f"unrecognized argument: {token}")
         kind, target, _ = FLAGS.get(flag, (None, None, None))
         if kind is None:
             if eq:
-                raise UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+                raise ConfigError(f"argument {flag}: ignored explicit argument {value!r}")
             if flag in HELP:
                 print(_help(command))
                 return None
@@ -702,14 +684,14 @@ def parse_args(argv: list[str]) -> tuple[str, dict, dict] | None:
         elif not eq:
             value = next(tokens, None)
             if value is None:
-                raise UsageError(f"argument {flag}: expected one argument")
+                raise ConfigError(f"argument {flag}: expected one argument")
         if isinstance(kind, tuple) and value not in kind:
-            raise UsageError(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(kind)})")
+            raise ConfigError(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(kind)})")
         if kind in (int, float):
             try:
                 value = kind(value)
             except ValueError:
-                raise UsageError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
+                raise ConfigError(f"argument {flag}: invalid {kind.__name__} value: {value!r}") from None
         if target:
             overrides[target] = value
         else:

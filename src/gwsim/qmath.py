@@ -1,19 +1,20 @@
 """Dense complex linear algebra over a fixed tensor-factor layout.
 
-Every state in the simulator is a normalized complex vector over an ordered
-list of named factors (three 3-level laboratory registers L, M, N and three
-spin-1/2 electrons A, B, C). Operators act on named factors of a state
-(``apply_local``), factors can be reordered (``permute_factors``), and
-labeled basis groups are contracted against a state to give joint outcome
-amplitudes (``grouped_amplitudes``). States, operators and basis vectors may
-carry one leading *stack* axis, so that one ``apply_local`` call does the
-work of a loop over device models; entry m of a stacked result is
-bit-identical to the single-state call on entry m. The frame analysis
-(``scenario.analyze_stack``) applies it to 6-dim pair vectors only.
-All values are immutable after construction (named tuples, each validated in
-its ``__new__``; ``_replace`` skips that check, so build a changed value
-anew) and all operations are pure functions, so everything here is safe to
-share across threads.
+A state is a complex vector over an ordered list of named factors (three
+3-level laboratory registers L, M, N and three spin-1/2 electrons A, B, C).
+Operators act on named factors of a state (``apply_local``), factors can be
+reordered (``permute_factors``), and labeled basis groups are contracted
+against a state to give joint outcome amplitudes (``grouped_amplitudes``).
+States, operators and basis vectors may carry one leading *stack* axis; entry
+m of a stacked result is bit-identical to the single-state call on entry m.
+Commands read ``Operator`` and ``check_unitary``, and ``layout``,
+``StateVector`` and ``apply_local`` on 6-dim pair vectors only
+(``scenario.analyze_stack``, ``models.erasure_experiment``), so that the
+benchmark's ``apply_local`` metrics see every workload. ``FactorLayout``,
+``tensor``, ``permute_factors``, ``BasisGroup`` and ``grouped_amplitudes``
+serve only the tests' 216-dim reference path and the per-layer metrics.
+Values are named tuples validated in ``__new__`` (``_replace`` skips the
+check, so build a changed value anew); every operation is a pure function.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Catalog of named physical states and support extraction.
 
-Spin eigenstates per axis, the 3-level laboratory register states, the
-three-electron GHZ state, the initial scenario state both as one dense
-216-dim vector (``initial_scenario_state``) and as its two product terms
-(``initial_product_terms``), and ``support_table``: which joint outcome
-tuples of a list of labeled basis groups carry nonzero weight in a state.
+Spin eigenstates per axis, the 3-level laboratory register states and the
+initial scenario state as its two product terms (``initial_product_terms``),
+which the commands read. Only the tests' reference path and the benchmark's
+per-layer metrics read ``lab_state``, ``ghz_state``, the dense 216-dim
+``initial_scenario_state``, ``SupportEntry`` and ``support_table`` (which
+joint outcome tuples of labeled basis groups carry weight in a state).
 
 Phase conventions, fixed once and verified against a symbolic oracle in the
 test suite:

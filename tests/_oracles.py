@@ -24,7 +24,7 @@ import math
 import numpy as np
 import sympy as sp
 
-from gwsim.cli import ENV_SEED, _parse_model_spec, _validate_config, load_config
+from gwsim.cli import _parse_model_spec, _validate_config, load_config
 from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
@@ -558,13 +558,18 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser ``gwsim.cli`` used before its flag table."""
+    """The argparse parser ``gwsim.cli`` used before its flag table, taking
+    only flags spelled in full, as the flag table does."""
     parser = argparse.ArgumentParser(
         prog="gwsim",
+        allow_abbrev=False,
         description="Three-laboratory GHZ experiment with nested observers: "
         "support tables, frame analysis, and single-outcome model statistics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, about: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=about, allow_abbrev=False)
 
     def common(p: argparse.ArgumentParser, *, geometry=True, model=True, seed=True):
         p.add_argument("--config", metavar="PATH", help="JSON config file")
@@ -579,9 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
                 help="measurement devices: 'ideal' or 'random:<seed>'",
             )
         if seed:
-            p.add_argument("--seed", type=int, help=f"master seed (default ${ENV_SEED} or 0)")
+            p.add_argument("--seed", type=int, help="master seed (default 0)")
 
-    p = sub.add_parser("ghz-nogo", help="support tables and the unsatisfiable constraint set")
+    p = command("ghz-nogo", "support tables and the unsatisfiable constraint set")
     common(p, seed=False)
     p.add_argument(
         "--drop-constraint",
@@ -590,24 +595,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="drop the K-th constraint (1-based) before enumerating",
     )
 
-    p = sub.add_parser("distinguish", help="door vs pair statistics on the two descriptions")
+    p = command("distinguish", "door vs pair statistics on the two descriptions")
     common(p, geometry=False, seed=False)
 
-    p = sub.add_parser("frames", help="geometry validation, boosts, event orderings")
+    p = command("frames", "geometry validation, boosts, event orderings")
     common(p, model=False, seed=False)
 
-    p = sub.add_parser("run", help="constraints plus Monte Carlo model statistics")
+    p = command("run", "constraints plus Monte Carlo model statistics")
     common(p)
     p.add_argument("--trials", type=int, help="number of trials")
     p.add_argument("--mode", choices=MODES, help="interpretation model")
     p.add_argument("--preferred", choices=FRAME_NAMES, help="preferred frame")
 
-    p = sub.add_parser("erasure", help="single-lab record erasure experiment")
+    p = command("erasure", "single-lab record erasure experiment")
     common(p, geometry=False, model=False)
     p.add_argument("--trials", type=int, help="number of trials")
     p.add_argument("--skip-j", action="store_true", help="skip the outsider pair measurement")
 
-    p = sub.add_parser("sweep", help="contradiction under random non-ideal devices")
+    p = command("sweep", "contradiction under random non-ideal devices")
     common(p, model=False)
     p.add_argument("--models", type=int, default=101, help="number of models (first is ideal)")
 

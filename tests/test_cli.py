@@ -634,6 +634,14 @@ class TestRun:
         assert code == 2
         assert "run.seed" in err
 
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_every_command_refuses_a_negative_run_seed(self, capsys, tmp_path, command):
+        # Also the commands that draw nothing: the config is checked whole.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"run": {"seed": -1}}))
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out, err) == (2, "", "error: run.seed must be non-negative, got -1\n")
+
     @pytest.mark.parametrize("seed", ["x", 1.5, True, -1])
     def test_bad_model_seed_is_a_config_error(self, capsys, tmp_path, seed):
         path = tmp_path / "config.json"
@@ -772,8 +780,7 @@ def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
     "command, error",
     [
         ("frames", "unrecognized argument: --model"),
-        # --model now abbreviates --models.
-        ("sweep", "argument --models: invalid int value: 'random:3'"),
+        ("sweep", "unrecognized argument: --model"),
     ],
 )
 def test_commands_without_a_device_take_no_model(capsys, command, error):
@@ -875,11 +882,13 @@ def test_the_most_trials_accepted_give_a_report(argv):
 
 
 class TestSeedResolution:
-    def test_env_seed_used_when_nothing_else_set(self, capsys, monkeypatch):
-        monkeypatch.setenv("GWSIM_SEED", "77")
-        code, report = run_json(capsys, "erasure", "--trials", "10")
-        assert code == 0
-        assert report["config"]["run"]["seed"] == 77
+    @pytest.mark.parametrize("value", ["77", "abc", "-3"])
+    def test_the_environment_sets_no_seed(self, capsys, monkeypatch, value):
+        monkeypatch.delenv("GWSIM_SEED", raising=False)
+        unset = run_cli(capsys, "erasure", "--trials", "10")
+        monkeypatch.setenv("GWSIM_SEED", value)
+        assert run_cli(capsys, "erasure", "--trials", "10") == unset
+        assert unset[0] == 0 and json.loads(unset[1])["config"]["run"]["seed"] == 0
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("GWSIM_SEED", "77")
@@ -900,13 +909,6 @@ class TestSeedResolution:
         code, report = run_json(capsys, "erasure", "--trials", "10")
         assert code == 0
         assert report["config"]["run"]["seed"] == 0
-
-    @pytest.mark.parametrize("value", ["abc", "-3"])
-    def test_a_bad_env_seed_is_named_in_the_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("GWSIM_SEED", value)
-        code, out, err = run_cli(capsys, "erasure", "--trials", "10")
-        assert (code, out) == (2, "")
-        assert err == f"error: GWSIM_SEED must be a non-negative integer, got {value!r}\n"
 
 
 class TestFlagPrecedence:
@@ -973,10 +975,9 @@ def _dash_values(argv) -> list[str]:
     allowed = gwsim.cli._flags(argv[0]) if argv and argv[0] in COMMANDS else ()
     values = []
     for token, value in zip(argv[1:], argv[2:]):
-        matches = [f for f in allowed if f == token] or [f for f in allowed if f.startswith(token)]
-        if len(matches) != 1 or not value.startswith("-"):
+        if token not in allowed or not value.startswith("-"):
             continue
-        kind = FLAGS.get(matches[0], (None,))[0]
+        kind = FLAGS.get(token, (None,))[0]
         if kind in (int, float, str):
             try:
                 kind(value)
@@ -1005,13 +1006,8 @@ def assert_parses_as_argparse(argv):
             assert out.getvalue() == ""
             return "both refuse"
         # The one difference: the token after a valued flag is its value.
-        # argparse refuses the flag left without one, or the value itself
-        # when it reads as an ambiguous abbreviation of a flag.
-        values = _dash_values(argv)
-        assert values and (
-            "expected one argument" in reason
-            or any(f"ambiguous option: {v} could match" in reason for v in values)
-        ), reason
+        # argparse refuses the flag left without one.
+        assert _dash_values(argv) and "expected one argument" in reason, reason
         return "a dash value"
     command, config, arguments = parse_args(argv)
     bound = inspect.signature(COMMANDS[command][0]).bind(config, **arguments)
@@ -1075,6 +1071,21 @@ def test_the_flag_table_parses_as_argparse_did(argv):
     assert_parses_as_argparse(argv)
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["run", "--tri", "5"], "--tri"),
+        (["run", "--tri=5"], "--tri=5"),
+        (["run", "--mod", "round_born"], "--mod"),
+        (["sweep", "--model", "5"], "--model"),
+        (["erasure", "--skip"], "--skip"),
+        (["ghz-nogo", "--he"], "--he"),
+    ],
+)
+def test_a_flag_is_spelled_in_full(capsys, argv, token):
+    assert run_cli(capsys, *argv) == (2, "", f"error: unrecognized argument: {token}\n")
+
+
 SPELLINGS = sorted(set(FLAGS) | {"--bogus", "--sides", "-x"})
 GOOD_VALUES = {
     int: ["0", "3", "7", "-5", "-1_0"],
@@ -1095,7 +1106,7 @@ def flag_argvs(draw, config_file):
         flag = draw(st.sampled_from(SPELLINGS if draw(st.integers(0, 3)) == 3 else own))
         kind = FLAGS.get(flag, (str,))[0]
         good = [config_file] if flag == "--config" else GOOD_VALUES.get(flag, GOOD_VALUES.get(kind))
-        if flag.startswith("--") and draw(st.booleans()):  # abbreviated, maybe ambiguously
+        if flag.startswith("--") and draw(st.booleans()):  # maybe abbreviated, which both refuse
             flag = flag[: draw(st.integers(3, len(flag)))]
         value = draw(FLAG_VALUES if not good or draw(st.integers(0, 3)) == 3 else st.sampled_from(good))
         forms = ["bare"] * 3 + ["eq"] if kind is None else ["space"] * 3 + ["eq"] * 3 + ["bare", "stray"]
