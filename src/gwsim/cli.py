@@ -212,8 +212,8 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
 
     tables = []
     for constraint, table in found.items():
-        possible = table.possible[0]
-        probabilities = table.weights[0][possible].tolist()
+        possible = table.possible
+        probabilities = table.weights[possible].tolist()
         tables.append(
             {
                 "frame": table.frame,
@@ -230,7 +230,7 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     checks = [
         _check(
             "support_tables_quarter",
-            quarter_support(analysed)[0] and all(len(t["entries"]) == 4 for t in tables),
+            quarter_support(analysed) and all(len(t["entries"]) == 4 for t in tables),
             "every constrained round has 4 outcome tuples of weight 1/4",
         ),
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),

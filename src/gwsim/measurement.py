@@ -2,7 +2,8 @@
 
 A laboratory measuring its electron's z-spin is modeled as a 6-dimensional
 unitary on the (lab register, electron) pair taking ``|ready> ⊗ |±1_z>`` to a
-pair of orthonormal *recorded* states. The ideal case is a basis permutation
+pair of orthonormal *recorded* states: its two Ready columns, the only part
+of a device that any command reads. The ideal case is a basis permutation
 (the lab flips to RecordedUp/RecordedDown and the electron is untouched); any
 other unitary models an imperfect device.
 
@@ -44,12 +45,7 @@ def pair_index(lab: LabLabel, spin_sign: int) -> int:
 
 
 class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
-    """One 6-dim measurement unitary per site (labs A, B, C in order).
-
-    Site operators that are (M, 6, 6) stacks make one model of M device
-    models, analysed together (``scenario.analyze_stack``); ``unitary`` and
-    the pair states then give stacks too.
-    """
+    """One 6×6 measurement unitary per site (labs A, B, C in order)."""
 
     __slots__ = ()
 
@@ -58,8 +54,8 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
             raise ValueError(f"need {len(SITES)} unitaries, got {len(site_unitaries)}")
         checked: set[int] = set()  # sites may share one Operator: check it once
         for site, op in zip(SITES, site_unitaries):
-            if op.dim != PAIR_DIM:
-                raise ValueError(f"site {site}: unitary must be {PAIR_DIM}-dim, got {op.dim}")
+            if (shape := op.matrix.shape) != (PAIR_DIM, PAIR_DIM):
+                raise ValueError(f"site {site}: unitary must be {PAIR_DIM}×{PAIR_DIM}, got {shape}")
             if id(op) not in checked and not check_unitary(op):
                 raise ValueError(f"site {site}: matrix is not unitary within {UNITARY_TOL}")
             checked.add(id(op))
@@ -71,7 +67,7 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
     def recorded_state(self, site: str, sign: int) -> np.ndarray:
         """|±1Z> = U(|ready> ⊗ |±1_z>), the pair state after recording sign:
         column ``pair_index(READY, sign)`` of U."""
-        return self.unitary(site).matrix[..., pair_index(LabLabel.READY, sign)]
+        return self.unitary(site).matrix[:, pair_index(LabLabel.READY, sign)]
 
     def recorded_sum(self, site: str, sign: int) -> np.ndarray:
         """|+1Z> ± |-1Z> = √2·|±1X>, the recorded-basis superposition unnormalised."""

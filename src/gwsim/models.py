@@ -32,8 +32,9 @@ so ``numpy.random`` is never imported.
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), computed and sampled the same
 way, and the sweep re-deriving the contradiction under random non-ideal
-measurement devices: one device-free schedule, and fixed blocks of one
-stacked Haar draw and one stacked pass each. Model i's devices come from
+measurement devices: one pass on the ideal device, and blocks of one
+stacked Haar draw each, whose recorded states are checked orthonormal
+(``READY_GRAM_TOL``). Model i's devices come from
 Box–Muller normals on its own Philox stream, keyed by
 ``SeedSequence(seed, spawn_key=(i,))``; the devices of ``--model random:N``
 are spawn 0 of seed N, which no sweep model draws. Only a device's Ready
@@ -55,12 +56,11 @@ from .measurement import (
     SITES,
     MeasurementModel,
     _door_projectors,
-    _ideal_matrix,
     _outsider_projectors,
     haar_unitaries,
     ideal_von_neumann,
 )
-from .qmath import Operator, StateVector, apply_local, layout
+from .qmath import StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
@@ -378,18 +378,18 @@ def _in_slot_order(weights: np.ndarray, slots) -> np.ndarray:
 def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
     """The round_born model's 64-entry distribution, and the weight it leaves out.
 
-    ``rounds`` is the preferred frame's tables from ``analyze_stack``, read at
-    model 0. Rounds are independent, so an assignment's probability is the
+    ``rounds`` is the preferred frame's tables from ``analyze_stack``.
+    Rounds are independent, so an assignment's probability is the
     product of its rounds' Born weights. Outcome tuples below the support
     cutoff are left out, and the pruned weight is 1 − Π_r (1 − d_r) for
     round r's left-out weight d_r.
     """
     weights, slots, dropped = np.ones(()), [], []
     for r in rounds:
-        kept = np.where(r.possible[0], r.weights[0], 0.0).reshape((2,) * len(r.events))
+        kept = np.where(r.possible, r.weights, 0.0).reshape((2,) * len(r.events))
         weights = np.multiply.outer(weights, kept)
         slots += round_slots(r.events)
-        dropped.append(float(r.weights[0][~r.possible[0]].sum()))
+        dropped.append(float(r.weights[~r.possible].sum()))
     # max() turns the −0.0 of no dropped weight into 0.0.
     pruned = max(0.0, -math.expm1(math.fsum(math.log1p(-d) for d in dropped)))
     return _in_slot_order(weights, slots), pruned
@@ -408,14 +408,14 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     prunes it.
     """
     coefficients, pair = initial_product_terms()
-    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)
     z_projectors = [np.diag(np.tile(spin_vector(SpinAxis.Z, s), 3)) for s in (+1, -1)]
     grams = {}  # id(device) -> the factor of every site sharing that device
     for site, device in zip(SITES, model.site_unitaries):
         if id(device) not in grams:
             after_device = [q @ device.matrix for q in _outsider_projectors(model, site)]
             operators = [qu @ p for p in z_projectors for qu in after_device]
-            grams[id(device)] = _site_gram(pair[:, :, None], np.stack(operators)[..., None])
+            grams[id(device)] = _site_gram(pair, np.stack(operators))
     factors = [grams[id(device)] for device in model.site_unitaries]
     # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
     weights = np.maximum(_born_weights(terms, factors), 0.0).reshape((2, 3) * 3)
@@ -438,7 +438,7 @@ def run_model(
     tables, found = collect_constraints(s, model)
     constraints = tuple(found)
     preferred_tables = [t for t in tables if t.frame == m.preferred]
-    preferred = {t.constraint(0) for t in preferred_tables}
+    preferred = {t.constraint() for t in preferred_tables}
     preferred_mask = tuple(c in preferred for c in constraints)
 
     if m.mode == "round_born":
@@ -491,8 +491,8 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     recorded = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
     door = _door_projectors()
     pair_x = [np.eye(PAIR_DIM)] if skip_pair_x else _outsider_projectors(model, "A")
-    operators = np.stack([d @ q for q in pair_x for d in door])[..., None]
-    gram = _site_gram(recorded.amplitudes[None, :, None], operators)
+    operators = np.stack([d @ q for q in pair_x for d in door])
+    gram = _site_gram(recorded.amplitudes[None], operators)
     kept, pruned = _signed_outcomes(gram.real.reshape(len(pair_x), len(door)))
 
     counts = _draw(kept.ravel(), trials, seed).reshape(kept.shape)
@@ -511,8 +511,10 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
 
 # A constraint-bearing round's possible outcome tuples have weight 1/4 within this.
 QUARTER_TOL = 1e-10
-# Device models per stacked sweep pass: enough to amortise the pass's fixed
-# cost, few enough that a sweep's memory stays flat in its model count.
+# A sweep device's largest |R†R − I| over its Ready columns R (``nonideal_sweep``).
+READY_GRAM_TOL = 1e-12
+# Haar models per stacked draw: enough to amortise the draw's fixed cost,
+# few enough that a sweep's memory stays flat in its model count.
 SWEEP_BLOCK = 128
 # The most models one sweep takes: its report lists every model.
 MAX_MODELS = 10**6
@@ -527,11 +529,12 @@ CANONICAL_CONSTRAINT_KEYS = frozenset(
 )
 
 
-def quarter_support(tables) -> np.ndarray:
-    """(M,) bool: per model, whether every round that yields it a constraint
-    gives each of its possible tuples weight 1/4 within QUARTER_TOL."""
-    off = [(t.possible & (np.abs(t.weights - 0.25) > QUARTER_TOL)).any(axis=1) for t in tables]
-    return ~np.any([(t.products != 0) & o for t, o in zip(tables, off)], axis=0)
+def quarter_support(tables) -> bool:
+    """Whether every round that yields a constraint gives each of its
+    possible tuples weight 1/4 within QUARTER_TOL."""
+    return not any(
+        t.product and (np.abs(t.weights[t.possible] - 0.25) > QUARTER_TOL).any() for t in tables
+    )
 
 
 def _haar_devices(seed: int, indices) -> np.ndarray:
@@ -590,35 +593,33 @@ def nonideal_sweep(
     """Re-derive the contradiction under imperfect measurement devices.
 
     Model 0 is the ideal device; model i ≥ 1 takes its three Haar-random lab
-    unitaries from ``_haar_devices``, whose Ready columns are 72 Box–Muller
-    normals in 36 counters of its own spawn-keyed Philox stream, so its
-    devices do not depend on ``n_models``. Each block of ``SWEEP_BLOCK``
-    models is one stacked draw, one stacked 6×2 QR, one stacked model
-    (unitarity checked once per site, the ideal row's with it) and one
-    ``collect_constraints`` pass, so memory stays flat in ``n_models`` but for
-    the results. Each model must yield the four constraints, no satisfying
-    assignment, and ``quarter_support``.
+    unitaries from ``_haar_devices`` (its own spawn-keyed Philox stream, so
+    its devices do not depend on ``n_models``), drawn ``SWEEP_BLOCK`` models
+    at a time, so memory stays flat but for the results. Each model must
+    yield the four constraints, no satisfying assignment, and
+    ``quarter_support``. One ``collect_constraints`` pass, on the ideal
+    device, decides that for every model, and model i passes iff each site's
+    Ready columns R = U[:, :2] have max |R†R − I| ≤ ``READY_GRAM_TOL``.
+
+    That suffices, as the pass reads a device only through G = R†R. In the
+    recorded states, a weight is ⟨Ψ|A_A ⊗ A_B ⊗ A_C|Ψ⟩ for the ideal device's
+    unit pre-round state Ψ, with A = G P G where a recorded site's outsider
+    measures (P = ½ e e†, e = (1, ±1)), G at a recorded spectator, and the
+    device-free projector or 1 elsewhere. With δ = max |G − I|, the 2×2 norms
+    are ‖G − I‖ ≤ 2δ and ‖G P G − P‖ ≤ ε = 4δ + 4δ², so putting the ideal
+    operators in one site at a time moves a weight by at most
+    (1 + ε)³ − 1 = 12δ + O(δ²): 1.2e-11 at ``READY_GRAM_TOL``, inside
+    ``QUARTER_TOL`` and ``SUPPORT_EPS``. Haar draws round to δ ≈ 1.4e-15.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
-    schedule = build_schedule(side, tau)
-    ideal = np.stack([_ideal_matrix()] * 3)[None]
-    outcomes: dict[bytes, tuple[bool, int]] = {}  # per distinct row of round products
-    results = []
-    for start in range(0, n_models, SWEEP_BLOCK):
-        indices = range(max(start, 1), min(start + SWEEP_BLOCK, n_models))
-        unitaries = _haar_devices(seed, indices) if indices else ideal[:0]
-        if start == 0:
-            unitaries = np.concatenate([ideal, unitaries])
-        stacked = MeasurementModel(tuple(Operator(unitaries[:, k]) for k in range(3)))
-        tables, _ = collect_constraints(schedule, stacked)
-        products = np.stack([table.products for table in tables], axis=1)
-        for index, (row, ok) in enumerate(zip(products, quarter_support(tables)), start):
-            if (key := row.tobytes()) not in outcomes:
-                found = {(round_slots(t.events), int(p)) for t, p in zip(tables, row) if p}
-                satisfying = enumerate_assignments([ParityConstraint(*c) for c in found])
-                outcomes[key] = (found == CANONICAL_CONSTRAINT_KEYS, len(satisfying))
-            kind = "haar" if index else "ideal"
-            results.append(SweepModelResult(index, kind, *outcomes[key], bool(ok)))
+    tables, found = collect_constraints(build_schedule(side, tau), ideal_von_neumann())
+    verdict = set(found) == CANONICAL_CONSTRAINT_KEYS, len(enumerate_assignments(found))
+    support_ok = quarter_support(tables)
+    results = [SweepModelResult(0, "ideal", *verdict, support_ok)]
+    for start in range(1, n_models, SWEEP_BLOCK):
+        ready = _haar_devices(seed, range(start, min(start + SWEEP_BLOCK, n_models)))[..., :2]
+        errors = np.abs(ready.conj().swapaxes(-1, -2) @ ready - np.eye(2)).max(axis=(1, 2, 3))
+        ok = (errors <= READY_GRAM_TOL) & support_ok
+        results += [SweepModelResult(i, "haar", *verdict, bool(x)) for i, x in enumerate(ok, start)]
     return SweepReport(n_models=n_models, seed=seed, results=tuple(results))
-

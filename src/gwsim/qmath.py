@@ -5,8 +5,8 @@ A state is a complex vector over an ordered list of named factors (three
 Operators act on named factors of a state (``apply_local``), factors can be
 reordered (``permute_factors``), and labeled basis groups are contracted
 against a state to give joint outcome amplitudes (``grouped_amplitudes``).
-States, operators and basis vectors may carry one leading *stack* axis; entry
-m of a stacked result is bit-identical to the single-state call on entry m.
+States, operators and basis vectors may carry one leading *stack* axis, which
+only the tests use; entry m of a stacked result is the call on entry m, bit for bit.
 Commands read ``Operator`` and ``check_unitary``, and ``layout``,
 ``StateVector`` and ``apply_local`` on 6-dim pair vectors only
 (``scenario.analyze_stack``, ``models.erasure_experiment``), so that the

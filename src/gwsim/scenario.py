@@ -6,18 +6,18 @@ basis at t2. Cross-lab events are spacelike separated, so inertial frames
 disagree on their order. For a given frame, events group into *rounds* of
 simultaneous measurements, which depend on the geometry alone. One pass
 (``analyze_stack``) walks every round of every frame once, for one device
-model or a whole stack of them, and gives each outcome tuple of the round its
-Born weight in the pre-round state. That state is always a sum of two
-product states (the GHZ state's two terms, each site's pair evolved only by
-its own device), so the pass never builds the 216-dim vector. Its
-``RoundTable``s, the one form an analysed round takes, tell us which outcome
-tuples are possible at all (have nonzero Born weight).
+model, and gives each outcome tuple of the round its Born weight in the
+pre-round state. That state is always a sum of two product states (the GHZ
+state's two terms, each site's pair evolved only by its own device), so the
+pass never builds the 216-dim vector. Its ``RoundTable``s, the one form an
+analysed round takes, tell us which outcome tuples are possible at all (have
+nonzero Born weight).
 
 A schedule holds the geometry, the events and the four named frames; it
 holds no device. Whenever every possible tuple of a round shares a single
 product parity, the round yields a ParityConstraint. ``collect_constraints``,
 the one analysis that ``ghz-nogo``, ``run`` and ``sweep`` read, runs one pass
-of a given device stack over the rest frame and the three tilted frames and
+of a given device over the rest frame and the three tilted frames and
 finds four that no assignment of ±1 values to the six outcome slots
 satisfies: the frame-by-frame GHZ contradiction, found by brute force over
 ``OUTCOME_SIGNS``.
@@ -213,7 +213,6 @@ def _event_basis_group(ev: MeasurementEvent, model: MeasurementModel) -> BasisGr
         # unitary runs, that outcome is just the electron's z value.
         return BasisGroup((ev.targets[1],), (+1, -1), spin_basis(SpinAxis.Z))
     if ev.kind == "outsider_x":
-        # One (6, 2) family per model: a stacked model gives a stack of them.
         vectors = np.stack(
             [model.pair_x_state(ev.site, +1), model.pair_x_state(ev.site, -1)], axis=-1
         )
@@ -244,30 +243,29 @@ def support_constraint(
 
 
 class RoundTable(NamedTuple):
-    """One round of one frame for a stack of M device models, as arrays.
+    """One round of one frame, analysed for one device model.
 
-    Column j of ``weights`` is the joint outcome ``labels[j]`` of the round's
-    slots (``round_slots`` order); model m's row holds each tuple's Born
-    weight in model m's pre-round state, before the support cutoff.
-    ``products[m]`` is the outcome product every tuple possible for model m
-    shares, or 0 where they share none (``_shared_parity``).
+    Entry j of ``weights`` is the Born weight of the joint outcome
+    ``labels[j]`` of the round's slots (``round_slots`` order) in the
+    pre-round state, before the support cutoff. ``product`` is the outcome
+    product every possible tuple shares, or 0 where they share none
+    (``_shared_parity``).
     """
 
     frame: str  # the frame's key in the orderings given to ``analyze_stack``: its name
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
-    weights: np.ndarray  # (M, K) each tuple's Born weight, never negative
-    products: np.ndarray  # (M,) int: the possible tuples' shared product, or 0
+    weights: np.ndarray  # (K,) each tuple's Born weight, never negative
+    product: int  # the possible tuples' shared product, or 0
 
     @property
     def possible(self) -> np.ndarray:
-        """(M, K) bool: the tuples whose weight clears the support cutoff."""
+        """(K,) bool: the tuples whose weight clears the support cutoff."""
         return self.weights > SUPPORT_EPS
 
-    def constraint(self, m: int) -> ParityConstraint | None:
-        """Model m's constraint: the product its possible tuples share, if any."""
-        product = int(self.products[m])
-        return ParityConstraint(round_slots(self.events), product) if product else None
+    def constraint(self) -> ParityConstraint | None:
+        """The round's constraint: the product its possible tuples share, if any."""
+        return ParityConstraint(round_slots(self.events), self.product) if self.product else None
 
 
 def _shared_parity(possible: np.ndarray, parity: np.ndarray, axis) -> np.ndarray:
@@ -279,20 +277,18 @@ def _shared_parity(possible: np.ndarray, parity: np.ndarray, axis) -> np.ndarray
 
 
 def _site_gram(vectors: np.ndarray, operators, scale: float = 1.0) -> np.ndarray:
-    """One site's Gram factor per outcome operator: (terms², labels, M).
+    """One site's Gram factor per outcome operator: (terms², labels).
 
-    ``vectors`` (terms, d, M) are the site's vectors in each product term,
-    ``operators`` (labels, rows, d, M) one operator K_l per outcome, or None
-    for the identity; M = 1 where every model shares them. Entry
-    [terms·k + j, l, m] is scale·⟨K_l v_j|K_l v_k⟩. Models run along the last
-    axis, so every loop is long.
+    ``vectors`` (terms, d) are the site's vectors in each product term,
+    ``operators`` (labels, rows, d) one operator K_l per outcome, or None for
+    the identity. Entry [terms·k + j, l] is scale·⟨K_l v_j|K_l v_k⟩.
     """
     if operators is None:
         parts = vectors[:, None]
     else:
         parts = (operators * vectors[:, None, None]).sum(axis=3)
     gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
-    return gram.reshape(-1, *gram.shape[2:])
+    return gram.reshape(-1, gram.shape[2])
 
 
 def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | None, float]:
@@ -303,56 +299,53 @@ def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | N
     if ev.kind == "friend_z":
         # The z-record keeps the pair entries with that electron spin.
         rows = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
-        return np.eye(PAIR_DIM)[rows][..., None], 1.0
+        return np.eye(PAIR_DIM)[rows], 1.0
     # ⟨b_±| for b_± = √2·|±1X>; the √½ enters the Gram squared, as 1/2.
-    bras = [np.reshape(model.recorded_sum(ev.site, sign), (-1, PAIR_DIM)).T for sign in (+1, -1)]
+    bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
     return np.stack(bras).conj()[:, None], 0.5
 
 
 def _born_weights(terms: np.ndarray, factors) -> np.ndarray:
     """Σ_{k,j} c_k c̄_j Π_site g_site[k, j] for ``terms`` c_k c̄_j and one
-    ``_site_gram`` per site, each (..., terms², labels, M) for any leading
-    axes: (..., labels_A, labels_B, labels_C, M)."""
+    ``_site_gram`` per site, each (..., terms², labels) for any leading axes:
+    (..., labels_A, labels_B, labels_C)."""
     a, b, c = factors
-    product = terms * a[..., None, None, :] * b[..., None, :, None, :] * c[..., None, None, :, :]
-    return product.sum(axis=-5).real
+    product = terms * a[..., None, None] * b[..., None, :, None] * c[..., None, None, :]
+    return product.sum(axis=-4).real
 
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
-    """Every round of every frame for M device models, in one pass.
+    """Every round of every frame for one device model, in one pass.
 
-    ``model``'s site unitaries are (6, 6), read as a stack of one, or
-    (M, 6, 6). ``orderings`` maps a key per frame to its rounds from
-    ``order_events``; tables come frame by frame, in round order, and
-    ``table.constraint(m)`` is device m's constraint.
+    ``orderings`` maps a key per frame to its rounds from ``order_events``;
+    tables come frame by frame, in round order.
 
     The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
     where a site's v_k has its device applied iff its friend's event fell in
     an earlier round, as ``evolve_to`` replays it (by ``apply_local`` on the
     6-dim pair). A tuple's Born weight is then Σ_{k,j} c_k c̄_j Π_site
     g_site[k, j], from 2×2 Gram factors (``_site_gram``), each built once per
-    pass, when a round first needs it. Device-dependent work is done once per
-    distinct device, keyed by its ``Operator``'s identity: its U v_k, and the
-    factor of a site that has run it or whose outsider measures. A site whose
-    device has not run reads only the shared v_k, so that factor serves every site.
-    Every round's weights come from one product over all rounds, in which a
-    spectator site's factor is broadcast to both labels and then indexed
-    out; the rounds' parity rows come from the same array. Rounding leaves
-    impossible tuples about ±1e-17, so weights are clamped at 0.
+    pass, when a round first needs it, and each a form in the Gram R†R of the
+    device's Ready columns (``models.nonideal_sweep``). Device-dependent work
+    is done once per distinct device, keyed by its ``Operator``'s identity:
+    its U v_k, and the factor of a site that has run it or whose outsider
+    measures. A site whose device has not run reads only the shared v_k, so
+    that factor serves every site. Every round's weights come from one
+    product over all rounds, in which a spectator site's factor is broadcast
+    to both labels and then indexed out; the rounds' parity rows come from
+    the same array. Rounding leaves impossible tuples about ±1e-17, so
+    weights are clamped at 0.
     """
     coefficients, pair = initial_product_terms()
-    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)  # c_k c̄_j
-    size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
-    recorded_terms = {}  # id(device) -> (2, 6, M): U v_k for each term k and model
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)  # c_k c̄_j
+    recorded_terms = {}  # id(device) -> (2, 6): U v_k for each term k
     for site, targets in SITE_FACTORS.items():
         device = model.unitary(site)
-        if id(device) in recorded_terms:
-            continue
-        copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
-        evolved = [apply_local(device, targets, state) for state in copies]
-        recorded_terms[id(device)] = np.stack([state.amplitudes.T for state in evolved])
+        if id(device) not in recorded_terms:
+            evolved = [apply_local(device, targets, StateVector(layout(*targets), v)) for v in pair]
+            recorded_terms[id(device)] = np.stack([state.amplitudes for state in evolved])
     rounds = [(key, rnd) for key, frame_rounds in orderings.items() for rnd in frame_rounds]
-    factors = np.empty((len(SITES), len(rounds), 4, 2, size), dtype=complex)
+    factors = np.empty((len(SITES), len(rounds), 4, 2), dtype=complex)
     active = []  # per round: whether each site has an event in it
     grams: dict[tuple, np.ndarray] = {}
     for key, frame_rounds in orderings.items():
@@ -364,36 +357,36 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                 reads_device = site in recorded or (ev and ev.kind == "outsider_x")
                 index = (device if reads_device else None, site in recorded, ev and ev.kind)
                 if index not in grams:
-                    vectors = recorded_terms[device] if site in recorded else pair[:, :, None]
+                    vectors = recorded_terms[device] if site in recorded else pair
                     grams[index] = _site_gram(vectors, *_event_operators(ev, model))
                 factors[i, len(active)] = grams[index]
             active.append([site in events for site in SITES])
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
-    weights = np.maximum(_born_weights(terms, factors), 0.0)  # (rounds, 2, 2, 2, M)
+    weights = np.maximum(_born_weights(terms, factors), 0.0)  # (rounds, 2, 2, 2)
     # A spectator's second label is no tuple: its sign 0 gives it parity 0.
     active = np.array(active, dtype=bool).reshape(len(rounds), len(SITES))
     a, b, c = np.where(active[..., None], (1, -1), (1, 0)).transpose(1, 0, 2)
     parity = a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
-    products = _shared_parity(weights > SUPPORT_EPS, parity[..., None], axis=(1, 2, 3))
+    products = _shared_parity(weights > SUPPORT_EPS, parity, axis=(1, 2, 3)).tolist()
     tables = []
     for r, (key, rnd) in enumerate(rounds):
         round_weights = weights[r][tuple(slice(None) if on else 0 for on in active[r])]
         labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
-        tables.append(RoundTable(key, rnd, labels, round_weights.reshape(-1, size).T, products[r]))
+        tables.append(RoundTable(key, rnd, labels, round_weights.reshape(-1), products[r]))
     return tables
 
 
 def collect_constraints(s: Schedule, model: MeasurementModel) -> tuple[list[RoundTable], dict]:
     """The one analysis of a schedule's frames: every table of one
     ``analyze_stack`` pass over ``model`` on ``s.frames``, keyed by name, and
-    model 0's distinct constraints, in the order first found, each mapped to
-    the table that first yields it; that table's ``.frame`` and ``.events``
-    name the frame and the round.
+    the distinct constraints, in the order first found, each mapped to the
+    table that first yields it; that table's ``.frame`` and ``.events`` name
+    the frame and the round.
     """
     tables = analyze_stack(model, {name: order_events(s, f) for name, f in s.frames.items()})
     found: dict[ParityConstraint, RoundTable] = {}
     for table in tables:
-        constraint = table.constraint(0)
+        constraint = table.constraint()
         if constraint is not None:
             found.setdefault(constraint, table)
     return tables, found

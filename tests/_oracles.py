@@ -371,18 +371,17 @@ def dense_weights(state: StateVector, round_events, model) -> np.ndarray:
     return stacked_support(StateVector(state.layout, state.amplitudes[None]), groups)[1][0]
 
 
-def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per round of ``analyze_stack``: its (M, K) Born weights and (M,) shared
-    outcome products, one round's product and one round's parity at a time,
+def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, int]]:
+    """Per round of ``analyze_stack``: its (K,) Born weights and shared
+    outcome product, one round's product and one round's parity at a time,
     as the pass computed them before its rounds were stacked."""
     coefficients, pair = initial_product_terms()
-    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1, 1)
-    size = int(np.prod(model.unitary("A").matrix.shape[:-2]))
+    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)
     recorded_terms = {}
     for site, targets in SITE_FACTORS.items():
-        copies = [StateVector(layout(*targets), np.broadcast_to(v, (size, 6))) for v in pair]
+        copies = [StateVector(layout(*targets), v) for v in pair]
         evolved = [apply_local(model.unitary(site), targets, state) for state in copies]
-        recorded_terms[site] = np.stack([state.amplitudes.T for state in evolved])
+        recorded_terms[site] = np.stack([state.amplitudes for state in evolved])
     out = []
     for rounds in orderings.values():
         recorded: set[str] = set()
@@ -390,21 +389,19 @@ def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, np.ndarray
             events = {ev.site: ev for ev in rnd}
             a, b, c = [
                 _site_gram(
-                    recorded_terms[site] if site in recorded else pair[:, :, None],
+                    recorded_terms[site] if site in recorded else pair,
                     *_event_operators(events.get(site), model),
                 )
                 for site in ("A", "B", "C")
             ]
             product = terms * a[:, :, None, None] * b[:, None, :, None] * c[:, None, None]
-            weights = product.sum(axis=0).real
-            weights = weights.reshape(-1, weights.shape[-1]).T
+            weights = np.maximum(product.sum(axis=0).real.reshape(-1), 0.0)
             labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
-            weights = np.maximum(np.broadcast_to(weights, (size, len(labels))), 0.0)
             possible = weights > SUPPORT_EPS
             parity = np.prod(labels, axis=1)
-            plus = (possible & (parity == 1)).any(axis=1)
-            minus = (possible & (parity == -1)).any(axis=1)
-            out.append((weights, np.where(plus == minus, 0, np.where(plus, 1, -1))))
+            plus = (possible & (parity == 1)).any()
+            minus = (possible & (parity == -1)).any()
+            out.append((weights, 0 if plus == minus else (1 if plus else -1)))
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
     return out
 

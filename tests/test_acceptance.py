@@ -195,11 +195,11 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
     orderings = {name: order_events(schedule, frame) for name, frame in frames.items()}
     found = {name: [] for name in frames}
     for table in analyze_stack(ideal_von_neumann(), orderings):
-        constraint = table.constraint(0)
+        constraint = table.constraint()
         if constraint is None:
             continue
         found[table.frame].append((constraint.slots, constraint.required_product))
-        probabilities = table.weights[0][table.possible[0]]
+        probabilities = table.weights[table.possible]
         assert len(probabilities) == 4
         assert np.all(np.abs(probabilities - 0.25) <= 1e-10)
     assert found == {name: [expected] for name, expected in expected_by_frame.items()}
@@ -329,8 +329,8 @@ def _collapse_idempotence_campaign(cases):
         n = len(obs.eigenpairs)
         full = [np.kron(p.matrix, np.eye(lay.dim // p.dim)) for _, p in obs.eigenpairs]
         operators = np.stack([pb @ pa for pa in full for pb in full])
-        gram = _site_gram(state.amplitudes[None, :, None], operators[..., None])
-        kept, pruned = _signed_outcomes(gram[0, :, 0].real.reshape(n, n))
+        gram = _site_gram(state.amplitudes[None], operators)
+        kept, pruned = _signed_outcomes(gram[0].real.reshape(n, n))
         # Against the Born weights ⟨ψ|P ψ⟩ of one measurement.
         born = {
             value: np.vdot(state.amplitudes, apply_local(proj, obs.targets, state).amplitudes).real

@@ -759,14 +759,15 @@ def test_every_command_reads_the_same_constraints(capsys, monkeypatch, spec):
 
     # The sweep's model 0, with this device's site A unitary at every site
     # in place of the ideal one.
-    device = gwsim.cli._build_model({"model": _parse_model_spec(spec)}).unitary("A").matrix
-    monkeypatch.setattr(gwsim.models, "_ideal_matrix", lambda: device)
+    device = gwsim.cli._build_model({"model": _parse_model_spec(spec)}).unitary("A")
+    ideal = gwsim.measurement.MeasurementModel((device,) * 3)
+    monkeypatch.setattr(gwsim.models, "ideal_von_neumann", lambda: ideal)
     found, collect = [], gwsim.models.collect_constraints
 
     def recorded(schedule, model):
         tables, constraints = collect(schedule, model)
         found.append(constraints)
-        assert all(np.array_equal(u.matrix[0], device) for u in model.site_unitaries)
+        assert all(u is device for u in model.site_unitaries)
         return tables, constraints
 
     monkeypatch.setattr(gwsim.models, "collect_constraints", recorded)

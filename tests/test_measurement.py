@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -119,6 +121,15 @@ class TestCustomModel:
     def test_model_requires_unitaries(self):
         with pytest.raises(ValueError, match="not unitary"):
             MeasurementModel((Operator(np.ones((6, 6))),) * 3)
+
+    @pytest.mark.parametrize("shape", [(1, 6, 6), (4, 6, 6)])
+    def test_a_stack_of_devices_is_no_device(self, shape):
+        # A model holds one device per site; a stack of them is refused by
+        # shape, before any unitarity check.
+        stack = Operator(np.broadcast_to(np.eye(6), shape))
+        message = f"^site A: unitary must be 6×6, got {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            MeasurementModel((stack,) * 3)
 
     @pytest.mark.parametrize("site", ["A", "B", "C"])
     def test_a_non_unitary_device_at_any_one_site_is_named(self, site):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import _oracles
+import gwsim.cli
 import gwsim.measurement
 import gwsim.models
 import gwsim.scenario
@@ -42,12 +42,15 @@ from gwsim.measurement import (
 from gwsim.models import (
     MAX_TRIALS,
     MODES,
+    QUARTER_TOL,
+    READY_GRAM_TOL,
     InterpretationModel,
     _outsider_projectors,
     _signed_outcomes,
     born_violation_check,
     erasure_experiment,
     nonideal_sweep,
+    quarter_support,
     round_born_distribution,
     run_model,
     sequential_collapse_distribution,
@@ -60,16 +63,14 @@ from gwsim.scenario import (
     OUTCOME_SIGNS,
     ParityConstraint,
     _site_gram,
-    analyze_stack,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
-    evolve_to,
     order_events,
-    support_constraint,
     violation_mask,
 )
 from gwsim.systems import (
+    SUPPORT_EPS,
     LabLabel,
     SpinAxis,
     initial_product_terms,
@@ -306,25 +307,6 @@ class TestErasure:
         assert a.pair_x_counts == b.pair_x_counts
 
 
-def quarter_weight_pairs(model) -> list[tuple[float, float]]:
-    """(product-form weight, dense weight) of every possible tuple of every
-    constraint-bearing round of the standard frames, for one device model."""
-    s = build_schedule(10.0, 1.0)
-    frames = s.frames
-    orderings = {name: order_events(s, f) for name, f in frames.items()}
-    tables = iter(analyze_stack(model, orderings))
-    pairs = []
-    for name, rounds in orderings.items():
-        for k, rnd in enumerate(rounds, start=1):
-            table = next(tables)
-            state = evolve_to(s, frames[name], k, model)
-            entries, constraint = support_constraint(state, rnd, model)
-            if constraint is not None:
-                weights = dict(zip(table.labels, table.weights[0]))
-                pairs += [(weights[e.labels], abs(e.amplitude) ** 2) for e in entries]
-    return pairs
-
-
 def sweep_model(index: int, seed: int) -> MeasurementModel:
     """Model ``index`` of a sweep, on the sweep's own devices."""
     if index == 0:
@@ -396,57 +378,122 @@ class TestNonidealSweep:
         assert nonideal_sweep(11, 3) == sweep_reference(11, 3)
 
     def test_blocks_report_the_reference_failures(self, monkeypatch):
-        # Below the rounding of some 1/4 weights, some models fail the
-        # support check. The blocked sweep must fail the same ones as a pass
-        # per model, and as the dense reference but where a 1/4 weight falls
-        # on the other side of the tolerance in the dense sum; those weights
-        # must still agree within 1e-14. The reference takes the sweep's own
-        # devices, so only the sums differ: its libm normals may round
-        # differently, which a tolerance this tight would see as well.
-        tol = 3e-16
-        monkeypatch.setattr(gwsim.models, "QUARTER_TOL", tol)
-        monkeypatch.setattr(_oracles, "QUARTER_TOL", tol)
-        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 1)
-        one_by_one = nonideal_sweep(11, 3)
-        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
-        report = nonideal_sweep(11, 3)
-        assert not report.all_passed
-        assert report == one_by_one
-        monkeypatch.setattr(_oracles, "sweep_reference_model", sweep_model)
+        # Below the rounding of some Haar draws' R†R, the sweep fails exactly
+        # the models whose max |G − I| exceeds the tolerance, whatever the
+        # block size, with the reference's verdict otherwise. G is computed
+        # here one model and one site at a time, from the model's own draw.
+        tol = 5e-16
+        monkeypatch.setattr(gwsim.models, "READY_GRAM_TOL", tol)
+        errors = {}
+        for index in range(1, 11):
+            ready = [u.matrix[:, :2] for u in sweep_model(index, 3).site_unitaries]
+            errors[index] = max(np.abs(r.conj().T @ r - np.eye(2)).max() for r in ready)
+        failing = {index for index, error in errors.items() if error > tol}
+        assert 0 < len(failing) < 10
+        reports = []
+        for block in (1, 4, 128):
+            monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", block)
+            reports.append(nonideal_sweep(11, 3))
+        assert reports[0] == reports[1] == reports[2]
+        report = reports[0]
+        assert {r.index for r in report.results if not r.passed} == failing
         reference = sweep_reference(11, 3)
-        assert (report.n_models, report.seed) == (reference.n_models, reference.seed)
-        verdicts_agree = 0
         for mine, dense in zip(report.results, reference.results, strict=True):
-            assert mine._replace(support_ok=dense.support_ok) == dense
-            if mine.support_ok == dense.support_ok:
-                verdicts_agree += 1
-                continue
-            pairs = quarter_weight_pairs(sweep_model(mine.index, 3))
-            assert max(abs(a - b) for a, b in pairs) <= 1e-14
-            assert any((abs(a - 0.25) <= tol) != (abs(b - 0.25) <= tol) for a, b in pairs)
-        assert verdicts_agree >= 8
+            assert mine == dense._replace(support_ok=mine.index not in failing)
 
-    def test_one_qr_and_one_unitarity_check_per_site_stack_per_block(self, monkeypatch):
-        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
-        shapes = {"haar_unitaries": [], "check_unitary": []}
+    @pytest.mark.parametrize(
+        "n_models, block, drawn",
+        [(1, 4, []), (2, 1, [1]), (11, 4, [4, 4, 2]), (300, 128, [128, 128, 43])],
+    )
+    def test_one_ideal_pass_and_one_draw_per_block(self, monkeypatch, n_models, block, drawn):
+        monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", block)
+        calls = {"analyze_stack": [], "haar_unitaries": [], "check_unitary": []}
 
         def recorded(module, name, shape_of):
             original = getattr(module, name)
 
-            def wrapper(arg):
-                shapes[name].append(shape_of(arg))
-                return original(arg)
+            def wrapper(*args):
+                calls[name].append(shape_of(*args))
+                return original(*args)
 
             monkeypatch.setattr(module, name, wrapper)
 
+        recorded(gwsim.scenario, "analyze_stack", lambda model, orderings: model)
         recorded(gwsim.models, "haar_unitaries", np.shape)
         recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
-        assert nonideal_sweep(11, 3).all_passed
-        # Only the two Ready columns of each device are drawn.
-        assert shapes["haar_unitaries"] == [(3, 3, 2, 6, 2), (4, 3, 2, 6, 2), (3, 3, 2, 6, 2)]
-        # Three site stacks per block, the ideal row in block 0's: no
-        # separate ideal model and no per-model device.
-        assert shapes["check_unitary"] == [(4, 6, 6)] * 6 + [(3, 6, 6)] * 3
+        assert nonideal_sweep(n_models, 3).n_passed == n_models
+        # One pass, on the ideal device, whose one shared Operator is
+        # checked once; no Haar device becomes a model or is checked.
+        [model] = calls["analyze_stack"]
+        assert len(set(map(id, model.site_unitaries))) == 1
+        assert np.array_equal(model.unitary("A").matrix, IDEAL.unitary("A").matrix)
+        assert calls["check_unitary"] == [(6, 6)]
+        # Models 1 to n − 1 in blocks, each one draw of the Ready columns.
+        assert calls["haar_unitaries"] == [(n, 3, 2, 6, 2) for n in drawn]
+
+    def test_a_gram_within_the_tolerance_moves_no_verdict(self, schedule):
+        # Each site's Ready columns R → R·S with S = (I + Δ)^½, Hermitian Δ,
+        # so G = R†R → I + Δ, with max |Δ| just inside READY_GRAM_TOL. The
+        # pass must give the ideal device's constraints and 1/4 support, and
+        # move no weight by more than 12·READY_GRAM_TOL (the bound derived in
+        # ``nonideal_sweep``), which sits inside QUARTER_TOL and SUPPORT_EPS.
+        bound = 12 * READY_GRAM_TOL
+        assert bound < QUARTER_TOL / 5 and bound < SUPPORT_EPS / 50
+        ideal_tables, ideal_found = collect_constraints(schedule, IDEAL)
+        rng = np.random.default_rng(26)
+        bases = [IDEAL, _build_model({"model": {"kind": "random", "seed": 5}})]
+        corners = [np.array([[1, 1], [1, 1]]), np.array([[1, -1j], [1j, -1]]), -np.eye(2)]
+        moved = 0.0
+        for trial in range(40):
+            sites = []
+            for site in range(3):
+                if trial < len(corners):
+                    delta = corners[trial].astype(complex)
+                else:
+                    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    delta = z + z.conj().T
+                delta *= 0.99 * READY_GRAM_TOL / np.abs(delta).max()
+                values, vectors = np.linalg.eigh(np.eye(2) + delta)
+                root = (vectors * np.sqrt(values)) @ vectors.conj().T
+                matrix = bases[trial % 2].site_unitaries[site].matrix.copy()
+                matrix[:, :2] = matrix[:, :2] @ root
+                ready = matrix[:, :2]
+                assert np.abs(ready.conj().T @ ready - np.eye(2)).max() <= READY_GRAM_TOL
+                sites.append(Operator(matrix))
+            model = MeasurementModel(tuple(sites))
+            tables, found = collect_constraints(schedule, model)
+            assert list(found) == list(ideal_found)
+            assert quarter_support(tables)
+            for table, exact in zip(tables, ideal_tables, strict=True):
+                assert table.product == exact.product
+                assert np.abs(table.weights - exact.weights).max() <= bound
+                moved = max(moved, np.abs(table.weights - exact.weights).max())
+        # The perturbation reaches the weights: the pass reads G.
+        assert moved > READY_GRAM_TOL / 10
+
+    def test_a_model_outside_the_gram_tolerance_fails_alone(self, monkeypatch, capsys):
+        # Model 3's site B Ready columns scaled by 1 + 1e-11: its G is
+        # (1 + 1e-11)²·I, outside READY_GRAM_TOL, though the device is
+        # unitary within UNITARY_TOL and its own weights are within
+        # QUARTER_TOL of the ideal ones.
+        draw = gwsim.models._haar_devices
+
+        def scaled(seed, indices):
+            devices = draw(seed, indices)
+            for row, index in enumerate(indices):
+                if index == 3:
+                    devices[row, 1, :, :2] *= 1 + 1e-11
+            return devices
+
+        monkeypatch.setattr(gwsim.models, "_haar_devices", scaled)
+        model = sweep_model(3, 0)
+        tables, _ = collect_constraints(build_schedule(10.0, 1.0), model)
+        assert quarter_support(tables)
+        report = nonideal_sweep(6, 0)
+        assert [r.index for r in report.results if not r.passed] == [3]
+        assert report.results[3] == (3, "haar", True, 0, False)
+        assert gwsim.cli.main(["sweep", "--models", "6"]) == 1
+        assert '"n_passed": 5' in capsys.readouterr().out
 
     def test_memory_stays_flat_across_blocks(self, monkeypatch):
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
@@ -1074,8 +1121,8 @@ class TestSiteOutcomes:
             q = _outsider_projectors(model, "A")
             psi = (q[0] + q[1]) @ random_state(6, rng)
             psi /= np.linalg.norm(psi)
-            operators = np.stack([qb @ qa for qa in q for qb in q])[..., None]
-            weights = _site_gram(psi[None, :, None], operators)[0, :, 0].real.reshape(3, 3)
+            operators = np.stack([qb @ qa for qa in q for qb in q])
+            weights = _site_gram(psi[None], operators)[0].real.reshape(3, 3)
             kept, pruned = _signed_outcomes(weights)
             born = [np.vdot(psi, qa @ psi).real for qa in q[:2]]
             assert kept == pytest.approx(np.diag(born), abs=1e-12)
@@ -1087,8 +1134,8 @@ class TestSiteOutcomes:
         # and 0 outcomes carry no weight, so only +1 survives.
         model = ideal_von_neumann()
         state = entangled_record_state(model)
-        operators = np.stack(_outsider_projectors(model, "A"))[..., None]
-        weights = _site_gram(state.amplitudes[None, :, None], operators)[0, :, 0].real
+        operators = np.stack(_outsider_projectors(model, "A"))
+        weights = _site_gram(state.amplitudes[None], operators)[0].real
         kept, pruned = _signed_outcomes(weights)
         assert kept.tolist() == [pytest.approx(1.0, abs=1e-15), 0.0]
         assert pruned < SAMPLE_FLOOR
@@ -1138,7 +1185,7 @@ class TestRoundBornPrunedWeight:
         for name in FRAME_NAMES:
             rounds = preferred_rounds(model, name)
             _, pruned = round_born_distribution(rounds)
-            dropped = sum(float(r.weights[0][~r.possible[0]].sum()) for r in rounds)
+            dropped = sum(float(r.weights[~r.possible].sum()) for r in rounds)
             assert pruned == pytest.approx(dropped, rel=1e-9, abs=0.0)
             drops.append(dropped)
         assert max(drops) > 0.0, "no frame drops a weight, so the check compares 0 with 0"
@@ -1150,10 +1197,10 @@ class TestRoundBornPrunedWeight:
         clean = 0
         for name in FRAME_NAMES:
             rounds = preferred_rounds(model, name)
-            if any(r.weights[0][~r.possible[0]].any() for r in rounds):
+            if any(r.weights[~r.possible].any() for r in rounds):
                 continue
             clean += 1
             _, pruned = round_born_distribution(rounds)
             assert pruned == 0.0
-            assert math.prod(float(r.weights[0][r.possible[0]].sum()) for r in rounds) != 1.0
+            assert math.prod(float(r.weights[r.possible].sum()) for r in rounds) != 1.0
         assert clean

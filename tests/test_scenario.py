@@ -7,17 +7,17 @@ import pytest
 import gwsim.models
 import gwsim.scenario
 from _oracles import dense_weights, round_by_round_tables
+from test_models import sweep_model
 from gwsim.cli import _build_model
 from gwsim.measurement import (
     SITES,
     MeasurementModel,
     haar_random_unitary,
-    haar_unitaries,
     ideal_von_neumann,
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
-    SWEEP_BLOCK,
+    READY_GRAM_TOL,
     _haar_devices,
     sequential_collapse_distribution,
     trial_rng,
@@ -227,25 +227,25 @@ class TestPreRoundStates:
 
 
 def possible_labels(table) -> set:
-    return set(itertools.compress(table.labels, table.possible[0]))
+    return set(itertools.compress(table.labels, table.possible))
 
 
 class TestRoundTables:
     def test_friends_round_has_full_support_and_no_constraint(self, ideal_tables):
         table = ideal_tables["sigma"][0]
-        assert table.products[0] == 0
-        assert table.possible[0].sum() == 8
-        np.testing.assert_allclose(table.weights[0], 0.125, atol=1e-10)
+        assert table.product == 0
+        assert table.possible.sum() == 8
+        np.testing.assert_allclose(table.weights, 0.125, atol=1e-10)
 
     def test_outsiders_round_yields_odd_parity(self, ideal_tables):
         table = ideal_tables["sigma"][1]
-        assert table.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), -1)
+        assert table.constraint() == ParityConstraint(("x_A", "x_B", "x_C"), -1)
         assert possible_labels(table) == {(+1, +1, -1), (+1, -1, +1), (-1, +1, +1), (-1, -1, -1)}
-        np.testing.assert_allclose(table.weights[0][table.possible[0]], 0.25, atol=1e-10)
+        np.testing.assert_allclose(table.weights[table.possible], 0.25, atol=1e-10)
 
     def test_mixed_round_yields_even_parity(self, ideal_tables):
         table = ideal_tables["sigma_p"][1]
-        assert table.constraint(0) == ParityConstraint(("x_A", "z_B", "z_C"), +1)
+        assert table.constraint() == ParityConstraint(("x_A", "z_B", "z_C"), +1)
         assert possible_labels(table) == {(+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1)}
 
     def test_products_need_one_parity_shared_by_the_possible_tuples(self):
@@ -253,18 +253,19 @@ class TestRoundTables:
         weights = np.array([[0.5, 0, 0.5], [0, 1.0, 0], [0.5, 0.5, 0], [1e-10, 1.0, 0]])
         possible = weights > SUPPORT_EPS
         products = _shared_parity(possible, np.prod(labels, axis=1), axis=1)
-        table = RoundTable("sigma", (), labels, weights, products)
-        assert table.products.tolist() == [+1, -1, 0, -1]
+        assert products.tolist() == [+1, -1, 0, -1]
+        tables = [RoundTable("sigma", (), labels, w, p) for w, p in zip(weights, products.tolist())]
+        assert [t.possible.tolist() for t in tables] == possible.tolist()
         # Parity 0 marks an entry that is no tuple (a spectator's second
         # label in the pass): however heavy, it takes no side.
         assert _shared_parity(possible, np.array([1, 0, 1]), axis=1).tolist() == [1, 0, 1, 0]
 
-    def test_constraints_read_the_products_field(self, schedule, ideal_tables, monkeypatch):
+    def test_constraints_read_the_product_field(self, schedule, ideal_tables, monkeypatch):
         table = ideal_tables["sigma"][1]
-        flipped = table._replace(products=-table.products)
-        assert flipped.constraint(0) == ParityConstraint(("x_A", "x_B", "x_C"), +1)
+        flipped = table._replace(product=-table.product)
+        assert flipped.constraint() == ParityConstraint(("x_A", "x_B", "x_C"), +1)
         later = flipped._replace(frame="sigma_p")
-        tables = [flipped, table._replace(products=0 * table.products), later]
+        tables = [flipped, table._replace(product=0), later]
         monkeypatch.setattr(gwsim.scenario, "analyze_stack", lambda model, orderings: tables)
         _, found = collect_constraints(schedule, IDEAL)
         assert list(found) == [ParityConstraint(("x_A", "x_B", "x_C"), +1)]
@@ -272,8 +273,8 @@ class TestRoundTables:
 
     def test_two_slot_round_is_unconstrained(self, ideal_tables):
         table = ideal_tables["sigma_p"][2]
-        assert table.products[0] == 0
-        assert table.constraint(0) is None
+        assert table.product == 0
+        assert table.constraint() is None
         assert len(possible_labels(table)) == 4
 
 
@@ -333,7 +334,7 @@ class TestCollectConstraints:
         tables, constraints = collect_constraints(schedule, _build_model({"model": spec}))
         assert len(constraints) == 4
         for constraint, table in constraints.items():
-            assert table is next(t for t in tables if t.constraint(0) == constraint)
+            assert table is next(t for t in tables if t.constraint() == constraint)
             assert table.frame in FRAME_NAMES
 
     def test_reproduced_by_a_random_device_model(self, schedule):
@@ -367,18 +368,17 @@ def standard_orderings(schedule):
     }
 
 
-def assert_row_matches_the_dense_oracle(table, m, replayed, model):
-    """Model m's row of the table against the dense replayed pre-round state:
-    the scalar path's possible tuples and constraint exactly, and every
-    tuple's weight within 1e-14, since the two sum in different orders."""
+def assert_matches_the_dense_oracle(table, replayed, model):
+    """The table against the dense replayed pre-round state: the scalar
+    path's possible tuples and constraint exactly, and every tuple's weight
+    within 1e-14, since the two sum in different orders."""
     entries, constraint = support_constraint(replayed, table.events, model)
-    possible = table.possible[m]
-    assert list(itertools.compress(table.labels, possible)) == [e.labels for e in entries]
-    assert table.products[m] == (constraint.required_product if constraint else 0)
+    assert list(itertools.compress(table.labels, table.possible)) == [e.labels for e in entries]
+    assert table.product == (constraint.required_product if constraint else 0)
     assert constraint is None or constraint.slots == round_slots(table.events)
-    assert table.weights[m].min() >= 0.0
+    assert table.weights.min() >= 0.0
     dense = dense_weights(replayed, table.events, model)
-    np.testing.assert_allclose(table.weights[m], dense, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(table.weights, dense, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("spec", sorted(ANALYSIS_MODELS))
@@ -393,26 +393,18 @@ class TestAnalyze:
             mine = [t for t in tables if t.frame == name]
             assert [t.events for t in mine] == orderings[name]
             for k, table in enumerate(mine, start=1):
-                assert table.weights.shape == (1, len(table.labels))
+                assert table.weights.shape == (len(table.labels),)
+                assert isinstance(table.product, int)
                 replayed = evolve_to(schedule, frame, k, model)
-                assert_row_matches_the_dense_oracle(table, 0, replayed, model)
+                assert_matches_the_dense_oracle(table, replayed, model)
 
-    def test_a_single_device_is_a_stack_of_one(self, schedule, spec):
+    def test_matches_the_round_by_round_oracle_bit_for_bit(self, schedule, spec):
         model = ANALYSIS_MODELS[spec]()
         orderings = standard_orderings(schedule)
-        single = analyze_stack(model, orderings)
-        stacked = analyze_stack(stack_models([model]), orderings)
-        assert len(single) == len(stacked) == 11
-        for one, other in zip(single, stacked):
-            assert (one.frame, one.events, one.labels) == (other.frame, other.events, other.labels)
-            assert np.array_equal(one.weights, other.weights)
+        assert_matches_the_round_by_round_oracle(model, orderings)
 
-    @pytest.mark.parametrize("size", [1, 5])
-    def test_each_site_factor_is_built_once(self, schedule, spec, size, monkeypatch):
-        # Stack each distinct device, keeping the sites that share one sharing it.
-        sites = ANALYSIS_MODELS[spec]().site_unitaries
-        stacks = {id(u): Operator(np.stack([u.matrix] * size)) for u in sites}
-        model = MeasurementModel(tuple(stacks[id(u)] for u in sites))
+    def test_each_site_factor_is_built_once(self, schedule, spec, monkeypatch):
+        model = ANALYSIS_MODELS[spec]()
         built, site_gram = [], gwsim.scenario._site_gram
         applied, apply = [], gwsim.scenario.apply_local
 
@@ -430,15 +422,14 @@ class TestAnalyze:
         tables = analyze_stack(model, standard_orderings(schedule))
         assert len(tables) == 11
         # Before its device runs, a site (a spectator, or its friend) reads the
-        # pair vectors every site shares: two factors for the whole pass, one
-        # shared by every model. After it (a spectator, or its outsider, whose
-        # Gram carries the scale 1/2), one per device and model: 4 factors
-        # for the ideal device shared by all three sites, 8 for three devices.
-        devices = len(stacks)
+        # pair vectors every site shares: two factors for the whole pass.
+        # After it (a spectator, or its outsider, whose Gram carries the
+        # scale 1/2), one per device: 4 factors for the ideal device shared
+        # by all three sites, 8 for three devices.
+        devices = len({id(u) for u in model.site_unitaries})
         assert (spec == "ideal") == (devices == 1)
         assert sorted(built, key=str) == sorted(
-            [(1.0, (4, 1, 1)), (1.0, (4, 2, 1))]
-            + [(1.0, (4, 1, size)), (0.5, (4, 2, size))] * devices,
+            [(1.0, (4, 1)), (1.0, (4, 2))] + [(1.0, (4, 1)), (0.5, (4, 2))] * devices,
             key=str,
         )
         # The device runs on each product term once, whichever sites share it.
@@ -459,38 +450,42 @@ def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     three, found_three = collect_constraints(schedule, copies)
     assert len(one) == len(three) == 11
     for a, b in zip(one, three):
-        assert np.array_equal(a.weights, b.weights) and np.array_equal(a.products, b.products)
+        assert np.array_equal(a.weights, b.weights) and a.product == b.product
     assert list(found_one) == list(found_three)
     collapse = [sequential_collapse_distribution(m) for m in (shared, copies)]
     assert np.array_equal(collapse[0][0], collapse[1][0]) and collapse[0][1] == collapse[1][1]
     assert len(built) == 1 + 3  # one collapse factor per distinct device
 
 
-@pytest.mark.parametrize("spec", ["ideal", "random:3", "haar-block"])
-def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
-    # One product over all rounds, spectators broadcast and indexed out,
-    # gives every weight the same operations in the same order as one
-    # product per round; the parity rows follow the per-round rule.
-    if spec == "haar-block":
-        devices = _haar_devices(5, range(SWEEP_BLOCK))
-        model = MeasurementModel(tuple(Operator(devices[:, k]) for k in range(3)))
-    else:
-        model = _build_model({"model": {"kind": spec[:6], "seed": int(spec[7:] or 0)}})
-    orderings = standard_orderings(build_schedule(10.0, 1.0))
+def assert_matches_the_round_by_round_oracle(model, orderings):
+    """One product over all rounds, spectators broadcast and indexed out,
+    gives every weight the same operations in the same order as one product
+    per round; the parity follows the per-round rule."""
     tables = analyze_stack(model, orderings)
     oracle = round_by_round_tables(model, orderings)
-    assert len(tables) == len(oracle) == 11
-    for table, (weights, products) in zip(tables, oracle):
+    assert len(tables) == len(oracle) == sum(len(rounds) for rounds in orderings.values())
+    for table, (weights, product) in zip(tables, oracle):
         assert table.weights.shape == weights.shape
         assert np.array_equal(table.weights, weights)
-        assert np.array_equal(table.products, products)
+        assert table.product == product
+
+
+@pytest.mark.parametrize("spec", ["ideal", "random:3", "haar-sweep"])
+def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
+    orderings = standard_orderings(build_schedule(10.0, 1.0))
+    if spec == "haar-sweep":
+        # A sample of the sweep's own devices, each in its own pass.
+        models = [sweep_model(index, 5) for index in (1, 2, 63, 127, 128, 129)]
+    else:
+        models = [_build_model({"model": {"kind": spec[:6], "seed": int(spec[7:] or 0)}})]
+    for model in models:
+        assert_matches_the_round_by_round_oracle(model, orderings)
 
 
 def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
     # The pass works on the two product terms alone: it never builds the
     # 216-dim initial state, and ``apply_local`` only runs each site's device
-    # on that site's 6-dim pair vectors, once per product term for the whole
-    # stack.
+    # on that site's 6-dim pair vectors, once per product term.
     applied, apply = [], gwsim.scenario.apply_local
 
     def pair_only(op, targets, state):
@@ -503,15 +498,15 @@ def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
 
     monkeypatch.setattr(gwsim.scenario, "apply_local", pair_only)
     monkeypatch.setattr(gwsim.scenario, "initial_scenario_state", refuse)
-    tables, found = collect_constraints(schedule, stack_models(stack_of(5)))
+    tables, found = collect_constraints(schedule, ANALYSIS_MODELS["random:5"]())
     assert len(tables) == 11
-    assert sorted(applied) == sorted([(SITE_FACTORS[site], (5, 6)) for site in SITES] * 2)
+    assert sorted(applied) == sorted([(SITE_FACTORS[site], (6,)) for site in SITES] * 2)
     assert {(c.slots, c.required_product) for c in found} == (
         CANONICAL_CONSTRAINT_KEYS
     )
 
 
-def stack_of(n):
+def device_models(n):
     """n device models: ideal, random:5, two Haar seeds, then trial_rng draws."""
     models = [ANALYSIS_MODELS[spec]() for spec in ("ideal", "random:5", "haar:7", "haar:8")]
     for index in range(4, n):
@@ -520,50 +515,40 @@ def stack_of(n):
     return models[:n]
 
 
-def stack_models(models):
-    """One stacked model, the pass's input, whose entry m is ``models[m]``."""
-    return MeasurementModel(
-        tuple(Operator(np.stack([m.unitary(site).matrix for m in models])) for site in SITES)
-    )
-
-
-class TestAnalyzeStack:
-    @pytest.mark.parametrize("n", [1, 5, 40])
-    def test_every_model_matches_the_per_model_reference(self, schedule, frames, n):
-        models = stack_of(n)
+class TestManyDevices:
+    def test_every_model_matches_the_per_model_reference(self, schedule, frames):
         orderings = standard_orderings(schedule)
-        tables = analyze_stack(stack_models(models), orderings)
-        assert [(t.frame, t.events) for t in tables] == [
-            (name, rnd) for name, rounds in orderings.items() for rnd in rounds
-        ]
-        assert all(t.weights.shape == (n, len(t.labels)) for t in tables)
         rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
-        for m, model in enumerate(models):
+        for model in device_models(40):
+            tables = analyze_stack(model, orderings)
+            assert [(t.frame, t.events) for t in tables] == [
+                (name, rnd) for name, rounds in orderings.items() for rnd in rounds
+            ]
             for table, k in zip(tables, rounds):
                 replayed = evolve_to(schedule, frames[table.frame], k, model)
-                assert_row_matches_the_dense_oracle(table, m, replayed, model)
+                assert_matches_the_dense_oracle(table, replayed, model)
 
     def test_margins_hold_over_2000_haar_devices(self, schedule):
-        # The ideal device plus 2000 Haar models drawn as the sweep draws
-        # them (seed 3): impossible tuples stay far below the support
-        # cutoff, possible ones far above it, and each round's weights
-        # sum to 1.
-        draws = [trial_rng(3, index).normal(size=(3, 2, 6, 6)) for index in range(1, 2001)]
-        unitaries = haar_unitaries(np.array(draws))
-        ideal = ideal_von_neumann()
-        stacked = MeasurementModel(
-            tuple(
-                Operator(np.concatenate([ideal.unitary(site).matrix[None], unitaries[:, k]]))
-                for k, site in enumerate(SITES)
-            )
-        )
-        for table in analyze_stack(stacked, standard_orderings(schedule)):
-            assert table.weights.shape == (2001, len(table.labels))
-            assert table.weights.min() >= 0.0
-            possible = table.possible
-            assert np.where(possible, 0.0, table.weights).max() < 1e-12
-            assert np.where(possible, table.weights, 1.0).min() >= 0.1
-            assert np.abs(1.0 - table.weights.sum(axis=1)).max() < 1e-12
+        # 2000 Haar models drawn as the sweep draws them (seed 3): each
+        # site's Ready columns are orthonormal to rounding, far inside
+        # READY_GRAM_TOL, which is what the sweep checks of them.
+        ready = _haar_devices(3, range(1, 2001))[..., :2]
+        gram = ready.conj().swapaxes(-1, -2) @ ready
+        assert np.abs(gram - np.eye(2)).max() < 1e-14 < READY_GRAM_TOL
+        # On a sample, each device's own pass: impossible tuples stay far
+        # below the support cutoff, possible ones far above it, each round's
+        # weights sum to 1, and every weight is the ideal device's to rounding.
+        orderings = standard_orderings(schedule)
+        ideal = analyze_stack(ideal_von_neumann(), orderings)
+        for index in range(1, 2001, 50):
+            for table, exact in zip(analyze_stack(sweep_model(index, 3), orderings), ideal):
+                assert table.weights.min() >= 0.0
+                possible = table.possible
+                assert np.where(possible, 0.0, table.weights).max() < 1e-12
+                assert np.where(possible, table.weights, 1.0).min() >= 0.1
+                assert abs(1.0 - table.weights.sum()) < 1e-12
+                assert np.abs(table.weights - exact.weights).max() < 1e-14
+                assert table.product == exact.product
 
 
 def test_weights_of_the_ideal_device_are_exact_dyadic_fractions(ideal_tables):
@@ -577,7 +562,7 @@ def test_weights_of_the_ideal_device_are_exact_dyadic_fractions(ideal_tables):
         "sigma_ppp": [{0.5}, {0.0, 0.25}, {0.25}],
     }
     assert {
-        name: [set(table.weights[0].tolist()) for table in tables]
+        name: [set(table.weights.tolist()) for table in tables]
         for name, tables in ideal_tables.items()
     } == expected
 
@@ -591,7 +576,7 @@ def test_standard_frames_yield_exactly_the_canonical_constraints(schedule):
 def test_random_subluminal_frames_yield_no_new_constraint(schedule):
     # Generic frames split the six events into singleton rounds; whatever a
     # frame yields must be one of the four the standard frames give, and
-    # every device's row must match its dense replay.
+    # every device's tables must match its dense replay.
     rng = np.random.default_rng(20181106)
     speeds = 0.999 * rng.random(1000)
     angles = 2.0 * math.pi * rng.random(1000)
@@ -599,27 +584,28 @@ def test_random_subluminal_frames_yield_no_new_constraint(schedule):
         Frame((float(v * math.cos(a)), float(v * math.sin(a)))) for v, a in zip(speeds, angles)
     ]
     orderings = {i: order_events(schedule, f) for i, f in enumerate(frames)}
-    models = stack_of(4)
-    tables = analyze_stack(stack_models(models), orderings)
-    assert {t.frame for t in tables} == set(range(1000))
-    for m in range(len(models)):
-        for c in filter(None, (t.constraint(m) for t in tables)):
+    models = device_models(4)
+    passes = [analyze_stack(model, orderings) for model in models]
+    for tables in passes:
+        assert {t.frame for t in tables} == set(range(1000))
+        for c in filter(None, (t.constraint() for t in tables)):
             assert (c.slots, c.required_product) in CANONICAL_CONSTRAINT_KEYS
     # Many frames share an ordering, so each distinct pre-round state and
     # round (the friends measured before it, its events) is replayed once,
     # and every other table of it must hold the same weights.
     replayed_rounds = {}
     rounds = [k for r in orderings.values() for k in range(1, len(r) + 1)]
-    for table, k in zip(tables, rounds):
+    for r, (table, k) in enumerate(zip(passes[0], rounds)):
         before = orderings[table.frame][: k - 1]
         friends = tuple(ev.id for rnd in before for ev in rnd if ev.kind == "friend_z")
-        first, _ = replayed_rounds.setdefault((friends, table.events), (table, k))
-        assert np.array_equal(table.weights, first.weights)
+        first, _ = replayed_rounds.setdefault((friends, table.events), (r, k))
+        for tables in passes:
+            assert np.array_equal(tables[r].weights, tables[first].weights)
     assert len(replayed_rounds) > 20
-    for table, k in replayed_rounds.values():
-        for m, model in enumerate(models):
-            replayed = evolve_to(schedule, frames[table.frame], k, model)
-            assert_row_matches_the_dense_oracle(table, m, replayed, model)
+    for r, k in replayed_rounds.values():
+        for model, tables in zip(models, passes):
+            replayed = evolve_to(schedule, frames[tables[r].frame], k, model)
+            assert_matches_the_dense_oracle(tables[r], replayed, model)
 
 
 class TestEnumerateAssignments:
