@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .measurement import MeasurementModel, distinguishability_report, ideal_von_neumann
 from .models import (
     InterpretationModel,
@@ -153,8 +155,11 @@ def _resolve_seed(config: dict) -> int:
 def _build_model(config: dict) -> MeasurementModel:
     if config["model"]["kind"] == "ideal":
         return ideal_von_neumann()
-    # Spawn 0 of the model seed: the stream no sweep model and no run draws.
-    return MeasurementModel(tuple(map(Operator, _haar_devices(config["model"]["seed"], [0])[0])))
+    # Spawn 0 of the model seed, the stream no sweep model and no run draws:
+    # its Ready columns, then the last four columns of their complete QR.
+    ready = _haar_devices(config["model"]["seed"], [0])[0]
+    rest = np.linalg.qr(ready, mode="complete")[0][..., 2:]
+    return MeasurementModel(tuple(map(Operator, np.concatenate([ready, rest], axis=-1))))
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:
@@ -236,8 +241,8 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),
     ]
 
-    kept = list(constraints)
-    dropped = None
+    kept, dropped = list(constraints), None
+    name, expected, which = "unsatisfiable", 0, "all four constraints"
     if drop_constraint is not None:
         if not 1 <= drop_constraint <= len(constraints):
             raise ConfigError(
@@ -245,30 +250,16 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
             )
         dropped = _constraint_dict(constraints[drop_constraint - 1])
         kept = [c for i, c in enumerate(constraints, start=1) if i != drop_constraint]
-    satisfying = enumerate_assignments(kept)
-
-    if drop_constraint is None:
-        checks.append(
-            _check(
-                "unsatisfiable",
-                len(satisfying) == 0,
-                f"{len(satisfying)} of 64 assignments satisfy all four constraints",
-            )
-        )
-    else:
-        checks.append(
-            _check(
-                "dropped_constraint_leaves_eight",
-                len(satisfying) == 8,
-                f"{len(satisfying)} of 64 assignments satisfy the remaining three",
-            )
-        )
+        name, expected, which = "dropped_constraint_leaves_eight", 8, "the remaining three"
+    satisfying = len(enumerate_assignments(kept))
+    detail = f"{satisfying} of 64 assignments satisfy {which}"
+    checks.append(_check(name, satisfying == expected, detail))
 
     results = {
         "support_tables": tables,
         "constraints": [_constraint_dict(c) for c in constraints],
         "dropped_constraint": dropped,
-        "satisfying_assignments": len(satisfying),
+        "satisfying_assignments": satisfying,
     }
     return _report("ghz-nogo", config, results, checks)
 

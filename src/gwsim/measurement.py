@@ -5,21 +5,24 @@ unitary on the (lab register, electron) pair taking ``|ready> ⊗ |±1_z>`` to a
 pair of orthonormal *recorded* states: its two Ready columns, the only part
 of a device that any command reads. The ideal case is a basis permutation
 (the lab flips to RecordedUp/RecordedDown and the electron is untouched); any
-other unitary models an imperfect device.
+other unitary models an imperfect device. ``haar_unitaries`` draws just the
+columns asked for, by a reduced QR: the sweep asks for the Ready columns,
+which ``cli._build_model`` completes to a whole device for ``random:N``.
 
 Two measurements read a completed record, each as projectors on the pair:
 
 * the outsider's (``_outsider_projectors``) — ±1 on the two superpositions
   ``(|+1Z> ± |-1Z>)/√2`` of recorded states, 0 on the rest of the pair space;
-  it probes the lab+electron pair *as a whole*, in a basis incompatible with
-  the record,
+  it probes the pair *as a whole*, in a basis incompatible with the record,
 * the door's (``_door_projectors``) — what you learn by asking the lab for
   its record: ±1 on the RecordedUp/RecordedDown lab levels, 0 on Ready.
 
 ``distinguishability_report`` weighs both measurements' outcomes on the
 unitary and collapsed descriptions of a completed measurement, each an even
 mixture of pair vectors v: an outcome with projector P weighs ½ Σ_v ‖P v‖².
-``measure`` samples an ``Observable`` with collapse on a dense state.
+The erasure experiment builds neither matrix: it applies both to its one
+recorded column (``models.erasure_experiment``). ``measure`` samples an
+``Observable`` with collapse on a dense state.
 """
 
 from __future__ import annotations
@@ -78,17 +81,6 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
         return self.recorded_sum(site, sign) / np.sqrt(2.0)
 
 
-def _ideal_matrix() -> np.ndarray:
-    mat = np.eye(PAIR_DIM, dtype=complex)
-    ready_up = pair_index(LabLabel.READY, +1)
-    ready_dn = pair_index(LabLabel.READY, -1)
-    rec_up = pair_index(LabLabel.RECORDED_UP, +1)
-    rec_dn = pair_index(LabLabel.RECORDED_DOWN, -1)
-    for i, j in ((ready_up, rec_up), (ready_dn, rec_dn)):
-        mat[[i, j]] = mat[[j, i]]
-    return mat
-
-
 def ideal_von_neumann() -> MeasurementModel:
     """Perfect recording: (Ready, ±z) ↔ (RecordedUp/Down, ±z), rest untouched.
 
@@ -96,19 +88,24 @@ def ideal_von_neumann() -> MeasurementModel:
     to a full unitary is the simplest one, a basis permutation (swapping each
     Ready column with its recorded image and fixing the remaining two states).
     """
-    op = Operator(_ideal_matrix())
+    mat = np.eye(PAIR_DIM, dtype=complex)
+    for sign, recorded in ((+1, LabLabel.RECORDED_UP), (-1, LabLabel.RECORDED_DOWN)):
+        i, j = pair_index(LabLabel.READY, sign), pair_index(recorded, sign)
+        mat[[i, j]] = mat[[j, i]]
+    op = Operator(mat)
     return MeasurementModel((op, op, op))
 
 
 def haar_unitaries(draws: np.ndarray) -> np.ndarray:
-    """Haar-distributed unitaries from (..., 2, d, k) standard normal draws
-    (real, imaginary parts): one stacked QR of the complex Gaussians, the
-    first k columns' phases fixed by R's diagonal (Mezzadri, Notices AMS 54,
-    2007) and bit for bit those of a (d, d) draw's; LAPACK completes the
-    rest. Entry i is the unitary of ``draws[i]`` alone, bit for bit."""
-    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :], mode="complete")
+    """The first k columns of Haar-distributed unitaries from (..., 2, d, k)
+    standard normal draws (real, imaginary parts): one stacked reduced QR of
+    the complex Gaussians, phases fixed by R's diagonal (Mezzadri, Notices
+    AMS 54, 2007), bit for bit a (d, d) draw's first k columns and, for
+    k = d, its unitary. Entry i is that of ``draws[i]`` alone, bit for bit.
+    The sweep draws k = 2; ``cli._build_model`` completes a ``random:N`` device."""
+    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
     diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    q[..., : r.shape[-1]] *= (diagonal / np.abs(diagonal))[..., None, :]
+    q *= (diagonal / np.abs(diagonal))[..., None, :]
     return q
 
 

@@ -30,15 +30,15 @@ and binomials are computed in Python ints and floats, bit for bit numpy's,
 so ``numpy.random`` is never imported.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
-flip what the lab's record says afterwards), computed and sampled the same
-way, and the sweep re-deriving the contradiction under random non-ideal
-measurement devices: one pass on the ideal device, and blocks of one
-stacked Haar draw each, whose recorded states are checked orthonormal
-(``READY_GRAM_TOL``). Model i's devices come from
-Box–Muller normals on its own Philox stream, keyed by
-``SeedSequence(seed, spawn_key=(i,))``; the devices of ``--model random:N``
-are spawn 0 of seed N, which no sweep model draws. Only a device's Ready
-columns are read, so only they are drawn, bit for bit the full draw's.
+flip what the lab's record says afterwards), read off its one recorded
+column and sampled the same way, and the sweep re-deriving the contradiction
+under random non-ideal devices: one pass on the ideal device, and blocks of
+one stacked Haar draw each, whose recorded states are checked orthonormal
+(``READY_GRAM_TOL``). Model i's devices come from Box–Muller normals on its
+own Philox stream, keyed by ``SeedSequence(seed, spawn_key=(i,))``; those of
+``--model random:N`` are spawn 0 of seed N, which no sweep model draws. Only
+a device's Ready columns are read, so only they are drawn, bit for bit the
+full draw's; ``cli._build_model`` completes a ``random:N`` device.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .measurement import (
     SAMPLE_FLOOR,
     SITES,
     MeasurementModel,
-    _door_projectors,
     _outsider_projectors,
     haar_unitaries,
     ideal_von_neumann,
+    pair_index,
 )
 from .qmath import StateVector, apply_local, layout
 from .scenario import (
@@ -75,7 +75,7 @@ from .scenario import (
     _born_weights,
     _site_gram,
 )
-from .systems import LabLabel, SpinAxis, initial_product_terms, lab_vector, spin_vector
+from .systems import LabLabel, SpinAxis, initial_product_terms, spin_vector
 
 MODES = ("round_born", "sequential_collapse")
 # The most trials an int64 outcome count holds.
@@ -482,18 +482,24 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     collapses it onto (|+1Z> ± |-1Z>)/√2, either of which shows RecordedDown
     behind the door half the time: the outsider has erased the record.
 
-    The (pair-x, door) outcome table is the collapse rule's one-site,
-    one-term case: outcome (x, d) weighs ‖D_d Q_x ψ‖² for the door projector
-    D_d. Trials are counted from it as in ``run_model``.
+    The (pair-x, door) table is read off the recorded column r = U|ready, +1_z>:
+    outcome (x, d) weighs ‖D_d Q_x r‖², with Q_± r = ½ b_± (b_±† r) for
+    b_± = |+1Z> ± |-1Z>, Q_0 r = r − Q_+ r − Q_− r, and D_d keeping its lab
+    level's two pair rows (``skip_pair_x``: Q_x r is r). Trials are counted
+    from the table as in ``run_model``.
     """
     model = ideal_von_neumann()
-    start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
-    recorded = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
-    door = _door_projectors()
-    pair_x = [np.eye(PAIR_DIM)] if skip_pair_x else _outsider_projectors(model, "A")
-    operators = np.stack([d @ q for q in pair_x for d in door])
-    gram = _site_gram(recorded.amplitudes[None], operators)
-    kept, pruned = _signed_outcomes(gram.real.reshape(len(pair_x), len(door)))
+    start = np.eye(PAIR_DIM, dtype=complex)[pair_index(LabLabel.READY, +1)]
+    r = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start)).amplitudes
+    rows = [r]
+    if not skip_pair_x:
+        sums = [model.recorded_sum("A", sign) for sign in (+1, -1)]
+        plus, minus = (0.5 * b * np.vdot(b, r) for b in sums)
+        rows = [plus, minus, r - plus - minus]
+    # Each lab level's weight over its two pair rows, in door order.
+    levels = (np.abs(np.stack(rows)) ** 2).reshape(len(rows), len(LabLabel), 2).sum(axis=2)
+    doors = [lab.value for lab in (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)]
+    kept, pruned = _signed_outcomes(levels[:, doors])
 
     counts = _draw(kept.ravel(), trials, seed).reshape(kept.shape)
     up, down = counts.sum(axis=0).tolist()
@@ -538,9 +544,9 @@ def quarter_support(tables) -> bool:
 
 
 def _haar_devices(seed: int, indices) -> np.ndarray:
-    """The three Haar-random device unitaries of each model i in ``indices``,
-    shape (M, 3, 6, 6), from its own Philox stream, keyed by
-    ``SeedSequence(seed, spawn_key=(i,))``.
+    """The Ready columns of the three Haar-random device unitaries of each
+    model i in ``indices``, shape (M, 3, 6, 2), from its own Philox stream,
+    keyed by ``SeedSequence(seed, spawn_key=(i,))``.
 
     The full draw is 216 normals, per site real then imaginary parts, as
     Box–Muller pairs (Box & Muller, Ann. Math. Stat. 29, 610, 1958) of the
@@ -618,7 +624,7 @@ def nonideal_sweep(
     support_ok = quarter_support(tables)
     results = [SweepModelResult(0, "ideal", *verdict, support_ok)]
     for start in range(1, n_models, SWEEP_BLOCK):
-        ready = _haar_devices(seed, range(start, min(start + SWEEP_BLOCK, n_models)))[..., :2]
+        ready = _haar_devices(seed, range(start, min(start + SWEEP_BLOCK, n_models)))
         errors = np.abs(ready.conj().swapaxes(-1, -2) @ ready - np.eye(2)).max(axis=(1, 2, 3))
         ok = (errors <= READY_GRAM_TOL) & support_ok
         results += [SweepModelResult(i, "haar", *verdict, bool(x)) for i, x in enumerate(ok, start)]

@@ -31,6 +31,7 @@ from gwsim.measurement import (
     Observable,
     ideal_von_neumann,
     measure,
+    pair_index,
 )
 from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
@@ -107,6 +108,29 @@ def sym_ghz_amplitudes(axes: tuple[str, str, str]) -> dict[tuple[int, int, int],
         amp = (bra.H * ghz)[0, 0]
         out[signs] = sp.simplify(amp)
     return out
+
+
+def sym_erasure_table(skip_pair_x: bool) -> list[sp.Expr]:
+    """The ideal device's erasure table in exact arithmetic, by the per-path
+    rule: the outsider's ±1 outcome x projects r = U|ready, +1_z> onto b_x
+    (b_± = |+1Z> ± |-1Z>) and normalises it, then the door reads
+    RecordedUp, RecordedDown off that state. Entries in (x, door) order;
+    ``skip_pair_x`` reads r alone."""
+    u = sp.Matrix(ideal_von_neumann().unitary("A").matrix.real.astype(int))
+    r, r_down = (u[:, pair_index(LabLabel.READY, sign)] for sign in (+1, -1))
+    paths = [(1, r)]
+    if not skip_pair_x:
+        paths = []
+        for b in (r + r_down, r - r_down):
+            projected = b * (b.H * r) / 2
+            p = (projected.H * projected)[0]
+            paths.append((p, projected / sp.sqrt(p)))
+    labs = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN)
+    return [
+        p * sum(abs(post[pair_index(lab, sign)]) ** 2 for sign in (+1, -1))
+        for p, post in paths
+        for lab in labs
+    ]
 
 
 # ---------------------------------------------------------------------------

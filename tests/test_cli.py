@@ -791,29 +791,32 @@ def test_commands_without_a_device_take_no_model(capsys, command, error):
 
 
 def test_no_report_reads_a_device_past_its_ready_columns(capsys, monkeypatch):
-    # Turning columns 2-5 of every Haar device by one random 4×4 unitary
-    # keeps the devices unitary and their Ready columns, and every report.
+    # ``_build_model`` completes a random device's Ready columns 0-1 with
+    # columns 2-5. Turning those by one random 4×4 unitary keeps the devices
+    # unitary and their Ready columns, and every report. The sweep draws no
+    # column past the Ready ones.
     turn = gwsim.measurement.haar_unitaries(np.random.default_rng(5).normal(size=(2, 4, 4)))
-    haar_devices = gwsim.models._haar_devices
+    build = gwsim.cli._build_model
 
-    def turned(seed, indices):
-        devices = haar_devices(seed, indices)
+    def turned(config):
+        devices = np.stack([u.matrix for u in build(config).site_unitaries])
         devices[..., 2:] = devices[..., 2:] @ turn
-        return devices
+        return gwsim.measurement.MeasurementModel(tuple(map(gwsim.qmath.Operator, devices)))
 
-    assert not np.array_equal(turned(7, [0]), haar_devices(7, [0]))
+    config = {"model": {"kind": "random", "seed": 7}}
+    devices = [model(config).unitary("A").matrix for model in (build, turned)]
+    assert not np.array_equal(*devices)
+    assert gwsim.models._haar_devices(3, range(1, 4)).shape == (3, 3, 6, 2)
     argvs = [
         ["ghz-nogo", "--model", "random:7"],
         ["run", "--model", "random:11", "--mode", "round_born", "--trials", "1000"],
         ["run", "--model", "random:4", "--mode", "sequential_collapse", "--trials", "1000"],
         ["distinguish", "--model", "random:7"],
-        ["sweep", "--models", "300", "--seed", "3"],
     ]
     for argv in argvs:
         reports = []
-        for devices in (haar_devices, turned):
-            monkeypatch.setattr(gwsim.cli, "_haar_devices", devices)
-            monkeypatch.setattr(gwsim.models, "_haar_devices", devices)
+        for model in (build, turned):
+            monkeypatch.setattr(gwsim.cli, "_build_model", model)
             for text in ("json", "text"):
                 reports.append(run_cli(capsys, *argv, "--format", text))
         assert reports[:2] == reports[2:], argv

@@ -29,6 +29,7 @@ from _oracles import (
     random_unitary,
     spin_observable,
 )
+from test_models import completed_model
 
 
 def born(obs: Observable, state: StateVector) -> dict[float, float]:
@@ -175,15 +176,15 @@ class TestHaarSampling:
     @pytest.mark.parametrize("dim", [2, 3, 6])
     def test_leading_columns_are_the_square_draws(self, dim):
         # k Gaussian columns give the (dim, dim) draw's first k unitary
-        # columns, bit for bit, completed to a unitary.
+        # columns, bit for bit, and they are orthonormal.
         draws = np.random.default_rng(dim).normal(size=(40, 2, dim, dim))
         square = haar_unitaries(draws)
         for k in range(1, dim + 1):
-            unitaries = haar_unitaries(draws[..., :k])
-            assert unitaries.shape == (40, dim, dim)
-            assert np.array_equal(unitaries[..., :k], square[..., :k])
-            products = unitaries @ unitaries.conj().swapaxes(-1, -2)
-            assert_allclose(products, np.broadcast_to(np.eye(dim), products.shape), atol=1e-12)
+            columns = haar_unitaries(draws[..., :k])
+            assert columns.shape == (40, dim, k)
+            assert np.array_equal(columns, square[..., :k])
+            products = columns.conj().swapaxes(-1, -2) @ columns
+            assert_allclose(products, np.broadcast_to(np.eye(k), products.shape), atol=1e-12)
 
 
 class TestObservables:
@@ -387,8 +388,8 @@ class TestDistinguishabilityReport:
 
     def test_haar_tables_match_the_dense_reference(self):
         # ‖P v‖² and ⟨v|P v⟩ differ by rounding only where U is not exactly unitary.
-        for devices in _haar_devices(12, range(20)):
-            model = MeasurementModel(tuple(map(Operator, devices)))
+        for ready in _haar_devices(12, range(20)):
+            model = completed_model(ready)
             table = distinguishability_report(model)["distributions"]
             reference = distinguish_reference(model)
             for name, rows in reference.items():

@@ -29,6 +29,7 @@ from _oracles import (
     spin_observable,
     sweep_reference,
     sweep_reference_model,
+    sym_erasure_table,
 )
 from gwsim.cli import _build_model
 from gwsim.measurement import (
@@ -307,11 +308,18 @@ class TestErasure:
         assert a.pair_x_counts == b.pair_x_counts
 
 
+def completed_model(ready: np.ndarray) -> MeasurementModel:
+    """Three devices from their (3, 6, 2) Ready columns, each completed by the
+    last four columns of their complete QR, as ``_build_model`` completes them."""
+    rest = np.linalg.qr(ready, mode="complete")[0][..., 2:]
+    return MeasurementModel(tuple(map(Operator, np.concatenate([ready, rest], axis=-1))))
+
+
 def sweep_model(index: int, seed: int) -> MeasurementModel:
     """Model ``index`` of a sweep, on the sweep's own devices."""
     if index == 0:
         return ideal_von_neumann()
-    return MeasurementModel(tuple(map(Operator, gwsim.models._haar_devices(seed, [index])[0])))
+    return completed_model(gwsim.models._haar_devices(seed, [index])[0])
 
 
 class TestNonidealSweep:
@@ -696,7 +704,7 @@ class TestSweepNormals:
     @pytest.mark.parametrize("seed", [0, 3, 2**63 - 1, 10**400])
     def test_uniforms_are_numpys_and_normals_the_reference(self, monkeypatch, seed):
         devices, counters, uniforms, normals = self.draws(monkeypatch, seed, self.INDICES)
-        assert devices.shape == (len(self.INDICES), 3, 6, 6)
+        assert devices.shape == (len(self.INDICES), 3, 6, 2)
         assert normals.shape == (len(self.INDICES), 3, 2, 6, 2)
         # Normal j of the full (3, 2, 6, 6) draw reads uniform j, which is
         # word j mod 4 of counter ⌊j/4⌋ + 1; the Ready columns are j mod 6 < 2.
@@ -713,7 +721,7 @@ class TestSweepNormals:
         angles = 2.0 * math.pi * full[:, 1::2]
         draw = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
         unitaries = haar_unitaries(draw.reshape(len(self.INDICES), *self.SHAPE))
-        assert np.array_equal(devices[..., :2], unitaries[..., :2])
+        assert np.array_equal(devices, unitaries[..., :2])
 
     def test_a_model_evaluates_36_counters(self, monkeypatch):
         counted = []
@@ -738,13 +746,17 @@ class TestSweepNormals:
         assert abs(mean) < 0.01 and abs(var - 1.0) < 0.01 and abs(kurtosis - 3.0) < 0.05
 
     def test_random_model_devices_are_spawn_zero_of_its_seed(self):
-        for seed in (0, 5, 2**63 - 1):
+        # The Ready columns are the draw's, bit for bit; the four columns
+        # ``_build_model`` appends complete each device to a unitary.
+        for seed in (0, 5, 2**63 - 1, *range(100, 140)):
             model = _build_model({"model": {"kind": "random", "seed": seed}})
-            devices = gwsim.models._haar_devices(seed, [0])[0]
-            assert np.array_equal(np.stack([u.matrix for u in model.site_unitaries]), devices)
+            devices = np.stack([u.matrix for u in model.site_unitaries])
+            assert np.array_equal(devices[..., :2], gwsim.models._haar_devices(seed, [0])[0])
+            products = devices.conj().swapaxes(-1, -2) @ devices
+            assert np.abs(products - np.eye(6)).max() < 2e-15
 
     def test_no_model_draws_an_empty_stack(self):
-        assert gwsim.models._haar_devices(3, []).shape == (0, 3, 6, 6)
+        assert gwsim.models._haar_devices(3, []).shape == (0, 3, 6, 2)
 
 
 def numpy_counts(probabilities, trials: int, seed: int) -> np.ndarray:
@@ -1076,12 +1088,50 @@ class TestCollapseTable:
 
 class TestErasureTable:
     @pytest.mark.parametrize("skip_pair_x", [False, True])
-    def test_erasure_matches_the_per_path_reference(self, skip_pair_x):
-        branches, pruned = erasure_reference(skip_pair_x)
+    def test_erasure_matches_the_per_path_reference(self, monkeypatch, skip_pair_x):
+        # Every entry of the ideal device's table is 0, ¼ or ½ (1 without the
+        # outsider), so the table read off the recorded column is the per-path
+        # rule's in exact arithmetic, entry by entry in (pair-x, door) order.
+        # The float reference normalises each collapsed path by √p, which
+        # rounds ¼ to its neighbour below.
+        tables, draw = [], gwsim.models._draw
+        monkeypatch.setattr(
+            gwsim.models, "_draw", lambda p, n, seed: tables.append(p) or draw(p, n, seed)
+        )
         report = erasure_experiment(0, seed=1, skip_pair_x=skip_pair_x)
-        down = sum(p for signs, p in branches if signs[-1] == -1)
-        assert abs(report.exact_down_probability - down) <= 1e-15
-        assert abs(report.pruned_weight - pruned) <= 1e-15
+        (table,) = tables
+        exact = sym_erasure_table(skip_pair_x)
+        assert table.tolist() == [float(w) for w in exact]
+        assert report.exact_down_probability == float(sum(exact[1::2]))
+        assert report.pruned_weight == 0.0
+        branches, pruned = erasure_reference(skip_pair_x)
+        expected = np.zeros((2,) * (1 if skip_pair_x else 2))
+        for signs, p in branches:
+            expected[tuple((1 - sign) // 2 for sign in signs)] = p
+        np.testing.assert_allclose(table, expected.ravel(), rtol=0, atol=1e-16)
+        assert pruned == 0.0
+
+    @pytest.mark.parametrize("skip", [[], ["--skip-j"]])
+    def test_the_table_builds_no_projector(self, capsys, monkeypatch, skip):
+        # The table is read off the one recorded column: no door or outsider
+        # projector, no Kronecker product, and one device run on the pair.
+        def refuse(*args):
+            raise AssertionError("dense projector built")
+
+        applied, apply = [], gwsim.models.apply_local
+
+        def counted(op, targets, state):
+            applied.append((tuple(targets), state.dim))
+            return apply(op, targets, state)
+
+        for module in (gwsim.measurement, gwsim.models):
+            monkeypatch.setattr(module, "_outsider_projectors", refuse)
+        monkeypatch.setattr(gwsim.measurement, "_door_projectors", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        monkeypatch.setattr(gwsim.models, "apply_local", counted)
+        assert gwsim.cli.main(["erasure", "--trials", "200", *skip]) == 0
+        assert '"passed": true' in capsys.readouterr().out
+        assert applied == [(("L", "A"), 6)]
 
     @pytest.mark.parametrize("skip_pair_x, down", [(False, 0.5), (True, 0.0)])
     def test_ideal_erasure_is_exact(self, skip_pair_x, down):
