@@ -25,20 +25,21 @@ A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
 (row *i* of ``OUTCOME_SIGNS``). A run keeps one count per outcome, so Monte
 Carlo draws the count vector at once, as numpy's ``Generator.multinomial``
 does on Philox4x64-10 keyed by ``SeedSequence(seed)``: one binomial per
-nonzero entry, each reading a few uniforms whatever the trial count. Stream
-and binomials are computed in Python ints and floats, bit for bit numpy's,
-so ``numpy.random`` is never imported.
+nonzero entry, each reading a few uniforms whatever the trial count. It takes
+Python floats and gives Python ints, stream and binomials computed bit for
+bit as numpy's, so ``numpy.random`` is never imported.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), read off its one recorded
-column and sampled the same way, and the sweep re-deriving the contradiction
-under random non-ideal devices: one pass on the ideal device, and blocks of
-one stacked Haar draw each, whose recorded states are checked orthonormal
-(``READY_GRAM_TOL``). Model i's devices come from Box–Muller normals on its
-own Philox stream, keyed by ``SeedSequence(seed, spawn_key=(i,))``; those of
-``--model random:N`` are spawn 0 of seed N, which no sweep model draws. Only
-a device's Ready columns are read, so only they are drawn, bit for bit the
-full draw's; ``cli._build_model`` completes a ``random:N`` device.
+column in Python complex numbers and floats and sampled the same way, and
+the sweep re-deriving the contradiction under random non-ideal devices: one
+pass on the ideal device, and blocks of one stacked Haar draw each, whose
+recorded states are checked orthonormal (``READY_GRAM_TOL``). Model i's
+devices come from Box–Muller normals on its own Philox stream, keyed by
+``SeedSequence(seed, spawn_key=(i,))``; those of ``--model random:N`` are
+spawn 0 of seed N, which no sweep model draws. Only a device's Ready columns
+are read, so only they are drawn, bit for bit the full draw's;
+``cli._build_model`` completes a ``random:N`` device.
 """
 
 from __future__ import annotations
@@ -305,16 +306,16 @@ def _binomial(uniform, n: int, p: float) -> int:
     return y if p <= 0.5 else n - y
 
 
-def _draw(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
-    """Per-entry counts of ``trials`` draws from the table, bit for bit numpy's
-    ``Generator(Philox(SeedSequence(seed))).multinomial(trials, p)`` on its
-    nonzero entries p, in table order, so zero entries never occur. Entry j
+def _draw(probabilities, trials: int, seed: int) -> list[int]:
+    """Per-entry counts (a list of ints) of ``trials`` draws from the table (floats),
+    bit for bit numpy's ``Generator(Philox(SeedSequence(seed))).multinomial(trials, p)``
+    on its nonzero entries p, in table order, so zero entries never occur. Entry j
     takes Bin(trials left, p_j / p left) and the last what is left; a binomial
     reads a few uniforms whatever its n, so every trial count costs the same."""
     uniform = _uniform_stream(_philox_key(seed)).__next__
-    counts = np.zeros(len(probabilities), dtype=np.int64)
-    (*entries, last), left, remaining = np.flatnonzero(probabilities).tolist(), trials, 1.0
-    for j, p in zip(entries, probabilities[entries].tolist()):
+    counts, left, remaining = [0] * len(probabilities), trials, 1.0
+    *entries, (last, _) = [(j, p) for j, p in enumerate(probabilities) if p]
+    for j, p in entries:
         # p_j / p_left passes 1 only by rounding, and numpy then draws all n.
         counts[j] = drawn = _binomial(uniform, left, min(p / remaining, 1.0))
         left, remaining = left - drawn, remaining - p
@@ -350,29 +351,32 @@ def born_violation_check(signs, constraints) -> tuple[bool, ...]:
     )
 
 
-def _signed_outcomes(weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """The ±1 block of an outcome table, and the weight pruned from the table.
+def _signed_outcomes(weights: list[float], shape) -> tuple[list[float], list[float]]:
+    """The ±1 block of an outcome table, and the weights pruned from it.
 
-    Each axis of ``weights`` runs over one measurement's values (+1, −1, 0),
-    the 0 absent where it cannot occur. Outcomes whose joint weight (not
-    their weight given the earlier outcomes) is below SAMPLE_FLOOR are
-    pruned; a 0 outcome above it means a pair left the recorded subspace, so
-    it raises ``ValueError``.
+    ``weights`` is the table flat, row-major over ``shape``, in Python floats;
+    each axis runs over one measurement's values (+1, −1, 0), the 0 absent
+    where it cannot occur. Outcomes whose joint weight (not their weight given
+    the earlier outcomes) is below SAMPLE_FLOOR read 0 in the block (flat,
+    row-major) and their weights come back, in table order, for the caller to
+    sum; a 0 outcome above it means a pair left the recorded subspace, so it
+    raises ``ValueError``.
     """
-    light = weights < SAMPLE_FLOOR
-    kept = np.where(light, 0.0, weights)
-    signed = (slice(0, 2),) * weights.ndim
-    rest = kept.copy()
-    rest[signed] = 0.0
-    if rest.any():
-        raise ValueError(f"a 0 outcome weighs {rest.max():.3g}; only ±1 outcomes may occur")
-    return kept[signed], float(weights[light].sum())
+    block = [0]  # the block's flat indices into the table
+    for n in shape:
+        block = [i * n + s for i in block for s in (0, 1)]
+    light = [w for w in weights if w < SAMPLE_FLOOR]
+    kept = [0.0 if w < SAMPLE_FLOOR else w for w in map(weights.__getitem__, block)]
+    if len(weights) - len(light) > len(kept) - kept.count(0.0):  # a 0 outcome is heavy
+        rest = max(weights[i] for i in set(range(len(weights))).difference(block))
+        raise ValueError(f"a 0 outcome weighs {rest:.3g}; only ±1 outcomes may occur")
+    return kept, light
 
 
-def _in_slot_order(weights: np.ndarray, slots) -> np.ndarray:
-    """A (2,)*6 outcome tensor, axis i for ``slots[i]`` (+1 first), as the
-    64-entry table in ``OUTCOME_SIGNS`` row order."""
-    return weights.transpose([slots.index(slot) for slot in CANONICAL_SLOTS]).reshape(-1)
+def _in_slot_order(table, slots) -> np.ndarray:
+    """A (2,)*6 outcome tensor, axis i for ``slots[i]`` (+1 first), or its
+    entries flat, as the 64-entry table in ``OUTCOME_SIGNS`` row order."""
+    return np.reshape(table, (2,) * 6).transpose([slots.index(s) for s in CANONICAL_SLOTS]).ravel()
 
 
 def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
@@ -418,9 +422,10 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
             grams[id(device)] = _site_gram(pair, np.stack(operators))
     factors = [grams[id(device)] for device in model.site_unitaries]
     # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
-    weights = np.maximum(_born_weights(terms, factors), 0.0).reshape((2, 3) * 3)
-    kept, pruned = _signed_outcomes(weights)
-    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), pruned
+    weights = np.maximum(_born_weights(terms, factors), 0.0).reshape(-1)
+    kept, light = _signed_outcomes(weights.tolist(), (2, 3) * 3)
+    # numpy's summation order: it sets the last bits of Haar reports.
+    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), float(np.sum(light))
 
 
 def run_model(
@@ -431,7 +436,8 @@ def run_model(
 
     One ``collect_constraints`` pass gives the schedule's constraints and,
     by ``m.preferred``'s name, the preferred frame's tables. The preferred
-    mask marks the constraints that frame's own rounds yield.
+    mask marks the constraints that frame's own rounds yield. Count tallies
+    sum Python ints, exact in any order; the float ones keep numpy's order.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
@@ -448,16 +454,16 @@ def run_model(
 
     mask = violation_mask(constraints)
     nonpreferred = mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
-    counts = _draw(probabilities, trials, seed)
+    counts = _draw(probabilities.tolist(), trials, seed)
     return RunReport(
         constraints=constraints,
         preferred_mask=preferred_mask,
         probabilities=probabilities,
         pruned_weight=pruned,
         violation_mask=mask,
-        counts=counts,
-        violation_counts=tuple(int(n) for n in counts @ mask),
-        trials_violating_nonpreferred=int(counts @ nonpreferred),
+        counts=np.array(counts, dtype=np.int64),
+        violation_counts=tuple(sum(n for n, v in zip(counts, c) if v) for c in mask.T.tolist()),
+        trials_violating_nonpreferred=sum(n for n, v in zip(counts, nonpreferred.tolist()) if v),
         exact_rates=tuple(float(p) for p in probabilities @ mask),
         exact_nonpreferred_probability=float(probabilities @ nonpreferred),
     )
@@ -485,33 +491,34 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     The (pair-x, door) table is read off the recorded column r = U|ready, +1_z>:
     outcome (x, d) weighs ‖D_d Q_x r‖², with Q_± r = ½ b_± (b_±† r) for
     b_± = |+1Z> ± |-1Z>, Q_0 r = r − Q_+ r − Q_− r, and D_d keeping its lab
-    level's two pair rows (``skip_pair_x``: Q_x r is r). Trials are counted
-    from the table as in ``run_model``.
+    level's two pair rows (``skip_pair_x``: Q_x r is r), in Python numbers
+    after the one device run. Trials are counted as in ``run_model``.
     """
     model = ideal_von_neumann()
     start = np.eye(PAIR_DIM, dtype=complex)[pair_index(LabLabel.READY, +1)]
-    r = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start)).amplitudes
-    rows = [r]
+    state = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
+    rows = [r := state.amplitudes.tolist()]
     if not skip_pair_x:
-        sums = [model.recorded_sum("A", sign) for sign in (+1, -1)]
-        plus, minus = (0.5 * b * np.vdot(b, r) for b in sums)
-        rows = [plus, minus, r - plus - minus]
+        sums = [model.recorded_sum("A", sign).tolist() for sign in (+1, -1)]
+        overlaps = [sum(x.conjugate() * y for x, y in zip(b, r)) for b in sums]
+        rows = [[0.5 * x * c for x in b] for b, c in zip(sums, overlaps)]
+        rows.append([x - p - m for x, p, m in zip(r, *rows)])
     # Each lab level's weight over its two pair rows, in door order.
-    levels = (np.abs(np.stack(rows)) ** 2).reshape(len(rows), len(LabLabel), 2).sum(axis=2)
-    doors = [lab.value for lab in (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)]
-    kept, pruned = _signed_outcomes(levels[:, doors])
+    labs = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
+    doors = [[pair_index(lab, sign) for sign in (+1, -1)] for lab in labs]
+    table = [abs(row[i]) ** 2 + abs(row[j]) ** 2 for row in rows for i, j in doors]
+    kept, light = _signed_outcomes(table, (3,) if skip_pair_x else (3, 3))
 
-    counts = _draw(kept.ravel(), trials, seed).reshape(kept.shape)
-    up, down = counts.sum(axis=0).tolist()
-    pair_x_counts = dict(zip((+1, -1), [0, 0] if skip_pair_x else counts.sum(axis=1).tolist()))
-    door_counts = {+1: up, -1: down, 0: 0}
+    counts = _draw(kept, trials, seed)  # (pair-x, door) order: up, down for each pair-x
+    pair_x_counts = {+1: 0, -1: 0} if skip_pair_x else {+1: sum(counts[:2]), -1: sum(counts[2:])}
+    door_counts = {+1: sum(counts[0::2]), -1: sum(counts[1::2]), 0: 0}
 
     return ErasureReport(
         pair_x_counts=pair_x_counts,
         door_counts=door_counts,
         down_frequency=door_counts[-1] / trials if trials else 0.0,
-        exact_down_probability=float(kept[:, 1].sum()),
-        pruned_weight=pruned,
+        exact_down_probability=sum(kept[1::2]),
+        pruned_weight=sum(light, 0.0),
     )
 
 

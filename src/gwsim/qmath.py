@@ -5,11 +5,11 @@ A state is a complex vector over an ordered list of named factors (three
 Operators act on named factors of a state (``apply_local``), factors can be
 reordered (``permute_factors``), and labeled basis groups are contracted
 against a state to give joint outcome amplitudes (``grouped_amplitudes``).
-States, operators and basis vectors may carry one leading *stack* axis, which
-only the tests use; entry m of a stacked result is the call on entry m, bit for bit.
-Commands read ``Operator`` and ``check_unitary``, and ``layout``,
-``StateVector`` and ``apply_local`` on 6-dim pair vectors only
-(``scenario.analyze_stack``, ``models.erasure_experiment``), so that the
+States, operators and basis vectors may carry one leading *stack* axis;
+entry m of a stacked result is the call on entry m, bit for bit. Commands
+read ``Operator`` and ``check_unitary``, and run ``apply_local`` on 6-dim
+pair vectors only (on ``scenario.analyze_stack``'s (2, 6) stack of product
+terms, on ``models.erasure_experiment``'s one column), so that the
 benchmark's ``apply_local`` metrics see every workload. ``FactorLayout``,
 ``tensor``, ``permute_factors``, ``BasisGroup`` and ``grouped_amplitudes``
 serve only the tests' 216-dim reference path and the per-layer metrics.
@@ -19,6 +19,7 @@ check, so build a changed value anew); every operation is a pure function.
 
 from __future__ import annotations
 
+import cmath
 from collections import namedtuple
 from math import prod
 
@@ -105,7 +106,7 @@ class StateVector(namedtuple("StateVector", "layout amplitudes")):
             raise LayoutError(
                 f"amplitude length {amps.shape[-1]} does not match layout dimension {layout.dim}"
             )
-        if not np.all(np.isfinite(amps.view(float))):
+        if not all(map(cmath.isfinite, amps.ravel().tolist())):
             raise ValueError("non-finite amplitude")
         return super().__new__(cls, layout, _readonly(amps))
 
@@ -146,7 +147,7 @@ def apply_local(op: Operator, targets, state: StateVector) -> StateVector:
 
     ``targets`` is an ordered list of factor names; ``op`` must act on the
     row-major product space of exactly those factors. On a stack of states,
-    a stack of operators applies entry by entry, one matmul for the stack.
+    one operator applies to each, a stack entry by entry: one matmul in all.
     """
     targets = tuple(targets)
     target_dim = prod(FACTOR_DIMS[n] for n in targets)
@@ -157,10 +158,12 @@ def apply_local(op: Operator, targets, state: StateVector) -> StateVector:
     stack = state.amplitudes.shape[:-1]
     s, k = len(stack), len(targets)
     axes = [s + a for a in state.layout.axes(targets)]
-    psi = np.moveaxis(state.tensor_view(), axes, range(s, s + k))
+    # The stack axes, then the targets in order, then the other factors.
+    order = [*range(s), *axes, *(a for a in range(s, s + len(state.layout.names)) if a not in axes)]
+    psi = state.tensor_view().transpose(order)
     front, rest = psi.shape[s : s + k], psi.shape[s + k :]
     psi = op.matrix @ psi.reshape(stack + (target_dim, -1))
-    psi = np.moveaxis(psi.reshape(stack + front + rest), range(s, s + k), axes)
+    psi = psi.reshape(stack + front + rest).transpose([order.index(a) for a in range(len(order))])
     return StateVector(state.layout, psi.reshape(stack + (-1,)))
 
 
@@ -175,9 +178,11 @@ def permute_factors(state: StateVector, new_order) -> StateVector:
 
 
 def check_unitary(op: Operator) -> bool:
-    """True iff max |U†U - I| < UNITARY_TOL (over every matrix of a stack)."""
-    gram = op.matrix.conj().swapaxes(-1, -2) @ op.matrix
-    return bool(np.max(np.abs(gram - np.eye(op.dim))) < UNITARY_TOL)
+    """True iff each entry of U†U is within UNITARY_TOL of I's, over every
+    matrix of a stack; compared one by one in Python, so NaN and ±inf fail."""
+    gram = (op.matrix.conj().swapaxes(-1, -2) @ op.matrix).reshape(-1, op.dim**2).tolist()
+    eye = np.eye(op.dim).ravel().tolist()
+    return all(abs(g - e) < UNITARY_TOL for m in gram for g, e in zip(m, eye))
 
 
 class BasisGroup(namedtuple("BasisGroup", "factors labels vectors")):

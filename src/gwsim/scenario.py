@@ -342,8 +342,8 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     for site, targets in SITE_FACTORS.items():
         device = model.unitary(site)
         if id(device) not in recorded_terms:
-            evolved = [apply_local(device, targets, StateVector(layout(*targets), v)) for v in pair]
-            recorded_terms[id(device)] = np.stack([state.amplitudes for state in evolved])
+            terms_state = StateVector(layout(*targets), pair)  # a stack: one row per term
+            recorded_terms[id(device)] = apply_local(device, targets, terms_state).amplitudes
     rounds = [(key, rnd) for key, frame_rounds in orderings.items() for rnd in frame_rounds]
     factors = np.empty((len(SITES), len(rounds), 4, 2), dtype=complex)
     active = []  # per round: whether each site has an event in it

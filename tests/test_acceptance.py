@@ -330,7 +330,8 @@ def _collapse_idempotence_campaign(cases):
         full = [np.kron(p.matrix, np.eye(lay.dim // p.dim)) for _, p in obs.eigenpairs]
         operators = np.stack([pb @ pa for pa in full for pb in full])
         gram = _site_gram(state.amplitudes[None], operators)
-        kept, pruned = _signed_outcomes(gram[0].real.reshape(n, n))
+        kept, light = _signed_outcomes(gram[0].real.tolist(), (n, n))
+        kept = np.reshape(kept, (2, 2))
         # Against the Born weights ⟨ψ|P ψ⟩ of one measurement.
         born = {
             value: np.vdot(state.amplitudes, apply_local(proj, obs.targets, state).amplitudes).real
@@ -338,7 +339,7 @@ def _collapse_idempotence_campaign(cases):
         }
         assert np.abs(kept - np.diag([born[v] for v in (+1, -1)])).max() <= 1e-10
         assert np.count_nonzero(kept) == 2
-        assert pruned < SAMPLE_FLOOR
+        assert sum(light) < SAMPLE_FLOOR
 
 
 def _frame_order_invariance_campaign(cases, schedule, frames):

@@ -437,6 +437,14 @@ PINNED_DIGESTS = [
     ("ghz-nogo --model random:7 --side 3 --tau 2 --format text", 0, "7af1cc06d899ee487ab53636a104fce5b6e5aaf831ee8dfd0b3935a9952bb2ea"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "e5dca6596fa66d2495629df96d5f7c518aea844d56328309a49e264e5530f112"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
+    # The erasure table without the outsider, with no trials, and at the most
+    # trials a count holds.
+    ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "400aefdc96bbd4350044e684b55263cf7374cd3d42278ee6b01a68e10536ba92"),
+    ("erasure --skip-j --trials 2000 --seed 1 --format text", 0, "cb937ef93ae051e56984dbed6a8fa8aceccf005bde3e31741b03689877236a78"),
+    ("erasure --trials 0 --format json", 0, "8873ea3523919e278ec71997081f3e1f58cf8a1f68d23de6643b75eafc0f9f4e"),
+    ("erasure --trials 0 --format text", 0, "f0f514927f86635430af7a4fe89d54f3fc292ece4060ee3e480fe7ea9823767a"),
+    ("erasure --trials 9223372036854775807 --seed 3 --format json", 0, "4af31e369e03575b08d2af7f0fd0aeaaac86cb6a130fa1604134aa9526a9c0a2"),
+    ("erasure --trials 9223372036854775807 --seed 3 --format text", 0, "3020d95326c0eb17cec12594422882ebb1c36264e91a3cb2119f4b1bc9b0d442"),
 ]
 
 

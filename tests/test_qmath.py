@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
+from gwsim.cli import _build_model
+from gwsim.measurement import ideal_von_neumann
 from gwsim.qmath import (
     CANONICAL_LAYOUT,
     FACTOR_DIMS,
@@ -54,6 +56,12 @@ def test_state_vector_validation():
         StateVector(CANONICAL_LAYOUT, np.zeros(8))
     with pytest.raises(ValueError, match="finite"):
         StateVector(layout("A"), np.array([np.nan, 0.0]))
+    # Either part of any entry, in a stack too.
+    for bad in (complex(0.0, np.nan), complex(np.inf, 0.0), complex(0.0, -np.inf)):
+        amplitudes = np.zeros((2, 6), dtype=complex)
+        amplitudes[1, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            StateVector(layout("L", "A"), amplitudes)
 
 
 def test_state_vector_is_read_only():
@@ -140,6 +148,24 @@ def test_check_unitary():
     assert check_unitary(Operator(np.eye(5)))
     assert check_unitary(Operator(random_unitary(7, np.random.default_rng(16))))
     assert not check_unitary(Operator(np.eye(3) * 1.5))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf, 1.0 + 1e-9])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_check_unitary_rejects_any_bad_entry(entry, stacked):
+    # Each entry of U†U is compared on its own, so a NaN or ±inf entry fails
+    # the check as an entry off by 1e-9 does. The ideal device and a completed
+    # Haar device pass, alone and stacked.
+    ideal = ideal_von_neumann().unitary("A").matrix
+    haar = [u.matrix for u in _build_model({"model": {"kind": "random", "seed": 5}}).site_unitaries]
+    devices = np.array([*haar, ideal])
+    assert check_unitary(Operator(ideal)) and check_unitary(Operator(devices))
+    assert all(check_unitary(Operator(u)) for u in haar)
+    bad = devices.copy()
+    bad[-1, 0, 2] = entry  # the ideal device's 1 taking (RecordedUp, +1) to (Ready, +1)
+    # inf·0 in the matmul warns of an invalid value; the check must still fail.
+    with np.errstate(invalid="ignore"):
+        assert not check_unitary(Operator(bad if stacked else bad[-1]))
 
 
 def test_operator_requires_square_matrix():

@@ -432,8 +432,9 @@ class TestAnalyze:
             [(1.0, (4, 1)), (1.0, (4, 2))] + [(1.0, (4, 1)), (0.5, (4, 2))] * devices,
             key=str,
         )
-        # The device runs on each product term once, whichever sites share it.
-        assert len(applied) == 2 * devices
+        # The device runs once, on the stack of both product terms, whichever
+        # sites share it.
+        assert len(applied) == devices
         assert set(map(id, applied)) == set(map(id, model.site_unitaries))
 
 
@@ -485,7 +486,7 @@ def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
 def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
     # The pass works on the two product terms alone: it never builds the
     # 216-dim initial state, and ``apply_local`` only runs each site's device
-    # on that site's 6-dim pair vectors, once per product term.
+    # on that site's 6-dim pair vectors, once, on the (2, 6) stack of terms.
     applied, apply = [], gwsim.scenario.apply_local
 
     def pair_only(op, targets, state):
@@ -500,7 +501,7 @@ def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
     monkeypatch.setattr(gwsim.scenario, "initial_scenario_state", refuse)
     tables, found = collect_constraints(schedule, ANALYSIS_MODELS["random:5"]())
     assert len(tables) == 11
-    assert sorted(applied) == sorted([(SITE_FACTORS[site], (6,)) for site in SITES] * 2)
+    assert sorted(applied) == sorted([(SITE_FACTORS[site], (2, 6)) for site in SITES])
     assert {(c.slots, c.required_product) for c in found} == (
         CANONICAL_CONSTRAINT_KEYS
     )
