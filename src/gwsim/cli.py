@@ -44,7 +44,7 @@ from .scenario import (
 )
 from .spacetime import GEOMETRY_TOL, standard_geometry
 
-SCHEMA_VERSION = "9"
+SCHEMA_VERSION = "10"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
 

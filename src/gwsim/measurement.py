@@ -9,20 +9,18 @@ other unitary models an imperfect device. ``haar_unitaries`` draws just the
 columns asked for, by a reduced QR: the sweep asks for the Ready columns,
 which ``cli._build_model`` completes to a whole device for ``random:N``.
 
-Two measurements read a completed record, each as projectors on the pair:
+Two measurements read a completed record, each with outcomes +1, −1, 0:
 
-* the outsider's (``_outsider_projectors``) — ±1 on the two superpositions
-  ``(|+1Z> ± |-1Z>)/√2`` of recorded states, 0 on the rest of the pair space;
-  it probes the pair *as a whole*, in a basis incompatible with the record,
-* the door's (``_door_projectors``) — what you learn by asking the lab for
-  its record: ±1 on the RecordedUp/RecordedDown lab levels, 0 on Ready.
+* the outsider's — ±1 on the two superpositions ``(|+1Z> ± |-1Z>)/√2`` of
+  recorded states, 0 on the rest of the pair space; it probes the pair *as a
+  whole*, in a basis incompatible with the record,
+* the door's — what you learn by asking the lab for its record: ±1 on the
+  RecordedUp/RecordedDown lab levels, 0 on Ready.
 
-``distinguishability_report`` weighs both measurements' outcomes on the
-unitary and collapsed descriptions of a completed measurement, each an even
-mixture of pair vectors v: an outcome with projector P weighs ½ Σ_v ‖P v‖².
-The erasure experiment builds neither matrix: it applies both to its one
-recorded column (``models.erasure_experiment``). ``measure`` samples an
-``Observable`` with collapse on a dense state.
+No command builds either projector: ``_outsider_parts`` and ``_door_weights``
+read both off pair vectors, in Python complex numbers, for the ``distinguish``,
+collapse and erasure tables. ``measure`` samples an ``Observable`` with
+collapse on a dense state.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from collections import namedtuple
 import numpy as np
 
 from .qmath import Operator, StateVector, UNITARY_TOL, apply_local, check_unitary
-from .systems import LabLabel, lab_vector
+from .systems import LabLabel
 
 PAIR_DIM = 6  # 3-level lab register times 2-level electron
 PROJECTOR_TOL = 1e-10
@@ -147,19 +145,23 @@ class Observable(namedtuple("Observable", "targets eigenpairs")):
         return tuple(v for v, _ in self.eigenpairs)
 
 
-def _outsider_projectors(model: MeasurementModel, site: str) -> list[np.ndarray]:
-    """Q_+, Q_−, Q_0 of the outsider's measurement at ``site``: ½ b_± b_±† for
-    b_± = |+1Z> ± |-1Z>, then the rest projector."""
-    q = [0.5 * np.outer(b, b.conj()) for b in (model.recorded_sum(site, s) for s in (+1, -1))]
-    return [*q, np.eye(PAIR_DIM) - q[0] - q[1]]
+def _outsider_parts(model: MeasurementModel, site: str, r) -> list[list[complex]]:
+    """[Q_+ r, Q_− r, Q_0 r] of the pair vector ``r`` (Python complex numbers) for
+    the outsider at ``site``, through its recorded columns: Q_± r = ½ b_± (b_±† r)
+    for b_± = |+1Z> ± |-1Z>, and Q_0 r = r − Q_+ r − Q_− r."""
+    sums = [model.recorded_sum(site, sign).tolist() for sign in (+1, -1)]
+    overlaps = [sum(x.conjugate() * y for x, y in zip(b, r)) for b in sums]
+    parts = [[0.5 * x * c for x in b] for b, c in zip(sums, overlaps)]
+    return [*parts, [x - p - m for x, p, m in zip(r, *parts)]]
 
 
-def _door_projectors() -> list[np.ndarray]:
-    """D_+, D_−, D_0 of asking the lab for its record: diag(lab_l) ⊗ 1₂ on the
-    pair for RecordedUp, RecordedDown and Ready. They act on the lab register
-    alone, so they are the same whatever the device."""
-    labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
-    return [np.kron(np.diag(lab_vector(label)), np.eye(2)) for label in labels]
+def _door_weights(v) -> list[float]:
+    """The door's RecordedUp, RecordedDown and Ready weights of the pair vector
+    ``v`` (Python complex numbers), each over its lab level's two pair rows.
+    |x|² is x.real² + x.imag²: abs(x)**2 rounds abs(¼ − ¼i)**2 off 1/8."""
+    square = [x.real * x.real + x.imag * x.imag for x in v]
+    labs = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
+    return [square[pair_index(lab, +1)] + square[pair_index(lab, -1)] for lab in labs]
 
 
 def measure(
@@ -190,24 +192,26 @@ def distinguishability_report(model: MeasurementModel | None = None) -> dict:
     Deterministic (no sampling). Each description is an even mixture of pair
     vectors: the unitary record is ½|b_+><b_+| for the unnormalised
     b_+ = |+1Z> + |-1Z>, the collapsed record the two recorded states. An
-    outcome with projector P weighs ½ Σ_v ‖P v‖², the rule ``erasure`` reads
-    its table by, so the ideal device's table is exact. The door rows agree —
-    opening the door cannot tell the descriptions apart — while the pair
-    measurement gives a point mass on +1 for the unitary record against
-    50/50 for the collapsed one.
+    outcome weighs ½ Σ_v of its weight in v (``_door_weights``; ‖Q v‖² of
+    ``_outsider_parts``), as ``erasure`` reads its table, so the ideal device's
+    table is exact. The door rows agree — opening the door cannot tell the
+    descriptions apart — while the pair measurement gives a point mass on +1
+    for the unitary record against 50/50 for the collapsed one.
     """
     if model is None:
         model = ideal_von_neumann()
     states = {
-        "unitary_record": [model.recorded_sum("A", +1)],
-        "collapsed_record": [model.recorded_state("A", sign) for sign in (+1, -1)],
+        "unitary_record": [model.recorded_sum("A", +1).tolist()],
+        "collapsed_record": [model.recorded_state("A", sign).tolist() for sign in (+1, -1)],
     }
-    projectors = {"door": _door_projectors(), "pair_x": _outsider_projectors(model, "A")}
+    readings = {
+        "door": _door_weights,
+        "pair_x": lambda v: [sum(_door_weights(q)) for q in _outsider_parts(model, "A", v)],
+    }
     table = {}
-    for name, projs in projectors.items():
+    for name, read in readings.items():
         table[name] = {}
         for state, vectors in states.items():
-            projected = np.stack(projs) @ np.stack(vectors, axis=-1)  # (outcomes, 6, vectors)
-            weights = 0.5 * (projected.conj() * projected).real.sum(axis=(1, 2))
-            table[name][state] = dict(zip((+1.0, -1.0, 0.0), weights.tolist()))
-    return {"observables": list(projectors), "states": list(states), "distributions": table}
+            weights = zip(*map(read, vectors))  # per outcome: its weight in each v
+            table[name][state] = {x: 0.5 * sum(w) for x, w in zip((+1.0, -1.0, 0.0), weights)}
+    return {"observables": list(readings), "states": list(states), "distributions": table}

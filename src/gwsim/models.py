@@ -16,10 +16,11 @@ per assignment.
   is paid elsewhere: each constraint belonging to another frame is violated
   with probability 1/2.
 * ``sequential_collapse`` — textbook projective collapse applied event by
-  event; each outcome's weight is read off the initial state's two product
-  terms by the frame pass's Gram rule, and is the same in every frame.
-  Collapse after the friends' round destroys the three-way coherence, so
-  even the preferred frame's outsider parity fails with probability 1/2.
+  event; each outcome's weight is the friends' z table of the initial
+  state's two product terms times each site's outsider table, read off its
+  device's recorded columns, and is the same in every frame. Collapse after
+  the friends' round destroys the three-way coherence, so even the preferred
+  frame's outsider parity fails with probability 1/2.
 
 A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
 (row *i* of ``OUTCOME_SIGNS``). A run keeps one count per outcome, so Monte
@@ -31,7 +32,7 @@ bit as numpy's, so ``numpy.random`` is never imported.
 
 Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), read off its one recorded
-column in Python complex numbers and floats and sampled the same way, and
+column as the collapse table reads a device and sampled the same way, and
 the sweep re-deriving the contradiction under random non-ideal devices: one
 pass on the ideal device, and blocks of one stacked Haar draw each, whose
 recorded states are checked orthonormal (``READY_GRAM_TOL``). Model i's
@@ -56,7 +57,8 @@ from .measurement import (
     SAMPLE_FLOOR,
     SITES,
     MeasurementModel,
-    _outsider_projectors,
+    _door_weights,
+    _outsider_parts,
     haar_unitaries,
     ideal_von_neumann,
     pair_index,
@@ -73,10 +75,8 @@ from .scenario import (
     enumerate_assignments,
     round_slots,
     violation_mask,
-    _born_weights,
-    _site_gram,
 )
-from .systems import LabLabel, SpinAxis, initial_product_terms, spin_vector
+from .systems import LabLabel, initial_product_terms
 
 MODES = ("round_born", "sequential_collapse")
 # The most trials an int64 outcome count holds.
@@ -403,29 +403,35 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     """The sequential_collapse model's 64-entry distribution, and the pruned weight.
 
     Site outcome (z, x) applies K = Q_x U P_z to the site's pair: the friend's
-    z projector, the device, then the outsider's projector. An outcome's
-    probability is ‖Π_site K_site ψ‖² on the initial product form, one
-    ``_site_gram`` per distinct device, shared by the sites that share its
-    ``Operator``. Operators at different sites commute and each
+    z projector, the device, then the outsider's projector. Each pair of the
+    initial product form Σ_k c_k v_k^⊗3 starts ready, so K v_k is
+    v_k[ready, z]·Q_x R_z for the recorded state R_z, and an outcome weighs the
+    friends' table |Σ_k c_k Π_site v_k[ready, z_site]|² times Π_site ‖Q_x R_z‖²,
+    each site's table read off its device's recorded columns (``_outsider_parts``)
+    once per distinct ``Operator``. Operators at different sites commute and each
     site's friend event precedes its outsider event in every frame, so the
-    table does not depend on the preferred frame. ``_signed_outcomes``
-    prunes it.
+    table does not depend on the preferred frame. ``_signed_outcomes`` prunes it.
     """
     coefficients, pair = initial_product_terms()
-    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)
-    z_projectors = [np.diag(np.tile(spin_vector(SpinAxis.Z, s), 3)) for s in (+1, -1)]
-    grams = {}  # id(device) -> the factor of every site sharing that device
+    # Each term's coefficient c_k and ready entries v_k[ready, ±1], its first two.
+    ready = [(c, v[:2]) for c, v in zip(coefficients.tolist(), pair.tolist())]
+    friends = {}  # (z_A, z_B, z_C) as indices (0 for +1) -> the friends' weight
+    for zs in itertools.product(range(2), repeat=3):
+        amplitude = sum(c * math.prod(v[z] for z in zs) for c, v in ready)
+        friends[zs] = amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    sites = {}  # id(device) -> its (z, ‖Q_x R_z‖²) pairs, z-major, x in (+1, −1, 0) order
     for site, device in zip(SITES, model.site_unitaries):
-        if id(device) not in grams:
-            after_device = [q @ device.matrix for q in _outsider_projectors(model, site)]
-            operators = [qu @ p for p in z_projectors for qu in after_device]
-            grams[id(device)] = _site_gram(pair, np.stack(operators))
-    factors = [grams[id(device)] for device in model.site_unitaries]
-    # Axes (z_A, x_A, z_B, x_B, z_C, x_C); clamped at 0 as in the frame pass.
-    weights = np.maximum(_born_weights(terms, factors), 0.0).reshape(-1)
-    kept, light = _signed_outcomes(weights.tolist(), (2, 3) * 3)
-    # numpy's summation order: it sets the last bits of Haar reports.
-    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), float(np.sum(light))
+        if id(device) not in sites:
+            sites[id(device)] = [
+                (z, sum(_door_weights(q)))
+                for z, sign in enumerate((+1, -1))
+                for q in _outsider_parts(model, site, model.recorded_state(site, sign).tolist())
+            ]
+    # Row-major over (z_A, x_A, z_B, x_B, z_C, x_C).
+    tables = itertools.product(*(sites[id(device)] for device in model.site_unitaries))
+    weights = [friends[za, zb, zc] * a * b * c for (za, a), (zb, b), (zc, c) in tables]
+    kept, light = _signed_outcomes(weights, (2, 3) * 3)
+    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), sum(light, 0.0)
 
 
 def run_model(
@@ -489,24 +495,17 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     behind the door half the time: the outsider has erased the record.
 
     The (pair-x, door) table is read off the recorded column r = U|ready, +1_z>:
-    outcome (x, d) weighs ‖D_d Q_x r‖², with Q_± r = ½ b_± (b_±† r) for
-    b_± = |+1Z> ± |-1Z>, Q_0 r = r − Q_+ r − Q_− r, and D_d keeping its lab
-    level's two pair rows (``skip_pair_x``: Q_x r is r), in Python numbers
-    after the one device run. Trials are counted as in ``run_model``.
+    outcome (x, d) weighs ‖D_d Q_x r‖², the door's weights (``_door_weights``)
+    of the outsider's part Q_x r (``_outsider_parts``; ``skip_pair_x``: Q_x r
+    is r), in Python numbers after the one device run. Trials are counted as
+    in ``run_model``.
     """
     model = ideal_von_neumann()
     start = np.eye(PAIR_DIM, dtype=complex)[pair_index(LabLabel.READY, +1)]
     state = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
-    rows = [r := state.amplitudes.tolist()]
-    if not skip_pair_x:
-        sums = [model.recorded_sum("A", sign).tolist() for sign in (+1, -1)]
-        overlaps = [sum(x.conjugate() * y for x, y in zip(b, r)) for b in sums]
-        rows = [[0.5 * x * c for x in b] for b, c in zip(sums, overlaps)]
-        rows.append([x - p - m for x, p, m in zip(r, *rows)])
-    # Each lab level's weight over its two pair rows, in door order.
-    labs = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
-    doors = [[pair_index(lab, sign) for sign in (+1, -1)] for lab in labs]
-    table = [abs(row[i]) ** 2 + abs(row[j]) ** 2 for row in rows for i, j in doors]
+    r = state.amplitudes.tolist()
+    parts = [r] if skip_pair_x else _outsider_parts(model, "A", r)
+    table = [w for part in parts for w in _door_weights(part)]
     kept, light = _signed_outcomes(table, (3,) if skip_pair_x else (3, 3))
 
     counts = _draw(kept, trials, seed)  # (pair-x, door) order: up, down for each pair-x

@@ -178,8 +178,10 @@ def permute_factors(state: StateVector, new_order) -> StateVector:
 
 
 def check_unitary(op: Operator) -> bool:
-    """True iff each entry of U†U is within UNITARY_TOL of I's, over every
-    matrix of a stack; compared one by one in Python, so NaN and ±inf fail."""
+    """True iff every entry is finite (checked first) and each entry of U†U is
+    within UNITARY_TOL of I's, over every matrix of a stack, one by one."""
+    if not all(map(cmath.isfinite, op.matrix.ravel().tolist())):
+        return False
     gram = (op.matrix.conj().swapaxes(-1, -2) @ op.matrix).reshape(-1, op.dim**2).tolist()
     eye = np.eye(op.dim).ravel().tolist()
     return all(abs(g - e) < UNITARY_TOL for m in gram for g, e in zip(m, eye))

@@ -305,15 +305,6 @@ def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | N
     return np.stack(bras).conj()[:, None], 0.5
 
 
-def _born_weights(terms: np.ndarray, factors) -> np.ndarray:
-    """Σ_{k,j} c_k c̄_j Π_site g_site[k, j] for ``terms`` c_k c̄_j and one
-    ``_site_gram`` per site, each (..., terms², labels) for any leading axes:
-    (..., labels_A, labels_B, labels_C)."""
-    a, b, c = factors
-    product = terms * a[..., None, None] * b[..., None, :, None] * c[..., None, None, :]
-    return product.sum(axis=-4).real
-
-
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     """Every round of every frame for one device model, in one pass.
 
@@ -362,7 +353,9 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                 factors[i, len(active)] = grams[index]
             active.append([site in events for site in SITES])
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
-    weights = np.maximum(_born_weights(terms, factors), 0.0)  # (rounds, 2, 2, 2)
+    a, b, c = factors  # Σ_{k,j} c_k c̄_j Π_site g_site[k, j], as (rounds, 2, 2, 2)
+    product = terms * a[..., None, None] * b[..., None, :, None] * c[..., None, None, :]
+    weights = np.maximum(product.sum(axis=-4).real, 0.0)
     # A spectator's second label is no tuple: its sign 0 gives it parity 0.
     active = np.array(active, dtype=bool).reshape(len(rounds), len(SITES))
     a, b, c = np.where(active[..., None], (1, -1), (1, 0)).transpose(1, 0, 2)

@@ -124,7 +124,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "9"
+        assert report["schema_version"] == "10"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -403,48 +403,54 @@ def test_the_ideal_device_needs_no_numpy_linalg(capsys, monkeypatch, argv):
 # reports print is exact or an integer, so the digests hold on any platform.
 # A change that moves a byte edits its pin and says why.
 PINNED_DIGESTS = [
-    ("sweep --models 60 --seed 1 --format json", 0, "59207ac2ff3072dc9e04cf6673d4e10d71de2ceb4b6a105a5695e6cc13650a11"),
+    ("sweep --models 60 --seed 1 --format json", 0, "1534fdb1acbccc49fa63d209edbe851f080bab8308733131b203a4d975a23b87"),
     ("sweep --models 60 --seed 1 --format text", 0, "d6f42495183c615d00db4aa09cccd1a9b901d2ac10a2be436de613b938ceacc1"),
-    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "e80dc073e0fffaa37f8ccef5b749765cd6024486991e073bea4cb0da6acc945d"),
+    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "77b36211a9ad7a9cfdc992c1c1f072fd0f18bf794ebfcaf407f313c2c540d021"),
     ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "c63758d2a091c1741e05a7bc69e42ac09f9afa02f075a9da80d9cc126539105d"),
-    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "fe417d40b659aa007322d71ad978a911b455ec40cc9291b6e254c9822690f3e9"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "aa78f6d3a013db41ee30222fb30f68082dc850e05f6802085704372dc4166bad"),
     ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "a3e890fb65f37162acbdeb3f1913cf2dd0e1c2a0bf0342d9f314bf006b036f9f"),
-    ("erasure --trials 2000 --seed 1 --format json", 0, "a7e46ce05eaed75f033aba865813b32e140ce39b179e7140dee04f13fe4caa6f"),
+    ("erasure --trials 2000 --seed 1 --format json", 0, "d95e18aa8df61b7891e9b05d6ee9707855de8888f4d203b92850b2bb2dff2953"),
     ("erasure --trials 2000 --seed 1 --format text", 0, "190ba532bfd79a1c3a2bfec9eb1a3623568991f1e14ba93c51a7bb38f15c03a1"),
-    ("ghz-nogo --format json", 0, "584eef3e200ea0ca7a183c5708bab749276f4a24bcb43010672b0ad85724fcfb"),
+    ("ghz-nogo --format json", 0, "1c2b4b4b16a95f551562a46f2c3896ff75be90ab51d4d097406bae72e2a37772"),
     ("ghz-nogo --format text", 0, "14605ca7e2ecd6fea3f84103b99e29c3d93b699c37a960b60d67a95f1d0ae1b3"),
-    ("frames --format json", 0, "1575a602e66dfccb0860adfa67aff8b3c270904b7b81d3c415fe76bedca323af"),
+    ("frames --format json", 0, "d14caccc4abcaf5d9e9b536fe20bb7bc619e0d4420bf9d2860fe09acf0e5bfe9"),
     ("frames --format text", 0, "e20cad287ea3ed625c5048e479a3f371a41d13801306b1218f8fc7756e69dad5"),
-    ("distinguish --format json", 0, "41432b912ed2dac249506f35f6bb8545a26b28bd1b0e41edf88fda8c3bfb96c5"),
+    ("distinguish --format json", 0, "0e2126cf701ef821f66e3745b23de65a6cf9a9fd8e8c973317a5ee1861e2a436"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
     # Three distinct devices, one per site: no device-dependent work is shared.
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "4299601ada3927822c7245010dd1507f0021b63c8169f2140e50d56e090131cf"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "34c344df455dda4994c14e53874f1bf809500360130b0169fc62b6f08e65b318"),
     ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "96420c785de2cfd8750f971fd8d138adaa62e1ecb71a29fb6c3e0bb57f39c8d7"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "bc126a105eb4452a0f74897ff32f3de2a304e68a60a0387da4143b5b733aa6dc"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "5c991a9621da47c5935ca19ae4335a0900c1bc3ee1faa718b5aacf8caa071c53"),
-    ("ghz-nogo --model random:7 --format json", 0, "a548e47841758d5864ae29a006a4ebc69e9676ec755a2d00dad9371dcec7b600"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "610e71b5a44333c24b7b382a1b4c6afd0034d6145ee81e6625b6a1fbeece57aa"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "0893c5a48c663dab141f22679a973c2175145e5c922a45052719c7b1dc1f32e1"),
+    ("ghz-nogo --model random:7 --format json", 0, "14e5715903bdb674c6697497d097a8da9db10c93e5c143afc156a96269ab9e03"),
     ("ghz-nogo --model random:7 --format text", 0, "450d0ce3743c53cd3e49932d01c67be69509753ef146a1ec99bae912c35c26ea"),
     # A non-ideal recorder: the door sees the branch coherence, so the door check fails.
-    ("distinguish --model random:7 --format json", 1, "693e0ef4614f69a083e88bb2cc70bdd97fad4a83936f6cc1b4b83f7c69c9dd5b"),
-    ("distinguish --model random:7 --format text", 1, "69cea4d93803895e9e996be228db859613dd327e7140954d7e433b36775965f9"),
+    ("distinguish --model random:7 --format json", 1, "a38e91b18b3b1fc9b2e457ecd97c3b223dfc8657995496d2fef663b9d6c16a93"),
+    ("distinguish --model random:7 --format text", 1, "7ce9aa30a7cb80ce08b13b4cbe9ffc1331f586082807513a4a54f2c4f0f0ccfb"),
     # The standard frames' analysis read without trials, with a constraint
     # dropped, and for a Haar device and a stacked sweep at another geometry.
-    ("run --trials 0 --format json", 0, "9bc5c281d99905cb7a525ebe4578b249341442f062ac177563c9cf130997002b"),
+    ("run --trials 0 --format json", 0, "9c371a0948bcae1466c7e9686521b924d9c1f1c29619d2d23004d12e8746fd89"),
     ("run --trials 0 --format text", 0, "f80367970bdecbdbcc55fa3e623bcf4ac40c8eee040bd89a4dd3e2be54d807d2"),
-    ("ghz-nogo --drop-constraint 2 --format json", 0, "5a0b74275fd0d8db26faeb80e24fad67702e7339ba2e887f3b0dd5d9ce0f4e99"),
+    ("ghz-nogo --drop-constraint 2 --format json", 0, "c5fb3fab4a4f11f4c1bd769b8386d0c11e4f190177094ab4c149bce74578629e"),
     ("ghz-nogo --drop-constraint 2 --format text", 0, "ce0c742c3c92e65fc0950f9017dcf2f6ef943feda9c6c77c3f00676aa155b2a9"),
-    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "ca89ce633d61f6054ca5de3645ede6209582647d0fe33373095ebde947b09297"),
+    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "61c598907a3780d281e3fb7b7e5f83ba723304b0e1752a1e966001c0f16209c9"),
     ("ghz-nogo --model random:7 --side 3 --tau 2 --format text", 0, "7af1cc06d899ee487ab53636a104fce5b6e5aaf831ee8dfd0b3935a9952bb2ea"),
-    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "e5dca6596fa66d2495629df96d5f7c518aea844d56328309a49e264e5530f112"),
+    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "a1bbb64f200a7ab03541c607249630f0eb90c1e99f59778609d2dfc7aae59c3a"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
     # The erasure table without the outsider, with no trials, and at the most
     # trials a count holds.
-    ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "400aefdc96bbd4350044e684b55263cf7374cd3d42278ee6b01a68e10536ba92"),
+    ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "ce72a3999db14ac04970d3299117d9277cbcf59750fc7c5e030828e853cf9fc6"),
     ("erasure --skip-j --trials 2000 --seed 1 --format text", 0, "cb937ef93ae051e56984dbed6a8fa8aceccf005bde3e31741b03689877236a78"),
-    ("erasure --trials 0 --format json", 0, "8873ea3523919e278ec71997081f3e1f58cf8a1f68d23de6643b75eafc0f9f4e"),
+    ("erasure --trials 0 --format json", 0, "179b47be99359098f8df1fdfd73b4a84dc58db7ee9fff9b5473c72fedbd50cbf"),
     ("erasure --trials 0 --format text", 0, "f0f514927f86635430af7a4fe89d54f3fc292ece4060ee3e480fe7ea9823767a"),
-    ("erasure --trials 9223372036854775807 --seed 3 --format json", 0, "4af31e369e03575b08d2af7f0fd0aeaaac86cb6a130fa1604134aa9526a9c0a2"),
+    ("erasure --trials 9223372036854775807 --seed 3 --format json", 0, "607502a3a0a3282be13305e28fd987bda8de3596e13a0b5dd37f4dc5c7c84f08"),
     ("erasure --trials 9223372036854775807 --seed 3 --format text", 0, "3020d95326c0eb17cec12594422882ebb1c36264e91a3cb2119f4b1bc9b0d442"),
+    # The collapse and distinguish tables of three distinct Haar devices, read
+    # off their recorded columns.
+    ("run --model random:11 --mode sequential_collapse --trials 100 --format json", 0, "c542ec2394d41990b763483da28e6ef5b8f9d091fa92f61ef18259b35e117bd2"),
+    ("run --model random:11 --mode sequential_collapse --trials 100 --format text", 0, "576f219582a335f484b3bdbb8a02761bbcb8018d5a5598be17761b3b54de03ed"),
+    ("distinguish --model random:11 --format json", 1, "2e3a9b9e4d504e0ce7f5ae3de2aa5fd4d1170b5e94a0bfbfd2cebbb7bc68ad39"),
+    ("distinguish --model random:11 --format text", 1, "26a60988b84086d4fdcbd628ba82be5bf2c2f991d24ee00a6f34a6a8df336239"),
 ]
 
 

@@ -7,8 +7,8 @@ from numpy.testing import assert_allclose
 from gwsim.measurement import (
     MeasurementModel,
     Observable,
-    _door_projectors,
-    _outsider_projectors,
+    _door_weights,
+    _outsider_parts,
     distinguishability_report,
     haar_random_unitary,
     haar_unitaries,
@@ -40,9 +40,10 @@ def born(obs: Observable, state: StateVector) -> dict[float, float]:
     }
 
 
-def mixture_weights(projectors, vectors) -> list[float]:
-    """½ Σ_v ‖P v‖² for each projector P, one vector at a time."""
-    return [0.5 * sum(float(np.vdot(p @ v, p @ v).real) for v in vectors) for p in projectors]
+def mixture_weights(model: MeasurementModel, vectors) -> list[float]:
+    """½ Σ_v ‖Q v‖² for each outsider outcome, Q v by ``_outsider_parts``."""
+    parts = zip(*(_outsider_parts(model, "A", v.tolist()) for v in vectors))
+    return [0.5 * sum(float(np.vdot(q, q).real) for q in outcome) for outcome in parts]
 
 
 def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
@@ -189,17 +190,22 @@ class TestHaarSampling:
 
 class TestObservables:
     def test_outsider_projector_ranks(self):
-        projectors = _outsider_projectors(ideal_von_neumann(), "A")
+        projectors = [p.matrix for _, p in outsider_observable(ideal_von_neumann()).eigenpairs]
         assert [int(round(np.trace(p).real)) for p in projectors] == [1, 1, 4]
 
     def test_outsider_observable_completeness_for_random_models(self):
         rng = np.random.default_rng(24)
         for _ in range(10):
             model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
-            assert_allclose(sum(_outsider_projectors(model, "C")), np.eye(6), atol=1e-10)
+            projectors = [p.matrix for _, p in outsider_observable(model, "C").eigenpairs]
+            assert_allclose(sum(projectors), np.eye(6), atol=1e-10)
+            # The helper's three parts of any vector add back up to it.
+            v = random_state(6, rng)
+            assert_allclose(np.sum(_outsider_parts(model, "C", v.tolist()), axis=0), v, atol=1e-15)
 
     def test_outsider_targets_follow_site(self):
-        # The tests' observables hold the package's projectors on the site's factors.
+        # The tests' observables act on the site's factors, their outcomes in
+        # the order the helpers list theirs.
         rng = np.random.default_rng(26)
         model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
         for site in "ABC":
@@ -207,17 +213,36 @@ class TestObservables:
             assert outsider.targets == SITE_FACTORS[site]
             assert door.targets == SITE_FACTORS[site][:1]
             assert outsider.eigenvalues == door.eigenvalues == (+1.0, -1.0, 0.0)
-            for (_, proj), expected in zip(outsider.eigenpairs, _outsider_projectors(model, site)):
-                assert np.array_equal(proj.matrix, expected)
-            for (_, proj), expected in zip(door.eigenpairs, _door_projectors()):
-                assert np.array_equal(np.kron(proj.matrix, np.eye(2)), expected)
+
+    @pytest.mark.parametrize("device", ["ideal", "haar"])
+    def test_the_helpers_apply_the_oracle_projectors(self, device):
+        # Q v by ``_outsider_parts`` is the dense projector's, and each door
+        # weight is ‖(D ⊗ 1) v‖², within 1e-15 for random pair vectors at
+        # every site: one device shared, or three distinct Haar devices.
+        rng = np.random.default_rng(33)
+        for _ in range(10):
+            if device == "ideal":
+                model = ideal_von_neumann()
+            else:
+                model = MeasurementModel(tuple(haar_random_unitary(6, rng) for _ in range(3)))
+            for site in "ABC":
+                outsider, door = outsider_observable(model, site), door_observable(site)
+                v = random_state(6, rng)
+                for (_, proj), part in zip(outsider.eigenpairs, _outsider_parts(model, site, v.tolist())):
+                    assert np.abs(np.array(part) - proj.matrix @ v).max() <= 1e-15
+                for (_, proj), weight in zip(door.eigenpairs, _door_weights(v.tolist())):
+                    projected = np.kron(proj.matrix, np.eye(2)) @ v
+                    assert abs(weight - np.vdot(projected, projected).real) <= 1e-15
 
     def test_door_observable_reads_the_lab_register(self):
-        # RecordedUp, RecordedDown, Ready: each keeps its lab level, any electron.
-        projectors = _door_projectors()
+        # RecordedUp, RecordedDown, Ready: each keeps its lab level, any
+        # electron, in the oracle's projectors and in the helper's weights.
+        projectors = [np.kron(p.matrix, np.eye(2)) for _, p in door_observable().eigenpairs]
         kept = [np.flatnonzero(np.diag(p)).tolist() for p in projectors]
         assert kept == [[2, 3], [4, 5], [0, 1]]
         assert np.array_equal(sum(projectors), np.eye(6))
+        weights = np.transpose([_door_weights(row.tolist()) for row in np.eye(6, dtype=complex)])
+        assert np.array_equal(weights, [np.diag(p).real for p in projectors])
 
     def test_door_on_recorded_up_with_any_electron(self):
         rng = np.random.default_rng(25)
@@ -225,7 +250,7 @@ class TestObservables:
             lab_state(LabLabel.RECORDED_UP, "L"),
             StateVector(layout("A"), random_state(2, rng)),
         )
-        weights = mixture_weights(_door_projectors(), [np.sqrt(2.0) * state.amplitudes])
+        weights = _door_weights(state.amplitudes.tolist())
         assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_observable_rejects_duplicate_eigenvalues(self):
@@ -268,13 +293,13 @@ class TestDistributions:
     def test_pair_observable_on_unitary_record_state(self):
         model = ideal_von_neumann()
         vector = np.sqrt(2.0) * entangled_record_state(model).amplitudes
-        weights = mixture_weights(_outsider_projectors(model, "A"), [vector])
+        weights = mixture_weights(model, [vector])
         assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_pair_observable_on_collapsed_mixture(self):
         model = ideal_von_neumann()
         vectors = [model.recorded_state("A", sign) for sign in (+1, -1)]
-        weights = mixture_weights(_outsider_projectors(model, "A"), vectors)
+        weights = mixture_weights(model, vectors)
         assert weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
     def test_distribution_requires_target_factors_in_state(self):

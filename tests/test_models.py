@@ -37,6 +37,9 @@ from gwsim.measurement import (
     MeasurementModel,
     haar_random_unitary,
     haar_unitaries,
+    _door_weights,
+    _outsider_parts,
+    distinguishability_report,
     ideal_von_neumann,
     pair_index,
 )
@@ -46,7 +49,6 @@ from gwsim.models import (
     QUARTER_TOL,
     READY_GRAM_TOL,
     InterpretationModel,
-    _outsider_projectors,
     _signed_outcomes,
     born_violation_check,
     erasure_experiment,
@@ -63,7 +65,6 @@ from gwsim.scenario import (
     FRAME_NAMES,
     OUTCOME_SIGNS,
     ParityConstraint,
-    _site_gram,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -1058,15 +1059,48 @@ class TestCollapseTable:
         assert probabilities.tolist() == [1 / 64] * 64
 
     def test_a_rest_outcome_above_the_floor_raises(self, monkeypatch):
-        # Labs holding a record before their friends measure: the ideal device
-        # moves such a pair out of the recorded subspace, onto the outsider's
-        # rest outcome.
-        coefficients, pair = initial_product_terms()
-        # v[:2] is the electron beside the ready register.
-        moved = np.stack([np.kron(lab_vector(LabLabel.RECORDED_UP), v[:2]) for v in pair])
-        monkeypatch.setattr(gwsim.models, "initial_product_terms", lambda: (coefficients, moved))
+        # An outsider whose ±1 plane misses the recorded states (here spanned
+        # by the device's columns past the Ready ones) finds every record on
+        # its rest outcome.
+        def misplaced_sum(self, site, sign):
+            device = self.unitary(site).matrix
+            return device[:, 2] + sign * device[:, 3]
+
+        monkeypatch.setattr(MeasurementModel, "recorded_sum", misplaced_sum)
         with pytest.raises(ValueError, match="only ±1 outcomes"):
             sequential_collapse_distribution(ideal_von_neumann())
+
+    def test_the_friends_table_of_the_ghz_terms_is_exact(self, monkeypatch):
+        # An outsider that leaves every record on its +1 outcome shows the
+        # friends' table alone: the GHZ terms' ready entries are ±1 or ±i and
+        # their coefficients ¼ and −¼i, so each z tuple weighs 1/8 exactly.
+        monkeypatch.setattr(
+            gwsim.models, "_outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
+        )
+        probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
+        x_plus = (OUTCOME_SIGNS[:, 3:] == 1).all(axis=1)
+        assert probabilities[x_plus].tolist() == [1 / 8] * 8
+        assert not probabilities[~x_plus].any() and pruned == 0.0
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_the_ideal_site_table_is_exact(self, monkeypatch, sign):
+        # One term with every electron at z = sign: that z tuple's outcomes
+        # weigh the product of the three sites' rows, each [½, ½, 0] over the
+        # outsider's +1, −1 and 0, so 1/8 on every ±1 tuple and 0 on the rest.
+        parts, outsider_parts = [], gwsim.models._outsider_parts
+        monkeypatch.setattr(
+            gwsim.models, "_outsider_parts", lambda *a: parts.append(q := outsider_parts(*a)) or q
+        )
+        pair = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, sign))
+        monkeypatch.setattr(
+            gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
+        )
+        probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
+        table = [[sum(_door_weights(q)) for q in row] for row in parts]
+        assert table == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]
+        z = (OUTCOME_SIGNS[:, :3] == sign).all(axis=1)
+        assert probabilities[z].tolist() == [1 / 8] * 8
+        assert not probabilities[~z].any() and pruned == 0.0
 
     def test_pruning_reads_the_joint_weight(self, monkeypatch):
         # One product term whose electrons are −z with probability t each: an
@@ -1115,9 +1149,11 @@ class TestErasureTable:
 
     @pytest.mark.parametrize("skip", [[], ["--skip-j"]])
     def test_the_table_builds_no_projector(self, capsys, monkeypatch, skip):
-        # The table is read off the one recorded column: no door or outsider
-        # projector, no Kronecker product, and one device run on the pair.
-        # After that run, the table, its pruning and the draw take no array op.
+        # The table is read off the one recorded column: no Kronecker product,
+        # and one device run on the pair. After that run, the table, its
+        # pruning and the draw take no array op. The collapse table and
+        # ``distinguish`` read the recorded columns the same way: no outer
+        # product, stack or frame-pass Gram factor either.
         def refuse(*args, **kwargs):
             raise AssertionError("dense projector built or array op taken")
 
@@ -1127,15 +1163,21 @@ class TestErasureTable:
             applied.append((tuple(targets), state.dim))
             return apply(op, targets, state)
 
-        for module in (gwsim.measurement, gwsim.models):
-            monkeypatch.setattr(module, "_outsider_projectors", refuse)
-        monkeypatch.setattr(gwsim.measurement, "_door_projectors", refuse)
-        for name in ("kron", "stack", "vdot", "abs", "flatnonzero"):
+        haar = _build_model({"model": {"kind": "random", "seed": 5}})
+        for name in ("kron", "stack", "vdot", "abs", "flatnonzero", "outer"):
             monkeypatch.setattr(np, name, refuse)
+        monkeypatch.setattr(gwsim.scenario, "_site_gram", refuse)
         monkeypatch.setattr(gwsim.models, "apply_local", counted)
         assert gwsim.cli.main(["erasure", "--trials", "200", *skip]) == 0
         assert '"passed": true' in capsys.readouterr().out
         assert applied == [(("L", "A"), 6)]
+        assert gwsim.cli.main(["distinguish"]) == 0
+        assert '"passed": true' in capsys.readouterr().out
+        for model in (IDEAL, haar):
+            probabilities, _ = sequential_collapse_distribution(model)
+            assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+            table = distinguishability_report(model)["distributions"]
+            assert table["pair_x"]["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("skip_pair_x, down", [(False, 0.5), (True, 0.0)])
     def test_ideal_erasure_is_exact(self, skip_pair_x, down):
@@ -1166,18 +1208,21 @@ class TestErasureTable:
 
 
 class TestSiteOutcomes:
-    """Outcome operators on one pair, through the tables' own helpers."""
+    """Outcome weights on one pair, through the tables' own helpers."""
 
     def test_a_repeated_measurement_repeats_its_outcome(self):
         rng = np.random.default_rng(27)
         for _ in range(50):
             model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
-            q = _outsider_projectors(model, "A")
+            q = [p.matrix for _, p in outsider_observable(model).eigenpairs]
             psi = (q[0] + q[1]) @ random_state(6, rng)
             psi /= np.linalg.norm(psi)
-            operators = np.stack([qb @ qa for qa in q for qb in q])
-            weights = _site_gram(psi[None], operators)[0].real
-            kept, light = _signed_outcomes(weights.tolist(), (3, 3))
+            weights = [
+                sum(_door_weights(twice))
+                for once in _outsider_parts(model, "A", psi.tolist())
+                for twice in _outsider_parts(model, "A", once)
+            ]
+            kept, light = _signed_outcomes(weights, (3, 3))
             born = [np.vdot(psi, qa @ psi).real for qa in q[:2]]
             assert np.reshape(kept, (2, 2)) == pytest.approx(np.diag(born), abs=1e-12)
             assert np.count_nonzero(kept) == 2
@@ -1188,9 +1233,8 @@ class TestSiteOutcomes:
         # and 0 outcomes carry no weight, so only +1 survives.
         model = ideal_von_neumann()
         state = entangled_record_state(model)
-        operators = np.stack(_outsider_projectors(model, "A"))
-        weights = _site_gram(state.amplitudes[None], operators)[0].real
-        kept, light = _signed_outcomes(weights.tolist(), (3,))
+        parts = _outsider_parts(model, "A", state.amplitudes.tolist())
+        kept, light = _signed_outcomes([sum(_door_weights(q)) for q in parts], (3,))
         assert kept == [pytest.approx(1.0, abs=1e-15), 0.0]
         assert sum(light) < SAMPLE_FLOOR
 

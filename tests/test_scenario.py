@@ -442,8 +442,8 @@ class TestAnalyze:
 def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     # Three equal but distinct copies of one device get none of the pass's
     # or the collapse table's per-device reuse; the results are the same bits.
-    built, site_gram = [], gwsim.models._site_gram
-    monkeypatch.setattr(gwsim.models, "_site_gram", lambda *a: built.append(a) or site_gram(*a))
+    read, outsider_parts = [], gwsim.models._outsider_parts
+    monkeypatch.setattr(gwsim.models, "_outsider_parts", lambda *a: read.append(a) or outsider_parts(*a))
     device = ideal_von_neumann().unitary("A") if matrix == "ideal" else _haar_model(7).unitary("B")
     shared = MeasurementModel((device,) * 3)
     copies = MeasurementModel(tuple(Operator(device.matrix) for _ in SITES))
@@ -455,7 +455,8 @@ def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     assert list(found_one) == list(found_three)
     collapse = [sequential_collapse_distribution(m) for m in (shared, copies)]
     assert np.array_equal(collapse[0][0], collapse[1][0]) and collapse[0][1] == collapse[1][1]
-    assert len(built) == 1 + 3  # one collapse factor per distinct device
+    # The collapse table reads each distinct device's two recorded columns.
+    assert len(read) == 2 * (1 + 3)
 
 
 def assert_matches_the_round_by_round_oracle(model, orderings):
