@@ -44,7 +44,7 @@ from .scenario import (
 )
 from .spacetime import GEOMETRY_TOL, standard_geometry
 
-SCHEMA_VERSION = "10"
+SCHEMA_VERSION = "11"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
 
@@ -218,7 +218,7 @@ def cmd_ghz_nogo(config: dict, drop_constraint: int | None = None) -> dict:
     tables = []
     for constraint, table in found.items():
         possible = table.possible
-        probabilities = table.weights[possible].tolist()
+        probabilities = itertools.compress(table.weights, possible)
         tables.append(
             {
                 "frame": table.frame,
@@ -345,7 +345,7 @@ def cmd_run(config: dict) -> dict:
     preferred = InterpretationModel(mode, preferred_name)
     report = run_model(build_schedule(side, tau), model, preferred, trials, seed)
     constraints = report.constraints
-    satisfying = int((~report.violation_mask.any(axis=1)).sum())
+    satisfying = sum(not any(row) for row in report.violation_mask)
 
     checks = [
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),
@@ -420,9 +420,9 @@ def cmd_run(config: dict) -> dict:
             ]
         else:
             outsider = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
-            minus = OUTCOME_SIGNS[:, outsider].prod(axis=1) == -1
-            rate = int(report.counts @ minus) / trials
-            exact = float(report.probabilities[minus].sum())
+            minus = [math.prod(signs[j] for j in outsider) == -1 for signs in OUTCOME_SIGNS]
+            rate = sum(itertools.compress(report.counts, minus)) / trials
+            exact = sum(itertools.compress(report.probabilities, minus), 0.0)
             results["run"]["outsider_product_minus_one_rate"] = rate
             results["run"]["outsider_product_minus_one_exact_rate"] = exact
             checks += [

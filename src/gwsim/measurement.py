@@ -70,13 +70,15 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
         column ``pair_index(READY, sign)`` of U."""
         return self.unitary(site).matrix[:, pair_index(LabLabel.READY, sign)]
 
-    def recorded_sum(self, site: str, sign: int) -> np.ndarray:
-        """|+1Z> ± |-1Z> = √2·|±1X>, the recorded-basis superposition unnormalised."""
-        return self.recorded_state(site, +1) + sign * self.recorded_state(site, -1)
+    def recorded_sum(self, site: str, sign: int) -> list[complex]:
+        """|+1Z> ± |-1Z> = √2·|±1X>, the recorded-basis superposition
+        unnormalised, in Python complex numbers."""
+        plus, minus = (self.recorded_state(site, s).tolist() for s in (+1, -1))
+        return [p + sign * m for p, m in zip(plus, minus)]
 
     def pair_x_state(self, site: str, sign: int) -> np.ndarray:
         """|±1X> = (|+1Z> ± |-1Z>)/√2, the recorded-basis superpositions."""
-        return self.recorded_sum(site, sign) / np.sqrt(2.0)
+        return np.array(self.recorded_sum(site, sign)) / np.sqrt(2.0)
 
 
 def ideal_von_neumann() -> MeasurementModel:
@@ -86,11 +88,11 @@ def ideal_von_neumann() -> MeasurementModel:
     to a full unitary is the simplest one, a basis permutation (swapping each
     Ready column with its recorded image and fixing the remaining two states).
     """
-    mat = np.eye(PAIR_DIM, dtype=complex)
+    image = list(range(PAIR_DIM))  # row i of the permutation is unit row image[i]
     for sign, recorded in ((+1, LabLabel.RECORDED_UP), (-1, LabLabel.RECORDED_DOWN)):
         i, j = pair_index(LabLabel.READY, sign), pair_index(recorded, sign)
-        mat[[i, j]] = mat[[j, i]]
-    op = Operator(mat)
+        image[i], image[j] = j, i
+    op = Operator([[float(k == image[i]) for k in range(PAIR_DIM)] for i in range(PAIR_DIM)])
     return MeasurementModel((op, op, op))
 
 
@@ -149,7 +151,7 @@ def _outsider_parts(model: MeasurementModel, site: str, r) -> list[list[complex]
     """[Q_+ r, Q_− r, Q_0 r] of the pair vector ``r`` (Python complex numbers) for
     the outsider at ``site``, through its recorded columns: Q_± r = ½ b_± (b_±† r)
     for b_± = |+1Z> ± |-1Z>, and Q_0 r = r − Q_+ r − Q_− r."""
-    sums = [model.recorded_sum(site, sign).tolist() for sign in (+1, -1)]
+    sums = [model.recorded_sum(site, sign) for sign in (+1, -1)]
     overlaps = [sum(x.conjugate() * y for x, y in zip(b, r)) for b in sums]
     parts = [[0.5 * x * c for x in b] for b, c in zip(sums, overlaps)]
     return [*parts, [x - p - m for x, p, m in zip(r, *parts)]]
@@ -201,7 +203,7 @@ def distinguishability_report(model: MeasurementModel | None = None) -> dict:
     if model is None:
         model = ideal_von_neumann()
     states = {
-        "unitary_record": [model.recorded_sum("A", +1).tolist()],
+        "unitary_record": [model.recorded_sum("A", +1)],
         "collapsed_record": [model.recorded_state("A", sign).tolist() for sign in (+1, -1)],
     }
     readings = {

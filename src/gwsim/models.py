@@ -22,8 +22,10 @@ per assignment.
   the friends' round destroys the three-way coherence, so even the preferred
   frame's outsider parity fails with probability 1/2.
 
-A distribution is a 64-entry vector indexed in ``CANONICAL_SLOTS`` bit order
-(row *i* of ``OUTCOME_SIGNS``). A run keeps one count per outcome, so Monte
+A distribution is a 64-entry tuple of Python floats indexed in
+``CANONICAL_SLOTS`` bit order (row *i* of ``OUTCOME_SIGNS``), and the
+violation mask and every tally are Python numbers too, exact for the ideal
+device. A run keeps one count per outcome, so Monte
 Carlo draws the count vector at once, as numpy's ``Generator.multinomial``
 does on Philox4x64-10 keyed by ``SeedSequence(seed)``: one binomial per
 nonzero entry, each reading a few uniforms whatever the trial count. It takes
@@ -119,31 +121,33 @@ def _philox_key(seed: int, spawn: np.ndarray | None = None):
     uint64 arrays, entry j that of ``SeedSequence(seed, spawn_key=(spawn[j],))``:
     the seed's pool is the same for every index, so only the spawn word's
     mixing stage and the output hash run on the array, in 32-bit masks.
+
+    Each hash step XORs the value with the hash constant, steps the constant
+    (c ← c·mult), multiplies by it and XOR-shifts; a mix of y into x is
+    x·0xCA01F9DD − y·0x4973F715, XOR-shifted; all mod 2³².
     """
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     words = [seed >> shift & MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = 0x43B0D7E5
-
-    def hashmix(value, mult: int = 0x931E8875):
-        nonlocal const
-        const, value = const * mult & MASK32, value ^ const
-        value = value * const & MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & MASK32
-        return x ^ x >> 16
-
-    pool = [hashmix(word) for word in (words + [0] * 3)[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    # A spawn key follows the seed's words, padded to the pool's four.
-    for word in words[4:] + ([] if spawn is None else [spawn]):
-        pool = [mix(p, hashmix(word)) for p in pool]
-    const = 0x8B51F9DD
-    halves = [hashmix(p, 0x58F38DED) for p in pool]
-    return halves[0] | halves[1] << 32, halves[2] | halves[3] << 32
+    const, pool = 0x43B0D7E5, []
+    for word in (words + [0, 0, 0])[:4]:
+        value = (word ^ const) * (const := const * 0x931E8875 & MASK32) & MASK32
+        pool.append(value ^ value >> 16)
+    # Entry j mixed into every other entry, then each later word (a spawn
+    # key follows the seed's words, padded to four) into every entry.
+    sources = [None] * 4 + words[4:] + ([] if spawn is None else [spawn])
+    for j, word in enumerate(sources):
+        for dst in range(4):
+            if dst != j:
+                value = pool[j] if word is None else word
+                value = (value ^ const) * (const := const * 0x931E8875 & MASK32) & MASK32
+                mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16) & MASK32
+                pool[dst] = mixed ^ mixed >> 16
+    const, key = 0x8B51F9DD, []
+    for value in pool:
+        value = (value ^ const) * (const := const * 0x58F38DED & MASK32) & MASK32
+        key.append(value ^ value >> 16)
+    return key[0] | key[1] << 32, key[2] | key[3] << 32
 
 
 def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
@@ -327,14 +331,15 @@ def _draw(probabilities, trials: int, seed: int) -> list[int]:
 
 class RunReport(NamedTuple):
     """Exact outcome distribution, sampled outcome counts and constraint
-    tallies for one model run; no field grows with the trial count."""
+    tallies for one model run, all tuples of Python numbers; no field grows
+    with the trial count."""
 
     constraints: tuple[ParityConstraint, ...]
     preferred_mask: tuple[bool, ...]  # True where the constraint is the preferred frame's
-    probabilities: np.ndarray  # (64,) exact distribution, OUTCOME_SIGNS row order
+    probabilities: tuple[float, ...]  # exact distribution, OUTCOME_SIGNS row order
     pruned_weight: float  # outcome weight the distribution leaves out
-    violation_mask: np.ndarray  # (64, constraints) bool: outcome violates constraint
-    counts: np.ndarray  # (64,) int64: trials drawing each outcome, OUTCOME_SIGNS row order
+    violation_mask: tuple[tuple[bool, ...], ...]  # per outcome, per constraint: violated
+    counts: tuple[int, ...]  # trials drawing each outcome, OUTCOME_SIGNS row order
     violation_counts: tuple[int, ...]  # per constraint: trials violating it
     trials_violating_nonpreferred: int  # trials violating ≥1 non-preferred constraint
     exact_rates: tuple[float, ...]  # per constraint: probability of violating it
@@ -373,13 +378,18 @@ def _signed_outcomes(weights: list[float], shape) -> tuple[list[float], list[flo
     return kept, light
 
 
-def _in_slot_order(table, slots) -> np.ndarray:
-    """A (2,)*6 outcome tensor, axis i for ``slots[i]`` (+1 first), or its
-    entries flat, as the 64-entry table in ``OUTCOME_SIGNS`` row order."""
-    return np.reshape(table, (2,) * 6).transpose([slots.index(s) for s in CANONICAL_SLOTS]).ravel()
+def _slot_order(slots) -> list[int]:
+    """Per ``OUTCOME_SIGNS`` row, its flat index in a row-major (2,)*6 outcome
+    table whose axis a is ``slots[a]`` (+1 first): the rows' bits, slot by
+    slot in ``CANONICAL_SLOTS`` order, each moved to its axis's place."""
+    order = [0]
+    for slot in CANONICAL_SLOTS:
+        step = 1 << 5 - slots.index(slot)
+        order = [i + bit for i in order for bit in (0, step)]
+    return order
 
 
-def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float]:
+def round_born_distribution(rounds: list[RoundTable]) -> tuple[tuple[float, ...], float]:
     """The round_born model's 64-entry distribution, and the weight it leaves out.
 
     ``rounds`` is the preferred frame's tables from ``analyze_stack``.
@@ -388,18 +398,19 @@ def round_born_distribution(rounds: list[RoundTable]) -> tuple[np.ndarray, float
     cutoff are left out, and the pruned weight is 1 − Π_r (1 − d_r) for
     round r's left-out weight d_r.
     """
-    weights, slots, dropped = np.ones(()), [], []
+    weights, slots, dropped = [1.0], [], []
     for r in rounds:
-        kept = np.where(r.possible, r.weights, 0.0).reshape((2,) * len(r.events))
-        weights = np.multiply.outer(weights, kept)
+        possible = r.possible
+        kept = [w if p else 0.0 for w, p in zip(r.weights, possible)]
+        weights = [x * w for x in weights for w in kept]  # row-major, this round's slots last
         slots += round_slots(r.events)
-        dropped.append(float(r.weights[~r.possible].sum()))
+        dropped.append(sum(w for w, p in zip(r.weights, possible) if not p))
     # max() turns the −0.0 of no dropped weight into 0.0.
     pruned = max(0.0, -math.expm1(math.fsum(math.log1p(-d) for d in dropped)))
-    return _in_slot_order(weights, slots), pruned
+    return tuple(weights[i] for i in _slot_order(slots)), pruned
 
 
-def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarray, float]:
+def sequential_collapse_distribution(model: MeasurementModel) -> tuple[tuple[float, ...], float]:
     """The sequential_collapse model's 64-entry distribution, and the pruned weight.
 
     Site outcome (z, x) applies K = Q_x U P_z to the site's pair: the friend's
@@ -431,7 +442,8 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[np.ndarra
     tables = itertools.product(*(sites[id(device)] for device in model.site_unitaries))
     weights = [friends[za, zb, zc] * a * b * c for (za, a), (zb, b), (zc, c) in tables]
     kept, light = _signed_outcomes(weights, (2, 3) * 3)
-    return _in_slot_order(kept, ["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"]), sum(light, 0.0)
+    order = _slot_order(["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"])
+    return tuple(kept[i] for i in order), sum(light, 0.0)
 
 
 def run_model(
@@ -442,8 +454,9 @@ def run_model(
 
     One ``collect_constraints`` pass gives the schedule's constraints and,
     by ``m.preferred``'s name, the preferred frame's tables. The preferred
-    mask marks the constraints that frame's own rounds yield. Count tallies
-    sum Python ints, exact in any order; the float ones keep numpy's order.
+    mask marks the constraints that frame's own rounds yield. Tallies are
+    Python sums in ``OUTCOME_SIGNS`` row order: the counts' exactly, the
+    probabilities' exactly for the ideal device's dyadic table.
     """
     if trials < 0:
         raise ValueError(f"trials must be ≥ 0, got {trials}")
@@ -459,19 +472,20 @@ def run_model(
         probabilities, pruned = sequential_collapse_distribution(model)
 
     mask = violation_mask(constraints)
-    nonpreferred = mask[:, ~np.array(preferred_mask, dtype=bool)].any(axis=1)
-    counts = _draw(probabilities.tolist(), trials, seed)
+    nonpreferred = [any(v for v, p in zip(row, preferred_mask) if not p) for row in mask]
+    columns = list(zip(*mask))  # per constraint: each outcome's flag
+    counts = tuple(_draw(probabilities, trials, seed))
     return RunReport(
         constraints=constraints,
         preferred_mask=preferred_mask,
         probabilities=probabilities,
         pruned_weight=pruned,
         violation_mask=mask,
-        counts=np.array(counts, dtype=np.int64),
-        violation_counts=tuple(sum(n for n, v in zip(counts, c) if v) for c in mask.T.tolist()),
-        trials_violating_nonpreferred=sum(n for n, v in zip(counts, nonpreferred.tolist()) if v),
-        exact_rates=tuple(float(p) for p in probabilities @ mask),
-        exact_nonpreferred_probability=float(probabilities @ nonpreferred),
+        counts=counts,
+        violation_counts=tuple(sum(itertools.compress(counts, c)) for c in columns),
+        trials_violating_nonpreferred=sum(itertools.compress(counts, nonpreferred)),
+        exact_rates=tuple(sum(itertools.compress(probabilities, c), 0.0) for c in columns),
+        exact_nonpreferred_probability=sum(itertools.compress(probabilities, nonpreferred), 0.0),
     )
 
 
@@ -545,7 +559,11 @@ def quarter_support(tables) -> bool:
     """Whether every round that yields a constraint gives each of its
     possible tuples weight 1/4 within QUARTER_TOL."""
     return not any(
-        t.product and (np.abs(t.weights[t.possible] - 0.25) > QUARTER_TOL).any() for t in tables
+        abs(w - 0.25) > QUARTER_TOL
+        for t in tables
+        if t.product
+        for w, p in zip(t.weights, t.possible)
+        if p
     )
 
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import cmath
 from collections import namedtuple
-from math import prod
+from math import hypot, prod
+from operator import mul
 
 import numpy as np
 
@@ -182,9 +183,15 @@ def check_unitary(op: Operator) -> bool:
     within UNITARY_TOL of I's, over every matrix of a stack, one by one."""
     if not all(map(cmath.isfinite, op.matrix.ravel().tolist())):
         return False
-    gram = (op.matrix.conj().swapaxes(-1, -2) @ op.matrix).reshape(-1, op.dim**2).tolist()
-    eye = np.eye(op.dim).ravel().tolist()
-    return all(abs(g - e) < UNITARY_TOL for m in gram for g, e in zip(m, eye))
+    for matrix in op.matrix.reshape(-1, op.dim, op.dim).tolist():
+        columns = list(zip(*matrix))
+        for a, u in enumerate(columns):
+            bra = [x.conjugate() for x in u]
+            for b, v in enumerate(columns):
+                error = sum(map(mul, bra, v)) - (a == b)  # (U†U − I)[a, b]
+                if not hypot(error.real, error.imag) < UNITARY_TOL:  # abs() raises on overflow
+                    return False
+    return True
 
 
 class BasisGroup(namedtuple("BasisGroup", "factors labels vectors")):

@@ -9,7 +9,8 @@ simultaneous measurements, which depend on the geometry alone. One pass
 model, and gives each outcome tuple of the round its Born weight in the
 pre-round state. That state is always a sum of two product states (the GHZ
 state's two terms, each site's pair evolved only by its own device), so the
-pass never builds the 216-dim vector. Its ``RoundTable``s, the one form an
+pass never builds the 216-dim vector, and after each device's one run on
+the pair it works in Python numbers. Its ``RoundTable``s, the one form an
 analysed round takes, tell us which outcome tuples are possible at all (have
 nonzero Born weight).
 
@@ -26,10 +27,11 @@ satisfies: the frame-by-frame GHZ contradiction, found by brute force over
 from __future__ import annotations
 
 import itertools
+import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .measurement import PAIR_DIM, SITES, MeasurementModel, pair_index
+from .measurement import SITES, MeasurementModel
 from .qmath import BasisGroup, StateVector, apply_local, layout
 from .spacetime import (
     CheckResult,
@@ -46,7 +48,6 @@ from .spacetime import (
 from .systems import (
     SITE_FACTORS,
     SUPPORT_EPS,
-    LabLabel,
     SpinAxis,
     SupportEntry,
     initial_product_terms,
@@ -64,10 +65,9 @@ ROUND_TOL = 1e-9
 # X-outcome at each site.
 CANONICAL_SLOTS = ("z_A", "z_B", "z_C", "x_A", "x_B", "x_C")
 
-# Row i gives slot j the value −1 iff bit (5 − j) of i is set: the first slot
-# is the most significant bit, so the 64 rows run in the order of
-# itertools.product((+1, -1), repeat=6).
-OUTCOME_SIGNS = (1 - 2 * ((np.arange(64)[:, None] >> np.arange(5, -1, -1)) & 1)).astype(np.int8)
+# The 64 rows of ±1 values: row i gives slot j the value −1 iff bit (5 − j)
+# of i is set, the first slot being the most significant bit.
+OUTCOME_SIGNS = tuple(itertools.product((+1, -1), repeat=6))
 
 FRAME_NAMES = ("sigma", "sigma_p", "sigma_pp", "sigma_ppp")
 
@@ -245,64 +245,50 @@ def support_constraint(
 class RoundTable(NamedTuple):
     """One round of one frame, analysed for one device model.
 
-    Entry j of ``weights`` is the Born weight of the joint outcome
-    ``labels[j]`` of the round's slots (``round_slots`` order) in the
+    Entry j of ``weights`` is the Born weight, a Python float, of the joint
+    outcome ``labels[j]`` of the round's slots (``round_slots`` order) in the
     pre-round state, before the support cutoff. ``product`` is the outcome
-    product every possible tuple shares, or 0 where they share none
-    (``_shared_parity``).
+    product every possible tuple shares, or 0 where they share none.
     """
 
     frame: str  # the frame's key in the orderings given to ``analyze_stack``: its name
     events: tuple[MeasurementEvent, ...]
     labels: tuple[tuple[int, ...], ...]
-    weights: np.ndarray  # (K,) each tuple's Born weight, never negative
+    weights: tuple[float, ...]  # each tuple's Born weight, never negative
     product: int  # the possible tuples' shared product, or 0
 
     @property
-    def possible(self) -> np.ndarray:
-        """(K,) bool: the tuples whose weight clears the support cutoff."""
-        return self.weights > SUPPORT_EPS
+    def possible(self) -> tuple[bool, ...]:
+        """The tuples whose weight clears the support cutoff."""
+        return tuple(w > SUPPORT_EPS for w in self.weights)
 
     def constraint(self) -> ParityConstraint | None:
         """The round's constraint: the product its possible tuples share, if any."""
         return ParityConstraint(round_slots(self.events), self.product) if self.product else None
 
 
-def _shared_parity(possible: np.ndarray, parity: np.ndarray, axis) -> np.ndarray:
-    """+1 or −1 where every possible tuple, reduced over ``axis``, has that
-    outcome product, else 0; a parity of 0 marks an entry that is no tuple."""
-    plus = (possible & (parity == 1)).any(axis=axis)
-    minus = (possible & (parity == -1)).any(axis=axis)
-    return np.where(plus == minus, 0, np.where(plus, 1, -1))
-
-
-def _site_gram(vectors: np.ndarray, operators, scale: float = 1.0) -> np.ndarray:
-    """One site's Gram factor per outcome operator: (terms², labels).
-
-    ``vectors`` (terms, d) are the site's vectors in each product term,
-    ``operators`` (labels, rows, d) one operator K_l per outcome, or None for
-    the identity. Entry [terms·k + j, l] is scale·⟨K_l v_j|K_l v_k⟩.
+def _site_factor(vectors, ev: MeasurementEvent | None, model) -> tuple[tuple[complex, ...], ...]:
+    """One site's Gram factor in a round: per outcome l of its event (one
+    entry for a spectator), the four entries ⟨K_l v_j|K_l v_k⟩, kj = 00, 01,
+    10, 11, of the site's pair vectors v_k (Python complex numbers) in each
+    product term, for the outcome's operator K_l (the identity for a spectator).
     """
-    if operators is None:
-        parts = vectors[:, None]
-    else:
-        parts = (operators * vectors[:, None, None]).sum(axis=3)
-    gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
-    return gram.reshape(-1, gram.shape[2])
-
-
-def _event_operators(ev: MeasurementEvent | None, model) -> tuple[np.ndarray | None, float]:
-    """The outcome operators of a round's event at one site (None: a spectator
-    site), and their Gram scale."""
+    scale = 1.0
     if ev is None:
-        return None, 1.0
-    if ev.kind == "friend_z":
-        # The z-record keeps the pair entries with that electron spin.
-        rows = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
-        return np.eye(PAIR_DIM)[rows], 1.0
-    # ⟨b_±| for b_± = √2·|±1X>; the √½ enters the Gram squared, as 1/2.
-    bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
-    return np.stack(bras).conj()[:, None], 0.5
+        parts = [vectors]
+    elif ev.kind == "friend_z":
+        # The z-record keeps the pair entries with that electron spin: every
+        # other one, as ``pair_index`` interleaves the spins.
+        parts = [[v[spin::2] for v in vectors] for spin in (0, 1)]
+    else:
+        # K_± = ⟨b_±| for b_± = √2·|±1X>; the √½ enters each Gram entry squared, as ½.
+        bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
+        parts = [[[sum(b.conjugate() * x for b, x in zip(bra, v))] for v in vectors] for bra in bras]
+        scale = 0.5
+    return tuple(
+        tuple(scale * sum(x * y.conjugate() for x, y in zip(vk, vj)) for vk in p for vj in p)
+        for p in parts
+    )
 
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
@@ -314,58 +300,52 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
     where a site's v_k has its device applied iff its friend's event fell in
     an earlier round, as ``evolve_to`` replays it (by ``apply_local`` on the
-    6-dim pair). A tuple's Born weight is then Σ_{k,j} c_k c̄_j Π_site
-    g_site[k, j], from 2×2 Gram factors (``_site_gram``), each built once per
-    pass, when a round first needs it, and each a form in the Gram R†R of the
-    device's Ready columns (``models.nonideal_sweep``). Device-dependent work
-    is done once per distinct device, keyed by its ``Operator``'s identity:
-    its U v_k, and the factor of a site that has run it or whose outsider
-    measures. A site whose device has not run reads only the shared v_k, so
-    that factor serves every site. Every round's weights come from one
-    product over all rounds, in which a spectator site's factor is broadcast
-    to both labels and then indexed out; the rounds' parity rows come from
-    the same array. Rounding leaves impossible tuples about ±1e-17, so
-    weights are clamped at 0.
+    6-dim pair). A tuple's Born weight is then Re Σ_{k,j} c_k c̄_j a·b·c, for
+    the 2×2 Gram factors a, b, c of the three sites (``_site_factor``), each
+    a form in the Gram R†R of the device's Ready columns
+    (``models.nonideal_sweep``). Everything after the device runs is Python
+    numbers: the ideal device's are exact dyadic fractions. Each factor is
+    built once per pass, when a round first needs it, and device-dependent
+    work is done once per distinct device, keyed by its ``Operator``'s
+    identity: its U v_k, and the factor of a site that has run it or whose
+    outsider measures. A site whose device has not run reads only the shared
+    v_k, so that factor serves every site. Rounding leaves impossible tuples
+    about ±1e-17, so weights are clamped at 0.
     """
     coefficients, pair = initial_product_terms()
-    terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)  # c_k c̄_j
-    recorded_terms = {}  # id(device) -> (2, 6): U v_k for each term k
+    coefficients = coefficients.tolist()
+    terms = [ck * cj.conjugate() for ck in coefficients for cj in coefficients]  # c_k c̄_j
+    recorded_terms = {}  # id(device) -> U v_k for each term k
     for site, targets in SITE_FACTORS.items():
         device = model.unitary(site)
         if id(device) not in recorded_terms:
             terms_state = StateVector(layout(*targets), pair)  # a stack: one row per term
-            recorded_terms[id(device)] = apply_local(device, targets, terms_state).amplitudes
-    rounds = [(key, rnd) for key, frame_rounds in orderings.items() for rnd in frame_rounds]
-    factors = np.empty((len(SITES), len(rounds), 4, 2), dtype=complex)
-    active = []  # per round: whether each site has an event in it
-    grams: dict[tuple, np.ndarray] = {}
+            recorded_terms[id(device)] = apply_local(device, targets, terms_state).amplitudes.tolist()
+    pair = pair.tolist()
+    factors: dict[tuple, tuple] = {}
+    tables = []
     for key, frame_rounds in orderings.items():
         recorded: set[str] = set()  # sites whose friend's device has run
         for rnd in frame_rounds:
             events = {ev.site: ev for ev in rnd}
-            for i, site in enumerate(SITES):
+            round_factors = []
+            for site in SITES:
                 ev, device = events.get(site), id(model.unitary(site))
                 reads_device = site in recorded or (ev and ev.kind == "outsider_x")
                 index = (device if reads_device else None, site in recorded, ev and ev.kind)
-                if index not in grams:
+                if index not in factors:
                     vectors = recorded_terms[device] if site in recorded else pair
-                    grams[index] = _site_gram(vectors, *_event_operators(ev, model))
-                factors[i, len(active)] = grams[index]
-            active.append([site in events for site in SITES])
+                    factors[index] = _site_factor(vectors, ev, model)
+                round_factors.append(factors[index])
+            weights = tuple(
+                max(sum((t * x * y * z).real for t, x, y, z in zip(terms, a, b, c)), 0.0)
+                for a, b, c in itertools.product(*round_factors)
+            )
+            labels = tuple(itertools.product((+1, -1), repeat=len(rnd)))
+            parities = {math.prod(tup) for tup, w in zip(labels, weights) if w > SUPPORT_EPS}
+            product = parities.pop() if len(parities) == 1 else 0
+            tables.append(RoundTable(key, rnd, labels, weights, product))
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
-    a, b, c = factors  # Σ_{k,j} c_k c̄_j Π_site g_site[k, j], as (rounds, 2, 2, 2)
-    product = terms * a[..., None, None] * b[..., None, :, None] * c[..., None, None, :]
-    weights = np.maximum(product.sum(axis=-4).real, 0.0)
-    # A spectator's second label is no tuple: its sign 0 gives it parity 0.
-    active = np.array(active, dtype=bool).reshape(len(rounds), len(SITES))
-    a, b, c = np.where(active[..., None], (1, -1), (1, 0)).transpose(1, 0, 2)
-    parity = a[:, :, None, None] * b[:, None, :, None] * c[:, None, None, :]
-    products = _shared_parity(weights > SUPPORT_EPS, parity, axis=(1, 2, 3)).tolist()
-    tables = []
-    for r, (key, rnd) in enumerate(rounds):
-        round_weights = weights[r][tuple(slice(None) if on else 0 for on in active[r])]
-        labels = tuple(itertools.product(*[(+1, -1)] * len(rnd)))
-        tables.append(RoundTable(key, rnd, labels, round_weights.reshape(-1), products[r]))
     return tables
 
 
@@ -385,18 +365,20 @@ def collect_constraints(s: Schedule, model: MeasurementModel) -> tuple[list[Roun
     return tables, found
 
 
-def violation_mask(constraints) -> np.ndarray:
-    """(64, constraints) bool: where each ``OUTCOME_SIGNS`` row violates each
-    constraint."""
-    mask = np.empty((len(OUTCOME_SIGNS), len(constraints)), dtype=bool)
-    for i, c in enumerate(constraints):
-        columns = [CANONICAL_SLOTS.index(slot) for slot in c.slots]
-        mask[:, i] = OUTCOME_SIGNS[:, columns].prod(axis=1) != c.required_product
-    return mask
+def violation_mask(constraints) -> tuple[tuple[bool, ...], ...]:
+    """Per ``OUTCOME_SIGNS`` row, whether it violates each constraint. A
+    row's product over some slots is −1 iff an odd number of their bits is
+    set in the row's index."""
+    columns = []
+    for c in constraints:
+        bits = sum(1 << 5 - CANONICAL_SLOTS.index(slot) for slot in c.slots)
+        odd_violates = c.required_product == +1  # an odd count is a product of −1
+        columns.append([((i & bits).bit_count() & 1) == odd_violates for i in range(64)])
+    return tuple(zip(*columns)) or ((),) * len(OUTCOME_SIGNS)
 
 
-def enumerate_assignments(constraints) -> np.ndarray:
-    """The ``OUTCOME_SIGNS`` rows satisfying every constraint: a (k, 6) int8
-    array of ±1 in ``CANONICAL_SLOTS`` column order, in row order."""
-    satisfying = ~violation_mask(list(constraints)).any(axis=1)
-    return OUTCOME_SIGNS[satisfying]
+def enumerate_assignments(constraints) -> tuple[tuple[int, ...], ...]:
+    """The ``OUTCOME_SIGNS`` rows satisfying every constraint, in row order:
+    ±1 per slot, in ``CANONICAL_SLOTS`` order."""
+    mask = violation_mask(list(constraints))
+    return tuple(signs for signs, row in zip(OUTCOME_SIGNS, mask) if not any(row))

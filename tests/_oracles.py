@@ -4,8 +4,8 @@ Everything here is deliberately built from different primitives than the
 package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, the dense 216-dim state contracted against basis groups
-for the frame pass's product form, the pass's own round-by-round Born
-weights and parity rule, the least-squares simultaneity solve, per-trial simulation with ``measure`` for
+for the frame pass's product form, the array formulation the scalar pass
+replaced (each round's Gram factors as numpy arrays, one product per round), the least-squares simultaneity solve, per-trial simulation with ``measure`` for
 the interpretation models' outcome tables, one dense state per collapse path
 for the product-form collapse and erasure tables, the dense ensemble rule
 the ``distinguish`` table replaced, one-shot draws of every
@@ -26,6 +26,7 @@ import sympy as sp
 
 from gwsim.cli import _parse_model_spec, _validate_config, load_config
 from gwsim.measurement import (
+    PAIR_DIM,
     SAMPLE_FLOOR,
     MeasurementModel,
     Observable,
@@ -60,7 +61,6 @@ from gwsim.scenario import (
     round_slots,
     support_constraint,
 )
-from gwsim.scenario import _event_operators, _site_gram
 from gwsim.spacetime import GEOMETRY_TOL, SpacetimePoint
 from gwsim.systems import (
     SITE_FACTORS,
@@ -214,7 +214,7 @@ def outsider_observable(model: MeasurementModel, site: str = "A") -> Observable:
     """The outsider's measurement of the whole lab+electron pair: ±1 on the
     recorded-basis superpositions |±1X> = b_±/√2 for b_± = ``recorded_sum``,
     0 on the 4-dim rest of the pair space."""
-    sums = [model.recorded_sum(site, sign) for sign in (+1, -1)]
+    sums = [np.array(model.recorded_sum(site, sign)) for sign in (+1, -1)]
     plus, minus = (0.5 * np.outer(b, b.conj()) for b in sums)
     projectors = map(Operator, (plus, minus, np.eye(6) - plus - minus))
     return Observable(SITE_FACTORS[site], tuple(zip((+1.0, -1.0, 0.0), projectors)))
@@ -236,7 +236,7 @@ def distinguish_reference(model: MeasurementModel) -> dict:
     record ½ on each ``recorded_state("A", ±1)``."""
     pair = layout(*SITE_FACTORS["A"])
     ensembles = {
-        "unitary_record": [(0.5, model.recorded_sum("A", +1))],
+        "unitary_record": [(0.5, np.array(model.recorded_sum("A", +1)))],
         "collapsed_record": [(0.5, model.recorded_state("A", sign)) for sign in (+1, -1)],
     }
     table = {}
@@ -395,10 +395,38 @@ def dense_weights(state: StateVector, round_events, model) -> np.ndarray:
     return stacked_support(StateVector(state.layout, state.amplitudes[None]), groups)[1][0]
 
 
+def site_gram(vectors: np.ndarray, operators, scale: float = 1.0) -> np.ndarray:
+    """One site's Gram factor per outcome operator: (terms², labels).
+
+    ``vectors`` (terms, d) are the site's vectors in each product term,
+    ``operators`` (labels, rows, d) one operator K_l per outcome, or None for
+    the identity. Entry [terms·k + j, l] is scale·⟨K_l v_j|K_l v_k⟩.
+    """
+    if operators is None:
+        parts = vectors[:, None]
+    else:
+        parts = (operators * vectors[:, None, None]).sum(axis=3)
+    gram = scale * (parts[:, None] * parts[None].conj()).sum(axis=3)
+    return gram.reshape(-1, gram.shape[2])
+
+
+def event_operators(ev, model) -> tuple[np.ndarray | None, float]:
+    """The outcome operators of a round's event at one site (None: a spectator
+    site), as (labels, rows, 6) arrays, and their Gram scale."""
+    if ev is None:
+        return None, 1.0
+    if ev.kind == "friend_z":
+        rows = [[pair_index(lab, sign) for lab in LabLabel] for sign in (+1, -1)]
+        return np.eye(PAIR_DIM)[rows], 1.0
+    bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
+    return np.stack(bras).conj()[:, None], 0.5
+
+
 def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, int]]:
     """Per round of ``analyze_stack``: its (K,) Born weights and shared
-    outcome product, one round's product and one round's parity at a time,
-    as the pass computed them before its rounds were stacked."""
+    outcome product, from numpy arrays: each site's Gram factor per round
+    (``site_gram``), one broadcast product per round, and the parity rule
+    over the possible tuples' label products."""
     coefficients, pair = initial_product_terms()
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)
     recorded_terms = {}
@@ -412,9 +440,9 @@ def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, int]]:
         for rnd in rounds:
             events = {ev.site: ev for ev in rnd}
             a, b, c = [
-                _site_gram(
+                site_gram(
                     recorded_terms[site] if site in recorded else pair,
-                    *_event_operators(events.get(site), model),
+                    *event_operators(events.get(site), model),
                 )
                 for site in ("A", "B", "C")
             ]

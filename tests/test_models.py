@@ -83,6 +83,8 @@ from gwsim.systems import (
 
 TRIALS = 2000
 IDEAL = ideal_von_neumann()
+# The outcome rows as a (64, 6) array, for column arithmetic on tallies.
+SIGNS = np.array(OUTCOME_SIGNS)
 
 
 def four_sigma_band(p: float, n: int) -> float:
@@ -145,7 +147,7 @@ class TestViolationMask:
         mask = violation_mask(constraints)
         # Sign rows in CANONICAL_SLOTS order: z_A, z_B, z_C, x_A, x_B, x_C.
         rows = [(-1, -1, -1, +1, +1, -1), (+1, +1, +1, +1, -1, +1)]
-        assert mask[outcome_indices(rows)].tolist() == [[False, True], [True, False]]
+        assert [mask[i] for i in outcome_indices(rows)] == [(False, True), (True, False)]
 
     def test_agrees_with_the_per_row_check_on_every_row(self, schedule):
         constraints = list(collect_constraints(schedule, IDEAL)[1])
@@ -163,8 +165,7 @@ class TestRoundBorn:
     def test_zero_trials_gives_empty_report(self, schedule):
         m = InterpretationModel("round_born", "sigma")
         report = run_model(schedule, IDEAL, m, 0, seed=0)
-        assert report.counts.shape == (64,)
-        assert report.counts.sum() == 0
+        assert report.counts == (0,) * 64
         assert report.violation_counts == (0,) * len(report.constraints)
         assert report.trials_violating_nonpreferred == 0
 
@@ -185,11 +186,11 @@ class TestRoundBorn:
         assert born_sigma_report.constraints[index].slots == ("x_A", "x_B", "x_C")
 
     def test_assignments_cover_all_six_slots(self, born_sigma_report):
-        counts = born_sigma_report.counts
+        counts = np.asarray(born_sigma_report.counts)
         assert counts.shape == (64,)
         assert counts.sum() == TRIALS
         for col in range(len(CANONICAL_SLOTS)):
-            assert 0 < counts @ (OUTCOME_SIGNS[:, col] == +1) < TRIALS
+            assert 0 < counts @ (SIGNS[:, col] == +1) < TRIALS
 
     def test_preferred_constraint_never_violated(self, born_sigma_report):
         (index,) = [i for i, p in enumerate(born_sigma_report.preferred_mask) if p]
@@ -197,7 +198,7 @@ class TestRoundBorn:
 
     def test_nonpreferred_constraints_violated_half_the_time(self, born_sigma_report):
         band = four_sigma_band(0.5, TRIALS)
-        assert born_sigma_report.counts.sum() == TRIALS
+        assert sum(born_sigma_report.counts) == TRIALS
         for i, preferred in enumerate(born_sigma_report.preferred_mask):
             if preferred:
                 continue
@@ -224,7 +225,7 @@ class TestRoundBorn:
     def test_different_seed_changes_assignments(self, schedule, born_sigma_report):
         m = InterpretationModel("round_born", "sigma")
         other = run_model(schedule, IDEAL, m, TRIALS, seed=12)
-        assert other.counts.sum() == TRIALS
+        assert sum(other.counts) == TRIALS
         assert not np.array_equal(other.counts, born_sigma_report.counts)
 
 
@@ -236,31 +237,31 @@ def collapse_report(schedule):
 
 class TestSequentialCollapse:
     def test_assignments_cover_all_six_slots(self, collapse_report):
-        counts = collapse_report.counts
+        counts = np.asarray(collapse_report.counts)
         assert counts.shape == (64,)
         assert counts.sum() == TRIALS
         for col in range(len(CANONICAL_SLOTS)):
-            assert 0 < counts @ (OUTCOME_SIGNS[:, col] == +1) < TRIALS
+            assert 0 < counts @ (SIGNS[:, col] == +1) < TRIALS
 
     def test_even_the_preferred_constraint_fails_half_the_time(self, collapse_report):
         # Collapse after the friends' round kills the three-way coherence, so
         # the outsiders' odd-parity rule holds only by chance.
         (index,) = [i for i, p in enumerate(collapse_report.preferred_mask) if p]
         band = four_sigma_band(0.5, TRIALS)
-        assert collapse_report.counts.sum() == TRIALS
+        assert sum(collapse_report.counts) == TRIALS
         rate = collapse_report.violation_counts[index] / TRIALS
         assert rate == pytest.approx(0.5, abs=band)
 
     def test_outsider_outcomes_are_individually_unbiased(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("x_A", "x_B", "x_C"):
-            ups = collapse_report.counts @ (OUTCOME_SIGNS[:, column(slot)] == +1)
+            ups = np.asarray(collapse_report.counts) @ (SIGNS[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_friend_records_match_z_statistics(self, collapse_report):
         band = four_sigma_band(0.5, TRIALS)
         for slot in ("z_A", "z_B", "z_C"):
-            ups = collapse_report.counts @ (OUTCOME_SIGNS[:, column(slot)] == +1)
+            ups = np.asarray(collapse_report.counts) @ (SIGNS[:, column(slot)] == +1)
             assert ups / TRIALS == pytest.approx(0.5, abs=band)
 
     def test_same_seed_reproduces(self, schedule, collapse_report):
@@ -475,8 +476,9 @@ class TestNonidealSweep:
             assert quarter_support(tables)
             for table, exact in zip(tables, ideal_tables, strict=True):
                 assert table.product == exact.product
-                assert np.abs(table.weights - exact.weights).max() <= bound
-                moved = max(moved, np.abs(table.weights - exact.weights).max())
+                error = np.abs(np.subtract(table.weights, exact.weights)).max()
+                assert error <= bound
+                moved = max(moved, error)
         # The perturbation reaches the weights: the pass reads G.
         assert moved > READY_GRAM_TOL / 10
 
@@ -600,6 +602,8 @@ class TestExactTables:
         self, table_models, spec, frame, mode, support
     ):
         probabilities, pruned = self._table(table_models, spec, frame, mode)
+        assert isinstance(probabilities, tuple)
+        probabilities = np.asarray(probabilities)
         assert probabilities.shape == (64,)
         assert probabilities.min() >= 0.0
         assert abs(probabilities.sum() - 1.0) <= 1e-12
@@ -619,8 +623,8 @@ class TestExactTables:
 
 def test_outcome_signs_follow_enumeration_order():
     rows = list(itertools.product((+1, -1), repeat=len(CANONICAL_SLOTS)))
-    np.testing.assert_array_equal(OUTCOME_SIGNS, rows)
-    np.testing.assert_array_equal(enumerate_assignments([]), OUTCOME_SIGNS)
+    assert OUTCOME_SIGNS == tuple(rows)
+    assert enumerate_assignments([]) == OUTCOME_SIGNS
     np.testing.assert_array_equal(outcome_indices(OUTCOME_SIGNS), np.arange(64))
 
 
@@ -629,14 +633,14 @@ def test_outcome_signs_follow_enumeration_order():
 def test_reference_sampler_matches_the_exact_table(schedule, table_models, spec, frame, mode):
     build, sample, trials = SAMPLERS[mode]
     model = table_models[spec]
-    probabilities, _ = build(model, frame)
+    probabilities = np.asarray(build(model, frame)[0])
     indices = outcome_indices(sample(schedule, model, schedule.frames[frame], trials, seed=23))
     assert np.all(probabilities[indices] > 0), "reference sample outside the exact support"
     stat, dof = chi_square(np.bincount(indices, minlength=64), probabilities)
     assert stat <= chi_square_bound(dof), (stat, dof)
 
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128, 10**400]
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**128, 2**128 + 5, 10**400]
 
 
 class TestPhilox:
@@ -675,7 +679,7 @@ class TestSweepNormals:
     SHAPE = (3, 2, 6, 6)
     INDICES = [0, 1, 127, 128, 2**32 - 1]
 
-    @pytest.mark.parametrize("seed", [0, 1, 3, 2**32, 2**63 - 1, 10**400])
+    @pytest.mark.parametrize("seed", [0, 1, 3, 2**32, 2**63 - 1, 2**128 + 5, 10**400])
     def test_spawn_keys_are_the_seed_sequence_states(self, seed):
         k0, k1 = gwsim.models._philox_key(seed, np.array(self.INDICES, dtype=np.uint64))
         for index, key in zip(self.INDICES, np.stack([k0, k1], axis=1)):
@@ -791,10 +795,10 @@ class TestDraw:
         collapse = sequential_collapse_distribution(IDEAL)[0]
         erasure = np.array([p for _, p in erasure_reference(False)[0]])
         return {
-            "round_born": born.probabilities,
-            "collapse": collapse,
+            "round_born": np.asarray(born.probabilities),
+            "collapse": np.asarray(collapse),
             "erasure": erasure,
-            "collapse random:5": sequential_collapse_distribution(haar)[0],
+            "collapse random:5": np.asarray(sequential_collapse_distribution(haar)[0]),
             "zero gaps": zero_gapped_table(),
             # Sums to 1, yet 1 − 0.3 rounds below the middle entry, so its
             # binomial's p passes 1 and it takes every trial.
@@ -819,7 +823,8 @@ class TestDraw:
     @pytest.mark.parametrize("mode", MODES)
     def test_run_counts_are_numpys_multinomial(self, schedule, mode, trials):
         report = run_model(schedule, IDEAL, InterpretationModel(mode, "sigma_pp"), trials, 4)
-        assert np.array_equal(report.counts, numpy_counts(report.probabilities, trials, 4))
+        expected = numpy_counts(np.asarray(report.probabilities), trials, 4)
+        assert report.counts == tuple(expected.tolist())
 
     @pytest.mark.parametrize("trials", DRAW_SIZES)
     @pytest.mark.parametrize("skip_pair_x", [False, True])
@@ -940,7 +945,7 @@ class TestExactRates:
     def test_counts_follow_the_violation_mask(self, collapse_report):
         # Each outcome's trials count once for every constraint it violates.
         expected = [0] * len(collapse_report.constraints)
-        for signs, n in zip(OUTCOME_SIGNS, collapse_report.counts.tolist()):
+        for signs, n in zip(OUTCOME_SIGNS, collapse_report.counts):
             for i, violated in enumerate(born_violation_check(signs, collapse_report.constraints)):
                 expected[i] += n * violated
         assert collapse_report.violation_counts == tuple(expected)
@@ -1012,6 +1017,7 @@ class TestCollapseTable:
     @pytest.mark.parametrize("spec", sorted(COLLAPSE_MODELS))
     def test_collapse_table_matches_the_per_path_reference(self, collapse_tables, spec, frame):
         model, probabilities, pruned = collapse_tables[spec]
+        probabilities = np.asarray(probabilities)
         s = build_schedule(10.0, 1.0)
         rounds = order_events(s, s.frames[frame])
         expected, expected_pruned = collapse_reference(model, rounds)
@@ -1032,6 +1038,7 @@ class TestCollapseTable:
         monkeypatch.setattr(gwsim.models, "initial_product_terms", lambda: (coefficients, pair))
         model = COLLAPSE_MODELS["random:5"]()
         probabilities, pruned = sequential_collapse_distribution(model)
+        probabilities = np.asarray(probabilities)
         assert np.ptp(probabilities) > 1e-3
         state = StateVector(CANONICAL_LAYOUT, dense / np.linalg.norm(dense))
         s = build_schedule(10.0, 1.0)
@@ -1042,7 +1049,7 @@ class TestCollapseTable:
 
     def test_ideal_collapse_table_is_exact(self, collapse_tables):
         _, probabilities, pruned = collapse_tables["ideal"]
-        assert probabilities.tolist() == [1 / 64] * 64
+        assert probabilities == (1 / 64,) * 64
         assert pruned == 0.0
 
     def test_collapse_table_runs_no_state_simulation(self, monkeypatch):
@@ -1056,7 +1063,7 @@ class TestCollapseTable:
         for module in (gwsim.systems, gwsim.scenario):
             monkeypatch.setattr(module, "initial_scenario_state", refuse)
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
-        assert probabilities.tolist() == [1 / 64] * 64
+        assert probabilities == (1 / 64,) * 64
 
     def test_a_rest_outcome_above_the_floor_raises(self, monkeypatch):
         # An outsider whose ±1 plane misses the recorded states (here spanned
@@ -1064,7 +1071,7 @@ class TestCollapseTable:
         # its rest outcome.
         def misplaced_sum(self, site, sign):
             device = self.unitary(site).matrix
-            return device[:, 2] + sign * device[:, 3]
+            return (device[:, 2] + sign * device[:, 3]).tolist()
 
         monkeypatch.setattr(MeasurementModel, "recorded_sum", misplaced_sum)
         with pytest.raises(ValueError, match="only ±1 outcomes"):
@@ -1078,7 +1085,8 @@ class TestCollapseTable:
             gwsim.models, "_outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
         )
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
-        x_plus = (OUTCOME_SIGNS[:, 3:] == 1).all(axis=1)
+        probabilities = np.asarray(probabilities)
+        x_plus = (SIGNS[:, 3:] == 1).all(axis=1)
         assert probabilities[x_plus].tolist() == [1 / 8] * 8
         assert not probabilities[~x_plus].any() and pruned == 0.0
 
@@ -1096,9 +1104,10 @@ class TestCollapseTable:
             gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
         )
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
+        probabilities = np.asarray(probabilities)
         table = [[sum(_door_weights(q)) for q in row] for row in parts]
         assert table == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]
-        z = (OUTCOME_SIGNS[:, :3] == sign).all(axis=1)
+        z = (SIGNS[:, :3] == sign).all(axis=1)
         assert probabilities[z].tolist() == [1 / 8] * 8
         assert not probabilities[~z].any() and pruned == 0.0
 
@@ -1114,7 +1123,8 @@ class TestCollapseTable:
             gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
         )
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
-        downs = (OUTCOME_SIGNS[:, :3] == -1).sum(axis=1)
+        probabilities = np.asarray(probabilities)
+        downs = (SIGNS[:, :3] == -1).sum(axis=1)
         assert np.all(probabilities[downs <= 1] > SAMPLE_FLOOR)
         assert not probabilities[downs >= 2].any()
         assert pruned == pytest.approx(3 * t**2 * (1 - t) + t**3, rel=1e-9)
@@ -1166,7 +1176,7 @@ class TestErasureTable:
         haar = _build_model({"model": {"kind": "random", "seed": 5}})
         for name in ("kron", "stack", "vdot", "abs", "flatnonzero", "outer"):
             monkeypatch.setattr(np, name, refuse)
-        monkeypatch.setattr(gwsim.scenario, "_site_gram", refuse)
+        monkeypatch.setattr(gwsim.scenario, "_site_factor", refuse)
         monkeypatch.setattr(gwsim.models, "apply_local", counted)
         assert gwsim.cli.main(["erasure", "--trials", "200", *skip]) == 0
         assert '"passed": true' in capsys.readouterr().out
@@ -1175,7 +1185,7 @@ class TestErasureTable:
         assert '"passed": true' in capsys.readouterr().out
         for model in (IDEAL, haar):
             probabilities, _ = sequential_collapse_distribution(model)
-            assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+            assert sum(probabilities) == pytest.approx(1.0, abs=1e-12)
             table = distinguishability_report(model)["distributions"]
             assert table["pair_x"]["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-12)
 
@@ -1275,7 +1285,8 @@ class TestRoundBornPrunedWeight:
             _, pruned = round_born_distribution(preferred_rounds(IDEAL, name))
             assert pruned == 0.0 and math.copysign(1.0, pruned) == 1.0
 
-    @pytest.mark.parametrize("spec", ["random:5", "random:11"])
+    # Devices whose pass leaves some impossible tuple a rounding weight above 0.
+    @pytest.mark.parametrize("spec", ["random:4", "random:11"])
     def test_pruned_weight_is_the_dropped_weight(self, spec):
         seed = int(spec.split(":")[1])
         model = _build_model({"model": {"kind": "random", "seed": seed}})
@@ -1283,7 +1294,7 @@ class TestRoundBornPrunedWeight:
         for name in FRAME_NAMES:
             rounds = preferred_rounds(model, name)
             _, pruned = round_born_distribution(rounds)
-            dropped = sum(float(r.weights[~r.possible].sum()) for r in rounds)
+            dropped = sum(w for r in rounds for w, p in zip(r.weights, r.possible) if not p)
             assert pruned == pytest.approx(dropped, rel=1e-9, abs=0.0)
             drops.append(dropped)
         assert max(drops) > 0.0, "no frame drops a weight, so the check compares 0 with 0"
@@ -1295,10 +1306,10 @@ class TestRoundBornPrunedWeight:
         clean = 0
         for name in FRAME_NAMES:
             rounds = preferred_rounds(model, name)
-            if any(r.weights[~r.possible].any() for r in rounds):
+            if any(w for r in rounds for w, p in zip(r.weights, r.possible) if not p):
                 continue
             clean += 1
             _, pruned = round_born_distribution(rounds)
             assert pruned == 0.0
-            assert math.prod(float(r.weights[r.possible].sum()) for r in rounds) != 1.0
+            assert math.prod(sum(itertools.compress(r.weights, r.possible)) for r in rounds) != 1.0
         assert clean

@@ -26,8 +26,7 @@ from gwsim.scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
     ParityConstraint,
-    RoundTable,
-    _shared_parity,
+    OUTCOME_SIGNS,
     analyze_stack,
     build_schedule,
     collect_constraints,
@@ -234,31 +233,43 @@ class TestRoundTables:
     def test_friends_round_has_full_support_and_no_constraint(self, ideal_tables):
         table = ideal_tables["sigma"][0]
         assert table.product == 0
-        assert table.possible.sum() == 8
+        assert table.possible == (True,) * 8
         np.testing.assert_allclose(table.weights, 0.125, atol=1e-10)
 
     def test_outsiders_round_yields_odd_parity(self, ideal_tables):
         table = ideal_tables["sigma"][1]
         assert table.constraint() == ParityConstraint(("x_A", "x_B", "x_C"), -1)
         assert possible_labels(table) == {(+1, +1, -1), (+1, -1, +1), (-1, +1, +1), (-1, -1, -1)}
-        np.testing.assert_allclose(table.weights[table.possible], 0.25, atol=1e-10)
+        probabilities = list(itertools.compress(table.weights, table.possible))
+        np.testing.assert_allclose(probabilities, 0.25, atol=1e-10)
 
     def test_mixed_round_yields_even_parity(self, ideal_tables):
         table = ideal_tables["sigma_p"][1]
         assert table.constraint() == ParityConstraint(("x_A", "z_B", "z_C"), +1)
         assert possible_labels(table) == {(+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1)}
 
-    def test_products_need_one_parity_shared_by_the_possible_tuples(self):
-        labels = ((+1, -1, -1), (-1, +1, +1), (+1, +1, +1))
-        weights = np.array([[0.5, 0, 0.5], [0, 1.0, 0], [0.5, 0.5, 0], [1e-10, 1.0, 0]])
-        possible = weights > SUPPORT_EPS
-        products = _shared_parity(possible, np.prod(labels, axis=1), axis=1)
-        assert products.tolist() == [+1, -1, 0, -1]
-        tables = [RoundTable("sigma", (), labels, w, p) for w, p in zip(weights, products.tolist())]
-        assert [t.possible.tolist() for t in tables] == possible.tolist()
-        # Parity 0 marks an entry that is no tuple (a spectator's second
-        # label in the pass): however heavy, it takes no side.
-        assert _shared_parity(possible, np.array([1, 0, 1]), axis=1).tolist() == [1, 0, 1, 0]
+    def test_products_need_one_parity_shared_by_the_possible_tuples(self, schedule, monkeypatch):
+        # A one-event round whose outcome weights are set through the site
+        # factors: c_0 c̄_0 = 1/16 times 16·w times the spectators' 1 is w.
+        cases = [(0.5, 0.5), (1.0, 0.0), (0.0, 1.0), (1e-10, 1.0), (0.0, 0.0), (2.0, 1e-9)]
+        weights = iter(cases)
+
+        def factor(vectors, ev, model):
+            if ev is None:
+                return ((1.0, 0.0, 0.0, 0.0),)
+            return tuple((16.0 * w, 0.0, 0.0, 0.0) for w in next(weights))
+
+        monkeypatch.setattr(gwsim.scenario, "_site_factor", factor)
+        rounds = [(event(schedule, "friend_A"),)]
+        tables = [analyze_stack(IDEAL, {"sigma": rounds})[0] for _ in cases]
+        assert [t.weights for t in tables] == cases
+        assert [t.possible for t in tables] == [
+            (True, True), (True, False), (False, True), (False, True), (False, False), (True, False)
+        ]
+        assert [t.product for t in tables] == [0, +1, -1, -1, 0, +1]
+        assert [t.constraint() for t in tables[1:3]] == [
+            ParityConstraint(("z_A",), sign) for sign in (+1, -1)
+        ]
 
     def test_constraints_read_the_product_field(self, schedule, ideal_tables, monkeypatch):
         table = ideal_tables["sigma"][1]
@@ -376,7 +387,7 @@ def assert_matches_the_dense_oracle(table, replayed, model):
     assert list(itertools.compress(table.labels, table.possible)) == [e.labels for e in entries]
     assert table.product == (constraint.required_product if constraint else 0)
     assert constraint is None or constraint.slots == round_slots(table.events)
-    assert table.weights.min() >= 0.0
+    assert min(table.weights) >= 0.0
     dense = dense_weights(replayed, table.events, model)
     np.testing.assert_allclose(table.weights, dense, rtol=0, atol=1e-14)
 
@@ -393,44 +404,44 @@ class TestAnalyze:
             mine = [t for t in tables if t.frame == name]
             assert [t.events for t in mine] == orderings[name]
             for k, table in enumerate(mine, start=1):
-                assert table.weights.shape == (len(table.labels),)
+                assert isinstance(table.weights, tuple) and len(table.weights) == len(table.labels)
                 assert isinstance(table.product, int)
                 replayed = evolve_to(schedule, frame, k, model)
                 assert_matches_the_dense_oracle(table, replayed, model)
 
-    def test_matches_the_round_by_round_oracle_bit_for_bit(self, schedule, spec):
+    def test_matches_the_array_oracle(self, schedule, spec):
         model = ANALYSIS_MODELS[spec]()
         orderings = standard_orderings(schedule)
-        assert_matches_the_round_by_round_oracle(model, orderings)
+        assert_matches_the_array_oracle(model, orderings, exact=spec == "ideal")
 
     def test_each_site_factor_is_built_once(self, schedule, spec, monkeypatch):
         model = ANALYSIS_MODELS[spec]()
-        built, site_gram = [], gwsim.scenario._site_gram
+        built, site_factor = [], gwsim.scenario._site_factor
         applied, apply = [], gwsim.scenario.apply_local
 
-        def counting(vectors, operators, scale=1.0):
-            gram = site_gram(vectors, operators, scale)
-            built.append((scale, gram.shape))
-            return gram
+        def counting(vectors, ev, model):
+            factor = site_factor(vectors, ev, model)
+            built.append((ev and ev.kind, len(factor)))
+            assert all(len(entries) == 4 for entries in factor)
+            return factor
 
         def counting_apply(op, targets, state):
             applied.append(op)
             return apply(op, targets, state)
 
-        monkeypatch.setattr(gwsim.scenario, "_site_gram", counting)
+        monkeypatch.setattr(gwsim.scenario, "_site_factor", counting)
         monkeypatch.setattr(gwsim.scenario, "apply_local", counting_apply)
         tables = analyze_stack(model, standard_orderings(schedule))
         assert len(tables) == 11
         # Before its device runs, a site (a spectator, or its friend) reads the
         # pair vectors every site shares: two factors for the whole pass.
-        # After it (a spectator, or its outsider, whose Gram carries the
-        # scale 1/2), one per device: 4 factors for the ideal device shared
-        # by all three sites, 8 for three devices.
+        # After it (a spectator, or its outsider), one per device: 4 factors
+        # for the ideal device shared by all three sites, 8 for three devices.
+        # A spectator's factor has one entry, an event's one per outcome.
         devices = len({id(u) for u in model.site_unitaries})
         assert (spec == "ideal") == (devices == 1)
         assert sorted(built, key=str) == sorted(
-            [(1.0, (4, 1)), (1.0, (4, 2))] + [(1.0, (4, 1)), (0.5, (4, 2))] * devices,
-            key=str,
+            [(None, 1), ("friend_z", 2)] + [(None, 1), ("outsider_x", 2)] * devices, key=str
         )
         # The device runs once, on the stack of both product terms, whichever
         # sites share it.
@@ -459,21 +470,26 @@ def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     assert len(read) == 2 * (1 + 3)
 
 
-def assert_matches_the_round_by_round_oracle(model, orderings):
-    """One product over all rounds, spectators broadcast and indexed out,
-    gives every weight the same operations in the same order as one product
-    per round; the parity follows the per-round rule."""
+def assert_matches_the_array_oracle(model, orderings, exact: bool):
+    """The scalar pass against the numpy array formulation it replaced: the
+    same possible tuples and products, and weights within 1e-15, as the two
+    sum in different orders; bit for bit where ``exact`` (the ideal
+    device's dyadic fractions)."""
     tables = analyze_stack(model, orderings)
     oracle = round_by_round_tables(model, orderings)
     assert len(tables) == len(oracle) == sum(len(rounds) for rounds in orderings.values())
     for table, (weights, product) in zip(tables, oracle):
-        assert table.weights.shape == weights.shape
-        assert np.array_equal(table.weights, weights)
+        assert isinstance(table.weights, tuple) and len(table.weights) == len(weights)
+        assert table.possible == tuple((weights > SUPPORT_EPS).tolist())
         assert table.product == product
+        if exact:
+            assert table.weights == tuple(weights.tolist())
+        else:
+            assert np.abs(np.asarray(table.weights) - weights).max() <= 1e-15
 
 
 @pytest.mark.parametrize("spec", ["ideal", "random:3", "haar-sweep"])
-def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
+def test_the_scalar_pass_matches_the_array_oracle(spec):
     orderings = standard_orderings(build_schedule(10.0, 1.0))
     if spec == "haar-sweep":
         # A sample of the sweep's own devices, each in its own pass.
@@ -481,7 +497,15 @@ def test_the_stacked_pass_matches_the_round_by_round_oracle_bit_for_bit(spec):
     else:
         models = [_build_model({"model": {"kind": spec[:6], "seed": int(spec[7:] or 0)}})]
     for model in models:
-        assert_matches_the_round_by_round_oracle(model, orderings)
+        assert_matches_the_array_oracle(model, orderings, exact=spec == "ideal")
+
+
+def test_the_scalar_pass_matches_the_array_oracle_over_200_random_devices():
+    # The devices of --model random:0 to random:199, each in its own pass.
+    orderings = standard_orderings(build_schedule(10.0, 1.0))
+    for seed in range(200):
+        model = _build_model({"model": {"kind": "random", "seed": seed}})
+        assert_matches_the_array_oracle(model, orderings, exact=False)
 
 
 def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
@@ -544,12 +568,12 @@ class TestManyDevices:
         ideal = analyze_stack(ideal_von_neumann(), orderings)
         for index in range(1, 2001, 50):
             for table, exact in zip(analyze_stack(sweep_model(index, 3), orderings), ideal):
-                assert table.weights.min() >= 0.0
-                possible = table.possible
-                assert np.where(possible, 0.0, table.weights).max() < 1e-12
-                assert np.where(possible, table.weights, 1.0).min() >= 0.1
-                assert abs(1.0 - table.weights.sum()) < 1e-12
-                assert np.abs(table.weights - exact.weights).max() < 1e-14
+                weights, possible = np.asarray(table.weights), np.asarray(table.possible)
+                assert weights.min() >= 0.0
+                assert np.where(possible, 0.0, weights).max() < 1e-12
+                assert np.where(possible, weights, 1.0).min() >= 0.1
+                assert abs(1.0 - weights.sum()) < 1e-12
+                assert np.abs(weights - exact.weights).max() < 1e-14
                 assert table.product == exact.product
 
 
@@ -564,7 +588,7 @@ def test_weights_of_the_ideal_device_are_exact_dyadic_fractions(ideal_tables):
         "sigma_ppp": [{0.5}, {0.0, 0.25}, {0.25}],
     }
     assert {
-        name: [set(table.weights.tolist()) for table in tables]
+        name: [set(table.weights) for table in tables]
         for name, tables in ideal_tables.items()
     } == expected
 
@@ -613,8 +637,8 @@ def test_random_subluminal_frames_yield_no_new_constraint(schedule):
 class TestEnumerateAssignments:
     def test_no_constraints_leaves_all_64(self):
         rows = enumerate_assignments([])
-        assert len(rows) == 64
-        assert rows.shape == (64, len(CANONICAL_SLOTS)) and rows.dtype == np.int8
+        assert len(rows) == 64 and rows == OUTCOME_SIGNS
+        assert all(type(v) is int for signs in rows for v in signs)
 
     def test_matches_the_exhaustive_loop(self, schedule):
         canonical = list(collect_constraints(schedule, IDEAL)[1])
@@ -634,12 +658,11 @@ class TestEnumerateAssignments:
                     for c in constraints
                 )
             ]
-            expected = np.array(expected, dtype=np.int8).reshape(-1, len(CANONICAL_SLOTS))
-            assert np.array_equal(enumerate_assignments(constraints), expected)
+            assert enumerate_assignments(constraints) == tuple(expected)
 
     def test_full_quartet_is_unsatisfiable(self, schedule):
         constraints = list(collect_constraints(schedule, IDEAL)[1])
-        assert enumerate_assignments(constraints).shape == (0, len(CANONICAL_SLOTS))
+        assert enumerate_assignments(constraints) == ()
 
     def test_dropping_any_one_constraint_leaves_eight(self, schedule):
         constraints = list(collect_constraints(schedule, IDEAL)[1])
