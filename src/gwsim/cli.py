@@ -33,14 +33,14 @@ from .models import (
 )
 from .qmath import Operator
 from .scenario import (
-    CANONICAL_SLOTS,
     FRAME_NAMES,
-    OUTCOME_SIGNS,
+    ParityConstraint,
     build_schedule,
     checked_schedule,
     collect_constraints,
     enumerate_assignments,
     order_events,
+    violation_mask,
 )
 from .spacetime import GEOMETRY_TOL, standard_geometry
 
@@ -419,8 +419,7 @@ def cmd_run(config: dict) -> dict:
                 ),
             ]
         else:
-            outsider = [CANONICAL_SLOTS.index(slot) for slot in ("x_A", "x_B", "x_C")]
-            minus = [math.prod(signs[j] for j in outsider) == -1 for signs in OUTCOME_SIGNS]
+            (minus,) = zip(*violation_mask([ParityConstraint(("x_A", "x_B", "x_C"), +1)]))
             rate = sum(itertools.compress(report.counts, minus)) / trials
             exact = sum(itertools.compress(report.probabilities, minus), 0.0)
             results["run"]["outsider_product_minus_one_rate"] = rate

@@ -16,11 +16,11 @@ per assignment.
   is paid elsewhere: each constraint belonging to another frame is violated
   with probability 1/2.
 * ``sequential_collapse`` — textbook projective collapse applied event by
-  event; each outcome's weight is the friends' z table of the initial
-  state's two product terms times each site's outsider table, read off its
-  device's recorded columns, and is the same in every frame. Collapse after
-  the friends' round destroys the three-way coherence, so even the preferred
-  frame's outsider parity fails with probability 1/2.
+  event; each outcome's weight is the friends' z table (``born_weights`` on
+  the initial state's two product terms) times each site's outsider table,
+  read off its device's recorded columns, the same in every frame. Collapse
+  after the friends' round destroys the three-way coherence, so even the
+  preferred frame's outsider parity fails with probability 1/2.
 
 A distribution is a 64-entry tuple of Python floats indexed in
 ``CANONICAL_SLOTS`` bit order (row *i* of ``OUTCOME_SIGNS``), and the
@@ -72,6 +72,7 @@ from .scenario import (
     ParityConstraint,
     RoundTable,
     Schedule,
+    born_weights,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -416,20 +417,17 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[tuple[flo
     Site outcome (z, x) applies K = Q_x U P_z to the site's pair: the friend's
     z projector, the device, then the outsider's projector. Each pair of the
     initial product form Σ_k c_k v_k^⊗3 starts ready, so K v_k is
-    v_k[ready, z]·Q_x R_z for the recorded state R_z, and an outcome weighs the
-    friends' table |Σ_k c_k Π_site v_k[ready, z_site]|² times Π_site ‖Q_x R_z‖²,
+    v_k[ready, z]·Q_x R_z for the recorded state R_z (v_k[ready, z] is entry z
+    of v_k), and an outcome weighs the friends' table, ``born_weights`` of the
+    z factor v_k[ready, z]·v̄_j[ready, z] at every site, times Π_site ‖Q_x R_z‖²,
     each site's table read off its device's recorded columns (``_outsider_parts``)
     once per distinct ``Operator``. Operators at different sites commute and each
     site's friend event precedes its outsider event in every frame, so the
     table does not depend on the preferred frame. ``_signed_outcomes`` prunes it.
     """
     coefficients, pair = initial_product_terms()
-    # Each term's coefficient c_k and ready entries v_k[ready, ±1], its first two.
-    ready = [(c, v[:2]) for c, v in zip(coefficients.tolist(), pair.tolist())]
-    friends = {}  # (z_A, z_B, z_C) as indices (0 for +1) -> the friends' weight
-    for zs in itertools.product(range(2), repeat=3):
-        amplitude = sum(c * math.prod(v[z] for z in zs) for c, v in ready)
-        friends[zs] = amplitude.real * amplitude.real + amplitude.imag * amplitude.imag
+    friend = tuple(tuple(vk[z] * vj[z].conjugate() for vk in pair for vj in pair) for z in range(2))
+    friends = born_weights(coefficients, [friend] * 3)  # indexed 4·z_A + 2·z_B + z_C
     sites = {}  # id(device) -> its (z, ‖Q_x R_z‖²) pairs, z-major, x in (+1, −1, 0) order
     for site, device in zip(SITES, model.site_unitaries):
         if id(device) not in sites:
@@ -440,7 +438,7 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[tuple[flo
             ]
     # Row-major over (z_A, x_A, z_B, x_B, z_C, x_C).
     tables = itertools.product(*(sites[id(device)] for device in model.site_unitaries))
-    weights = [friends[za, zb, zc] * a * b * c for (za, a), (zb, b), (zc, c) in tables]
+    weights = [friends[4 * za + 2 * zb + zc] * a * b * c for (za, a), (zb, b), (zc, c) in tables]
     kept, light = _signed_outcomes(weights, (2, 3) * 3)
     order = _slot_order(["z_A", "x_A", "z_B", "x_B", "z_C", "x_C"])
     return tuple(kept[i] for i in order), sum(light, 0.0)

@@ -291,6 +291,18 @@ def _site_factor(vectors, ev: MeasurementEvent | None, model) -> tuple[tuple[com
     )
 
 
+def born_weights(coefficients, site_factors) -> tuple[float, ...]:
+    """Per joint outcome of three sites, row-major, Re Σ_kj c_k c̄_j a_kj·b_kj·c_kj:
+    its Born weight in Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck, for each site's Gram entries
+    per outcome in ``_site_factor``'s kj = 00, 01, 10, 11 order. Rounding leaves
+    impossible outcomes about ±1e-17, so weights are clamped at 0."""
+    terms = [ck * cj.conjugate() for ck in coefficients for cj in coefficients]  # c_k c̄_j
+    return tuple(
+        max(sum((t * x * y * z).real for t, x, y, z in zip(terms, a, b, c)), 0.0)
+        for a, b, c in itertools.product(*site_factors)
+    )
+
+
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     """Every round of every frame for one device model, in one pass.
 
@@ -300,28 +312,23 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     The pre-round state is Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (``initial_product_terms``),
     where a site's v_k has its device applied iff its friend's event fell in
     an earlier round, as ``evolve_to`` replays it (by ``apply_local`` on the
-    6-dim pair). A tuple's Born weight is then Re Σ_{k,j} c_k c̄_j a·b·c, for
-    the 2×2 Gram factors a, b, c of the three sites (``_site_factor``), each
-    a form in the Gram R†R of the device's Ready columns
-    (``models.nonideal_sweep``). Everything after the device runs is Python
-    numbers: the ideal device's are exact dyadic fractions. Each factor is
-    built once per pass, when a round first needs it, and device-dependent
-    work is done once per distinct device, keyed by its ``Operator``'s
-    identity: its U v_k, and the factor of a site that has run it or whose
-    outsider measures. A site whose device has not run reads only the shared
-    v_k, so that factor serves every site. Rounding leaves impossible tuples
-    about ±1e-17, so weights are clamped at 0.
+    6-dim pair). A round's weights are ``born_weights`` of the 2×2 Gram
+    factors of the three sites (``_site_factor``), each a form in the Gram
+    R†R of the device's Ready columns (``models.nonideal_sweep``). Everything
+    after the device runs is Python numbers: the ideal device's are exact
+    dyadic fractions. Each factor is built once per pass, when a round first
+    needs it, and device-dependent work is done once per distinct device,
+    keyed by its ``Operator``'s identity: its U v_k, and the factor of a site
+    that has run it or whose outsider measures. A site whose device has not
+    run reads only the shared v_k, so that factor serves every site.
     """
     coefficients, pair = initial_product_terms()
-    coefficients = coefficients.tolist()
-    terms = [ck * cj.conjugate() for ck in coefficients for cj in coefficients]  # c_k c̄_j
     recorded_terms = {}  # id(device) -> U v_k for each term k
     for site, targets in SITE_FACTORS.items():
         device = model.unitary(site)
         if id(device) not in recorded_terms:
             terms_state = StateVector(layout(*targets), pair)  # a stack: one row per term
             recorded_terms[id(device)] = apply_local(device, targets, terms_state).amplitudes.tolist()
-    pair = pair.tolist()
     factors: dict[tuple, tuple] = {}
     tables = []
     for key, frame_rounds in orderings.items():
@@ -337,10 +344,7 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                     vectors = recorded_terms[device] if site in recorded else pair
                     factors[index] = _site_factor(vectors, ev, model)
                 round_factors.append(factors[index])
-            weights = tuple(
-                max(sum((t * x * y * z).real for t, x, y, z in zip(terms, a, b, c)), 0.0)
-                for a, b, c in itertools.product(*round_factors)
-            )
+            weights = born_weights(coefficients, round_factors)
             labels = tuple(itertools.product((+1, -1), repeat=len(rnd)))
             parities = {math.prod(tup) for tup, w in zip(labels, weights) if w > SUPPORT_EPS}
             product = parities.pop() if len(parities) == 1 else 0

@@ -110,20 +110,19 @@ def initial_scenario_state() -> StateVector:
     return permute_factors(tensor(labs, ghz_state()), CANONICAL_LAYOUT.names)
 
 
-def initial_product_terms() -> tuple[np.ndarray, np.ndarray]:
+def initial_product_terms() -> tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]:
     """The initial scenario state as a sum of two product states, exactly.
 
-    Returns the coefficients c (2,) and pair vectors v (2, 6), row-major over
-    (lab register, electron), with ``initial_scenario_state()`` equal to
-    Σ_k c_k v_k ⊗ v_k ⊗ v_k: every lab is ready, and every electron is
-    √2·|+1_y> = (1, −i) in term 0 and √2·|-1_y> = (1, i) in term 1. The four
-    factors √½ of ``ghz_state`` fold into c = (1/4, −i/4), so every entry is
-    exact in binary floating point.
+    Returns the coefficients c_k and the pair vectors v_k, six entries each,
+    row-major over (lab register, electron), as tuples of Python complex
+    numbers, with ``initial_scenario_state()`` equal to Σ_k c_k v_k ⊗ v_k ⊗ v_k:
+    every lab is ready, and every electron is √2·|+1_y> = (1, −i) in term 0
+    and √2·|-1_y> = (1, i) in term 1. The four factors √½ of ``ghz_state``
+    fold into c = (1/4, −i/4), so every entry is exact in binary floating point.
     """
-    vectors = np.zeros((2, 6), dtype=complex)  # row-major: entries 0, 1 are ready ⊗ |±1_z>
-    vectors[:, 0] = 1.0
-    vectors.imag[:, 1] = (-1.0, 1.0)
-    return np.array([0.25, -0.25j]), vectors
+    # Entries 0, 1 are ready ⊗ |±1_z>; complex(0.0, −1.0), unlike −1j, has a +0 real part.
+    vectors = tuple((1 + 0j, complex(0.0, sign), 0j, 0j, 0j, 0j) for sign in (-1.0, 1.0))
+    return (0.25 + 0j, -0.25j), vectors
 
 
 class SupportEntry(NamedTuple):

@@ -427,7 +427,7 @@ def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, int]]:
     outcome product, from numpy arrays: each site's Gram factor per round
     (``site_gram``), one broadcast product per round, and the parity rule
     over the possible tuples' label products."""
-    coefficients, pair = initial_product_terms()
+    coefficients, pair = map(np.asarray, initial_product_terms())
     terms = np.outer(coefficients, coefficients.conj()).reshape(4, 1, 1, 1)
     recorded_terms = {}
     for site, targets in SITE_FACTORS.items():

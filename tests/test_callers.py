@@ -1,5 +1,5 @@
-"""Every public function, class, method and constant in ``src/gwsim`` has a
-use in ``src``.
+"""Every public function, class, method and constant, and every module-level
+private function, in ``src/gwsim`` has a use in ``src``.
 
 Code whose only callers are tests is reachable from no ``gwsim`` command.
 The scan is syntactic: a name counts as used where a ``Name`` or
@@ -47,6 +47,13 @@ def _public_definitions(modules):
     for module, tree in modules.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                yield f"{module}.{node.name}", node.name, node
+
+
+def _private_functions(modules):
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
                 yield f"{module}.{node.name}", node.name, node
 
 
@@ -131,6 +138,27 @@ def test_the_method_scan_sees_public_methods_and_properties():
     found = [q for q, _, _ in _public_methods(modules)]
     assert found == ["m.K.used", "m.K.shown", "m.K.unread"]
     assert _unused(modules, _public_methods(modules)) == ["m.K.unread"]
+
+
+def test_every_private_function_has_a_caller_in_src():
+    # A helper whose last caller went is dead code, public or not.
+    modules = _modules()
+    assert _unused(modules, _private_functions(modules)) == []
+
+
+def test_the_private_scan_sees_module_level_private_functions():
+    source = (
+        "def _used(): return _helper()\n"
+        "def _helper(): return 1\n"
+        "def _left(): return _left()\n"
+        "def public(): return _used()\n"
+        "class _K:\n"
+        "    def _method(self): pass\n"
+    )
+    modules = {"m": ast.parse(source)}
+    found = [q for q, _, _ in _private_functions(modules)]
+    assert found == ["m._used", "m._helper", "m._left"]
+    assert _unused(modules, _private_functions(modules)) == ["m._left"]
 
 
 def test_every_public_constant_has_a_reader_in_src():

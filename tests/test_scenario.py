@@ -6,7 +6,7 @@ import pytest
 
 import gwsim.models
 import gwsim.scenario
-from _oracles import dense_weights, round_by_round_tables
+from _oracles import dense_weights, random_state, round_by_round_tables
 from test_models import sweep_model
 from gwsim.cli import _build_model
 from gwsim.measurement import (
@@ -28,6 +28,7 @@ from gwsim.scenario import (
     ParityConstraint,
     OUTCOME_SIGNS,
     analyze_stack,
+    born_weights,
     build_schedule,
     collect_constraints,
     enumerate_assignments,
@@ -38,7 +39,13 @@ from gwsim.scenario import (
 )
 from gwsim.qmath import Operator, apply_local
 from gwsim.spacetime import Frame
-from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, initial_scenario_state
+from gwsim.systems import (
+    SITE_FACTORS,
+    SUPPORT_EPS,
+    LabLabel,
+    initial_scenario_state,
+    lab_vector,
+)
 
 
 IDEAL = ideal_von_neumann()
@@ -530,6 +537,56 @@ def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
     assert {(c.slots, c.required_product) for c in found} == (
         CANONICAL_CONSTRAINT_KEYS
     )
+
+
+class TestBornWeights:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_an_einsum_reference(self, seed):
+        # Three sites with 1, 2 and 6 outcomes, each outcome's Gram entries
+        # ⟨u_j|u_k⟩ of random vectors; the site's vectors carry unit weight.
+        rng = np.random.default_rng(seed)
+        coefficients = random_state(2, rng)
+        grams = []
+        for outcomes in (1, 2, 6):
+            u = rng.normal(size=(outcomes, 2, 4)) + 1j * rng.normal(size=(outcomes, 2, 4))
+            u /= np.sqrt((np.abs(u) ** 2).sum(axis=(0, 2)))[:, None]
+            grams.append(np.einsum("lkd,ljd->lkj", u, u.conj()))
+        rho = np.outer(coefficients, coefficients.conj())
+        expected = np.einsum("kj,akj,bkj,ckj->abc", rho, *grams).real.reshape(-1)
+        factors = [g.reshape(len(g), 4).tolist() for g in grams]
+        weights = born_weights(coefficients.tolist(), factors)
+        assert len(weights) == 12 and all(type(w) is float for w in weights)
+        assert np.abs(np.array(weights) - np.maximum(expected, 0.0)).max() <= 1e-15
+
+    @pytest.mark.parametrize("negative", [-1e-17, -1.0])
+    def test_a_negative_sum_is_clamped_to_positive_zero(self, negative):
+        one = [(1 + 0j,) * 4]
+        (weight,) = born_weights((1 + 0j, 0j), [[(complex(negative), 0j, 0j, 0j)], one, one])
+        assert weight == 0.0 and math.copysign(1.0, weight) == 1.0
+
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_the_collapse_friends_table_is_the_friends_round(self, schedule, monkeypatch, seed):
+        # With every record left on the outsider's +1 outcome, the collapse's
+        # x = +1 block is its friends' table alone, and so equals the weights
+        # of sigma's friends' round bit for bit: both are ``born_weights`` of
+        # the same terms. ``seed`` draws a two-term state off the GHZ form.
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            ready = lab_vector(LabLabel.READY)
+            pair = tuple(np.kron(ready, random_state(2, rng)).tolist() for _ in range(2))
+            terms = (tuple(random_state(2, rng).tolist()), pair)
+            for module in (gwsim.models, gwsim.scenario):
+                monkeypatch.setattr(module, "initial_product_terms", lambda: terms)
+        monkeypatch.setattr(
+            gwsim.models, "_outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
+        )
+        probabilities, _ = sequential_collapse_distribution(IDEAL)
+        rounds = order_events(schedule, schedule.frames["sigma"])
+        friends_round = analyze_stack(IDEAL, {"sigma": rounds})[0]
+        assert round_slots(friends_round.events) == ("z_A", "z_B", "z_C")
+        assert probabilities[::8] == friends_round.weights
+        spread = max(friends_round.weights) - min(friends_round.weights)
+        assert spread == 0.0 if seed is None else spread > 1e-3
 
 
 def device_models(n):

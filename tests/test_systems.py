@@ -175,9 +175,14 @@ def test_product_terms_sum_to_the_initial_state():
 
 
 def test_product_terms_are_exact_in_binary_floating_point():
+    # Python complex numbers; each repr pins every zero's sign as well.
     coefficients, vectors = initial_product_terms()
-    assert coefficients.tolist() == [0.25, -0.25j]
-    assert vectors.tolist() == [[1, -1j, 0, 0, 0, 0], [1, 1j, 0, 0, 0, 0]]
+    assert all(type(x) is complex for x in (*coefficients, *vectors[0], *vectors[1]))
+    assert list(map(repr, coefficients)) == ["(0.25+0j)", "(-0-0.25j)"]
+    assert [list(map(repr, v)) for v in vectors] == [
+        ["(1+0j)", "-1j", "0j", "0j", "0j", "0j"],
+        ["(1+0j)", "1j", "0j", "0j", "0j", "0j"],
+    ]
 
 
 def test_weights_leave_out_what_lies_outside_the_labeled_subspace():
