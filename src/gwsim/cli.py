@@ -345,7 +345,7 @@ def cmd_run(config: dict) -> dict:
     preferred = InterpretationModel(mode, preferred_name)
     report = run_model(build_schedule(side, tau), model, preferred, trials, seed)
     constraints = report.constraints
-    satisfying = sum(not any(row) for row in report.violation_mask)
+    satisfying = len(report.violation_mask) - sum(map(any, report.violation_mask))
 
     checks = [
         _check("constraint_count", len(constraints) == 4, f"collected {len(constraints)} constraints"),

@@ -165,6 +165,12 @@ def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
     return hi
 
 
+def _philox_round_keys(key) -> list:
+    """Philox4x64-10's round keys (k0 + r·s0, k1 + r·s1) mod 2⁶⁴, r < 10, of two ints or arrays."""
+    (k0, k1), (s0, s1) = key, PHILOX_KEY_STEPS
+    return [(k0 + (r * s0 & MASK64) & MASK64, k1 + (r * s1 & MASK64) & MASK64) for r in range(10)]
+
+
 def _philox_words(key, counters: np.ndarray) -> np.ndarray:
     """Philox4x64-10's output words for the counters (c, 0, 0, 0), c in
     ``counters`` (uint64), shape counters.shape + (4,). The key is two ints,
@@ -174,16 +180,14 @@ def _philox_words(key, counters: np.ndarray) -> np.ndarray:
     two skip what is still zero or a key word: round one's x1 = x2 = x3 = 0,
     so hi(M1·x2) = lo(M1·x2) = 0, and round two's x0 is the key word k0.
     """
-    (m0, m1), (k0, k1), (s0, s1) = PHILOX_MULTIPLIERS, key, PHILOX_KEY_STEPS
+    (m0, m1), ((k0, k1), (j0, j1), *later) = PHILOX_MULTIPLIERS, _philox_round_keys(key)
     # (x0, x1, x2, x3) → (hi(M1·x2) ⊕ x1 ⊕ k0, lo(M1·x2), hi(M0·x0) ⊕ x3 ⊕ k1, lo(M0·x0))
     x0, x2, x3 = k0, _mulhi(counters, m0) ^ k1, counters * m0  # round one; x1 = 0
-    k0, k1 = (k0 + s0) & MASK64, (k1 + s1) & MASK64
     y0 = _mulhi(x2, m1)  # round two
-    y0 ^= k0
+    y0 ^= j0
     x2 *= m1
-    x0, x1, x2, x3 = y0, x2, x3 ^ (_mulhi(x0, m0) ^ k1), x0 * m0 & MASK64
-    k0, k1 = (k0 + s0) & MASK64, (k1 + s1) & MASK64
-    for _ in range(8):
+    x0, x1, x2, x3 = y0, x2, x3 ^ (_mulhi(x0, m0) ^ j1), x0 * m0 & MASK64
+    for k0, k1 in later:
         y0 = _mulhi(x2, m1)
         y0 ^= x1
         y0 ^= k0
@@ -193,7 +197,6 @@ def _philox_words(key, counters: np.ndarray) -> np.ndarray:
         x0 *= m0
         x2 *= m1
         x0, x1, x2, x3 = y0, x2, y2, x0
-        k0, k1 = (k0 + s0) & MASK64, (k1 + s1) & MASK64
     return np.stack([x0, x1, x2, x3], axis=-1)
 
 
@@ -210,21 +213,21 @@ def _philox_uniforms(key, counters: np.ndarray) -> np.ndarray:
     return uniforms
 
 
-def _philox_block(key, counter: int) -> tuple[int, int, int, int]:
-    """``_philox_words`` for the one counter (counter, 0, 0, 0), in Python ints."""
-    (m0, m1), (k0, k1), (s0, s1) = PHILOX_MULTIPLIERS, key, PHILOX_KEY_STEPS
+def _philox_block(round_keys, counter: int) -> tuple[int, int, int, int]:
+    """``_philox_words`` for the counter (counter, 0, 0, 0) under ``round_keys``, in Python ints."""
+    m0, m1 = PHILOX_MULTIPLIERS
     x0, x1, x2, x3 = counter, 0, 0, 0
-    for _ in range(10):
+    for k0, k1 in round_keys:
         p0, p2 = x0 * m0, x2 * m1
         x0, x1, x2, x3 = (p2 >> 64) ^ x1 ^ k0, p2 & MASK64, (p0 >> 64) ^ x3 ^ k1, p0 & MASK64
-        k0, k1 = (k0 + s0) & MASK64, (k1 + s1) & MASK64
     return x0, x1, x2, x3
 
 
 def _uniform_stream(key):
     """numpy's ``Generator.random`` draws under ``key``, one at a time."""
+    round_keys = _philox_round_keys(key)
     for counter in itertools.count(1):
-        for word in _philox_block(key, counter):
+        for word in _philox_block(round_keys, counter):
             yield (word >> 11) * 2.0**-53
 
 
@@ -253,7 +256,8 @@ def _binomial_btpe(uniform, n: int, p: float) -> int:
     p1 = math.floor(2.195 * math.sqrt(nrq) - 4.6 * q) + 0.5
     xm = m + 0.5
     xl, xr, c = xm - p1, xm + p1, 0.134 + 20.5 / (15.3 + m)
-    laml, lamr = (a * (1.0 + a / 2.0) for a in ((fm - xl) / (fm - xl * p), (xr - fm) / (xr * q)))
+    al, ar = (fm - xl) / (fm - xl * p), (xr - fm) / (xr * q)
+    laml, lamr = al * (1.0 + al / 2.0), ar * (1.0 + ar / 2.0)
     p2 = p1 * (1.0 + 2.0 * c)
     p3, p4 = p2 + c / laml, p2 + c / laml + c / lamr
     while True:
@@ -470,8 +474,8 @@ def run_model(
         probabilities, pruned = sequential_collapse_distribution(model)
 
     mask = violation_mask(constraints)
-    nonpreferred = [any(v for v, p in zip(row, preferred_mask) if not p) for row in mask]
     columns = list(zip(*mask))  # per constraint: each outcome's flag
+    nonpreferred = list(map(any, zip(*(c for c, p in zip(columns, preferred_mask) if not p))))
     counts = tuple(_draw(probabilities, trials, seed))
     return RunReport(
         constraints=constraints,

@@ -180,14 +180,16 @@ def permute_factors(state: StateVector, new_order) -> StateVector:
 
 def check_unitary(op: Operator) -> bool:
     """True iff every entry is finite (checked first) and each entry of U†U is
-    within UNITARY_TOL of I's, over every matrix of a stack, one by one."""
+    within UNITARY_TOL of I's, over every matrix of a stack, one by one. Only
+    entries on and above the diagonal are computed: entry (b, a) sums the exact
+    conjugates of entry (a, b)'s terms in the same order, so it is their conjugate."""
     if not all(map(cmath.isfinite, op.matrix.ravel().tolist())):
         return False
     for matrix in op.matrix.reshape(-1, op.dim, op.dim).tolist():
         columns = list(zip(*matrix))
         for a, u in enumerate(columns):
             bra = [x.conjugate() for x in u]
-            for b, v in enumerate(columns):
+            for b, v in enumerate(columns[a:], a):
                 error = sum(map(mul, bra, v)) - (a == b)  # (U†U − I)[a, b]
                 if not hypot(error.real, error.imag) < UNITARY_TOL:  # abs() raises on overflow
                     return False

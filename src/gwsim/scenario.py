@@ -27,8 +27,8 @@ satisfies: the frame-by-frame GHZ contradiction, found by brute force over
 from __future__ import annotations
 
 import itertools
-import math
 from collections import namedtuple
+from operator import mul
 from typing import NamedTuple
 
 from .measurement import SITES, MeasurementModel
@@ -42,6 +42,7 @@ from .spacetime import (
     frame_time,
     point,
     standard_geometry,
+    tilted_frame_events,
     tilted_frames,
     validate_geometry,
 )
@@ -105,8 +106,9 @@ def checked_schedule(geometry: GeometrySpec) -> tuple[list[CheckResult], Schedul
     intervals (t0,t1) and (t1,t2); only their completion order matters for
     pre-measurement states, so completion times serve as the event times.
     """
-    tilted = tilted_frames(geometry)
-    checks = validate_geometry(geometry, tilted)
+    tilted_events = tilted_frame_events(geometry)
+    tilted = tilted_frames(geometry, tilted_events)
+    checks = validate_geometry(geometry, (tilted_events, tilted))
     if not all(r.passed for r in checks):
         return checks, None
     events = []
@@ -155,11 +157,11 @@ def order_events(s: Schedule, f: Frame) -> list[tuple[MeasurementEvent, ...]]:
     for group in rounds:
         used: set[str] = set()
         for ev in group:
-            if used & set(ev.targets):
+            if not used.isdisjoint(ev.targets):
                 raise ValueError(
                     f"simultaneous events overlap on factors: {[e.id for e in group]}"
                 )
-            used |= set(ev.targets)
+            used.update(ev.targets)
         out.append(tuple(sorted(group, key=lambda e: e.id)))
     return out
 
@@ -282,25 +284,33 @@ def _site_factor(vectors, ev: MeasurementEvent | None, model) -> tuple[tuple[com
         parts = [[v[spin::2] for v in vectors] for spin in (0, 1)]
     else:
         # K_± = ⟨b_±| for b_± = √2·|±1X>; the √½ enters each Gram entry squared, as ½.
-        bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
-        parts = [[[sum(b.conjugate() * x for b, x in zip(bra, v))] for v in vectors] for bra in bras]
+        bras = [[b.conjugate() for b in model.recorded_sum(ev.site, sign)] for sign in (+1, -1)]
+        parts = [[[sum(map(mul, bra, v))] for v in vectors] for bra in bras]
         scale = 0.5
+    conjugates = [[[y.conjugate() for y in v] for v in p] for p in parts]  # each v̄_j once
     return tuple(
-        tuple(scale * sum(x * y.conjugate() for x, y in zip(vk, vj)) for vk in p for vj in p)
-        for p in parts
+        tuple(scale * sum(map(mul, vk, vj)) for vk in p for vj in bars)
+        for p, bars in zip(parts, conjugates)
     )
 
 
 def born_weights(coefficients, site_factors) -> tuple[float, ...]:
     """Per joint outcome of three sites, row-major, Re Σ_kj c_k c̄_j a_kj·b_kj·c_kj:
-    its Born weight in Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck, for each site's Gram entries
-    per outcome in ``_site_factor``'s kj = 00, 01, 10, 11 order. Rounding leaves
+    its Born weight in Σ_k c_k v_Ak ⊗ v_Bk ⊗ v_Ck (k = 0, 1), for each site's Gram
+    entries per outcome in ``_site_factor``'s kj = 00, 01, 10, 11 order. Each term
+    is ((c_k c̄_j·a)·b)·c, its partial product taken once per (a, b), and the four
+    real parts add left to right from 0.0, as ``sum`` adds them. Rounding leaves
     impossible outcomes about ±1e-17, so weights are clamped at 0."""
     terms = [ck * cj.conjugate() for ck in coefficients for cj in coefficients]  # c_k c̄_j
-    return tuple(
-        max(sum((t * x * y * z).real for t, x, y, z in zip(terms, a, b, c)), 0.0)
-        for a, b, c in itertools.product(*site_factors)
-    )
+    weights, (first, second, third) = [], site_factors
+    for a in first:
+        partial = [t * x for t, x in zip(terms, a)]
+        for b in second:
+            p0, p1, p2, p3 = map(mul, partial, b)
+            for z0, z1, z2, z3 in third:
+                w = 0.0 + (p0 * z0).real + (p1 * z1).real + (p2 * z2).real + (p3 * z3).real
+                weights.append(max(w, 0.0))
+    return tuple(weights)
 
 
 def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
@@ -320,7 +330,9 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
     needs it, and device-dependent work is done once per distinct device,
     keyed by its ``Operator``'s identity: its U v_k, and the factor of a site
     that has run it or whose outsider measures. A site whose device has not
-    run reads only the shared v_k, so that factor serves every site.
+    run reads only the shared v_k, so that factor serves every site. Labels
+    are built once per round size, and label i's product is −1 iff i has an
+    odd number of bits set, so a round's product is read off its indices.
     """
     coefficients, pair = initial_product_terms()
     recorded_terms = {}  # id(device) -> U v_k for each term k
@@ -329,6 +341,8 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
         if id(device) not in recorded_terms:
             terms_state = StateVector(layout(*targets), pair)  # a stack: one row per term
             recorded_terms[id(device)] = apply_local(device, targets, terms_state).amplitudes.tolist()
+    devices = [(site, id(model.unitary(site))) for site in SITES]
+    labels = [tuple(itertools.product((+1, -1), repeat=n)) for n in range(len(SITES) + 1)]
     factors: dict[tuple, tuple] = {}
     tables = []
     for key, frame_rounds in orderings.items():
@@ -336,8 +350,8 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
         for rnd in frame_rounds:
             events = {ev.site: ev for ev in rnd}
             round_factors = []
-            for site in SITES:
-                ev, device = events.get(site), id(model.unitary(site))
+            for site, device in devices:
+                ev = events.get(site)
                 reads_device = site in recorded or (ev and ev.kind == "outsider_x")
                 index = (device if reads_device else None, site in recorded, ev and ev.kind)
                 if index not in factors:
@@ -345,10 +359,9 @@ def analyze_stack(model: MeasurementModel, orderings) -> list[RoundTable]:
                     factors[index] = _site_factor(vectors, ev, model)
                 round_factors.append(factors[index])
             weights = born_weights(coefficients, round_factors)
-            labels = tuple(itertools.product((+1, -1), repeat=len(rnd)))
-            parities = {math.prod(tup) for tup, w in zip(labels, weights) if w > SUPPORT_EPS}
-            product = parities.pop() if len(parities) == 1 else 0
-            tables.append(RoundTable(key, rnd, labels, weights, product))
+            parities = {i.bit_count() & 1 for i, w in enumerate(weights) if w > SUPPORT_EPS}
+            product = (1 - 2 * parities.pop()) if len(parities) == 1 else 0
+            tables.append(RoundTable(key, rnd, labels[len(rnd)], weights, product))
             recorded |= {ev.site for ev in rnd if ev.kind == "friend_z"}
     return tables
 

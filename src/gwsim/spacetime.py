@@ -45,8 +45,8 @@ def point(t: float, x: tuple[float, float]) -> SpacetimePoint:
     return SpacetimePoint(float(t), (float(x[0]), float(x[1])))
 
 
-class Frame(namedtuple("Frame", "velocity")):
-    """Inertial frame, given by its boost velocity relative to the rest frame."""
+class Frame(namedtuple("Frame", "velocity gamma")):
+    """Inertial frame: its boost velocity relative to the rest frame, and its γ."""
 
     __slots__ = ()
 
@@ -54,15 +54,14 @@ class Frame(namedtuple("Frame", "velocity")):
         speed = math.hypot(*velocity)
         if speed > MAX_SPEED:
             raise ValueError(f"boost speed {speed} is not subluminal")
-        return super().__new__(cls, velocity)
+        return super().__new__(cls, velocity, 1.0 / math.sqrt(1.0 - speed**2))
+
+    def __getnewargs__(self):  # copy and pickle rebuild a frame from its velocity
+        return (self.velocity,)
 
     @property
     def speed(self) -> float:
         return math.hypot(*self.velocity)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.speed**2)
 
 
 REST_FRAME = Frame((0.0, 0.0))
@@ -199,13 +198,14 @@ def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
     ]
 
 
-def tilted_frames(spec: GeometrySpec) -> list[Frame | ValueError]:
+def tilted_frames(spec: GeometrySpec, events=None) -> list[Frame | ValueError]:
     """Per lab A, B, C: the frame making its ``tilted_frame_events``
-    simultaneous, or the error ``boost_for_simultaneity`` raised for it."""
+    simultaneous, or the error ``boost_for_simultaneity`` raised for it.
+    ``events`` is ``tilted_frame_events(spec)`` where the caller has built it."""
     frames = []
-    for events in tilted_frame_events(spec):
+    for triple in events or tilted_frame_events(spec):
         try:
-            frames.append(boost_for_simultaneity(*events))
+            frames.append(boost_for_simultaneity(*triple))
         except ValueError as exc:
             frames.append(exc)
     return frames
@@ -217,14 +217,15 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[CheckResult]:
+def validate_geometry(spec: GeometrySpec, tilted: tuple | None = None) -> list[CheckResult]:
     """Named checks for the arrangement's separation conditions.
 
     Failures are reported, not raised, so invalid geometries can be examined.
     Tolerances scale with the geometry (its mean side, its largest epoch
     time), and intervals are taken in units of the larger of the two, so a
     geometry passes or fails alike at every scale a float can hold.
-    ``tilted`` is ``tilted_frames(spec)`` where the caller has built it.
+    ``tilted`` is the pair of ``tilted_frame_events(spec)`` and the
+    ``tilted_frames`` of those events, where the caller has built them.
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
@@ -266,17 +267,16 @@ def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[Ch
     # GEOMETRY_TOL of the largest: intervals equal by symmetry differ in the
     # last digits, so the largest alone would name one of them by rounding.
     unit = max(mean_side, time_scale) or 1.0
+    times = (spec.t1, spec.t2)
+    scaled = {(s, t): point(t / unit, [c / unit for c in pos[s]]) for s in "ABC" for t in times}
     intervals = [
         (
-            interval(
-                point(ta / unit, [c / unit for c in pos[labs[0]]]),
-                point(tb / unit, [c / unit for c in pos[labs[1]]]),
-            ),
+            interval(scaled[labs[0], ta], scaled[labs[1], tb]),
             f"({ta:g},{labs[0]})–({tb:g},{labs[1]})",
         )
         for labs in ("AB", "BC", "CA")
-        for ta in (spec.t1, spec.t2)
-        for tb in (spec.t1, spec.t2)
+        for ta in times
+        for tb in times
     ]
     worst = max(s for s, _ in intervals)
     worst_pair = next(pair for s, pair in intervals if s >= worst - GEOMETRY_TOL)
@@ -295,11 +295,12 @@ def validate_geometry(spec: GeometrySpec, tilted: list | None = None) -> list[Ch
     # frames, so it passes exactly when they can be built; where the speeds
     # pass, the detail says why a frame still could not be. A frame that
     # failed is solved once more for its speed.
-    frames = tilted or tilted_frames(spec)
+    events = tilted[0] if tilted else tilted_frame_events(spec)
+    frames = tilted[1] if tilted else tilted_frames(spec, events)
     reasons = {str(f) for f in frames if isinstance(f, ValueError)}
     velocities = [
-        f.velocity if isinstance(f, Frame) else _simultaneity_velocity(*events)
-        for events, f in zip(tilted_frame_events(spec), frames)
+        f.velocity if isinstance(f, Frame) else _simultaneity_velocity(*triple)
+        for triple, f in zip(events, frames)
     ]
     speeds = [math.inf if v is None else math.hypot(*v) for v in velocities]
     shown = sorted(reasons) if max(speeds) <= MAX_SPEED else []

@@ -5,8 +5,11 @@ package: exact symbolic algebra (sympy) for the three-electron expansions,
 plain index arithmetic over raveled kron indices for operator embedding and
 support extraction, the dense 216-dim state contracted against basis groups
 for the frame pass's product form, the array formulation the scalar pass
-replaced (each round's Gram factors as numpy arrays, one product per round), the least-squares simultaneity solve, per-trial simulation with ``measure`` for
-the interpretation models' outcome tables, one dense state per collapse path
+replaced (each round's Gram factors as numpy arrays, one product per round),
+the generator form of the Born weights and the full U†U loop of the
+unitarity check, as they were before their loop invariants were hoisted,
+the least-squares simultaneity solve, per-trial simulation with ``measure``
+for the interpretation models' outcome tables, one dense state per collapse path
 for the product-form collapse and erasure tables, the dense ensemble rule
 the ``distinguish`` table replaced, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
@@ -18,8 +21,11 @@ Slow and obvious on purpose.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import itertools
 import math
+from operator import add, mul
 
 import numpy as np
 import sympy as sp
@@ -44,6 +50,7 @@ from gwsim.models import (
 )
 from gwsim.qmath import (
     FACTOR_DIMS,
+    UNITARY_TOL,
     BasisGroup,
     LayoutError,
     Operator,
@@ -420,6 +427,35 @@ def event_operators(ev, model) -> tuple[np.ndarray | None, float]:
         return np.eye(PAIR_DIM)[rows], 1.0
     bras = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
     return np.stack(bras).conj()[:, None], 0.5
+
+
+def born_weights_reference(coefficients, site_factors) -> tuple[float, ...]:
+    """``scenario.born_weights`` as first written: per joint outcome, one
+    generator over the four products c_k c̄_j·a·b·c, clamped at 0. Their real
+    parts are added left to right from 0, as ``sum`` adds floats before
+    Python 3.12, which compensates its sums."""
+    terms = [ck * cj.conjugate() for ck in coefficients for cj in coefficients]
+    weights = []
+    for a, b, c in itertools.product(*site_factors):
+        parts = ((t * x * y * z).real for t, x, y, z in zip(terms, a, b, c))
+        weights.append(max(functools.reduce(add, parts, 0), 0.0))
+    return tuple(weights)
+
+
+def check_unitary_reference(op: Operator) -> bool:
+    """``qmath.check_unitary`` over every entry of U†U, the lower triangle
+    computed on its own rather than read as the upper one's conjugate."""
+    if not all(map(cmath.isfinite, op.matrix.ravel().tolist())):
+        return False
+    for matrix in op.matrix.reshape(-1, op.dim, op.dim).tolist():
+        columns = list(zip(*matrix))
+        for a, u in enumerate(columns):
+            bra = [x.conjugate() for x in u]
+            for b, v in enumerate(columns):
+                error = sum(map(mul, bra, v)) - (a == b)
+                if not math.hypot(error.real, error.imag) < UNITARY_TOL:
+                    return False
+    return True
 
 
 def round_by_round_tables(model, orderings) -> list[tuple[np.ndarray, int]]:

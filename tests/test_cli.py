@@ -478,6 +478,15 @@ PINNED_DIGESTS = [
     ("frames --format text", 0, "e20cad287ea3ed625c5048e479a3f371a41d13801306b1218f8fc7756e69dad5"),
     ("distinguish --format json", 0, "c05b74b92a8f29c47a266002a8933999fc60aff3cea6e0714a6e45c24e87843f"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
+    # The four benchmark workloads' command lines at another seed.
+    ("sweep --models 60 --seed 2 --format json", 0, "629451cb8c7349639d5756b1b9dea81d81d17adf8179c2a87427ee6ea60a1c31"),
+    ("sweep --models 60 --seed 2 --format text", 0, "a67dfa8d06df0ae800d65549521238b4c4486e0548fe866071d436f26b25f6eb"),
+    ("run --mode round_born --trials 10000 --seed 2 --format json", 0, "5f04004091d6db2ece36c4ed8be163b6bd41d5dc6c7cd8143b59fcef227e5b2a"),
+    ("run --mode round_born --trials 10000 --seed 2 --format text", 0, "6587097876719235c80c750a65ed30195c1f264b5876a7db136d398e1ab1dab5"),
+    ("run --mode sequential_collapse --trials 600 --seed 2 --format json", 0, "16292caf35117b6875bb17ed48774070855769382f3306fd7669163cb51e3af6"),
+    ("run --mode sequential_collapse --trials 600 --seed 2 --format text", 0, "88d48da812e7caafa0c12b7a7114471bdaab41ea34733a81c50781f47068a561"),
+    ("erasure --trials 2000 --seed 2 --format json", 0, "40ddd113689708bbaf7e0857f65b401349cec2cc55e3f1a98be010b62794790b"),
+    ("erasure --trials 2000 --seed 2 --format text", 0, "79f450b28f94e5ab21c483c21d1fa728b065bab95fe7d8fe7a2a8c87b4cd7269"),
     # The standard frames' analysis read without trials, with a constraint
     # dropped, and for a stacked sweep at another geometry.
     ("run --trials 0 --format json", 0, "cf8237b77e8a1b32873fe00605181df74c7402d313ed9b635f769f72958a0bd2"),

@@ -888,12 +888,31 @@ class TestDraw:
             assert calls == list(range(1, len(calls) + 1))
         assert all(0 < n <= 64 for n in read.values()), read
 
+    def test_the_round_keys_are_derived_once_per_draw(self, tables, monkeypatch):
+        # However many blocks a draw reads, its ten round keys come from one call.
+        derived, blocks = [], []
+        round_keys, block = gwsim.models._philox_round_keys, gwsim.models._philox_block
+
+        def deriving(key):
+            derived.append(key)
+            return round_keys(key)
+
+        def counting(keys, counter):
+            blocks.append(counter)
+            return block(keys, counter)
+
+        monkeypatch.setattr(gwsim.models, "_philox_round_keys", deriving)
+        monkeypatch.setattr(gwsim.models, "_philox_block", counting)
+        gwsim.models._draw(tables["collapse"], MAX_TRIALS, seed=1)
+        assert derived == [gwsim.models._philox_key(1)] and len(blocks) > 1
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_scalar_block_is_the_vector_philox(self, seed):
         key = gwsim.models._philox_key(seed)
         counters = [0, 1, 2, 3, 255, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
         words = gwsim.models._philox_words(key, np.array(counters, dtype=np.uint64))
-        assert [list(gwsim.models._philox_block(key, c)) for c in counters] == words.tolist()
+        round_keys = gwsim.models._philox_round_keys(key)
+        assert [list(gwsim.models._philox_block(round_keys, c)) for c in counters] == words.tolist()
 
 
 def test_sampling_imports_no_numpy_random():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from gwsim.qmath import (
 
 from _oracles import (
     brute_product_amplitude,
+    check_unitary_reference,
     embed_operator,
     random_orthonormal_columns,
     random_state,
@@ -166,6 +169,42 @@ def test_check_unitary_rejects_any_bad_entry(entry, stacked):
     # A non-finite entry fails before the matmul, whose inf·0 would warn of
     # an invalid value, an error under the suite's warning filter.
     assert not check_unitary(Operator(bad if stacked else bad[-1]))
+
+
+def unitarity_test_matrices() -> list[np.ndarray]:
+    """Every matrix and stack this file's ``check_unitary`` tests check."""
+    ideal = ideal_von_neumann().unitary("A").matrix
+    haar = [u.matrix for u in _build_model({"model": {"kind": "random", "seed": 5}}).site_unitaries]
+    rng = np.random.default_rng(33)
+    sixes = np.array([random_unitary(6, rng) for _ in range(3)])
+    scaled = sixes.copy()
+    scaled[1] *= 1.5
+    matrices = [np.eye(5), random_unitary(7, np.random.default_rng(16)), np.eye(3) * 1.5]
+    matrices += [ideal, *haar, np.array([*haar, ideal]), *sixes, sixes, scaled]
+    for entry in (np.nan, np.inf, -np.inf, 1.0 + 1e-9):
+        bad = ideal.copy()
+        bad[0, 2] = entry
+        matrices.append(bad)
+    return matrices
+
+
+def test_check_unitary_agrees_with_the_full_loop():
+    # The upper triangle of U†U (with its diagonal) decides as every entry
+    # does: on each matrix, and on each one-entry change above and below its
+    # diagonal, by amounts inside and outside UNITARY_TOL.
+    verdicts = set()
+    for matrix in unitarity_test_matrices():
+        assert check_unitary(Operator(matrix)) == check_unitary_reference(Operator(matrix))
+        if matrix.ndim == 3:
+            continue
+        for i, j in itertools.product(range(len(matrix)), repeat=2):
+            for delta in (5e-11, 2e-10j, 6e-11 - 6e-11j, -0.5) if i != j else ():
+                changed = matrix.astype(complex)
+                changed[i, j] += delta
+                verdict = check_unitary(Operator(changed))
+                assert verdict == check_unitary_reference(Operator(changed)), (i, j, delta)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_operator_requires_square_matrix():

@@ -6,7 +6,8 @@ import pytest
 
 import gwsim.models
 import gwsim.scenario
-from _oracles import dense_weights, random_state, round_by_round_tables
+import gwsim.spacetime
+from _oracles import born_weights_reference, dense_weights, random_state, round_by_round_tables
 from test_models import sweep_model
 from gwsim.cli import _build_model
 from gwsim.measurement import (
@@ -95,6 +96,19 @@ class TestSchedule:
     def test_rejects_epochs_longer_than_separation(self):
         with pytest.raises(ValueError):
             build_schedule(10.0, 20.0)
+
+    def test_the_tilted_events_are_built_once(self, monkeypatch):
+        # The tilted frames and the geometry check read one list of events.
+        calls, events = [], gwsim.spacetime.tilted_frame_events
+
+        def counting(spec):
+            calls.append(spec)
+            return events(spec)
+
+        for module in (gwsim.spacetime, gwsim.scenario):
+            monkeypatch.setattr(module, "tilted_frame_events", counting, raising=False)
+        schedule = build_schedule(10.0, 1.0)
+        assert calls == [schedule.geometry]
 
 
 class TestStandardFrames:
@@ -540,6 +554,42 @@ def test_the_pass_builds_no_dense_state(schedule, monkeypatch):
 
 
 class TestBornWeights:
+    def test_every_call_matches_the_generator_form(self, schedule, monkeypatch):
+        # Each call the frame pass and the collapse table make, for the ideal
+        # device and random:0 to random:199, against the generator form: the
+        # hoisted partial products keep every weight's bits.
+        calls = []
+
+        def recording(coefficients, site_factors):
+            weights = born_weights(coefficients, site_factors)
+            calls.append((coefficients, site_factors, weights))
+            return weights
+
+        monkeypatch.setattr(gwsim.scenario, "born_weights", recording)
+        monkeypatch.setattr(gwsim.models, "born_weights", recording)
+        specs = [("ideal", 0)] + [("random", seed) for seed in range(200)]
+        for kind, seed in specs:
+            model = _build_model({"model": {"kind": kind, "seed": seed}})
+            collect_constraints(schedule, model)
+            sequential_collapse_distribution(model)
+        assert len(calls) == 12 * len(specs)
+        for coefficients, site_factors, weights in calls:
+            assert repr(weights) == repr(born_weights_reference(coefficients, site_factors))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_terms_match_the_generator_form(self, seed):
+        # Coefficients off the GHZ form's ±½, ±½i, whose products are exact
+        # in any grouping, so the left-to-right grouping shows in the bits.
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return (rng.normal(size=shape) + 1j * rng.normal(size=shape)).tolist()
+
+        coefficients, factors = draw(2), [draw(n, 4) for n in (1, 2, 6)]
+        assert repr(born_weights(coefficients, factors)) == repr(
+            born_weights_reference(coefficients, factors)
+        )
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_an_einsum_reference(self, seed):
         # Three sites with 1, 2 and 6 outcomes, each outcome's Gram entries
