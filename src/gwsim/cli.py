@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .scenario import (
 )
 from .spacetime import GEOMETRY_TOL, standard_geometry
 
-SCHEMA_VERSION = "11"
+SCHEMA_VERSION = "12"
 # Tolerance of every check on an exactly computed probability.
 EXACT_TOL = 1e-12
 
@@ -572,15 +573,41 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+_JSON_SCALARS = {  # each JSON scalar type's text, as ``json.dumps`` spells it
+    str: encode_basestring_ascii, int: int.__repr__, type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda x: float.__repr__(x) if math.isfinite(x) else json.dumps(x),  # NaN, ±Infinity
+}
+
+
 def _write(report: dict, config: dict, out) -> None:
-    if config["output"]["format"] == "json":
-        # Batched encoder chunks: the report is never one string, and writes are few.
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
-        for batch in iter(lambda: "".join(itertools.islice(chunks, 4096)), ""):
-            out.write(batch)
-    else:
-        out.write(render_text(report))
-    out.write("\n")
+    """The report as text, or as JSON: ``json.dump(report, out, indent=2)``'s bytes
+    for builtin scalars, without its slow pure-Python encoder, in batched writes."""
+    if config["output"]["format"] == "text":
+        out.write(render_text(report) + "\n")
+        return
+    pieces = []
+
+    def put(value, margin: str) -> None:
+        keyed, inner = isinstance(value, dict), margin + "  "
+        if not keyed and not isinstance(value, (list, tuple)):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        sep = ("{" if keyed else "[") + inner
+        for key, item in value.items() if keyed else zip(value, value):  # a list item has no key
+            head = f"{sep}{encode_basestring_ascii(key)}: " if keyed else sep
+            if (text := _JSON_SCALARS.get(type(item))) is not None:
+                pieces.append(head + text(item))
+            else:
+                pieces.append(head)
+                put(item, inner)
+            sep = "," + inner
+        pieces.append(margin + ("}" if keyed else "]") if value else "{}" if keyed else "[]")
+        if len(pieces) >= 4096:
+            out.write("".join(pieces))
+            pieces.clear()
+
+    put(report, "\n")
+    out.write("".join(pieces) + "\n")
 
 
 def emit(report: dict, config: dict) -> None:

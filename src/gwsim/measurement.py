@@ -6,7 +6,7 @@ pair of orthonormal *recorded* states: its two Ready columns, the only part
 of a device that any command reads. The ideal case is a basis permutation
 (the lab flips to RecordedUp/RecordedDown and the electron is untouched); any
 other unitary models an imperfect device. ``haar_unitaries`` draws just the
-columns asked for, by a reduced QR: the sweep asks for the Ready columns,
+columns asked for, by Gram–Schmidt: the sweep asks for the Ready columns,
 which ``cli._build_model`` completes to a whole device for ``random:N``.
 
 Two measurements read a completed record, each with outcomes +1, −1, 0:
@@ -98,14 +98,19 @@ def ideal_von_neumann() -> MeasurementModel:
 
 def haar_unitaries(draws: np.ndarray) -> np.ndarray:
     """The first k columns of Haar-distributed unitaries from (..., 2, d, k)
-    standard normal draws (real, imaginary parts): one stacked reduced QR of
-    the complex Gaussians, phases fixed by R's diagonal (Mezzadri, Notices
-    AMS 54, 2007), bit for bit a (d, d) draw's first k columns and, for
-    k = d, its unitary. Entry i is that of ``draws[i]`` alone, bit for bit.
-    The sweep draws k = 2; ``cli._build_model`` completes a ``random:N`` device."""
-    q, r = np.linalg.qr(draws[..., 0, :, :] + 1j * draws[..., 1, :, :])
-    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diagonal / np.abs(diagonal))[..., None, :]
+    standard normal draws (real, imaginary parts), by modified Gram–Schmidt in
+    real arithmetic, without LAPACK: the QR whose R has a positive real diagonal
+    (Mezzadri, Notices AMS 54, 2007). Bit for bit a (d, d) draw's first k
+    columns; entry i is that of ``draws[i]`` alone. The sweep draws k = 2."""
+    q = np.empty(draws.shape[:-3] + draws.shape[-2:], dtype=complex)
+    for j in range(q.shape[-1]):
+        re, im = draws[..., 0, :, j], draws[..., 1, :, j]
+        for i in range(j):  # v ← v − (q_i† v) q_i
+            qr, qi = q.real[..., i], q.imag[..., i]
+            cr, ci = (qr * re + qi * im).sum(-1)[..., None], (qr * im - qi * re).sum(-1)[..., None]
+            re, im = re - (cr * qr - ci * qi), im - (cr * qi + ci * qr)
+        norm = np.sqrt((re * re + im * im).sum(-1))[..., None]
+        q.real[..., j], q.imag[..., j] = re / norm, im / norm
     return q
 
 

@@ -36,13 +36,11 @@ Also here: the single-lab erasure experiment (an outsider's measurement can
 flip what the lab's record says afterwards), read off its one recorded
 column as the collapse table reads a device and sampled the same way, and
 the sweep re-deriving the contradiction under random non-ideal devices: one
-pass on the ideal device, and blocks of one stacked Haar draw each, whose
-recorded states are checked orthonormal (``READY_GRAM_TOL``). Model i's
-devices come from Box–Muller normals on its own Philox stream, keyed by
-``SeedSequence(seed, spawn_key=(i,))``; those of ``--model random:N`` are
-spawn 0 of seed N, which no sweep model draws. Only a device's Ready columns
-are read, so only they are drawn, bit for bit the full draw's;
-``cli._build_model`` completes a ``random:N`` device.
+pass on the ideal device, and blocks of Haar-random Ready columns, checked
+orthonormal (``READY_GRAM_TOL``). ``_haar_devices`` draws model i's on its own
+Philox stream, by Gram–Schmidt with no LAPACK call; ``--model random:N`` takes
+spawn 0 of seed N, which no sweep model draws, and ``cli._build_model``
+completes it.
 """
 
 from __future__ import annotations
@@ -641,7 +639,7 @@ def nonideal_sweep(
     are ‖G − I‖ ≤ 2δ and ‖G P G − P‖ ≤ ε = 4δ + 4δ², so putting the ideal
     operators in one site at a time moves a weight by at most
     (1 + ε)³ − 1 = 12δ + O(δ²): 1.2e-11 at ``READY_GRAM_TOL``, inside
-    ``QUARTER_TOL`` and ``SUPPORT_EPS``. Haar draws round to δ ≈ 1.4e-15.
+    ``QUARTER_TOL`` and ``SUPPORT_EPS``. Haar draws round to δ under 1e-15.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")

@@ -14,7 +14,10 @@ for the product-form collapse and erasure tables, the dense ensemble rule
 the ``distinguish`` table replaced, one-shot draws of every
 trial's uniform for the blocked sampler, and a model-by-model replay of the
 device sweep, its normals computed one by one in libm from numpy's own
-Philox uniforms, and the argparse front end the CLI's flag table replaced.
+Philox uniforms, the Gram–Schmidt Haar columns one matrix at a time in
+Python floats, LAPACK's phase-fixed QR as an independent check on them, the
+argparse front end the CLI's flag table replaced, and the stdlib's
+indenting JSON encoder the report writer replaced.
 Slow and obvious on purpose.
 """
 
@@ -24,6 +27,7 @@ import argparse
 import cmath
 import functools
 import itertools
+import json
 import math
 from operator import add, mul
 
@@ -276,16 +280,47 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def phase_fixed_q(z: np.ndarray) -> np.ndarray:
-    """The Haar unitary of one complex Gaussian matrix the single-matrix
-    way: one QR, each column's phase fixed by R's diagonal."""
+    """The Haar unitary of one complex Gaussian matrix the LAPACK way: one
+    QR, each column's phase fixed by R's diagonal (Mezzadri, Notices AMS 54,
+    2007). It equals ``gram_schmidt_q`` up to rounding."""
     q, r = np.linalg.qr(z)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def gram_schmidt_q(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary's columns of one complex Gaussian matrix by modified
+    Gram–Schmidt, one column at a time, in Python floats: the column less its
+    projection c·q on each finished column q in turn, c = q†v split into real
+    and imaginary parts, then divided by its norm. Each sum runs down the rows
+    in order, as numpy sums a row axis shorter than eight, so for up to seven
+    rows this is ``haar_unitaries`` bit for bit."""
+    columns = []
+    for column in z.T.tolist():
+        re, im = [x.real for x in column], [x.imag for x in column]
+        for qr, qi in columns:
+            cr = ci = 0.0
+            for a, b, x, y in zip(qr, qi, re, im):
+                cr += a * x + b * y
+                ci += a * y - b * x
+            re = [x - (cr * a - ci * b) for a, b, x in zip(qr, qi, re)]
+            im = [y - (cr * b + ci * a) for a, b, y in zip(qr, qi, im)]
+        square = 0.0
+        for x, y in zip(re, im):
+            square += x * x + y * y
+        norm = math.sqrt(square)
+        columns.append(([x / norm for x in re], [y / norm for y in im]))
+    return np.array([[complex(qr[row], qi[row]) for qr, qi in columns] for row in range(len(z))])
+
+
+def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A (dim, dim) normal draw for the real part plus i times another for
+    the imaginary part, as ``haar_random_unitary`` draws them."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """``phase_fixed_q`` of a (dim, dim) normal draw for the real part and
-    another for the imaginary part."""
-    return phase_fixed_q(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    """``phase_fixed_q`` of a ``gaussian_matrix``."""
+    return phase_fixed_q(gaussian_matrix(dim, rng))
 
 
 def random_orthonormal_columns(dim: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -603,12 +638,12 @@ def box_muller_normals(seed: int, index: int, shape) -> np.ndarray:
 
 def sweep_reference_model(index: int, seed: int) -> MeasurementModel:
     """Model ``index`` of a sweep: the ideal device first, then three
-    ``phase_fixed_q`` unitaries, one a site, of the model's
+    ``gram_schmidt_q`` unitaries, one a site, of the model's
     ``box_muller_normals``: real parts, then imaginary parts."""
     if index == 0:
         return ideal_von_neumann()
     normals = box_muller_normals(seed, index, (3, 2, 6, 6))
-    return MeasurementModel(tuple(Operator(phase_fixed_q(re + 1j * im)) for re, im in normals))
+    return MeasurementModel(tuple(Operator(gram_schmidt_q(re + 1j * im)) for re, im in normals))
 
 
 def sweep_reference(n_models: int, seed: int) -> SweepReport:
@@ -729,3 +764,24 @@ def reference_parse(argv: list[str]) -> tuple[str, dict, dict]:
     names = {"ghz-nogo": ["drop_constraint"], "erasure": ["skip_j"], "sweep": ["models"]}
     arguments = {name: getattr(args, name) for name in names.get(args.command, [])}
     return args.command, _validate_config(config), arguments
+
+
+def json_reference(report) -> str:
+    """A JSON report as the stdlib's pure-Python indenting encoder writes it,
+    ``json.dumps(report, indent=2)``, then the newline every report ends with."""
+    return json.dumps(report, indent=2) + "\n"
+
+
+# JSON shapes a report holds, and some it does not yet: empty and nested
+# containers, tuples, escapes in values and keys, and float and int extremes.
+CRAFTED_REPORT = {
+    "empty": {"dict": {}, "list": [], "tuple": (), "nested": {"a": {}, "b": [[], {}, ()]}},
+    "strings": ["plain", "ünïcødé ✓ 𝜓", "\x00\x07\t\n\r\x1f\x7f", 'a "quote", a \\ and a /', ""],
+    "keys": {"é": 1, "tab\tkey": 2, '"': 3, "": 4},
+    "floats": [-0.0, 0.0, 5e-324, 1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan],
+    "more floats": [0.1, 1e-7, 1e16, 2.5, -1.5e-300, 0.49999999999999983],
+    "ints": [0, -1, 2**70, -(2**70), 2**63 - 1],
+    "constants": [True, False, None],
+    "tuples": ((1, (2, 3)), [(), ({"x": (None,)},)]),
+    "deep": [[[[{"k": [1.5, "s", False]}]]]],
+}

@@ -125,7 +125,7 @@ class TestGhzNogo:
         code, report = run_json(capsys, "ghz-nogo")
         assert code == 0
         assert set(report) == REPORT_KEYS
-        assert report["schema_version"] == "11"
+        assert report["schema_version"] == "12"
         assert report["command"] == "ghz-nogo"
         assert report["passed"] is True
         assert len(report["results"]["constraints"]) == 4
@@ -464,69 +464,71 @@ def test_the_ideal_device_path_runs_on_python_numbers(capsys, monkeypatch, argv)
 # dyadic fraction or an integer, and the sweep prints only verdicts, so these
 # digests hold on any platform.
 PINNED_DIGESTS = [
-    ("sweep --models 60 --seed 1 --format json", 0, "1957c7365744eb12a02be377dd5f1e25c157d6b5242828dd894471b430997645"),
+    ("sweep --models 60 --seed 1 --format json", 0, "6fc5a79b8bc9654f9c76961629e0ec68bdf43b182bc6bad0a274cd7b41317db5"),
     ("sweep --models 60 --seed 1 --format text", 0, "d6f42495183c615d00db4aa09cccd1a9b901d2ac10a2be436de613b938ceacc1"),
-    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "9f9098c3365b3ded5413039ff625eef0192df5451de25a42efbe9003a338747a"),
+    ("run --mode round_born --trials 10000 --seed 1 --format json", 0, "d7bb2ada00224d53fdc244cba4824a8030ecb8cda896e4e6bd1ba70485ca5293"),
     ("run --mode round_born --trials 10000 --seed 1 --format text", 0, "c63758d2a091c1741e05a7bc69e42ac09f9afa02f075a9da80d9cc126539105d"),
-    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "629f7a0106cf9473ed2a8c4665d51469b98f35a945242ec5c188c369a3a27279"),
+    ("run --mode sequential_collapse --trials 600 --seed 1 --format json", 0, "3cb88670541120112d56ec1a28b4e4fd3df4f9cdc66819c923bc13a2d7441db8"),
     ("run --mode sequential_collapse --trials 600 --seed 1 --format text", 0, "a3e890fb65f37162acbdeb3f1913cf2dd0e1c2a0bf0342d9f314bf006b036f9f"),
-    ("erasure --trials 2000 --seed 1 --format json", 0, "e1d5f6786c8ef58ed798cae235baf1d09a0b1e487a0c538f52893403cba1b973"),
+    ("erasure --trials 2000 --seed 1 --format json", 0, "fed07c1ac33efb8e39506e05a5834727cc7e76acc9942ffde9dbda52e13bb7eb"),
     ("erasure --trials 2000 --seed 1 --format text", 0, "190ba532bfd79a1c3a2bfec9eb1a3623568991f1e14ba93c51a7bb38f15c03a1"),
-    ("ghz-nogo --format json", 0, "384206f4fe18b03c249b472ca4c94ed094cef7d00ae2e01266814065d3da9ebb"),
+    ("ghz-nogo --format json", 0, "144f9262ae779269ae63ade104bf17ec44db02b09593e8ee69fde043afe0b4ce"),
     ("ghz-nogo --format text", 0, "14605ca7e2ecd6fea3f84103b99e29c3d93b699c37a960b60d67a95f1d0ae1b3"),
-    ("frames --format json", 0, "65aa1d5081b046e3c716882dcd46ca61b21d37034055ea9103cca7e3ce7c5dae"),
+    ("frames --format json", 0, "90e8a1da4e07ac5f3ad42d237740243d65366cdae4868e169f5593bcba8aca98"),
     ("frames --format text", 0, "e20cad287ea3ed625c5048e479a3f371a41d13801306b1218f8fc7756e69dad5"),
-    ("distinguish --format json", 0, "c05b74b92a8f29c47a266002a8933999fc60aff3cea6e0714a6e45c24e87843f"),
+    ("distinguish --format json", 0, "b6c4ae514e4a4a4cda429b98d3f814f7203575a334cd51500da8cff6196f5360"),
     ("distinguish --format text", 0, "218f9bdadda73fab5d451862d65e778706cd94634af1eba0da413748142baeff"),
     # The four benchmark workloads' command lines at another seed.
-    ("sweep --models 60 --seed 2 --format json", 0, "629451cb8c7349639d5756b1b9dea81d81d17adf8179c2a87427ee6ea60a1c31"),
+    ("sweep --models 60 --seed 2 --format json", 0, "b34d497ab2a1ad424056d413c9f9551c9e05d38516b0711e6ba73b8e4ec65ac7"),
     ("sweep --models 60 --seed 2 --format text", 0, "a67dfa8d06df0ae800d65549521238b4c4486e0548fe866071d436f26b25f6eb"),
-    ("run --mode round_born --trials 10000 --seed 2 --format json", 0, "5f04004091d6db2ece36c4ed8be163b6bd41d5dc6c7cd8143b59fcef227e5b2a"),
+    ("run --mode round_born --trials 10000 --seed 2 --format json", 0, "e3a5770d2c201d072deced1726d0f5dcb638275443910cd06acaa7be15b72743"),
     ("run --mode round_born --trials 10000 --seed 2 --format text", 0, "6587097876719235c80c750a65ed30195c1f264b5876a7db136d398e1ab1dab5"),
-    ("run --mode sequential_collapse --trials 600 --seed 2 --format json", 0, "16292caf35117b6875bb17ed48774070855769382f3306fd7669163cb51e3af6"),
+    ("run --mode sequential_collapse --trials 600 --seed 2 --format json", 0, "f0103c3bce2509a56419206b69965ae07ded858c5e253c799709c78bd81d6ef0"),
     ("run --mode sequential_collapse --trials 600 --seed 2 --format text", 0, "88d48da812e7caafa0c12b7a7114471bdaab41ea34733a81c50781f47068a561"),
-    ("erasure --trials 2000 --seed 2 --format json", 0, "40ddd113689708bbaf7e0857f65b401349cec2cc55e3f1a98be010b62794790b"),
+    ("erasure --trials 2000 --seed 2 --format json", 0, "850b7b428a5c073f66ada0155f0839d853f63a7587d2147045e7ece6e089dc53"),
     ("erasure --trials 2000 --seed 2 --format text", 0, "79f450b28f94e5ab21c483c21d1fa728b065bab95fe7d8fe7a2a8c87b4cd7269"),
     # The standard frames' analysis read without trials, with a constraint
     # dropped, and for a stacked sweep at another geometry.
-    ("run --trials 0 --format json", 0, "cf8237b77e8a1b32873fe00605181df74c7402d313ed9b635f769f72958a0bd2"),
+    ("run --trials 0 --format json", 0, "2623e70ed6f1bb0fb891bcae80c619b0ca0e3b7c8144bedd8bec17b9dc1c0a3d"),
     ("run --trials 0 --format text", 0, "f80367970bdecbdbcc55fa3e623bcf4ac40c8eee040bd89a4dd3e2be54d807d2"),
-    ("ghz-nogo --drop-constraint 2 --format json", 0, "d9d6e20b3b6b6b2b8d615b154a9a80089ce5fea850594d011597bf28a2fb796c"),
+    ("ghz-nogo --drop-constraint 2 --format json", 0, "bc6ce334b83e79e441be8246779518af7478d0211e6cb92dd8699185e8d9a055"),
     ("ghz-nogo --drop-constraint 2 --format text", 0, "ce0c742c3c92e65fc0950f9017dcf2f6ef943feda9c6c77c3f00676aa155b2a9"),
-    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "c3d178d868af022c78ba3965dade9b3257c27a76bd7c1f3f3fc89190fec226ce"),
+    ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "ab75ebf694ea17452fc217ad3a9f1a68b7e91806323e849939d440f7a105368a"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
     # The erasure table without the outsider, with no trials, and at the most
     # trials a count holds.
-    ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "799a4ac69ea91cb241ccd98a004320aa17431b2f8275bebb7b86584b9e51ae80"),
+    ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "12728ac15461d9d3370c57550c69194dee41d4c195929ad25bb6024d55ebcf3d"),
     ("erasure --skip-j --trials 2000 --seed 1 --format text", 0, "cb937ef93ae051e56984dbed6a8fa8aceccf005bde3e31741b03689877236a78"),
-    ("erasure --trials 0 --format json", 0, "54103ebfe8c501d3f7614dd319442b8d417487dc08f801c6123329f2ce291a3c"),
+    ("erasure --trials 0 --format json", 0, "d29dbef70b75c8b0fe3e5ad0c96d0e5ad34db3af1f2e7e958d7fa8638b50244b"),
     ("erasure --trials 0 --format text", 0, "f0f514927f86635430af7a4fe89d54f3fc292ece4060ee3e480fe7ea9823767a"),
-    ("erasure --trials 9223372036854775807 --seed 3 --format json", 0, "e2961923082a7daecd3bfe6dfb1fa61c0f962054cc781d8dcb912caf2c579c95"),
+    ("erasure --trials 9223372036854775807 --seed 3 --format json", 0, "e41ca4bcd0f4ba775474bd60f3b48d688c0de7d950cd4869c5e708cdc7547b55"),
     ("erasure --trials 9223372036854775807 --seed 3 --format text", 0, "3020d95326c0eb17cec12594422882ebb1c36264e91a3cb2119f4b1bc9b0d442"),
     # Haar pins: devices of --model random:N. Their reports print
-    # rounding-level values (an exact_rate of 0.49999999999999983, a pruned
-    # weight of 1e-17) that come from LAPACK's QR and the BLAS build's
-    # matmul, so these digests hold for this LAPACK/BLAS build only.
+    # rounding-level values (an exact_rate of 0.4999999999999997, a pruned
+    # weight of 2.8e-17). Their Ready columns are Gram–Schmidt in numpy's real
+    # arithmetic, with no LAPACK call, but numpy's log1p, cos and sin (the
+    # Box–Muller normals) and the BLAS build's matmul (in apply_local) reach
+    # these values, so the digests hold for this numpy/BLAS build only.
     #
     # Three distinct devices, one per site: no device-dependent work is shared.
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "a41805c0ce2383d18b55aae63c93ad821a391e0e8fae103c023d51a02ae58e97"),
-    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "dd00822c3f0bf6e968ad53d79755a8753f8be2f8758d41bd9ac494ee32d6a72a"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "b8701c2ba8df1a384f7cb32f12d5604c120c1a5fccca6e8047643761993164c8"),
-    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "0893c5a48c663dab141f22679a973c2175145e5c922a45052719c7b1dc1f32e1"),
-    ("ghz-nogo --model random:7 --format json", 0, "ffadc0cc21d969eb47195c7090382378b2b8696b36a9fc62f2222106ee300a8c"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format json", 0, "1c8f5acf7d065d41a505ce842731eeceb58656ae1c07ecc27250d8c223d98288"),
+    ("run --model random:11 --mode round_born --preferred sigma_pp --trials 100 --format text", 0, "bfaee87cc7b7ba4d812689c37586dafb65766409932e9294b484d92e352a9735"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format json", 0, "597b69d3099ac8137d52ef48a44b6e84d8af30344094928f1d523ea05cd4a0ee"),
+    ("run --model random:4 --mode sequential_collapse --trials 100 --format text", 0, "f529ffbcfacff7a58d43d3f1a917a94f51836cd31d75d629932fba48985c8440"),
+    ("ghz-nogo --model random:7 --format json", 0, "1dd5a8ea6dc4dd7ef249f76a8c199623f0b1cbbdb7c877d68c52e79b14566d1b"),
     ("ghz-nogo --model random:7 --format text", 0, "450d0ce3743c53cd3e49932d01c67be69509753ef146a1ec99bae912c35c26ea"),
     # A non-ideal recorder: the door sees the branch coherence, so the door check fails.
-    ("distinguish --model random:7 --format json", 1, "d89d3d945fe567e39fd49584cf642e85834d360961c40bba830b693b65f7f8bf"),
-    ("distinguish --model random:7 --format text", 1, "7ce9aa30a7cb80ce08b13b4cbe9ffc1331f586082807513a4a54f2c4f0f0ccfb"),
+    ("distinguish --model random:7 --format json", 1, "f3ee2fad41a26aeb0780ed08bb991632ab7ab8f46be5226d42c5f8b005c3d4af"),
+    ("distinguish --model random:7 --format text", 1, "9a2c30b1c33bff8220870c5f01f18c7a7f2e643da73c6b8888801c0b40d233c2"),
     # A Haar device at another geometry.
-    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "316e8e81c282fa3ff9b7face2c0925c2c2c61b7b1ac48f0500839768b411aeaf"),
+    ("ghz-nogo --model random:7 --side 3 --tau 2 --format json", 0, "311ffe9b4488b9eaa72b8daedb0dcaee851c097e7fa47d269a6110af1c9c2704"),
     ("ghz-nogo --model random:7 --side 3 --tau 2 --format text", 0, "7af1cc06d899ee487ab53636a104fce5b6e5aaf831ee8dfd0b3935a9952bb2ea"),
     # The collapse and distinguish tables of three distinct Haar devices, read
     # off their recorded columns.
-    ("run --model random:11 --mode sequential_collapse --trials 100 --format json", 0, "3486ce0d886ce504171c43c9ec1d30a57e7ed98b4a6a63ac1b004fbacaa26d94"),
-    ("run --model random:11 --mode sequential_collapse --trials 100 --format text", 0, "576f219582a335f484b3bdbb8a02761bbcb8018d5a5598be17761b3b54de03ed"),
-    ("distinguish --model random:11 --format json", 1, "d1b3e390ff51b522496c35e398b2d574e0a366882e4455c4811b0ac4cfeaf7f9"),
-    ("distinguish --model random:11 --format text", 1, "26a60988b84086d4fdcbd628ba82be5bf2c2f991d24ee00a6f34a6a8df336239"),
+    ("run --model random:11 --mode sequential_collapse --trials 100 --format json", 0, "b93ec7a4c342b40def5b85ef68e9d3530c4ab0690d0c69dd83802a077e1c86e2"),
+    ("run --model random:11 --mode sequential_collapse --trials 100 --format text", 0, "a5937760ba35ff6521d409ae6d6521988d9f0d6948a3b49a7059e59c2b3e30d9"),
+    ("distinguish --model random:11 --format json", 1, "d39aa75580c513b511a833fa5d4c5b65da76e8f07ee52937dcdab33ad4a64108"),
+    ("distinguish --model random:11 --format text", 1, "41839baaae886d0f06418f90efa453ae8064b38cce04c10f524c6668cf0b1cd1"),
 ]
 
 
@@ -534,6 +536,59 @@ PINNED_DIGESTS = [
 def test_reports_match_pinned_digests(capsys, line, code, digest):
     actual, out, err = run_cli(capsys, *line.split())
     assert (actual, hashlib.sha256(out.encode()).hexdigest(), err) == (code, digest, "")
+
+
+class TestJsonWriter:
+    """``_write`` against the stdlib's indenting encoder, ``json_reference``."""
+
+    @staticmethod
+    def written(report, out=None) -> str:
+        out = io.StringIO() if out is None else out
+        gwsim.cli._write(report, {"output": {"format": "json"}}, out)
+        return out.getvalue()
+
+    @pytest.mark.parametrize("line", [p[0] for p in PINNED_DIGESTS])
+    def test_every_pinned_report(self, capsys, monkeypatch, line):
+        reports = []
+        monkeypatch.setattr(gwsim.cli, "emit", lambda report, config: reports.append(report))
+        run_cli(capsys, *line.split())
+        [report] = reports
+        assert self.written(report) == _oracles.json_reference(report)
+
+    def test_a_crafted_report(self):
+        report = _oracles.CRAFTED_REPORT
+        assert self.written(report) == _oracles.json_reference(report)
+
+    @pytest.mark.parametrize("key", [1, 2.5, True, None, ("a",)])
+    def test_a_key_that_is_not_a_string_raises(self, key):
+        with pytest.raises(TypeError):
+            self.written({"results": {"fine": 1, key: 2}})
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), np.float32(0.5), b"bytes"])
+    def test_a_value_json_cannot_hold_raises(self, value):
+        with pytest.raises(TypeError):
+            _oracles.json_reference({"results": [value]})
+        with pytest.raises(TypeError):
+            self.written({"results": [value]})
+
+    def test_a_numpy_float_raises(self):
+        # json.dumps prints a float subclass as a float; a report holds
+        # builtin scalars only, so one that leaks into it fails loudly.
+        with pytest.raises(TypeError):
+            self.written({"results": {"rate": np.float64(0.5)}})
+
+    def test_a_long_report_reaches_write_in_batches(self):
+        class Recording(io.StringIO):
+            def write(self, text):
+                calls.append(len(text))
+                return super().write(text)
+
+        calls = []
+        _, config, arguments = parse_args(["sweep", "--models", "3000"])
+        report = gwsim.cli.cmd_sweep(config, **arguments)
+        text = self.written(report, Recording())
+        assert text == _oracles.json_reference(report)
+        assert len(calls) > 1 and max(calls) < len(text) / 2
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import gwsim.models
 from gwsim.measurement import (
     MeasurementModel,
     Observable,
@@ -24,9 +25,11 @@ from _oracles import (
     distinguish_reference,
     door_observable,
     entangled_record_state,
+    gaussian_matrix,
+    gram_schmidt_q,
     outsider_observable,
+    phase_fixed_q,
     random_state,
-    random_unitary,
     spin_observable,
 )
 from test_models import completed_model
@@ -159,11 +162,12 @@ class TestHaarSampling:
     def test_haar_unitary_matches_the_single_matrix_reference(self, dim):
         for seed in range(5):
             u = haar_random_unitary(dim, np.random.default_rng(seed)).matrix
-            assert np.array_equal(u, random_unitary(dim, np.random.default_rng(seed)))
+            assert np.array_equal(u, gram_schmidt_q(gaussian_matrix(dim, np.random.default_rng(seed))))
 
     def test_stacked_kernel_equals_per_model_single_draws(self):
-        # One (3, 2, 6, 6) draw from each model's stream, one QR over the
-        # stack: each model's three unitaries, bit for bit as drawn one by one.
+        # One (3, 2, 6, 6) draw from each model's stream, orthonormalised as
+        # one stack: each model's three unitaries, bit for bit as drawn and
+        # orthonormalised one by one.
         indices = range(1, 41)
         draws = np.array([trial_rng(3, index).normal(size=(3, 2, 6, 6)) for index in indices])
         stacked = haar_unitaries(draws)
@@ -171,7 +175,28 @@ class TestHaarSampling:
         for m, index in enumerate(indices):
             rng = trial_rng(3, index)
             for site in range(3):
-                assert np.array_equal(stacked[m, site], random_unitary(6, rng))
+                assert np.array_equal(stacked[m, site], gram_schmidt_q(gaussian_matrix(6, rng)))
+
+    def test_columns_match_lapack_phase_fixed_qr(self, monkeypatch):
+        # LAPACK's QR with R's diagonal made positive real is the same map
+        # from Gaussians to Haar columns. The Gram–Schmidt columns agree with
+        # it to rounding, and are orthonormal to rounding, on the devices of
+        # random:0-199 and of sweep models 1-2000 of seed 3.
+        seen = []
+
+        def recorded(draws):
+            seen.append((draws, columns := haar_unitaries(draws)))
+            return columns
+
+        monkeypatch.setattr(gwsim.models, "haar_unitaries", recorded)
+        for seed in range(200):
+            _haar_devices(seed, [0])
+        _haar_devices(3, range(1, 2001))
+        assert sum(len(draws) for draws, _ in seen) == 2200
+        for draws, columns in seen:
+            for draw, q in zip(draws.reshape(-1, 2, 6, 2), columns.reshape(-1, 6, 2)):
+                assert np.abs(q - phase_fixed_q(draw[0] + 1j * draw[1])).max() <= 1e-14
+                assert np.abs(q.conj().T @ q - np.eye(2)).max() <= 1e-14
 
 
     @pytest.mark.parametrize("dim", [2, 3, 6])
