@@ -495,6 +495,9 @@ PINNED_DIGESTS = [
     ("ghz-nogo --drop-constraint 2 --format text", 0, "ce0c742c3c92e65fc0950f9017dcf2f6ef943feda9c6c77c3f00676aa155b2a9"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format json", 0, "ab75ebf694ea17452fc217ad3a9f1a68b7e91806323e849939d440f7a105368a"),
     ("sweep --models 3 --seed 2 --side 3 --tau 2 --format text", 0, "720c373a883388e3d0b745b968cfb294bf05f34b56ea14da6b9fa56d8f965340"),
+    # A sweep crossing two SWEEP_BLOCK boundaries (models 128 and 256).
+    ("sweep --models 300 --seed 3 --format json", 0, "002b0777918c2d77100410c1bc8f87f752f7a2d21ef18303d96cbb85345e6f73"),
+    ("sweep --models 300 --seed 3 --format text", 0, "79975205a3a3c92b4db07e7354a65cba1bd3211e2591cdca580120e08baf13f2"),
     # The erasure table without the outsider, with no trials, and at the most
     # trials a count holds.
     ("erasure --skip-j --trials 2000 --seed 1 --format json", 0, "12728ac15461d9d3370c57550c69194dee41d4c195929ad25bb6024d55ebcf3d"),
