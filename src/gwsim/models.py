@@ -119,7 +119,8 @@ def _philox_key(seed: int, spawn: np.ndarray | None = None):
     With ``spawn``, a uint64 array of indices below 2³², the key words are two
     uint64 arrays, entry j that of ``SeedSequence(seed, spawn_key=(spawn[j],))``:
     the seed's pool is the same for every index, so only the spawn word's
-    mixing stage and the output hash run on the array, in 32-bit masks.
+    mixing into the four entries and the output hash run on the array, each
+    as one (4, M) pass, in 32-bit masks.
 
     Each hash step XORs the value with the hash constant, steps the constant
     (c ← c·mult), multiplies by it and XOR-shifts; a mix of y into x is
@@ -132,20 +133,29 @@ def _philox_key(seed: int, spawn: np.ndarray | None = None):
     for word in (words + [0, 0, 0])[:4]:
         value = (word ^ const) * (const := const * 0x931E8875 & MASK32) & MASK32
         pool.append(value ^ value >> 16)
-    # Entry j mixed into every other entry, then each later word (a spawn
-    # key follows the seed's words, padded to four) into every entry.
-    sources = [None] * 4 + words[4:] + ([] if spawn is None else [spawn])
-    for j, word in enumerate(sources):
+    # Entry j mixed into every other entry, then each later seed word (the
+    # seed's words padded to four) into every entry; a spawn word comes last.
+    for j, word in enumerate([None] * 4 + words[4:]):
         for dst in range(4):
             if dst != j:
                 value = pool[j] if word is None else word
                 value = (value ^ const) * (const := const * 0x931E8875 & MASK32) & MASK32
                 mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16) & MASK32
                 pool[dst] = mixed ^ mixed >> 16
-    const, key = 0x8B51F9DD, []
-    for value in pool:
-        value = (value ^ const) * (const := const * 0x58F38DED & MASK32) & MASK32
-        key.append(value ^ value >> 16)
+    if spawn is None:
+        const, key = 0x8B51F9DD, []
+        for value in pool:
+            value = (value ^ const) * (const := const * 0x58F38DED & MASK32) & MASK32
+            key.append(value ^ value >> 16)
+        return key[0] | key[1] << 32, key[2] | key[3] << 32
+    # Row d is pool entry d, hashed with the constants it steps through.
+    mix = [const] + [const := const * 0x931E8875 & MASK32 for _ in range(4)]
+    out = [const := 0x8B51F9DD] + [const := const * 0x58F38DED & MASK32 for _ in range(4)]
+    mix, out, pool = (np.array(v, dtype=np.uint64)[:, None] for v in (mix, out, pool))
+    value = (spawn ^ mix[:4]) * mix[1:] & MASK32
+    mixed = pool * 0xCA01F9DD - (value ^ value >> 16) * 0x4973F715 & MASK32
+    value = (mixed ^ mixed >> 16 ^ out[:4]) * out[1:] & MASK32
+    key = value ^ value >> 16
     return key[0] | key[1] << 32, key[2] | key[3] << 32
 
 
@@ -172,13 +182,20 @@ def _philox_round_keys(key) -> list:
 def _philox_words(key, counters: np.ndarray) -> np.ndarray:
     """Philox4x64-10's output words for the counters (c, 0, 0, 0), c in
     ``counters`` (uint64), shape counters.shape + (4,). The key is two ints,
-    or two (M, 1) uint64 arrays for one key per row, shape (M, len, 4).
+    or two (M, 1) uint64 arrays for one key per row, shape (M, len, 4), whose
+    round keys are each key word plus (r·s mod 2⁶⁴, r < 10) in one broadcast
+    add, as uint64 arithmetic wraps.
 
     Rounds three to ten run in place on every counter at once. Rounds one and
     two skip what is still zero or a key word: round one's x1 = x2 = x3 = 0,
     so hi(M1·x2) = lo(M1·x2) = 0, and round two's x0 is the key word k0.
     """
-    (m0, m1), ((k0, k1), (j0, j1), *later) = PHILOX_MULTIPLIERS, _philox_round_keys(key)
+    if isinstance(key[0], int):
+        round_keys = _philox_round_keys(key)
+    else:
+        steps = np.arange(10, dtype=np.uint64)[:, None, None]
+        round_keys = zip(*(k + steps * s for k, s in zip(key, PHILOX_KEY_STEPS)))
+    (m0, m1), ((k0, k1), (j0, j1), *later) = PHILOX_MULTIPLIERS, round_keys
     # (x0, x1, x2, x3) → (hi(M1·x2) ⊕ x1 ⊕ k0, lo(M1·x2), hi(M0·x0) ⊕ x3 ⊕ k1, lo(M0·x0))
     x0, x2, x3 = k0, _mulhi(counters, m0) ^ k1, counters * m0  # round one; x1 = 0
     y0 = _mulhi(x2, m1)  # round two
@@ -584,37 +601,21 @@ def _haar_devices(seed: int, indices) -> np.ndarray:
     k0, k1 = _philox_key(seed, np.asarray(indices, dtype=np.uint64))
     counters = np.arange(1, 55, dtype=np.uint64).reshape(18, 3)[:, :2]
     uniforms = _philox_uniforms((k0[:, None], k1[:, None]), counters.ravel())
-    uniforms = uniforms.reshape(len(k0), 18, 2, 2, 2)[:, :, [0, 1], [0, 1]]
-    radii = np.sqrt(-2.0 * np.log1p(-uniforms[..., 0]))
-    angles = 2.0 * math.pi * uniforms[..., 1]
+    uniforms = uniforms.reshape(len(k0), 18, 2, 2, 2).diagonal(axis1=2, axis2=3)
+    radii = np.sqrt(-2.0 * np.log1p(-uniforms[:, :, 0]))
+    angles = 2.0 * math.pi * uniforms[:, :, 1]
     normals = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
     return haar_unitaries(normals.reshape(len(k0), 3, 2, PAIR_DIM, 2))
 
 
-class SweepModelResult(NamedTuple):
-    index: int
-    kind: str  # "ideal" | "haar"
-    constraints_match: bool
-    satisfying_count: int
-    support_ok: bool
-
-    @property
-    def passed(self) -> bool:
-        return self.constraints_match and self.satisfying_count == 0 and self.support_ok
-
-
 class SweepReport(NamedTuple):
-    n_models: int
-    seed: int
-    results: tuple[SweepModelResult, ...]
+    """The ideal-device pass's verdict, which every model shares, and one
+    flag per model: model i passes iff the constraints match, none is
+    satisfied and ``support_ok[i]``."""
 
-    @property
-    def n_passed(self) -> int:
-        return sum(r.passed for r in self.results)
-
-    @property
-    def all_passed(self) -> bool:
-        return self.n_passed == self.n_models
+    constraints_match: bool  # the four canonical constraints, no others
+    satisfying_count: int  # assignments satisfying them all
+    support_ok: list[bool]  # per model: 1/4 support and its Gram check
 
 
 def nonideal_sweep(
@@ -625,11 +626,12 @@ def nonideal_sweep(
     Model 0 is the ideal device; model i ≥ 1 takes its three Haar-random lab
     unitaries from ``_haar_devices`` (its own spawn-keyed Philox stream, so
     its devices do not depend on ``n_models``), drawn ``SWEEP_BLOCK`` models
-    at a time, so memory stays flat but for the results. Each model must
-    yield the four constraints, no satisfying assignment, and
+    at a time, so memory stays flat but for one bool per model. Each model
+    must yield the four constraints, no satisfying assignment, and
     ``quarter_support``. One ``collect_constraints`` pass, on the ideal
-    device, decides that for every model, and model i passes iff each site's
-    Ready columns R = U[:, :2] have max |R†R − I| ≤ ``READY_GRAM_TOL``.
+    device, decides that for every model, and model i's flag holds iff that
+    pass's support does and each site's Ready columns R = U[:, :2] have
+    max |R†R − I| ≤ ``READY_GRAM_TOL``.
 
     That suffices, as the pass reads a device only through G = R†R. In the
     recorded states, a weight is ⟨Ψ|A_A ⊗ A_B ⊗ A_C|Ψ⟩ for the ideal device's
@@ -639,17 +641,15 @@ def nonideal_sweep(
     are ‖G − I‖ ≤ 2δ and ‖G P G − P‖ ≤ ε = 4δ + 4δ², so putting the ideal
     operators in one site at a time moves a weight by at most
     (1 + ε)³ − 1 = 12δ + O(δ²): 1.2e-11 at ``READY_GRAM_TOL``, inside
-    ``QUARTER_TOL`` and ``SUPPORT_EPS``. Haar draws round to δ under 1e-15.
+    ``QUARTER_TOL`` and ``SUPPORT_EPS``. Haar draws round to δ under 2e-15.
     """
     if n_models < 1:
         raise ValueError(f"need at least one model, got {n_models}")
     tables, found = collect_constraints(build_schedule(side, tau), ideal_von_neumann())
     verdict = set(found) == CANONICAL_CONSTRAINT_KEYS, len(enumerate_assignments(found))
-    support_ok = quarter_support(tables)
-    results = [SweepModelResult(0, "ideal", *verdict, support_ok)]
+    flags = [support_ok := quarter_support(tables)]
     for start in range(1, n_models, SWEEP_BLOCK):
         ready = _haar_devices(seed, range(start, min(start + SWEEP_BLOCK, n_models)))
         errors = np.abs(ready.conj().swapaxes(-1, -2) @ ready - np.eye(2)).max(axis=(1, 2, 3))
-        ok = (errors <= READY_GRAM_TOL) & support_ok
-        results += [SweepModelResult(i, "haar", *verdict, bool(x)) for i, x in enumerate(ok, start)]
-    return SweepReport(n_models=n_models, seed=seed, results=tuple(results))
+        flags += ((errors <= READY_GRAM_TOL) & support_ok).tolist()
+    return SweepReport(*verdict, flags)

@@ -48,7 +48,6 @@ from gwsim.models import (
     CANONICAL_CONSTRAINT_KEYS,
     MODES,
     QUARTER_TOL,
-    SweepModelResult,
     SweepReport,
     trial_rng,
 )
@@ -646,10 +645,23 @@ def sweep_reference_model(index: int, seed: int) -> MeasurementModel:
     return MeasurementModel(tuple(Operator(gram_schmidt_q(re + 1j * im)) for re, im in normals))
 
 
-def sweep_reference(n_models: int, seed: int) -> SweepReport:
+def sweep_rows(report: SweepReport) -> list[tuple[bool, int, bool]]:
+    """A ``nonideal_sweep`` report as ``sweep_reference`` gives it: per model,
+    the shared (constraints_match, satisfying_count) and its own support_ok."""
+    return [(report.constraints_match, report.satisfying_count, ok) for ok in report.support_ok]
+
+
+def sweep_failures(report: SweepReport) -> list[int]:
+    """The models a ``nonideal_sweep`` report fails."""
+    rows = enumerate(sweep_rows(report))
+    return [i for i, (match, count, ok) in rows if not (match and count == 0 and ok)]
+
+
+def sweep_reference(n_models: int, seed: int) -> list[tuple[bool, int, bool]]:
     """``nonideal_sweep`` model by model: the same device streams, each drawn
     one unitary at a time (``sweep_reference_model``), then ``evolve_to`` plus
-    ``support_constraint`` for every round of every standard frame."""
+    ``support_constraint`` for every round of every standard frame. Per model,
+    (constraints_match, satisfying_count, support_ok)."""
     schedule = build_schedule(10.0, 1.0)
     results = []
     for index in range(n_models):
@@ -665,16 +677,9 @@ def sweep_reference(n_models: int, seed: int) -> SweepReport:
                 constraints.append(constraint)
                 support_ok &= all(abs(abs(e.amplitude) ** 2 - 0.25) <= QUARTER_TOL for e in entries)
         keys = {(c.slots, c.required_product) for c in constraints}
-        results.append(
-            SweepModelResult(
-                index,
-                "haar" if index else "ideal",
-                keys == CANONICAL_CONSTRAINT_KEYS,
-                len(enumerate_assignments(constraints)),
-                support_ok,
-            )
-        )
-    return SweepReport(n_models=n_models, seed=seed, results=tuple(results))
+        matched = keys == CANONICAL_CONSTRAINT_KEYS
+        results.append((matched, len(enumerate_assignments(constraints)), support_ok))
+    return results
 
 
 def build_parser() -> argparse.ArgumentParser:
