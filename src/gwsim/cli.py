@@ -18,8 +18,6 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-import numpy as np
-
 from .measurement import MeasurementModel, distinguishability_report, ideal_von_neumann
 from .models import (
     InterpretationModel,
@@ -27,12 +25,11 @@ from .models import (
     MAX_TRIALS,
     MODES,
     erasure_experiment,
+    haar_model,
     nonideal_sweep,
     quarter_support,
     run_model,
-    _haar_devices,
 )
-from .qmath import Operator
 from .scenario import (
     FRAME_NAMES,
     ParityConstraint,
@@ -156,11 +153,7 @@ def _resolve_seed(config: dict) -> int:
 def _build_model(config: dict) -> MeasurementModel:
     if config["model"]["kind"] == "ideal":
         return ideal_von_neumann()
-    # Spawn 0 of the model seed, the stream no sweep model and no run draws:
-    # its Ready columns, then the last four columns of their complete QR.
-    ready = _haar_devices(config["model"]["seed"], [0])[0]
-    rest = np.linalg.qr(ready, mode="complete")[0][..., 2:]
-    return MeasurementModel(tuple(map(Operator, np.concatenate([ready, rest], axis=-1))))
+    return haar_model(config["model"]["seed"])
 
 
 def _check(name: str, passed: bool, detail: str) -> dict:

@@ -7,7 +7,7 @@ of a device that any command reads. The ideal case is a basis permutation
 (the lab flips to RecordedUp/RecordedDown and the electron is untouched); any
 other unitary models an imperfect device. ``haar_unitaries`` draws just the
 columns asked for, by Gram–Schmidt: the sweep asks for the Ready columns,
-which ``cli._build_model`` completes to a whole device for ``random:N``.
+which ``models.haar_model`` completes to a whole device for ``random:N``.
 
 Two measurements read a completed record, each with outcomes +1, −1, 0:
 
@@ -17,7 +17,7 @@ Two measurements read a completed record, each with outcomes +1, −1, 0:
 * the door's — what you learn by asking the lab for its record: ±1 on the
   RecordedUp/RecordedDown lab levels, 0 on Ready.
 
-No command builds either projector: ``_outsider_parts`` and ``_door_weights``
+No command builds either projector: ``outsider_parts`` and ``door_weights``
 read both off pair vectors, in Python complex numbers, for the ``distinguish``,
 collapse and erasure tables. ``measure`` samples an ``Observable`` with
 collapse on a dense state.
@@ -152,7 +152,7 @@ class Observable(namedtuple("Observable", "targets eigenpairs")):
         return tuple(v for v, _ in self.eigenpairs)
 
 
-def _outsider_parts(model: MeasurementModel, site: str, r) -> list[list[complex]]:
+def outsider_parts(model: MeasurementModel, site: str, r) -> list[list[complex]]:
     """[Q_+ r, Q_− r, Q_0 r] of the pair vector ``r`` (Python complex numbers) for
     the outsider at ``site``, through its recorded columns: Q_± r = ½ b_± (b_±† r)
     for b_± = |+1Z> ± |-1Z>, and Q_0 r = r − Q_+ r − Q_− r."""
@@ -162,7 +162,7 @@ def _outsider_parts(model: MeasurementModel, site: str, r) -> list[list[complex]
     return [*parts, [x - p - m for x, p, m in zip(r, *parts)]]
 
 
-def _door_weights(v) -> list[float]:
+def door_weights(v) -> list[float]:
     """The door's RecordedUp, RecordedDown and Ready weights of the pair vector
     ``v`` (Python complex numbers), each over its lab level's two pair rows.
     |x|² is x.real² + x.imag²: abs(x)**2 rounds abs(¼ − ¼i)**2 off 1/8."""
@@ -193,27 +193,25 @@ def measure(
     return value, StateVector(state.layout, amps)
 
 
-def distinguishability_report(model: MeasurementModel | None = None) -> dict:
+def distinguishability_report(model: MeasurementModel) -> dict:
     """Door vs pair measurement on the unitary and collapsed descriptions.
 
     Deterministic (no sampling). Each description is an even mixture of pair
     vectors: the unitary record is ½|b_+><b_+| for the unnormalised
     b_+ = |+1Z> + |-1Z>, the collapsed record the two recorded states. An
-    outcome weighs ½ Σ_v of its weight in v (``_door_weights``; ‖Q v‖² of
-    ``_outsider_parts``), as ``erasure`` reads its table, so the ideal device's
+    outcome weighs ½ Σ_v of its weight in v (``door_weights``; ‖Q v‖² of
+    ``outsider_parts``), as ``erasure`` reads its table, so the ideal device's
     table is exact. The door rows agree — opening the door cannot tell the
     descriptions apart — while the pair measurement gives a point mass on +1
     for the unitary record against 50/50 for the collapsed one.
     """
-    if model is None:
-        model = ideal_von_neumann()
     states = {
         "unitary_record": [model.recorded_sum("A", +1)],
         "collapsed_record": [model.recorded_state("A", sign).tolist() for sign in (+1, -1)],
     }
     readings = {
-        "door": _door_weights,
-        "pair_x": lambda v: [sum(_door_weights(q)) for q in _outsider_parts(model, "A", v)],
+        "door": door_weights,
+        "pair_x": lambda v: [sum(door_weights(q)) for q in outsider_parts(model, "A", v)],
     }
     table = {}
     for name, read in readings.items():

@@ -38,9 +38,9 @@ column as the collapse table reads a device and sampled the same way, and
 the sweep re-deriving the contradiction under random non-ideal devices: one
 pass on the ideal device, and blocks of Haar-random Ready columns, checked
 orthonormal (``READY_GRAM_TOL``). ``_haar_devices`` draws model i's on its own
-Philox stream, by Gram–Schmidt with no LAPACK call; ``--model random:N`` takes
-spawn 0 of seed N, which no sweep model draws, and ``cli._build_model``
-completes it.
+Philox stream, by Gram–Schmidt with no LAPACK call; ``haar_model(N)``, the
+``--model random:N`` device, completes spawn 0 of seed N, which no sweep
+model draws.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ from .measurement import (
     SAMPLE_FLOOR,
     SITES,
     MeasurementModel,
-    _door_weights,
-    _outsider_parts,
+    door_weights,
     haar_unitaries,
     ideal_von_neumann,
+    outsider_parts,
     pair_index,
 )
-from .qmath import StateVector, apply_local, layout
+from .qmath import Operator, StateVector, apply_local, layout
 from .scenario import (
     CANONICAL_SLOTS,
     FRAME_NAMES,
@@ -439,7 +439,7 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[tuple[flo
     v_k[ready, z]·Q_x R_z for the recorded state R_z (v_k[ready, z] is entry z
     of v_k), and an outcome weighs the friends' table, ``born_weights`` of the
     z factor v_k[ready, z]·v̄_j[ready, z] at every site, times Π_site ‖Q_x R_z‖²,
-    each site's table read off its device's recorded columns (``_outsider_parts``)
+    each site's table read off its device's recorded columns (``outsider_parts``)
     once per distinct ``Operator``. Operators at different sites commute and each
     site's friend event precedes its outsider event in every frame, so the
     table does not depend on the preferred frame. ``_signed_outcomes`` prunes it.
@@ -451,9 +451,9 @@ def sequential_collapse_distribution(model: MeasurementModel) -> tuple[tuple[flo
     for site, device in zip(SITES, model.site_unitaries):
         if id(device) not in sites:
             sites[id(device)] = [
-                (z, sum(_door_weights(q)))
+                (z, sum(door_weights(q)))
                 for z, sign in enumerate((+1, -1))
-                for q in _outsider_parts(model, site, model.recorded_state(site, sign).tolist())
+                for q in outsider_parts(model, site, model.recorded_state(site, sign).tolist())
             ]
     # Row-major over (z_A, x_A, z_B, x_B, z_C, x_C).
     tables = itertools.product(*(sites[id(device)] for device in model.site_unitaries))
@@ -526,8 +526,8 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     behind the door half the time: the outsider has erased the record.
 
     The (pair-x, door) table is read off the recorded column r = U|ready, +1_z>:
-    outcome (x, d) weighs ‖D_d Q_x r‖², the door's weights (``_door_weights``)
-    of the outsider's part Q_x r (``_outsider_parts``; ``skip_pair_x``: Q_x r
+    outcome (x, d) weighs ‖D_d Q_x r‖², the door's weights (``door_weights``)
+    of the outsider's part Q_x r (``outsider_parts``; ``skip_pair_x``: Q_x r
     is r), in Python numbers after the one device run. Trials are counted as
     in ``run_model``.
     """
@@ -535,8 +535,8 @@ def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> Era
     start = np.eye(PAIR_DIM, dtype=complex)[pair_index(LabLabel.READY, +1)]
     state = apply_local(model.unitary("A"), ("L", "A"), StateVector(layout("L", "A"), start))
     r = state.amplitudes.tolist()
-    parts = [r] if skip_pair_x else _outsider_parts(model, "A", r)
-    table = [w for part in parts for w in _door_weights(part)]
+    parts = [r] if skip_pair_x else outsider_parts(model, "A", r)
+    table = [w for part in parts for w in door_weights(part)]
     kept, light = _signed_outcomes(table, (3,) if skip_pair_x else (3, 3))
 
     counts = _draw(kept, trials, seed)  # (pair-x, door) order: up, down for each pair-x
@@ -608,6 +608,15 @@ def _haar_devices(seed: int, indices) -> np.ndarray:
     return haar_unitaries(normals.reshape(len(k0), 3, 2, PAIR_DIM, 2))
 
 
+def haar_model(seed: int) -> MeasurementModel:
+    """The ``random:N`` device: the Ready columns of spawn 0 of ``seed``, the
+    stream no sweep model and no run draws, then the last four columns of
+    their complete QR."""
+    ready = _haar_devices(seed, [0])[0]
+    rest = np.linalg.qr(ready, mode="complete")[0][..., 2:]
+    return MeasurementModel(tuple(map(Operator, np.concatenate([ready, rest], axis=-1))))
+
+
 class SweepReport(NamedTuple):
     """The ideal-device pass's verdict, which every model shares, and one
     flag per model: model i passes iff the constraints match, none is
@@ -618,9 +627,7 @@ class SweepReport(NamedTuple):
     support_ok: list[bool]  # per model: 1/4 support and its Gram check
 
 
-def nonideal_sweep(
-    n_models: int, seed: int, side: float = 10.0, tau: float = 1.0
-) -> SweepReport:
+def nonideal_sweep(n_models: int, seed: int, side: float, tau: float) -> SweepReport:
     """Re-derive the contradiction under imperfect measurement devices.
 
     Model 0 is the ideal device; model i ≥ 1 takes its three Haar-random lab

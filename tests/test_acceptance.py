@@ -142,7 +142,7 @@ def test_criterion_1_ghz_expansions():
 
 def test_criterion_2_distinguishability():
     tol = 1e-10
-    report = distinguishability_report()
+    report = distinguishability_report(ideal_von_neumann())
     door = report["distributions"]["door"]
     pair = report["distributions"]["pair_x"]
 
@@ -221,7 +221,7 @@ def test_criterion_4_constraints_unsatisfiable(schedule, frames):
 
 
 def test_criterion_5_nonideal_sweep():
-    report = nonideal_sweep(101, seed=SEED)
+    report = nonideal_sweep(101, seed=SEED, side=10.0, tau=1.0)
     # Model 0 is the ideal device, whose one pass every Haar model shares.
     assert len(report.support_ok) == 101
     assert report.support_ok[0] is quarter_support(

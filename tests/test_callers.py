@@ -1,18 +1,22 @@
 """Every public function, class, method and constant, and every module-level
-private function, in ``src/gwsim`` has a use in ``src``.
+private function, in ``src/gwsim`` has a use in ``src``; no module imports
+another's private name; and the package itself defines nothing.
 
 Code whose only callers are tests is reachable from no ``gwsim`` command.
 The scan is syntactic: a name counts as used where a ``Name`` or
 ``Attribute`` node outside its own definition spells it, in any module but
-``__init__`` (which only re-exports). Docstrings and ``__all__`` strings are
-constants, so they never count. A constant is a module-level assignment to
-an upper-case name; a method is a public class's public method or property.
-The scan goes by name alone, so a method whose name a variable in ``src``
-also spells counts as used.
+``__init__`` (which defines nothing: code imports from the modules).
+Docstrings are constants, so they never count. A constant is a module-level
+assignment to an upper-case name; a method is a public class's public method
+or property. The scan goes by name alone, so a method whose name a variable
+in ``src`` also spells counts as used.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gwsim
@@ -79,6 +83,19 @@ def _public_constants(modules):
                 if isinstance(target, ast.Name) and target.id.isupper():
                     if not target.id.startswith("_"):
                         yield f"{module}.{target.id}", target.id, node
+
+
+def _private_imports(modules):
+    """``importer: module.name`` for each ``_``-prefixed name a module imports
+    from a module of the package."""
+    for importer, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level or (node.module or "").partition(".")[0] == "gwsim":
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        yield f"{importer}: {node.module}.{alias.name}"
 
 
 def _spelled_names(modules):
@@ -185,6 +202,35 @@ def test_readme_names_every_allowlisted_entry():
     assert unnamed == []
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in gwsim.__all__ if not hasattr(gwsim, name)]
-    assert missing == []
+def test_no_module_imports_another_modules_private_name():
+    # A helper another module calls is that module's API, so it has a public name.
+    assert list(_private_imports(_modules())) == []
+
+
+def test_the_import_scan_sees_private_names_from_the_package():
+    source = (
+        "from __future__ import annotations\n"
+        "from ._x import _a, b\n"
+        "from .y import c, _d\n"
+        "from gwsim.w import _e\n"
+        "from os import _exit\n"
+        "def f():\n"
+        "    from .z import _g\n"
+    )
+    found = list(_private_imports({"m": ast.parse(source)}))
+    assert found == ["m: _x._a", "m: y._d", "m: gwsim.w._e", "m: z._g"]
+
+
+def test_importing_the_package_loads_only_the_package():
+    # ``gwsim`` re-exports nothing, so importing it loads no submodule and no numpy.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys; before = set(sys.modules); import gwsim; print(*set(sys.modules) - before)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["gwsim"]

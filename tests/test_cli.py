@@ -939,7 +939,7 @@ def test_commands_without_a_device_take_no_model(capsys, command, error):
 
 
 def test_no_report_reads_a_device_past_its_ready_columns(capsys, monkeypatch):
-    # ``_build_model`` completes a random device's Ready columns 0-1 with
+    # ``haar_model`` completes a random device's Ready columns 0-1 with
     # columns 2-5. Turning those by one random 4×4 unitary keeps the devices
     # unitary and their Ready columns, and every report. The sweep draws no
     # column past the Ready ones.

@@ -8,13 +8,13 @@ import gwsim.models
 from gwsim.measurement import (
     MeasurementModel,
     Observable,
-    _door_weights,
-    _outsider_parts,
     distinguishability_report,
+    door_weights,
     haar_random_unitary,
     haar_unitaries,
     ideal_von_neumann,
     measure,
+    outsider_parts,
     pair_index,
 )
 from gwsim.models import _haar_devices, trial_rng
@@ -44,8 +44,8 @@ def born(obs: Observable, state: StateVector) -> dict[float, float]:
 
 
 def mixture_weights(model: MeasurementModel, vectors) -> list[float]:
-    """½ Σ_v ‖Q v‖² for each outsider outcome, Q v by ``_outsider_parts``."""
-    parts = zip(*(_outsider_parts(model, "A", v.tolist()) for v in vectors))
+    """½ Σ_v ‖Q v‖² for each outsider outcome, Q v by ``outsider_parts``."""
+    parts = zip(*(outsider_parts(model, "A", v.tolist()) for v in vectors))
     return [0.5 * sum(float(np.vdot(q, q).real) for q in outcome) for outcome in parts]
 
 
@@ -226,7 +226,7 @@ class TestObservables:
             assert_allclose(sum(projectors), np.eye(6), atol=1e-10)
             # The helper's three parts of any vector add back up to it.
             v = random_state(6, rng)
-            assert_allclose(np.sum(_outsider_parts(model, "C", v.tolist()), axis=0), v, atol=1e-15)
+            assert_allclose(np.sum(outsider_parts(model, "C", v.tolist()), axis=0), v, atol=1e-15)
 
     def test_outsider_targets_follow_site(self):
         # The tests' observables act on the site's factors, their outcomes in
@@ -241,7 +241,7 @@ class TestObservables:
 
     @pytest.mark.parametrize("device", ["ideal", "haar"])
     def test_the_helpers_apply_the_oracle_projectors(self, device):
-        # Q v by ``_outsider_parts`` is the dense projector's, and each door
+        # Q v by ``outsider_parts`` is the dense projector's, and each door
         # weight is ‖(D ⊗ 1) v‖², within 1e-15 for random pair vectors at
         # every site: one device shared, or three distinct Haar devices.
         rng = np.random.default_rng(33)
@@ -253,9 +253,9 @@ class TestObservables:
             for site in "ABC":
                 outsider, door = outsider_observable(model, site), door_observable(site)
                 v = random_state(6, rng)
-                for (_, proj), part in zip(outsider.eigenpairs, _outsider_parts(model, site, v.tolist())):
+                for (_, proj), part in zip(outsider.eigenpairs, outsider_parts(model, site, v.tolist())):
                     assert np.abs(np.array(part) - proj.matrix @ v).max() <= 1e-15
-                for (_, proj), weight in zip(door.eigenpairs, _door_weights(v.tolist())):
+                for (_, proj), weight in zip(door.eigenpairs, door_weights(v.tolist())):
                     projected = np.kron(proj.matrix, np.eye(2)) @ v
                     assert abs(weight - np.vdot(projected, projected).real) <= 1e-15
 
@@ -266,7 +266,7 @@ class TestObservables:
         kept = [np.flatnonzero(np.diag(p)).tolist() for p in projectors]
         assert kept == [[2, 3], [4, 5], [0, 1]]
         assert np.array_equal(sum(projectors), np.eye(6))
-        weights = np.transpose([_door_weights(row.tolist()) for row in np.eye(6, dtype=complex)])
+        weights = np.transpose([door_weights(row.tolist()) for row in np.eye(6, dtype=complex)])
         assert np.array_equal(weights, [np.diag(p).real for p in projectors])
 
     def test_door_on_recorded_up_with_any_electron(self):
@@ -275,7 +275,7 @@ class TestObservables:
             lab_state(LabLabel.RECORDED_UP, "L"),
             StateVector(layout("A"), random_state(2, rng)),
         )
-        weights = _door_weights(state.amplitudes.tolist())
+        weights = door_weights(state.amplitudes.tolist())
         assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_observable_rejects_duplicate_eigenvalues(self):
@@ -393,25 +393,25 @@ class TestMeasure:
 
 class TestDistinguishabilityReport:
     def test_table_shape(self):
-        report = distinguishability_report()
+        report = distinguishability_report(ideal_von_neumann())
         assert report["observables"] == ["door", "pair_x"]
         assert report["states"] == ["unitary_record", "collapsed_record"]
 
     def test_door_rows_are_identical(self):
-        table = distinguishability_report()["distributions"]["door"]
+        table = distinguishability_report(ideal_von_neumann())["distributions"]["door"]
         for value in (+1.0, -1.0, 0.0):
             assert table["unitary_record"][value] == pytest.approx(
                 table["collapsed_record"][value], abs=1e-12
             )
 
     def test_pair_row_separates_the_descriptions(self):
-        table = distinguishability_report()["distributions"]["pair_x"]
+        table = distinguishability_report(ideal_von_neumann())["distributions"]["pair_x"]
         assert table["unitary_record"][+1.0] == pytest.approx(1.0, abs=1e-12)
         assert table["collapsed_record"][+1.0] == pytest.approx(0.5, abs=1e-12)
         assert table["collapsed_record"][-1.0] == pytest.approx(0.5, abs=1e-12)
 
     def test_ideal_table_is_exact(self):
-        table = distinguishability_report()["distributions"]
+        table = distinguishability_report(ideal_von_neumann())["distributions"]
         half = {+1.0: 0.5, -1.0: 0.5, 0.0: 0.0}
         assert table["door"] == {"unitary_record": half, "collapsed_record": half}
         assert table["pair_x"] == {
@@ -420,8 +420,8 @@ class TestDistinguishabilityReport:
         }
 
     def test_report_is_deterministic(self):
-        a = distinguishability_report()
-        b = distinguishability_report()
+        a = distinguishability_report(ideal_von_neumann())
+        b = distinguishability_report(ideal_von_neumann())
         assert a["distributions"].keys() == b["distributions"].keys()
         for obs in a["observables"]:
             for state in a["states"]:

@@ -37,12 +37,12 @@ from gwsim.cli import _build_model
 from gwsim.measurement import (
     SAMPLE_FLOOR,
     MeasurementModel,
+    distinguishability_report,
+    door_weights,
     haar_random_unitary,
     haar_unitaries,
-    _door_weights,
-    _outsider_parts,
-    distinguishability_report,
     ideal_von_neumann,
+    outsider_parts,
     pair_index,
 )
 from gwsim.models import (
@@ -314,7 +314,7 @@ class TestErasure:
 
 def completed_model(ready: np.ndarray) -> MeasurementModel:
     """Three devices from their (3, 6, 2) Ready columns, each completed by the
-    last four columns of their complete QR, as ``_build_model`` completes them."""
+    last four columns of their complete QR, as ``haar_model`` completes them."""
     rest = np.linalg.qr(ready, mode="complete")[0][..., 2:]
     return MeasurementModel(tuple(map(Operator, np.concatenate([ready, rest], axis=-1))))
 
@@ -335,14 +335,14 @@ class TestNonidealSweep:
 
         # A block holding no Haar model draws no devices.
         monkeypatch.setattr(gwsim.models, "_haar_devices", refuse)
-        report = nonideal_sweep(1, seed=0)
+        report = nonideal_sweep(1, seed=0, side=10.0, tau=1.0)
         assert sweep_rows(report) == reference == [(True, 0, True)]
         assert report.support_ok == [True]
         assert type(report.support_ok[0]) is bool
         assert sweep_failures(report) == []
 
     def test_random_models_reproduce_the_contradiction(self):
-        report = nonideal_sweep(4, seed=21)
+        report = nonideal_sweep(4, seed=21, side=10.0, tau=1.0)
         assert report.constraints_match is True
         assert report.satisfying_count == 0
         assert report.support_ok == [True] * 4
@@ -351,15 +351,15 @@ class TestNonidealSweep:
 
     @pytest.mark.parametrize("seed", [3, 7, 21])
     def test_matches_the_model_by_model_reference(self, seed):
-        assert sweep_rows(nonideal_sweep(30, seed)) == sweep_reference(30, seed)
+        assert sweep_rows(nonideal_sweep(30, seed, 10.0, 1.0)) == sweep_reference(30, seed)
 
     def test_rejects_empty_sweep(self):
         with pytest.raises(ValueError, match="at least one"):
-            nonideal_sweep(0, seed=0)
+            nonideal_sweep(0, seed=0, side=10.0, tau=1.0)
 
     def test_same_seed_reproduces(self):
-        a = nonideal_sweep(3, seed=9)
-        b = nonideal_sweep(3, seed=9)
+        a = nonideal_sweep(3, seed=9, side=10.0, tau=1.0)
+        b = nonideal_sweep(3, seed=9, side=10.0, tau=1.0)
         assert a == b
 
     @pytest.mark.parametrize("n_models", [1, 5])
@@ -377,14 +377,14 @@ class TestNonidealSweep:
 
         counted(gwsim.scenario, "order_events")
         counted(gwsim.spacetime, "boost_for_simultaneity")
-        report = nonideal_sweep(n_models, seed=3)
+        report = nonideal_sweep(n_models, seed=3, side=10.0, tau=1.0)
         assert len(report.support_ok) == n_models and sweep_failures(report) == []
         assert counts == {"order_events": 4, "boost_for_simultaneity": 3}
 
     def test_blocks_match_the_model_by_model_reference(self, monkeypatch):
         # Models 0-3 (the ideal one first), 4-7 and 8-10: two block boundaries.
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
-        assert sweep_rows(nonideal_sweep(11, 3)) == sweep_reference(11, 3)
+        assert sweep_rows(nonideal_sweep(11, 3, 10.0, 1.0)) == sweep_reference(11, 3)
 
     def test_blocks_report_the_reference_failures(self, monkeypatch):
         # Below the rounding of some Haar draws' R†R, the sweep fails exactly
@@ -404,7 +404,7 @@ class TestNonidealSweep:
         reports = []
         for block in (1, 4, 128):
             monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", block)
-            reports.append(nonideal_sweep(11, 3))
+            reports.append(nonideal_sweep(11, 3, 10.0, 1.0))
         assert reports[0] == reports[1] == reports[2]
         report = reports[0]
         assert set(sweep_failures(report)) == failing
@@ -420,7 +420,7 @@ class TestNonidealSweep:
 
         monkeypatch.setattr(np.linalg, "qr", refuse)
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
-        assert sweep_rows(nonideal_sweep(11, 3)) == sweep_reference(11, 3)
+        assert sweep_rows(nonideal_sweep(11, 3, 10.0, 1.0)) == sweep_reference(11, 3)
 
     @pytest.mark.parametrize(
         "n_models, block, drawn",
@@ -442,7 +442,7 @@ class TestNonidealSweep:
         recorded(gwsim.scenario, "analyze_stack", lambda model, orderings: model)
         recorded(gwsim.models, "haar_unitaries", np.shape)
         recorded(gwsim.measurement, "check_unitary", lambda op: op.matrix.shape)
-        report = nonideal_sweep(n_models, 3)
+        report = nonideal_sweep(n_models, 3, 10.0, 1.0)
         assert len(report.support_ok) == n_models and sweep_failures(report) == []
         # One pass, on the ideal device, whose one shared Operator is
         # checked once; no Haar device becomes a model or is checked.
@@ -512,7 +512,7 @@ class TestNonidealSweep:
         model = sweep_model(3, 0)
         tables, _ = collect_constraints(build_schedule(10.0, 1.0), model)
         assert quarter_support(tables)
-        report = nonideal_sweep(6, 0)
+        report = nonideal_sweep(6, 0, 10.0, 1.0)
         assert sweep_failures(report) == [3]
         assert sweep_rows(report)[3] == (True, 0, False)
         assert gwsim.cli.main(["sweep", "--models", "6"]) == 1
@@ -520,12 +520,12 @@ class TestNonidealSweep:
 
     def test_memory_stays_flat_across_blocks(self, monkeypatch):
         monkeypatch.setattr(gwsim.models, "SWEEP_BLOCK", 4)
-        nonideal_sweep(200, 3)  # fills the interpreter's and numpy's caches
+        nonideal_sweep(200, 3, 10.0, 1.0)  # fills the interpreter's and numpy's caches
         peaks = {}
         for n_models in (8, 200):
             tracemalloc.start()
             try:
-                nonideal_sweep(n_models, 3)
+                nonideal_sweep(n_models, 3, 10.0, 1.0)
                 peaks[n_models] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -771,7 +771,7 @@ class TestSweepNormals:
 
     def test_random_model_devices_are_spawn_zero_of_its_seed(self):
         # The Ready columns are the draw's, bit for bit; the four columns
-        # ``_build_model`` appends complete each device to a unitary.
+        # ``haar_model`` appends complete each device to a unitary.
         for seed in (0, 5, 2**63 - 1, *range(100, 140)):
             model = _build_model({"model": {"kind": "random", "seed": seed}})
             devices = np.stack([u.matrix for u in model.site_unitaries])
@@ -1120,7 +1120,7 @@ class TestCollapseTable:
         # friends' table alone: the GHZ terms' ready entries are ±1 or ±i and
         # their coefficients ¼ and −¼i, so each z tuple weighs 1/8 exactly.
         monkeypatch.setattr(
-            gwsim.models, "_outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
+            gwsim.models, "outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
         )
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
         probabilities = np.asarray(probabilities)
@@ -1133,9 +1133,9 @@ class TestCollapseTable:
         # One term with every electron at z = sign: that z tuple's outcomes
         # weigh the product of the three sites' rows, each [½, ½, 0] over the
         # outsider's +1, −1 and 0, so 1/8 on every ±1 tuple and 0 on the rest.
-        parts, outsider_parts = [], gwsim.models._outsider_parts
+        parts, original = [], gwsim.models.outsider_parts
         monkeypatch.setattr(
-            gwsim.models, "_outsider_parts", lambda *a: parts.append(q := outsider_parts(*a)) or q
+            gwsim.models, "outsider_parts", lambda *a: parts.append(q := original(*a)) or q
         )
         pair = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, sign))
         monkeypatch.setattr(
@@ -1143,7 +1143,7 @@ class TestCollapseTable:
         )
         probabilities, pruned = sequential_collapse_distribution(ideal_von_neumann())
         probabilities = np.asarray(probabilities)
-        table = [[sum(_door_weights(q)) for q in row] for row in parts]
+        table = [[sum(door_weights(q)) for q in row] for row in parts]
         assert table == [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]
         z = (SIGNS[:, :3] == sign).all(axis=1)
         assert probabilities[z].tolist() == [1 / 8] * 8
@@ -1266,9 +1266,9 @@ class TestSiteOutcomes:
             psi = (q[0] + q[1]) @ random_state(6, rng)
             psi /= np.linalg.norm(psi)
             weights = [
-                sum(_door_weights(twice))
-                for once in _outsider_parts(model, "A", psi.tolist())
-                for twice in _outsider_parts(model, "A", once)
+                sum(door_weights(twice))
+                for once in outsider_parts(model, "A", psi.tolist())
+                for twice in outsider_parts(model, "A", once)
             ]
             kept, light = _signed_outcomes(weights, (3, 3))
             born = [np.vdot(psi, qa @ psi).real for qa in q[:2]]
@@ -1281,8 +1281,8 @@ class TestSiteOutcomes:
         # and 0 outcomes carry no weight, so only +1 survives.
         model = ideal_von_neumann()
         state = entangled_record_state(model)
-        parts = _outsider_parts(model, "A", state.amplitudes.tolist())
-        kept, light = _signed_outcomes([sum(_door_weights(q)) for q in parts], (3,))
+        parts = outsider_parts(model, "A", state.amplitudes.tolist())
+        kept, light = _signed_outcomes([sum(door_weights(q)) for q in parts], (3,))
         assert kept == [pytest.approx(1.0, abs=1e-15), 0.0]
         assert sum(light) < SAMPLE_FLOOR
 

@@ -1,8 +1,10 @@
 """The package's records are named tuples, not dataclasses: importing gwsim
 loads no dataclass machinery, and every field stays read-only after
-construction."""
+construction, also in a copy or an unpickled record."""
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +77,38 @@ def test_assigning_to_a_field_raises(name):
     assert getattr(record, field) is before
     with pytest.raises(AttributeError):  # no instance dict to take new attributes either
         record.extra = None
+
+
+def _same(a, b) -> bool:
+    """Whether ``b`` has ``a``'s types and values all the way down."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b) and a.flags.writeable == b.flags.writeable
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(map(_same, a.values(), b.values()))
+    return a == b
+
+
+CLONES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda record: pickle.loads(pickle.dumps(record)),
+}
+
+
+@pytest.mark.parametrize("clone", sorted(CLONES))
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_copied_or_pickled_record_is_the_same_record(name, clone):
+    # Each rebuilds the record through its own __new__, which must accept
+    # the arguments the record gives back (``Frame`` takes its velocity only).
+    record, field = RECORDS[name]
+    again = CLONES[clone](record)
+    assert _same(record, again)
+    with pytest.raises(AttributeError):
+        setattr(again, field, None)
 
 
 def test_importing_the_cli_loads_no_dataclasses():

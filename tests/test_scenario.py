@@ -474,8 +474,8 @@ class TestAnalyze:
 def test_sharing_a_device_changes_no_bit(schedule, matrix, monkeypatch):
     # Three equal but distinct copies of one device get none of the pass's
     # or the collapse table's per-device reuse; the results are the same bits.
-    read, outsider_parts = [], gwsim.models._outsider_parts
-    monkeypatch.setattr(gwsim.models, "_outsider_parts", lambda *a: read.append(a) or outsider_parts(*a))
+    read, original = [], gwsim.models.outsider_parts
+    monkeypatch.setattr(gwsim.models, "outsider_parts", lambda *a: read.append(a) or original(*a))
     device = ideal_von_neumann().unitary("A") if matrix == "ideal" else _haar_model(7).unitary("B")
     shared = MeasurementModel((device,) * 3)
     copies = MeasurementModel(tuple(Operator(device.matrix) for _ in SITES))
@@ -628,7 +628,7 @@ class TestBornWeights:
             for module in (gwsim.models, gwsim.scenario):
                 monkeypatch.setattr(module, "initial_product_terms", lambda: terms)
         monkeypatch.setattr(
-            gwsim.models, "_outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
+            gwsim.models, "outsider_parts", lambda model, site, r: [r, [0j] * 6, [0j] * 6]
         )
         probabilities, _ = sequential_collapse_distribution(IDEAL)
         rounds = order_events(schedule, schedule.frames["sigma"])
