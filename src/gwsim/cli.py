@@ -603,7 +603,7 @@ def _write(report: dict, config: dict, out) -> None:
 
 def emit(report: dict, config: dict) -> None:
     path = config["output"]["path"]
-    if path:
+    if path is not None:
         try:
             with open(path, "w") as fh:
                 _write(report, config, fh)

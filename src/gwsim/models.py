@@ -112,15 +112,15 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     )
 
 
-def _philox_key(seed: int, spawn: np.ndarray | None = None):
-    """``SeedSequence(seed).generate_state(2, np.uint64)`` in Python ints: the
-    seed's 32-bit words hashed into a pool of four, mixed, then hashed out.
+def _philox_key(seed: int, spawn: int | np.ndarray | None = None):
+    """``SeedSequence(seed, spawn_key=(spawn,)).generate_state(2, np.uint64)``,
+    with no spawn key where ``spawn`` is None: the seed's 32-bit words hashed
+    into a pool of four, mixed, then hashed out.
 
-    With ``spawn``, a uint64 array of indices below 2³², the key words are two
-    uint64 arrays, entry j that of ``SeedSequence(seed, spawn_key=(spawn[j],))``:
-    the seed's pool is the same for every index, so only the spawn word's
-    mixing into the four entries and the output hash run on the array, each
-    as one (4, M) pass, in 32-bit masks.
+    ``spawn``, an index below 2³², is one more entropy word. A Python int
+    gives two Python ints; a uint64 array of indices gives two uint64 arrays,
+    entry j for index ``spawn[j]``, by the same 32-bit arithmetic. A numpy
+    scalar would warn where that arithmetic wraps.
 
     Each hash step XORs the value with the hash constant, steps the constant
     (c ← c·mult), multiplies by it and XOR-shifts; a mix of y into x is
@@ -135,27 +135,17 @@ def _philox_key(seed: int, spawn: np.ndarray | None = None):
         pool.append(value ^ value >> 16)
     # Entry j mixed into every other entry, then each later seed word (the
     # seed's words padded to four) into every entry; a spawn word comes last.
-    for j, word in enumerate([None] * 4 + words[4:]):
+    for j, word in enumerate([None] * 4 + words[4:] + ([] if spawn is None else [spawn])):
         for dst in range(4):
             if dst != j:
                 value = pool[j] if word is None else word
                 value = (value ^ const) * (const := const * 0x931E8875 & MASK32) & MASK32
                 mixed = 0xCA01F9DD * pool[dst] - 0x4973F715 * (value ^ value >> 16) & MASK32
                 pool[dst] = mixed ^ mixed >> 16
-    if spawn is None:
-        const, key = 0x8B51F9DD, []
-        for value in pool:
-            value = (value ^ const) * (const := const * 0x58F38DED & MASK32) & MASK32
-            key.append(value ^ value >> 16)
-        return key[0] | key[1] << 32, key[2] | key[3] << 32
-    # Row d is pool entry d, hashed with the constants it steps through.
-    mix = [const] + [const := const * 0x931E8875 & MASK32 for _ in range(4)]
-    out = [const := 0x8B51F9DD] + [const := const * 0x58F38DED & MASK32 for _ in range(4)]
-    mix, out, pool = (np.array(v, dtype=np.uint64)[:, None] for v in (mix, out, pool))
-    value = (spawn ^ mix[:4]) * mix[1:] & MASK32
-    mixed = pool * 0xCA01F9DD - (value ^ value >> 16) * 0x4973F715 & MASK32
-    value = (mixed ^ mixed >> 16 ^ out[:4]) * out[1:] & MASK32
-    key = value ^ value >> 16
+    const, key = 0x8B51F9DD, []
+    for value in pool:
+        value = (value ^ const) * (const := const * 0x58F38DED & MASK32) & MASK32
+        key.append(value ^ value >> 16)
     return key[0] | key[1] << 32, key[2] | key[3] << 32
 
 
@@ -174,27 +164,24 @@ def _mulhi(x: np.ndarray, m: int) -> np.ndarray:
 
 
 def _philox_round_keys(key) -> list:
-    """Philox4x64-10's round keys (k0 + r·s0, k1 + r·s1) mod 2⁶⁴, r < 10, of two ints or arrays."""
+    """Philox4x64-10's round keys (k0 + r·s0, k1 + r·s1) mod 2⁶⁴, r < 10, of two ints."""
     (k0, k1), (s0, s1) = key, PHILOX_KEY_STEPS
     return [(k0 + (r * s0 & MASK64) & MASK64, k1 + (r * s1 & MASK64) & MASK64) for r in range(10)]
 
 
 def _philox_words(key, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10's output words for the counters (c, 0, 0, 0), c in
-    ``counters`` (uint64), shape counters.shape + (4,). The key is two ints,
-    or two (M, 1) uint64 arrays for one key per row, shape (M, len, 4), whose
-    round keys are each key word plus (r·s mod 2⁶⁴, r < 10) in one broadcast
-    add, as uint64 arithmetic wraps.
+    """Philox4x64-10's output words for the counters (c, 0, 0, 0), c in the
+    1-D ``counters`` (uint64), under one key per row: the key is two (M, 1)
+    uint64 arrays, and the words have shape (M, len(counters), 4). The round
+    keys are each key word plus (r·s mod 2⁶⁴, r < 10) in one broadcast add,
+    as uint64 arithmetic wraps.
 
     Rounds three to ten run in place on every counter at once. Rounds one and
     two skip what is still zero or a key word: round one's x1 = x2 = x3 = 0,
     so hi(M1·x2) = lo(M1·x2) = 0, and round two's x0 is the key word k0.
     """
-    if isinstance(key[0], int):
-        round_keys = _philox_round_keys(key)
-    else:
-        steps = np.arange(10, dtype=np.uint64)[:, None, None]
-        round_keys = zip(*(k + steps * s for k, s in zip(key, PHILOX_KEY_STEPS)))
+    steps = np.arange(10, dtype=np.uint64)[:, None, None]
+    round_keys = zip(*(k + steps * s for k, s in zip(key, PHILOX_KEY_STEPS)))
     (m0, m1), ((k0, k1), (j0, j1), *later) = PHILOX_MULTIPLIERS, round_keys
     # (x0, x1, x2, x3) → (hi(M1·x2) ⊕ x1 ⊕ k0, lo(M1·x2), hi(M0·x0) ⊕ x3 ⊕ k1, lo(M0·x0))
     x0, x2, x3 = k0, _mulhi(counters, m0) ^ k1, counters * m0  # round one; x1 = 0
@@ -216,11 +203,10 @@ def _philox_words(key, counters: np.ndarray) -> np.ndarray:
 
 
 def _philox_uniforms(key, counters: np.ndarray) -> np.ndarray:
-    """The uniforms of numpy's Philox4x64-10 stream under ``key`` at the
-    ``counters`` (uint64), shape counters.shape + (4,): as ``Generator.random``
-    draws them, uniform 4(c − 1) + i is (w >> 11)·2⁻⁵³ for word i of counter c.
-    With one key per row, as ``_philox_words`` takes it, each row holds its
-    key's uniforms."""
+    """The uniforms of numpy's Philox4x64-10 streams at the ``counters``
+    (uint64), one row per key of ``key`` as ``_philox_words`` takes it: as
+    ``Generator.random`` draws them, uniform 4(c − 1) + i is (w >> 11)·2⁻⁵³
+    for word i of counter c."""
     words = _philox_words(key, counters)
     words >>= 11
     uniforms = words.astype(np.float64)
@@ -517,7 +503,7 @@ class ErasureReport(NamedTuple):
     pruned_weight: float
 
 
-def erasure_experiment(trials: int, seed: int, skip_pair_x: bool = False) -> ErasureReport:
+def erasure_experiment(trials: int, seed: int, skip_pair_x: bool) -> ErasureReport:
     """The record is RecordedUp with certainty — until the outsider measures.
 
     The electron starts in |+1_z>, so the lab's record after the device runs

@@ -42,8 +42,6 @@ from .spacetime import (
     frame_time,
     point,
     standard_geometry,
-    tilted_frame_events,
-    tilted_frames,
     validate_geometry,
 )
 from .systems import (
@@ -100,16 +98,15 @@ class Schedule(NamedTuple):
 
 
 def checked_schedule(geometry: GeometrySpec) -> tuple[list[CheckResult], Schedule | None]:
-    """The geometry's checks, and its schedule where all of them pass.
+    """The geometry's checks, and its schedule where all of them pass, whose
+    tilted frames are those ``validate_geometry`` built and checked.
 
     Friends are stamped at t1, outsiders at t2. The events really occupy the
     intervals (t0,t1) and (t1,t2); only their completion order matters for
     pre-measurement states, so completion times serve as the event times.
     """
-    tilted_events = tilted_frame_events(geometry)
-    tilted = tilted_frames(geometry, tilted_events)
-    checks = validate_geometry(geometry, (tilted_events, tilted))
-    if not all(r.passed for r in checks):
+    checks, tilted = validate_geometry(geometry)
+    if tilted is None:
         return checks, None
     events = []
     for site in "ABC":

@@ -198,34 +198,22 @@ def tilted_frame_events(spec: GeometrySpec) -> list[tuple[SpacetimePoint, ...]]:
     ]
 
 
-def tilted_frames(spec: GeometrySpec, events=None) -> list[Frame | ValueError]:
-    """Per lab A, B, C: the frame making its ``tilted_frame_events``
-    simultaneous, or the error ``boost_for_simultaneity`` raised for it.
-    ``events`` is ``tilted_frame_events(spec)`` where the caller has built it."""
-    frames = []
-    for triple in events or tilted_frame_events(spec):
-        try:
-            frames.append(boost_for_simultaneity(*triple))
-        except ValueError as exc:
-            frames.append(exc)
-    return frames
-
-
 class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-def validate_geometry(spec: GeometrySpec, tilted: tuple | None = None) -> list[CheckResult]:
-    """Named checks for the arrangement's separation conditions.
+def validate_geometry(spec: GeometrySpec) -> tuple[list[CheckResult], list[Frame] | None]:
+    """Named checks for the arrangement's separation conditions, and the
+    tilted frames of labs A, B and C where every check passes, else None.
 
     Failures are reported, not raised, so invalid geometries can be examined.
     Tolerances scale with the geometry (its mean side, its largest epoch
     time), and intervals are taken in units of the larger of the two, so a
-    geometry passes or fails alike at every scale a float can hold.
-    ``tilted`` is the pair of ``tilted_frame_events(spec)`` and the
-    ``tilted_frames`` of those events, where the caller has built them.
+    geometry passes or fails alike at every scale a float can hold. Each
+    tilted frame is ``boost_for_simultaneity`` of its ``tilted_frame_events``,
+    built once: the frames returned are those the last check judged.
     """
     results = []
     pos = {s: spec.position(s) for s in "ABC"}
@@ -294,9 +282,13 @@ def validate_geometry(spec: GeometrySpec, tilted: tuple | None = None) -> list[C
     # really makes its three events simultaneous. The check reads the built
     # frames, so it passes exactly when they can be built; where the speeds
     # pass, the detail says why a frame still could not be. A frame that
-    # failed is solved once more for its speed.
-    events = tilted[0] if tilted else tilted_frame_events(spec)
-    frames = tilted[1] if tilted else tilted_frames(spec, events)
+    # failed keeps its error, and is solved once more for its speed.
+    events, frames = tilted_frame_events(spec), []
+    for triple in events:
+        try:
+            frames.append(boost_for_simultaneity(*triple))
+        except ValueError as exc:
+            frames.append(exc)
     reasons = {str(f) for f in frames if isinstance(f, ValueError)}
     velocities = [
         f.velocity if isinstance(f, Frame) else _simultaneity_velocity(*triple)
@@ -312,4 +304,4 @@ def validate_geometry(spec: GeometrySpec, tilted: tuple | None = None) -> list[C
             f"(need ≤ {MAX_SPEED!r})" + "".join(f"; {reason}" for reason in shown),
         )
     )
-    return results
+    return results, frames if all(r.passed for r in results) else None

@@ -86,7 +86,7 @@ def lab_vector(label: LabLabel) -> np.ndarray:
     return vec
 
 
-def lab_state(label: LabLabel, factor: str = "L") -> StateVector:
+def lab_state(label: LabLabel, factor: str) -> StateVector:
     """Basis state of one 3-level laboratory register."""
     return StateVector(layout(factor), lab_vector(label))
 

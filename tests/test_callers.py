@@ -2,7 +2,9 @@
 private function, in ``src/gwsim`` has a use in ``src``; no module imports
 another's private name; and the package itself defines nothing.
 
-Code whose only callers are tests is reachable from no ``gwsim`` command.
+Code whose only callers are tests is reachable from no ``gwsim`` command,
+and so is a parameter default that only tests leave out: every default in
+``src`` is left out by at least one ``src`` call.
 The scan is syntactic: a name counts as used where a ``Name`` or
 ``Attribute`` node outside its own definition spells it, in any module but
 ``__init__`` (which defines nothing: code imports from the modules).
@@ -118,6 +120,99 @@ def _unused(modules, definitions) -> list[str]:
         if not any(id(node) not in own for node in uses.get(name, [])):
             unused.append(qualified)
     return unused
+
+
+def _defaults(modules):
+    """``module.function(parameter=)`` for each parameter default, with the
+    function's name, the parameter's name and its position among those a
+    call fills (a method's first parameter is its instance)."""
+    for module, tree in modules.items():
+        methods = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = (args.posonlyargs + args.args)[id(node) in methods :]
+            named = positional[len(positional) - len(args.defaults) :]
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in named:
+                position = positional.index(arg) if arg in positional else None
+                yield f"{module}.{node.name}({arg.arg}=)", node.name, arg.arg, position
+
+
+def _commands(modules) -> set[str]:
+    """The functions ``cli.COMMANDS`` names: ``parse_args`` passes each only
+    the flags given, as ``**arguments``, so each leaves out every default."""
+    (table,) = [
+        node.value
+        for node in modules["cli"].body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "COMMANDS"
+    ]
+    return {entry.elts[0].id for entry in table.values}
+
+
+def _defaults_never_left_out(modules) -> list[str]:
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    commands = _commands(modules)
+
+    def leaves_out(call, parameter, position):
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords
+        ):
+            return False  # what a * or ** call passes is not read here
+        passed = position is not None and position < len(call.args)
+        return not passed and parameter not in {k.arg for k in call.keywords}
+
+    return [
+        qualified
+        for qualified, function, parameter, position in _defaults(modules)
+        if function not in commands
+        and not any(leaves_out(c, parameter, position) for c in calls.get(function, []))
+    ]
+
+
+def test_every_parameter_default_is_left_out_by_a_call_in_src():
+    # A default that only tests leave out is a knob only tests turn.
+    assert _defaults_never_left_out(_modules()) == []
+
+
+def test_the_default_scan_sees_defaults_only_a_call_in_src_leaves_out():
+    source = (
+        "def f(a, b=1, *, c=2): return f(a, 2, c=3)\n"
+        "def g(a, b=1): return g(a, b=2)\n"
+        "def h(a=1): return h(a=2)\n"
+        "def p(a, b=1): return p(0, 1)\n"
+        "def q(a=1): return q(**{})\n"
+        "def r(a=1): return r(*[])\n"
+        "def run(config, flag=False): pass\n"
+        "COMMANDS = {'run': (run, 'help', '')}\n"
+        "class K:\n"
+        "    def m(self, x, y=0): return self.m(x)\n"
+        "    def n(self, x=0): return self.n(1)\n"
+        "f(0)\n"
+        "g(0)\n"
+    )
+    modules = {"cli": ast.parse(source)}
+    found = [q for q, *_ in _defaults(modules)]
+    assert found == [
+        "cli.f(b=)", "cli.f(c=)", "cli.g(b=)", "cli.h(a=)", "cli.p(b=)", "cli.q(a=)",
+        "cli.r(a=)", "cli.run(flag=)", "cli.m(y=)", "cli.n(x=)",
+    ]
+    assert _defaults_never_left_out(modules) == [
+        "cli.h(a=)", "cli.p(b=)", "cli.q(a=)", "cli.r(a=)", "cli.n(x=)"
+    ]
 
 
 def test_every_public_definition_has_a_caller_in_src():

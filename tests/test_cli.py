@@ -1103,6 +1103,15 @@ class TestOutput:
         assert err.startswith("error: cannot write output.path")
         assert "Traceback" not in err
 
+    def test_an_empty_path_is_an_unwritable_path(self, capsys, tmp_path):
+        # "" names no file, so it is an error, not a request to write none.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output": {"path": ""}}))
+        code, out, err = run_cli(capsys, "frames", "--config", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write output.path")
+
     @pytest.mark.parametrize("path", [True, 1, ["report.json"]])
     def test_path_must_be_a_string(self, capsys, tmp_path, path):
         config = tmp_path / "config.json"

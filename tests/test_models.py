@@ -274,22 +274,22 @@ class TestSequentialCollapse:
 
 class TestErasure:
     def test_exact_down_probability_is_half(self):
-        report = erasure_experiment(50, seed=1)
+        report = erasure_experiment(50, seed=1, skip_pair_x=False)
         assert report.exact_down_probability == pytest.approx(0.5, abs=1e-12)
 
     def test_down_frequency_tracks_the_exact_value(self):
-        report = erasure_experiment(TRIALS, seed=5)
+        report = erasure_experiment(TRIALS, seed=5, skip_pair_x=False)
         band = four_sigma_band(0.5, TRIALS)
         assert report.down_frequency == pytest.approx(0.5, abs=band)
 
     def test_counts_are_consistent(self):
-        report = erasure_experiment(500, seed=5)
+        report = erasure_experiment(500, seed=5, skip_pair_x=False)
         assert report.door_counts[+1] + report.door_counts[-1] == 500
         assert report.door_counts[0] == 0
         assert report.pair_x_counts[+1] + report.pair_x_counts[-1] == 500
 
     def test_pair_x_outcomes_are_balanced(self):
-        report = erasure_experiment(TRIALS, seed=5)
+        report = erasure_experiment(TRIALS, seed=5, skip_pair_x=False)
         band = four_sigma_band(0.5, TRIALS)
         assert report.pair_x_counts[+1] / TRIALS == pytest.approx(0.5, abs=band)
 
@@ -301,13 +301,13 @@ class TestErasure:
         assert report.down_frequency == 0.0
 
     def test_zero_trials(self):
-        report = erasure_experiment(0, seed=1)
+        report = erasure_experiment(0, seed=1, skip_pair_x=False)
         assert report.down_frequency == 0.0
         assert report.exact_down_probability == pytest.approx(0.5, abs=1e-12)
 
     def test_same_seed_reproduces_counts(self):
-        a = erasure_experiment(300, seed=8)
-        b = erasure_experiment(300, seed=8)
+        a = erasure_experiment(300, seed=8, skip_pair_x=False)
+        b = erasure_experiment(300, seed=8, skip_pair_x=False)
         assert a.door_counts == b.door_counts
         assert a.pair_x_counts == b.pair_x_counts
 
@@ -661,7 +661,7 @@ class TestPhilox:
     def test_a_negative_seed_is_rejected(self):
         # As numpy's SeedSequence rejects it.
         with pytest.raises(ValueError, match="non-negative"):
-            erasure_experiment(10, seed=-1)
+            erasure_experiment(10, seed=-1, skip_pair_x=False)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_key_is_the_seed_sequence_state(self, seed):
@@ -675,6 +675,16 @@ class TestPhilox:
         words = gwsim.models._philox_key(seed, np.array([], dtype=np.uint64))
         assert [(w.dtype, w.shape) for w in words] == [(np.dtype(np.uint64), (0,))] * 2
 
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 5, 10**400])
+    def test_an_int_spawn_gives_the_spawned_state_in_python_ints(self, seed):
+        indices = [0, 1, 2**32 - 1]
+        rows = gwsim.models._philox_key(seed, np.array(indices, dtype=np.uint64))
+        for j, index in enumerate(indices):
+            key = gwsim.models._philox_key(seed, index)
+            assert [type(word) for word in key] == [int, int]
+            state = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(2, np.uint64)
+            assert list(key) == state.tolist() == [int(words[j]) for words in rows]
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize(
         "start, n",
@@ -686,8 +696,9 @@ class TestPhilox:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
         counters = np.arange(start // 4 + 1, (start + n + 3) // 4 + 1, dtype=np.uint64)
         expected = rng.random(4 * (start // 4 + len(counters)))[4 * (start // 4) :]
-        uniforms = gwsim.models._philox_uniforms(gwsim.models._philox_key(seed), counters)
-        assert uniforms.shape == (len(counters), 4)
+        key = np.array(gwsim.models._philox_key(seed), dtype=np.uint64).reshape(2, 1, 1)
+        uniforms = gwsim.models._philox_uniforms(key, counters)
+        assert uniforms.shape == (1, len(counters), 4)
         assert np.array_equal(uniforms.ravel(), expected)
 
 
@@ -929,9 +940,11 @@ class TestDraw:
     def test_scalar_block_is_the_vector_philox(self, seed):
         key = gwsim.models._philox_key(seed)
         counters = [0, 1, 2, 3, 255, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-        words = gwsim.models._philox_words(key, np.array(counters, dtype=np.uint64))
+        rows = np.array(key, dtype=np.uint64).reshape(2, 1, 1)
+        words = gwsim.models._philox_words(rows, np.array(counters, dtype=np.uint64))
         round_keys = gwsim.models._philox_round_keys(key)
-        assert [list(gwsim.models._philox_block(round_keys, c)) for c in counters] == words.tolist()
+        blocks = [list(gwsim.models._philox_block(round_keys, c)) for c in counters]
+        assert blocks == words[0].tolist()
 
 
 def test_sampling_imports_no_numpy_random():

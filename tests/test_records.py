@@ -59,7 +59,7 @@ def _records() -> dict:
         "RoundTable": (table, "weights"),
         "InterpretationModel": (preferred, "mode"),
         "RunReport": (run_model(schedule, model, preferred, 10, 1), "counts"),
-        "ErasureReport": (erasure_experiment(10, 1), "down_frequency"),
+        "ErasureReport": (erasure_experiment(10, 1, skip_pair_x=False), "down_frequency"),
         "SweepReport": (SweepReport(True, 0, [True]), "support_ok"),
     }
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import gwsim.spacetime
 from _oracles import boost_point, lstsq_velocity
-from gwsim.scenario import build_schedule, order_events
+from gwsim.scenario import build_schedule, checked_schedule, order_events
 from gwsim.spacetime import (
     MAX_SPEED,
     Frame,
@@ -61,7 +61,7 @@ def test_standard_geometry_rejects_bad_parameters(side, tau):
         return
     # A bad tau still gives a geometry, so validation can name what fails;
     # building a schedule on it raises with those names.
-    failed = [r.name for r in validate_geometry(standard_geometry(side, tau)) if not r.passed]
+    failed = [r.name for r in validate_geometry(standard_geometry(side, tau))[0] if not r.passed]
     assert _BAD_TAU_CHECK[tau] in failed
     with pytest.raises(ValueError, match="geometry checks failed: " + ", ".join(failed) + "$"):
         build_schedule(side, tau)
@@ -219,8 +219,9 @@ def test_a_frame_time_near_zero_is_compared_on_the_scale_of_its_terms():
     assert not simultaneous(f, point(far, (far, 0.0)), point(0.0, (0.0, 0.0)))
 
 
-def test_validate_geometry_passes_standard_arrangement():
-    results = validate_geometry(standard_geometry(10.0, 1.0))
+def test_validate_geometry_passes_standard_arrangement(monkeypatch):
+    g = standard_geometry(10.0, 1.0)
+    results, frames = validate_geometry(g)
     assert [r.name for r in results] == [
         "equilateral",
         "equal_epochs",
@@ -229,6 +230,18 @@ def test_validate_geometry_passes_standard_arrangement():
         "tilted_frames_subluminal",
     ]
     assert all(r.passed for r in results)
+    assert len(frames) == 3 and all(isinstance(f, Frame) for f in frames)
+    # A schedule's tilted frames are the very frames its checks built.
+    built, boost = [], gwsim.spacetime.boost_for_simultaneity
+
+    def recording(*events):
+        built.append(boost(*events))
+        return built[-1]
+
+    monkeypatch.setattr(gwsim.spacetime, "boost_for_simultaneity", recording)
+    schedule = checked_schedule(g)[1]
+    tilted = [schedule.frames[name] for name in ("sigma_p", "sigma_pp", "sigma_ppp")]
+    assert len(built) == 3 and all(f is b for f, b in zip(tilted, built))
 
 
 def test_validate_geometry_names_failures_without_raising():
@@ -240,45 +253,51 @@ def test_validate_geometry_names_failures_without_raising():
         t1=20.0,
         t2=40.0,
     )
-    results = {r.name: r for r in validate_geometry(bad)}
+    checks, frames = validate_geometry(bad)
+    results = {r.name: r for r in checks}
     assert results["equilateral"].passed
     assert results["equal_epochs"].passed
     assert not results["epoch_shorter_than_separation"].passed
     assert not results["cross_lab_spacelike"].passed
+    assert frames is None
+    # Frames come back only where every check passes, the tilted one too.
+    checks, frames = validate_geometry(standard_geometry(10.0, 9.0))
+    assert [r.name for r in checks if not r.passed] == ["tilted_frames_subluminal"]
+    assert frames is None
 
 
 def test_validate_geometry_flags_non_equilateral():
     bad = GeometrySpec(
         x_a=(0.0, 6.0), x_b=(-5.0, -3.0), x_c=(9.0, -3.0), t0=0.0, t1=1.0, t2=2.0
     )
-    results = {r.name: r for r in validate_geometry(bad)}
+    results = {r.name: r for r in validate_geometry(bad)[0]}
     assert not results["equilateral"].passed
 
 
 def test_validate_geometry_flags_unequal_epochs():
     g = standard_geometry(10.0, 1.0)
     bad = GeometrySpec(g.x_a, g.x_b, g.x_c, t0=0.0, t1=1.0, t2=3.5)
-    results = {r.name: r for r in validate_geometry(bad)}
+    results = {r.name: r for r in validate_geometry(bad)[0]}
     assert not results["equal_epochs"].passed
 
 
 def test_unequal_tiny_epochs_fail_equal_epochs():
     bad = standard_geometry(10.0, 1e-12)._replace(t2=5e-10)
-    results = {r.name: r for r in validate_geometry(bad)}
+    results = {r.name: r for r in validate_geometry(bad)[0]}
     assert not results["equal_epochs"].passed
 
 
 def test_non_equilateral_tiny_triangle_fails_equilateral():
     g = standard_geometry(1e-9, 1e-12)
     bad = g._replace(x_c=(g.x_c[0] * 1.001, g.x_c[1]))
-    results = {r.name: r for r in validate_geometry(bad)}
+    results = {r.name: r for r in validate_geometry(bad)[0]}
     assert not results["equilateral"].passed
 
 
 @pytest.mark.parametrize("k", [1e-12, 1e-10, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8])
 def test_standard_geometry_passes_every_check_at_any_scale(k):
     g = standard_geometry(10.0 * k, 1.0 * k)
-    assert [r.name for r in validate_geometry(g) if not r.passed] == []
+    assert [r.name for r in validate_geometry(g)[0] if not r.passed] == []
     for events in tilted_frame_events(g):
         f = boost_for_simultaneity(*events)
         assert all(simultaneous(f, events[0], other) for other in events[1:])
@@ -299,7 +318,7 @@ def test_geometry_is_scale_free_where_squared_lengths_leave_float_range(side):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         g = standard_geometry(side, side / 10.0)
-        results = {r.name: r for r in validate_geometry(g)}
+        results = {r.name: r for r in validate_geometry(g)[0]}
         orderings = _orderings(side, side / 10.0)
     assert [name for name, r in results.items() if not r.passed] == []
     assert orderings == _orderings(10.0, 1.0)
@@ -313,7 +332,7 @@ def test_the_cross_lab_detail_names_one_pair_at_every_scale(side):
     # The largest cross-lab intervals tie by symmetry; rounding must not pick
     # which of them the detail names.
     tau = side / 10.0
-    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))}
+    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))[0]}
     detail = results["cross_lab_spacelike"].detail
     assert detail.endswith(f" at ({tau:g},A)–({2.0 * tau:g},B)")
 
@@ -339,7 +358,7 @@ def test_standard_geometry_rejects_a_tau_whose_double_overflows(tau):
 @pytest.mark.parametrize("side", [1e308, 1e300, 10.0, 1.0, 1e-10])
 def test_a_tau_just_above_the_speed_bound_gives_finite_tilted_speeds(side):
     tau = sys.float_info.min * side * math.sqrt(3.0) / 2.0 * 10.0
-    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))}
+    results = {r.name: r for r in validate_geometry(standard_geometry(side, tau))[0]}
     assert results["tilted_frames_subluminal"].passed
     assert "inf" not in results["tilted_frames_subluminal"].detail
 
@@ -355,7 +374,7 @@ def test_the_tilted_check_passes_exactly_when_the_tilted_frames_build(side, buil
     except ValueError as exc:
         assert str(exc) == "solved boost fails the simultaneity check"
         frames = None
-    check = {r.name: r for r in validate_geometry(g)}["tilted_frames_subluminal"]
+    check = {r.name: r for r in validate_geometry(g)[0]}["tilted_frames_subluminal"]
     assert (frames is not None) == check.passed == built
     assert check.detail.endswith("(need ≤ 0.999999999999)") == built
 
@@ -370,7 +389,7 @@ def test_an_unbounded_simultaneity_solve_is_no_boost_and_no_warning():
     g = standard_geometry(1e-300, 1e10)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        results = {r.name: r for r in validate_geometry(g)}
+        results = {r.name: r for r in validate_geometry(g)[0]}
         with pytest.raises(ValueError, match="no common simultaneity plane"):
             boost_for_simultaneity(*tilted_frame_events(g)[0])
     assert not results["tilted_frames_subluminal"].passed
@@ -389,9 +408,9 @@ def assert_the_solves_agree(g: GeometrySpec) -> None:
             near_bound |= v is not None and abs(math.hypot(*v) - MAX_SPEED) <= 1e-12 * MAX_SPEED
         if mine is not None and reference is not None:
             assert math.dist(mine, reference) <= 1e-12 * math.hypot(*reference)
-    checks = validate_geometry(g)
+    checks, _ = validate_geometry(g)
     with mock.patch.object(gwsim.spacetime, "_simultaneity_velocity", lstsq_velocity):
-        expected = validate_geometry(g)
+        expected, _ = validate_geometry(g)
     compared = slice(None, -1) if near_bound else slice(None)
     assert [c.passed for c in checks][compared] == [c.passed for c in expected][compared]
 
