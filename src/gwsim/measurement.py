@@ -76,10 +76,6 @@ class MeasurementModel(namedtuple("MeasurementModel", "site_unitaries")):
         plus, minus = (self.recorded_state(site, s).tolist() for s in (+1, -1))
         return [p + sign * m for p, m in zip(plus, minus)]
 
-    def pair_x_state(self, site: str, sign: int) -> np.ndarray:
-        """|±1X> = (|+1Z> ± |-1Z>)/√2, the recorded-basis superpositions."""
-        return np.array(self.recorded_sum(site, sign)) / np.sqrt(2.0)
-
 
 def ideal_von_neumann() -> MeasurementModel:
     """Perfect recording: (Ready, ±z) ↔ (RecordedUp/Down, ±z), rest untouched.

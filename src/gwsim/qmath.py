@@ -5,14 +5,14 @@ A state is a complex vector over an ordered list of named factors (three
 Operators act on named factors of a state (``apply_local``), factors can be
 reordered (``permute_factors``), and labeled basis groups are contracted
 against a state to give joint outcome amplitudes (``grouped_amplitudes``).
-States, operators and basis vectors may carry one leading *stack* axis;
-entry m of a stacked result is the call on entry m, bit for bit. Commands
-read ``Operator`` and ``check_unitary``, and run ``apply_local`` on 6-dim
-pair vectors only (on ``scenario.analyze_stack``'s (2, 6) stack of product
-terms, on ``models.erasure_experiment``'s one column), so that the
-benchmark's ``apply_local`` metrics see every workload. ``FactorLayout``,
-``tensor``, ``permute_factors``, ``BasisGroup`` and ``grouped_amplitudes``
-serve only the tests' 216-dim reference path and the per-layer metrics.
+States and operators may carry one leading *stack* axis; entry m of a
+stacked result is the call on entry m, bit for bit. Commands read
+``Operator`` and ``check_unitary``, and run ``apply_local`` on 6-dim pair
+vectors only (on ``scenario.analyze_stack``'s (2, 6) stack of product terms,
+on ``models.erasure_experiment``'s one column), so that the benchmark's
+``apply_local`` metrics see every workload. ``FactorLayout``,
+``permute_factors``, ``BasisGroup`` and ``grouped_amplitudes`` serve only the
+tests' 216-dim reference path and the per-layer metrics.
 Values are named tuples validated in ``__new__`` (``_replace`` skips the
 check, so build a changed value anew); every operation is a pure function.
 """
@@ -77,12 +77,6 @@ class FactorLayout(namedtuple("FactorLayout", "names")):
     def axes(self, names) -> tuple[int, ...]:
         return tuple(self.axis(n) for n in names)
 
-    def concat(self, other: "FactorLayout") -> "FactorLayout":
-        overlap = set(self.names) & set(other.names)
-        if overlap:
-            raise LayoutError(f"duplicate factor name {sorted(overlap)} in tensor product")
-        return FactorLayout(self.names + other.names)
-
 
 def layout(*names: str) -> FactorLayout:
     return FactorLayout(tuple(names))
@@ -136,11 +130,6 @@ class Operator(namedtuple("Operator", "matrix")):
     @property
     def dim(self) -> int:
         return self.matrix.shape[-1]
-
-
-def tensor(a: StateVector, b: StateVector) -> StateVector:
-    """Tensor product; the result's layout is the concatenation of the inputs'."""
-    return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
 
 
 def apply_local(op: Operator, targets, state: StateVector) -> StateVector:
@@ -200,10 +189,9 @@ class BasisGroup(namedtuple("BasisGroup", "factors labels vectors")):
     """A labeled orthonormal family of vectors on a group of factors.
 
     ``vectors`` holds one column per label in the row-major product space of
-    ``factors``, or is a (stack, dim, labels) stack of such families. The
-    columns need not span the group (a strict subspace models measurements
-    whose remaining outcomes never occur); orthonormality is enforced at
-    construction.
+    ``factors``: a (dim, labels) array, never a stack. The columns need not
+    span the group (a strict subspace models measurements whose remaining
+    outcomes never occur); orthonormality is enforced at construction.
     """
 
     __slots__ = ()
@@ -211,9 +199,9 @@ class BasisGroup(namedtuple("BasisGroup", "factors labels vectors")):
     def __new__(cls, factors: tuple[str, ...], labels: tuple[int, ...], vectors: np.ndarray):
         vecs = np.array(vectors, dtype=complex)  # a copy, as in Operator
         dim = prod(FACTOR_DIMS[n] for n in factors)
-        if vecs.ndim not in (2, 3) or vecs.shape[-2:] != (dim, len(labels)):
+        if vecs.shape != (dim, len(labels)):
             raise LayoutError(f"expected vectors of shape {(dim, len(labels))}, got {vecs.shape}")
-        gram = vecs.conj().swapaxes(-1, -2) @ vecs
+        gram = vecs.conj().T @ vecs
         if np.max(np.abs(gram - np.eye(len(labels)))) > 1e-9:
             raise ValueError("basis-group columns must be orthonormal")
         return super().__new__(cls, factors, labels, _readonly(vecs))

@@ -47,11 +47,9 @@ from .spacetime import (
 from .systems import (
     SITE_FACTORS,
     SUPPORT_EPS,
-    SpinAxis,
     SupportEntry,
     initial_product_terms,
     initial_scenario_state,
-    spin_basis,
     support_table,
 )
 
@@ -210,12 +208,11 @@ def _event_basis_group(ev: MeasurementEvent, model: MeasurementModel) -> BasisGr
     if ev.kind == "friend_z":
         # The friend's record mirrors the electron's z-spin; before the pair
         # unitary runs, that outcome is just the electron's z value.
-        return BasisGroup((ev.targets[1],), (+1, -1), spin_basis(SpinAxis.Z))
+        return BasisGroup((ev.targets[1],), (+1, -1), np.eye(2))
     if ev.kind == "outsider_x":
-        vectors = np.stack(
-            [model.pair_x_state(ev.site, +1), model.pair_x_state(ev.site, -1)], axis=-1
-        )
-        return BasisGroup(ev.targets, (+1, -1), vectors)
+        # Columns |±1X> = (|+1Z> ± |-1Z>)/√2, the recorded-basis superpositions.
+        sums = [model.recorded_sum(ev.site, sign) for sign in (+1, -1)]
+        return BasisGroup(ev.targets, (+1, -1), np.array(sums).T / np.sqrt(2.0))
     raise ValueError(f"unknown event kind {ev.kind!r}")
 
 

@@ -1,23 +1,12 @@
-"""Catalog of named physical states and support extraction.
+"""Named physical states and support extraction.
 
-Spin eigenstates per axis, the 3-level laboratory register states and the
-initial scenario state as its two product terms (``initial_product_terms``),
-which the commands read. Only the tests' reference path and the benchmark's
-per-layer metrics read ``lab_state``, ``ghz_state``, the dense 216-dim
-``initial_scenario_state``, ``SupportEntry`` and ``support_table`` (which
-joint outcome tuples of labeled basis groups carry weight in a state).
-
-Phase conventions, fixed once and verified against a symbolic oracle in the
-test suite:
-
-    |+1_z> = (1, 0)            |-1_z> = (0, 1)
-    |±1_x> = (|+1_z> ± |-1_z>)/√2
-    |±1_y> = (|+1_z> ∓ i|-1_z>)/√2
-
-The y convention carries the flipped sign on purpose: it is the one for which
-the GHZ state's x-basis support is the odd-parity (product −1) set while every
-mixed x/z expansion is even-parity, which is the correlation structure the
-whole scenario is built on.
+The 3-level laboratory register's levels (``LabLabel``) and the initial
+scenario state as its two product terms (``initial_product_terms``), its one
+construction, which the commands read. Only
+the tests' reference path and the benchmark's per-layer metrics read the
+dense 216-dim ``initial_scenario_state`` (the product terms expanded),
+``SupportEntry`` and ``support_table`` (which joint outcome tuples of labeled
+basis groups carry weight in a state).
 """
 
 from __future__ import annotations
@@ -28,16 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qmath import (
-    CANONICAL_LAYOUT,
-    StateVector,
-    grouped_amplitudes,
-    layout,
-    permute_factors,
-    tensor,
-)
-
-SQRT_HALF = np.sqrt(0.5)
+from .qmath import CANONICAL_LAYOUT, StateVector, grouped_amplitudes
 
 # |amplitude|² below this is treated as an impossible outcome (support cutoff).
 SUPPORT_EPS = 1e-9
@@ -46,79 +26,42 @@ SUPPORT_EPS = 1e-9
 SITE_FACTORS = {"A": ("L", "A"), "B": ("M", "B"), "C": ("N", "C")}
 
 
-class SpinAxis(Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-
 class LabLabel(Enum):
     READY = 0
     RECORDED_UP = 1
     RECORDED_DOWN = 2
 
 
-_SPIN_VECTORS = {
-    (SpinAxis.Z, +1): np.array([1.0, 0.0], dtype=complex),
-    (SpinAxis.Z, -1): np.array([0.0, 1.0], dtype=complex),
-    (SpinAxis.X, +1): np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-    (SpinAxis.X, -1): np.array([SQRT_HALF, -SQRT_HALF], dtype=complex),
-    (SpinAxis.Y, +1): np.array([SQRT_HALF, -1j * SQRT_HALF], dtype=complex),
-    (SpinAxis.Y, -1): np.array([SQRT_HALF, 1j * SQRT_HALF], dtype=complex),
-}
-
-
-def spin_vector(axis: SpinAxis, sign: int) -> np.ndarray:
-    """Raw length-2 amplitude vector of a spin eigenstate."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    return _SPIN_VECTORS[(axis, sign)].copy()
-
-
-def spin_basis(axis: SpinAxis) -> np.ndarray:
-    """2x2 matrix with the +1 and -1 eigenvectors of ``axis`` as columns."""
-    return np.column_stack([spin_vector(axis, +1), spin_vector(axis, -1)])
-
-
-def lab_vector(label: LabLabel) -> np.ndarray:
-    vec = np.zeros(3, dtype=complex)
-    vec[label.value] = 1.0
-    return vec
-
-
-def lab_state(label: LabLabel, factor: str) -> StateVector:
-    """Basis state of one 3-level laboratory register."""
-    return StateVector(layout(factor), lab_vector(label))
-
-
-def ghz_state() -> StateVector:
-    """Three-electron GHZ state √½(|+1_y>^⊗3 − i|-1_y>^⊗3) on factors A, B, C."""
-    yp = spin_vector(SpinAxis.Y, +1)
-    ym = spin_vector(SpinAxis.Y, -1)
-    amps = SQRT_HALF * (
-        np.kron(np.kron(yp, yp), yp) - 1j * np.kron(np.kron(ym, ym), ym)
-    )
-    return StateVector(layout("A", "B", "C"), amps)
-
-
 def initial_scenario_state() -> StateVector:
-    """All three labs ready, electrons in the GHZ state, canonical factor order."""
-    labs = tensor(
-        tensor(lab_state(LabLabel.READY, "L"), lab_state(LabLabel.READY, "M")),
-        lab_state(LabLabel.READY, "N"),
-    )
-    return permute_factors(tensor(labs, ghz_state()), CANONICAL_LAYOUT.names)
+    """Σ_k c_k v_k ⊗ v_k ⊗ v_k of ``initial_product_terms`` on the canonical
+    layout, whose (L, A, M, B, N, C) order is pair-major. Every amplitude is
+    exact: eight of them are ±¼ ± ¼i, the rest 0."""
+    coefficients, vectors = initial_product_terms()
+    terms = (c * np.kron(np.kron(v, v), v) for c, v in zip(coefficients, map(np.array, vectors)))
+    return StateVector(CANONICAL_LAYOUT, sum(terms))
 
 
 def initial_product_terms() -> tuple[tuple[complex, ...], tuple[tuple[complex, ...], ...]]:
     """The initial scenario state as a sum of two product states, exactly.
 
+    All three labs are ready and the electrons are in the GHZ state
+    √½(|+1_y>^⊗3 − i|-1_y>^⊗3), with |+1_z> = (1, 0), |-1_z> = (0, 1) and
+
+        |±1_x> = (|+1_z> ± |-1_z>)/√2
+        |±1_y> = (|+1_z> ∓ i|-1_z>)/√2
+
+    The y convention carries the flipped sign on purpose: it is the one for
+    which the GHZ state's x-basis support is the odd-parity (product −1) set
+    while every mixed x/z expansion is even-parity, which is the correlation
+    structure the whole scenario is built on. The test suite checks the terms
+    against a symbolic oracle.
+
     Returns the coefficients c_k and the pair vectors v_k, six entries each,
     row-major over (lab register, electron), as tuples of Python complex
-    numbers, with ``initial_scenario_state()`` equal to Σ_k c_k v_k ⊗ v_k ⊗ v_k:
-    every lab is ready, and every electron is √2·|+1_y> = (1, −i) in term 0
-    and √2·|-1_y> = (1, i) in term 1. The four factors √½ of ``ghz_state``
-    fold into c = (1/4, −i/4), so every entry is exact in binary floating point.
+    numbers, with the state equal to Σ_k c_k v_k ⊗ v_k ⊗ v_k: every lab is
+    ready, and every electron is √2·|+1_y> = (1, −i) in term 0 and
+    √2·|-1_y> = (1, i) in term 1. The four factors √½ fold into
+    c = (1/4, −i/4), so every entry is exact in binary floating point.
     """
     # Entries 0, 1 are ready ⊗ |±1_z>; complex(0.0, −1.0), unlike −1j, has a +0 real part.
     vectors = tuple((1 + 0j, complex(0.0, sign), 0j, 0j, 0j, 0j) for sign in (-1.0, 1.0))

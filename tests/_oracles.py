@@ -1,9 +1,10 @@
 """Independent reference implementations the test suite checks against.
 
 Everything here is deliberately built from different primitives than the
-package: exact symbolic algebra (sympy) for the three-electron expansions,
-plain index arithmetic over raveled kron indices for operator embedding and
-support extraction, the dense 216-dim state contracted against basis groups
+package: exact symbolic algebra (sympy) for the spin eigenstates, the GHZ
+state and the three-electron expansions, rounded to doubles for every spin
+basis and GHZ vector a test needs, plain index arithmetic over raveled kron
+indices for operator embedding and support extraction, the dense 216-dim state contracted against basis groups
 for the frame pass's product form, the array formulation the scalar pass
 replaced (each round's Gram factors as numpy arrays, one product per round),
 the generator form of the Born weights and the full U†U loop of the
@@ -52,6 +53,7 @@ from gwsim.models import (
     trial_rng,
 )
 from gwsim.qmath import (
+    CANONICAL_LAYOUT,
     FACTOR_DIMS,
     UNITARY_TOL,
     BasisGroup,
@@ -72,16 +74,7 @@ from gwsim.scenario import (
     support_constraint,
 )
 from gwsim.spacetime import GEOMETRY_TOL, SpacetimePoint
-from gwsim.systems import (
-    SITE_FACTORS,
-    SUPPORT_EPS,
-    LabLabel,
-    SpinAxis,
-    initial_product_terms,
-    lab_vector,
-    spin_basis,
-    spin_vector,
-)
+from gwsim.systems import SITE_FACTORS, SUPPORT_EPS, LabLabel, initial_product_terms
 
 I2 = sp.I
 HALF = sp.Rational(1, 2)
@@ -105,6 +98,37 @@ def sym_ghz() -> sp.Matrix:
     plus = sp.kronecker_product(yp, yp, yp)
     minus = sp.kronecker_product(ym, ym, ym)
     return (plus - I2 * minus) / sp.sqrt(2)
+
+
+def sym_initial_state() -> sp.Matrix:
+    """``sym_ghz`` with every lab ready, as a 216-entry column on the
+    canonical (L, A, M, B, N, C) layout."""
+    state, r = sp.zeros(CANONICAL_LAYOUT.dim, 1), LabLabel.READY.value
+    for (a, b, c), amplitude in zip(itertools.product(range(2), repeat=3), sym_ghz()):
+        state[np.ravel_multi_index((r, a, r, b, r, c), CANONICAL_LAYOUT.dims)] = amplitude
+    return state
+
+
+@functools.cache
+def spin_basis(axis: str) -> np.ndarray:
+    """``sym_spin_vector``'s +1 and −1 eigenvectors of ``axis`` ("x", "y" or
+    "z") as the columns of a read-only 2×2 complex array. Each entry is the
+    double nearest the exact value, so a y vector's real parts are +0.0."""
+    columns = [sym_spin_vector(axis, sign) for sign in (+1, -1)]
+    basis = np.array(sp.Matrix.hstack(*columns).evalf(), dtype=complex)
+    basis.setflags(write=False)
+    return basis
+
+
+def spin_vector(axis: str, sign: int) -> np.ndarray:
+    """``sym_spin_vector`` in complex doubles: a column of ``spin_basis``."""
+    return spin_basis(axis)[:, (1 - sign) // 2]
+
+
+def dense_ghz() -> StateVector:
+    """``sym_ghz`` in complex doubles on electrons A, B, C: every amplitude
+    is ±¼ ± ¼i, exactly."""
+    return StateVector(layout("A", "B", "C"), np.array(sym_ghz().evalf(), dtype=complex).ravel())
 
 
 def sym_ghz_amplitudes(axes: tuple[str, str, str]) -> dict[tuple[int, int, int], sp.Expr]:
@@ -208,7 +232,7 @@ def brute_product_amplitude(
     return complex(np.vdot(bra, psi))
 
 
-def spin_observable(axis: SpinAxis, factor: str = "A") -> Observable:
+def spin_observable(axis: str, factor: str = "A") -> Observable:
     """±1 spin component of one electron along the given axis."""
     basis = spin_basis(axis)
     return Observable(
@@ -234,7 +258,7 @@ def door_observable(site: str = "A") -> Observable:
     """Ask the lab for its record: +1 RecordedUp, −1 RecordedDown, 0 Ready,
     on the lab register alone."""
     labels = (LabLabel.RECORDED_UP, LabLabel.RECORDED_DOWN, LabLabel.READY)
-    projectors = [Operator(np.diag(lab_vector(label))) for label in labels]
+    projectors = [Operator(np.diag(np.eye(3)[label.value])) for label in labels]
     return Observable(SITE_FACTORS[site][:1], tuple(zip((+1.0, -1.0, 0.0), projectors)))
 
 
@@ -269,7 +293,7 @@ def entangled_record_state(model: MeasurementModel, site: str = "A") -> StateVec
     The pair starts in |ready> ⊗ |+1_x> and the device unitary is applied;
     the result is (|+1Z> + |-1Z>)/√2 — a single superposed pure state.
     """
-    start = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.X, +1))
+    start = np.kron(np.eye(3)[LabLabel.READY.value], spin_vector("x", +1))
     return StateVector(layout(*SITE_FACTORS[site]), model.unitary(site).matrix @ start)
 
 
@@ -355,7 +379,8 @@ def lstsq_velocity(p: SpacetimePoint, q: SpacetimePoint, r: SpacetimePoint):
 
 
 def axis_spec(state, axes) -> list[BasisGroup]:
-    """One ±1 spin-axis basis group per factor, in the state's factor order."""
+    """One ±1 spin-axis basis group per factor, in the state's factor order,
+    for axes "x", "y" or "z"."""
     axes = list(axes)
     if len(axes) != len(state.layout.names):
         raise ValueError(f"need {len(state.layout.names)} axes, got {len(axes)}")
@@ -372,27 +397,28 @@ def axis_spec(state, axes) -> list[BasisGroup]:
 def stacked_amplitudes(state: StateVector, groups) -> np.ndarray:
     """Each group's labeled vectors contracted against every state of a stack.
 
-    ``state`` is a stack of M states; each group's vectors are one family
-    shared by the stack or a stack of M. Returns the (M, labels...,
+    ``state`` is a stack of M states; each group is a (factors, vectors)
+    pair, its vectors a plain array: one (dim, labels) family shared by the
+    stack or an (M, dim, labels) stack of them. Returns the (M, labels...,
     spectator) array of joint outcome amplitudes, the spectator axis
     collecting every factor no group covers, one matmul per group for the
     whole stack.
     """
     groups = list(groups)
-    covered = [n for g in groups for n in g.factors]
+    covered = [n for factors, _ in groups for n in factors]
     if len(set(covered)) != len(covered):
         raise LayoutError("basis groups overlap on factors")
     spectators = [n for n in state.layout.names if n not in covered]
     perm = [0] + [1 + a for a in state.layout.axes(covered + spectators)]
     spec_dim = math.prod(FACTOR_DIMS[n] for n in spectators)
-    group_dims = [math.prod(FACTOR_DIMS[n] for n in g.factors) for g in groups]
+    group_dims = [math.prod(FACTOR_DIMS[n] for n in factors) for factors, _ in groups]
     n = len(state.amplitudes)
     psi = np.transpose(state.tensor_view(), perm).reshape((n, *group_dims, spec_dim))
-    for i, g in enumerate(groups):
+    for i, (_, vectors) in enumerate(groups):
         moved = np.moveaxis(psi, i + 1, 1)
-        bra = g.vectors.conj().swapaxes(-1, -2)
+        bra = vectors.conj().swapaxes(-1, -2)
         psi = bra @ moved.reshape(n, group_dims[i], -1)
-        psi = np.moveaxis(psi.reshape((n, len(g.labels)) + moved.shape[2:]), 1, i + 1)
+        psi = np.moveaxis(psi.reshape((n, bra.shape[-2]) + moved.shape[2:]), 1, i + 1)
     return psi
 
 
@@ -404,7 +430,8 @@ def abs_squared(amplitudes: np.ndarray) -> np.ndarray:
 
 
 def stacked_support(state: StateVector, groups) -> tuple[np.ndarray, np.ndarray]:
-    """``support_table`` for a stack of M states, before the cutoff.
+    """``support_table`` for a stack of M states, before the cutoff, with
+    ``stacked_amplitudes``' (factors, vectors) groups.
 
     Returns the (M, K) stored amplitude and Born weight of each of the K joint
     outcome tuples, in ``support_table``'s order. A tuple is possible iff its
@@ -429,10 +456,10 @@ def dense_weights(state: StateVector, round_events, model) -> np.ndarray:
     groups = []
     for ev in sorted(round_events, key=lambda ev: round_slots(round_events).index(ev.slot)):
         if ev.kind == "friend_z":
-            groups.append(BasisGroup((ev.targets[1],), (+1, -1), spin_basis(SpinAxis.Z)))
+            groups.append(((ev.targets[1],), np.eye(2)))
         else:
-            bases = [model.pair_x_state(ev.site, sign) for sign in (+1, -1)]
-            groups.append(BasisGroup(ev.targets, (+1, -1), np.column_stack(bases)))
+            plus, minus = (model.recorded_state(ev.site, sign) for sign in (+1, -1))
+            groups.append((ev.targets, np.column_stack([plus + minus, plus - minus]) / np.sqrt(2.0)))
     return stacked_support(StateVector(state.layout, state.amplitudes[None]), groups)[1][0]
 
 
@@ -560,7 +587,7 @@ def sample_sequential_collapse(schedule, model, preferred, trials: int, seed: in
     z measurement."""
     events = [ev for rnd in order_events(schedule, preferred) for ev in rnd]
     observables = {
-        ev.slot: spin_observable(SpinAxis.Z, ev.targets[1])
+        ev.slot: spin_observable("z", ev.targets[1])
         if ev.kind == "friend_z"
         else outsider_observable(model, ev.site)
         for ev in events

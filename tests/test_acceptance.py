@@ -15,6 +15,7 @@ from _oracles import (
     axis_spec,
     boost_point,
     brute_support,
+    dense_ghz,
     door_observable,
     outsider_observable,
     random_state,
@@ -68,9 +69,7 @@ from gwsim.spacetime import (
 from gwsim.systems import (
     SITE_FACTORS,
     SUPPORT_EPS,
-    SpinAxis,
     SupportEntry,
-    ghz_state,
     support_table,
 )
 
@@ -110,10 +109,10 @@ def assert_support_table_keeps(state: StateVector, groups, weights) -> list[Supp
 
 def test_criterion_1_ghz_expansions():
     tol = 1e-10
-    ghz = ghz_state()
+    ghz = dense_ghz()
 
     def support(axes):
-        groups = axis_spec(ghz, [SpinAxis(a) for a in axes])
+        groups = axis_spec(ghz, axes)
         weights = package_weights(ghz, groups)
         exact = sym_ghz_amplitudes(axes)
         labels = list(itertools.product(*(g.labels for g in groups)))
@@ -296,7 +295,7 @@ def _norm_preservation_campaign(cases):
 
 def _projector_completeness_campaign(cases):
     rng = np.random.default_rng(SEED + 1)
-    axes = (SpinAxis.X, SpinAxis.Y, SpinAxis.Z)
+    axes = "xyz"
     for case in range(cases):
         model = MeasurementModel((haar_random_unitary(6, rng),) * 3)
         observables = (
@@ -312,7 +311,7 @@ def _projector_completeness_campaign(cases):
 def _collapse_idempotence_campaign(cases):
     rng = np.random.default_rng(SEED + 2)
     pair_layout = layout("L", "A")
-    axes = (SpinAxis.X, SpinAxis.Y, SpinAxis.Z)
+    axes = "xyz"
     for case in range(cases):
         if case % 3 == 2:
             obs = spin_observable(axes[case % 9 // 3], "A")

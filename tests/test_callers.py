@@ -15,6 +15,7 @@ in ``src`` also spells counts as used.
 """
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -25,8 +26,10 @@ import gwsim
 
 SRC = Path(gwsim.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
-# Kept without a caller in src, each for a stated reason.
+# Kept without a caller in src, each for a stated reason: the benchmark's
+# per-layer metrics read each of them.
 ALLOWED_WITHOUT_CALLER = {
     "scenario.evolve_to": "named by BENCHMARK.json; the tests' replay oracle for analyze_stack",
     "scenario.support_constraint": (
@@ -34,7 +37,7 @@ ALLOWED_WITHOUT_CALLER = {
     ),
     "measurement.measure": "named by BENCHMARK.json; the tests' per-trial reference samplers",
     "models.born_violation_check": "named by BENCHMARK.json; the tests' check of violation_mask",
-    "models.trial_rng": "the tests' reference uniforms for the device stream",
+    "models.trial_rng": "named by BENCHMARK.json; the tests' reference uniforms for the device stream",
     "measurement.haar_random_unitary": (
         "named by BENCHMARK.json; the tests' Haar draws from a numpy Generator"
     ),
@@ -287,6 +290,20 @@ def test_the_constant_scan_sees_module_level_constants():
 def test_allowlist_names_only_existing_definitions():
     defined = {qualified for qualified, _, _ in _public_definitions(_modules())}
     assert set(ALLOWED_WITHOUT_CALLER) <= defined
+
+
+def test_allowlisted_names_are_named_by_the_benchmark():
+    # Code whose only callers are tests stays only where a per-layer metric
+    # of the benchmark reads it; the rest goes once its last src caller does.
+    per_layer = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    metrics = [metric["name"] for metric in per_layer]
+    unnamed = [q for q in ALLOWED_WITHOUT_CALLER if not any(m.startswith(f"{q}.") for m in metrics)]
+    assert unnamed == []
+
+
+def test_allowlist_reasons_start_with_the_benchmark():
+    reasons = ALLOWED_WITHOUT_CALLER.items()
+    assert [q for q, reason in reasons if not reason.startswith("named by BENCHMARK.json")] == []
 
 
 def test_readme_names_every_allowlisted_entry():

@@ -18,8 +18,8 @@ from gwsim.measurement import (
     pair_index,
 )
 from gwsim.models import _haar_devices, trial_rng
-from gwsim.qmath import LayoutError, Operator, StateVector, apply_local, layout, tensor
-from gwsim.systems import SITE_FACTORS, LabLabel, SpinAxis, lab_state, spin_vector
+from gwsim.qmath import LayoutError, Operator, StateVector, apply_local, layout
+from gwsim.systems import SITE_FACTORS, LabLabel
 
 from _oracles import (
     distinguish_reference,
@@ -31,6 +31,7 @@ from _oracles import (
     phase_fixed_q,
     random_state,
     spin_observable,
+    spin_vector,
 )
 from test_models import completed_model
 
@@ -49,9 +50,8 @@ def mixture_weights(model: MeasurementModel, vectors) -> list[float]:
     return [0.5 * sum(float(np.vdot(q, q).real) for q in outcome) for outcome in parts]
 
 
-def pair_state(lab: LabLabel, sign: int, lab_factor="L", elec_factor="A") -> StateVector:
-    electron = StateVector(layout(elec_factor), spin_vector(SpinAxis.Z, sign))
-    return tensor(lab_state(lab, lab_factor), electron)
+def pair_state(lab: LabLabel, sign: int) -> StateVector:
+    return StateVector(layout("L", "A"), np.kron(np.eye(3)[lab.value], spin_vector("z", sign)))
 
 
 class TestIdealModel:
@@ -68,9 +68,8 @@ class TestIdealModel:
     def test_x_up_electron_becomes_two_term_entangled_state(self):
         # ready ⊗ |+1_x> evolves to the even superposition of the two records.
         model = ideal_von_neumann()
-        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        start = tensor(lab_state(LabLabel.READY, "L"), x_up)
-        out = model.unitary("A").matrix @ start.amplitudes
+        start = np.kron(np.eye(3)[LabLabel.READY.value], spin_vector("x", +1))
+        out = model.unitary("A").matrix @ start
         expected = (
             pair_state(LabLabel.RECORDED_UP, +1).amplitudes
             + pair_state(LabLabel.RECORDED_DOWN, -1).amplitudes
@@ -271,11 +270,8 @@ class TestObservables:
 
     def test_door_on_recorded_up_with_any_electron(self):
         rng = np.random.default_rng(25)
-        state = tensor(
-            lab_state(LabLabel.RECORDED_UP, "L"),
-            StateVector(layout("A"), random_state(2, rng)),
-        )
-        weights = door_weights(state.amplitudes.tolist())
+        state = np.kron(np.eye(3)[LabLabel.RECORDED_UP.value], random_state(2, rng))
+        weights = door_weights(state.tolist())
         assert weights == pytest.approx([1.0, 0.0, 0.0], abs=1e-12)
 
     def test_observable_rejects_duplicate_eigenvalues(self):
@@ -306,14 +302,14 @@ class TestObservables:
 
 class TestDistributions:
     def test_z_spin_on_x_up_is_even(self):
-        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        weights = born(spin_observable(SpinAxis.Z), x_up)
+        x_up = StateVector(layout("A"), spin_vector("x", +1))
+        weights = born(spin_observable("z"), x_up)
         assert weights == pytest.approx({+1.0: 0.5, -1.0: 0.5}, abs=1e-12)
 
     def test_observable_on_own_eigenstate_is_point_mass(self):
         for sign in (+1, -1):
-            eigenstate = StateVector(layout("A"), spin_vector(SpinAxis.Y, sign))
-            assert born(spin_observable(SpinAxis.Y), eigenstate)[sign] == pytest.approx(1.0, abs=1e-12)
+            eigenstate = StateVector(layout("A"), spin_vector("y", sign))
+            assert born(spin_observable("y"), eigenstate)[sign] == pytest.approx(1.0, abs=1e-12)
 
     def test_pair_observable_on_unitary_record_state(self):
         model = ideal_von_neumann()
@@ -328,17 +324,17 @@ class TestDistributions:
         assert weights == pytest.approx([0.5, 0.5, 0.0], abs=1e-12)
 
     def test_distribution_requires_target_factors_in_state(self):
-        z_up = StateVector(layout("A"), spin_vector(SpinAxis.Z, +1))
+        z_up = StateVector(layout("A"), spin_vector("z", +1))
         with pytest.raises(LayoutError, match="not in layout"):
-            measure(spin_observable(SpinAxis.Z, "B"), z_up, np.random.default_rng(0))
+            measure(spin_observable("z", "B"), z_up, np.random.default_rng(0))
 
 
 class TestMeasure:
     def test_eigenstate_measurement_is_deterministic(self):
         rng = np.random.default_rng(26)
-        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
+        state = StateVector(layout("A"), spin_vector("y", -1))
         for _ in range(20):
-            outcome, post = measure(spin_observable(SpinAxis.Y), state, rng)
+            outcome, post = measure(spin_observable("y"), state, rng)
             assert outcome == -1.0
             assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
@@ -355,16 +351,16 @@ class TestMeasure:
 
     def test_collapse_renormalizes(self):
         rng = np.random.default_rng(28)
-        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        _, post = measure(spin_observable(SpinAxis.Z), state, rng)
+        state = StateVector(layout("A"), spin_vector("x", +1))
+        _, post = measure(spin_observable("z"), state, rng)
         assert np.linalg.norm(post.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_soundness_within_binomial_band(self):
         rng = np.random.default_rng(29)
         n = 4000
-        x_up = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
+        x_up = StateVector(layout("A"), spin_vector("x", +1))
         ups = sum(
-            measure(spin_observable(SpinAxis.Z), x_up, rng)[0] == 1.0
+            measure(spin_observable("z"), x_up, rng)[0] == 1.0
             for _ in range(n)
         )
         band = 4 * np.sqrt(0.25 / n)

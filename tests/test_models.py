@@ -27,6 +27,7 @@ from _oracles import (
     sample_round_born,
     sample_sequential_collapse,
     spin_observable,
+    spin_vector,
     sweep_failures,
     sweep_reference,
     sweep_reference_model,
@@ -76,11 +77,8 @@ from gwsim.scenario import (
 from gwsim.systems import (
     SUPPORT_EPS,
     LabLabel,
-    SpinAxis,
     initial_product_terms,
     initial_scenario_state,
-    lab_vector,
-    spin_vector,
 )
 
 TRIALS = 2000
@@ -1017,7 +1015,7 @@ def collapse_reference(model, rounds, state=None):
     the order of ``rounds``."""
     events = [ev for rnd in rounds for ev in rnd]
     steps = [
-        (spin_observable(SpinAxis.Z, ev.targets[1]), (model.unitary(ev.site), ev.targets))
+        (spin_observable("z", ev.targets[1]), (model.unitary(ev.site), ev.targets))
         if ev.kind == "friend_z"
         else (outsider_observable(model, ev.site), None)
         for ev in events
@@ -1035,7 +1033,7 @@ def erasure_reference(skip_pair_x):
     signs per path, or the door's alone when the pair is not measured."""
     model = ideal_von_neumann()
     start = StateVector(
-        layout("L", "A"), np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, +1))
+        layout("L", "A"), np.kron(np.eye(3)[LabLabel.READY.value], spin_vector("z", +1))
     )
     recorded = apply_local(model.unitary("A"), ("L", "A"), start)
     steps = [] if skip_pair_x else [(outsider_observable(model), None)]
@@ -1081,7 +1079,7 @@ class TestCollapseTable:
         # Every device gives the GHZ state the uniform table, so a random
         # two-term state also checks which slot each weight lands in.
         rng = np.random.default_rng(seed)
-        ready = lab_vector(LabLabel.READY)
+        ready = np.eye(3)[LabLabel.READY.value]
         pair = np.stack([np.kron(ready, random_state(2, rng)) for _ in range(2)])
         coefficients = rng.normal(size=2) + 1j * rng.normal(size=2)
         dense = sum(c * np.kron(np.kron(v, v), v) for c, v in zip(coefficients, pair))
@@ -1150,7 +1148,7 @@ class TestCollapseTable:
         monkeypatch.setattr(
             gwsim.models, "outsider_parts", lambda *a: parts.append(q := original(*a)) or q
         )
-        pair = np.kron(lab_vector(LabLabel.READY), spin_vector(SpinAxis.Z, sign))
+        pair = np.kron(np.eye(3)[LabLabel.READY.value], spin_vector("z", sign))
         monkeypatch.setattr(
             gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
         )
@@ -1169,7 +1167,7 @@ class TestCollapseTable:
         # and are pruned although each record's conditional probability is t.
         t = 1e-7
         electron = np.array([np.sqrt(1.0 - t), np.sqrt(t)])
-        pair = np.kron(lab_vector(LabLabel.READY), electron)
+        pair = np.kron(np.eye(3)[LabLabel.READY.value], electron)
         monkeypatch.setattr(
             gwsim.models, "initial_product_terms", lambda: (np.array([1.0, 0.0]), np.stack([pair] * 2))
         )
@@ -1304,29 +1302,29 @@ class TestCollapseReference:
     """The per-path reference the tables are checked against."""
 
     def test_branch_probabilities_follow_born(self):
-        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        branches, pruned = collapse_branches_reference(state, [(spin_observable(SpinAxis.Z), None)])
+        state = StateVector(layout("A"), spin_vector("x", +1))
+        branches, pruned = collapse_branches_reference(state, [(spin_observable("z"), None)])
         assert [signs for signs, _ in branches] == [(+1,), (-1,)]
         assert [p for _, p in branches] == pytest.approx([0.5, 0.5], abs=1e-15)
         assert pruned == 0.0
 
     def test_an_eigenstate_has_a_single_branch(self):
-        state = StateVector(layout("A"), spin_vector(SpinAxis.Y, -1))
-        branches, pruned = collapse_branches_reference(state, [(spin_observable(SpinAxis.Y), None)])
+        state = StateVector(layout("A"), spin_vector("y", -1))
+        branches, pruned = collapse_branches_reference(state, [(spin_observable("y"), None)])
         assert [signs for signs, _ in branches] == [(-1,)]
         assert branches[0][1] == pytest.approx(1.0, abs=1e-12)
         assert pruned < SAMPLE_FLOOR
 
     def test_each_branch_is_renormalized_before_the_next_step(self):
-        state = StateVector(layout("A"), spin_vector(SpinAxis.X, +1))
-        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
+        state = StateVector(layout("A"), spin_vector("x", +1))
+        steps = [(spin_observable("z"), None), (spin_observable("x"), None)]
         branches, _ = collapse_branches_reference(state, steps)
         assert [signs for signs, _ in branches] == [(+1, +1), (+1, -1), (-1, +1), (-1, -1)]
         assert [p for _, p in branches] == pytest.approx([0.25] * 4, abs=1e-15)
 
     def test_every_branch_pruned_leaves_no_paths(self):
         zero = StateVector(layout("A"), np.zeros(2))
-        steps = [(spin_observable(SpinAxis.Z), None), (spin_observable(SpinAxis.X), None)]
+        steps = [(spin_observable("z"), None), (spin_observable("x"), None)]
         assert collapse_branches_reference(zero, steps) == ([], 0.0)
 
 

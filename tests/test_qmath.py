@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gwsim.cli import _build_model
@@ -19,7 +18,6 @@ from gwsim.qmath import (
     grouped_amplitudes,
     layout,
     permute_factors,
-    tensor,
 )
 
 from _oracles import (
@@ -73,21 +71,6 @@ def test_state_vector_is_read_only():
         state.amplitudes[0] = 0.5
 
 
-def test_tensor_matches_kron_and_concatenates_layouts():
-    rng = np.random.default_rng(10)
-    a = StateVector(layout("L"), random_state(3, rng))
-    b = StateVector(layout("A"), random_state(2, rng))
-    ab = tensor(a, b)
-    assert ab.layout.names == ("L", "A")
-    assert_allclose(ab.amplitudes, np.kron(a.amplitudes, b.amplitudes))
-
-
-def test_tensor_rejects_shared_factors():
-    a = StateVector(layout("A"), np.array([1.0, 0.0]))
-    with pytest.raises(LayoutError, match="duplicate"):
-        tensor(a, a)
-
-
 def test_apply_local_single_factor_matches_embedding_oracle():
     rng = np.random.default_rng(12)
     state = StateVector(CANONICAL_LAYOUT, random_state(216, rng))
@@ -134,11 +117,9 @@ def test_permute_factors_round_trip():
 
 
 def test_permute_factors_reorders_amplitudes():
-    a = StateVector(layout("A"), np.array([1.0, 0.0]))
-    b = StateVector(layout("B"), np.array([0.0, 1.0]))
-    ab = tensor(a, b)
-    ba = permute_factors(ab, ("B", "A"))
-    assert_allclose(ba.amplitudes, np.kron(b.amplitudes, a.amplitudes))
+    a, b = [1.0, 0.0], [0.0, 1.0]
+    ba = permute_factors(StateVector(layout("A", "B"), np.kron(a, b)), ("B", "A"))
+    assert_allclose(ba.amplitudes, np.kron(b, a))
 
 
 def test_permute_factors_requires_same_factor_set():
@@ -254,7 +235,8 @@ def contract_one(stacked: bool, state: StateVector, groups) -> np.ndarray:
     """One state's joint outcome amplitudes: the package's ``grouped_amplitudes``,
     or the dense oracle's ``stacked_amplitudes`` on a stack of one."""
     if stacked:
-        return stacked_amplitudes(StateVector(state.layout, state.amplitudes[None]), groups)[0]
+        pairs = [(g.factors, g.vectors) for g in groups]
+        return stacked_amplitudes(StateVector(state.layout, state.amplitudes[None]), pairs)[0]
     return grouped_amplitudes(state, groups)[0]
 
 
@@ -293,21 +275,8 @@ def test_contraction_spectator_axis_carries_leftover_weight(stacked):
 def test_contractions_reject_overlapping_groups(stacked):
     amplitudes = np.array([1, 0, 0, 0], dtype=complex)
     g = BasisGroup(("A",), (+1, -1), np.eye(2))
-    contract = stacked_amplitudes if stacked else grouped_amplitudes
     with pytest.raises(LayoutError, match="overlap"):
-        contract(StateVector(layout("A", "B"), amplitudes[None] if stacked else amplitudes), [g, g])
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_tensor_norm_is_multiplicative(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=3) + 1j * rng.normal(size=3)
-    b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    sa = StateVector(layout("L"), a / max(np.linalg.norm(a), 1e-6) * 0.5)
-    sb = StateVector(layout("A"), b / max(np.linalg.norm(b), 1e-6) * 0.25)
-    norm = [np.linalg.norm(s.amplitudes) for s in (tensor(sa, sb), sa, sb)]
-    assert norm[0] == pytest.approx(norm[1] * norm[2], rel=1e-9)
+        contract_one(stacked, StateVector(layout("A", "B"), amplitudes), [g, g])
 
 
 def random_stack(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -345,35 +314,36 @@ def test_stacked_amplitudes_match_grouped_amplitudes_of_each_state():
     stack = StateVector(CANONICAL_LAYOUT, random_stack(5, 216, rng))
     pairs = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(5)])
     for groups in (
-        [BasisGroup(("N", "C"), (+1, -1), pairs), BasisGroup(("A",), (+1, -1), np.eye(2))],
+        [(("N", "C"), pairs), (("A",), np.eye(2))],
         [
-            BasisGroup(("L", "A"), (+1, -1), pairs),
-            BasisGroup(("M", "B"), (+1, -1), pairs[::-1]),
-            BasisGroup(("N", "C"), (+1, -1), random_orthonormal_columns(6, 2, rng)),
+            (("L", "A"), pairs),
+            (("M", "B"), pairs[::-1]),
+            (("N", "C"), random_orthonormal_columns(6, 2, rng)),
         ],
     ):
         amps = stacked_amplitudes(stack, groups)
         for m in range(5):
             state = StateVector(CANONICAL_LAYOUT, stack.amplitudes[m])
-            entry = [
-                BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
-                for g in groups
-            ]
+            entry = [BasisGroup(f, (+1, -1), v[m] if v.ndim == 3 else v) for f, v in groups]
             expected, spectator_dim = grouped_amplitudes(state, entry)
             assert amps.shape == (5, *expected.shape)
             assert np.array_equal(amps[m], expected)
 
 
-def test_stacks_of_operators_and_basis_families_are_checked_entry_by_entry():
+def test_stacks_of_operators_are_checked_entry_by_entry():
     rng = np.random.default_rng(33)
     unitaries = np.array([random_unitary(6, rng) for _ in range(3)])
     assert check_unitary(Operator(unitaries.copy()))
     unitaries[1] *= 1.5
     assert not check_unitary(Operator(unitaries))
-    families = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(3)])
-    BasisGroup(("L", "A"), (+1, -1), families.copy())
-    families[2, :, 1] = families[2, :, 0]
-    with pytest.raises(ValueError, match="orthonormal"):
-        BasisGroup(("L", "A"), (+1, -1), families)
     with pytest.raises(ValueError, match="square"):
         Operator(np.zeros((2, 3, 3, 3)))
+
+
+def test_basis_group_rejects_a_stack_of_families():
+    # ``grouped_amplitudes`` contracts one family; a stack's ``.T`` would
+    # reverse all three axes and mix the stack into the labels, silently.
+    rng = np.random.default_rng(34)
+    families = np.array([random_orthonormal_columns(2, 2, rng) for _ in range(3)])
+    with pytest.raises(LayoutError, match="shape"):
+        BasisGroup(("A",), (+1, -1), families)

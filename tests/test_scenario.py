@@ -45,7 +45,6 @@ from gwsim.systems import (
     SUPPORT_EPS,
     LabLabel,
     initial_scenario_state,
-    lab_vector,
 )
 
 
@@ -622,7 +621,7 @@ class TestBornWeights:
         # the same terms. ``seed`` draws a two-term state off the GHZ form.
         if seed is not None:
             rng = np.random.default_rng(seed)
-            ready = lab_vector(LabLabel.READY)
+            ready = np.eye(3)[LabLabel.READY.value]
             pair = tuple(np.kron(ready, random_state(2, rng)).tolist() for _ in range(2))
             terms = (tuple(random_state(2, rng).tolist()), pair)
             for module in (gwsim.models, gwsim.scenario):

@@ -4,34 +4,26 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from numpy.testing import assert_allclose
 
-from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, StateVector
+from gwsim.qmath import CANONICAL_LAYOUT, BasisGroup, StateVector, layout
 from gwsim.systems import (
     SUPPORT_EPS,
     LabLabel,
-    SpinAxis,
     SupportEntry,
-    ghz_state,
     initial_product_terms,
     initial_scenario_state,
-    lab_state,
-    spin_basis,
-    spin_vector,
     support_table,
 )
 
 from _oracles import (
     axis_spec,
+    dense_ghz,
     random_orthonormal_columns,
     random_state,
     stacked_support,
-    sym_ghz,
     sym_ghz_amplitudes,
-    sym_spin_vector,
+    sym_initial_state,
 )
-
-SQ2 = np.sqrt(2.0)
 
 
 def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
@@ -42,46 +34,7 @@ def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
 
 
 def ghz_expansion(axes) -> dict[tuple, tuple[complex, float]]:
-    return expansion(ghz_state(), axis_spec(ghz_state(), axes))
-
-
-@pytest.mark.parametrize("axis", list(SpinAxis))
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_spin_vectors_match_symbolic_conventions(axis, sign):
-    expected = np.array(sym_spin_vector(axis.value, sign).evalf(), dtype=complex).ravel()
-    assert_allclose(spin_vector(axis, sign), expected, atol=1e-15)
-
-
-def test_spin_state_rejects_bad_sign():
-    with pytest.raises(ValueError, match="sign"):
-        spin_vector(SpinAxis.X, 0)
-
-
-def test_spin_bases_are_orthonormal():
-    for axis in SpinAxis:
-        basis = spin_basis(axis)
-        assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
-
-
-def test_x_states_in_terms_of_z():
-    assert_allclose(spin_vector(SpinAxis.X, +1), [1 / SQ2, 1 / SQ2])
-    assert_allclose(spin_vector(SpinAxis.X, -1), [1 / SQ2, -1 / SQ2])
-
-
-def test_y_states_carry_the_flipped_sign():
-    # The convention with -i on |+1_y>: this is what makes the x-round parity
-    # come out negative below.
-    assert_allclose(spin_vector(SpinAxis.Y, +1), [1 / SQ2, -1j / SQ2])
-    assert_allclose(spin_vector(SpinAxis.Y, -1), [1 / SQ2, +1j / SQ2])
-
-
-def test_ghz_state_matches_symbolic_oracle():
-    expected = np.array(sym_ghz().evalf(), dtype=complex).ravel()
-    assert_allclose(ghz_state().amplitudes, expected, atol=1e-15)
-
-
-def test_ghz_state_is_normalized():
-    assert np.linalg.norm(ghz_state().amplitudes) == pytest.approx(1.0, abs=1e-12)
+    return expansion(dense_ghz(), axis_spec(dense_ghz(), axes))
 
 
 @pytest.mark.parametrize(
@@ -97,7 +50,7 @@ def test_ghz_state_is_normalized():
     ],
 )
 def test_expansions_match_symbolic_oracle(axes):
-    entries = ghz_expansion([SpinAxis(a) for a in axes])
+    entries = ghz_expansion(axes)
     exact = sym_ghz_amplitudes(axes)
     for signs in itertools.product((+1, -1), repeat=3):
         expected = complex(exact[signs].evalf())
@@ -106,14 +59,14 @@ def test_expansions_match_symbolic_oracle(axes):
 
 
 def test_z_expansion_has_full_support_at_one_eighth():
-    entries = ghz_expansion([SpinAxis.Z] * 3)
+    entries = ghz_expansion("zzz")
     assert len(entries) == 8
     for _, weight in entries.values():
         assert weight == pytest.approx(0.125, abs=1e-12)
 
 
 def test_x_expansion_is_the_odd_parity_quadruple():
-    entries = ghz_expansion([SpinAxis.X] * 3)
+    entries = ghz_expansion("xxx")
     assert sorted(entries) == [
         (-1, -1, -1),
         (-1, +1, +1),
@@ -125,8 +78,8 @@ def test_x_expansion_is_the_odd_parity_quadruple():
 
 @pytest.mark.parametrize("x_position", [0, 1, 2])
 def test_single_x_expansions_are_even_parity(x_position):
-    axes = [SpinAxis.Z] * 3
-    axes[x_position] = SpinAxis.X
+    axes = ["z"] * 3
+    axes[x_position] = "x"
     entries = ghz_expansion(axes)
     assert len(entries) == 4
     assert all(math.prod(labels) == +1 for labels in entries)
@@ -134,22 +87,14 @@ def test_single_x_expansions_are_even_parity(x_position):
 
 
 def test_expansion_probabilities_always_sum_to_one():
-    for axes in itertools.product(list(SpinAxis), repeat=3):
+    for axes in itertools.product("xyz", repeat=3):
         entries = ghz_expansion(axes)
         assert sum(weight for _, weight in entries.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_axis_spec_length_check():
     with pytest.raises(ValueError, match="axes"):
-        axis_spec(ghz_state(), [SpinAxis.Z, SpinAxis.Z])
-
-
-def test_lab_states_are_basis_vectors():
-    for label in LabLabel:
-        vec = lab_state(label, "M").amplitudes
-        expected = np.zeros(3)
-        expected[label.value] = 1.0
-        assert_allclose(vec, expected)
+        axis_spec(dense_ghz(), "zz")
 
 
 def test_initial_scenario_state_layout_and_content():
@@ -166,12 +111,32 @@ def test_initial_scenario_state_layout_and_content():
     assert entries[(0, 0, 0)][1] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_initial_scenario_state_is_exact():
+    # The product terms expanded: eight amplitudes ±¼ ± ¼i, each |a|² = 1/8
+    # exactly, and each the double nearest the symbolic oracle's value.
+    amplitudes = initial_scenario_state().amplitudes
+    nonzero = amplitudes[amplitudes != 0]
+    assert len(nonzero) == 8
+    assert set(np.abs(nonzero.real)) == set(np.abs(nonzero.imag)) == {0.25}
+    assert float(np.sum(amplitudes.real**2 + amplitudes.imag**2)) == 1.0
+    expected = np.array(sym_initial_state().evalf(), dtype=complex).ravel()
+    assert np.array_equal(amplitudes, expected)
+
+
 def test_product_terms_sum_to_the_initial_state():
-    # The frame pass's two product terms are the dense initial state, so
-    # they carry the y-sign convention the symbolic oracle pins.
+    # Entry for entry in exact arithmetic: the frame pass's two product terms
+    # are the symbolic GHZ state with every lab ready, so they carry the
+    # y-sign convention the oracle pins.
     coefficients, vectors = initial_product_terms()
-    terms = [c * np.kron(np.kron(v, v), v) for c, v in zip(coefficients, vectors)]
-    assert_allclose(sum(terms), initial_scenario_state().amplitudes, rtol=0, atol=1e-15)
+
+    def exact(z: complex) -> sp.Expr:
+        return sp.Rational(z.real) + sp.I * sp.Rational(z.imag)
+
+    pairs = [sp.Matrix([exact(x) for x in v]) for v in vectors]
+    terms = [exact(c) * sp.kronecker_product(v, v, v) for c, v in zip(coefficients, pairs)]
+    assert [sp.expand(x) for x in terms[0] + terms[1]] == [
+        sp.expand(x) for x in sym_initial_state()
+    ]
 
 
 def test_product_terms_are_exact_in_binary_floating_point():
@@ -187,16 +152,17 @@ def test_product_terms_are_exact_in_binary_floating_point():
 
 def test_weights_leave_out_what_lies_outside_the_labeled_subspace():
     # Label only the |ready> level of lab L: a recorded lab has no weight on it.
-    state = lab_state(LabLabel.RECORDED_UP, "L")
-    group = BasisGroup(("L",), (0,), np.eye(3)[:, :1])
-    _, weights = stacked_support(StateVector(state.layout, state.amplitudes[None]), [group])
+    state = StateVector(layout("L"), np.eye(3)[LabLabel.RECORDED_UP.value])
+    _, weights = stacked_support(
+        StateVector(state.layout, state.amplitudes[None]), [(("L",), np.eye(3)[:, :1])]
+    )
     assert weights.tolist() == [[0.0]]
 
 
 def test_support_table_reports_residual_outside_labeled_subspace():
     # Label only the |ready> level of lab L: the residual is the weight on
     # the other two levels.
-    state = lab_state(LabLabel.RECORDED_UP, "L")
+    state = StateVector(layout("L"), np.eye(3)[LabLabel.RECORDED_UP.value])
     group = BasisGroup(("L",), (0,), np.eye(3)[:, :1])
     entries, residual = support_table(state, [group])
     assert entries == []
@@ -210,7 +176,7 @@ def test_support_entry_product():
 
 def test_amplitude_is_exact_without_spectators():
     # Amplitude of |+1_z,+1_z,+1_z> is (1-i)/4 under the pinned conventions.
-    amplitude, _ = ghz_expansion([SpinAxis.Z] * 3)[(+1, +1, +1)]
+    amplitude, _ = ghz_expansion("zzz")[(+1, +1, +1)]
     assert amplitude == pytest.approx((1 - 1j) / 4, abs=1e-12)
 
 
@@ -223,15 +189,12 @@ def test_stacked_support_gives_support_table_entries_bit_for_bit(sites):
     stack = np.array([random_state(216, rng) for _ in range(6)])
     families = np.array([random_orthonormal_columns(6, 2, rng) for _ in range(6)])
     pair = {"A": ("L", "A"), "B": ("M", "B"), "C": ("N", "C")}
-    groups = [BasisGroup(pair[s], (+1, -1), families) for s in sites]
-    groups += [BasisGroup((s,), (+1, -1), spin_basis(SpinAxis.Z)) for s in "ABC" if s not in sites]
+    groups = [(pair[s], families) for s in sites]
+    groups += [((s,), np.eye(2)) for s in "ABC" if s not in sites]
     amplitudes, weights = stacked_support(StateVector(CANONICAL_LAYOUT, stack), groups)
-    labels = list(itertools.product(*(g.labels for g in groups)))
+    labels = list(itertools.product((+1, -1), repeat=len(groups)))
     for m in range(6):
-        single = [
-            BasisGroup(g.factors, g.labels, g.vectors[m] if g.vectors.ndim == 3 else g.vectors)
-            for g in groups
-        ]
+        single = [BasisGroup(f, (+1, -1), v[m] if v.ndim == 3 else v) for f, v in groups]
         entries, _ = support_table(StateVector(CANONICAL_LAYOUT, stack[m]), single)
         kept = weights[m] > SUPPORT_EPS
         assert entries == [
