@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from gwsim.cli import _build_model
@@ -277,6 +278,21 @@ def test_contractions_reject_overlapping_groups(stacked):
     g = BasisGroup(("A",), (+1, -1), np.eye(2))
     with pytest.raises(LayoutError, match="overlap"):
         contract_one(stacked, StateVector(layout("A", "B"), amplitudes), [g, g])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_grouped_amplitudes_of_a_product_state_factorise(seed):
+    # On a ⊗ b the amplitude of labels (i, j) is ⟨e_i|a⟩⟨f_j|b⟩, so the joint
+    # weights sum to |a|²·|b|², unnormalised states included.
+    rng = np.random.default_rng(seed)
+    a, b = 0.5 * random_state(3, rng), 0.25 * random_state(2, rng)
+    e, f = random_unitary(3, rng), random_unitary(2, rng)
+    groups = [BasisGroup(("L",), (0, 1, 2), e), BasisGroup(("A",), (+1, -1), f)]
+    amps, spectator_dim = grouped_amplitudes(StateVector(layout("L", "A"), np.kron(a, b)), groups)
+    assert spectator_dim == 1
+    assert_allclose(amps[..., 0], np.outer(e.conj().T @ a, f.conj().T @ b), rtol=0, atol=1e-15)
+    assert np.sum(np.abs(amps) ** 2) == pytest.approx(0.5**2 * 0.25**2, rel=1e-12)
 
 
 def random_stack(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -7,7 +7,13 @@ import pytest
 import gwsim.models
 import gwsim.scenario
 import gwsim.spacetime
-from _oracles import born_weights_reference, dense_weights, random_state, round_by_round_tables
+from _oracles import (
+    born_weights_reference,
+    dense_weights,
+    random_state,
+    round_by_round_tables,
+    spin_basis,
+)
 from test_models import sweep_model
 from gwsim.cli import _build_model
 from gwsim.measurement import (
@@ -391,6 +397,35 @@ ANALYSIS_MODELS = {
     "haar:7": lambda: _haar_model(7),
     "haar:8": lambda: _haar_model(8),
 }
+
+
+class TestEventBases:
+    """The bases a round is expanded in: the friend's electron z basis, and
+    the outsider's recorded X basis |±1X> = U(|ready> ⊗ |±1_x>)."""
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_the_friend_basis_is_the_electrons_z_basis(self, schedule, site):
+        group = gwsim.scenario._event_basis_group(event(schedule, f"friend_{site}"), IDEAL)
+        assert group.factors == (SITE_FACTORS[site][1],)
+        assert group.labels == (+1, -1)
+        assert np.array_equal(group.vectors, spin_basis("z"))
+
+    @pytest.mark.parametrize("site", SITES)
+    @pytest.mark.parametrize("spec", ["ideal", "haar:7"])
+    def test_the_outsider_basis_is_the_recorded_x_basis(self, schedule, spec, site):
+        # Each site's own device, and the symbolic oracle's x convention.
+        model = ANALYSIS_MODELS[spec]()
+        group = gwsim.scenario._event_basis_group(event(schedule, f"outsider_{site}"), model)
+        ready = np.eye(3)[LabLabel.READY.value]
+        expected = model.unitary(site).matrix @ np.kron(ready[:, None], spin_basis("x"))
+        assert group.factors == SITE_FACTORS[site]
+        assert group.labels == (+1, -1)
+        np.testing.assert_allclose(group.vectors, expected, rtol=0, atol=1e-15)
+
+    def test_an_unknown_event_kind_is_rejected(self, schedule):
+        ev = event(schedule, "friend_A")._replace(kind="door")
+        with pytest.raises(ValueError, match="unknown event kind"):
+            gwsim.scenario._event_basis_group(ev, IDEAL)
 
 
 def standard_orderings(schedule):

@@ -23,7 +23,13 @@ from _oracles import (
     stacked_support,
     sym_ghz_amplitudes,
     sym_initial_state,
+    sym_spin_vector,
 )
+
+
+def exact(z: complex) -> sp.Expr:
+    """A double's exact value, as a sympy number."""
+    return sp.Rational(z.real) + sp.I * sp.Rational(z.imag)
 
 
 def expansion(state, groups) -> dict[tuple, tuple[complex, float]]:
@@ -128,15 +134,22 @@ def test_product_terms_sum_to_the_initial_state():
     # are the symbolic GHZ state with every lab ready, so they carry the
     # y-sign convention the oracle pins.
     coefficients, vectors = initial_product_terms()
-
-    def exact(z: complex) -> sp.Expr:
-        return sp.Rational(z.real) + sp.I * sp.Rational(z.imag)
-
     pairs = [sp.Matrix([exact(x) for x in v]) for v in vectors]
     terms = [exact(c) * sp.kronecker_product(v, v, v) for c, v in zip(coefficients, pairs)]
     assert [sp.expand(x) for x in terms[0] + terms[1]] == [
         sp.expand(x) for x in sym_initial_state()
     ]
+
+
+@pytest.mark.parametrize("term, sign", [(0, +1), (1, -1)])
+def test_each_product_term_holds_a_y_eigenvector(term, sign):
+    # The flipped-sign y convention lives in the product terms: every
+    # electron is √2·|+1_y> = (1, −i) in term 0 and √2·|-1_y> = (1, i) in
+    # term 1, at pair entries (ready, ±1_z), and no lab is recorded.
+    v = initial_product_terms()[1][term]
+    electron = sp.Matrix([exact(x) for x in v[:2]])
+    assert sp.simplify(electron - sp.sqrt(2) * sym_spin_vector("y", sign)) == sp.zeros(2, 1)
+    assert v[2:] == (0j,) * 4
 
 
 def test_product_terms_are_exact_in_binary_floating_point():
